@@ -16,8 +16,7 @@ names the violated window), 3 root-solver failure (with the best residual
 reached).
 
 Configuration: a flat key=value file can be passed with --config; explicit
-command line flags override file values.  The environment variable
-HYPERSINT_SEED (default 0) seeds the root solver's multi-start shuffling.
+command line flags override file values.
 """
 
 from __future__ import annotations
@@ -345,14 +344,15 @@ def cmd_wavefunction(cfg: RunConfig) -> str:
 def cmd_roots(cfg: RunConfig) -> str:
     params = cfg.params()
     recs = []
+    meta = {**cfg.meta(), "chart": cfg.chart, "N": cfg.N, "form": cfg.form}
     if cfg.potential == "v1":
-        solver = (p1.p1_ep_roots if cfg.chart == "elliptic-parabolic"
-                  else p1.p1_hp_roots)
         if cfg.chart not in ("elliptic-parabolic", "hyperbolic-parabolic"):
             raise HypersintError("v1 roots live on the parabolic charts")
         sep_fn = (p1.p1_ep_lambda if cfg.chart == "elliptic-parabolic"
                   else p1.p1_hp_tau)
-        for c in solver(params, cfg.N, form=cfg.form, tol=cfg.bethe_tol):
+        confs, meta["non_real_configurations"] = p1._p1_roots(
+            params, cfg.N, cfg.chart, cfg.form, cfg.bethe_tol)
+        for c in confs:
             recs.append({
                 "roots": [float(r) for r in c.roots],
                 "residual": c.residual,
@@ -376,8 +376,7 @@ def cmd_roots(cfg: RunConfig) -> str:
                 "lambda_display_symmetrized": [lam.real, lam.imag],
                 "lambda_eigenvalue": [lam_true.real, lam_true.imag],
             })
-    payload = {"meta": {**cfg.meta(), "chart": cfg.chart, "N": cfg.N,
-                        "form": cfg.form}, "records": recs}
+    payload = {"meta": meta, "records": recs}
     if cfg.fmt == "csv":
         rows = [[i, r["residual"], ";".join(map(str, r["roots"]))]
                 for i, r in enumerate(recs)]

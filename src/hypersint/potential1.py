@@ -521,93 +521,122 @@ def p1_hp_equations(p: P1Params, N: int, theta: np.ndarray, form: str) -> np.nda
     raise OutOfDomainError(f"unknown equation form {form!r}")
 
 
-def _newton_polish(fun, x0: np.ndarray, tol: float, max_iter: int = 80):
-    """Damped Newton with numerical Jacobian; returns (x, residual)."""
-    x = np.array(x0, dtype=float)
-    n = len(x)
-    res = fun(x)
-    best, best_r = x.copy(), float(np.max(np.abs(res))) if n else 0.0
-    for _ in range(max_iter):
-        r = float(np.max(np.abs(res))) if n else 0.0
-        if r < best_r:
-            best, best_r = x.copy(), r
-        if r <= tol:
-            return x, r
-        jac = np.zeros((n, n))
-        for j in range(n):
-            step = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += step
-            xm = x.copy(); xm[j] -= step
-            jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * step)
+# One solver for every zero-equation family of the package.  A family
+#     a(th_i) sum_{k != i} 1/(th_i - th_k) + b(th_i) = 0,   i = 1..N,
+# with deg a <= 3 and deg b <= 2, holds exactly when y = prod (th - th_k)
+# solves the Heine-Stieltjes equation (a/2) y'' + b y' = (v1 th + v0) y
+# (Stieltjes 1885; Faribault, El Araby, Straeter, Gritsev, PRB 83, 235124):
+# at a zero th_i of y, y''/y' = 2 sum_{k != i} 1/(th_i - th_k).  The top
+# degree fixes v1; the Van Vleck constant v0 is an eigenvalue of the operator
+# on polynomials of degree <= N, and its eigenvector holds the coefficients
+# of y.  The N + 1 eigenpairs give all N + 1 configurations at once.
+
+def _stieltjes_matrix(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
+    """(N+1) x (N+1) matrix of y -> (a/2) y'' + b y' - v1 th y on the
+    monomials 1, th, ..., th^N (a, b ascending coefficients).
+
+    Column j is the image of th^j; v1 = N(N-1) a_3/2 + N b_2 cancels the
+    th^{N+1} term of the image of th^N, so the matrix is closed.
+    """
+    a = np.pad(a, (0, 4 - len(a)))
+    b = np.pad(b, (0, 3 - len(b)))
+    j = np.arange(N + 1.0)
+    h = 0.5 * j * (j - 1.0)
+    return (np.diag((h * a[0])[2:], 2)
+            + np.diag((h * a[1] + j * b[0])[1:], 1)
+            + np.diag(h * a[2] + j * b[1])
+            + np.diag(((h - h[N]) * a[3] + (j - N) * b[2])[:-1], -1))
+
+
+def _stieltjes_polish(a: np.ndarray, b: np.ndarray,
+                      th: np.ndarray) -> np.ndarray:
+    """Newton on the family's equations with the analytic Jacobian, for at
+    most six steps; stops as soon as the residual no longer falls.
+
+    The eigenvector's roots lose digits as N grows (residual 1e-7 at N = 8
+    and 1e-5 at N = 14 on a deep well); one or two steps reach round-off.
+    """
+    pa, pb = a[::-1], b[::-1]
+    da, db = np.polyder(pa), np.polyder(pb)
+    diag = np.eye(len(th), dtype=bool)
+    best, best_r = th, math.inf
+    for _ in range(7):
+        gap = np.where(diag, 1.0, th[:, None] - th[None, :])
+        inv = np.where(diag, 0.0, 1.0 / gap)
+        av = np.polyval(pa, th)
+        f = av * inv.sum(axis=1) + np.polyval(pb, th)
+        r = float(np.max(np.abs(f)))
+        if not r < best_r:
+            break
+        best, best_r = th, r
+        inv2 = inv * inv
+        jac = av[:, None] * inv2
+        jac[diag] = (np.polyval(da, th) * inv.sum(axis=1)
+                     - av * inv2.sum(axis=1) + np.polyval(db, th))
         try:
-            dx = np.linalg.solve(jac, -res)
+            th = th + np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
-            return best, best_r
-        lam = 1.0
-        for _ in range(30):
-            xn = x + lam * dx
-            if len(set(np.round(xn, 12))) < n:  # collided roots
-                lam *= 0.5
-                continue
-            rn = fun(xn)
-            if np.max(np.abs(rn)) < np.max(np.abs(res)) or lam < 1e-4:
-                x, res = xn, rn
-                break
-            lam *= 0.5
-        else:
-            return best, best_r
-    r = float(np.max(np.abs(res))) if n else 0.0
-    return (x, r) if r < best_r else (best, best_r)
+            break
+    return best
 
 
-def _start_grids(N: int, zone_a: tuple[float, float], zone_b: tuple[float, float],
-                 extra_span: tuple[float, float], seed: int) -> list[np.ndarray]:
-    """Initial guesses: one grid per zone split plus seeded global spreads."""
+def _stieltjes_roots(a, b, N: int, center: float = 0.0) -> list[np.ndarray]:
+    """Every zero configuration of the family (a, b) at size N, polished.
+
+    The polynomials are expanded in powers of (th - center).  Roots that
+    crowd against a singular point of a lose digits in the monomial basis;
+    expanding about that point keeps them apart in relative terms.
+
+    For real a, b, configurations whose roots are all real come back as
+    float arrays, the others as complex arrays.  A degenerate eigenvector
+    (top coefficient exactly zero) yields no configuration.
+    """
     if N == 0:
-        return [np.array([])]
-    rng = np.random.default_rng(seed)
-    starts = []
-
-    def spread(lo, hi, k, jitter=0.0):
-        pts = lo + (hi - lo) * (np.arange(k) + 0.6 + jitter) / (k + 0.4)
-        return pts
-
-    for p_count in range(N + 1):
-        q_count = N - p_count
-        for jit in (0.0, 0.17):
-            g = np.concatenate([
-                spread(*zone_a, p_count, jit) if p_count else np.empty(0),
-                spread(*zone_b, q_count, jit) if q_count else np.empty(0),
-            ])
-            starts.append(np.sort(g))
-    for _ in range(6 * (N + 1)):
-        g = np.sort(rng.uniform(extra_span[0], extra_span[1], size=N))
-        if len(set(np.round(g, 6))) == N:
-            starts.append(g)
-    return starts
+        return [np.zeros(0)]
+    a, b = _taylor_shift(a, center), _taylor_shift(b, center)
+    _, vecs = np.linalg.eig(_stieltjes_matrix(a, b, N))
+    out = []
+    for v in vecs.T:
+        if not np.any(v.imag):
+            v = v.real
+        x = np.roots(v[::-1])
+        if len(x) == N:
+            out.append(_stieltjes_polish(a, b, x) + center)
+    return out
 
 
-def _solve_family(fun, N: int, zones, extra_span, tol: float, seed: int):
-    """Multi-start Newton with configuration deflation (dedupe)."""
-    found: list[tuple[np.ndarray, float]] = []
-    best_overall = math.inf
-    polish_tol = min(tol, 1e-13)
-    for x0 in _start_grids(N, zones[0], zones[1], extra_span, seed):
-        x, r = _newton_polish(fun, x0, polish_tol)
-        best_overall = min(best_overall, r)
-        if r > tol:
-            continue
-        xs = np.sort(x)
-        if any(np.max(np.abs(xs - np.sort(f[0]))) < 1e-6 for f in found):
-            continue
-        if len(xs) > 1 and np.min(np.diff(xs)) < 1e-9:
-            continue  # coincident roots: not a valid configuration
-        found.append((xs, r))
-    if not found and N > 0:
-        raise SolverFailureError(
-            f"no root configuration reached residual {tol:g}",
-            best_residual=best_overall)
-    return found
+def _taylor_shift(c, t0: float) -> np.ndarray:
+    """Ascending coefficients of c(x + t0), from ascending coefficients c."""
+    pc = np.asarray(c)[::-1]
+    return np.array([np.polyval(np.polyder(pc, k), t0) / math.factorial(k)
+                     for k in range(len(pc))])
+
+
+def _residual(eqs) -> float:
+    """Largest absolute equation residual; inf where it is not finite."""
+    r = float(np.max(np.abs(eqs))) if len(eqs) else 0.0
+    return r if math.isfinite(r) else math.inf
+
+
+def _p1_family(p: P1Params, N: int, chart: str, form: str):
+    """Coefficients (a, b), ascending, of the parabolic zero equations
+    written as a(th_i) sum_{k != i} 1/(th_i - th_k) + b(th_i) = 0.
+
+    They restate ``p1_ep_equations`` and ``p1_hp_equations``: the two forms
+    differ only in b's constant and linear terms.
+    """
+    s, d, c = p.s, p.d, p.c
+    if chart == "elliptic-parabolic":
+        a, b = (0.0, -2.0, 2.0), (2.0 * N, 2.0 * c - 2.0 * N, -2.0 * c)
+        extra = {"printed": (s + d + 1.0, 0.5 * s),
+                 "derived": (d + 1.0 - s, s)}
+    else:
+        a, b = (0.0, 2.0, 2.0), (-2.0 * N, -2.0 * c - 2.0 * N, -2.0 * c)
+        extra = {"printed": (s - d - 1.0, 0.5 * s),
+                 "derived": (s - d - 1.0, s)}
+    if form not in extra:
+        raise OutOfDomainError(f"unknown equation form {form!r}")
+    return np.array(a), np.array(b) + (extra[form] + (0.0,))
 
 
 def _zone_counts(roots: np.ndarray, zone_a, zone_b) -> tuple[int, int, int]:
@@ -616,10 +645,35 @@ def _zone_counts(roots: np.ndarray, zone_a, zone_b) -> tuple[int, int, int]:
     return in_a, in_b, len(roots) - in_a - in_b
 
 
-def _bethe_seed() -> int:
-    import os
-
-    return int(os.environ.get("HYPERSINT_SEED", "0"))
+def _p1_roots(p: P1Params, N: int, chart: str, form: str,
+              tol: float) -> tuple[list[BetheRoots], int]:
+    """The real configurations of a parabolic chart's zero equations that
+    reach ``tol``, and the number of non-real configurations left out."""
+    _check_level(p, N)
+    equations = (p1_ep_equations if chart == "elliptic-parabolic"
+                 else p1_hp_equations)
+    hi = max(4.0, (p.s - 2.0 * N) / (2.0 * p.c) * 1.6 + 2.0)
+    zones = (((0.0, 1.0), (1.0, hi)) if chart == "elliptic-parabolic"
+             else ((-1.0, 0.0), (0.0, hi)))
+    # zone-A roots crowd against th = 1 (elliptic) or th = -1 (hyperbolic)
+    center = 1.0 if chart == "elliptic-parabolic" else -1.0
+    configs = _stieltjes_roots(*_p1_family(p, N, chart, form), N, center)
+    real = [np.sort(th) for th in configs if np.isrealobj(th)]
+    out, best = [], math.inf
+    for th in real:
+        r = _residual(equations(p, N, th, form))
+        best = min(best, r)
+        if r > tol:
+            continue
+        a_count, b_count, off = _zone_counts(th, *zones)
+        out.append(BetheRoots(chart, form, N, tuple(th), r,
+                              (a_count, b_count), off))
+    if not out and N > 0:
+        raise SolverFailureError(
+            f"no root configuration reached residual {tol:g}",
+            best_residual=best)
+    out.sort(key=lambda br: (br.zone_counts[0], br.roots))
+    return out, len(configs) - len(real)
 
 
 def p1_ep_roots(p: P1Params, N: int, form: str = "printed",
@@ -628,40 +682,20 @@ def p1_ep_roots(p: P1Params, N: int, form: str = "printed",
 
     Zones: (0,1) hosts theta-direction zeros (count p), (1,inf) hosts
     a-direction zeros (count q); configurations are sorted by (p, q).
+    Configurations with non-real roots (the printed form has some) are left
+    out; the CLI ``roots`` command reports how many.
     """
-    _check_level(p, N)
-    hi = max(4.0, (p.s - 2.0 * N) / (2.0 * p.c) * 1.6 + 2.0)
-    zones = ((0.0, 1.0), (1.0, hi))
-    fun = lambda th: p1_ep_equations(p, N, th, form)
-    found = _solve_family(fun, N, zones, (-hi, hi), tol, _bethe_seed())
-    out = []
-    for roots, r in found:
-        a_count, b_count, off = _zone_counts(roots, *zones)
-        out.append(BetheRoots("elliptic-parabolic", form, N, tuple(roots),
-                              r, (a_count, b_count), off))
-    out.sort(key=lambda br: (br.zone_counts[0], br.roots))
-    return out
+    return _p1_roots(p, N, "elliptic-parabolic", form, tol)[0]
 
 
 def p1_hp_roots(p: P1Params, N: int, form: str = "printed",
                 tol: float = 1e-10) -> list[BetheRoots]:
-    """Root configurations of the hyperbolic-parabolic zero equations.
+    """Real root configurations of the hyperbolic-parabolic zero equations.
 
     Zones: (-1,0) hosts theta-direction zeros (count k), (0,inf) hosts
     b-direction zeros (count l).
     """
-    _check_level(p, N)
-    hi = max(4.0, (p.s - 2.0 * N) / (2.0 * p.c) * 1.6 + 2.0)
-    zones = ((-1.0, 0.0), (0.0, hi))
-    fun = lambda th: p1_hp_equations(p, N, th, form)
-    found = _solve_family(fun, N, zones, (-hi, hi), tol, _bethe_seed())
-    out = []
-    for roots, r in found:
-        a_count, b_count, off = _zone_counts(roots, *zones)
-        out.append(BetheRoots("hyperbolic-parabolic", form, N, tuple(roots),
-                              r, (a_count, b_count), off))
-    out.sort(key=lambda br: (br.zone_counts[0], br.roots))
-    return out
+    return _p1_roots(p, N, "hyperbolic-parabolic", form, tol)[0]
 
 
 def p1_ep_lambda(p: P1Params, roots: BetheRoots) -> float:

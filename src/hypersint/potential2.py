@@ -45,7 +45,7 @@ from .errors import (
     SolverFailureError,
 )
 from .geometry import AmbientPoint
-from .potential1 import BetheRoots
+from .potential1 import BetheRoots, _residual, _stieltjes_roots
 
 __all__ = [
     "P2Params",
@@ -370,131 +370,45 @@ def p2_sh_equations(p: P2Params, theta: np.ndarray,
     return out
 
 
-def _sh_jacobian(p: P2Params, theta: np.ndarray, chart_params) -> np.ndarray:
-    e1, e2, e3 = _es(chart_params)
+def _sh_family(p: P2Params, chart_params) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (a, b), ascending, of the zero equations multiplied
+    through by P = prod_l (theta - e_l):
+
+        a = 2 P,   b = sum_l (k_l + 1) prod_{m != l} (theta - e_m).
+
+    Both are real, because e2 = conj(e1) and k2 = conj(k1); the imaginary
+    parts left by the complex arithmetic are round-off and are dropped.
+    """
+    es = _es(chart_params)
     ks = (p.k1, p.k2, p.k3)
-    es = (e1, e2, e3)
-    n = len(theta)
-    jac = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        diag = 0.0 + 0.0j
-        for k, e in zip(ks, es):
-            diag -= (k + 1.0) / (theta[i] - e) ** 2
-        for j in range(n):
-            if j != i:
-                diag -= 2.0 / (theta[i] - theta[j]) ** 2
-                jac[i, j] = 2.0 / (theta[i] - theta[j]) ** 2
-        jac[i, i] = diag
-    return jac
+    lin = [np.array([-e, 1.0]) for e in es]
+    a = 2.0 * np.convolve(np.convolve(lin[0], lin[1]), lin[2])
+    b = sum((k + 1.0) * np.convolve(lin[m], lin[n])
+            for k, (m, n) in zip(ks, ((1, 2), (0, 2), (0, 1))))
+    return a.real, b.real
 
 
 def p2_sh_roots(p: P2Params, N: int, chart_params=DEFAULT_SH_PARAMS,
                 tol: float = 1e-10) -> list[BetheRoots]:
     """Root configurations of the semi-hyperbolic zero equations.
 
-    Roots may be complex; each returned configuration is closed under
-    conjugation (required for a real wavefunction), with zone_counts
-    recording (real roots, complex pairs).
+    All N + 1 candidates come from one Heine-Stieltjes eigenproblem (see
+    ``potential1``).  Roots may be complex; each returned configuration is
+    closed under conjugation (required for a real wavefunction), with
+    zone_counts recording (real roots, complex pairs).
     """
     _check_level(p, N)
     if N == 0:
         return [BetheRoots("semi-hyperbolic", "sphere", 0, (), 0.0, (0, 0))]
-    e1, e2, e3 = _es(chart_params)
-    es = (e1, e2, e3)
-    span = max(4.0, 2.0 * (abs(e1) + abs(e3)) + 2.0 * N + 2.0)
-    import os
-    rng = np.random.default_rng(int(os.environ.get("HYPERSINT_SEED", "0")))
-    starts: list[np.ndarray] = []
-    # offset keeps grid points away from the poles e_l; roots cluster near
-    # the e's, so the grid is densest there
-    base = np.concatenate([
-        np.linspace(e3 - span, e3 + span, 4 * N + 7),
-        np.linspace(e3 - 0.35 * span, e3 + 0.35 * span, 4 * N + 6),
-    ]) + 0.0321749
-    base = np.sort(base)
-    from itertools import combinations
-    from math import comb
-
-    while comb(len(base), N) > 3000:
-        base = base[::2]
-    for combo in combinations(range(len(base)), N):
-        starts.append(base[list(combo)].astype(complex))
-    # conjugate-closed starts with complex pairs (r real roots + c pairs)
-    pair_res = np.linspace(e3 - 0.6 * span, e3 + 0.6 * span, 5) + 0.0127
-    pair_ims = (0.4, 1.1, 2.2)
-    for c in range(1, N // 2 + 1):
-        r = N - 2 * c
-        real_choices = combinations(range(len(base)), r) if r else [()]
-        for rc in real_choices:
-            for pre in combinations(range(len(pair_res)), c):
-                for im in pair_ims:
-                    g = list(base[list(rc)].astype(complex))
-                    for idx in pre:
-                        g += [complex(pair_res[idx], im),
-                              complex(pair_res[idx], -im)]
-                    starts.append(np.array(g))
-    for _ in range(12 * N):
-        re = rng.uniform(e3 - span, e3 + span, size=N)
-        im = rng.uniform(-2.0, 2.0, size=N)
-        starts.append(re + 1j * im)
     found: list[tuple[np.ndarray, float]] = []
     best = math.inf
-
-    def clear_of_poles(x):
-        return (np.all(np.isfinite(x.view(float)))
-                and all(np.min(np.abs(x - e)) > 1e-8 for e in es))
-
-    def resid(x):
-        v = p2_sh_equations(p, x, chart_params)
-        r = float(np.max(np.abs(v)))
-        return v, (r if math.isfinite(r) else math.inf)
-
-    for x0 in starts:
-        x = np.array(x0, dtype=complex)
-        ok = clear_of_poles(x)
-        if ok:
-            f, r = resid(x)
-        for _ in range(80 if ok else 0):
-            if r < 1e-13:
-                break
-            try:
-                dx = np.linalg.solve(_sh_jacobian(p, x, chart_params), -f)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            if not np.all(np.isfinite(dx.view(float))):
-                ok = False
-                break
-            # backtracking: accept only residual-decreasing steps
-            lam = 1.0
-            while lam > 1e-4:
-                xn = x + lam * dx
-                if clear_of_poles(xn):
-                    fn, rn = resid(xn)
-                    if rn < r:
-                        x, f, r = xn, fn, rn
-                        break
-                lam *= 0.5
-            else:
-                ok = False
-                break
-        if not ok or r > tol:
-            if ok:
-                best = min(best, r)
-            continue
-        # the rational residual also vanishes as theta -> inf; genuine
-        # configurations stay within the start span
-        if float(np.max(np.abs(x - e3))) > 1.5 * span:
-            continue
+    for x in _stieltjes_roots(*_sh_family(p, chart_params), N):
+        r = _residual(p2_sh_equations(p, x, chart_params))
         best = min(best, r)
-        if len(x) > 1 and np.min(np.abs(np.subtract.outer(x, x)
-                                        [~np.eye(len(x), dtype=bool)])) < 1e-9:
-            continue
-        key = np.sort_complex(np.round(x, 8))
-        if any(np.max(np.abs(key - np.sort_complex(np.round(g[0], 8)))) < 1e-6
-               for g in found):
+        if r > tol:
             continue
         # conjugate closure (guards realness of the wavefunction)
+        key = np.sort_complex(np.round(x, 8))
         conj = np.sort_complex(np.round(x.conjugate(), 8))
         if np.max(np.abs(key - conj)) > 1e-6:
             continue

@@ -134,6 +134,27 @@ def test_roots_command_forms():
                        atol=1e-10)
 
 
+def test_roots_command_reports_non_real_configurations():
+    # the printed N = 2 equations also have one configuration with a
+    # conjugate pair of roots (about -2.63 +- 1.15i on the elliptic chart)
+    for chart in ("elliptic-parabolic", "hyperbolic-parabolic"):
+        for form, non_real in (("printed", 1), ("derived", 0)):
+            code, out = run_main(["roots", "--chart", chart, "--N", "2",
+                                  "--form", form])
+            assert code == 0
+            data = json.loads(out)
+            assert data["meta"]["non_real_configurations"] == non_real
+            assert len(data["records"]) == 3 - non_real
+
+
+def test_roots_bethe_failure_exit_3():
+    r = run_cli(["roots", "--potential", "v2", "--alpha", "0.1",
+                 "--beta", "6", "--gamma", "1", "--chart", "semi-hyperbolic",
+                 "--chart-params", "0,1,0", "--N", "2", "--bethe-tol", "-1"])
+    assert r.returncode == 3
+    assert "best residual" in r.stderr
+
+
 def test_roots_command_v2():
     code, out = run_main(["roots", "--potential", "v2", "--alpha", "0.1",
                           "--beta", "6", "--gamma", "1", "--chart",

@@ -227,9 +227,22 @@ def test_roots_resubstitute(p1_fixture):
 
 
 def test_derived_configuration_count_matches_degeneracy(p1_fixture):
-    for N in range(3):
-        assert len(p1.p1_ep_roots(p1_fixture, N, form="derived")) == N + 1
-        assert len(p1.p1_hp_roots(p1_fixture, N, form="derived")) == N + 1
+    deep = p1.P1Params(0.3, 0.2, 3.0)  # fifteen levels
+    # 42 levels; at N = 16 zone-A roots crowd 0.007 apart next to th = +-1
+    wide = p1.P1Params(0.5, 0.25, 5.5)
+    cases = ([(p1_fixture, N) for N in range(3)]
+             + [(deep, 8), (deep, 14), (wide, 16)])
+    for p, N in cases:
+        for solve, eqs in ((p1.p1_ep_roots, p1.p1_ep_equations),
+                           (p1.p1_hp_roots, p1.p1_hp_equations)):
+            confs = solve(p, N, form="derived")
+            assert len(confs) == N + 1
+            assert len({tuple(np.round(c.roots, 6)) for c in confs}) == N + 1
+            for c in confs:
+                th = np.sort(np.array(c.roots))
+                assert len(th) == N and np.all(np.diff(th) > 0)
+                if N:
+                    assert np.max(np.abs(eqs(p, N, th, "derived"))) <= 1e-10
 
 
 def test_solver_failure_reports_best_residual(p1_fixture):
