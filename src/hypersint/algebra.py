@@ -38,8 +38,8 @@ import numpy as np
 
 from . import potential1 as p1m
 from . import potential2 as p2m
-from .errors import OutOfDomainError, SingularConfigurationError
-from .geometry import AmbientPoint, OperatorExpr, apply_operator
+from .errors import HypersintError, OutOfDomainError, SingularConfigurationError
+from .geometry import AmbientPoint, AmbientPoints, OperatorExpr, apply_operator
 from .interbasis import InterbasisMatrix
 from .potential1 import P1Params
 from .potential2 import P2Params
@@ -195,7 +195,7 @@ def _p2_l12(p: P2Params) -> OperatorExpr:
     w2c = 0.25 - p.k2**2
 
     def mult(q: AmbientPoint):
-        zp = complex(q.w0, q.w1)
+        zp = q.w0 + 1j * q.w1
         r = (zp.conjugate() / zp) ** 2
         return w1c * r + w2c / r
     return OperatorExpr(terms=((-1.0, ("K3", "K3")), (mult, ())), name="L12")
@@ -207,7 +207,7 @@ def _p2_l13(p: P2Params, conj: bool) -> OperatorExpr:
     coeff_pot = (p.beta**2 - p.alpha**2) + (0.5j * p.gamma**2) * (-1.0 if not conj else 1.0)
 
     def mult(q: AmbientPoint):
-        zp = complex(q.w0, -q.w1) if conj else complex(q.w0, q.w1)
+        zp = q.w0 - 1j * q.w1 if conj else q.w0 + 1j * q.w1
         return (coeff_pot * q.w2**2 / zp**2
                 + p.alpha**2 * zp**2 / q.w2**2)
     terms = (
@@ -314,27 +314,49 @@ def build_operator(op_id: str, params, chart_params=None) -> OperatorExpr:
 # Residual measurements
 # ---------------------------------------------------------------------------
 
+def _on_points(fn, pts: AmbientPoints) -> tuple[np.ndarray, bool]:
+    """fn at every point, and whether fn took the whole batch at once.
+
+    An array-safe fn is called once on the batch.  A function that only
+    takes a single AmbientPoint (it fails on arrays with a TypeError or a
+    plain ValueError) is called point by point instead.
+    """
+    try:
+        return np.broadcast_to(np.asarray(fn(pts)), (len(pts),)), True
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, HypersintError):
+            raise
+    return np.array([fn(pts.point(i)) for i in range(len(pts))]), False
+
+
+def _apply_on_points(op: OperatorExpr, fn, pts: AmbientPoints, batched: bool,
+                     h: float, richardson: bool) -> np.ndarray:
+    if batched:
+        return apply_operator(op, fn, pts, h=h, richardson=richardson)
+    return np.array([apply_operator(op, fn, pts.point(i), h=h,
+                                    richardson=richardson)
+                     for i in range(len(pts))])
+
+
 def eigen_residual(op: OperatorExpr, wf, expected: complex,
                    points, h: float = EIGEN_STEP,
                    richardson: bool = True) -> float:
     """max over points of |(op wf - expected wf) / wf|.
 
-    Points where |wf| is below 1e-8 of the running maximum are skipped
-    (the relative residual is meaningless near nodes).
+    Points where |wf| is below 1e-8 of its largest value over all points
+    are skipped (the relative residual is meaningless near nodes).  The
+    points (a sequence of AmbientPoint, or an AmbientPoints) form one
+    batch: an array-safe wf costs one apply_operator call; a scalar-only
+    wf is applied point by point.
     """
-    worst = 0.0
-    scale = max(abs(complex(wf(q))) for q in points)
-    used = 0
-    for q in points:
-        psi = complex(wf(q))
-        if abs(psi) < 1e-8 * scale:
-            continue
-        val = apply_operator(op, wf, q, h=h, richardson=richardson)
-        worst = max(worst, abs(val - expected * psi) / abs(psi))
-        used += 1
-    if used == 0:
+    pts = AmbientPoints.stack(points)
+    psi, batched = _on_points(wf, pts)
+    mag = np.abs(psi)
+    used = mag >= 1e-8 * np.max(mag)
+    if not np.any(used):
         raise SingularConfigurationError("all points fell on wavefunction nodes")
-    return worst
+    val = _apply_on_points(op, wf, pts[used], batched, h, richardson)
+    return float(np.max(np.abs(val - expected * psi[used]) / mag[used]))
 
 
 def project_operator(op: OperatorExpr, basis_fns, points,
@@ -343,15 +365,15 @@ def project_operator(op: OperatorExpr, basis_fns, points,
 
     Columns: op applied to each basis function, expanded back over the basis
     by least squares on the sample points.  Needs len(points) comfortably
-    larger than the multiplet dimension.
+    larger than the multiplet dimension.  The basis functions are real; an
+    array-safe one costs one apply_operator call on the whole point batch.
     """
-    k = len(basis_fns)
-    design = np.array([[float(f(q)) for f in basis_fns] for q in points])
-    out = np.zeros((k, k))
-    for j, f in enumerate(basis_fns):
-        y = np.array([complex(apply_operator(op, f, q, h=h,
-                                             richardson=richardson)).real
-                      for q in points])
+    pts = AmbientPoints.stack(points)
+    cols = [_on_points(f, pts) for f in basis_fns]
+    design = np.column_stack([np.real(v) for v, _ in cols])
+    out = np.zeros((len(basis_fns),) * 2)
+    for j, (f, (_, batched)) in enumerate(zip(basis_fns, cols)):
+        y = np.real(_apply_on_points(op, f, pts, batched, h, richardson))
         sol, *_ = np.linalg.lstsq(design, y, rcond=None)
         out[:, j] = sol
     return out

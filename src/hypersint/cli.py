@@ -258,7 +258,11 @@ def _grid_axes(cfg: RunConfig):
 
 
 def _state_for(cfg: RunConfig):
-    """Build the requested state plus normalization metadata."""
+    """Build the requested state plus normalization metadata.
+
+    The returned function maps chart coordinate arrays (u, v) to real
+    values, NaN at points outside the chart.
+    """
     params = cfg.params()
     meta: dict = {}
     if cfg.potential == "v1":
@@ -316,22 +320,27 @@ def _state_for(cfg: RunConfig):
     meta["normalization"] = "unnormalized product form; global phase removed"
 
     def fn(u, v):
-        q = geo.chart_to_ambient(geo.ChartPoint("semi-hyperbolic", u, v, cp))
-        return p2.p2_wf_semihyperbolic(st, q).real
+        out = np.full(u.shape, math.nan)
+        if cp[1] == 0.0:  # not a semi-hyperbolic chart
+            return out
+        inside = np.flatnonzero((v < cp[2]) & (cp[2] < u))
+        w = geo.semi_hyperbolic_to_ambient(u[inside], v[inside], cp)
+        ok = geo.on_sheet(*w) & (w[2] != 0.0)
+        q = geo.AmbientPoints(*(c[ok] for c in w))
+        out[inside[ok]] = p2.p2_wf_semihyperbolic(st, q).real
+        return out
     return fn, meta
 
 
 def cmd_wavefunction(cfg: RunConfig) -> str:
     fn, meta = _state_for(cfg)
-    u_ax, v_ax = _grid_axes(cfg)
-    rows = []
-    for u in u_ax:
-        for v in v_ax:
-            try:
-                val = float(np.asarray(fn(float(u), float(v))).reshape(()))
-            except HypersintError:
-                val = math.nan
-            rows.append([float(u), float(v), val, val * val])
+    u, v = (a.ravel() for a in np.meshgrid(*_grid_axes(cfg), indexing="ij"))
+    try:
+        vals = np.asarray(fn(u, v), dtype=float)
+    except HypersintError:  # a failure that does not depend on the point
+        vals = np.full(u.shape, math.nan)
+    rows = [[a, b, c, c * c]
+            for a, b, c in zip(u.tolist(), v.tolist(), vals.tolist())]
     meta_all = {**cfg.meta(), "chart": cfg.chart,
                 "quantum": ",".join(str(q) for q in cfg.quantum), **meta}
     if cfg.fmt == "csv":
@@ -539,31 +548,23 @@ def _suite_eigen(cfg: RunConfig) -> list[dict]:
     else:
         params = cfg.params()
         pts = _eq_points()
-        st = p2.P2State(params, "equidistant", (0, 0))
-
-        def wf(q):
-            c = geo.ambient_to_chart(q, "equidistant")
-            return complex(np.asarray(p2.p2_wf_equidistant(st, c.u1, c.u2)).reshape(()))
+        wf = p2.wf_ambient(p2.P2State(params, "equidistant", (0, 0)))
         l1 = alg.build_operator("L1", params)
         mu0 = p2.p2_mu(params, 0)
         recs.append(_rec("L1-v2-equidistant", alg.eigen_residual(
             l1, wf, mu0**2, pts, h=h), 1e-6))
         l12 = alg.build_operator("L12", params)
-        worst = 0.0
-        for q in pts:
-            psi = wf(q)
-            v = (-geo.apply_operator(l12, wf, q, h=h)
-                 + (params.beta**2 - params.alpha**2) * psi)
-            worst = max(worst, abs(v - mu0**2 * psi) / abs(psi))
-        recs.append(_rec("L1-from-L12-relation", worst, 1e-6))
+        batch = geo.AmbientPoints.stack(pts)
+        psi = wf(batch)
+        v = (-geo.apply_operator(l12, wf, batch, h=h)
+             + (params.beta**2 - params.alpha**2) * psi)
+        recs.append(_rec("L1-from-L12-relation",
+                         np.max(np.abs(v - mu0**2 * psi) / np.abs(psi)), 1e-6))
         if cfg.chart_params is not None:
             cp = cfg.chart_params
             conf = p2.p2_sh_roots(params, 0, cp)[0]
-            stsh = p2.P2State(params, "semi-hyperbolic", (0,), roots=conf,
-                              chart_params=cp)
-
-            def wfs(q):
-                return p2.p2_wf_semihyperbolic(stsh, q)
+            wfs = p2.wf_ambient(p2.P2State(params, "semi-hyperbolic", (0,),
+                                           roots=conf, chart_params=cp))
             lam_true = p2.p2_sh_lambda_closed(params, conf, 0, cp)
             l2sh = alg.build_operator("L2", params, chart_params=cp)
             rng = np.random.default_rng(19)
@@ -747,22 +748,17 @@ def _suite_cross_chart(cfg: RunConfig) -> list[dict]:
         recs.append(_rec("energy-branch-consistency", worst_e, 1e-12))
         recs.append(_rec("k1-equals-a", worst_k, 1e-13))
         # Hamiltonian decomposition via the L_jk: closes with +3/8
-        st = p2.P2State(params, "equidistant", (0, 0))
-
-        def wf(q):
-            c = geo.ambient_to_chart(q, "equidistant")
-            return complex(np.asarray(p2.p2_wf_equidistant(st, c.u1, c.u2)).reshape(()))
+        wf = p2.wf_ambient(p2.P2State(params, "equidistant", (0, 0)))
         ops = [alg.build_operator(o, params) for o in ("L12", "L13", "L23")]
         ksq = params.k1**2 + params.k2**2 + params.k3**2
         e0 = p2.p2_energy(params, 0)
-        worst, worst_printed = 0.0, 0.0
-        for q in _eq_points(seed=31, n=6):
-            psi = wf(q)
-            s = sum(geo.apply_operator(o, wf, q, h=cfg.diff_step) for o in ops)
-            v = 0.5 * s + (-0.5 * ksq + 0.375) * psi
-            v_pr = 0.5 * s + (-0.5 * ksq + 0.75) * psi
-            worst = max(worst, abs(v - e0 * psi) / abs(psi))
-            worst_printed = max(worst_printed, abs(v_pr - e0 * psi) / abs(psi))
+        batch = geo.AmbientPoints.stack(_eq_points(seed=31, n=6))
+        psi = wf(batch)
+        s = sum(geo.apply_operator(o, wf, batch, h=cfg.diff_step) for o in ops)
+        v = 0.5 * s + (-0.5 * ksq + 0.375) * psi
+        v_pr = 0.5 * s + (-0.5 * ksq + 0.75) * psi
+        worst = np.max(np.abs(v - e0 * psi) / np.abs(psi))
+        worst_printed = np.max(np.abs(v_pr - e0 * psi) / np.abs(psi))
         recs.append(_rec("hamiltonian-decomposition", worst, 1e-6,
                          notes={"constant_used": 0.375}))
         recs.append(_rec("hamiltonian-decomposition-printed-constant",

@@ -16,6 +16,17 @@ flow (optionally Richardson-extrapolated), so evaluation points never
 leave the surface.  Products of up to three generators are applied as
 nested differences.
 
+Operators are applied to whole batches of sample points.  For each
+generator word, ``apply_operator`` builds the full stencil (the exact flows
+applied level by level to coordinate arrays: 4^k points per sample point
+for a word of length k with Richardson, 2^k without), calls the function
+once on all of them and reduces the values level by level.  A function
+passed with an ``AmbientPoints`` batch must therefore be array-safe: it
+takes an ``AmbientPoints`` and returns an array of one value per point (or
+a scalar, which is broadcast).  With a single ``AmbientPoint`` the same
+stencils are used, but the function is called on each stencil point as an
+``AmbientPoint``, so scalar-only functions keep working.
+
 Charts (names used throughout the package and on the CLI):
 
     equidistant          (t1, t2):  w = (ch t1 ch t2, ch t1 sh t2, sh t1)
@@ -31,9 +42,10 @@ Charts (names used throughout the package and on the CLI):
 from __future__ import annotations
 
 import math
-import cmath
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .errors import (
     NonFiniteValueError,
@@ -43,6 +55,7 @@ from .errors import (
 
 __all__ = [
     "AmbientPoint",
+    "AmbientPoints",
     "ChartPoint",
     "OperatorExpr",
     "CHARTS",
@@ -50,10 +63,13 @@ __all__ = [
     "ambient_to_chart",
     "apply_generator",
     "apply_operator",
+    "chart_coordinates",
     "chart_to_ambient",
     "generator_flow",
     "hyperboloid_residual",
     "laplace_beltrami",
+    "on_sheet",
+    "semi_hyperbolic_to_ambient",
 ]
 
 CHARTS = (
@@ -73,6 +89,11 @@ DEFAULT_STEP = 1e-4
 # Points
 # ---------------------------------------------------------------------------
 
+#: surface tolerance (relative to max(1, w0^2)) and upper-sheet tolerance
+_SURFACE_TOL = 1e-12
+_SHEET_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class AmbientPoint:
     """A point on the upper sheet, validated on construction."""
@@ -83,12 +104,64 @@ class AmbientPoint:
 
     def __post_init__(self):
         r = abs(self.w0 * self.w0 - self.w1 * self.w1 - self.w2 * self.w2 - 1.0)
-        if not (math.isfinite(r) and r <= 1e-12 * max(1.0, self.w0 * self.w0)):
+        if not (math.isfinite(r)
+                and r <= _SURFACE_TOL * max(1.0, self.w0 * self.w0)):
             raise OutOfDomainError(
                 f"point ({self.w0}, {self.w1}, {self.w2}) is off the surface "
                 f"(residual {r:.3e})")
-        if self.w0 < 1.0 - 1e-12:
+        if self.w0 < 1.0 - _SHEET_TOL:
             raise OutOfDomainError("lower sheet: w0 < 1")
+
+
+def on_sheet(w0, w1, w2) -> np.ndarray:
+    """Elementwise: does (w0, w1, w2) pass AmbientPoint's validation?"""
+    w0, w1, w2 = (np.asarray(w, dtype=float) for w in (w0, w1, w2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = np.abs(w0 * w0 - w1 * w1 - w2 * w2 - 1.0)
+        return (np.isfinite(r) & (r <= _SURFACE_TOL * np.maximum(1.0, w0 * w0))
+                & (w0 >= 1.0 - _SHEET_TOL))
+
+
+@dataclass(frozen=True, eq=False)
+class AmbientPoints:
+    """A batch of points on the upper sheet: three equal-length float arrays,
+    validated once on construction with AmbientPoint's tolerances."""
+
+    w0: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+
+    def __post_init__(self):
+        ws = [np.asarray(w, dtype=float).ravel() for w in (self.w0, self.w1, self.w2)]
+        if not ws[0].shape == ws[1].shape == ws[2].shape:
+            raise OutOfDomainError("w0, w1, w2 must have the same length")
+        for name, w in zip(("w0", "w1", "w2"), ws):
+            object.__setattr__(self, name, w)
+        bad = np.flatnonzero(~on_sheet(*ws))
+        if bad.size:
+            i = int(bad[0])
+            raise OutOfDomainError(
+                f"point {i} ({ws[0][i]}, {ws[1][i]}, {ws[2][i]}) is not on "
+                f"the upper sheet ({bad.size} such points)")
+
+    @classmethod
+    def stack(cls, points) -> "AmbientPoints":
+        """Batch of AmbientPoint objects (an AmbientPoints passes through)."""
+        if isinstance(points, AmbientPoints):
+            return points
+        return cls(np.array([q.w0 for q in points], dtype=float),
+                   np.array([q.w1 for q in points], dtype=float),
+                   np.array([q.w2 for q in points], dtype=float))
+
+    def __len__(self) -> int:
+        return self.w0.size
+
+    def __getitem__(self, index) -> "AmbientPoints":
+        return AmbientPoints(self.w0[index], self.w1[index], self.w2[index])
+
+    def point(self, i: int) -> AmbientPoint:
+        return AmbientPoint(float(self.w0[i]), float(self.w1[i]),
+                            float(self.w2[i]))
 
 
 def hyperboloid_residual(q: AmbientPoint) -> float:
@@ -182,103 +255,99 @@ def chart_to_ambient(p: ChartPoint, w2_sign: int = +1) -> AmbientPoint:
             1.0 / (math.tanh(b) * math.tan(th)),
         )
     # semi-hyperbolic
-    mu, nu = u1, u2
-    a_c, b_c, e3 = p.chart_params
+    return AmbientPoint(*(float(w) for w in semi_hyperbolic_to_ambient(
+        u1, u2, p.chart_params, w2_sign)))
+
+
+def semi_hyperbolic_to_ambient(mu, nu, chart_params, w2_sign: int = +1):
+    """Ambient coordinates (w0, w1, w2) of semi-hyperbolic chart points.
+
+    Takes scalars or arrays and does not validate: on arrays, points outside
+    nu < e3 < mu come back as NaN or off the sheet (see ``on_sheet``).
+    With scalar arguments the arithmetic is Python complex arithmetic, as
+    in ``chart_to_ambient``.
+    """
+    a_c, b_c, e3 = chart_params
     e1 = complex(a_c, b_c)
     e2 = e1.conjugate()
     s1sq = (mu - e1) * (nu - e1) / ((e1 - e2) * (e1 - e3))
-    s1 = cmath.sqrt(s1sq)  # Re s1sq > 0 on the domain, principal root is smooth
-    w0 = math.sqrt(2.0) * s1.real
-    w1 = math.sqrt(2.0) * s1.imag
-    w2sq = (mu - e3) * (e3 - nu) / ((e3 - a_c) ** 2 + b_c ** 2)
-    w2 = w2_sign * math.sqrt(w2sq)
-    return AmbientPoint(w0, w1, w2)
+    # Re s1sq > 0 on the domain, so the principal root is smooth
+    with np.errstate(invalid="ignore"):
+        s1 = np.sqrt(s1sq)
+        w2 = w2_sign * np.sqrt((mu - e3) * (e3 - nu) / ((e3 - a_c) ** 2 + b_c ** 2))
+    return math.sqrt(2.0) * s1.real, math.sqrt(2.0) * s1.imag, w2
 
 
-def ambient_to_chart(q: AmbientPoint, chart: str) -> ChartPoint:
-    """Invert a chart map (not available for semi-hyperbolic).
+def chart_coordinates(q, chart: str):
+    """Chart coordinates (u1, u2) of an AmbientPoint (floats) or of an
+    AmbientPoints batch (arrays); not available for semi-hyperbolic.
 
     Horicyclic inversion: y = 1/(w0 - w1), x = w2/(w0 - w1); note that
     w0 - w1 > 0 holds everywhere on the upper sheet.
     """
-    d = q.w0 - q.w1  # > 0 on the upper sheet
+    w0, w1, w2 = (np.asarray(w, dtype=float) for w in (q.w0, q.w1, q.w2))
+    d = w0 - w1  # > 0 on the upper sheet
     if chart == "equidistant":
-        return ChartPoint("equidistant", math.asinh(q.w2), math.atanh(q.w1 / q.w0))
-    if chart == "horicyclic":
-        return ChartPoint("horicyclic", q.w2 / d, 1.0 / d)
-    if chart == "elliptic-parabolic":
+        u1, u2 = np.arcsinh(w2), np.arctanh(w1 / w0)
+    elif chart == "horicyclic":
+        u1, u2 = w2 / d, 1.0 / d
+    elif chart == "elliptic-parabolic":
         # cosh^2 a and cos^2 th are the roots of t^2 - S t + P
         P = 1.0 / (d * d)
-        S = 1.0 + (q.w0 + q.w1) / d
-        disc = math.sqrt(max(S * S - 4.0 * P, 0.0))
+        S = 1.0 + (w0 + w1) / d
+        disc = np.sqrt(np.maximum(S * S - 4.0 * P, 0.0))
         u = 0.5 * (S + disc)   # cosh^2 a >= 1
         v = 0.5 * (S - disc)   # cos^2 th <= 1
-        a = math.acosh(max(math.sqrt(u), 1.0))
-        th = math.acos(min(math.sqrt(max(v, 0.0)), 1.0))
-        if q.w2 < 0.0:
-            th = -th
-        return ChartPoint("elliptic-parabolic", a, th)
-    if chart == "hyperbolic-parabolic":
-        if q.w2 <= 0.0:
+        u1 = np.arccosh(np.maximum(np.sqrt(u), 1.0))
+        th = np.arccos(np.minimum(np.sqrt(np.maximum(v, 0.0)), 1.0))
+        u2 = np.where(w2 < 0.0, -th, th)
+    elif chart == "hyperbolic-parabolic":
+        if np.any(w2 <= 0.0):
             raise OutOfDomainError("hyperbolic-parabolic chart covers w2 > 0 only")
         P = 1.0 / (d * d)
-        D = (q.w0 + q.w1) / d - 1.0
-        u = 0.5 * (D + math.sqrt(D * D + 4.0 * P))  # sinh^2 b
-        w = u - D                                    # sin^2 th
-        return ChartPoint("hyperbolic-parabolic",
-                          math.asinh(math.sqrt(u)),
-                          math.asin(min(math.sqrt(max(w, 0.0)), 1.0)))
-    raise OutOfDomainError(f"no inversion implemented for chart {chart!r}")
+        D = (w0 + w1) / d - 1.0
+        u = 0.5 * (D + np.sqrt(D * D + 4.0 * P))  # sinh^2 b
+        w = u - D                                  # sin^2 th
+        u1 = np.arcsinh(np.sqrt(u))
+        u2 = np.arcsin(np.minimum(np.sqrt(np.maximum(w, 0.0)), 1.0))
+    else:
+        raise OutOfDomainError(f"no inversion implemented for chart {chart!r}")
+    if isinstance(q, AmbientPoints):
+        return u1, u2
+    return float(u1), float(u2)
+
+
+def ambient_to_chart(q: AmbientPoint, chart: str) -> ChartPoint:
+    """Invert a chart map (not available for semi-hyperbolic)."""
+    return ChartPoint(chart, *chart_coordinates(q, chart))
 
 
 # ---------------------------------------------------------------------------
 # Generator flows and numerical derivatives
 # ---------------------------------------------------------------------------
 
-def generator_flow(g: str, t: float, q: AmbientPoint) -> AmbientPoint:
-    """Exact one-parameter subgroup action of generator g for time t."""
-    if g == "K3":
-        ch, sh = math.cosh(t), math.sinh(t)
-        return AmbientPoint(q.w0 * ch + q.w1 * sh, q.w0 * sh + q.w1 * ch, q.w2)
-    if g == "K2":
-        ch, sh = math.cosh(t), math.sinh(t)
-        return AmbientPoint(q.w0 * ch + q.w2 * sh, q.w1, q.w0 * sh + q.w2 * ch)
+def _trig(g: str, t: float) -> tuple[float, float]:
+    """(cosh t, sinh t) for a boost, (cos t, sin t) for the rotation."""
+    if g in ("K3", "K2"):
+        return math.cosh(t), math.sinh(t)
     if g == "M1":
-        co, si = math.cos(t), math.sin(t)
-        return AmbientPoint(q.w0, q.w1 * co - q.w2 * si, q.w1 * si + q.w2 * co)
+        return math.cos(t), math.sin(t)
     raise OutOfDomainError(f"unknown generator {g!r}")
 
 
-def _central(g: str, f: Callable[[AmbientPoint], complex], q: AmbientPoint,
-             h: float):
-    vp = f(generator_flow(g, h, q))
-    vm = f(generator_flow(g, -h, q))
-    return (vp - vm) / (2.0 * h)
+def _flow(g: str, c, s, w0, w1, w2):
+    """Flow of generator g on coordinates, given _trig(g, t) = (c, s);
+    floats or broadcasting arrays."""
+    if g == "K3":
+        return w0 * c + w1 * s, w0 * s + w1 * c, w2
+    if g == "K2":
+        return w0 * c + w2 * s, w1, w0 * s + w2 * c
+    return w0, w1 * c - w2 * s, w1 * s + w2 * c
 
 
-def apply_generator(g: str, f: Callable[[AmbientPoint], complex],
-                    q: AmbientPoint, h: float = DEFAULT_STEP,
-                    richardson: bool = True):
-    """Derivative of f along generator g at q.
-
-    Central difference along the exact flow: O(h^2), or O(h^4) with one
-    Richardson level (default).
-    """
-    if not h > 0.0:
-        raise OutOfDomainError("step h must be positive")
-    d1 = _central(g, f, q, h)
-    if not richardson:
-        _check_finite(d1)
-        return d1
-    d2 = _central(g, f, q, h / 2.0)
-    out = (4.0 * d2 - d1) / 3.0
-    _check_finite(out)
-    return out
-
-
-def _check_finite(v):
-    if not (math.isfinite(complex(v).real) and math.isfinite(complex(v).imag)):
-        raise NonFiniteValueError("non-finite value in generator application")
+def generator_flow(g: str, t: float, q: AmbientPoint) -> AmbientPoint:
+    """Exact one-parameter subgroup action of generator g for time t."""
+    return AmbientPoint(*_flow(g, *_trig(g, t), q.w0, q.w1, q.w2))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +360,10 @@ class OperatorExpr:
 
     terms         : sequence of (coefficient, word) where word is a tuple of
                     generator names, len(word) <= 3, applied right to left;
-                    the coefficient is a number or a callable of AmbientPoint.
+                    the coefficient is a number or a callable of the points
+                    (AmbientPoint or AmbientPoints, so it must be array-safe).
     constant_term : multiple of the identity added to the combination.
-    guards        : callables of AmbientPoint whose smallness marks a
+    guards        : callables of the points whose smallness marks a
                     coefficient singularity; evaluation is refused when any
                     |guard(q)| < guard_tol.
     """
@@ -312,37 +382,116 @@ class OperatorExpr:
                     raise OutOfDomainError(f"unknown generator {g!r} in word")
 
 
-def _apply_word(word: Sequence[str], f, q: AmbientPoint, h: float,
-                richardson: bool):
+def _div(x: np.ndarray, d: float) -> np.ndarray:
+    """x / d for real d.  Complex x is divided part by part, which rounds
+    as Python's complex division does (numpy multiplies by 1/d)."""
+    if np.iscomplexobj(x):
+        return (np.ascontiguousarray(x).view(float) / d).view(complex)
+    return x / d
+
+
+def _word_values(word: tuple, ev, pts: AmbientPoints, h: float,
+                 richardson: bool) -> np.ndarray:
+    """The word applied to the evaluator at every point of the batch.
+
+    Level k of the stencil flows each point of level k-1 along word[k-1]
+    by +h, -h (and +h/2, -h/2 with Richardson), so the stencil has one
+    axis per generator, outermost first.  The evaluator is called once on
+    all stencil points; the values are then reduced innermost axis first,
+    with d(h) = (f(+h) - f(-h))/(2h) and (4 d(h/2) - d(h))/3 at every level.
+    """
+    w = (pts.w0, pts.w1, pts.w2)
     if not word:
-        return f(q)
+        return ev(*w)
+    if not h > 0.0:
+        raise OutOfDomainError("step h must be positive")
+    h2 = h / 2.0
+    steps = (h, -h, h2, -h2) if richardson else (h, -h)
+    for g in word:
+        c, s = np.array([_trig(g, t) for t in steps]).T
+        w = _flow(g, c, s, *(x[..., None] for x in w))
+    w = np.broadcast_arrays(*w)  # a coordinate a flow leaves alone keeps length-1 axes
+    v = ev(*w).reshape(w[0].shape)
+    for _ in word:
+        d1 = _div(v[..., 0] - v[..., 1], 2.0 * h)
+        if richardson:
+            d2 = _div(v[..., 2] - v[..., 3], 2.0 * h2)
+            d1 = _div(4.0 * d2 - d1, 3.0)
+        v = d1
+    return v
 
-    def inner(p: AmbientPoint):
-        return _apply_word(word[1:], f, p, h, richardson)
 
-    return apply_generator(word[0], inner, q, h=h, richardson=richardson)
+def _check_finite(v: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteValueError("non-finite value in generator application")
+    return v
 
 
-def apply_operator(expr: OperatorExpr, f: Callable[[AmbientPoint], complex],
-                   q: AmbientPoint, h: float = DEFAULT_STEP,
+def apply_operator(expr: OperatorExpr, f: Callable, q, h: float = DEFAULT_STEP,
                    richardson: bool = True, guard_tol: float = 1e-8):
     """Apply an OperatorExpr to f at q numerically.
 
-    Words are realized by nested central differences along exact flows
-    (right-to-left), each optionally Richardson extrapolated.
+    q is an AmbientPoint (returns a number) or an AmbientPoints batch
+    (returns one value per point).  Words are realized by nested central
+    differences along exact flows (right-to-left), each optionally
+    Richardson extrapolated; f is called once per distinct word on the
+    whole stencil (see the module docstring for the array-safe contract).
+    With an AmbientPoint, f is called on each stencil point as an
+    AmbientPoint.
     """
+    batch = isinstance(q, AmbientPoints)
+    pts = q if batch else AmbientPoints.stack([q])
+    n = len(pts)
     for guard in expr.guards:
-        if abs(guard(q)) < guard_tol:
+        small = np.atleast_1d(np.abs(guard(q)) < guard_tol)
+        if np.any(small):
+            bad = pts.point(int(np.argmax(small)))
             raise SingularConfigurationError(
                 f"operator {expr.name or '<anon>'} singular at "
-                f"({q.w0}, {q.w1}, {q.w2})")
-    total = expr.constant_term * f(q) if expr.constant_term != 0.0 else 0.0
+                f"({bad.w0}, {bad.w1}, {bad.w2})")
+
+    def ev(w0, w1, w2) -> np.ndarray:
+        if batch:
+            p = AmbientPoints(w0, w1, w2)
+            v = np.broadcast_to(np.asarray(f(p)), (len(p),))
+        else:
+            v = np.array([f(AmbientPoint(*c)) for c in zip(
+                w0.ravel().tolist(), w1.ravel().tolist(), w2.ravel().tolist())])
+        return _check_finite(v)
+
+    values: dict = {}
+
+    def word_values(word):
+        word = tuple(word)
+        if word not in values:
+            v = _word_values(word, ev, pts, h, richardson)
+            # a single point is combined in Python arithmetic: numpy's
+            # complex multiply rounds differently
+            values[word] = v if batch else v[0].item()
+        return values[word]
+
+    total = (expr.constant_term * word_values(())
+             if expr.constant_term != 0.0 else 0.0)
     for coeff, word in expr.terms:
         c = coeff(q) if callable(coeff) else coeff
-        if c == 0.0:
+        if np.all(c == 0.0):
             continue
-        total = total + c * _apply_word(word, f, q, h, richardson)
+        total = total + c * word_values(word)
+    if batch:
+        return _check_finite(np.broadcast_to(total, (n,)))
+    _check_finite(np.asarray(total))
     return total
+
+
+def apply_generator(g: str, f: Callable, q, h: float = DEFAULT_STEP,
+                    richardson: bool = True):
+    """Derivative of f along generator g at q (AmbientPoint or AmbientPoints).
+
+    Central difference along the exact flow: O(h^2), or O(h^4) with one
+    Richardson level (default).
+    """
+    return apply_operator(OperatorExpr(terms=((1.0, (g,)),)), f, q, h=h,
+                          richardson=richardson)
 
 
 def laplace_beltrami() -> OperatorExpr:

@@ -54,7 +54,7 @@ from .errors import (
     SingularConfigurationError,
     SolverFailureError,
 )
-from .geometry import AmbientPoint, ChartPoint, ambient_to_chart
+from .geometry import AmbientPoint, AmbientPoints, ambient_to_chart, chart_coordinates
 
 __all__ = [
     "BetheRoots",
@@ -243,10 +243,11 @@ def p1_spectrum(p: P1Params) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def v1_ambient(p: P1Params, q: AmbientPoint) -> float:
-    if q.w2 == 0.0:
+    """V1 at an AmbientPoint, or at every point of an AmbientPoints."""
+    if np.any(q.w2 == 0.0):
         raise SingularConfigurationError("V1 singular at w2 = 0")
     dm = q.w0 - q.w1
-    if dm == 0.0:
+    if np.any(dm == 0.0):
         raise SingularConfigurationError("V1 singular at w0 = w1")
     return (p.alpha**2 / q.w2**2
             - p.gamma**2 / dm**2
@@ -321,11 +322,12 @@ def morse_factor(p: P1Params, m: int, t2, mu: float | None = None):
     return _exp_guarded(logmag, lambda k: sf.laguerre(m, mu, np.atleast_1d(z)[k]))
 
 
-def pt_factor(p: P1Params, n: int, mu: float, t1):
+def pt_factor(p, n: int, mu: float, t1):
     """Modified Poschl-Teller factor S_n(t1), unit norm on t1 in (0, inf).
 
     Even extension across the potential wall: |sinh t1| is used, so
-    S(-t1) = S(t1).
+    S(-t1) = S(t1).  Only p.d = sqrt(2 alpha^2 + 1/4) enters, so the second
+    potential uses the same factor (``potential2.z_pt_factor``).
     """
     nu = mu - p.d - 2.0 * n - 1.0
     if nu <= 0.0:
@@ -832,29 +834,21 @@ def p1_wf_hyperbolic_parabolic(state: P1State, b, th, normalized: bool = True):
 # ---------------------------------------------------------------------------
 
 def wf_ambient(state: P1State):
-    """Wavefunction as a scalar function of an AmbientPoint.
+    """Wavefunction as a function of ambient points.
 
-    Uses the chart inversions; the equidistant/horicyclic factors are even
-    across the w2 = 0 wall, the parabolic products are evaluated on their
-    chart's domain.
+    Called with an AmbientPoint it returns a float, with an AmbientPoints
+    batch an array (one vectorized evaluation).  Uses the chart inversions;
+    the equidistant/horicyclic factors are even across the w2 = 0 wall, the
+    parabolic products are evaluated on their chart's domain.
     """
-    if state.chart == "equidistant":
-        def f(q: AmbientPoint):
-            cp = ambient_to_chart(q, "equidistant")
-            return float(p1_wf_equidistant(state, cp.u1, cp.u2))
-        return f
-    if state.chart == "horicyclic":
-        def f(q: AmbientPoint):
-            cp = ambient_to_chart(q, "horicyclic")
-            return float(p1_wf_horicyclic(state, cp.u1, cp.u2))
-        return f
-    if state.chart == "elliptic-parabolic":
-        def f(q: AmbientPoint):
-            cp = ambient_to_chart(q, "elliptic-parabolic")
-            return float(p1_wf_elliptic_parabolic(state, cp.u1, cp.u2))
-        return f
+    wf = {"equidistant": p1_wf_equidistant,
+          "horicyclic": p1_wf_horicyclic,
+          "elliptic-parabolic": p1_wf_elliptic_parabolic,
+          "hyperbolic-parabolic": p1_wf_hyperbolic_parabolic}[state.chart]
 
-    def f(q: AmbientPoint):
-        cp = ambient_to_chart(q, "hyperbolic-parabolic")
-        return float(p1_wf_hyperbolic_parabolic(state, cp.u1, cp.u2))
+    def f(q):
+        if isinstance(q, AmbientPoints):
+            return wf(state, *chart_coordinates(q, state.chart))
+        cp = ambient_to_chart(q, state.chart)
+        return float(wf(state, cp.u1, cp.u2))
     return f

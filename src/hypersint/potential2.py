@@ -29,7 +29,6 @@ round-off; tests assert this rather than assume it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,8 +43,8 @@ from .errors import (
     SingularConfigurationError,
     SolverFailureError,
 )
-from .geometry import AmbientPoint
-from .potential1 import BetheRoots, _residual, _stieltjes_roots
+from .geometry import AmbientPoint, AmbientPoints, chart_coordinates
+from .potential1 import BetheRoots, _residual, _stieltjes_roots, pt_factor
 
 __all__ = [
     "P2Params",
@@ -65,6 +64,7 @@ __all__ = [
     "sh_bracket",
     "v2_ambient",
     "v2_equidistant",
+    "wf_ambient",
     "z_pt_factor",
 ]
 
@@ -206,7 +206,8 @@ def p2_spectrum(p: P2Params) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def v2_ambient(p: P2Params, q: AmbientPoint) -> float:
-    if q.w2 == 0.0:
+    """V2 at an AmbientPoint, or at every point of an AmbientPoints."""
+    if np.any(q.w2 == 0.0):
         raise SingularConfigurationError("V2 singular at w2 = 0")
     ssum = q.w0**2 + q.w1**2
     return (p.alpha**2 / q.w2**2
@@ -267,32 +268,12 @@ def s2_complex_factor(p: P2Params, m: int, t2) -> np.ndarray:
     return _s2_raw(p, m, t2) / _s2_phase(p, m)
 
 
-def z_pt_factor(p: P2Params, n: int, mu: float, t1) -> np.ndarray:
-    """Modified Poschl-Teller factor, unit norm on t1 in (0, inf).
-
-    Identical structure to the first potential's factor: the Jacobi
-    superscript pair is (d, -mu) with d = sqrt(2 alpha^2 + 1/4) (required
-    for the stated normalization; the published display's bare alpha
-    superscript is a typo this package does not follow).
-    """
-    nu = mu - p.d - 2.0 * n - 1.0
-    if nu <= 0.0:
-        raise OutOfWindowError(f"n = {n} outside window for mu = {mu:.6g}")
-    t1a = np.atleast_1d(np.asarray(t1, dtype=float))
-    s_abs = np.abs(np.sinh(t1a))
-    ch = np.cosh(t1a)
-    logpref = 0.5 * (math.log(2.0 * nu) + _lg(mu - n).real + _lg(n + 1.0).real
-                     - _lg(mu - p.d - n).real - _lg(1.0 + n + p.d).real)
-    with np.errstate(divide="ignore"):
-        logmag = logpref + (0.5 + p.d) * np.log(s_abs) + (0.5 - mu) * np.log(ch)
-    out = np.zeros_like(logmag)
-    # second condition keeps cosh(2 t1) representable; the factor magnitude
-    # out there is below e^{-650} for every admissible window
-    keep = (logmag >= -700.0) & (np.abs(t1a) <= 354.0)
-    if np.any(keep):
-        poly = np.real(sf.jacobi(n, p.d, -mu, np.cosh(2.0 * t1a[keep])))
-        out[keep] = np.exp(logmag[keep]) * poly
-    return out[0] if np.ndim(t1) == 0 else out
+#: Modified Poschl-Teller factor, unit norm on t1 in (0, inf).  It is the
+#: first potential's factor: the Jacobi superscript pair is (d, -mu) with
+#: d = sqrt(2 alpha^2 + 1/4) (required for the stated normalization; the
+#: published display's bare alpha superscript is a typo this package does
+#: not follow).
+z_pt_factor = pt_factor
 
 
 @dataclass(frozen=True)
@@ -524,7 +505,8 @@ def p2_sh_lambda_closed(p: P2Params, roots: BetheRoots, N: int,
 
 
 def sh_bracket(theta: complex, q: AmbientPoint, chart_params) -> complex:
-    """One zero factor of the product wavefunction, in ambient variables.
+    """One zero factor of the product wavefunction, in ambient variables
+    (arrays for an AmbientPoints).
 
     Equals s1^2/(theta-e1) + s2^2/(theta-e2) + s3^2/(theta-e3); the partial
     fraction form below is the published identity, verified pointwise by
@@ -536,20 +518,39 @@ def sh_bracket(theta: complex, q: AmbientPoint, chart_params) -> complex:
 
 
 def p2_wf_semihyperbolic(state: P2State, q: AmbientPoint) -> complex:
-    """Product wavefunction directly from the ambient point.
+    """Product wavefunction directly from the ambient point (or from every
+    point of an AmbientPoints, as an array).
 
     Principal branches throughout; the constant phase of (i w2)^{k3+1/2} is
     divided out and |w2| is used (even extension across the wall), so the
     value is real up to round-off for conjugate-closed root configurations.
     """
-    if q.w2 == 0.0:
+    if np.any(q.w2 == 0.0):
         raise SingularConfigurationError("wavefunction factor singular at w2 = 0")
     p = state.params
-    s1 = complex(q.w0, q.w1) / SQRT2
+    s1 = (q.w0 + 1j * q.w1) / SQRT2
     # s1^{k1+1/2} s2^{k2+1/2} = exp(2 Re[(k1+1/2) Log s1]) is real positive
-    radial = math.exp(2.0 * ((p.k1 + 0.5) * cmath.log(s1)).real)
-    wall = abs(q.w2) ** (p.k3 + 0.5)
+    radial = np.exp(2.0 * ((p.k1 + 0.5) * np.log(s1)).real)
+    wall = np.abs(q.w2) ** (p.k3 + 0.5)
     prod = 1.0 + 0.0j
     for th in state.roots.roots:
-        prod *= sh_bracket(th, q, state.chart_params)
+        prod = prod * sh_bracket(th, q, state.chart_params)
     return radial * wall * prod
+
+
+def wf_ambient(state: P2State):
+    """Wavefunction as a function of ambient points: complex for an
+    AmbientPoint, a complex array for an AmbientPoints batch.
+
+    Equidistant states go through the chart inversion; semi-hyperbolic
+    states are evaluated directly in ambient variables.
+    """
+    if state.chart == "semi-hyperbolic":
+        return lambda q: p2_wf_semihyperbolic(state, q)
+
+    def f(q):
+        out = p2_wf_equidistant(state, *chart_coordinates(q, "equidistant"))
+        if isinstance(q, AmbientPoints):
+            return out
+        return complex(np.asarray(out).reshape(()))
+    return f

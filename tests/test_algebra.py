@@ -122,11 +122,7 @@ def test_eigen_residual_order_in_h(p1_fixture):
 
 def test_v2_l1_eigen_residual(p2_fixture):
     st = p2.P2State(p2_fixture, "equidistant", (0, 0))
-
-    def wf(q):
-        c = geo.ambient_to_chart(q, "equidistant")
-        return complex(np.asarray(
-            p2.p2_wf_equidistant(st, c.u1, c.u2)).reshape(()))
+    wf = p2.wf_ambient(st)
     mu2 = p2.p2_mu(p2_fixture, 0) ** 2
     r = alg.eigen_residual(alg.build_operator("L1", p2_fixture), wf, mu2,
                            eq_points())
@@ -316,3 +312,100 @@ def test_quadratic_algebra_n0_scalar_identities(p1_fixture):
     by_hand = 8 * n2s**2 + 64 * b2 * e + 16 * g2 * n2s + 32 * b2 * n1s \
         + 16 * b2 * (1 - 4 * a2)
     assert abs(by_hand) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Batched operator application
+# ---------------------------------------------------------------------------
+
+def _old_equidistant_closure(st):
+    """The scalar-only closure the verify suites used before p2.wf_ambient."""
+    def wf(q):
+        c = geo.ambient_to_chart(q, "equidistant")
+        return complex(np.asarray(
+            p2.p2_wf_equidistant(st, c.u1, c.u2)).reshape(()))
+    return wf
+
+
+# Noise floor of batch against scalar evaluation: the vectorized wavefunction
+# values differ from scalar calls by <= 4.4e-16 relative, and a word of order
+# k divides that by h^k: about 4e-10 at h = 1e-3 (second order) and 6e-8 at
+# h = 2e-3 (third order, R).  Measured: <= 3e-11 and 3e-10.
+P1_OPS = ["L1", "L2", "L3", "L4", "L3_display", "L4_display", "N1", "N2",
+          "R", "H"]
+P2_OPS = ["L1", "L12", "L13", "L23", "L2", "H"]
+
+
+def _batch_vs_points(op, wf, pts, h):
+    batch = geo.AmbientPoints.stack(pts)
+    got = geo.apply_operator(op, wf, batch, h=h)
+    ref = np.array([geo.apply_operator(op, wf, q, h=h) for q in pts])
+    assert got.shape == (len(pts),)
+    scale = max(np.max(np.abs(ref)), np.max(np.abs(wf(batch))))
+    return float(np.max(np.abs(got - ref))) / scale
+
+
+@pytest.mark.parametrize("op_id", P1_OPS)
+def test_batched_p1_operators_match_pointwise(p1_fixture, op_id):
+    pts = eq_points(seed=17, n=8)
+    wf = p1.wf_ambient(p1.P1State(p1_fixture, "equidistant", (1, 1)))
+    h = alg.R_STEP if op_id == "R" else 1e-3
+    bound = 1e-7 if op_id == "R" else 1e-8
+    assert _batch_vs_points(alg.build_operator(op_id, p1_fixture), wf, pts,
+                            h) <= bound
+
+
+@pytest.mark.parametrize("op_id", P2_OPS)
+def test_batched_p2_operators_match_pointwise(p2_fixture, p2_deep, op_id):
+    if op_id == "L2":
+        conf = p2.p2_sh_roots(p2_deep, 1, CP0)[0]
+        wf = p2.wf_ambient(p2.P2State(p2_deep, "semi-hyperbolic", (1,),
+                                      roots=conf, chart_params=CP0))
+        rng = np.random.default_rng(19)
+        pts = [geo.chart_to_ambient(geo.ChartPoint(
+            "semi-hyperbolic", rng.uniform(0.4, 2.0), -rng.uniform(0.4, 2.0),
+            CP0)) for _ in range(8)]
+        op = alg.build_operator("L2", p2_deep, chart_params=CP0)
+    else:
+        wf = p2.wf_ambient(p2.P2State(p2_fixture, "equidistant", (0, 0)))
+        pts = eq_points(seed=17, n=8)
+        op = alg.build_operator(op_id, p2_fixture)
+    assert _batch_vs_points(op, wf, pts, 1e-3) <= 1e-8
+
+
+def test_p2_wf_ambient_matches_old_closure(p2_fixture):
+    st = p2.P2State(p2_fixture, "equidistant", (0, 0))
+    pts = eq_points(n=20)
+    old = np.array([_old_equidistant_closure(st)(q) for q in pts])
+    wf = p2.wf_ambient(st)
+    batch = wf(geo.AmbientPoints.stack(pts))
+    scalar = np.array([wf(q) for q in pts])
+    assert np.max(np.abs(batch - old) / np.abs(old)) <= 1e-14
+    assert np.max(np.abs(scalar - old) / np.abs(old)) <= 1e-14
+    assert all(isinstance(v, complex) for v in scalar)
+
+
+def test_p2_semihyperbolic_batch_matches_points(p2_deep):
+    conf = p2.p2_sh_roots(p2_deep, 2, CP0)[0]
+    st = p2.P2State(p2_deep, "semi-hyperbolic", (2,), roots=conf,
+                    chart_params=CP0)
+    rng = np.random.default_rng(23)
+    pts = [geo.chart_to_ambient(geo.ChartPoint(
+        "semi-hyperbolic", rng.uniform(0.1, 3.0), -rng.uniform(0.1, 3.0), CP0))
+        for _ in range(20)]
+    batch = p2.wf_ambient(st)(geo.AmbientPoints.stack(pts))
+    ref = np.array([p2.p2_wf_semihyperbolic(st, q) for q in pts])
+    assert np.max(np.abs(batch - ref) / np.abs(ref)) <= 1e-14
+
+
+def test_eigen_residual_accepts_scalar_only_wf(p2_fixture):
+    # a function that only takes one AmbientPoint is applied point by point,
+    # through the same stencils
+    st = p2.P2State(p2_fixture, "equidistant", (0, 0))
+    wf = _old_equidistant_closure(st)
+    op = alg.build_operator("L1", p2_fixture)
+    mu2 = p2.p2_mu(p2_fixture, 0) ** 2
+    pts = eq_points(n=6)
+    ref = max(abs(geo.apply_operator(op, wf, q, h=alg.EIGEN_STEP)
+                  - mu2 * wf(q)) / abs(wf(q)) for q in pts)
+    assert alg.eigen_residual(op, wf, mu2, pts) == ref

@@ -261,3 +261,65 @@ def test_float_formatting_is_17g(tmp_path):
     run_main(["spectrum", "--out", str(out)])
     text = out.read_text()
     assert "0.70710678118654746" in text  # %.17g of 1/sqrt(2)
+
+
+def _csv_grid(args):
+    code, out = run_main(["wavefunction", *args, "--format", "csv"])
+    assert code == 0
+    lines = [ln for ln in out.strip().split("\n") if not ln.startswith("#")]
+    return [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("chart,quantum,box,wf", [
+    ("equidistant", "1,1", "-2,2,-2,2", p1.p1_wf_equidistant),
+    ("horicyclic", "1,1", "-2,2,0.1,3", p1.p1_wf_horicyclic),
+    ("elliptic-parabolic", "1,1,0", "0.1,2,-1.4,1.4",
+     p1.p1_wf_elliptic_parabolic),
+    ("hyperbolic-parabolic", "1,1,0", "0.1,2,0.1,1.4",
+     p1.p1_wf_hyperbolic_parabolic),
+])
+def test_vectorized_grid_matches_pointwise_library(chart, quantum, box, wf):
+    # one array call per grid; the values agree with scalar calls to round-off
+    rows = _csv_grid(["--chart", chart, "--quantum", quantum, "--form",
+                      "derived", "--grid", f"17x13:{box}"])
+    assert len(rows) == 17 * 13
+    p = p1.P1Params(1.0, 1.0 / SQRT2, 2.0 * SQRT2)
+    nums = tuple(int(x) for x in quantum.split(","))
+    if len(nums) == 3:
+        roots = (p1.p1_ep_roots if chart == "elliptic-parabolic"
+                 else p1.p1_hp_roots)(p, nums[0], form="derived")
+        roots = [c for c in roots if c.zone_counts == nums[1:]][0]
+        st = p1.P1State(p, chart, (nums[0],), roots=roots)
+    else:
+        st = p1.P1State(p, chart, nums)
+    for u, v, psi, abs2 in rows:
+        ref = float(wf(st, u, v))
+        assert abs(psi - ref) <= 1e-14 * abs(ref)
+        assert abs2 == psi * psi
+
+
+def test_vectorized_semi_hyperbolic_grid_keeps_nan_cells():
+    # cells outside nu < e3 < mu, where the scalar chart point is rejected,
+    # are NaN, exactly as when every cell was evaluated on its own
+    from hypersint import geometry as geo
+    from hypersint import potential2 as p2
+    from hypersint.errors import HypersintError
+
+    p, cp = p2.P2Params(0.1, 6.0, 1.0), (0.0, 1.0, 0.0)
+    st = p2.P2State(p, "semi-hyperbolic", (1,),
+                    roots=p2.p2_sh_roots(p, 1, cp)[0], chart_params=cp)
+    rows = _csv_grid(["--potential", "v2", "--alpha", "0.1", "--beta", "6",
+                      "--gamma", "1", "--chart", "semi-hyperbolic",
+                      "--chart-params", "0,1,0", "--quantum", "1,0",
+                      "--grid", "9x9:-2,2,-2,2"])
+    nan_cells = 0
+    for u, v, psi, abs2 in rows:
+        try:
+            q = geo.chart_to_ambient(geo.ChartPoint("semi-hyperbolic", u, v, cp))
+            ref = p2.p2_wf_semihyperbolic(st, q).real
+        except HypersintError:
+            assert math.isnan(psi) and math.isnan(abs2)
+            nan_cells += 1
+            continue
+        assert abs(psi - ref) <= 1e-14 * abs(ref)
+    assert 0 < nan_cells < len(rows)

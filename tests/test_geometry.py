@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from hypersint import geometry as geo
-from hypersint.errors import OutOfDomainError, SingularConfigurationError
+from hypersint.errors import (
+    NonFiniteValueError,
+    OutOfDomainError,
+    SingularConfigurationError,
+)
 
 SH_PARAMS = (0.0, 1.0, 0.0)
 
@@ -212,3 +216,123 @@ def test_operator_guard_rejects_singular_points():
 def test_operator_word_length_capped():
     with pytest.raises(OutOfDomainError):
         geo.OperatorExpr(terms=((1.0, ("K3", "K3", "K2", "M1")),))
+
+
+# ---------------------------------------------------------------------------
+# Batched stencils
+# ---------------------------------------------------------------------------
+
+def _reference_word(word, f, q, h, richardson=True):
+    """Nested central differences along exact flows, one point at a time:
+    the definition the batched stencils must reproduce bit for bit."""
+    if not word:
+        return f(q)
+
+    def central(s):
+        vp = _reference_word(word[1:], f, geo.generator_flow(word[0], s, q),
+                             h, richardson)
+        vm = _reference_word(word[1:], f, geo.generator_flow(word[0], -s, q),
+                             h, richardson)
+        return (vp - vm) / (2.0 * s)
+
+    d1 = central(h)
+    return (4.0 * central(h / 2.0) - d1) / 3.0 if richardson else d1
+
+
+def _batch(n, seed):
+    rng = np.random.default_rng(seed)
+    pts = [geo.chart_to_ambient(geo.ChartPoint(
+        "equidistant", rng.uniform(-1.3, 1.3), rng.uniform(-1, 1)))
+        for _ in range(n)]
+    return pts, geo.AmbientPoints.stack(pts)
+
+
+def test_batched_words_reproduce_nested_differences_exactly():
+    # arithmetic only, so the array and scalar evaluations round alike
+    f = lambda p: p.w0 * p.w1 + p.w2 * p.w2 * p.w0
+    pts, batch = _batch(5, 6)
+    words = [("K3",), ("M1", "K2"), ("K2", "K2"), ("K3", "M1", "K2"),
+             ("M1", "M1", "K3")]
+    for word in words:
+        for richardson in (True, False):
+            expr = geo.OperatorExpr(terms=((1.0, word),))
+            ref = [_reference_word(word, f, q, 1e-3, richardson) for q in pts]
+            got = geo.apply_operator(expr, f, batch, h=1e-3,
+                                     richardson=richardson)
+            assert got.shape == (5,)
+            assert list(got) == ref
+            assert [geo.apply_operator(expr, f, q, h=1e-3,
+                                       richardson=richardson)
+                    for q in pts] == ref
+
+
+def test_batch_broadcasts_scalar_function_values():
+    _, batch = _batch(4, 7)
+    got = geo.apply_operator(geo.laplace_beltrami(), lambda p: 1.0, batch)
+    assert got.shape == (4,) and np.all(np.abs(got) < 1e-12)
+    got = geo.apply_operator(geo.laplace_beltrami(), lambda p: p.w0, batch,
+                             h=1e-3)
+    assert np.all(np.abs(got - 2.0 * batch.w0) <= 1e-8 * batch.w0)
+
+
+def test_batch_guard_rejects_singular_point():
+    expr = geo.OperatorExpr(terms=((lambda p: 1.0 / p.w2, ("K3",)),),
+                            guards=(lambda p: p.w2,), name="test")
+    pts, _ = _batch(3, 8)
+    batch = geo.AmbientPoints.stack(pts + [geo.AmbientPoint(1.0, 0.0, 0.0)])
+    with pytest.raises(SingularConfigurationError):
+        geo.apply_operator(expr, lambda p: p.w0, batch)
+    geo.apply_operator(expr, lambda p: p.w0, batch[:3])
+
+
+def test_non_finite_values_raise():
+    _, batch = _batch(3, 9)
+    lb = geo.laplace_beltrami()
+    bad = lambda p: np.where(p.w2 > batch.w2[1] - 1e-6, np.inf, p.w0)
+    with pytest.raises(NonFiniteValueError):
+        geo.apply_operator(lb, bad, batch)
+    with pytest.raises(NonFiniteValueError):
+        geo.apply_operator(lb, lambda p: math.nan, batch.point(0))
+    mult = geo.OperatorExpr(terms=((1.0, ()),))
+    with pytest.raises(NonFiniteValueError):
+        geo.apply_operator(mult, lambda p: np.full(len(p), np.nan), batch)
+
+
+def test_ambient_points_validated_like_ambient_point():
+    with pytest.raises(OutOfDomainError):  # off the surface
+        geo.AmbientPoints([1.0, 2.0], [0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(OutOfDomainError):  # lower sheet
+        geo.AmbientPoints([1.0, -math.cosh(0.5)], [0.0, math.sinh(0.5)],
+                          [0.0, 0.0])
+    with pytest.raises(OutOfDomainError):
+        geo.AmbientPoints([1.0, 1.0], [0.0], [0.0])
+    pts, batch = _batch(6, 10)
+    assert len(batch) == 6
+    assert [batch.point(i) for i in range(6)] == pts
+    sub = batch[np.array([True, False] * 3)]
+    assert [sub.point(i) for i in range(3)] == pts[::2]
+
+
+def test_chart_coordinates_batch_matches_scalar_inversion():
+    rng = np.random.default_rng(11)
+    for chart in ("equidistant", "horicyclic", "elliptic-parabolic",
+                  "hyperbolic-parabolic"):
+        pts = [geo.chart_to_ambient(random_chart_point(chart, rng))
+               for _ in range(50)]
+        u1, u2 = geo.chart_coordinates(geo.AmbientPoints.stack(pts), chart)
+        for q, a, b in zip(pts, u1, u2):
+            cp = geo.ambient_to_chart(q, chart)
+            assert abs(cp.u1 - a) <= 1e-13 * max(1.0, abs(a))
+            assert abs(cp.u2 - b) <= 1e-13 * max(1.0, abs(b))
+
+
+def test_semi_hyperbolic_map_on_arrays():
+    rng = np.random.default_rng(12)
+    mu, nu = rng.uniform(0.05, 4, 40), -rng.uniform(0.05, 4, 40)
+    w = geo.semi_hyperbolic_to_ambient(mu, nu, SH_PARAMS)
+    assert np.all(geo.on_sheet(*w))
+    for k in range(40):
+        q = geo.chart_to_ambient(geo.ChartPoint("semi-hyperbolic", mu[k],
+                                                nu[k], SH_PARAMS))
+        got = (w[0][k], w[1][k], w[2][k])
+        assert np.allclose(got, (q.w0, q.w1, q.w2), rtol=1e-14, atol=1e-15)
