@@ -29,6 +29,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -50,34 +51,51 @@ V2_CHARTS = ("equidistant", "semi-hyperbolic")
 # Deterministic serialization
 # ---------------------------------------------------------------------------
 
-_FLOAT_MARK = "@@f17g@@"
-
-
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _mark_floats(obj):
+def _json_key(k) -> str:
+    # json's own key rules: str as is; bool, int, float and None as literals
+    return encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+
+
+def _json(obj, pad: str) -> str:
+    """JSON text of obj, laid out as json.dumps(indent=2), floats as %.17g.
+
+    Plain floats inside containers are formatted in place, not by a call.
+    """
+    if type(obj) is float:
+        return "%.17g" % obj
     if isinstance(obj, bool):
-        return obj
+        return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
-        return f"{_FLOAT_MARK}{_fmt(obj)}{_FLOAT_MARK}"
+        return _fmt(obj)
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": _mark_floats(obj.real), "im": _mark_floats(obj.imag)}
+        return str(int(obj))
     if isinstance(obj, np.ndarray):
-        return _mark_floats(obj.tolist())
+        return _json(obj.tolist(), pad)
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _mark_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        body = (_json_key(k) + ": "
+                + ("%.17g" % v if type(v) is float else _json(v, inner))
+                for k, v in obj.items())
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_mark_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        body = ("%.17g" % v if type(v) is float else _json(v, inner)
+                for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    return json.dumps(obj)
 
 
 def dumps_json(obj) -> str:
-    text = json.dumps(_mark_floats(obj), indent=2)
-    return re.sub(f'"{_FLOAT_MARK}(.*?){_FLOAT_MARK}"', r"\1", text) + "\n"
+    return _json(obj, "") + "\n"
 
 
 def dumps_csv(header: list[str], rows: list[list], meta: dict) -> str:

@@ -25,6 +25,14 @@ integrand carries cosh^{1-2mu-2m} where the orthogonality projection gives
 cosh^{-1-2mu-2m}, and the prefactor differs by level-dependent factors.
 The canonical variant is the one all invariants are stated for; the printed
 variant exists so the discrepancy can be measured and reported.
+
+All three share one assembly: each call builds the row index arrays, a
+table of every distinct log-gamma argument (evaluated once per call) and,
+for quadrature, the node tables of each node count; a column's entries are
+then formed together, with one Jacobi evaluation per column and node count.
+The 3F2 and Hahn matrices carry ``cancellation``, the largest ratio
+sum|t_k| / |sum t_k| of their terminating sums; round-off in an entry grows
+with it (about 1e16 at N = 10 on deep wells, where orthogonality is lost).
 """
 
 from __future__ import annotations
@@ -49,15 +57,17 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-
-
-def _lg(x: float) -> float:
-    return sf.log_gamma(x).real
+_HALF = math.pi / 4.0  # half-width of the phi interval (0, pi/2)
 
 
 @dataclass(frozen=True)
 class InterbasisMatrix:
-    """Level-N change of basis; rows (n1, n2), columns (n, m)."""
+    """Level-N change of basis; rows (n1, n2), columns (n, m).
+
+    ``cancellation`` is the largest sum|t_k| / |sum t_k| over the terminating
+    sums behind the entries (``3f2`` and ``hahn``; inf if a sum is exactly 0;
+    None for quadrature).
+    """
 
     N: int
     method: str
@@ -65,6 +75,7 @@ class InterbasisMatrix:
     entries: np.ndarray
     rows: tuple
     cols: tuple
+    cancellation: float | None = None
 
     def __post_init__(self):
         if self.entries.shape != (len(self.rows), len(self.cols)):
@@ -77,68 +88,150 @@ def orthogonality_defect(w: InterbasisMatrix) -> float:
     return float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
-def _indices(p: P1Params, N: int):
-    rows = tuple(p1m.level_states_horicyclic(p, N))
-    cols = tuple(p1m.level_states_equidistant(p, N))
-    if len(cols) != N + 1:
-        raise OutOfDomainError(
-            f"level N = {N} does not carry the full N+1 equidistant states")
-    return rows, cols
+class _LogGammaTable(dict):
+    """Real log Gamma of each distinct argument met while building one
+    matrix, evaluated on first lookup; called on an array, it looks up
+    every element."""
+
+    def __missing__(self, x: float) -> float:
+        v = self[x] = sf.log_gamma(x).real
+        return v
+
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return np.array([self[v] for v in x.tolist()])
+        return self[x]
 
 
-def _log_k0(p: P1Params, N: int, n: int, m: int, n1: int, n2: int,
-            mu: float, nu: float) -> float:
+def _exp(x: np.ndarray) -> np.ndarray:
+    # math.exp element by element: np.exp can differ in the last bit, and the
+    # entries must equal those of the scalar formulas
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+class _Level:
+    """What all entries of one level-N matrix share: the index sets (rows as
+    float arrays n1, n2), nu, the log-gamma table and the node tables."""
+
+    def __init__(self, p: P1Params, N: int, variant: str):
+        self.p, self.d, self.nu = p, p.d, p1m.p1_nu(p, N)
+        self.rows = tuple(p1m.level_states_horicyclic(p, N))
+        self.cols = tuple(p1m.level_states_equidistant(p, N))
+        if len(self.cols) != N + 1:
+            raise OutOfDomainError(
+                f"level N = {N} does not carry the full N+1 equidistant states")
+        if variant not in ("canonical", "printed"):
+            raise OutOfDomainError(f"unknown variant {variant!r}")
+        self.canonical = variant == "canonical"
+        self.n1, self.n2 = np.array(self.rows, dtype=float).T
+        self.lg = _LogGammaTable()
+        self._nodes = {}
+
+    def nodes(self, n_nodes: int):
+        """(w, cosh 2a, log sin phi, log cos phi) on the phi-mapped rule."""
+        if n_nodes not in self._nodes:
+            x, w = sf.gauss_legendre_nodes(n_nodes)
+            phi = _HALF * (x + 1.0)
+            sp, cp = np.sin(phi), np.cos(phi)
+            self._nodes[n_nodes] = (w, (1.0 + sp * sp) / (cp * cp),
+                                    np.log(sp), np.log(cp))
+        return self._nodes[n_nodes]
+
+
+def _log_k0(lv: _Level, m: int, mu: float) -> np.ndarray:
     """log of the positive projection constant multiplying the a-integral.
 
     K0 = (m! mu / nu) chat C1 C2 / (C_m n1! n2!) with chat the canonical
     horicyclic scale and C1, C2, C_m the closed-form 1D normalizations.
     """
-    d = p.d
-    sb = SQRT2 * p.beta
+    d, nu, lg, n1, n2 = lv.d, lv.nu, lv.lg, lv.n1, lv.n2
+    sb = SQRT2 * lv.p.beta
     log_chat = 0.5 * (math.log(2.0) + math.log(nu) - math.log(sb))
-    log_c1 = 0.5 * (_lg(n1 + 1.0) + 0.5 * math.log(sb) - _lg(n1 + d + 1.0))
-    log_c2 = 0.5 * (math.log(2.0) + _lg(n2 + 1.0) + 0.5 * math.log(sb)
-                    - _lg(n2 + nu + 1.0))
-    log_cm = 0.5 * (math.log(2.0 * mu) + _lg(m + 1.0) - _lg(m + mu + 1.0))
-    return (_lg(m + 1.0) + math.log(mu) - math.log(nu) + log_chat
-            + log_c1 + log_c2 - log_cm - _lg(n1 + 1.0) - _lg(n2 + 1.0))
+    log_c1 = 0.5 * (lg(n1 + 1.0) + 0.5 * math.log(sb) - lg(n1 + d + 1.0))
+    log_c2 = 0.5 * (math.log(2.0) + lg(n2 + 1.0) + 0.5 * math.log(sb)
+                    - lg(n2 + nu + 1.0))
+    log_cm = 0.5 * (math.log(2.0 * mu) + lg(m + 1.0) - lg(m + mu + 1.0))
+    return (lg(m + 1.0) + math.log(mu) - math.log(nu) + log_chat
+            + log_c1 + log_c2 - log_cm - lg(n1 + 1.0) - lg(n2 + 1.0))
 
 
-def _log_an(p: P1Params, n: int, mu: float, nu: float) -> float:
-    d = p.d
-    return 0.5 * (math.log(2.0 * nu) + _lg(mu - n) + _lg(n + 1.0)
-                  - _lg(mu - d - n) - _lg(1.0 + n + d))
+def _log_an(lv: _Level, n: int, mu: float) -> float:
+    d, lg = lv.d, lv.lg
+    return 0.5 * (math.log(2.0 * lv.nu) + lg(mu - n) + lg(n + 1.0)
+                  - lg(mu - d - n) - lg(1.0 + n + d))
 
 
-def _a_integral(p: P1Params, n: int, mu: float, cosh_pow: float,
-                sinh_pow: float, tol: float = 1e-13) -> float:
-    """int_0^inf sinh^sinh_pow cosh^cosh_pow P_n^{(d,-mu)}(cosh 2a) da.
+def _sums(parts) -> tuple[np.ndarray, list[float]]:
+    """Re(pref * sum_k t_k) of each (pref, terms) in parts, by the compensated
+    sum of ``specfun``, and each sum's cancellation sum|t_k| / |sum t_k|."""
+    vals, ratios = [], []
+    for pref, terms in parts:
+        total = sf._compensated_sum(terms)
+        vals.append((pref * total).real)
+        ratios.append(sum(map(abs, terms)) / abs(total) if total else math.inf)
+    return np.array(vals), ratios
+
+
+def _a_integrals(lv: _Level, n: int, mu: float, cosh_pow: float,
+                 sinh_pow: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """int_0^inf sinh^s cosh^cosh_pow P_n^{(d,-mu)}(cosh 2a) da, s in sinh_pow.
 
     Substitution u = tanh a followed by u = sin(phi) (which turns the
     (1-u^2)^{half-integer} endpoint branch into an analytic factor), then
-    Gauss-Legendre on (0, pi/2) with node doubling until two successive
-    levels agree.
+    Gauss-Legendre on (0, pi/2) with node doubling.  The integrals share one
+    Jacobi evaluation per node count; each stops at the first node count
+    where it agrees with the previous one.
     """
-    d = p.d
-
-    def integrand(phi):
-        sp, cp = np.sin(phi), np.cos(phi)
-        arg = (1.0 + sp * sp) / (cp * cp)  # cosh 2a
-        poly = np.real(sf.jacobi(n, d, -mu, arg))
-        logmag = (sinh_pow * np.log(sp)
-                  - (sinh_pow + cosh_pow + 1.0) * np.log(cp))
-        return np.exp(logmag) * poly
-
+    s = sinh_pow[:, None]
+    c = s + cosh_pow + 1.0
+    out = np.empty(len(sinh_pow))
+    todo = np.ones(len(sinh_pow), dtype=bool)
     prev = None
-    half = math.pi / 4.0
     for n_nodes in (48, 96, 192, 384, 768):
-        x, w = sf.gauss_legendre_nodes(n_nodes)
-        phi = half * (x + 1.0)
-        val = half * float(np.sum(w * integrand(phi)))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
+        w, arg, log_sp, log_cp = lv.nodes(n_nodes)
+        poly = np.real(sf.jacobi(n, lv.d, -mu, arg))
+        val = _HALF * np.sum(w * (np.exp(s * log_sp - c * log_cp) * poly),
+                             axis=1)
+        if prev is not None:
+            done = todo & (np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
+            out[done] = val[done]
+            todo &= ~done
+            if not todo.any():
+                return out
         prev = val
-    return val
+    out[todo] = val[todo]
+    return out
+
+
+def _assemble(p: P1Params, N: int, method: str, variant: str,
+              column) -> InterbasisMatrix:
+    """The matrix, one column at a time: ``column(lv, n, m, mu)`` returns the
+    column's entries and the cancellation ratios of its sums (or None)."""
+    lv = _Level(p, N, variant)
+    ent = np.zeros((N + 1, N + 1))
+    ratios = []
+    for j, (n, m) in enumerate(lv.cols):
+        ent[:, j], col_ratios = column(lv, n, m, p1m.p1_mu(p, m))
+        ratios += col_ratios or []
+    return InterbasisMatrix(N, method, variant, ent, lv.rows, lv.cols,
+                            max(ratios) if ratios else None)
+
+
+def _quadrature_column(lv: _Level, n: int, m: int, mu: float):
+    d, lg, n1, n2 = lv.d, lv.lg, lv.n1, lv.n2
+    cosh_pow = (-(1.0 + 2.0 * mu + 2.0 * m) if lv.canonical
+                else 1.0 - 2.0 * mu - 2.0 * m)
+    val = _a_integrals(lv, n, mu, cosh_pow, 1.0 + 2.0 * d + 2.0 * n1)
+    if lv.canonical:
+        logk = _log_k0(lv, m, mu) + _log_an(lv, n, mu)
+    else:
+        logk = 0.5 * (
+            lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * lv.p.beta)
+            + math.log(mu - d - 2.0 * n - 1.0) + lg(mu + m + 1.0)
+            + lg(mu - n) - lg(n1 + 1.0) - lg(n2 + 1.0) - math.log(mu)
+            - lg(n1 + d + 1.0) - lg(n2 + d + 1.0) - lg(n + d + 1.0)
+            - lg(mu - d - n))
+    return (-1.0) ** n * _exp(logk) * val, None
 
 
 def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -152,31 +245,7 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
     printed: verbatim published prefactor and the integrand with
     cosh^{1-2mu-2m}, integral read over (0, inf).
     """
-    rows, cols = _indices(p, N)
-    nu = p1m.p1_nu(p, N)
-    d = p.d
-    ent = np.zeros((N + 1, N + 1))
-    for i, (n1, n2) in enumerate(rows):
-        for j, (n, m) in enumerate(cols):
-            mu = p1m.p1_mu(p, m)
-            if variant == "canonical":
-                val = _a_integral(p, n, mu, -(1.0 + 2.0 * mu + 2.0 * m),
-                                  1.0 + 2.0 * d + 2.0 * n1)
-                logk = _log_k0(p, N, n, m, n1, n2, mu, nu) + _log_an(p, n, mu, nu)
-                ent[i, j] = (-1.0) ** n * math.exp(logk) * val
-            elif variant == "printed":
-                val = _a_integral(p, n, mu, 1.0 - 2.0 * mu - 2.0 * m,
-                                  1.0 + 2.0 * d + 2.0 * n1)
-                logk = 0.5 * (
-                    _lg(m + 1.0) + _lg(n + 1.0) + math.log(SQRT2 * p.beta)
-                    + math.log(mu - d - 2.0 * n - 1.0) + _lg(mu + m + 1.0)
-                    + _lg(mu - n) - _lg(n1 + 1.0) - _lg(n2 + 1.0) - math.log(mu)
-                    - _lg(n1 + d + 1.0) - _lg(n2 + d + 1.0) - _lg(n + d + 1.0)
-                    - _lg(mu - d - n))
-                ent[i, j] = (-1.0) ** n * math.exp(logk) * val
-            else:
-                raise OutOfDomainError(f"unknown variant {variant!r}")
-    return InterbasisMatrix(N, "quadrature", variant, ent, rows, cols)
+    return _assemble(p, N, "quadrature", variant, _quadrature_column)
 
 
 def _signed_pochhammer_log(a: float, n: int) -> tuple[float, float]:
@@ -192,6 +261,30 @@ def _signed_pochhammer_log(a: float, n: int) -> tuple[float, float]:
     return sign, logmag
 
 
+def _3f2_column(lv: _Level, n: int, m: int, mu: float):
+    d, lg, n1, n2 = lv.d, lv.lg, lv.n1, lv.n2
+    c, e = ((-mu - m, 1.0 + d + n1 - mu - m) if lv.canonical
+            else (1.0 - mu - m, 2.0 + n1 + d - mu - m))
+    f32, ratios = _sums((1.0, sf._hyp3f2_terms(n, n + d - mu + 1.0, c, 1.0 - mu, ei))
+                        for ei in e.tolist())
+    if lv.canonical:
+        sgn, logp = _signed_pochhammer_log(1.0 - mu, n)
+        logmag = (_log_k0(lv, m, mu)
+                  + _log_an(lv, n, mu) + logp - lg(n + 1.0)
+                  - math.log(2.0) + lg(1.0 + d + n1)
+                  + lg(mu + m - d - n1) - lg(1.0 + mu + m))
+        return sgn * _exp(logmag) * f32, ratios
+    logmag = 0.5 * (
+        lg(m + 1.0) + math.log(SQRT2 * lv.p.beta)
+        + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
+        + lg(n1 + d + 1.0) - lg(n + 1.0) - lg(n1 + 1.0)
+        - lg(n2 + 1.0) - math.log(mu) - lg(n2 + d + 1.0)
+        - lg(n + d + 1.0) - lg(mu - n - d)
+        - lg(mu - n) - lg(mu + m))
+    logmag += (lg(mu) + lg(mu + m - d - n1 - 1.0) - math.log(2.0))
+    return (-1.0) ** n * _exp(logmag) * f32, ratios
+
+
 def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
     """Closed form of the overlap: terminating 3F2 at unit argument.
 
@@ -204,37 +297,29 @@ def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
     printed: the published display (whose lower/upper parameters and Gamma
     arguments sit one unit away from the canonical ones).
     """
-    rows, cols = _indices(p, N)
-    nu = p1m.p1_nu(p, N)
-    d = p.d
-    ent = np.zeros((N + 1, N + 1))
-    for i, (n1, n2) in enumerate(rows):
-        for j, (n, m) in enumerate(cols):
-            mu = p1m.p1_mu(p, m)
-            if variant == "canonical":
-                f32 = sf.hyp3f2_unit(n, n + d - mu + 1.0, -mu - m,
-                                     1.0 - mu, 1.0 + d + n1 - mu - m).real
-                sgn, logp = _signed_pochhammer_log(1.0 - mu, n)
-                logmag = (_log_k0(p, N, n, m, n1, n2, mu, nu)
-                          + _log_an(p, n, mu, nu) + logp - _lg(n + 1.0)
-                          - math.log(2.0) + _lg(1.0 + d + n1)
-                          + _lg(mu + m - d - n1) - _lg(1.0 + mu + m))
-                ent[i, j] = sgn * math.exp(logmag) * f32
-            elif variant == "printed":
-                f32 = sf.hyp3f2_unit(n, n + d - mu + 1.0, 1.0 - mu - m,
-                                     1.0 - mu, 2.0 + n1 + d - mu - m).real
-                logmag = 0.5 * (
-                    _lg(m + 1.0) + math.log(SQRT2 * p.beta)
-                    + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
-                    + _lg(n1 + d + 1.0) - _lg(n + 1.0) - _lg(n1 + 1.0)
-                    - _lg(n2 + 1.0) - math.log(mu) - _lg(n2 + d + 1.0)
-                    - _lg(n + d + 1.0) - _lg(mu - n - d)
-                    - _lg(mu - n) - _lg(mu + m))
-                logmag += (_lg(mu) + _lg(mu + m - d - n1 - 1.0) - math.log(2.0))
-                ent[i, j] = (-1.0) ** n * math.exp(logmag) * f32
-            else:
-                raise OutOfDomainError(f"unknown variant {variant!r}")
-    return InterbasisMatrix(N, "3f2", variant, ent, rows, cols)
+    return _assemble(p, N, "3f2", variant, _3f2_column)
+
+
+def _hahn_column(lv: _Level, n: int, m: int, mu: float):
+    d, lg, n1, n2 = lv.d, lv.lg, lv.n1, lv.n2
+    x, big_n = ((mu + m, mu + m - d - n1) if lv.canonical
+                else (mu + m + 1.0, mu + m - d - n1 - 1.0))
+    h, ratios = _sums(sf._hahn_parts(n, d, -mu, x, bn) for bn in big_n.tolist())
+    if lv.canonical:
+        logmag = (_log_k0(lv, m, mu)
+                  + _log_an(lv, n, mu) - math.log(2.0)
+                  + lg(1.0 + d + n1) + lg(mu + m - d - n1 - n)
+                  - lg(1.0 + mu + m))
+    else:
+        logmag = 0.5 * (
+            lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * lv.p.beta)
+            + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
+            - lg(n1 + 1.0) - lg(n2 + 1.0) - math.log(mu)
+            - lg(n + d + 1.0) - lg(mu - n - d)
+            + lg(n1 + d + 1.0) + lg(mu - n)
+            - lg(n2 + d + 1.0) - lg(mu + m))
+        logmag += lg(mu + m - d - n1 - n - 1.0) - math.log(2.0)
+    return (-1.0) ** n * _exp(logmag) * h, ratios
 
 
 def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -247,34 +332,7 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
     printed: h_n^{(d,-mu)}(mu+m+1, mu+m-d-n1-1) with the published
     prefactor.
     """
-    rows, cols = _indices(p, N)
-    nu = p1m.p1_nu(p, N)
-    d = p.d
-    ent = np.zeros((N + 1, N + 1))
-    for i, (n1, n2) in enumerate(rows):
-        for j, (n, m) in enumerate(cols):
-            mu = p1m.p1_mu(p, m)
-            if variant == "canonical":
-                h = sf.hahn(n, d, -mu, mu + m, mu + m - d - n1).real
-                logmag = (_log_k0(p, N, n, m, n1, n2, mu, nu)
-                          + _log_an(p, n, mu, nu) - math.log(2.0)
-                          + _lg(1.0 + d + n1) + _lg(mu + m - d - n1 - n)
-                          - _lg(1.0 + mu + m))
-                ent[i, j] = (-1.0) ** n * math.exp(logmag) * h
-            elif variant == "printed":
-                h = sf.hahn(n, d, -mu, mu + m + 1.0, mu + m - d - n1 - 1.0).real
-                logmag = 0.5 * (
-                    _lg(m + 1.0) + _lg(n + 1.0) + math.log(SQRT2 * p.beta)
-                    + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
-                    - _lg(n1 + 1.0) - _lg(n2 + 1.0) - math.log(mu)
-                    - _lg(n + d + 1.0) - _lg(mu - n - d)
-                    + _lg(n1 + d + 1.0) + _lg(mu - n)
-                    - _lg(n2 + d + 1.0) - _lg(mu + m))
-                logmag += _lg(mu + m - d - n1 - n - 1.0) - math.log(2.0)
-                ent[i, j] = (-1.0) ** n * math.exp(logmag) * h
-            else:
-                raise OutOfDomainError(f"unknown variant {variant!r}")
-    return InterbasisMatrix(N, "hahn", variant, ent, rows, cols)
+    return _assemble(p, N, "hahn", variant, _hahn_column)
 
 
 def verify_expansion(p: P1Params, N: int, w: InterbasisMatrix,

@@ -261,28 +261,49 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     raise NonConvergenceError(f"hyp2f1: argument z = {z} outside covered region")
 
 
+def _hyp3f2_terms(n: int, b: complex, c: complex, d: complex,
+                  e: complex) -> list[complex]:
+    """Terms t_0 = 1, ..., t_n of the terminating 3F2(-n, b, c; d, e; 1)."""
+    if n < 0:
+        raise OutOfDomainError("hyp3f2_unit: n must be >= 0")
+    terms = [1.0 + 0.0j]
+    for k in range(n):
+        den = (d + k) * (e + k) * (k + 1.0)
+        if den == 0:
+            raise ParameterPoleError(
+                f"hyp3f2_unit: lower parameter hits a pole at k = {k}")
+        terms.append(terms[-1] * (-n + k) * (b + k) * (c + k) / den)
+    return terms
+
+
+def _compensated_sum(terms: list[complex]) -> complex:
+    """Kahan sum of the terms, in order."""
+    total = terms[0]
+    comp = 0.0 + 0.0j
+    for term in terms[1:]:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
 def hyp3f2_unit(n: int, b: complex, c: complex, d: complex, e: complex) -> complex:
     """Terminating 3F2(-n, b, c; d, e; 1): exact sum of n+1 terms.
 
     Compensated (Kahan) summation; raises ParameterPoleError if (d)_k or
     (e)_k vanishes for some k <= n.
     """
+    return _compensated_sum(_hyp3f2_terms(n, b, c, d, e))
+
+
+def _hahn_parts(n: int, alpha: complex, beta: complex, x: complex,
+                N: complex) -> tuple[complex, list[complex]]:
+    """The prefactor and the 3F2 terms whose product and sum give ``hahn``."""
     if n < 0:
-        raise OutOfDomainError("hyp3f2_unit: n must be >= 0")
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for k in range(n):
-        den = (d + k) * (e + k) * (k + 1.0)
-        if den == 0:
-            raise ParameterPoleError(
-                f"hyp3f2_unit: lower parameter hits a pole at k = {k}")
-        term = term * (-n + k) * (b + k) * (c + k) / den
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+        raise OutOfDomainError("hahn: n must be >= 0")
+    pref = (-1.0) ** n / math.factorial(n) * pochhammer(N - n, n) * pochhammer(beta + 1.0, n)
+    return pref, _hyp3f2_terms(n, alpha + beta + n + 1.0, -x, beta + 1.0, 1.0 - N)
 
 
 def hahn(n: int, alpha: complex, beta: complex, x: complex, N: complex) -> complex:
@@ -294,10 +315,8 @@ def hahn(n: int, alpha: complex, beta: complex, x: complex, N: complex) -> compl
     The Gamma ratios of the defining formula are evaluated as finite
     Pochhammer products, so integer N causes no spurious poles.
     """
-    if n < 0:
-        raise OutOfDomainError("hahn: n must be >= 0")
-    pref = (-1.0) ** n / math.factorial(n) * pochhammer(N - n, n) * pochhammer(beta + 1.0, n)
-    return pref * hyp3f2_unit(n, alpha + beta + n + 1.0, -x, beta + 1.0, 1.0 - N)
+    pref, terms = _hahn_parts(n, alpha, beta, x, N)
+    return pref * _compensated_sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -323,3 +323,61 @@ def test_vectorized_semi_hyperbolic_grid_keeps_nan_cells():
             continue
         assert abs(psi - ref) <= 1e-14 * abs(ref)
     assert 0 < nan_cells < len(rows)
+
+
+# ---------------------------------------------------------------------------
+# serialization: the one-pass writer against the three-pass one it replaced
+# ---------------------------------------------------------------------------
+
+_MARK = "@@f17g@@"
+
+
+def _marked(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        return f"{_MARK}{'%.17g' % float(obj)}{_MARK}"
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": _marked(obj.real), "im": _marked(obj.imag)}
+    if isinstance(obj, np.ndarray):
+        return _marked(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: _marked(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_marked(v) for v in obj]
+    return obj
+
+
+def _reference_dumps_json(obj) -> str:
+    import re
+
+    text = json.dumps(_marked(obj), indent=2)
+    return re.sub(f'"{_MARK}(.*?){_MARK}"', r"\1", text) + "\n"
+
+
+def test_dumps_json_matches_three_pass_reference(tmp_path):
+    payloads = [
+        {"a": [1, 2.5, True, False, None, "sé\"q"], "b": {}, "c": [],
+         "d": {"e": [[], {}, [1.0 / 3.0, -0.0, 1e300, float("nan"), float("inf")]]},
+         "z": complex(1.5, -2.0), "zs": np.array([1 + 2j, 3 - 4j]),
+         "arr": np.arange(6.0).reshape(2, 3), "ints": np.arange(3),
+         "0d": np.array(0.1), "flags": np.array([True, False]),
+         "np": [np.float64(0.1), np.int64(7), np.float32(0.25)],
+         "t": (1, (2.0, "x")), 3: "int key", 2.5: "float key", None: "none key",
+         True: "bool key", np.str_("np key"): np.str_("np value")},
+        [], {}, 0.1, 7, "text", None, [[[]]],
+    ]
+    for obj in payloads:
+        assert hcli.dumps_json(obj) == _reference_dumps_json(obj)
+    # a verify report and a 20x20 wavefunction grid, rebuilt from their files
+    for args, name in (
+            (["verify", "--suite", "interbasis"], "verify.json"),
+            (["wavefunction", "--chart", "equidistant", "--quantum", "1,1",
+              "--grid", "20x20:-2,2,-2,2"], "grid.json")):
+        path = tmp_path / name
+        assert hcli.main(args + ["--out", str(path)]) == 0
+        text = path.read_text()
+        data = json.loads(text)
+        assert hcli.dumps_json(data) == _reference_dumps_json(data) == text

@@ -1,6 +1,8 @@
 import math
+import sys
 
 import numpy as np
+import pytest
 
 from hypersint import interbasis as ib
 from hypersint import potential1 as p1
@@ -146,3 +148,232 @@ def test_multiplet_n2_eigenvalues(p1_fixture):
 
     assert np.allclose(n2_horicyclic_eigenvalues(p1_fixture, 2),
                        [-37.0, -41.0, -45.0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: the per-entry loops that built the matrices before the
+# per-column tables.  The production code must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+DEEP = p1.P1Params(0.3, 0.2, 3.0)  # nmax = 14
+_REF_SQRT2 = math.sqrt(2.0)
+
+
+def _ref_lg(x):
+    return sf.log_gamma(x).real
+
+
+def _ref_log_k0(p, N, n, m, n1, n2, mu, nu):
+    d = p.d
+    sb = _REF_SQRT2 * p.beta
+    log_chat = 0.5 * (math.log(2.0) + math.log(nu) - math.log(sb))
+    log_c1 = 0.5 * (_ref_lg(n1 + 1.0) + 0.5 * math.log(sb) - _ref_lg(n1 + d + 1.0))
+    log_c2 = 0.5 * (math.log(2.0) + _ref_lg(n2 + 1.0) + 0.5 * math.log(sb)
+                    - _ref_lg(n2 + nu + 1.0))
+    log_cm = 0.5 * (math.log(2.0 * mu) + _ref_lg(m + 1.0) - _ref_lg(m + mu + 1.0))
+    return (_ref_lg(m + 1.0) + math.log(mu) - math.log(nu) + log_chat
+            + log_c1 + log_c2 - log_cm - _ref_lg(n1 + 1.0) - _ref_lg(n2 + 1.0))
+
+
+def _ref_log_an(p, n, mu, nu):
+    d = p.d
+    return 0.5 * (math.log(2.0 * nu) + _ref_lg(mu - n) + _ref_lg(n + 1.0)
+                  - _ref_lg(mu - d - n) - _ref_lg(1.0 + n + d))
+
+
+def _ref_a_integral(p, n, mu, cosh_pow, sinh_pow, tol=1e-13):
+    d = p.d
+
+    def integrand(phi):
+        sp, cp = np.sin(phi), np.cos(phi)
+        arg = (1.0 + sp * sp) / (cp * cp)
+        poly = np.real(sf.jacobi(n, d, -mu, arg))
+        logmag = (sinh_pow * np.log(sp)
+                  - (sinh_pow + cosh_pow + 1.0) * np.log(cp))
+        return np.exp(logmag) * poly
+
+    prev = None
+    half = math.pi / 4.0
+    for n_nodes in (48, 96, 192, 384, 768):
+        x, w = sf.gauss_legendre_nodes(n_nodes)
+        phi = half * (x + 1.0)
+        val = half * float(np.sum(w * integrand(phi)))
+        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+            return val
+        prev = val
+    return val
+
+
+def _ref_signed_pochhammer_log(a, n):
+    sign = 1.0
+    logmag = 0.0
+    for k in range(n):
+        v = a + k
+        if v == 0.0:
+            return 0.0, -math.inf
+        sign *= math.copysign(1.0, v)
+        logmag += math.log(abs(v))
+    return sign, logmag
+
+
+def _ref_entry(method, variant, p, N, n, m, n1, n2):
+    lg = _ref_lg
+    d = p.d
+    nu = p1.p1_nu(p, N)
+    mu = p1.p1_mu(p, m)
+    if method == "quadrature" and variant == "canonical":
+        val = _ref_a_integral(p, n, mu, -(1.0 + 2.0 * mu + 2.0 * m),
+                              1.0 + 2.0 * d + 2.0 * n1)
+        logk = _ref_log_k0(p, N, n, m, n1, n2, mu, nu) + _ref_log_an(p, n, mu, nu)
+        return (-1.0) ** n * math.exp(logk) * val
+    if method == "quadrature":
+        val = _ref_a_integral(p, n, mu, 1.0 - 2.0 * mu - 2.0 * m,
+                              1.0 + 2.0 * d + 2.0 * n1)
+        logk = 0.5 * (
+            lg(m + 1.0) + lg(n + 1.0) + math.log(_REF_SQRT2 * p.beta)
+            + math.log(mu - d - 2.0 * n - 1.0) + lg(mu + m + 1.0)
+            + lg(mu - n) - lg(n1 + 1.0) - lg(n2 + 1.0) - math.log(mu)
+            - lg(n1 + d + 1.0) - lg(n2 + d + 1.0) - lg(n + d + 1.0)
+            - lg(mu - d - n))
+        return (-1.0) ** n * math.exp(logk) * val
+    if method == "3f2" and variant == "canonical":
+        f32 = sf.hyp3f2_unit(n, n + d - mu + 1.0, -mu - m,
+                             1.0 - mu, 1.0 + d + n1 - mu - m).real
+        sgn, logp = _ref_signed_pochhammer_log(1.0 - mu, n)
+        logmag = (_ref_log_k0(p, N, n, m, n1, n2, mu, nu)
+                  + _ref_log_an(p, n, mu, nu) + logp - lg(n + 1.0)
+                  - math.log(2.0) + lg(1.0 + d + n1)
+                  + lg(mu + m - d - n1) - lg(1.0 + mu + m))
+        return sgn * math.exp(logmag) * f32
+    if method == "3f2":
+        f32 = sf.hyp3f2_unit(n, n + d - mu + 1.0, 1.0 - mu - m,
+                             1.0 - mu, 2.0 + n1 + d - mu - m).real
+        logmag = 0.5 * (
+            lg(m + 1.0) + math.log(_REF_SQRT2 * p.beta)
+            + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
+            + lg(n1 + d + 1.0) - lg(n + 1.0) - lg(n1 + 1.0)
+            - lg(n2 + 1.0) - math.log(mu) - lg(n2 + d + 1.0)
+            - lg(n + d + 1.0) - lg(mu - n - d)
+            - lg(mu - n) - lg(mu + m))
+        logmag += (lg(mu) + lg(mu + m - d - n1 - 1.0) - math.log(2.0))
+        return (-1.0) ** n * math.exp(logmag) * f32
+    if variant == "canonical":
+        h = sf.hahn(n, d, -mu, mu + m, mu + m - d - n1).real
+        logmag = (_ref_log_k0(p, N, n, m, n1, n2, mu, nu)
+                  + _ref_log_an(p, n, mu, nu) - math.log(2.0)
+                  + lg(1.0 + d + n1) + lg(mu + m - d - n1 - n)
+                  - lg(1.0 + mu + m))
+        return (-1.0) ** n * math.exp(logmag) * h
+    h = sf.hahn(n, d, -mu, mu + m + 1.0, mu + m - d - n1 - 1.0).real
+    logmag = 0.5 * (
+        lg(m + 1.0) + lg(n + 1.0) + math.log(_REF_SQRT2 * p.beta)
+        + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
+        - lg(n1 + 1.0) - lg(n2 + 1.0) - math.log(mu)
+        - lg(n + d + 1.0) - lg(mu - n - d)
+        + lg(n1 + d + 1.0) + lg(mu - n)
+        - lg(n2 + d + 1.0) - lg(mu + m))
+    logmag += lg(mu + m - d - n1 - n - 1.0) - math.log(2.0)
+    return (-1.0) ** n * math.exp(logmag) * h
+
+
+def _ref_matrix(method, variant, p, N):
+    rows = p1.level_states_horicyclic(p, N)
+    cols = p1.level_states_equidistant(p, N)
+    ent = np.zeros((N + 1, N + 1))
+    for i, (n1, n2) in enumerate(rows):
+        for j, (n, m) in enumerate(cols):
+            ent[i, j] = _ref_entry(method, variant, p, N, n, m, n1, n2)
+    return ent
+
+
+METHODS = ("quadrature", "3f2", "hahn")
+VARIANTS = ("canonical", "printed")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("method", METHODS)
+def test_entries_bit_identical_to_per_entry_reference(p1_fixture, method, variant):
+    build = getattr(ib, f"w_{method}")
+    cases = [(p1_fixture, N) for N in range(3)] + [(DEEP, N) for N in (2, 6, 10, 14)]
+    for p, N in cases:
+        w = build(p, N, variant)
+        assert np.array_equal(w.entries, _ref_matrix(method, variant, p, N)), (p, N)
+        assert (w.method, w.variant, w.N) == (method, variant, N)
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    orig = getattr(sf, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+    monkeypatch.setattr(sf, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_work_counts_are_linear_in_the_level(monkeypatch, variant):
+    # one log-gamma evaluation per distinct argument and one Jacobi
+    # evaluation per column and node count; the per-entry loops made
+    # 117-3825 log-gamma calls and, at N = 14, 481 Jacobi calls
+    lg_calls = _count_calls(monkeypatch, "log_gamma")
+    jac_calls = _count_calls(monkeypatch, "jacobi")
+    for method in METHODS:
+        build = getattr(ib, f"w_{method}")
+        counts = {}
+        for N in (6, 14):
+            lg_calls[0] = jac_calls[0] = 0
+            build(DEEP, N, variant)
+            counts[N] = lg_calls[0]
+            assert lg_calls[0] <= 8 * (N + 1), (method, N, lg_calls[0])
+            if method == "quadrature":
+                assert 0 < jac_calls[0] <= 5 * (N + 1)
+            else:
+                assert jac_calls[0] == 0
+        # O(N): 15/7 ~ 2.1 from N = 6 to 14, where O(N^2) would give ~4.6
+        assert counts[14] <= 3.0 * counts[6], (method, counts)
+
+
+def _independent_cancellation(p, N):
+    # largest sum|t_k| / |sum t_k| of the canonical 3F2 sums, from terms
+    # formed and summed here
+    d = p.d
+    worst = 0.0
+    for n, m in p1.level_states_equidistant(p, N):
+        mu = p1.p1_mu(p, m)
+        for n1 in range(N + 1):
+            b, c, e = n + d - mu + 1.0, -mu - m, 1.0 + d + n1 - mu - m
+            terms = [1.0]
+            for k in range(n):
+                terms.append(terms[-1] * (k - n) * (b + k) * (c + k)
+                             / ((1.0 - mu + k) * (e + k) * (k + 1.0)))
+            worst = max(worst, math.fsum(map(abs, terms)) / abs(math.fsum(terms)))
+    return worst
+
+
+def test_cancellation_ratio_reported_for_terminating_sums(p1_fixture):
+    eps = sys.float_info.epsilon
+    for N in (0, 1, 2):
+        assert ib.w_quadrature(p1_fixture, N).cancellation is None
+    for method in (ib.w_3f2, ib.w_hahn):
+        assert method(p1_fixture, 0).cancellation == 1.0
+        # well-conditioned cases (ratio <= 1e6), where the two summation
+        # orders agree far below the 1e-6 bound; on the second set the
+        # worst sum sits in row n1 = 1
+        for p in (p1_fixture, DEEP, p1.P1Params(0.8, 0.6, 2.7)):
+            want = _independent_cancellation(p, 2)
+            got = method(p, 2).cancellation
+            assert abs(got - want) <= 1e-6 * want
+    # the published 3F2 display sums to exactly zero at (n, m) = (1, 0),
+    # n1 = 0 of the fixture: total cancellation
+    assert ib.w_3f2(p1_fixture, 1, "printed").cancellation == math.inf
+    # the deep well loses orthogonality exactly where the sums cancel:
+    # the defect stays below cancellation * eps (measured ratio <= 0.009)
+    ratios = []
+    for N in (2, 6, 10, 14):
+        w3, wh = ib.w_3f2(DEEP, N), ib.w_hahn(DEEP, N)
+        assert w3.cancellation == pytest.approx(wh.cancellation, rel=1e-9)
+        assert ib.orthogonality_defect(w3) <= w3.cancellation * eps
+        ratios.append(w3.cancellation)
+    assert ratios[0] < 1e6 and ratios[-1] > 1e16
