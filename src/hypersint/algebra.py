@@ -445,27 +445,28 @@ def check_linear_relations(p: P1Params, testfns, points,
     """Pointwise residuals of L3 = -L2 - L1 and L4 = L2 - L1.
 
     Each relation is evaluated on every test function at every point;
-    the defect is normalized by the largest single-term magnitude.
+    the defect is normalized by the largest single-term magnitude.  The
+    points (a sequence of AmbientPoint, or an AmbientPoints) form one
+    batch: each operator is applied to an array-safe test function in one
+    apply_operator call, and L1, L2 serve both relations.  A scalar-only
+    test function is applied point by point.
     """
-    l1 = build_operator("L1", p)
-    l2 = build_operator("L2", p)
-    l3 = build_operator("L3", p)
-    l4 = build_operator("L4", p)
-    reports = []
-    for ident, combo in (("linRel3", (l3, l2, l1, (1.0, 1.0, 1.0))),
-                         ("linRel4", (l4, l2, l1, (1.0, -1.0, 1.0)))):
-        op_a, op_b, op_c, signs = combo
-        worst = 0.0
-        for f in testfns:
-            for q in points:
-                va = apply_operator(op_a, f, q, h=h)
-                vb = apply_operator(op_b, f, q, h=h)
-                vc = apply_operator(op_c, f, q, h=h)
-                scale = max(abs(va), abs(vb), abs(vc), 1e-300)
-                defect = abs(signs[0] * va + signs[1] * vb + signs[2] * vc)
-                worst = max(worst, defect / scale)
-        reports.append(AlgebraReport(ident, worst, tolerance, worst <= tolerance))
-    return reports
+    pts = AmbientPoints.stack(points)
+    ops = {k: build_operator(k, p) for k in ("L1", "L2", "L3", "L4")}
+    worst = {"linRel3": 0.0, "linRel4": 0.0}
+    for f in testfns:
+        _, batched = _on_points(f, pts)
+        v = {k: _apply_on_points(op, f, pts, batched, h, True)
+             for k, op in ops.items()}
+        for ident, lhs, sign in (("linRel3", "L3", 1.0),
+                                 ("linRel4", "L4", -1.0)):
+            va, vb, vc = v[lhs], v["L2"], v["L1"]
+            scale = np.maximum(np.maximum(np.abs(va), np.abs(vb)),
+                               np.maximum(np.abs(vc), 1e-300))
+            defect = np.abs(va + sign * vb + vc)
+            worst[ident] = max(worst[ident], float(np.max(defect / scale)))
+    return [AlgebraReport(ident, r, tolerance, r <= tolerance)
+            for ident, r in worst.items()]
 
 
 def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ command line flags override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -473,19 +474,30 @@ def _suite_orthonormality(cfg: RunConfig) -> list[dict]:
                        for nm in p1.level_states_equidistant(params, N)]
         spec_a = sf.QuadratureSpec("tanh-sinh", cfg.quad_level, 0.0, math.inf,
                                    "exp-map")
+        spec_b = sf.QuadratureSpec("tanh-sinh", cfg.quad_level, -25.0, 5.0)
+        factors = {}  # each 1-D factor once per node array
+
+        def pt(st, t):
+            n, m = st.numbers
+            key = ("pt", n, m, np.asarray(t).tobytes())
+            if key not in factors:
+                factors[key] = p1.pt_factor(params, n, p1.p1_mu(params, m), t)
+            return factors[key]
+
+        def morse(st, t):
+            m = st.numbers[1]  # the same for every n
+            key = ("morse", m, np.asarray(t).tobytes())
+            if key not in factors:
+                factors[key] = p1.morse_factor(params, m, t,
+                                               p1.p1_mu(params, m))
+            return factors[key]
+
         worst = 0.0
         for i, si in enumerate(states):
             for j, sj in enumerate(states[i:], start=i):
-                ni, mi = si.numbers
-                nj, mj = sj.numbers
-                mui, muj = p1.p1_mu(params, mi), p1.p1_mu(params, mj)
-                va, _ = sf.integrate(
-                    lambda t: p1.pt_factor(params, ni, mui, t)
-                    * p1.pt_factor(params, nj, muj, t), spec_a)
-                vb, _ = sf.integrate(
-                    lambda t: p1.morse_factor(params, mi, t, mui)
-                    * p1.morse_factor(params, mj, t, muj),
-                    sf.QuadratureSpec("tanh-sinh", cfg.quad_level, -25.0, 5.0))
+                va, _ = sf.integrate(lambda t: pt(si, t) * pt(sj, t), spec_a)
+                vb, _ = sf.integrate(lambda t: morse(si, t) * morse(sj, t),
+                                     spec_b)
                 gram = va * vb
                 worst = max(worst, abs(gram - (1.0 if i == j else 0.0)))
         recs.append(_rec("v1-equidistant-gram", worst, 1e-7))
@@ -606,7 +618,7 @@ def _suite_linear_relations(cfg: RunConfig) -> list[dict]:
     if cfg.potential != "v1":
         raise HypersintError("linear relations are a v1 suite")
     pts = _eq_points()
-    fs = (lambda q: q.w2 * math.exp(-q.w0),
+    fs = (lambda q: q.w2 * np.exp(-q.w0),
           lambda q: q.w0**2 / (1.0 + q.w2**2))
     out = []
     for rep in alg.check_linear_relations(params, fs, pts, h=cfg.diff_step):
@@ -830,7 +842,10 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--config")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parse_args
+    returns a fresh Namespace each call and leaves the parser unchanged."""
     ap = argparse.ArgumentParser(
         prog="hypersint",
         description="Two superintegrable systems on the 2D hyperboloid")

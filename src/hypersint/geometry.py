@@ -19,8 +19,9 @@ nested differences.
 Operators are applied to whole batches of sample points.  For each
 generator word, ``apply_operator`` builds the full stencil (the exact flows
 applied level by level to coordinate arrays: 4^k points per sample point
-for a word of length k with Richardson, 2^k without), calls the function
-once on all of them and reduces the values level by level.  A function
+for a word of length k with Richardson, 2^k without).  It calls the
+function once on the stencils of all words together, then splits the
+values and reduces each word's level by level.  A function
 passed with an ``AmbientPoints`` batch must therefore be array-safe: it
 takes an ``AmbientPoints`` and returns an array of one value per point (or
 a scalar, which is broadcast).  With a single ``AmbientPoint`` the same
@@ -390,19 +391,16 @@ def _div(x: np.ndarray, d: float) -> np.ndarray:
     return x / d
 
 
-def _word_values(word: tuple, ev, pts: AmbientPoints, h: float,
-                 richardson: bool) -> np.ndarray:
-    """The word applied to the evaluator at every point of the batch.
+def _stencil(word: tuple, pts: AmbientPoints, h: float, richardson: bool):
+    """Coordinate arrays (w0, w1, w2) of the word's stencil on the batch.
 
-    Level k of the stencil flows each point of level k-1 along word[k-1]
-    by +h, -h (and +h/2, -h/2 with Richardson), so the stencil has one
-    axis per generator, outermost first.  The evaluator is called once on
-    all stencil points; the values are then reduced innermost axis first,
-    with d(h) = (f(+h) - f(-h))/(2h) and (4 d(h/2) - d(h))/3 at every level.
+    Level k flows each point of level k-1 along word[k-1] by +h, -h (and
+    +h/2, -h/2 with Richardson), so the arrays have one axis per generator
+    after the point axis, outermost first.  The empty word is the batch.
     """
     w = (pts.w0, pts.w1, pts.w2)
     if not word:
-        return ev(*w)
+        return w
     if not h > 0.0:
         raise OutOfDomainError("step h must be positive")
     h2 = h / 2.0
@@ -410,8 +408,16 @@ def _word_values(word: tuple, ev, pts: AmbientPoints, h: float,
     for g in word:
         c, s = np.array([_trig(g, t) for t in steps]).T
         w = _flow(g, c, s, *(x[..., None] for x in w))
-    w = np.broadcast_arrays(*w)  # a coordinate a flow leaves alone keeps length-1 axes
-    v = ev(*w).reshape(w[0].shape)
+    # a coordinate a flow leaves alone keeps length-1 axes
+    return tuple(np.broadcast_arrays(*w))
+
+
+def _reduce(word: tuple, v: np.ndarray, h: float,
+            richardson: bool) -> np.ndarray:
+    """The word's values from its stencil values v (shaped as the stencil),
+    reduced innermost axis first with d(h) = (f(+h) - f(-h))/(2h) and
+    (4 d(h/2) - d(h))/3 at every level."""
+    h2 = h / 2.0
     for _ in word:
         d1 = _div(v[..., 0] - v[..., 1], 2.0 * h)
         if richardson:
@@ -434,10 +440,12 @@ def apply_operator(expr: OperatorExpr, f: Callable, q, h: float = DEFAULT_STEP,
     q is an AmbientPoint (returns a number) or an AmbientPoints batch
     (returns one value per point).  Words are realized by nested central
     differences along exact flows (right-to-left), each optionally
-    Richardson extrapolated; f is called once per distinct word on the
-    whole stencil (see the module docstring for the array-safe contract).
-    With an AmbientPoint, f is called on each stencil point as an
-    AmbientPoint.
+    Richardson extrapolated.  The stencils of all distinct words with a
+    nonzero coefficient (and the identity, for a nonzero constant term) are
+    concatenated and f is called once per call on all of them (see the
+    module docstring for the array-safe contract).  With an AmbientPoint, f
+    is called on each stencil point as an AmbientPoint and the terms are
+    combined in Python arithmetic.
     """
     batch = isinstance(q, AmbientPoints)
     pts = q if batch else AmbientPoints.stack([q])
@@ -450,33 +458,36 @@ def apply_operator(expr: OperatorExpr, f: Callable, q, h: float = DEFAULT_STEP,
                 f"operator {expr.name or '<anon>'} singular at "
                 f"({bad.w0}, {bad.w1}, {bad.w2})")
 
-    def ev(w0, w1, w2) -> np.ndarray:
+    terms = []
+    for coeff, word in expr.terms:
+        c = coeff(q) if callable(coeff) else coeff
+        if not np.all(c == 0.0):
+            terms.append((c, tuple(word)))
+    words = [()] if expr.constant_term != 0.0 else []
+    words = list(dict.fromkeys(words + [word for _, word in terms]))
+    values = {}
+    if words:
+        stencils = [_stencil(word, pts, h, richardson) for word in words]
+        w0, w1, w2 = (np.concatenate([s[k].ravel() for s in stencils])
+                      for k in range(3))
         if batch:
             p = AmbientPoints(w0, w1, w2)
-            v = np.broadcast_to(np.asarray(f(p)), (len(p),))
+            flat = np.broadcast_to(np.asarray(f(p)), (len(p),))
         else:
-            v = np.array([f(AmbientPoint(*c)) for c in zip(
-                w0.ravel().tolist(), w1.ravel().tolist(), w2.ravel().tolist())])
-        return _check_finite(v)
-
-    values: dict = {}
-
-    def word_values(word):
-        word = tuple(word)
-        if word not in values:
-            v = _word_values(word, ev, pts, h, richardson)
+            flat = np.array([f(AmbientPoint(*c)) for c in zip(
+                w0.tolist(), w1.tolist(), w2.tolist())])
+        _check_finite(flat)
+        parts = np.split(flat, np.cumsum([s[0].size for s in stencils])[:-1])
+        for word, s, v in zip(words, stencils, parts):
+            v = _reduce(word, v.reshape(s[0].shape), h, richardson)
             # a single point is combined in Python arithmetic: numpy's
             # complex multiply rounds differently
             values[word] = v if batch else v[0].item()
-        return values[word]
 
-    total = (expr.constant_term * word_values(())
+    total = (expr.constant_term * values[()]
              if expr.constant_term != 0.0 else 0.0)
-    for coeff, word in expr.terms:
-        c = coeff(q) if callable(coeff) else coeff
-        if np.all(c == 0.0):
-            continue
-        total = total + c * word_values(word)
+    for c, word in terms:
+        total = total + c * values[word]
     if batch:
         return _check_finite(np.broadcast_to(total, (n,)))
     _check_finite(np.asarray(total))

@@ -66,7 +66,10 @@ class InterbasisMatrix:
 
     ``cancellation`` is the largest sum|t_k| / |sum t_k| over the terminating
     sums behind the entries (``3f2`` and ``hahn``; inf if a sum is exactly 0;
-    None for quadrature).
+    None for quadrature).  ``unconverged`` is, for quadrature, the largest
+    relative difference between the last two node counts of an integral
+    that never met its 1e-13 stop rule (0.0 when all converged; None for
+    ``3f2`` and ``hahn``).
     """
 
     N: int
@@ -76,6 +79,7 @@ class InterbasisMatrix:
     rows: tuple
     cols: tuple
     cancellation: float | None = None
+    unconverged: float | None = None
 
     def __post_init__(self):
         if self.entries.shape != (len(self.rows), len(self.cols)):
@@ -173,14 +177,19 @@ def _sums(parts) -> tuple[np.ndarray, list[float]]:
 
 
 def _a_integrals(lv: _Level, n: int, mu: float, cosh_pow: float,
-                 sinh_pow: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """int_0^inf sinh^s cosh^cosh_pow P_n^{(d,-mu)}(cosh 2a) da, s in sinh_pow.
+                 sinh_pow: np.ndarray,
+                 tol: float = 1e-13) -> tuple[np.ndarray, float]:
+    """int_0^inf sinh^s cosh^cosh_pow P_n^{(d,-mu)}(cosh 2a) da, s in sinh_pow,
+    and the largest last-doubling difference of an unconverged integral.
 
     Substitution u = tanh a followed by u = sin(phi) (which turns the
     (1-u^2)^{half-integer} endpoint branch into an analytic factor), then
     Gauss-Legendre on (0, pi/2) with node doubling.  The integrals share one
     Jacobi evaluation per node count; each stops at the first node count
-    where it agrees with the previous one.
+    where it agrees with the previous one, |val - prev| <= tol max(1, |val|).
+    An integral that never does takes the last node count's value; the
+    second result is the largest |val - prev| / max(1, |val|) among those
+    (0.0 when every integral converged).
     """
     s = sinh_pow[:, None]
     c = s + cosh_pow + 1.0
@@ -193,35 +202,41 @@ def _a_integrals(lv: _Level, n: int, mu: float, cosh_pow: float,
         val = _HALF * np.sum(w * (np.exp(s * log_sp - c * log_cp) * poly),
                              axis=1)
         if prev is not None:
-            done = todo & (np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
+            step = np.abs(val - prev)
+            done = todo & (step <= tol * np.maximum(1.0, np.abs(val)))
             out[done] = val[done]
             todo &= ~done
             if not todo.any():
-                return out
+                return out, 0.0
         prev = val
     out[todo] = val[todo]
-    return out
+    return out, float(np.max(step[todo] / np.maximum(1.0, np.abs(val[todo]))))
 
 
 def _assemble(p: P1Params, N: int, method: str, variant: str,
               column) -> InterbasisMatrix:
     """The matrix, one column at a time: ``column(lv, n, m, mu)`` returns the
-    column's entries and the cancellation ratios of its sums (or None)."""
+    column's entries, the cancellation ratios of its sums (or None) and the
+    unconverged-integral difference of its integrals (or None)."""
     lv = _Level(p, N, variant)
     ent = np.zeros((N + 1, N + 1))
-    ratios = []
+    ratios, diffs = [], []
     for j, (n, m) in enumerate(lv.cols):
-        ent[:, j], col_ratios = column(lv, n, m, p1m.p1_mu(p, m))
+        ent[:, j], col_ratios, col_diff = column(lv, n, m, p1m.p1_mu(p, m))
         ratios += col_ratios or []
+        if col_diff is not None:
+            diffs.append(col_diff)
     return InterbasisMatrix(N, method, variant, ent, lv.rows, lv.cols,
-                            max(ratios) if ratios else None)
+                            max(ratios) if ratios else None,
+                            max(diffs) if diffs else None)
 
 
 def _quadrature_column(lv: _Level, n: int, m: int, mu: float):
     d, lg, n1, n2 = lv.d, lv.lg, lv.n1, lv.n2
     cosh_pow = (-(1.0 + 2.0 * mu + 2.0 * m) if lv.canonical
                 else 1.0 - 2.0 * mu - 2.0 * m)
-    val = _a_integrals(lv, n, mu, cosh_pow, 1.0 + 2.0 * d + 2.0 * n1)
+    val, unconverged = _a_integrals(lv, n, mu, cosh_pow,
+                                    1.0 + 2.0 * d + 2.0 * n1)
     if lv.canonical:
         logk = _log_k0(lv, m, mu) + _log_an(lv, n, mu)
     else:
@@ -231,7 +246,7 @@ def _quadrature_column(lv: _Level, n: int, m: int, mu: float):
             + lg(mu - n) - lg(n1 + 1.0) - lg(n2 + 1.0) - math.log(mu)
             - lg(n1 + d + 1.0) - lg(n2 + d + 1.0) - lg(n + d + 1.0)
             - lg(mu - d - n))
-    return (-1.0) ** n * _exp(logk) * val, None
+    return (-1.0) ** n * _exp(logk) * val, None, unconverged
 
 
 def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -273,7 +288,7 @@ def _3f2_column(lv: _Level, n: int, m: int, mu: float):
                   + _log_an(lv, n, mu) + logp - lg(n + 1.0)
                   - math.log(2.0) + lg(1.0 + d + n1)
                   + lg(mu + m - d - n1) - lg(1.0 + mu + m))
-        return sgn * _exp(logmag) * f32, ratios
+        return sgn * _exp(logmag) * f32, ratios, None
     logmag = 0.5 * (
         lg(m + 1.0) + math.log(SQRT2 * lv.p.beta)
         + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
@@ -282,7 +297,7 @@ def _3f2_column(lv: _Level, n: int, m: int, mu: float):
         - lg(n + d + 1.0) - lg(mu - n - d)
         - lg(mu - n) - lg(mu + m))
     logmag += (lg(mu) + lg(mu + m - d - n1 - 1.0) - math.log(2.0))
-    return (-1.0) ** n * _exp(logmag) * f32, ratios
+    return (-1.0) ** n * _exp(logmag) * f32, ratios, None
 
 
 def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -319,7 +334,7 @@ def _hahn_column(lv: _Level, n: int, m: int, mu: float):
             + lg(n1 + d + 1.0) + lg(mu - n)
             - lg(n2 + d + 1.0) - lg(mu + m))
         logmag += lg(mu + m - d - n1 - n - 1.0) - math.log(2.0)
-    return (-1.0) ** n * _exp(logmag) * h, ratios
+    return (-1.0) ** n * _exp(logmag) * h, ratios, None
 
 
 def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:

@@ -83,15 +83,31 @@ def _log_gamma_right(z: complex) -> complex:
 
 
 def _log_sin_pi(z: complex) -> complex:
-    """log(sin(pi z)) that does not overflow for large |Im z|.
+    """log(sin(pi z)) that does not overflow for large |Im z| and keeps full
+    relative accuracy next to the integers.
 
-    Uses sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}) for Im z >= 0 and
-    conjugation symmetry below the real axis.
+    With r = round(Re z) and z = r + x + iy (x formed exactly, |x| <= 1/2),
+    sin(pi z) = (-1)^r sin(pi (x + iy)), and for y >= 0
+
+        sin(pi (x + iy)) = (i/2) e^{-i pi (x + iy)} (1 - e^{2 i pi (x + iy)}),
+
+    where, with e = e^{-2 pi y}, the factor
+
+        1 - e^{2 i pi (x + iy)} = (1 - e) + 2 e sin^2(pi x) - i e sin(2 pi x)
+
+    is formed without cancellation.  The factor (-1)^r enters as the exact
+    branch term -i pi r; conjugation symmetry covers Im z < 0.
     """
     if z.imag < 0.0:
         return _log_sin_pi(z.conjugate()).conjugate()
-    w = cmath.exp(2j * math.pi * z)  # |w| <= 1 for Im z >= 0
-    return -math.log(2.0) + 1j * math.pi / 2.0 - 1j * math.pi * z + cmath.log(1.0 - w)
+    r = round(z.real)
+    x, y = z.real - r, z.imag
+    e = math.exp(-2.0 * math.pi * y)
+    one_minus_w = complex(-math.expm1(-2.0 * math.pi * y)
+                          + 2.0 * e * math.sin(math.pi * x) ** 2,
+                          -e * math.sin(2.0 * math.pi * x))
+    return (-math.log(2.0) + 1j * math.pi / 2.0 - 1j * math.pi * complex(x, y)
+            - 1j * math.pi * r + cmath.log(one_minus_w))
 
 
 def log_gamma(z: complex) -> complex:

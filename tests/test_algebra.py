@@ -221,6 +221,53 @@ def test_linear_relations_at_roundoff_floor_for_all_h(p1_fixture):
             assert r.residual <= 1e-12
 
 
+def _exp(x):
+    # math.exp on a scalar or element by element: rounds as the scalar path
+    if isinstance(x, np.ndarray):
+        return np.array([math.exp(v) for v in x.tolist()])
+    return math.exp(x)
+
+
+def test_linear_relations_one_call_per_operator_and_function(p1_fixture,
+                                                            monkeypatch):
+    # array-safe test functions: one batched apply_operator call per
+    # operator and function, L1 and L2 shared by both relations (4 x 2 = 8;
+    # point by point it was 2 relations x 3 operators x 2 x 10 points = 120)
+    calls = []
+    apply = alg.apply_operator
+
+    def counted(op, f, q, **kw):
+        calls.append(isinstance(q, geo.AmbientPoints))
+        return apply(op, f, q, **kw)
+    monkeypatch.setattr(alg, "apply_operator", counted)
+    pts = eq_points()
+    batched = alg.check_linear_relations(
+        p1_fixture, (lambda q: q.w2 * _exp(-q.w0),
+                     lambda q: q.w0**2 / (1.0 + q.w2**2)), pts)
+    assert calls == [True] * 8
+    # scalar-only functions fall back to single points, with the same result
+    calls.clear()
+    pointwise = alg.check_linear_relations(
+        p1_fixture, (lambda q: float(q.w2) * math.exp(-q.w0),
+                     lambda q: float(q.w0)**2 / (1.0 + float(q.w2)**2)), pts)
+    assert calls == [False] * 80
+    assert [r.residual for r in batched] == [r.residual for r in pointwise]
+
+
+def test_batched_operator_calls_function_once(p1_fixture):
+    # R has twelve distinct words; its stencils share one call of f
+    r = alg.build_operator("R", p1_fixture)
+    assert len({word for _, word in r.terms}) == 12
+    calls = [0]
+
+    def f(q):
+        calls[0] += 1
+        return q.w0 * q.w2 + q.w1
+    alg.apply_operator(r, f, geo.AmbientPoints.stack(eq_points()),
+                       h=alg.R_STEP)
+    assert calls[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # Multiplets and the quadratic algebra
 # ---------------------------------------------------------------------------

@@ -193,6 +193,33 @@ def test_verify_suites_pass(suite):
             assert rec["pass"], rec
 
 
+def test_orthonormality_evaluates_each_factor_once_per_node_set(monkeypatch):
+    # the Gram matrix is formed from each state's 1-D factors on each node
+    # array; pair by pair it evaluated both factors of both states again
+    calls = {}
+
+    def count(name, t_index):
+        orig = getattr(p1, name)
+
+        def counted(*args):
+            key = (name, args[1], args[2 if t_index == 3 else 3],
+                   np.asarray(args[t_index]).tobytes())
+            calls[key] = calls.get(key, 0) + 1
+            return orig(*args)
+        monkeypatch.setattr(p1, name, counted)
+    count("pt_factor", 3)      # pt_factor(params, n, mu, t)
+    count("morse_factor", 2)   # morse_factor(params, m, t, mu)
+    code, out = run_main(["verify", "--suite", "orthonormality"])
+    assert code == 0 and json.loads(out)["records"][0]["pass"]
+    # two node sets per integral; the fixture's six states (n, m) have six
+    # Poschl-Teller factors and three Morse factors (one per m)
+    for name, distinct in (("pt_factor", 6), ("morse_factor", 3)):
+        keys = [k for k in calls if k[0] == name]
+        assert len({k[1:3] for k in keys}) == distinct
+        assert len(keys) == 2 * distinct
+    assert set(calls.values()) == {1}
+
+
 def test_verify_quadratic_algebra_soft_reports():
     code, out = run_main(["verify", "--suite", "quadratic-algebra"])
     assert code == 0  # soft discrepancies never change the exit code
@@ -232,6 +259,34 @@ def test_config_file_and_flag_override(tmp_path):
     code, out = run_main(["spectrum", "--config", str(cfg), "--beta",
                           str(1.0 / SQRT2), "--gamma", str(2.0 * SQRT2)])
     assert len(json.loads(out)["records"]) == 3
+
+
+def test_parser_built_once_and_keeps_no_parsed_values(tmp_path, monkeypatch):
+    # main() reuses one parser; options given to one call must not show up
+    # in the next call's namespace or output
+    seen = []
+    build = hcli.build_config
+
+    def spy(args):
+        seen.append(dict(vars(args)))
+        return build(args)
+    monkeypatch.setattr(hcli, "build_config", spy)
+    hcli.make_parser.cache_clear()
+    ref = tmp_path / "ref.json"
+    assert run_main(["spectrum", "--out", str(ref)])[0] == 0
+    first = tmp_path / "first.json"
+    assert run_main(["verify", "--suite", "linear-relations", "--diff-step",
+                     "0.002", "--beta", "0.5", "--out", str(first)])[0] == 0
+    second = tmp_path / "second.json"
+    assert run_main(["spectrum", "--out", str(second)])[0] == 0
+    assert hcli.make_parser.cache_info().misses == 1
+    assert seen[1]["command"] == "verify"
+    assert seen[1]["suite"] == "linear-relations"
+    assert seen[1]["diff_step"] == 0.002 and seen[1]["beta"] == 0.5
+    assert {**seen[2], "out": None} == {**seen[0], "out": None}
+    assert seen[2]["diff_step"] is None and seen[2]["beta"] is None
+    assert "suite" not in seen[2]
+    assert second.read_bytes() == ref.read_bytes()
 
 
 def test_output_determinism(tmp_path):

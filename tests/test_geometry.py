@@ -248,17 +248,44 @@ def _batch(n, seed):
 
 
 def test_batched_words_reproduce_nested_differences_exactly():
-    # arithmetic only, so the array and scalar evaluations round alike
+    # arithmetic only, so the array and scalar evaluations round alike.  The
+    # last operator has several words (one repeated, one with a zero
+    # coefficient), callable coefficients and a constant term; however many
+    # words, a batch calls f once on all their stencils
     f = lambda p: p.w0 * p.w1 + p.w2 * p.w2 * p.w0
-    pts, batch = _batch(5, 6)
+    coeff = lambda p: p.w0 - 0.5 * p.w2
     words = [("K3",), ("M1", "K2"), ("K2", "K2"), ("K3", "M1", "K2"),
              ("M1", "M1", "K3")]
-    for word in words:
+    operators = [(((1.0, word),), 0.0) for word in words]
+    operators.append((((2.0, ("K3", "M1", "K2")), (coeff, ("K2", "K2")),
+                       (-1.5, ("M1",)), (0.0, ("K3",)), (coeff, ()),
+                       (0.25, ("K2", "K2"))), 0.75))
+    pts, batch = _batch(5, 6)
+    for terms, const in operators:
+        expr = geo.OperatorExpr(terms=terms, constant_term=const)
         for richardson in (True, False):
-            expr = geo.OperatorExpr(terms=((1.0, word),))
-            ref = [_reference_word(word, f, q, 1e-3, richardson) for q in pts]
-            got = geo.apply_operator(expr, f, batch, h=1e-3,
+            ref = []
+            for q in pts:
+                total = const * f(q) if const else 0.0
+                for c, word in terms:
+                    c = c(q) if callable(c) else c
+                    if c != 0.0:
+                        total = total + c * _reference_word(
+                            word, f, q, 1e-3, richardson)
+                ref.append(total)
+            calls = []
+
+            def counted(p):
+                calls.append(len(p))
+                return f(p)
+            got = geo.apply_operator(expr, counted, batch, h=1e-3,
                                      richardson=richardson)
+            k = 4 if richardson else 2
+            # one call on the stencils of the words with nonzero coefficients
+            used = {word for c, word in terms if c != 0.0}
+            if const:
+                used.add(())
+            assert calls == [5 * sum(k ** len(word) for word in used)]
             assert got.shape == (5,)
             assert list(got) == ref
             assert [geo.apply_operator(expr, f, q, h=1e-3,

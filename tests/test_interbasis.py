@@ -377,3 +377,17 @@ def test_cancellation_ratio_reported_for_terminating_sums(p1_fixture):
         assert ib.orthogonality_defect(w3) <= w3.cancellation * eps
         ratios.append(w3.cancellation)
     assert ratios[0] < 1e6 and ratios[-1] > 1e16
+
+
+def test_unconverged_integrals_reported(p1_fixture):
+    # the printed integrand on the deep well at N = 14 decays too slowly
+    # for 768 nodes: 15 integrals still move by up to 3.7e-12 in the last
+    # doubling, above the 1e-13 stop rule
+    assert ib.w_quadrature(DEEP, 14, "printed").unconverged > 1e-13
+    for N in (2, 6, 10):
+        assert ib.w_quadrature(DEEP, N).unconverged == 0.0
+    for N in range(p1_fixture.nmax + 1):
+        for variant in VARIANTS:
+            assert ib.w_quadrature(p1_fixture, N, variant).unconverged == 0.0
+            assert ib.w_3f2(p1_fixture, N, variant).unconverged is None
+            assert ib.w_hahn(p1_fixture, N, variant).unconverged is None
