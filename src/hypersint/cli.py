@@ -29,7 +29,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -39,6 +39,7 @@ from . import geometry as geo
 from . import interbasis as ib
 from . import potential1 as p1
 from . import potential2 as p2
+from . import specfun as sf
 from .errors import HypersintError, SolverFailureError
 
 SQRT2 = math.sqrt(2.0)
@@ -62,16 +63,18 @@ def _json_key(k) -> str:
 
 
 def _json(obj, pad: str) -> str:
-    """JSON text of obj, laid out as json.dumps(indent=2), floats as %.17g.
+    """JSON text of obj, laid out as json.dumps(indent=2), floats as %.17g
+    and non-finite floats (NaN, infinities) as null.
 
-    Plain floats inside containers are formatted in place, not by a call.
+    Plain finite floats inside containers are formatted in place, not by a
+    call; x - x == 0.0 holds exactly for the finite ones.
     """
     if type(obj) is float:
-        return "%.17g" % obj
+        return "%.17g" % obj if obj - obj == 0.0 else "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return _json(float(obj), pad)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, np.ndarray):
@@ -83,14 +86,15 @@ def _json(obj, pad: str) -> str:
         if not obj:
             return "{}"
         body = (_json_key(k) + ": "
-                + ("%.17g" % v if type(v) is float else _json(v, inner))
+                + ("%.17g" % v if type(v) is float and v - v == 0.0
+                   else _json(v, inner))
                 for k, v in obj.items())
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = ("%.17g" % v if type(v) is float else _json(v, inner)
-                for v in obj)
+        body = ("%.17g" % v if type(v) is float and v - v == 0.0
+                else _json(v, inner) for v in obj)
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
     return json.dumps(obj)
 
@@ -463,51 +467,47 @@ def _rec(ident: str, residual: float, tol: float | None, soft: bool = False,
     return rec
 
 
+def _gram(rows, spec) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of 1-D factors, and its change from the next-coarser
+    level, as ``integrate`` gives them for one integral.
+
+    rows(t) returns one row of factor values per state on the nodes t.
+    """
+    def gram(x, w):
+        f = np.reshape(rows(x), (-1, x.size))
+        return (f * w) @ f.T
+    fine, coarse = (gram(*sf.quadrature_rule(s))
+                    for s in (spec, replace(spec, level=max(1, spec.level - 1))))
+    return fine, np.abs(fine - coarse)
+
+
 def _suite_orthonormality(cfg: RunConfig) -> list[dict]:
-    import hypersint.specfun as sf
     recs = []
+    params = cfg.params()
+    spec_a = sf.QuadratureSpec("tanh-sinh", cfg.quad_level, 0.0, math.inf,
+                               "exp-map")
     if cfg.potential == "v1":
-        params = cfg.params()
-        states = []
-        for N in range((params.nmax or -1) + 1):
-            states += [p1.P1State(params, "equidistant", nm)
-                       for nm in p1.level_states_equidistant(params, N)]
-        spec_a = sf.QuadratureSpec("tanh-sinh", cfg.quad_level, 0.0, math.inf,
-                                   "exp-map")
-        spec_b = sf.QuadratureSpec("tanh-sinh", cfg.quad_level, -25.0, 5.0)
-        factors = {}  # each 1-D factor once per node array
+        states = [nm for N in range((params.nmax or -1) + 1)
+                  for nm in p1.level_states_equidistant(params, N)]
+        mus = {m: p1.p1_mu(params, m) for _, m in states}
 
-        def pt(st, t):
-            n, m = st.numbers
-            key = ("pt", n, m, np.asarray(t).tobytes())
-            if key not in factors:
-                factors[key] = p1.pt_factor(params, n, p1.p1_mu(params, m), t)
-            return factors[key]
+        def pt_rows(t):
+            return np.array([p1.pt_factor(params, n, mus[m], t)
+                             for n, m in states])
 
-        def morse(st, t):
-            m = st.numbers[1]  # the same for every n
-            key = ("morse", m, np.asarray(t).tobytes())
-            if key not in factors:
-                factors[key] = p1.morse_factor(params, m, t,
-                                               p1.p1_mu(params, m))
-            return factors[key]
+        def morse_rows(t):
+            # one Morse factor per m, shared by every n
+            f = {m: p1.morse_factor(params, m, t, mu) for m, mu in mus.items()}
+            return np.array([f[m] for _, m in states])
 
-        worst = 0.0
-        for i, si in enumerate(states):
-            for j, sj in enumerate(states[i:], start=i):
-                va, _ = sf.integrate(lambda t: pt(si, t) * pt(sj, t), spec_a)
-                vb, _ = sf.integrate(lambda t: morse(si, t) * morse(sj, t),
-                                     spec_b)
-                gram = va * vb
-                worst = max(worst, abs(gram - (1.0 if i == j else 0.0)))
+        ga, _ = _gram(pt_rows, spec_a)
+        gb, _ = _gram(morse_rows, sf.QuadratureSpec(
+            "tanh-sinh", cfg.quad_level, -25.0, 5.0))
+        worst = np.max(np.triu(np.abs(ga * gb - np.eye(len(states)))),
+                       initial=0.0)
         recs.append(_rec("v1-equidistant-gram", worst, 1e-7))
     else:
-        params = cfg.params()
-        import hypersint.specfun as sf
-        st = p2.P2State(params, "equidistant", (0, 0))
         mu0 = p2.p2_mu(params, 0)
-        spec_a = sf.QuadratureSpec("tanh-sinh", cfg.quad_level, 0.0, math.inf,
-                                   "exp-map")
         va, _ = sf.integrate(lambda t: p2.z_pt_factor(params, 0, mu0, t) ** 2,
                              spec_a)
         vb, _ = sf.integrate(
@@ -517,16 +517,18 @@ def _suite_orthonormality(cfg: RunConfig) -> list[dict]:
     return recs
 
 
-def _eq_points(seed: int = 11, n: int = 10, both_signs: bool = True):
+def _eq_points(seed: int = 11, n: int = 10,
+               both_signs: bool = True) -> geo.AmbientPoints:
+    """n equidistant-chart points with 0.3 <= |t1| <= 1.3 (t1 > 0 unless
+    both_signs), |t2| <= 1; per point the draws are t1, the sign, t2."""
     rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(n):
-        t1 = rng.uniform(0.3, 1.3)
-        if both_signs and rng.uniform() < 0.5:
-            t1 = -t1
-        pts.append(geo.chart_to_ambient(
-            geo.ChartPoint("equidistant", t1, rng.uniform(-1.0, 1.0))))
-    return pts
+    if both_signs:
+        t1, sign, t2 = rng.uniform((0.3, 0.0, -1.0), (1.3, 1.0, 1.0),
+                                   size=(n, 3)).T
+        t1 = np.where(sign < 0.5, -t1, t1)
+    else:
+        t1, t2 = rng.uniform((0.3, -1.0), (1.3, 1.0), size=(n, 2)).T
+    return geo.chart_points("equidistant", t1, t2)
 
 
 def _suite_eigen(cfg: RunConfig) -> list[dict]:
@@ -560,7 +562,7 @@ def _suite_eigen(cfg: RunConfig) -> list[dict]:
                 notes={"lambda_separation": lam_sep,
                        "lambda_operator": lam3,
                        "display_offset": 4.0 * params.gamma**2}))
-            pts_hp = [q for q in pts if q.w2 > 0] or _eq_points(both_signs=False)
+            pts_hp = pts[pts.w2 > 0] or _eq_points(both_signs=False)
             confh = p1.p1_hp_roots(params, 1, form="derived")[0]
             sthp = p1.P1State(params, "hyperbolic-parabolic", (1,), roots=confh)
             tau_sep = p1.p1_hp_tau(params, confh)
@@ -584,9 +586,8 @@ def _suite_eigen(cfg: RunConfig) -> list[dict]:
         recs.append(_rec("L1-v2-equidistant", alg.eigen_residual(
             l1, wf, mu0**2, pts, h=h), 1e-6))
         l12 = alg.build_operator("L12", params)
-        batch = geo.AmbientPoints.stack(pts)
-        psi = wf(batch)
-        v = (-geo.apply_operator(l12, wf, batch, h=h)
+        psi = wf(pts)
+        v = (-geo.apply_operator(l12, wf, pts, h=h)
              + (params.beta**2 - params.alpha**2) * psi)
         recs.append(_rec("L1-from-L12-relation",
                          np.max(np.abs(v - mu0**2 * psi) / np.abs(psi)), 1e-6))
@@ -597,10 +598,9 @@ def _suite_eigen(cfg: RunConfig) -> list[dict]:
                                            roots=conf, chart_params=cp))
             lam_true = p2.p2_sh_lambda_closed(params, conf, 0, cp)
             l2sh = alg.build_operator("L2", params, chart_params=cp)
-            rng = np.random.default_rng(19)
-            pts_sh = [geo.chart_to_ambient(geo.ChartPoint(
-                "semi-hyperbolic", rng.uniform(0.4, 2.0),
-                -rng.uniform(0.4, 2.0), cp)) for _ in range(8)]
+            mu_, nu_ = np.random.default_rng(19).uniform(0.4, 2.0,
+                                                         size=(8, 2)).T
+            pts_sh = geo.chart_points("semi-hyperbolic", mu_, -nu_, cp)
             recs.append(_rec("L2-semi-hyperbolic", alg.eigen_residual(
                 l2sh, wfs, lam_true, pts_sh, h=h), 1e-6))
             lam_disp = p2.p2_sh_lambda(params, conf, cp)
@@ -685,36 +685,34 @@ def _suite_interbasis(cfg: RunConfig) -> list[dict]:
     return recs
 
 
+def _rel_max(a, b) -> float:
+    """max |a - b| / max(1, |a|)."""
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
+
+
 def _suite_cross_chart(cfg: RunConfig) -> list[dict]:
+    # point sets are drawn as (n, k) arrays: row by row, the same numbers in
+    # the same order as n rounds of k scalar draws
     recs = []
     rng = np.random.default_rng(29)
+    params = cfg.params()
     if cfg.potential == "v1":
-        params = cfg.params()
-        worst = {"equidistant": 0.0, "horicyclic": 0.0,
-                 "elliptic-parabolic": 0.0, "hyperbolic-parabolic": 0.0}
         chart_form = {
-            "equidistant": lambda u, v: p1.v1_equidistant(params, u, v),
-            "horicyclic": lambda u, v: p1.v1_horicyclic(params, u, v),
-            "elliptic-parabolic": lambda u, v: p1.v1_elliptic_parabolic(params, u, v),
-            "hyperbolic-parabolic": lambda u, v: p1.v1_hyperbolic_parabolic(params, u, v),
-        }
-        dom = {
-            "equidistant": lambda: (rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0)),
-            "horicyclic": lambda: (rng.uniform(0.2, 2.0), rng.uniform(0.2, 3.0)),
-            "elliptic-parabolic": lambda: (rng.uniform(0.2, 2.0), rng.uniform(0.2, 1.3)),
-            "hyperbolic-parabolic": lambda: (rng.uniform(0.2, 2.0), rng.uniform(0.2, 1.3)),
+            "equidistant": ((0.2, -2.0), (2.0, 2.0), p1.v1_equidistant),
+            "horicyclic": ((0.2, 0.2), (2.0, 3.0), p1.v1_horicyclic),
+            "elliptic-parabolic": ((0.2, 0.2), (2.0, 1.3),
+                                   p1.v1_elliptic_parabolic),
+            "hyperbolic-parabolic": ((0.2, 0.2), (2.0, 1.3),
+                                     p1.v1_hyperbolic_parabolic),
         }
         res_worst = 0.0
-        for chart in worst:
-            for _ in range(100):
-                u, v = dom[chart]()
-                q = geo.chart_to_ambient(geo.ChartPoint(chart, u, v))
-                res_worst = max(res_worst, geo.hyperboloid_residual(q))
-                va = p1.v1_ambient(params, q)
-                vc = float(chart_form[chart](u, v))
-                worst[chart] = max(worst[chart],
-                                   abs(va - vc) / max(1.0, abs(va)))
-            recs.append(_rec(f"potential-identity-{chart}", worst[chart], 1e-12))
+        for chart, (lo, hi, form) in chart_form.items():
+            u, v = rng.uniform(lo, hi, size=(100, 2)).T
+            q = geo.chart_points(chart, u, v)
+            res_worst = max(res_worst, float(np.max(geo.hyperboloid_residual(q))))
+            recs.append(_rec(f"potential-identity-{chart}",
+                             _rel_max(p1.v1_ambient(params, q),
+                                      form(params, u, v)), 1e-12))
         recs.append(_rec("chart-maps-on-surface", res_worst, 1e-10))
         if params.nmax is not None:
             w = 0.0
@@ -723,53 +721,42 @@ def _suite_cross_chart(cfg: RunConfig) -> list[dict]:
                 w = max(w, abs(e - p1.p1_energy_from_horicyclic(params, N)),
                         abs(e - p1.p1_energy_from_elliptic_parabolic(params, N)))
             recs.append(_rec("cross-chart-quantization", w, 1e-12))
-        w = 0.0
-        for _ in range(100):
-            a_, b_ = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-            q = geo.chart_to_ambient(geo.ChartPoint("equidistant", a_, b_))
-            hc = geo.ambient_to_chart(q, "horicyclic")
-            w = max(w, abs(hc.u1 - math.exp(b_) * math.tanh(a_)),
-                    abs(hc.u2 - math.exp(b_) / math.cosh(a_)))
+        a_, b_ = rng.uniform(-2.0, 2.0, size=(100, 2)).T
+        x, y = geo.chart_coordinates(geo.chart_points("equidistant", a_, b_),
+                                     "horicyclic")
+        w = max(np.max(np.abs(x - np.exp(b_) * np.tanh(a_))),
+                np.max(np.abs(y - np.exp(b_) / np.cosh(a_))))
         recs.append(_rec("horicyclic-bridge", w, 1e-12))
     else:
-        params = cfg.params()
         cp = cfg.chart_params or p2.DEFAULT_SH_PARAMS
-        w_plus, w_minus = 0.0, 0.0
-        for _ in range(100):
-            t1, t2 = rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0)
-            q = geo.chart_to_ambient(geo.ChartPoint("equidistant", t1, t2))
-            va = p2.v2_ambient(params, q)
-            w_plus = max(w_plus, abs(va - float(p2.v2_equidistant(params, t1, t2)))
-                         / max(1.0, abs(va)))
-            w_minus = max(w_minus,
-                          abs(va - float(p2.v2_equidistant(params, t1, t2,
-                                                           sign_corrected=False)))
-                          / max(1.0, abs(va)))
-        recs.append(_rec("potential-identity-equidistant", w_plus, 1e-12))
-        recs.append(_rec("printed-alpha-sign-defect", w_minus, None,
-                         soft=True,
+        t1, t2 = rng.uniform((0.2, -2.0), (2.0, 2.0), size=(100, 2)).T
+        va = p2.v2_ambient(params, geo.chart_points("equidistant", t1, t2))
+        recs.append(_rec("potential-identity-equidistant",
+                         _rel_max(va, p2.v2_equidistant(params, t1, t2)), 1e-12))
+        recs.append(_rec("printed-alpha-sign-defect",
+                         _rel_max(va, p2.v2_equidistant(params, t1, t2,
+                                                        sign_corrected=False)),
+                         None, soft=True,
                          notes={"comment": "published chart display has "
                                            "-alpha^2/sinh^2 t1; ambient form "
                                            "requires +"}))
-        e1 = complex(cp[0], cp[1])
-        worst = 0.0
-        for _ in range(50):
-            mu_, nu_ = rng.uniform(cp[2] + 0.1, cp[2] + 3.0), \
-                rng.uniform(cp[2] - 3.0, cp[2] - 0.1)
-            q = geo.chart_to_ambient(geo.ChartPoint("semi-hyperbolic",
-                                                    mu_, nu_, cp))
-            th = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
-            s1 = complex(q.w0, q.w1) / SQRT2
-            lhs = (s1**2 / (th - e1) + s1.conjugate() ** 2 / (th - e1.conjugate())
-                   + (1j * q.w2) ** 2 / (th - cp[2]))
-            worst = max(worst, abs(lhs - p2.sh_bracket(th, q, cp)),
-                        abs(lhs - (mu_ - th) * (nu_ - th)
-                            / ((th - e1) * (th - e1.conjugate()) * (th - cp[2]))))
+        e1, e3 = complex(cp[0], cp[1]), cp[2]
+        mu_, nu_, th_re, th_im = rng.uniform(
+            (e3 + 0.1, e3 - 3.0, -3.0, -2.0), (e3 + 3.0, e3 - 0.1, 3.0, 2.0),
+            size=(50, 4)).T
+        q = geo.chart_points("semi-hyperbolic", mu_, nu_, cp)
+        th = th_re + 1j * th_im
+        s1 = (q.w0 + 1j * q.w1) / SQRT2
+        lhs = (s1**2 / (th - e1) + np.conj(s1) ** 2 / (th - e1.conjugate())
+               + (1j * q.w2) ** 2 / (th - e3))
+        worst = max(np.max(np.abs(lhs - p2.sh_bracket(th, q, cp))),
+                    np.max(np.abs(lhs - (mu_ - th) * (nu_ - th)
+                                  / ((th - e1) * (th - e1.conjugate())
+                                     * (th - e3)))))
         recs.append(_rec("semi-hyperbolic-factor-identity", worst, 1e-10))
         worst_e, worst_k = 0.0, 0.0
-        for _ in range(50):
-            pr = p2.P2Params(rng.uniform(0.05, 2.0), rng.uniform(0.5, 6.0),
-                             rng.uniform(0.3, 3.0))
+        for abc in rng.uniform((0.05, 0.5, 0.3), (2.0, 6.0, 3.0), size=(50, 3)):
+            pr = p2.P2Params(*abc.tolist())
             worst_k = max(worst_k, abs(pr.k1 - pr.a))
             if pr.nmax is not None:
                 for N in range(min(pr.nmax, 2) + 1):
@@ -782,7 +769,7 @@ def _suite_cross_chart(cfg: RunConfig) -> list[dict]:
         ops = [alg.build_operator(o, params) for o in ("L12", "L13", "L23")]
         ksq = params.k1**2 + params.k2**2 + params.k3**2
         e0 = p2.p2_energy(params, 0)
-        batch = geo.AmbientPoints.stack(_eq_points(seed=31, n=6))
+        batch = _eq_points(seed=31, n=6)
         psi = wf(batch)
         s = sum(geo.apply_operator(o, wf, batch, h=cfg.diff_step) for o in ops)
         v = 0.5 * s + (-0.5 * ksq + 0.375) * psi

@@ -37,7 +37,7 @@ Charts (names used throughout the package and on the CLI):
     hyperbolic-parabolic (b, th), b > 0, 0 < th < pi/2
     semi-hyperbolic      (mu, nu) with parameters (a_c, b_c, e3),
                          nu < e3 < mu; built on the complexified sphere,
-                         see chart_to_ambient for the sign conventions.
+                         see chart_points for the sign conventions.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "apply_generator",
     "apply_operator",
     "chart_coordinates",
+    "chart_points",
     "chart_to_ambient",
     "generator_flow",
     "hyperboloid_residual",
@@ -165,9 +166,11 @@ class AmbientPoints:
                             float(self.w2[i]))
 
 
-def hyperboloid_residual(q: AmbientPoint) -> float:
-    """|w0^2 - w1^2 - w2^2 - 1|."""
-    return abs(q.w0 * q.w0 - q.w1 * q.w1 - q.w2 * q.w2 - 1.0)
+def hyperboloid_residual(q):
+    """|w0^2 - w1^2 - w2^2 - 1| of an AmbientPoint (a float) or of every
+    point of an AmbientPoints (an array)."""
+    r = np.abs(q.w0 * q.w0 - q.w1 * q.w1 - q.w2 * q.w2 - 1.0)
+    return r if isinstance(q, AmbientPoints) else float(r)
 
 
 @dataclass(frozen=True)
@@ -215,58 +218,53 @@ class ChartPoint:
 # Chart maps
 # ---------------------------------------------------------------------------
 
-def chart_to_ambient(p: ChartPoint, w2_sign: int = +1) -> AmbientPoint:
-    """Map chart coordinates to the ambient point.
+def chart_points(chart: str, u1, u2, chart_params=None,
+                 w2_sign: int = +1) -> AmbientPoints:
+    """Ambient points of chart coordinate arrays, one per pair (u1, u2).
 
-    ``w2_sign`` selects the sheet for the semi-hyperbolic chart, where the
-    coordinates determine only w2^2; it is ignored by the other charts.  For
-    semi-hyperbolic points, w0 > 0 is enforced and the sign of w1 follows by
-    continuity (principal square root of s1^2, whose real part never
-    vanishes on the domain).
+    The result is validated as an AmbientPoints batch (every point on the
+    upper sheet); the chart's coordinate domain is checked only by
+    ChartPoint, so mirrored coordinates (a < 0 on the elliptic-parabolic
+    chart) map to their mirror points.  ``w2_sign`` selects the sheet for
+    the semi-hyperbolic chart, where the coordinates determine only w2^2;
+    it is ignored by the other charts.  For semi-hyperbolic points, w0 > 0
+    is enforced and the sign of w1 follows by continuity (principal square
+    root of s1^2, whose real part never vanishes on the domain).
     """
-    c = p.chart
-    u1, u2 = p.u1, p.u2
-    if c == "equidistant":
-        return AmbientPoint(
-            math.cosh(u1) * math.cosh(u2),
-            math.cosh(u1) * math.sinh(u2),
-            math.sinh(u1),
-        )
-    if c == "horicyclic":
-        x, y = u1, u2
-        return AmbientPoint(
-            (x * x + y * y + 1.0) / (2.0 * y),
-            (x * x + y * y - 1.0) / (2.0 * y),
-            x / y,
-        )
-    if c == "elliptic-parabolic":
-        a, th = u1, u2
-        cc = math.cosh(a) * math.cos(th)
-        return AmbientPoint(
-            (math.cosh(a) ** 2 + math.cos(th) ** 2) / (2.0 * cc),
-            (math.sinh(a) ** 2 - math.sin(th) ** 2) / (2.0 * cc),
-            math.tanh(a) * math.tan(th),
-        )
-    if c == "hyperbolic-parabolic":
-        b, th = u1, u2
-        ss = math.sinh(b) * math.sin(th)
-        return AmbientPoint(
-            (math.cosh(b) ** 2 + math.cos(th) ** 2) / (2.0 * ss),
-            (math.sinh(b) ** 2 - math.sin(th) ** 2) / (2.0 * ss),
-            1.0 / (math.tanh(b) * math.tan(th)),
-        )
-    # semi-hyperbolic
-    return AmbientPoint(*(float(w) for w in semi_hyperbolic_to_ambient(
-        u1, u2, p.chart_params, w2_sign)))
+    u1, u2 = (np.asarray(u, dtype=float) for u in (u1, u2))
+    if chart == "equidistant":
+        ch = np.cosh(u1)
+        w = (ch * np.cosh(u2), ch * np.sinh(u2), np.sinh(u1))
+    elif chart == "horicyclic":
+        r, y2 = u1 * u1 + u2 * u2, 2.0 * u2
+        w = ((r + 1.0) / y2, (r - 1.0) / y2, u1 / u2)
+    elif chart == "elliptic-parabolic":
+        ca, ct = np.cosh(u1), np.cos(u2)
+        cc = 2.0 * ca * ct
+        w = ((ca**2 + ct**2) / cc, (np.sinh(u1) ** 2 - np.sin(u2) ** 2) / cc,
+             np.tanh(u1) * np.tan(u2))
+    elif chart == "hyperbolic-parabolic":
+        sb, st = np.sinh(u1), np.sin(u2)
+        ss = 2.0 * sb * st
+        w = ((np.cosh(u1) ** 2 + np.cos(u2) ** 2) / ss, (sb**2 - st**2) / ss,
+             1.0 / (np.tanh(u1) * np.tan(u2)))
+    elif chart == "semi-hyperbolic":
+        w = semi_hyperbolic_to_ambient(u1, u2, chart_params, w2_sign)
+    else:
+        raise OutOfDomainError(f"unknown chart {chart!r}")
+    return AmbientPoints(*np.broadcast_arrays(*w))
+
+
+def chart_to_ambient(p: ChartPoint, w2_sign: int = +1) -> AmbientPoint:
+    """The ambient point of a validated ChartPoint (see ``chart_points``)."""
+    return chart_points(p.chart, p.u1, p.u2, p.chart_params, w2_sign).point(0)
 
 
 def semi_hyperbolic_to_ambient(mu, nu, chart_params, w2_sign: int = +1):
     """Ambient coordinates (w0, w1, w2) of semi-hyperbolic chart points.
 
-    Takes scalars or arrays and does not validate: on arrays, points outside
+    Takes scalars or arrays and does not validate: points outside
     nu < e3 < mu come back as NaN or off the sheet (see ``on_sheet``).
-    With scalar arguments the arithmetic is Python complex arithmetic, as
-    in ``chart_to_ambient``.
     """
     a_c, b_c, e3 = chart_params
     e1 = complex(a_c, b_c)
@@ -292,25 +290,24 @@ def chart_coordinates(q, chart: str):
         u1, u2 = np.arcsinh(w2), np.arctanh(w1 / w0)
     elif chart == "horicyclic":
         u1, u2 = w2 / d, 1.0 / d
-    elif chart == "elliptic-parabolic":
-        # cosh^2 a and cos^2 th are the roots of t^2 - S t + P
-        P = 1.0 / (d * d)
-        S = 1.0 + (w0 + w1) / d
-        disc = np.sqrt(np.maximum(S * S - 4.0 * P, 0.0))
-        u = 0.5 * (S + disc)   # cosh^2 a >= 1
-        v = 0.5 * (S - disc)   # cos^2 th <= 1
-        u1 = np.arccosh(np.maximum(np.sqrt(u), 1.0))
-        th = np.arccos(np.minimum(np.sqrt(np.maximum(v, 0.0)), 1.0))
-        u2 = np.where(w2 < 0.0, -th, th)
-    elif chart == "hyperbolic-parabolic":
-        if np.any(w2 <= 0.0):
+    elif chart in ("elliptic-parabolic", "hyperbolic-parabolic"):
+        if chart == "hyperbolic-parabolic" and np.any(w2 <= 0.0):
             raise OutOfDomainError("hyperbolic-parabolic chart covers w2 > 0 only")
-        P = 1.0 / (d * d)
-        D = (w0 + w1) / d - 1.0
-        u = 0.5 * (D + np.sqrt(D * D + 4.0 * P))  # sinh^2 b
-        w = u - D                                  # sin^2 th
-        u1 = np.arcsinh(np.sqrt(u))
-        u2 = np.arcsin(np.minimum(np.sqrt(np.maximum(w, 0.0)), 1.0))
+        # x = sinh^2 u1 and y = sin^2 u2 solve x - y = 2 w1 / d and x y = s,
+        # and cos^2 u2 = c / (1 + x), with (s, c) = ((w2/d)^2, 1/d^2) on the
+        # elliptic-parabolic chart and swapped on the hyperbolic-parabolic
+        # one; each root comes from the cancellation-free side
+        s, c = (w2 / d) ** 2, 1.0 / (d * d)
+        if chart == "hyperbolic-parabolic":
+            s, c = c, s
+        D = 2.0 * w1 / d
+        big = 0.5 * (np.abs(D) + np.sqrt(D * D + 4.0 * s))
+        small = s / np.where(big > 0.0, big, 1.0)
+        x, y = np.where(D >= 0.0, big, small), np.where(D >= 0.0, small, big)
+        u1 = np.arcsinh(np.sqrt(x))
+        u2 = np.arctan2(np.sqrt(y), np.sqrt(c / (1.0 + x)))
+        if chart == "elliptic-parabolic":
+            u2 = np.where(w2 < 0.0, -u2, u2)
     else:
         raise OutOfDomainError(f"no inversion implemented for chart {chart!r}")
     if isinstance(q, AmbientPoints):

@@ -781,16 +781,23 @@ def hp_volume_element(b, th):
     return (np.sinh(b) ** 2 + np.sin(th) ** 2) / (np.sinh(b) ** 2 * np.sin(th) ** 2)
 
 
+def _log_sum(w: np.ndarray, logv: np.ndarray) -> float:
+    """log(sum(w * exp(logv))), scaled by the largest term."""
+    top = float(np.max(logv))
+    return top + math.log(float(np.sum(w * np.exp(logv - top))))
+
+
 @lru_cache(maxsize=256)
 def _parabolic_log_norm(state: P1State) -> float:
-    """log of the L^2 norm of the raw product form over its chart."""
+    """log of the L^2 norm of the raw product form over its chart.
+
+    The squared product separates as A(u)^2 B(th)^2, and so does the
+    volume element: 1/cos^2 th - 1/cosh^2 a (elliptic-parabolic) and
+    1/sin^2 th + 1/sinh^2 b (hyperbolic-parabolic).  The double integral is
+    therefore a combination of four 1-D sums, on tanh-sinh nodes over
+    u in (0, L) and th in (0, pi/2), taken in log space.
+    """
     p = state.params
-    if state.chart == "elliptic-parabolic":
-        raw, vol = _ep_raw, ep_volume_element
-        th_lo, th_hi = 0.0, math.pi / 2  # even in theta: integrate half, double
-    else:
-        raw, vol = _hp_raw, hp_volume_element
-        th_lo, th_hi = 0.0, math.pi / 2
     xg, wg, dg = sf.tanh_sinh_nodes(7)
     # the product form recomputes endpoint distances itself; stay clear of
     # the cancellation region
@@ -798,16 +805,32 @@ def _parabolic_log_norm(state: P1State) -> float:
     xg, wg = xg[keep], wg[keep]
     # radial direction (0, L) with decay bound from the Gaussian-type factor
     L = max(6.0, math.sqrt(40.0 / p.c))
-    u = 0.5 * L * (xg + 1.0)
-    wu = 0.5 * L * wg
-    v = th_lo + 0.5 * (th_hi - th_lo) * (xg + 1.0)
-    wv = 0.5 * (th_hi - th_lo) * wg
-    U, V = np.meshgrid(u, v, indexing="ij")
-    vals = raw(p, state.roots, U, V) ** 2 * vol(U, V)
-    total = float(np.einsum("i,j,ij->", wu, wv, vals))
+    u, v = 0.5 * L * (xg + 1.0), 0.25 * math.pi * (xg + 1.0)
+    expo = p.s - p.d - 2.0 * state.N - 1.5  # = nu + 1/2
+    roots = np.asarray(state.roots.roots, dtype=float)
+
+    def log_sums(w, wall, rad, sign):
+        # log sum(w F^2) and log sum(w F^2 / rad^2) for the factor
+        # F = wall^(1/2+d) rad^expo e^(-sign c rad^2) prod(rad^2 - sign t)
+        with np.errstate(divide="ignore"):
+            lf = (2.0 * ((0.5 + p.d) * np.log(wall) + expo * np.log(rad)
+                         - sign * p.c * rad**2)
+                  + np.sum(np.log((rad[:, None] ** 2 - sign * roots) ** 2),
+                           axis=1))
+            return _log_sum(w, lf), _log_sum(w, lf - 2.0 * np.log(rad))
+
+    wu, wv = 0.5 * L * wg, 0.25 * math.pi * wg
     if state.chart == "elliptic-parabolic":
-        total *= 2.0  # theta < 0 half by evenness
-    return 0.5 * math.log(total)
+        la, la_v = log_sums(wu, np.sinh(u), np.cosh(u), 1.0)
+        lt, lt_v = log_sums(wv, np.sin(v), np.cos(v), 1.0)
+        # theta < 0 half by evenness
+        log_total = (math.log(2.0) + la + lt_v
+                     + math.log1p(-math.exp(la_v + lt - la - lt_v)))
+    else:
+        la, la_v = log_sums(wu, np.cosh(u), np.sinh(u), 1.0)
+        lt, lt_v = log_sums(wv, np.cos(v), np.sin(v), -1.0)
+        log_total = float(np.logaddexp(la + lt_v, la_v + lt))
+    return 0.5 * log_total
 
 
 def p1_wf_elliptic_parabolic(state: P1State, a, th, normalized: bool = True):

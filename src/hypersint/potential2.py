@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,7 +85,12 @@ def _lg(x) -> complex:
 
 @dataclass(frozen=True)
 class P2Params:
-    """Coupling constants of the second potential (all strictly positive)."""
+    """Coupling constants of the second potential (all strictly positive).
+
+    The derived constants are computed once per instance: cached_property
+    stores them in the instance dict (no slots), and equality and hashing
+    use the three fields only.
+    """
 
     alpha: float
     beta: float
@@ -95,15 +100,15 @@ class P2Params:
         if not (self.alpha > 0 and self.beta > 0 and self.gamma > 0):
             raise OutOfDomainError("P2Params requires alpha, beta, gamma > 0")
 
-    @property
+    @cached_property
     def B(self) -> float:
         return 2.0 * self.beta**2 - 2.0 * self.alpha**2 + 1.0
 
-    @property
+    @cached_property
     def M(self) -> float:
         return math.sqrt((self.B + math.hypot(self.B, self.gamma**2)) / 2.0)
 
-    @property
+    @cached_property
     def a(self) -> complex:
         """Re < 0 branch of a^2 = (B - i gamma^2)/4."""
         f = math.hypot(self.B, self.gamma**2)
@@ -111,7 +116,7 @@ class P2Params:
         im = math.sqrt(f - self.B) / (2.0 * SQRT2)
         return complex(re, im)
 
-    @property
+    @cached_property
     def d(self) -> float:
         return math.sqrt(2.0 * self.alpha**2 + 0.25)
 
@@ -127,7 +132,7 @@ class P2Params:
     def k3(self) -> float:
         return self.d
 
-    @property
+    @cached_property
     def nmax(self) -> int | None:
         span = self.M - self.d - 2.0
         if span < _WINDOW_TOL:
@@ -137,7 +142,7 @@ class P2Params:
             k -= 1
         return k if k >= 0 else None
 
-    @property
+    @cached_property
     def m_max(self) -> int:
         # closed bracket of the quantization window: mu = 0 is included
         return math.floor((self.M - 1.0) / 2.0)

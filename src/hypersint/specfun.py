@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -41,6 +41,7 @@ __all__ = [
     "laguerre",
     "log_gamma",
     "pochhammer",
+    "quadrature_rule",
     "tanh_sinh_nodes",
 ]
 
@@ -404,128 +405,82 @@ def tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x[keep], w[keep], d[keep]
 
 
-def _eval_vec(f: Callable, x: np.ndarray, d_lo: np.ndarray,
-              d_hi: np.ndarray) -> np.ndarray:
-    """Evaluate the integrand; distance-aware integrands get (x, d_lo, d_hi)."""
-    if getattr(f, "wants_distances", False):
-        y = np.asarray(f(x, d_lo, d_hi), dtype=float)
-    else:
-        try:
-            y = np.asarray(f(x), dtype=float)
-            if y.shape != x.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            y = np.array([float(f(xi)) for xi in x])
+def _eval_vec(f: Callable, x: np.ndarray) -> np.ndarray:
+    """The integrand on the nodes x: one array call, or one call per node
+    if f does not take arrays."""
+    try:
+        y = np.asarray(f(x), dtype=float)
+        if y.shape != x.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        y = np.array([float(f(xi)) for xi in x])
     if not np.all(np.isfinite(y)):
         raise NonFiniteValueError("integrate: integrand returned a non-finite value")
     return y
 
 
-def _transformed(f: Callable, spec: QuadratureSpec):
-    """Reduce (f, domain, transform) to an equivalent finite-interval problem."""
+def quadrature_rule(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w on spec's domain: sum(w * f(x)) integrates f.
+
+    The level's rule runs on (lo, hi), or on (0, 1) for an infinite
+    endpoint, mapped by the declared transform with its Jacobian folded
+    into the weights:
+
+        exp-map        x = a - sigma log(1 - u)   (exponential decay)
+        algebraic-map  x = a + u / (1 - u)        (algebraic decay)
+
+    from the finite endpoint a (mirrored toward -inf, and both halves from
+    0 for a doubly infinite domain).  1 - u comes from the rule's stable
+    endpoint distances.  On a finite domain, nodes within 1e-15 (relative)
+    of an endpoint are dropped: an integrand that recomputes its endpoint
+    distances from x cannot tell them from the endpoint.
+    """
     lo, hi = spec.lo, spec.hi
-    if spec.transform == "none":
-        return [(f, lo, hi)]
-
-    # Stretch factor: nodes reach x - lo ~ 3 * 700 before the weights
-    # underflow, ample for exp(-x)-weighted integrands of high degree.
-    sigma = 3.0
-
-    def _distaware(fn):
-        fn.wants_distances = True
-        return fn
-
-    def _log_om(u, d_hi):
-        # log(1-u), exact at both u -> 0 (series) and u -> 1 (stable d);
-        # clamped so the mapped coordinate stays below ~sigma*236 = 708,
-        # keeping exp/cosh of it representable in double precision
-        out = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), np.log(d_hi))
-        return np.maximum(out, -236.0)
-
-    def _om(u, d_hi):
-        # floor keeps 1/om^2 representable for the algebraic map; the
-        # discarded region (x > ~1e150) is irrelevant for any integrable f
-        return np.maximum(np.where(u < 0.5, 1.0 - u, d_hi), 1e-150)
-
-    def expmap_up(a):
-        # x = a - sigma log(1 - u), u in (0, 1)
-        @_distaware
-        def g(u, d_lo, d_hi, a=a):
-            return sigma * f(a - sigma * _log_om(u, d_hi)) / _om(u, d_hi)
-        return g
-
-    def expmap_down(b):
-        @_distaware
-        def g(u, d_lo, d_hi, b=b):
-            return sigma * f(b + sigma * _log_om(u, d_hi)) / _om(u, d_hi)
-        return g
-
-    def algmap_up(a):
-        # x = a + u/(1-u)
-        @_distaware
-        def g(u, d_lo, d_hi, a=a):
-            return f(a + u / _om(u, d_hi)) / _om(u, d_hi) ** 2
-        return g
-
-    def algmap_down(b):
-        @_distaware
-        def g(u, d_lo, d_hi, b=b):
-            return f(b - u / _om(u, d_hi)) / _om(u, d_hi) ** 2
-        return g
-
-    up, down = (expmap_up, expmap_down) if spec.transform == "exp-map" \
-        else (algmap_up, algmap_down)
-    pieces = []
-    if math.isinf(lo) and math.isinf(hi):
-        pieces.append((down(0.0), 0.0, 1.0))
-        pieces.append((up(0.0), 0.0, 1.0))
-    elif math.isinf(hi):
-        pieces.append((up(lo), 0.0, 1.0))
-    elif math.isinf(lo):
-        pieces.append((down(hi), 0.0, 1.0))
-    else:
-        # A declared transform on a finite interval is just the identity.
-        pieces.append((f, lo, hi))
-    return pieces
-
-
-def _apply_rule(f: Callable, a: float, b: float, rule: str, level: int) -> float:
+    infinite = math.isinf(lo) or math.isinf(hi)
+    a, b = (0.0, 1.0) if infinite else (lo, hi)
     half = 0.5 * (b - a)
-    if rule == "gauss-legendre":
-        x, w = gauss_legendre_nodes(8 * 2 ** (level - 1))
-        pts = 0.5 * (a + b) + half * x
-        d_lo = pts - a
-        d_hi = b - pts
+    if spec.rule == "gauss-legendre":
+        u, w = gauss_legendre_nodes(8 * 2 ** (spec.level - 1))
+        u = 0.5 * (a + b) + half * u
+        d_lo, d_hi = u - a, b - u
     else:
-        x, w, d = tanh_sinh_nodes(level)
-        # evaluation points built from the stable endpoint distance, so
-        # integrable endpoint singularities are fully resolved
-        d_lo = np.where(x < 0, half * d, half * (1.0 + np.abs(x)))
-        d_hi = np.where(x < 0, half * (1.0 + np.abs(x)), half * d)
-        pts = np.where(x < 0, a + d_lo, b - d_hi)
-    if not getattr(f, "wants_distances", False):
-        # a plain integrand recomputes endpoint distances itself and hits
-        # cancellation below ~1e-15; drop the indistinguishable nodes
+        t, w, d = tanh_sinh_nodes(spec.level)
+        # nodes built from the stable endpoint distance, so integrable
+        # endpoint singularities are fully resolved
+        d_lo = np.where(t < 0, half * d, half * (1.0 + np.abs(t)))
+        d_hi = np.where(t < 0, half * (1.0 + np.abs(t)), half * d)
+        u = np.where(t < 0, a + d_lo, b - d_hi)
+    w = half * w
+    if not infinite:
         cut = 1e-15 * max(1.0, abs(a), abs(b))
         keep = (d_lo > cut) & (d_hi > cut)
-        pts, w = pts[keep], w[keep]
-        d_lo, d_hi = d_lo[keep], d_hi[keep]
-    y = _eval_vec(f, pts, d_lo, d_hi)
-    return half * float(np.sum(w * y))
+        return u[keep], w[keep]
+    # 1 - u, exact at both ends; the floor keeps 1/om^2 representable, and
+    # the region it discards (x > ~1e150) is irrelevant for integrable f
+    om = np.maximum(np.where(u < 0.5, 1.0 - u, d_hi), 1e-150)
+    if spec.transform == "exp-map":
+        # stretch: nodes reach x ~ 3 * 236 = 708 before the weights
+        # underflow, ample for exp(-x)-weighted integrands of high degree;
+        # the clamp keeps exp/cosh of x representable
+        sigma = 3.0
+        log_om = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), np.log(d_hi))
+        step, w = -sigma * np.maximum(log_om, -236.0), w * sigma / om
+    else:
+        step, w = u / om, w / om**2
+    if math.isinf(lo) and math.isinf(hi):
+        return np.concatenate([-step, step]), np.concatenate([w, w])
+    return (lo + step, w) if math.isinf(hi) else (hi - step, w)
 
 
 def integrate(f: Callable, spec: QuadratureSpec) -> tuple[float, float]:
     """Integrate f over spec's domain; returns (value, error_estimate).
 
-    The error estimate is the difference against the next-coarser level.
-    The integrand is called on numpy arrays of nodes (scalar fallback if it
+    The value is sum(w * f(x)) on ``quadrature_rule(spec)``; the error
+    estimate is the difference against the next-coarser level.  The
+    integrand is called on numpy arrays of nodes (scalar fallback if it
     raises).  Deterministic for a fixed spec.
     """
-    pieces = _transformed(f, spec)
-    value = 0.0
-    coarse = 0.0
-    for g, a, b in pieces:
-        value += _apply_rule(g, a, b, spec.rule, spec.level)
-        lvl = max(1, spec.level - 1)
-        coarse += _apply_rule(g, a, b, spec.rule, lvl)
+    coarse_spec = replace(spec, level=max(1, spec.level - 1))
+    value, coarse = (float(np.sum(w * _eval_vec(f, x)))
+                     for x, w in map(quadrature_rule, (spec, coarse_spec)))
     return value, abs(value - coarse)

@@ -245,11 +245,14 @@ def test_linear_relations_one_call_per_operator_and_function(p1_fixture,
         p1_fixture, (lambda q: q.w2 * _exp(-q.w0),
                      lambda q: q.w0**2 / (1.0 + q.w2**2)), pts)
     assert calls == [True] * 8
-    # scalar-only functions fall back to single points, with the same result
+    # scalar-only functions fall back to single points, with the same result;
+    # squares are written as products, since a Python float's ** calls libm
+    # pow, which can round x**2 apart from numpy's x*x
     calls.clear()
     pointwise = alg.check_linear_relations(
         p1_fixture, (lambda q: float(q.w2) * math.exp(-q.w0),
-                     lambda q: float(q.w0)**2 / (1.0 + float(q.w2)**2)), pts)
+                     lambda q: float(q.w0) * float(q.w0)
+                     / (1.0 + float(q.w2) * float(q.w2))), pts)
     assert calls == [False] * 80
     assert [r.residual for r in batched] == [r.residual for r in pointwise]
 

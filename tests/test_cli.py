@@ -391,6 +391,8 @@ def _marked(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            return None  # JSON has no NaN or infinity
         return f"{_MARK}{'%.17g' % float(obj)}{_MARK}"
     if isinstance(obj, (int, np.integer)):
         return int(obj)
@@ -436,3 +438,133 @@ def test_dumps_json_matches_three_pass_reference(tmp_path):
         text = path.read_text()
         data = json.loads(text)
         assert hcli.dumps_json(data) == _reference_dumps_json(data) == text
+
+
+# ---------------------------------------------------------------------------
+# non-finite values in JSON output
+# ---------------------------------------------------------------------------
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    report = {"records": [hcli._rec("nan-residual", float("nan"), 1e-7)],
+              "z": complex(math.inf, 1.0),
+              "arr": np.array([np.nan, 1.5, -np.inf]),
+              "f": np.float64("inf"), "g": np.float32("nan"), "h": -math.inf}
+    data = _strict_json(hcli.dumps_json(report))
+    rec = data["records"][0]
+    assert rec["residual"] is None and rec["pass"] is False
+    assert data["z"] == {"re": None, "im": 1.0}
+    assert data["arr"] == [None, 1.5, None]
+    assert data["f"] is data["g"] is data["h"] is None
+    # a semi-hyperbolic grid: cells outside nu < e3 < mu are NaN
+    path = tmp_path / "grid.json"
+    assert hcli.main(["wavefunction", "--potential", "v2", "--alpha", "0.1",
+                      "--beta", "6", "--gamma", "1", "--chart",
+                      "semi-hyperbolic", "--chart-params", "0,1,0",
+                      "--quantum", "1,0", "--grid", "9x9:-2,2,-2,2",
+                      "--out", str(path)]) == 0
+    recs = _strict_json(path.read_text())["records"]
+    empty = [r for r in recs if r["psi"] is None]
+    assert 0 < len(empty) < len(recs)
+    assert all(r["abs2"] is None for r in empty)
+    assert all(isinstance(r["psi"], float) for r in recs if r not in empty)
+
+
+# ---------------------------------------------------------------------------
+# batched point sets: the numbers of the sequential scalar draws
+# ---------------------------------------------------------------------------
+
+def _eq_points_reference(seed, n, both_signs=True):
+    rng = np.random.default_rng(seed)
+    t1s, t2s = [], []
+    for _ in range(n):
+        t1 = rng.uniform(0.3, 1.3)
+        if both_signs and rng.uniform() < 0.5:
+            t1 = -t1
+        t1s.append(t1)
+        t2s.append(rng.uniform(-1.0, 1.0))
+    return ("equidistant", t1s, t2s)
+
+
+def _draws(n, *ranges, rng):
+    """n rounds of one scalar draw per range, as one list per range."""
+    rows = [[rng.uniform(lo, hi) for lo, hi in ranges] for _ in range(n)]
+    return [list(col) for col in zip(*rows)]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The point sets handed to chart_points, sh_bracket's theta values and
+    the P2Params built, in call order."""
+    from hypersint import geometry as geo
+    from hypersint import potential2 as p2
+
+    calls = {"points": [], "theta": [], "p2": []}
+    chart_points, sh_bracket = geo.chart_points, p2.sh_bracket
+
+    def points(chart, u1, u2, *args, **kw):
+        calls["points"].append((chart, np.asarray(u1, float).tolist(),
+                                np.asarray(u2, float).tolist()))
+        return chart_points(chart, u1, u2, *args, **kw)
+
+    def bracket(theta, q, cp):
+        calls["theta"].append(np.asarray(theta).tolist())
+        return sh_bracket(theta, q, cp)
+
+    class Recorded(p2.P2Params):
+        def __post_init__(self):
+            calls["p2"].append((self.alpha, self.beta, self.gamma))
+            super().__post_init__()
+
+    monkeypatch.setattr(geo, "chart_points", points)
+    monkeypatch.setattr(p2, "sh_bracket", bracket)
+    monkeypatch.setattr(p2, "P2Params", Recorded)
+    return calls
+
+
+V2_SH = ["--potential", "v2", "--alpha", "0.1", "--beta", "3", "--gamma", "1",
+         "--chart-params", "0,1,0"]
+
+
+def test_v1_cross_chart_draws_the_sequential_point_sets(recorded):
+    assert run_main(["verify", "--suite", "cross-chart"])[0] == 0
+    rng = np.random.default_rng(29)
+    ref = [(chart, *_draws(100, (0.2, 2.0), v_range, rng=rng)) for chart, v_range
+           in (("equidistant", (-2.0, 2.0)), ("horicyclic", (0.2, 3.0)),
+               ("elliptic-parabolic", (0.2, 1.3)),
+               ("hyperbolic-parabolic", (0.2, 1.3)))]
+    ref.append(("equidistant", *_draws(100, (-2.0, 2.0), (-2.0, 2.0), rng=rng)))
+    assert recorded["points"] == ref
+
+
+def test_v2_cross_chart_draws_the_sequential_point_sets(recorded):
+    assert run_main(["verify", "--suite", "cross-chart", *V2_SH])[0] == 0
+    rng = np.random.default_rng(29)
+    t1, t2 = _draws(100, (0.2, 2.0), (-2.0, 2.0), rng=rng)
+    # e3 = 0: mu in (0.1, 3), nu in (-3, -0.1), then theta, per point
+    mu, nu, th_re, th_im = _draws(50, (0.1, 3.0), (-3.0, -0.1), (-3.0, 3.0),
+                                  (-2.0, 2.0), rng=rng)
+    triples = list(zip(*_draws(50, (0.05, 2.0), (0.5, 6.0), (0.3, 3.0),
+                               rng=rng)))
+    assert recorded["points"] == [("equidistant", t1, t2),
+                                  ("semi-hyperbolic", mu, nu),
+                                  _eq_points_reference(31, 6)]
+    assert recorded["theta"] == [[complex(a, b) for a, b in zip(th_re, th_im)]]
+    assert recorded["p2"][-50:] == triples
+
+
+def test_eigen_suites_draw_the_sequential_point_sets(recorded):
+    assert run_main(["verify", "--suite", "eigen", *V2_SH])[0] == 0
+    mu, nu = _draws(8, (0.4, 2.0), (0.4, 2.0), rng=np.random.default_rng(19))
+    assert recorded["points"] == [_eq_points_reference(11, 10),
+                                  ("semi-hyperbolic", mu, [-v for v in nu])]
+    recorded["points"].clear()
+    assert run_main(["verify", "--suite", "eigen"])[0] == 0
+    assert recorded["points"][0] == _eq_points_reference(11, 10)
+    hcli._eq_points(seed=5, n=7, both_signs=False)
+    assert recorded["points"][-1] == _eq_points_reference(5, 7, both_signs=False)

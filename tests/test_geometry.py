@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -95,6 +96,87 @@ def test_horicyclic_bridge():
         hc = geo.ambient_to_chart(q, "horicyclic")
         assert abs(hc.u1 - math.exp(b) * math.tanh(a)) <= 1e-12 * max(1, abs(hc.u1))
         assert abs(hc.u2 - math.exp(b) / math.cosh(a)) <= 1e-12 * max(1, abs(hc.u2))
+
+
+def _scalar_chart_map(chart, u1, u2, cp=None, w2_sign=1):
+    """The chart maps in math/cmath scalar arithmetic."""
+    if chart == "equidistant":
+        return (math.cosh(u1) * math.cosh(u2), math.cosh(u1) * math.sinh(u2),
+                math.sinh(u1))
+    if chart == "horicyclic":
+        return ((u1 * u1 + u2 * u2 + 1.0) / (2.0 * u2),
+                (u1 * u1 + u2 * u2 - 1.0) / (2.0 * u2), u1 / u2)
+    if chart == "elliptic-parabolic":
+        cc = 2.0 * math.cosh(u1) * math.cos(u2)
+        return ((math.cosh(u1) ** 2 + math.cos(u2) ** 2) / cc,
+                (math.sinh(u1) ** 2 - math.sin(u2) ** 2) / cc,
+                math.tanh(u1) * math.tan(u2))
+    if chart == "hyperbolic-parabolic":
+        ss = 2.0 * math.sinh(u1) * math.sin(u2)
+        return ((math.cosh(u1) ** 2 + math.cos(u2) ** 2) / ss,
+                (math.sinh(u1) ** 2 - math.sin(u2) ** 2) / ss,
+                1.0 / (math.tanh(u1) * math.tan(u2)))
+    a_c, b_c, e3 = cp
+    e1 = complex(a_c, b_c)
+    s1 = cmath.sqrt((u1 - e1) * (u2 - e1) / ((e1 - e1.conjugate()) * (e1 - e3)))
+    return (math.sqrt(2.0) * s1.real, math.sqrt(2.0) * s1.imag,
+            w2_sign * math.sqrt((u1 - e3) * (e3 - u2) / ((e3 - a_c) ** 2 + b_c ** 2)))
+
+
+@pytest.mark.parametrize("chart", geo.CHARTS)
+def test_chart_points_match_scalar_formulas(chart):
+    rng = np.random.default_rng(3)
+    pts = [random_chart_point(chart, rng) for _ in range(300)]
+    u1, u2 = (np.array([getattr(p, k) for p in pts]) for k in ("u1", "u2"))
+    cp = pts[0].chart_params
+    for sign in (1, -1):
+        q = geo.chart_points(chart, u1, u2, cp, w2_sign=sign)
+        assert len(q) == len(pts)
+        for i, p in enumerate(pts):
+            ref = _scalar_chart_map(chart, p.u1, p.u2, cp, sign)
+            got = (q.w0[i], q.w1[i], q.w2[i])
+            # w0 is the largest coordinate: w0^2 = 1 + w1^2 + w2^2
+            tol = 1e-15 * max(1.0, abs(ref[0]))
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= tol, (p, got, ref)
+        # the scalar map is the batch map on one point
+        one = geo.chart_to_ambient(pts[7], w2_sign=sign)
+        assert (one.w0, one.w1, one.w2) == (q.w0[7], q.w1[7], q.w2[7])
+        res = geo.hyperboloid_residual(q)
+        assert res.shape == (len(pts),)
+        assert res[7] == geo.hyperboloid_residual(one)
+
+
+def test_chart_points_validate_the_sheet():
+    with pytest.raises(OutOfDomainError, match="point 1"):
+        geo.chart_points("horicyclic", [0.0, 1.0], [1.0, -1.0])
+    with pytest.raises(OutOfDomainError):
+        geo.chart_points("semi-hyperbolic", [1.0], [0.5], SH_PARAMS)  # nu > e3
+    with pytest.raises(OutOfDomainError):
+        geo.chart_points("unknown-chart", [0.0], [0.0])
+
+
+@pytest.mark.parametrize("chart", ["elliptic-parabolic", "hyperbolic-parabolic"])
+def test_parabolic_inversion_recovers_coordinates(chart):
+    # correctly rounded ambient points give back their chart coordinates to
+    # a few ulps: each root of the inversion's quadratic is taken from its
+    # cancellation-free side (the textbook roots lost up to 8e-9)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(5)
+    u1 = rng.uniform(0.01, 3.0, 400)
+    u2 = rng.uniform(-1.5 if chart == "elliptic-parabolic" else 0.05, 1.5, 400)
+    ws = []
+    for a, t in zip(u1.tolist(), u2.tolist()):
+        a, t = mp.mpf(a), mp.mpf(t)
+        den = 2 * (mp.cosh(a) * mp.cos(t) if chart == "elliptic-parabolic"
+                   else mp.sinh(a) * mp.sin(t))
+        w2 = (mp.tanh(a) * mp.tan(t) if chart == "elliptic-parabolic"
+              else 1 / (mp.tanh(a) * mp.tan(t)))
+        ws.append([float((mp.cosh(a) ** 2 + mp.cos(t) ** 2) / den),
+                   float((mp.sinh(a) ** 2 - mp.sin(t) ** 2) / den), float(w2)])
+    a, t = geo.chart_coordinates(geo.AmbientPoints(*np.array(ws).T), chart)
+    assert np.max(np.abs(a - u1) / u1) <= 4e-15
+    assert np.max(np.abs(t - u2) / np.abs(u2)) <= 4e-15
 
 
 def test_semi_hyperbolic_w2_sign_flag():

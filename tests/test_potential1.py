@@ -368,3 +368,37 @@ def test_parabolic_normalization(p1_fixture):
         * p1.ep_volume_element(u[:, None], v[None, :])
     total = 2.0 * float(np.einsum("i,j,ij->", wu, wv, vals))
     assert abs(total - 1.0) <= 1e-8
+
+
+def _grid_log_norm(state):
+    """log norm of the raw product form as a 2-D tanh-sinh sum on the
+    meshgrid of the nodes that _parabolic_log_norm uses."""
+    p = state.params
+    ep = state.chart == "elliptic-parabolic"
+    raw, vol = ((p1._ep_raw, p1.ep_volume_element) if ep
+                else (p1._hp_raw, p1.hp_volume_element))
+    xg, wg, dg = sf.tanh_sinh_nodes(7)
+    xg, wg = xg[dg > 1e-14], wg[dg > 1e-14]
+    L = max(6.0, math.sqrt(40.0 / p.c))
+    U, V = np.meshgrid(0.5 * L * (xg + 1.0), 0.25 * math.pi * (xg + 1.0),
+                       indexing="ij")
+    vals = raw(p, state.roots, U, V) ** 2 * vol(U, V)
+    total = float(np.einsum("i,j,ij->", 0.5 * L * wg, 0.25 * math.pi * wg, vals))
+    return 0.5 * math.log(2.0 * total if ep else total)
+
+
+@pytest.mark.parametrize("params,levels", [
+    ((1.0, 1.0 / SQRT2, 2.0 * SQRT2), (0, 1, 2)),
+    ((0.3, 0.2, 3.0), (1, 2, 3)),
+])
+def test_parabolic_norm_separates(params, levels):
+    # four 1-D sums give the 2-D grid value of the norm
+    p = p1.P1Params(*params)
+    for N in levels:
+        for chart, solve in (("elliptic-parabolic", p1.p1_ep_roots),
+                             ("hyperbolic-parabolic", p1.p1_hp_roots)):
+            for conf in solve(p, N, form="derived"):
+                st = p1.P1State(p, chart, (N,), roots=conf)
+                got, ref = p1._parabolic_log_norm(st), _grid_log_norm(st)
+                # relative 1e-13 in the norm itself
+                assert abs(got - ref) <= 1e-13, (chart, N, got, ref)

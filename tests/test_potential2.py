@@ -288,3 +288,23 @@ def test_spectrum_record(p2_fixture):
     assert len(spec) == 1
     assert spec[0]["degeneracy"] == 1
     assert abs(spec[0]["E"] + 1.5650399) < 1e-6
+
+
+def test_derived_constants_computed_once_per_instance():
+    p, q = p2.P2Params(0.1, 3.0, 1.0), p2.P2Params(0.1, 3.0, 1.0)
+    names = ("B", "M", "a", "d", "nmax", "m_max")
+    first = [getattr(p, k) for k in names]
+    assert set(names) <= set(vars(p))      # stored on first use
+    assert [getattr(p, k) for k in names] == first
+    # the same bits as the defining formulas
+    B = 2.0 * p.beta**2 - 2.0 * p.alpha**2 + 1.0
+    f = math.hypot(B, p.gamma**2)
+    assert (p.B, p.M, p.d) == (B, math.sqrt((B + f) / 2.0),
+                               math.sqrt(2.0 * p.alpha**2 + 0.25))
+    assert p.a == complex(-math.sqrt(f + B) / (2.0 * math.sqrt(2.0)),
+                          math.sqrt(f - B) / (2.0 * math.sqrt(2.0)))
+    # equality and hashing see the three fields only
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert p != p2.P2Params(0.1, 3.0, 1.5)
+    with pytest.raises(AttributeError):
+        p.alpha = 0.2

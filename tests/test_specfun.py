@@ -289,3 +289,57 @@ def test_integrate_deterministic():
     spec = sf.QuadratureSpec("tanh-sinh", 6, 0.0, 3.0)
     f = lambda x: np.sin(x) * np.exp(-x)
     assert sf.integrate(f, spec) == sf.integrate(f, spec)
+
+
+def _substituted_sum(f, spec):
+    """Reference: f substituted onto the rule's interval and summed on the
+    raw tanh-sinh nodes (the integrand-transform form of the same rule)."""
+    t, w, d = sf.tanh_sinh_nodes(spec.level)
+    infinite = math.isinf(spec.lo) or math.isinf(spec.hi)
+    a, b = (0.0, 1.0) if infinite else (spec.lo, spec.hi)
+    half = 0.5 * (b - a)
+    d_lo = np.where(t < 0, half * d, half * (1.0 + np.abs(t)))
+    d_hi = np.where(t < 0, half * (1.0 + np.abs(t)), half * d)
+    u = np.where(t < 0, a + d_lo, b - d_hi)
+    if not infinite:
+        cut = 1e-15 * max(1.0, abs(a), abs(b))
+        keep = (d_lo > cut) & (d_hi > cut)
+        return half * np.sum(w[keep] * f(u[keep]))
+    om = np.maximum(np.where(u < 0.5, 1.0 - u, d_hi), 1e-150)
+    if spec.transform == "exp-map":
+        log_om = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), np.log(d_hi))
+        step = -3.0 * np.maximum(log_om, -236.0)
+
+        def g(s):
+            return 3.0 * f(s) / om
+    else:
+        step = u / om
+
+        def g(s):
+            return f(s) / om**2
+    lo = 0.0 if math.isinf(spec.lo) else spec.lo
+    hi = 0.0 if math.isinf(spec.hi) else spec.hi
+    return ((half * np.sum(w * g(hi - step)) if math.isinf(spec.lo) else 0.0)
+            + (half * np.sum(w * g(lo + step)) if math.isinf(spec.hi) else 0.0))
+
+
+@pytest.mark.parametrize("f,spec", [
+    (lambda x: np.sqrt(x) / np.sqrt(1.0 - x), ("tanh-sinh", 7, 0.0, 1.0, "none")),
+    (lambda x: np.exp(-x), ("tanh-sinh", 6, 0.0, 3.0, "none")),
+    (lambda x: x**3 * np.exp(-x), ("tanh-sinh", 8, 0.0, math.inf, "exp-map")),
+    (lambda x: np.exp(-x * x), ("tanh-sinh", 7, -math.inf, math.inf, "exp-map")),
+    (lambda x: 1.0 / (1.0 + x) ** 2,
+     ("tanh-sinh", 8, 0.0, math.inf, "algebraic-map")),
+    (lambda x: np.exp(x) / (1.0 + x * x),
+     ("tanh-sinh", 7, -math.inf, 0.0, "algebraic-map")),
+])
+def test_quadrature_rule_reproduces_integrate(f, spec):
+    spec = sf.QuadratureSpec(*spec)
+    value, err = sf.integrate(f, spec)
+    x, w = sf.quadrature_rule(spec)
+    assert x.shape == w.shape and np.all(np.isfinite(x)) and np.all(w >= 0.0)
+    assert abs(np.sum(w * f(x)) - value) <= 1e-15 * abs(value)
+    assert abs(_substituted_sum(f, spec) - value) <= 1e-15 * abs(value)
+    xc, wc = sf.quadrature_rule(sf.QuadratureSpec(
+        spec.rule, spec.level - 1, spec.lo, spec.hi, spec.transform))
+    assert err == abs(value - float(np.sum(wc * f(xc))))
