@@ -27,6 +27,14 @@ close *exactly* under the shifted convention N2 + 4 g^2 (i.e. with the
 +2 gamma^2 operator display); under the eigenvalue-line convention they
 acquire computable defects.  ``check_quadratic_algebra`` evaluates both and
 reports, never silently passes.
+
+Evaluation
+----------
+Operators are applied to batches of points (``geometry.apply_operator``).
+Every function passed to ``eigen_residual``, ``project_operator`` or
+``check_linear_relations``, like every coefficient and guard of the
+operators built here, is array-safe: it takes an ``AmbientPoints`` batch
+and returns one value per point or a scalar.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ import numpy as np
 
 from . import potential1 as p1m
 from . import potential2 as p2m
-from .errors import HypersintError, OutOfDomainError, SingularConfigurationError
-from .geometry import AmbientPoint, AmbientPoints, OperatorExpr, apply_operator
+from .errors import OutOfDomainError, SingularConfigurationError
+from .geometry import AmbientPoints, OperatorExpr, apply_operator
 from .interbasis import InterbasisMatrix
 from .potential1 import P1Params
 from .potential2 import P2Params
@@ -76,7 +84,7 @@ def _sq(word_a: str, word_b: str) -> tuple:
 
 
 def _p1_l1(p: P1Params) -> OperatorExpr:
-    def mult(q: AmbientPoint):
+    def mult(q: AmbientPoints):
         u = (q.w0 + q.w1) / (q.w0 - q.w1)
         return -2.0 * p.beta**2 * u * u + 2.0 * p.gamma**2 * u
     return OperatorExpr(
@@ -87,7 +95,7 @@ def _p1_l1(p: P1Params) -> OperatorExpr:
 
 
 def _p1_l2(p: P1Params) -> OperatorExpr:
-    def mult(q: AmbientPoint):
+    def mult(q: AmbientPoints):
         dm = q.w0 - q.w1
         return (-2.0 * p.beta**2 * q.w2**2 / dm**2
                 - 2.0 * p.alpha**2 * dm**2 / q.w2**2)
@@ -100,7 +108,7 @@ def _p1_l2(p: P1Params) -> OperatorExpr:
 
 
 def _p1_l3(p: P1Params, display: bool) -> OperatorExpr:
-    def mult(q: AmbientPoint):
+    def mult(q: AmbientPoints):
         dm = q.w0 - q.w1
         return (2.0 * p.beta**2 * ((q.w0 + q.w1) ** 2 + q.w2**2) / dm**2
                 + 2.0 * p.alpha**2 * dm**2 / q.w2**2
@@ -116,7 +124,7 @@ def _p1_l3(p: P1Params, display: bool) -> OperatorExpr:
 
 
 def _p1_l4(p: P1Params, display: bool) -> OperatorExpr:
-    def mult(q: AmbientPoint):
+    def mult(q: AmbientPoints):
         dm = q.w0 - q.w1
         return (2.0 * p.beta**2 * ((q.w0 + q.w1) ** 2 - q.w2**2) / dm**2
                 - 2.0 * p.alpha**2 * dm**2 / q.w2**2
@@ -179,7 +187,7 @@ def _p1_h(p: P1Params) -> OperatorExpr:
 
 
 def _p2_l1(p: P2Params) -> OperatorExpr:
-    def mult(q: AmbientPoint):
+    def mult(q: AmbientPoints):
         ssum = q.w0**2 + q.w1**2
         sdif = q.w0**2 - q.w1**2
         return (-2.0 * (p.alpha**2 - p.beta**2) * (sdif / ssum) ** 2
@@ -194,7 +202,7 @@ def _p2_l12(p: P2Params) -> OperatorExpr:
     w1c = 0.25 - p.k1**2
     w2c = 0.25 - p.k2**2
 
-    def mult(q: AmbientPoint):
+    def mult(q: AmbientPoints):
         zp = q.w0 + 1j * q.w1
         r = (zp.conjugate() / zp) ** 2
         return w1c * r + w2c / r
@@ -206,7 +214,7 @@ def _p2_l13(p: P2Params, conj: bool) -> OperatorExpr:
     i = 1j * (-1.0 if not conj else 1.0)
     coeff_pot = (p.beta**2 - p.alpha**2) + (0.5j * p.gamma**2) * (-1.0 if not conj else 1.0)
 
-    def mult(q: AmbientPoint):
+    def mult(q: AmbientPoints):
         zp = q.w0 - 1j * q.w1 if conj else q.w0 + 1j * q.w1
         return (coeff_pot * q.w2**2 / zp**2
                 + p.alpha**2 * zp**2 / q.w2**2)
@@ -314,28 +322,9 @@ def build_operator(op_id: str, params, chart_params=None) -> OperatorExpr:
 # Residual measurements
 # ---------------------------------------------------------------------------
 
-def _on_points(fn, pts: AmbientPoints) -> tuple[np.ndarray, bool]:
-    """fn at every point, and whether fn took the whole batch at once.
-
-    An array-safe fn is called once on the batch.  A function that only
-    takes a single AmbientPoint (it fails on arrays with a TypeError or a
-    plain ValueError) is called point by point instead.
-    """
-    try:
-        return np.broadcast_to(np.asarray(fn(pts)), (len(pts),)), True
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, HypersintError):
-            raise
-    return np.array([fn(pts.point(i)) for i in range(len(pts))]), False
-
-
-def _apply_on_points(op: OperatorExpr, fn, pts: AmbientPoints, batched: bool,
-                     h: float, richardson: bool) -> np.ndarray:
-    if batched:
-        return apply_operator(op, fn, pts, h=h, richardson=richardson)
-    return np.array([apply_operator(op, fn, pts.point(i), h=h,
-                                    richardson=richardson)
-                     for i in range(len(pts))])
+def _on_points(fn, pts: AmbientPoints) -> np.ndarray:
+    """fn at every point of the batch (fn is array-safe)."""
+    return np.broadcast_to(np.asarray(fn(pts)), (len(pts),))
 
 
 def eigen_residual(op: OperatorExpr, wf, expected: complex,
@@ -346,16 +335,15 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
     Points where |wf| is below 1e-8 of its largest value over all points
     are skipped (the relative residual is meaningless near nodes).  The
     points (a sequence of AmbientPoint, or an AmbientPoints) form one
-    batch: an array-safe wf costs one apply_operator call; a scalar-only
-    wf is applied point by point.
+    batch, and wf must be array-safe: it costs one apply_operator call.
     """
     pts = AmbientPoints.stack(points)
-    psi, batched = _on_points(wf, pts)
+    psi = _on_points(wf, pts)
     mag = np.abs(psi)
     used = mag >= 1e-8 * np.max(mag)
     if not np.any(used):
         raise SingularConfigurationError("all points fell on wavefunction nodes")
-    val = _apply_on_points(op, wf, pts[used], batched, h, richardson)
+    val = apply_operator(op, wf, pts[used], h=h, richardson=richardson)
     return float(np.max(np.abs(val - expected * psi[used]) / mag[used]))
 
 
@@ -365,15 +353,14 @@ def project_operator(op: OperatorExpr, basis_fns, points,
 
     Columns: op applied to each basis function, expanded back over the basis
     by least squares on the sample points.  Needs len(points) comfortably
-    larger than the multiplet dimension.  The basis functions are real; an
-    array-safe one costs one apply_operator call on the whole point batch.
+    larger than the multiplet dimension.  The basis functions are real and
+    array-safe; each costs one apply_operator call on the whole point batch.
     """
     pts = AmbientPoints.stack(points)
-    cols = [_on_points(f, pts) for f in basis_fns]
-    design = np.column_stack([np.real(v) for v, _ in cols])
+    design = np.column_stack([np.real(_on_points(f, pts)) for f in basis_fns])
     out = np.zeros((len(basis_fns),) * 2)
-    for j, (f, (_, batched)) in enumerate(zip(basis_fns, cols)):
-        y = np.real(_apply_on_points(op, f, pts, batched, h, richardson))
+    for j, f in enumerate(basis_fns):
+        y = np.real(apply_operator(op, f, pts, h=h, richardson=richardson))
         sol, *_ = np.linalg.lstsq(design, y, rcond=None)
         out[:, j] = sol
     return out
@@ -409,13 +396,6 @@ class AlgebraReport:
     passed: bool
     notes: dict = field(default_factory=dict)
 
-    def to_record(self) -> dict:
-        rec = {"id": self.identity, "residual": self.residual,
-               "tolerance": self.tolerance, "pass": self.passed}
-        if self.notes:
-            rec["notes"] = {k: v for k, v in sorted(self.notes.items())}
-        return rec
-
 
 def n2_horicyclic_eigenvalues(p: P1Params, N: int) -> np.ndarray:
     """Eigenvalues of N2 on the level, in the horicyclic basis order."""
@@ -448,16 +428,13 @@ def check_linear_relations(p: P1Params, testfns, points,
     the defect is normalized by the largest single-term magnitude.  The
     points (a sequence of AmbientPoint, or an AmbientPoints) form one
     batch: each operator is applied to an array-safe test function in one
-    apply_operator call, and L1, L2 serve both relations.  A scalar-only
-    test function is applied point by point.
+    apply_operator call, and L1, L2 serve both relations.
     """
     pts = AmbientPoints.stack(points)
     ops = {k: build_operator(k, p) for k in ("L1", "L2", "L3", "L4")}
     worst = {"linRel3": 0.0, "linRel4": 0.0}
     for f in testfns:
-        _, batched = _on_points(f, pts)
-        v = {k: _apply_on_points(op, f, pts, batched, h, True)
-             for k, op in ops.items()}
+        v = {k: apply_operator(op, f, pts, h=h) for k, op in ops.items()}
         for ident, lhs, sign in (("linRel3", "L3", 1.0),
                                  ("linRel4", "L4", -1.0)):
             va, vb, vc = v[lhs], v["L2"], v["L1"]

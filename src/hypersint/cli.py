@@ -284,7 +284,8 @@ def _state_for(cfg: RunConfig):
     """Build the requested state plus normalization metadata.
 
     The returned function maps chart coordinate arrays (u, v) to real
-    values, NaN at points outside the chart.
+    values, NaN at points outside the chart (``geo.in_chart_domain``): only
+    the points inside are evaluated.
     """
     params = cfg.params()
     meta: dict = {}
@@ -321,38 +322,39 @@ def _state_for(cfg: RunConfig):
             meta["root_residual"] = match[0].residual
             meta["form"] = cfg.form
             meta["log_norm"] = p1._parabolic_log_norm(st)
-        return fn, meta
-    # v2
-    if cfg.chart == "equidistant":
+    elif cfg.chart == "equidistant":
         st = p2.P2State(params, "equidistant", tuple(cfg.quantum))
         fn = lambda u, v: np.real(p2.p2_wf_equidistant(st, u, v))
         meta["normalization"] = "unit on t1>0; global phase removed"
-        return fn, meta
-    cp = cfg.chart_params
-    if cp is None:
-        raise HypersintError("semi-hyperbolic chart requires --chart-params")
-    N, idx = (cfg.quantum + (0,))[:2]
-    confs = p2.p2_sh_roots(params, N, cp, tol=cfg.bethe_tol)
-    if idx >= len(confs):
-        raise HypersintError(
-            f"configuration index {idx} out of range ({len(confs)} found)")
-    st = p2.P2State(params, "semi-hyperbolic", (N,), roots=confs[idx],
-                    chart_params=cp)
-    meta["roots"] = [[z.real, z.imag] for z in confs[idx].roots]
-    meta["root_residual"] = confs[idx].residual
-    meta["normalization"] = "unnormalized product form; global phase removed"
+    else:
+        cp = cfg.chart_params
+        if cp is None:
+            raise HypersintError("semi-hyperbolic chart requires --chart-params")
+        N, idx = (cfg.quantum + (0,))[:2]
+        confs = p2.p2_sh_roots(params, N, cp, tol=cfg.bethe_tol)
+        if idx >= len(confs):
+            raise HypersintError(
+                f"configuration index {idx} out of range ({len(confs)} found)")
+        st = p2.P2State(params, "semi-hyperbolic", (N,), roots=confs[idx],
+                        chart_params=cp)
+        meta["roots"] = [[z.real, z.imag] for z in confs[idx].roots]
+        meta["root_residual"] = confs[idx].residual
+        meta["normalization"] = "unnormalized product form; global phase removed"
 
-    def fn(u, v):
-        out = np.full(u.shape, math.nan)
-        if cp[1] == 0.0:  # not a semi-hyperbolic chart
+        def fn(u, v):
+            out = np.full(u.shape, math.nan)
+            w = geo.semi_hyperbolic_to_ambient(u, v, cp)
+            ok = geo.on_sheet(*w) & (w[2] != 0.0)
+            q = geo.AmbientPoints(*(c[ok] for c in w))
+            out[ok] = p2.p2_wf_semihyperbolic(st, q).real
             return out
-        inside = np.flatnonzero((v < cp[2]) & (cp[2] < u))
-        w = geo.semi_hyperbolic_to_ambient(u[inside], v[inside], cp)
-        ok = geo.on_sheet(*w) & (w[2] != 0.0)
-        q = geo.AmbientPoints(*(c[ok] for c in w))
-        out[inside[ok]] = p2.p2_wf_semihyperbolic(st, q).real
+
+    def on_grid(u, v):
+        out = np.full(u.shape, math.nan)
+        inside = geo.in_chart_domain(cfg.chart, u, v, cfg.chart_params)
+        out[inside] = fn(u[inside], v[inside])
         return out
-    return fn, meta
+    return on_grid, meta
 
 
 def cmd_wavefunction(cfg: RunConfig) -> str:

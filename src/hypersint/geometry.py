@@ -21,12 +21,11 @@ generator word, ``apply_operator`` builds the full stencil (the exact flows
 applied level by level to coordinate arrays: 4^k points per sample point
 for a word of length k with Richardson, 2^k without).  It calls the
 function once on the stencils of all words together, then splits the
-values and reduces each word's level by level.  A function
-passed with an ``AmbientPoints`` batch must therefore be array-safe: it
-takes an ``AmbientPoints`` and returns an array of one value per point (or
-a scalar, which is broadcast).  With a single ``AmbientPoint`` the same
-stencils are used, but the function is called on each stencil point as an
-``AmbientPoint``, so scalar-only functions keep working.
+values and reduces each word's level by level.  Every function passed to
+``apply_operator``, and every ``OperatorExpr`` coefficient and guard, must
+therefore be array-safe: it takes an ``AmbientPoints`` batch and returns
+one value per point (or a scalar, which is broadcast).  A single
+``AmbientPoint`` is applied as a one-point batch.
 
 Charts (names used throughout the package and on the CLI):
 
@@ -69,6 +68,7 @@ __all__ = [
     "chart_to_ambient",
     "generator_flow",
     "hyperboloid_residual",
+    "in_chart_domain",
     "laplace_beltrami",
     "on_sheet",
     "semi_hyperbolic_to_ambient",
@@ -173,6 +173,40 @@ def hyperboloid_residual(q):
     return r if isinstance(q, AmbientPoints) else float(r)
 
 
+#: the coordinate domain of each chart, as ChartPoint's error message states it
+_DOMAINS = {
+    "equidistant": "finite t1, t2",
+    "horicyclic": "finite x, y > 0",
+    "elliptic-parabolic": "finite a > 0, |theta| < pi/2",
+    "hyperbolic-parabolic": "finite b > 0, 0 < theta < pi/2",
+    "semi-hyperbolic": "b_c != 0, finite nu < e3 < mu",
+}
+
+
+def in_chart_domain(chart: str, u1, u2, chart_params=None) -> np.ndarray:
+    """Elementwise: is (u1, u2) inside the chart's coordinate domain?
+
+    The one statement of the domains (see ``_DOMAINS``): ChartPoint
+    validates with it, and the CLI's wavefunction grid marks the cells
+    outside it.  Coordinates must be finite; the semi-hyperbolic chart
+    needs chart_params = (a_c, b_c, e3).
+    """
+    if chart not in CHARTS:
+        raise OutOfDomainError(f"unknown chart {chart!r}")
+    u1, u2 = (np.asarray(u, dtype=float) for u in (u1, u2))
+    ok = np.isfinite(u1) & np.isfinite(u2)
+    if chart == "horicyclic":
+        ok &= u2 > 0.0
+    elif chart == "elliptic-parabolic":
+        ok &= (u1 > 0.0) & (np.abs(u2) < math.pi / 2)
+    elif chart == "hyperbolic-parabolic":
+        ok &= (u1 > 0.0) & (0.0 < u2) & (u2 < math.pi / 2)
+    elif chart == "semi-hyperbolic":
+        _, b_c, e3 = chart_params
+        ok &= (b_c != 0.0) & (u2 < e3) & (e3 < u1)
+    return ok
+
+
 @dataclass(frozen=True)
 class ChartPoint:
     """Chart coordinates (u1, u2); semi-hyperbolic also needs chart_params.
@@ -188,30 +222,13 @@ class ChartPoint:
     chart_params: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if self.chart not in CHARTS:
-            raise OutOfDomainError(f"unknown chart {self.chart!r}")
-        u1, u2 = self.u1, self.u2
-        if not (math.isfinite(u1) and math.isfinite(u2)):
-            raise OutOfDomainError("chart coordinates must be finite")
-        if self.chart == "horicyclic" and not u2 > 0.0:
-            raise OutOfDomainError("horicyclic chart needs y > 0")
-        if self.chart == "elliptic-parabolic":
-            if not (u1 > 0.0 and abs(u2) < math.pi / 2):
-                raise OutOfDomainError(
-                    "elliptic-parabolic chart needs a > 0, |theta| < pi/2")
-        if self.chart == "hyperbolic-parabolic":
-            if not (u1 > 0.0 and 0.0 < u2 < math.pi / 2):
-                raise OutOfDomainError(
-                    "hyperbolic-parabolic chart needs b > 0, 0 < theta < pi/2")
-        if self.chart == "semi-hyperbolic":
-            if self.chart_params is None:
-                raise OutOfDomainError(
-                    "semi-hyperbolic chart requires chart_params = (a_c, b_c, e3)")
-            a_c, b_c, e3 = self.chart_params
-            if b_c == 0.0:
-                raise OutOfDomainError("semi-hyperbolic chart needs b_c != 0")
-            if not self.u2 < e3 < self.u1:
-                raise OutOfDomainError("semi-hyperbolic chart needs nu < e3 < mu")
+        if self.chart == "semi-hyperbolic" and self.chart_params is None:
+            raise OutOfDomainError(
+                "semi-hyperbolic chart requires chart_params = (a_c, b_c, e3)")
+        if not in_chart_domain(self.chart, self.u1, self.u2, self.chart_params):
+            raise OutOfDomainError(
+                f"{self.chart} chart needs {_DOMAINS[self.chart]} "
+                f"(got {self.u1}, {self.u2})")
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +369,22 @@ def generator_flow(g: str, t: float, q: AmbientPoint) -> AmbientPoint:
 # Operator expressions
 # ---------------------------------------------------------------------------
 
+#: a guard smaller than this in modulus refuses the evaluation
+_GUARD_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class OperatorExpr:
     """Linear combination of generator words with ambient-function coefficients.
 
     terms         : sequence of (coefficient, word) where word is a tuple of
                     generator names, len(word) <= 3, applied right to left;
-                    the coefficient is a number or a callable of the points
-                    (AmbientPoint or AmbientPoints, so it must be array-safe).
+                    the coefficient is a number or an array-safe callable of
+                    an AmbientPoints batch (one value per point, or a scalar).
     constant_term : multiple of the identity added to the combination.
-    guards        : callables of the points whose smallness marks a
+    guards        : array-safe callables of the batch whose smallness marks a
                     coefficient singularity; evaluation is refused when any
-                    |guard(q)| < guard_tol.
+                    |guard(q)| < 1e-8 (_GUARD_TOL).
     """
 
     terms: tuple
@@ -431,26 +452,26 @@ def _check_finite(v: np.ndarray) -> np.ndarray:
 
 
 def apply_operator(expr: OperatorExpr, f: Callable, q, h: float = DEFAULT_STEP,
-                   richardson: bool = True, guard_tol: float = 1e-8):
+                   richardson: bool = True):
     """Apply an OperatorExpr to f at q numerically.
 
-    q is an AmbientPoint (returns a number) or an AmbientPoints batch
-    (returns one value per point).  Words are realized by nested central
-    differences along exact flows (right-to-left), each optionally
-    Richardson extrapolated.  The stencils of all distinct words with a
-    nonzero coefficient (and the identity, for a nonzero constant term) are
-    concatenated and f is called once per call on all of them (see the
-    module docstring for the array-safe contract).  With an AmbientPoint, f
-    is called on each stencil point as an AmbientPoint and the terms are
-    combined in Python arithmetic.
+    q is an AmbientPoints batch (returns one value per point) or an
+    AmbientPoint (applied as a one-point batch; returns a number).  Words
+    are realized by nested central differences along exact flows
+    (right-to-left), each optionally Richardson extrapolated.  The stencils
+    of all distinct words with a nonzero coefficient (and the identity, for
+    a nonzero constant term) are concatenated and f is called once on all
+    of them; f, the coefficients and the guards must be array-safe (see the
+    module docstring).
     """
-    batch = isinstance(q, AmbientPoints)
-    pts = q if batch else AmbientPoints.stack([q])
-    n = len(pts)
+    if not isinstance(q, AmbientPoints):
+        return apply_operator(expr, f, AmbientPoints.stack([q]), h,
+                              richardson)[0].item()
+    n = len(q)
     for guard in expr.guards:
-        small = np.atleast_1d(np.abs(guard(q)) < guard_tol)
+        small = np.atleast_1d(np.abs(guard(q)) < _GUARD_TOL)
         if np.any(small):
-            bad = pts.point(int(np.argmax(small)))
+            bad = q.point(int(np.argmax(small)))
             raise SingularConfigurationError(
                 f"operator {expr.name or '<anon>'} singular at "
                 f"({bad.w0}, {bad.w1}, {bad.w2})")
@@ -464,31 +485,21 @@ def apply_operator(expr: OperatorExpr, f: Callable, q, h: float = DEFAULT_STEP,
     words = list(dict.fromkeys(words + [word for _, word in terms]))
     values = {}
     if words:
-        stencils = [_stencil(word, pts, h, richardson) for word in words]
+        stencils = [_stencil(word, q, h, richardson) for word in words]
         w0, w1, w2 = (np.concatenate([s[k].ravel() for s in stencils])
                       for k in range(3))
-        if batch:
-            p = AmbientPoints(w0, w1, w2)
-            flat = np.broadcast_to(np.asarray(f(p)), (len(p),))
-        else:
-            flat = np.array([f(AmbientPoint(*c)) for c in zip(
-                w0.tolist(), w1.tolist(), w2.tolist())])
+        p = AmbientPoints(w0, w1, w2)
+        flat = np.broadcast_to(np.asarray(f(p)), (len(p),))
         _check_finite(flat)
         parts = np.split(flat, np.cumsum([s[0].size for s in stencils])[:-1])
         for word, s, v in zip(words, stencils, parts):
-            v = _reduce(word, v.reshape(s[0].shape), h, richardson)
-            # a single point is combined in Python arithmetic: numpy's
-            # complex multiply rounds differently
-            values[word] = v if batch else v[0].item()
+            values[word] = _reduce(word, v.reshape(s[0].shape), h, richardson)
 
     total = (expr.constant_term * values[()]
              if expr.constant_term != 0.0 else 0.0)
     for c, word in terms:
         total = total + c * values[word]
-    if batch:
-        return _check_finite(np.broadcast_to(total, (n,)))
-    _check_finite(np.asarray(total))
-    return total
+    return _check_finite(np.broadcast_to(total, (n,)))
 
 
 def apply_generator(g: str, f: Callable, q, h: float = DEFAULT_STEP,

@@ -84,11 +84,27 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+#: a window index whose boundary quantity (nu or mu) is at most this is
+#: the boundary state itself, and is excluded
 _WINDOW_TOL = 1e-12
 
 
 def _lgamma(x: float) -> float:
     return sf.log_gamma(x).real
+
+
+def _window_top(span: float) -> int:
+    """Largest k with span - 2k > 0 (up to _WINDOW_TOL): the top index of
+    a window whose boundary quantity span - 2k must stay positive.
+
+    Every quantization window of both potentials has this form (the
+    boundary quantity is nu for the level and n windows, mu for m); the
+    result is negative when the window is empty.
+    """
+    k = math.floor(span / 2.0)
+    if span - 2.0 * k <= _WINDOW_TOL:
+        k -= 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +141,13 @@ class P1Params:
 
         The boundary level nu = 0 (E = 1/8 exactly) is excluded.
         """
-        span = self.s - self.d - 2.0
-        if span < _WINDOW_TOL:
-            return None
-        k = math.floor(span / 2.0)
-        if span - 2.0 * k <= _WINDOW_TOL:  # nu would be 0 at N = k
-            k -= 1
+        k = _window_top(self.s - self.d - 2.0)
         return k if k >= 0 else None
 
     @property
     def m_max(self) -> int:
         """Largest m of the Morse window (mu > 0 enforced)."""
-        k = math.floor((self.s - 1.0) / 2.0)
-        if self.s - 2.0 * k - 1.0 <= _WINDOW_TOL:  # mu would be 0
-            k -= 1
-        return k
+        return _window_top(self.s - 1.0)
 
 
 def p1_mu(p: P1Params, m: int) -> float:
@@ -151,11 +159,10 @@ def p1_mu(p: P1Params, m: int) -> float:
     return p.s - 2.0 * m - 1.0
 
 
-def p1_n_max(p: P1Params, mu: float) -> int:
-    k = math.floor((mu - 1.0 - p.d) / 2.0)
-    if mu - p.d - 2.0 * k - 1.0 <= _WINDOW_TOL:  # nu would be 0
-        k -= 1
-    return k
+def p1_n_max(p, mu: float) -> int:
+    """Largest n of the Poschl-Teller window nu = mu - d - 2n - 1 > 0; only
+    p.d enters, so the second potential uses it too."""
+    return _window_top(mu - 1.0 - p.d)
 
 
 def p1_nu(p: P1Params, N: int) -> float:
@@ -293,16 +300,17 @@ def _exp_guarded(logmag, poly_fn):
     prefactor has not underflowed.
 
     Whenever the full factor decays, |poly| < exp(-logmag) on the kept
-    set, so the polynomial recurrence cannot overflow there.
+    set, so the polynomial recurrence cannot overflow there.  poly_fn
+    takes the boolean mask of kept entries.  A 0-d logmag (scalar
+    arguments) gives a numpy scalar, so the factors that call this need
+    no scalar branch of their own.
     """
     logmag = np.asarray(logmag, dtype=float)
-    scalar = logmag.ndim == 0
-    logmag = np.atleast_1d(logmag)
     out = np.zeros_like(logmag)
     keep = logmag >= -700.0
     if np.any(keep):
         out[keep] = np.exp(logmag[keep]) * poly_fn(keep)
-    return out[0] if scalar else out
+    return out[()]
 
 
 def morse_factor(p: P1Params, m: int, t2, mu: float | None = None):
@@ -313,13 +321,10 @@ def morse_factor(p: P1Params, m: int, t2, mu: float | None = None):
     """
     if mu is None:
         mu = p1_mu(p, m)
-    z = np.atleast_1d(np.asarray(t2, dtype=float))
-    z = SQRT2 * p.beta * np.exp(2.0 * z)
+    z = SQRT2 * p.beta * np.exp(2.0 * np.asarray(t2, dtype=float))
     logpref = 0.5 * (math.log(2.0 * mu) + _lgamma(m + 1.0) - _lgamma(m + mu + 1.0))
     logmag = logpref - z / 2.0 + 0.5 * mu * np.log(z)
-    if np.ndim(t2) == 0:
-        logmag = logmag[0]
-    return _exp_guarded(logmag, lambda k: sf.laguerre(m, mu, np.atleast_1d(z)[k]))
+    return _exp_guarded(logmag, lambda k: sf.laguerre(m, mu, z[k]))
 
 
 def pt_factor(p, n: int, mu: float, t1):
@@ -332,7 +337,7 @@ def pt_factor(p, n: int, mu: float, t1):
     nu = mu - p.d - 2.0 * n - 1.0
     if nu <= 0.0:
         raise OutOfWindowError(f"n = {n} outside window for mu = {mu:.6g}")
-    t1a = np.atleast_1d(np.asarray(t1, dtype=float))
+    t1a = np.asarray(t1, dtype=float)
     s_abs = np.abs(np.sinh(t1a))
     ch = np.cosh(t1a)
     logpref = 0.5 * (math.log(2.0 * nu) + _lgamma(mu - n) + _lgamma(n + 1.0)
@@ -342,8 +347,6 @@ def pt_factor(p, n: int, mu: float, t1):
     # cosh(2 t1) must stay representable on the kept set; beyond |t1| = 354
     # the factor is below e^{-650} for every admissible window
     logmag = np.where(np.abs(t1a) <= 354.0, logmag, -np.inf)
-    if np.ndim(t1) == 0:
-        logmag = logmag[0]
     return _exp_guarded(
         logmag, lambda k: np.real(sf.jacobi(n, p.d, -mu, np.cosh(2.0 * t1a[k]))))
 
@@ -353,14 +356,12 @@ def osc_x_factor(p: P1Params, n1: int, x):
 
     psi ~ |x|^{1/2+d} e^{-beta x^2/sqrt2} L_{n1}^d(sqrt2 beta x^2); even.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa = np.asarray(x, dtype=float)
     u = SQRT2 * p.beta * xa * xa
     logpref = 0.5 * (_lgamma(n1 + 1.0) + 0.5 * math.log(SQRT2 * p.beta)
                      - _lgamma(n1 + p.d + 1.0))
     with np.errstate(divide="ignore"):
         logmag = logpref - u / 2.0 + (0.25 + 0.5 * p.d) * np.log(u)
-    if np.ndim(x) == 0:
-        logmag = logmag[0]
     return _exp_guarded(logmag, lambda k: sf.laguerre(n1, p.d, u[k]))
 
 
@@ -369,15 +370,13 @@ def osc_y_factor(p: P1Params, N: int, n2: int, y):
     nu = p1_nu(p, N)
     if nu <= 0.0:
         raise NoBoundStateError("y-factor requires sqrt(-2E+1/4) > 0")
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
+    ya = np.asarray(y, dtype=float)
     u = SQRT2 * p.beta * ya * ya
     logpref = 0.5 * (math.log(2.0) + _lgamma(n2 + 1.0)
                      + 0.5 * math.log(SQRT2 * p.beta)
                      - _lgamma(n2 + nu + 1.0))
     with np.errstate(divide="ignore"):
         logmag = logpref - u / 2.0 + (0.25 + 0.5 * nu) * np.log(u)
-    if np.ndim(y) == 0:
-        logmag = logmag[0]
     return _exp_guarded(logmag, lambda k: sf.laguerre(n2, nu, u[k]))
 
 
@@ -725,8 +724,8 @@ def p1_hp_tau(p: P1Params, roots: BetheRoots) -> float:
 # ---------------------------------------------------------------------------
 
 def _ep_raw(p: P1Params, roots: BetheRoots, a, th):
-    aa = np.atleast_1d(np.asarray(a, dtype=float))
-    tha = np.atleast_1d(np.asarray(th, dtype=float))
+    aa = np.asarray(a, dtype=float)
+    tha = np.asarray(th, dtype=float)
     N = roots.N
     expo = p.s - p.d - 2.0 * N - 1.5  # = nu + 1/2
     sa, ca = np.abs(np.sinh(aa)), np.cosh(aa)
@@ -743,14 +742,12 @@ def _ep_raw(p: P1Params, roots: BetheRoots, a, th):
             out = out * (ca2[k] - t) * (ct2[k] - t)
         return out
 
-    if np.ndim(a) == 0 and np.ndim(th) == 0:
-        logmag = logmag[0]
     return _exp_guarded(logmag, poly)
 
 
 def _hp_raw(p: P1Params, roots: BetheRoots, b, th):
-    ba = np.atleast_1d(np.asarray(b, dtype=float))
-    tha = np.atleast_1d(np.asarray(th, dtype=float))
+    ba = np.asarray(b, dtype=float)
+    tha = np.asarray(th, dtype=float)
     N = roots.N
     expo = p.s - p.d - 2.0 * N - 1.5
     sb, cb = np.abs(np.sinh(ba)), np.cosh(ba)
@@ -767,8 +764,6 @@ def _hp_raw(p: P1Params, roots: BetheRoots, b, th):
             out = out * (sb2[k] - t) * (st2[k] + t)
         return out
 
-    if np.ndim(b) == 0 and np.ndim(th) == 0:
-        logmag = logmag[0]
     return _exp_guarded(logmag, poly)
 
 

@@ -44,7 +44,14 @@ from .errors import (
     SolverFailureError,
 )
 from .geometry import AmbientPoint, AmbientPoints, chart_coordinates
-from .potential1 import BetheRoots, _residual, _stieltjes_roots, pt_factor
+from .potential1 import (
+    BetheRoots,
+    _residual,
+    _stieltjes_roots,
+    _window_top,
+    p1_n_max,
+    pt_factor,
+)
 
 __all__ = [
     "P2Params",
@@ -69,7 +76,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-_WINDOW_TOL = 1e-12
 
 #: fixture parameters for the semi-hyperbolic chart: e1 = conj(e2) = i, e3 = 0
 DEFAULT_SH_PARAMS = (0.0, 1.0, 0.0)
@@ -134,12 +140,7 @@ class P2Params:
 
     @cached_property
     def nmax(self) -> int | None:
-        span = self.M - self.d - 2.0
-        if span < _WINDOW_TOL:
-            return None
-        k = math.floor(span / 2.0)
-        if span - 2.0 * k <= _WINDOW_TOL:
-            k -= 1
+        k = _window_top(self.M - self.d - 2.0)
         return k if k >= 0 else None
 
     @cached_property
@@ -153,13 +154,6 @@ def p2_mu(p: P2Params, m: int) -> float:
     if m < 0 or m > p.m_max:
         raise OutOfWindowError(f"m = {m} outside window 0..{p.m_max}")
     return p.M - 2.0 * m - 1.0
-
-
-def p2_n_max(p: P2Params, mu: float) -> int:
-    k = math.floor((mu - 1.0 - p.d) / 2.0)
-    if mu - p.d - 2.0 * k - 1.0 <= _WINDOW_TOL:
-        k -= 1
-    return k
 
 
 def _check_level(p: P2Params, N: int):
@@ -199,7 +193,7 @@ def p2_spectrum(p: P2Params) -> list[dict]:
         states = []
         for m in range(0, min(N, p.m_max) + 1):
             mu = p2_mu(p, m)
-            if N - m <= p2_n_max(p, mu):
+            if N - m <= p1_n_max(p, mu):
                 states.append({"n": N - m, "m": m, "mu": mu})
         out.append({"N": N, "E": p2_energy(p, N),
                     "degeneracy": len(states), "states": states})
@@ -295,7 +289,7 @@ class P2State:
         if self.chart == "equidistant":
             n, m = self.numbers
             mu = p2_mu(self.params, m)
-            if n < 0 or n > p2_n_max(self.params, mu):
+            if n < 0 or n > p1_n_max(self.params, mu):
                 raise OutOfWindowError(f"(n, m) = {self.numbers} outside windows")
         elif self.chart == "semi-hyperbolic":
             if self.roots is None or self.chart_params is None:

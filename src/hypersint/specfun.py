@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    NonConvergenceError,
     NonFiniteValueError,
     OutOfDomainError,
     ParameterPoleError,
@@ -214,68 +213,28 @@ def _terminating_order(a: complex) -> int | None:
     return None
 
 
-def _hyp2f1_series(a: complex, b: complex, c: complex, z: complex,
-                   nmax: int | None = None) -> complex:
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    kmax = nmax if nmax is not None else 10_000
-    for k in range(kmax):
-        den = (c + k) * (k + 1.0)
-        if den == 0:
-            raise ParameterPoleError("hyp2f1: lower-parameter pole hit")
-        term = term * (a + k) * (b + k) * z / den
-        # Kahan step
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if nmax is None and abs(term) < 1e-17 * abs(total):
-            return total
-    if nmax is not None:
-        return total
-    raise NonConvergenceError("hyp2f1: series did not converge in 10000 terms")
-
-
 def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """Gauss hypergeometric 2F1(a, b; c; z).
+    """Terminating Gauss hypergeometric 2F1(a, b; c; z).
 
-    Exact finite sum when a or b is a non-positive integer; otherwise a
-    power series for small |z| with the Pfaff z/(z-1) and the 1-z connection
-    formulas as fallbacks.  Raises NonConvergenceError outside the covered
-    region.
+    a or b must be a non-positive integer -n; the value is the finite sum
+    of its n + 1 terms (Kahan summation).  Raises OutOfDomainError for a
+    non-terminating series and ParameterPoleError if (c)_k vanishes before
+    the sum terminates.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    na, nb = _terminating_order(a), _terminating_order(b)
-    if na is not None or nb is not None:
-        n = min(x for x in (na, nb) if x is not None)
-        # (c)_k must not vanish before the sum terminates.
-        nc = _terminating_order(c)
-        if nc is not None and nc < n:
-            raise ParameterPoleError("hyp2f1: (c)_k vanishes before termination")
-        return _hyp2f1_series(a, b, c, z, nmax=n)
-    if _is_nonpositive_integer(c):
-        raise ParameterPoleError("hyp2f1: c is a non-positive integer")
-    if z == 0:
-        return 1.0 + 0.0j
-    if abs(z) >= 1.0:
-        raise NonConvergenceError(
-            f"hyp2f1: non-terminating series at |z| = {abs(z):.6g} >= 1")
-    if abs(z) <= 0.7:
-        return _hyp2f1_series(a, b, c, z)
-    w = z / (z - 1.0)
-    if abs(w) <= 0.85:
-        # Pfaff transformation.
-        return (1.0 - z) ** (-a) * _hyp2f1_series(a, c - b, c, w)
-    u = 1.0 - z
-    cab = c - a - b
-    if abs(u) <= 0.75 and abs(cab - round(cab.real)) > 1e-8:
-        lg = log_gamma
-        f1 = cmath.exp(lg(c) + lg(cab) - lg(c - a) - lg(c - b))
-        f2 = cmath.exp(lg(c) + lg(-cab) - lg(a) - lg(b))
-        return f1 * _hyp2f1_series(a, b, a + b - c + 1.0, u) + \
-            f2 * u**cab * _hyp2f1_series(c - a, c - b, cab + 1.0, u)
-    raise NonConvergenceError(f"hyp2f1: argument z = {z} outside covered region")
+    orders = [k for k in map(_terminating_order, (a, b)) if k is not None]
+    if not orders:
+        raise OutOfDomainError(
+            f"hyp2f1: a or b must be a non-positive integer (got a = {a}, "
+            f"b = {b}); only terminating sums are implemented")
+    n = min(orders)
+    nc = _terminating_order(c)
+    if nc is not None and nc < n:
+        raise ParameterPoleError("hyp2f1: (c)_k vanishes before termination")
+    terms = [1.0 + 0.0j]
+    for k in range(n):
+        terms.append(terms[-1] * (a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
+    return _compensated_sum(terms)
 
 
 def _hyp3f2_terms(n: int, b: complex, c: complex, d: complex,
@@ -406,14 +365,8 @@ def tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _eval_vec(f: Callable, x: np.ndarray) -> np.ndarray:
-    """The integrand on the nodes x: one array call, or one call per node
-    if f does not take arrays."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        y = np.array([float(f(xi)) for xi in x])
+    """The integrand on the nodes x, in one array call."""
+    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
     if not np.all(np.isfinite(y)):
         raise NonFiniteValueError("integrate: integrand returned a non-finite value")
     return y
@@ -477,8 +430,9 @@ def integrate(f: Callable, spec: QuadratureSpec) -> tuple[float, float]:
 
     The value is sum(w * f(x)) on ``quadrature_rule(spec)``; the error
     estimate is the difference against the next-coarser level.  The
-    integrand is called on numpy arrays of nodes (scalar fallback if it
-    raises).  Deterministic for a fixed spec.
+    integrand must be array-safe: it is called on a numpy array of nodes
+    and returns one value per node (or a scalar).  Deterministic for a
+    fixed spec.
     """
     coarse_spec = replace(spec, level=max(1, spec.level - 1))
     value, coarse = (float(np.sum(w * _eval_vec(f, x)))

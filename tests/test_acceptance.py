@@ -109,12 +109,7 @@ def test_criterion_04_eigen_residuals():
     r2 = alg.eigen_residual(alg.build_operator("L2", P1FIX),
                             p1.wf_ambient(sth), lam2, pts)
     stw = p2.P2State(P2FIX, "equidistant", (0, 0))
-
-    def wf(q):
-        c = geo.ambient_to_chart(q, "equidistant")
-        return complex(np.asarray(
-            p2.p2_wf_equidistant(stw, c.u1, c.u2)).reshape(()))
-    r3 = alg.eigen_residual(alg.build_operator("L1", P2FIX), wf,
+    r3 = alg.eigen_residual(alg.build_operator("L1", P2FIX), p2.wf_ambient(stw),
                             p2.p2_mu(P2FIX, 0) ** 2, pts)
     ok = max(r1, r2, r3) <= 1e-6
     report(4, ok, f"L1 {r1:.2e}, L2 {r2:.2e}, v2-L1 {r3:.2e} at 50 points")
@@ -160,7 +155,7 @@ def test_criterion_06_interbasis():
 
 
 def test_criterion_07_linear_relations():
-    fs = (lambda q: q.w2 * math.exp(-q.w0),
+    fs = (lambda q: q.w2 * np.exp(-q.w0),
           lambda q: q.w0**2 / (1.0 + q.w2**2))
     pts = eq_points(43, 8)
     res_h = [max(r.residual for r in alg.check_linear_relations(

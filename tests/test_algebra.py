@@ -46,7 +46,7 @@ def test_n2_is_l2_minus_constant(p1_fixture):
                + 2.0 * p1_fixture.gamma**2) < 1e-14
     # difference acts as multiplication by the constant -2 gamma^2
     q = geo.chart_to_ambient(geo.ChartPoint("equidistant", 0.6, 0.2))
-    f = lambda p: p.w0 * math.exp(-p.w2**2)
+    f = lambda p: p.w0 * np.exp(-p.w2**2)
     dv = geo.apply_operator(n2, f, q) - geo.apply_operator(l2, f, q)
     assert abs(dv + 2.0 * p1_fixture.gamma**2 * f(q)) <= 1e-9
 
@@ -150,12 +150,7 @@ def test_v2_sh_l2_eigenvalue_matches_closed_lambda(p2_deep):
 def test_v2_ssh17_relation(p2_fixture):
     # L1 = -L12 + beta^2 - alpha^2 reproduces the mu^2 eigenvalue
     p = p2_fixture
-    st = p2.P2State(p, "equidistant", (0, 0))
-
-    def wf(q):
-        c = geo.ambient_to_chart(q, "equidistant")
-        return complex(np.asarray(
-            p2.p2_wf_equidistant(st, c.u1, c.u2)).reshape(()))
+    wf = p2.wf_ambient(p2.P2State(p, "equidistant", (0, 0)))
     l12 = alg.build_operator("L12", p)
     mu2 = p2.p2_mu(p, 0) ** 2
     worst = 0.0
@@ -171,12 +166,7 @@ def test_v2_hamiltonian_decomposition(p2_fixture):
     # H = (L12 + L13 + L23)/2 - (sum k^2)/2 + 3/8; the published constant
     # 3/4 leaves an exact 3/8 defect
     p = p2_fixture
-    st = p2.P2State(p, "equidistant", (0, 0))
-
-    def wf(q):
-        c = geo.ambient_to_chart(q, "equidistant")
-        return complex(np.asarray(
-            p2.p2_wf_equidistant(st, c.u1, c.u2)).reshape(()))
+    wf = p2.wf_ambient(p2.P2State(p, "equidistant", (0, 0)))
     ops = [alg.build_operator(o, p) for o in ("L12", "L13", "L23")]
     ksq = p.k1**2 + p.k2**2 + p.k3**2
     e0 = p2.p2_energy(p, 0)
@@ -203,7 +193,7 @@ def test_linear_relations_on_constant(p1_fixture):
 
 
 def test_linear_relations_on_smooth_functions(p1_fixture):
-    fs = (lambda q: q.w2 * math.exp(-q.w0),
+    fs = (lambda q: q.w2 * np.exp(-q.w0),
           lambda q: q.w0**2 / (1.0 + q.w2**2))
     reps = alg.check_linear_relations(p1_fixture, fs, eq_points())
     assert [r.identity for r in reps] == ["linRel3", "linRel4"]
@@ -214,25 +204,17 @@ def test_linear_relations_on_smooth_functions(p1_fixture):
 def test_linear_relations_at_roundoff_floor_for_all_h(p1_fixture):
     # the relations cancel at the coefficient level, so the defect sits at
     # the round-off floor for every step size (no h^2 term survives)
-    fs = (lambda q: q.w2 * math.exp(-q.w0),)
+    fs = (lambda q: q.w2 * np.exp(-q.w0),)
     pts = eq_points(n=4)
     for h in (2e-3, 1e-3):
         for r in alg.check_linear_relations(p1_fixture, fs, pts, h=h):
             assert r.residual <= 1e-12
 
 
-def _exp(x):
-    # math.exp on a scalar or element by element: rounds as the scalar path
-    if isinstance(x, np.ndarray):
-        return np.array([math.exp(v) for v in x.tolist()])
-    return math.exp(x)
-
-
 def test_linear_relations_one_call_per_operator_and_function(p1_fixture,
                                                             monkeypatch):
-    # array-safe test functions: one batched apply_operator call per
-    # operator and function, L1 and L2 shared by both relations (4 x 2 = 8;
-    # point by point it was 2 relations x 3 operators x 2 x 10 points = 120)
+    # one batched apply_operator call per operator and function, L1 and L2
+    # shared by both relations (4 x 2 = 8)
     calls = []
     apply = alg.apply_operator
 
@@ -240,21 +222,10 @@ def test_linear_relations_one_call_per_operator_and_function(p1_fixture,
         calls.append(isinstance(q, geo.AmbientPoints))
         return apply(op, f, q, **kw)
     monkeypatch.setattr(alg, "apply_operator", counted)
-    pts = eq_points()
-    batched = alg.check_linear_relations(
-        p1_fixture, (lambda q: q.w2 * _exp(-q.w0),
-                     lambda q: q.w0**2 / (1.0 + q.w2**2)), pts)
+    alg.check_linear_relations(
+        p1_fixture, (lambda q: q.w2 * np.exp(-q.w0),
+                     lambda q: q.w0**2 / (1.0 + q.w2**2)), eq_points())
     assert calls == [True] * 8
-    # scalar-only functions fall back to single points, with the same result;
-    # squares are written as products, since a Python float's ** calls libm
-    # pow, which can round x**2 apart from numpy's x*x
-    calls.clear()
-    pointwise = alg.check_linear_relations(
-        p1_fixture, (lambda q: float(q.w2) * math.exp(-q.w0),
-                     lambda q: float(q.w0) * float(q.w0)
-                     / (1.0 + float(q.w2) * float(q.w2))), pts)
-    assert calls == [False] * 80
-    assert [r.residual for r in batched] == [r.residual for r in pointwise]
 
 
 def test_batched_operator_calls_function_once(p1_fixture):
@@ -377,10 +348,11 @@ def _old_equidistant_closure(st):
     return wf
 
 
-# Noise floor of batch against scalar evaluation: the vectorized wavefunction
-# values differ from scalar calls by <= 4.4e-16 relative, and a word of order
-# k divides that by h^k: about 4e-10 at h = 1e-3 (second order) and 6e-8 at
-# h = 2e-3 (third order, R).  Measured: <= 3e-11 and 3e-10.
+# An n-point batch against n one-point batches: they differ only if the
+# batch path mixes values across points.  The bounds date from a scalar
+# reference, whose values differed from vectorized ones by <= 4.4e-16
+# relative; a word of order k divides that by h^k: about 4e-10 at h = 1e-3
+# (second order) and 6e-8 at h = 2e-3 (third order, R).
 P1_OPS = ["L1", "L2", "L3", "L4", "L3_display", "L4_display", "N1", "N2",
           "R", "H"]
 P2_OPS = ["L1", "L12", "L13", "L23", "L2", "H"]
@@ -446,16 +418,3 @@ def test_p2_semihyperbolic_batch_matches_points(p2_deep):
     batch = p2.wf_ambient(st)(geo.AmbientPoints.stack(pts))
     ref = np.array([p2.p2_wf_semihyperbolic(st, q) for q in pts])
     assert np.max(np.abs(batch - ref) / np.abs(ref)) <= 1e-14
-
-
-def test_eigen_residual_accepts_scalar_only_wf(p2_fixture):
-    # a function that only takes one AmbientPoint is applied point by point,
-    # through the same stencils
-    st = p2.P2State(p2_fixture, "equidistant", (0, 0))
-    wf = _old_equidistant_closure(st)
-    op = alg.build_operator("L1", p2_fixture)
-    mu2 = p2.p2_mu(p2_fixture, 0) ** 2
-    pts = eq_points(n=6)
-    ref = max(abs(geo.apply_operator(op, wf, q, h=alg.EIGEN_STEP)
-                  - mu2 * wf(q)) / abs(wf(q)) for q in pts)
-    assert alg.eigen_residual(op, wf, mu2, pts) == ref

@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from hypersint import cli as hcli
+from hypersint import geometry as geo
 from hypersint import potential1 as p1
+from hypersint.errors import OutOfDomainError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -118,6 +121,27 @@ def test_wavefunction_parabolic_zone_selection():
     assert code == 0
     meta = json.loads(out)["meta"]
     assert abs(meta["roots"][0] - (7 - math.sqrt(35)) / 2) < 1e-9
+
+
+@pytest.mark.parametrize("chart, quantum", [
+    ("elliptic-parabolic", "1,0,1"), ("hyperbolic-parabolic", "1,0,1"),
+    ("horicyclic", "1,1")])
+def test_wavefunction_cells_outside_the_chart_are_null(chart, quantum):
+    # the grid crosses every edge of the chart's domain (a, b or y = 0,
+    # theta = 0 and |theta| = pi/2): exactly the cells ChartPoint rejects
+    # are null, the others are evaluated, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_main(["wavefunction", "--chart", chart, "--quantum",
+                              quantum, "--grid", "13x13:-2,2,-2,2"])
+    assert code == 0
+    for r in json.loads(out)["records"]:
+        try:
+            geo.ChartPoint(chart, r["u1"], r["u2"])
+        except OutOfDomainError:
+            assert r["psi"] is None and r["abs2"] is None
+        else:
+            assert r["psi"] is not None
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def test_apply_generator_convergence_order():
 
 def test_commutators_numerically():
     rng = np.random.default_rng(5)
-    f = lambda p: p.w0**2 * math.exp(-p.w0) + p.w1 * p.w2
+    f = lambda p: p.w0**2 * np.exp(-p.w0) + p.w1 * p.w2
 
     def comm(g1, g2, q):
         a = lambda p: geo.apply_generator(g2, f, p)

@@ -5,6 +5,7 @@ import pytest
 
 from hypersint import geometry as geo
 from hypersint import potential1 as p1
+from hypersint import potential2 as p2
 from hypersint import specfun as sf
 from hypersint.errors import (
     NoBoundStateError,
@@ -43,6 +44,65 @@ def test_empty_spectrum():
     assert p.nmax is None
     with pytest.raises(NoBoundStateError):
         p1.p1_energy(p, 0)
+
+
+# The five window formulas as they stood before they shared one helper,
+# copied verbatim (P1Params.nmax and P2Params.nmax had the same form).
+def _old_nmax(span):
+    if span < 1e-12:
+        return None
+    k = math.floor(span / 2.0)
+    if span - 2.0 * k <= 1e-12:
+        k -= 1
+    return k if k >= 0 else None
+
+
+def _old_m_max(s):
+    k = math.floor((s - 1.0) / 2.0)
+    if s - 2.0 * k - 1.0 <= 1e-12:
+        k -= 1
+    return k
+
+
+def _old_n_max(d, mu):
+    k = math.floor((mu - 1.0 - d) / 2.0)
+    if mu - d - 2.0 * k - 1.0 <= 1e-12:
+        k -= 1
+    return k
+
+
+def _check_windows(p, p2p):
+    assert p.nmax == _old_nmax(p.s - p.d - 2.0)
+    assert p.m_max == _old_m_max(p.s)
+    assert p2p.nmax == _old_nmax(p2p.M - p2p.d - 2.0)
+    mus = [p.s - 2.0 * m - 1.0 for m in range(max(p.m_max, 0) + 2)]
+    mus += [p2p.M - 2.0 * m - 1.0 for m in range(p2p.m_max + 2)]
+    for mu in mus:
+        assert p1.p1_n_max(p, mu) == _old_n_max(p.d, mu)
+        assert p1.p1_n_max(p2p, mu) == _old_n_max(p2p.d, mu)
+
+
+def test_windows_match_the_separate_formulas():
+    rng = np.random.default_rng(31)
+    for _ in range(1000):
+        t = (rng.uniform(0.05, 2.0), rng.uniform(0.05, 3.0),
+             rng.uniform(0.3, 6.0))
+        _check_windows(p1.P1Params(*t), p2.P2Params(*t))
+    # d = 1.5 and sqrt2 beta = 1 (to rounding): s = gamma^2 lands on the
+    # window boundaries (odd s for m, s - 3.5 even for N and n) and next to
+    # them, where the 1e-12 tolerance decides
+    beta = 1.0 / math.sqrt(2.0)
+    for s in (5.0, 5.5, 7.0, 7.5, 8.0, 9.0, 9.5, 13.5):
+        for rel in (0.0, 1e-16, -1e-16, 1e-15, -1e-15, 1e-13, -1e-13,
+                    1e-11, -1e-11):
+            gamma = math.sqrt(s * (1.0 + rel))
+            _check_windows(p1.P1Params(1.0, beta, gamma),
+                           p2.P2Params(1.0, beta, gamma))
+    # exact spans at and next to the boundaries
+    for k in range(-1, 4):
+        for eps in (0.0, 5e-13, -5e-13, 1e-12, 2e-12, -2e-12):
+            top = p1._window_top(2.0 * k + eps)
+            assert (top if top >= 0 else None) == _old_nmax(2.0 * k + eps)
 
 
 def test_mu_quantization(p1_fixture):

@@ -138,11 +138,7 @@ def test_equidistant_wavefunction_realness(p2_fixture):
 
 def test_equidistant_satisfies_schrodinger(p2_fixture):
     p = p2_fixture
-    st = p2.P2State(p, "equidistant", (0, 0))
-
-    def wf(q):
-        c = geo.ambient_to_chart(q, "equidistant")
-        return complex(np.asarray(p2.p2_wf_equidistant(st, c.u1, c.u2)).reshape(()))
+    wf = p2.wf_ambient(p2.P2State(p, "equidistant", (0, 0)))
     lb = geo.laplace_beltrami()
     rng = np.random.default_rng(26)
     e0 = p2.p2_energy(p, 0)
