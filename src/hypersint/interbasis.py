@@ -26,10 +26,13 @@ cosh^{-1-2mu-2m}, and the prefactor differs by level-dependent factors.
 The canonical variant is the one all invariants are stated for; the printed
 variant exists so the discrepancy can be measured and reported.
 
-All three share one assembly: each call builds the row index arrays, a
-table of every distinct log-gamma argument (evaluated once per call) and,
-for quadrature, the node tables of each node count; a column's entries are
-then formed together, with one Jacobi evaluation per column and node count.
+Each call assembles its whole matrix in a fixed number of array passes:
+a table of every distinct log-gamma argument (evaluated once per call);
+prefactors formed as a column of row terms and a row of column terms,
+added in the order of the scalar formulas; the 3F2/Hahn terms of all
+entries from one recurrence over k; and, for quadrature, the Jacobi values
+of all open columns from one recurrence per node count.  The entries equal
+those of the per-entry scalar formulas bit for bit.
 The 3F2 and Hahn matrices carry ``cancellation``, the largest ratio
 sum|t_k| / |sum t_k| of their terminating sums; round-off in an entry grows
 with it (about 1e16 at N = 10 on deep wells, where orthogonality is lost).
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import potential1 as p1m
 from . import specfun as sf
-from .errors import OutOfDomainError
+from .errors import OutOfDomainError, ParameterPoleError
 from .potential1 import P1Params, P1State
 
 __all__ = [
@@ -103,22 +106,30 @@ class _LogGammaTable(dict):
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):
-            return np.array([self[v] for v in x.tolist()])
+            return _each(self.__getitem__, x)
         return self[x]
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    # math.exp element by element: np.exp can differ in the last bit, and the
-    # entries must equal those of the scalar formulas
-    return np.array([math.exp(v) for v in x.tolist()])
+def _each(f, x: np.ndarray) -> np.ndarray:
+    # f (math.exp, math.log) element by element: numpy's can differ in the
+    # last bit, and the entries must equal those of the scalar formulas
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 class _Level:
-    """What all entries of one level-N matrix share: the index sets (rows as
-    float arrays n1, n2), nu, the log-gamma table and the node tables."""
+    """What all entries of one level-N matrix share: the index sets, nu,
+    the log-gamma table and the node tables.
+
+    The rows (n1, n2) are held as columns and the columns (n, m, mu) and
+    their signs (-1)^n as rows, so an entry is a broadcast sum or product
+    of row and column terms, taken in the scalar formula's order; ``col(f)``
+    forms a column quantity by its scalar formula f.  The columns are
+    ordered by m ascending, so n = N - j falls along them and the entries
+    whose k-th term or factor exists form the first N - k columns.
+    """
 
     def __init__(self, p: P1Params, N: int, variant: str):
-        self.p, self.d, self.nu = p, p.d, p1m.p1_nu(p, N)
+        self.p, self.N, self.d, self.nu = p, N, p.d, p1m.p1_nu(p, N)
         self.rows = tuple(p1m.level_states_horicyclic(p, N))
         self.cols = tuple(p1m.level_states_equidistant(p, N))
         if len(self.cols) != N + 1:
@@ -127,9 +138,17 @@ class _Level:
         if variant not in ("canonical", "printed"):
             raise OutOfDomainError(f"unknown variant {variant!r}")
         self.canonical = variant == "canonical"
-        self.n1, self.n2 = np.array(self.rows, dtype=float).T
+        self.mus = [p1m.p1_mu(p, m) for _, m in self.cols]
+        self.n1, self.n2 = np.array(self.rows, dtype=float).T[:, :, None]
+        self.n, self.m, self.mu, self.sign = self.col(
+            lambda n, m, mu: (n, m, mu, (-1.0) ** n))[0].T[:, None, :]
         self.lg = _LogGammaTable()
         self._nodes = {}
+
+    def col(self, f) -> np.ndarray:
+        """f(n, m, mu) of every column, as a row."""
+        return np.array([[f(n, m, mu) for (n, m), mu in zip(self.cols, self.mus)]],
+                        dtype=float)
 
     def nodes(self, n_nodes: int):
         """(w, cosh 2a, log sin phi, log cos phi) on the phi-mapped rule."""
@@ -141,8 +160,15 @@ class _Level:
                                     np.log(sp), np.log(cp))
         return self._nodes[n_nodes]
 
+    def rising(self, a: np.ndarray) -> np.ndarray:
+        """(a)_n of every entry of a, n the column's, as a product."""
+        out = np.ones(a.shape)
+        for k in range(self.N):
+            out[:, :self.N - k] *= a[:, :self.N - k] + k
+        return out
 
-def _log_k0(lv: _Level, m: int, mu: float) -> np.ndarray:
+
+def _log_k0(lv: _Level) -> np.ndarray:
     """log of the positive projection constant multiplying the a-integral.
 
     K0 = (m! mu / nu) chat C1 C2 / (C_m n1! n2!) with chat the canonical
@@ -154,99 +180,98 @@ def _log_k0(lv: _Level, m: int, mu: float) -> np.ndarray:
     log_c1 = 0.5 * (lg(n1 + 1.0) + 0.5 * math.log(sb) - lg(n1 + d + 1.0))
     log_c2 = 0.5 * (math.log(2.0) + lg(n2 + 1.0) + 0.5 * math.log(sb)
                     - lg(n2 + nu + 1.0))
-    log_cm = 0.5 * (math.log(2.0 * mu) + lg(m + 1.0) - lg(m + mu + 1.0))
-    return (lg(m + 1.0) + math.log(mu) - math.log(nu) + log_chat
-            + log_c1 + log_c2 - log_cm - lg(n1 + 1.0) - lg(n2 + 1.0))
+    log_cm = lv.col(lambda n, m, mu: 0.5 * (
+        math.log(2.0 * mu) + lg(m + 1.0) - lg(m + mu + 1.0)))
+    head = lv.col(lambda n, m, mu: (
+        lg(m + 1.0) + math.log(mu) - math.log(nu) + log_chat))
+    return (head + log_c1 + log_c2 - log_cm - lg(n1 + 1.0) - lg(n2 + 1.0))
 
 
-def _log_an(lv: _Level, n: int, mu: float) -> float:
-    d, lg = lv.d, lv.lg
-    return 0.5 * (math.log(2.0 * lv.nu) + lg(mu - n) + lg(n + 1.0)
-                  - lg(mu - d - n) - lg(1.0 + n + d))
+def _log_an(lv: _Level) -> np.ndarray:
+    d, lg, nu = lv.d, lv.lg, lv.nu
+    return lv.col(lambda n, m, mu: 0.5 * (
+        math.log(2.0 * nu) + lg(mu - n) + lg(n + 1.0)
+        - lg(mu - d - n) - lg(1.0 + n + d)))
 
 
-def _sums(parts) -> tuple[np.ndarray, list[float]]:
-    """Re(pref * sum_k t_k) of each (pref, terms) in parts, by the compensated
-    sum of ``specfun``, and each sum's cancellation sum|t_k| / |sum t_k|."""
-    vals, ratios = [], []
-    for pref, terms in parts:
-        total = sf._compensated_sum(terms)
-        vals.append((pref * total).real)
-        ratios.append(sum(map(abs, terms)) / abs(total) if total else math.inf)
-    return np.array(vals), ratios
+def _sums(lv: _Level, b, c, d, e) -> tuple[np.ndarray, float]:
+    """The terminating 3F2(-n, b, c; d, e; 1) of every entry (n the
+    column's), and the largest cancellation ratio sum|t_k| / |sum t_k|.
+
+    One recurrence over k serves all entries, and each entry's compensated
+    sum stops at its own n + 1 terms.  The arithmetic is that of
+    ``specfun.hyp3f2_unit`` on real parameters, whose complex terms keep a
+    zero imaginary part.
+    """
+    shape = (len(lv.rows), len(lv.cols))
+    t, total = np.ones(shape), np.ones(shape)
+    comp, mass = np.zeros(shape), np.ones(shape)
+    for k in range(lv.N):
+        j = lv.N - k
+        den = (d[:, :j] + k) * (e[:, :j] + k) * (k + 1.0)
+        if np.any(den == 0):
+            raise ParameterPoleError(
+                f"hyp3f2_unit: lower parameter hits a pole at k = {k}")
+        t = t[:, :j] * (k - lv.n[:, :j]) * (b[:, :j] + k) * (c[:, :j] + k) / den
+        y = t - comp[:, :j]
+        s = total[:, :j] + y
+        comp[:, :j] = (s - total[:, :j]) - y
+        total[:, :j] = s
+        mass[:, :j] += np.abs(t)
+    ratio = np.divide(mass, np.abs(total), out=np.full(shape, math.inf),
+                      where=total != 0)
+    return total, float(np.max(ratio))
 
 
-def _a_integrals(lv: _Level, n: int, mu: float, cosh_pow: float,
-                 sinh_pow: np.ndarray,
+def _a_integrals(lv: _Level, cosh_pow: np.ndarray,
                  tol: float = 1e-13) -> tuple[np.ndarray, float]:
-    """int_0^inf sinh^s cosh^cosh_pow P_n^{(d,-mu)}(cosh 2a) da, s in sinh_pow,
+    """int_0^inf sinh^s cosh^cosh_pow P_n^{(d,-mu)}(cosh 2a) da of every
+    entry, with s = 1 + 2d + 2 n1 by row and cosh_pow, n and mu by column;
     and the largest last-doubling difference of an unconverged integral.
 
     Substitution u = tanh a followed by u = sin(phi) (which turns the
     (1-u^2)^{half-integer} endpoint branch into an analytic factor), then
-    Gauss-Legendre on (0, pi/2) with node doubling.  The integrals share one
-    Jacobi evaluation per node count; each stops at the first node count
-    where it agrees with the previous one, |val - prev| <= tol max(1, |val|).
-    An integral that never does takes the last node count's value; the
-    second result is the largest |val - prev| / max(1, |val|) among those
-    (0.0 when every integral converged).
+    Gauss-Legendre on (0, pi/2) with node doubling.  At each node count,
+    the Jacobi values of all open columns come from one recurrence.  Each
+    integral stops at the first node count where it agrees with the
+    previous one, |val - prev| <= tol max(1, |val|); a column is open
+    while one of its integrals is.  An integral that never stops takes the
+    last node count's value; the second result is the largest
+    |val - prev| / max(1, |val|) among those (0.0 when every integral
+    converged).
     """
-    s = sinh_pow[:, None]
+    d = lv.d
+    s = 1.0 + 2.0 * d + 2.0 * lv.n1
     c = s + cosh_pow + 1.0
-    out = np.empty(len(sinh_pow))
-    todo = np.ones(len(sinh_pow), dtype=bool)
-    prev = None
+    degrees, b = np.array([[n] for n, _ in lv.cols]), -lv.mu.T
+    out = np.empty(c.shape)
+    todo = np.ones(c.shape, dtype=bool)
+    cols, prev, step = list(range(len(lv.cols))), {}, {}
     for n_nodes in (48, 96, 192, 384, 768):
         w, arg, log_sp, log_cp = lv.nodes(n_nodes)
-        poly = np.real(sf.jacobi(n, lv.d, -mu, arg))
-        val = _HALF * np.sum(w * (np.exp(s * log_sp - c * log_cp) * poly),
-                             axis=1)
-        if prev is not None:
-            step = np.abs(val - prev)
-            done = todo & (step <= tol * np.maximum(1.0, np.abs(val)))
-            out[done] = val[done]
-            todo &= ~done
-            if not todo.any():
-                return out, 0.0
-        prev = val
-    out[todo] = val[todo]
-    return out, float(np.max(step[todo] / np.maximum(1.0, np.abs(val[todo]))))
-
-
-def _assemble(p: P1Params, N: int, method: str, variant: str,
-              column) -> InterbasisMatrix:
-    """The matrix, one column at a time: ``column(lv, n, m, mu)`` returns the
-    column's entries, the cancellation ratios of its sums (or None) and the
-    unconverged-integral difference of its integrals (or None)."""
-    lv = _Level(p, N, variant)
-    ent = np.zeros((N + 1, N + 1))
-    ratios, diffs = [], []
-    for j, (n, m) in enumerate(lv.cols):
-        ent[:, j], col_ratios, col_diff = column(lv, n, m, p1m.p1_mu(p, m))
-        ratios += col_ratios or []
-        if col_diff is not None:
-            diffs.append(col_diff)
-    return InterbasisMatrix(N, method, variant, ent, lv.rows, lv.cols,
-                            max(ratios) if ratios else None,
-                            max(diffs) if diffs else None)
-
-
-def _quadrature_column(lv: _Level, n: int, m: int, mu: float):
-    d, lg, n1, n2 = lv.d, lv.lg, lv.n1, lv.n2
-    cosh_pow = (-(1.0 + 2.0 * mu + 2.0 * m) if lv.canonical
-                else 1.0 - 2.0 * mu - 2.0 * m)
-    val, unconverged = _a_integrals(lv, n, mu, cosh_pow,
-                                    1.0 + 2.0 * d + 2.0 * n1)
-    if lv.canonical:
-        logk = _log_k0(lv, m, mu) + _log_an(lv, n, mu)
-    else:
-        logk = 0.5 * (
-            lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * lv.p.beta)
-            + math.log(mu - d - 2.0 * n - 1.0) + lg(mu + m + 1.0)
-            + lg(mu - n) - lg(n1 + 1.0) - lg(n2 + 1.0) - math.log(mu)
-            - lg(n1 + d + 1.0) - lg(n2 + d + 1.0) - lg(n + d + 1.0)
-            - lg(mu - d - n))
-    return (-1.0) ** n * _exp(logk) * val, None, unconverged
+        polys = np.real(sf.jacobi(degrees[cols], d, b[cols], arg))
+        still = []
+        for j, poly in zip(cols, polys):
+            val = _HALF * np.sum(
+                w * (np.exp(s * log_sp - c[:, j, None] * log_cp) * poly), axis=1)
+            if j in prev:
+                step[j] = np.abs(val - prev[j])
+                done = todo[:, j] & (step[j] <= tol * np.maximum(1.0, np.abs(val)))
+                out[done, j] = val[done]
+                todo[:, j] &= ~done
+                if not todo[:, j].any():
+                    continue
+            prev[j] = val
+            still.append(j)
+        cols = still
+        if not cols:
+            return out, 0.0
+    diffs = [0.0] * len(lv.cols)
+    for j in cols:
+        val, rows = prev[j], todo[:, j]
+        out[rows, j] = val[rows]
+        diffs[j] = float(np.max(step[j][rows] / np.maximum(1.0, np.abs(val[rows]))))
+    return out, max(diffs)
 
 
 def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -260,7 +285,25 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
     printed: verbatim published prefactor and the integrand with
     cosh^{1-2mu-2m}, integral read over (0, inf).
     """
-    return _assemble(p, N, "quadrature", variant, _quadrature_column)
+    lv = _Level(p, N, variant)
+    d, lg, n1, n2, n, m, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.m, lv.mu
+    cosh_pow = (-(1.0 + 2.0 * mu + 2.0 * m) if lv.canonical
+                else 1.0 - 2.0 * mu - 2.0 * m)
+    val, unconverged = _a_integrals(lv, cosh_pow)
+    if lv.canonical:
+        logk = _log_k0(lv) + _log_an(lv)
+    else:
+        head = lv.col(lambda n, m, mu: (
+            lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * p.beta)
+            + math.log(mu - d - 2.0 * n - 1.0) + lg(mu + m + 1.0)
+            + lg(mu - n)))
+        logk = 0.5 * (
+            head - lg(n1 + 1.0) - lg(n2 + 1.0) - _each(math.log, mu)
+            - lg(n1 + d + 1.0) - lg(n2 + d + 1.0) - lg(n + d + 1.0)
+            - lg(mu - d - n))
+    return InterbasisMatrix(N, "quadrature", variant,
+                            lv.sign * _each(math.exp, logk) * val,
+                            lv.rows, lv.cols, None, unconverged)
 
 
 def _signed_pochhammer_log(a: float, n: int) -> tuple[float, float]:
@@ -276,30 +319,6 @@ def _signed_pochhammer_log(a: float, n: int) -> tuple[float, float]:
     return sign, logmag
 
 
-def _3f2_column(lv: _Level, n: int, m: int, mu: float):
-    d, lg, n1, n2 = lv.d, lv.lg, lv.n1, lv.n2
-    c, e = ((-mu - m, 1.0 + d + n1 - mu - m) if lv.canonical
-            else (1.0 - mu - m, 2.0 + n1 + d - mu - m))
-    f32, ratios = _sums((1.0, sf._hyp3f2_terms(n, n + d - mu + 1.0, c, 1.0 - mu, ei))
-                        for ei in e.tolist())
-    if lv.canonical:
-        sgn, logp = _signed_pochhammer_log(1.0 - mu, n)
-        logmag = (_log_k0(lv, m, mu)
-                  + _log_an(lv, n, mu) + logp - lg(n + 1.0)
-                  - math.log(2.0) + lg(1.0 + d + n1)
-                  + lg(mu + m - d - n1) - lg(1.0 + mu + m))
-        return sgn * _exp(logmag) * f32, ratios, None
-    logmag = 0.5 * (
-        lg(m + 1.0) + math.log(SQRT2 * lv.p.beta)
-        + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
-        + lg(n1 + d + 1.0) - lg(n + 1.0) - lg(n1 + 1.0)
-        - lg(n2 + 1.0) - math.log(mu) - lg(n2 + d + 1.0)
-        - lg(n + d + 1.0) - lg(mu - n - d)
-        - lg(mu - n) - lg(mu + m))
-    logmag += (lg(mu) + lg(mu + m - d - n1 - 1.0) - math.log(2.0))
-    return (-1.0) ** n * _exp(logmag) * f32, ratios, None
-
-
 def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
     """Closed form of the overlap: terminating 3F2 at unit argument.
 
@@ -312,29 +331,33 @@ def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
     printed: the published display (whose lower/upper parameters and Gamma
     arguments sit one unit away from the canonical ones).
     """
-    return _assemble(p, N, "3f2", variant, _3f2_column)
-
-
-def _hahn_column(lv: _Level, n: int, m: int, mu: float):
-    d, lg, n1, n2 = lv.d, lv.lg, lv.n1, lv.n2
-    x, big_n = ((mu + m, mu + m - d - n1) if lv.canonical
-                else (mu + m + 1.0, mu + m - d - n1 - 1.0))
-    h, ratios = _sums(sf._hahn_parts(n, d, -mu, x, bn) for bn in big_n.tolist())
+    lv = _Level(p, N, variant)
+    d, lg, n1, n2, n, m, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.m, lv.mu
+    c, e = ((-mu - m, 1.0 + d + n1 - mu - m) if lv.canonical
+            else (1.0 - mu - m, 2.0 + n1 + d - mu - m))
+    f32, ratio = _sums(lv, n + d - mu + 1.0, c, 1.0 - mu, e)
     if lv.canonical:
-        logmag = (_log_k0(lv, m, mu)
-                  + _log_an(lv, n, mu) - math.log(2.0)
-                  + lg(1.0 + d + n1) + lg(mu + m - d - n1 - n)
-                  - lg(1.0 + mu + m))
-    else:
-        logmag = 0.5 * (
-            lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * lv.p.beta)
-            + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)
-            - lg(n1 + 1.0) - lg(n2 + 1.0) - math.log(mu)
-            - lg(n + d + 1.0) - lg(mu - n - d)
-            + lg(n1 + d + 1.0) + lg(mu - n)
-            - lg(n2 + d + 1.0) - lg(mu + m))
-        logmag += lg(mu + m - d - n1 - n - 1.0) - math.log(2.0)
-    return (-1.0) ** n * _exp(logmag) * h, ratios, None
+        sgn, logp = lv.col(
+            lambda n, m, mu: _signed_pochhammer_log(1.0 - mu, n))[0].T
+        logmag = (_log_k0(lv)
+                  + _log_an(lv) + logp - lg(n + 1.0)
+                  - math.log(2.0) + lg(1.0 + d + n1)
+                  + lg(mu + m - d - n1) - lg(1.0 + mu + m))
+        return InterbasisMatrix(N, "3f2", variant,
+                                sgn * _each(math.exp, logmag) * f32,
+                                lv.rows, lv.cols, ratio)
+    head = lv.col(lambda n, m, mu: (
+        lg(m + 1.0) + math.log(SQRT2 * p.beta)
+        + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)))
+    logmag = 0.5 * (
+        head + lg(n1 + d + 1.0) - lg(n + 1.0) - lg(n1 + 1.0)
+        - lg(n2 + 1.0) - _each(math.log, mu) - lg(n2 + d + 1.0)
+        - lg(n + d + 1.0) - lg(mu - n - d)
+        - lg(mu - n) - lg(mu + m))
+    logmag += (lg(mu) + lg(mu + m - d - n1 - 1.0) - math.log(2.0))
+    return InterbasisMatrix(N, "3f2", variant,
+                            lv.sign * _each(math.exp, logmag) * f32,
+                            lv.rows, lv.cols, ratio)
 
 
 def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -346,8 +369,38 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
 
     printed: h_n^{(d,-mu)}(mu+m+1, mu+m-d-n1-1) with the published
     prefactor.
+
+    Each h_n^{(alpha,beta)}(x, M) = ((-1)^n / n!) (M-n)_n (beta+1)_n
+    3F2(-n, alpha+beta+n+1, -x; beta+1, 1-M; 1) is formed with the
+    arithmetic of ``specfun.hahn``.
     """
-    return _assemble(p, N, "hahn", variant, _hahn_column)
+    lv = _Level(p, N, variant)
+    d, lg, n1, n2, n, m, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.m, lv.mu
+    x, big_n = ((mu + m, mu + m - d - n1) if lv.canonical
+                else (mu + m + 1.0, mu + m - d - n1 - 1.0))
+    beta = -mu
+    pref = (lv.col(lambda n, m, mu: (-1.0) ** n / math.factorial(n))
+            * lv.rising(big_n - n)
+            * lv.col(lambda n, m, mu: sf.pochhammer(-mu + 1.0, n).real))
+    h, ratio = _sums(lv, d + beta + n + 1.0, -x, beta + 1.0, 1.0 - big_n)
+    if lv.canonical:
+        logmag = (_log_k0(lv)
+                  + _log_an(lv) - math.log(2.0)
+                  + lg(1.0 + d + n1) + lg(mu + m - d - n1 - n)
+                  - lg(1.0 + mu + m))
+    else:
+        head = lv.col(lambda n, m, mu: (
+            lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * p.beta)
+            + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)))
+        logmag = 0.5 * (
+            head - lg(n1 + 1.0) - lg(n2 + 1.0) - _each(math.log, mu)
+            - lg(n + d + 1.0) - lg(mu - n - d)
+            + lg(n1 + d + 1.0) + lg(mu - n)
+            - lg(n2 + d + 1.0) - lg(mu + m))
+        logmag += lg(mu + m - d - n1 - n - 1.0) - math.log(2.0)
+    return InterbasisMatrix(N, "hahn", variant,
+                            lv.sign * _each(math.exp, logmag) * (pref * h),
+                            lv.rows, lv.cols, ratio)
 
 
 def verify_expansion(p: P1Params, N: int, w: InterbasisMatrix,
@@ -363,15 +416,13 @@ def verify_expansion(p: P1Params, N: int, w: InterbasisMatrix,
     b_pts = rng.uniform(-1.2, 0.9, size=n_points)
     x_pts = np.exp(b_pts) * np.tanh(a_pts)
     y_pts = np.exp(b_pts) / np.cosh(a_pts)
-    eq_states = [P1State(p, "equidistant", nm) for nm in w.cols]
-    eq_vals = np.array([p1m.p1_wf_equidistant(st, a_pts, b_pts)
-                        for st in eq_states])  # (N+1, n_points)
-    worst = 0.0
-    scale = 0.0
-    for i, (n1, n2) in enumerate(w.rows):
-        hc = p1m.p1_wf_horicyclic(P1State(p, "horicyclic", (n1, n2)),
-                                  x_pts, y_pts)
-        recon = w.entries[i, :] @ eq_vals
-        worst = max(worst, float(np.max(np.abs(hc - recon))))
-        scale = max(scale, float(np.max(np.abs(hc))))
-    return worst / max(scale, 1e-300)
+    eq_vals = np.array([p1m.p1_wf_equidistant(P1State(p, "equidistant", nm),
+                                              a_pts, b_pts)
+                        for nm in w.cols])  # (N+1, n_points)
+    hc = np.array([p1m.p1_wf_horicyclic(P1State(p, "horicyclic", nm),
+                                        x_pts, y_pts)
+                   for nm in w.rows])
+    recon = np.array([w.entries[i, :] @ eq_vals for i in range(len(w.rows))])
+    # one max over all rows, so a NaN entry makes the residual NaN
+    worst = float(np.max(np.abs(hc - recon)))
+    return worst / max(float(np.max(np.abs(hc))), 1e-300)

@@ -49,12 +49,19 @@ import numpy as np
 from . import specfun as sf
 from .errors import (
     NoBoundStateError,
+    NonFiniteValueError,
     OutOfDomainError,
     OutOfWindowError,
     SingularConfigurationError,
     SolverFailureError,
 )
-from .geometry import AmbientPoint, AmbientPoints, ambient_to_chart, chart_coordinates
+from .geometry import (
+    AmbientPoint,
+    AmbientPoints,
+    ambient_to_chart,
+    chart_coordinates,
+    in_chart_domain,
+)
 
 __all__ = [
     "BetheRoots",
@@ -303,9 +310,12 @@ def _exp_guarded(logmag, poly_fn):
     set, so the polynomial recurrence cannot overflow there.  poly_fn
     takes the boolean mask of kept entries.  A 0-d logmag (scalar
     arguments) gives a numpy scalar, so the factors that call this need
-    no scalar branch of their own.
+    no scalar branch of their own.  A NaN log-magnitude (an argument
+    outside the factor's domain) raises NonFiniteValueError.
     """
     logmag = np.asarray(logmag, dtype=float)
+    if np.isnan(logmag).any():
+        raise NonFiniteValueError("log-magnitude is NaN: argument outside the domain")
     out = np.zeros_like(logmag)
     keep = logmag >= -700.0
     if np.any(keep):
@@ -321,7 +331,10 @@ def morse_factor(p: P1Params, m: int, t2, mu: float | None = None):
     """
     if mu is None:
         mu = p1_mu(p, m)
-    z = SQRT2 * p.beta * np.exp(2.0 * np.asarray(t2, dtype=float))
+    # e^{2 t2} overflows past t2 = 354; clamping t2 at 300 keeps z and
+    # log z finite, so the log-magnitude stays a number (not NaN) where
+    # the factor, below exp(-sqrt2 beta e^600 / 2), is 0 either way
+    z = SQRT2 * p.beta * np.exp(2.0 * np.minimum(t2, 300.0))
     logpref = 0.5 * (math.log(2.0 * mu) + _lgamma(m + 1.0) - _lgamma(m + mu + 1.0))
     logmag = logpref - z / 2.0 + 0.5 * mu * np.log(z)
     return _exp_guarded(logmag, lambda k: sf.laguerre(m, mu, z[k]))
@@ -476,14 +489,13 @@ def p1_wf_horicyclic(state: P1State, x, y):
 # ---------------------------------------------------------------------------
 
 def _pair_sums(theta: np.ndarray) -> np.ndarray:
-    """sums_i = sum_{k != i} 1/(theta_k - theta_i)."""
-    n = len(theta)
-    out = np.zeros(n)
-    for i in range(n):
-        for k in range(n):
-            if k != i:
-                out[i] += 1.0 / (theta[k] - theta[i])
-    return out
+    """sums_i = sum_{k != i} 1/(theta_k - theta_i), summed in order of k."""
+    if not len(theta):
+        return np.zeros(0)
+    diag = np.eye(len(theta), dtype=bool)
+    gap = np.where(diag, 1.0, theta[None, :] - theta[:, None])
+    # cumsum adds strictly left to right, as a scalar loop would
+    return np.cumsum(np.where(diag, 0.0, 1.0 / gap), axis=1)[:, -1]
 
 
 def p1_ep_equations(p: P1Params, N: int, theta: np.ndarray, form: str) -> np.ndarray:
@@ -520,97 +532,6 @@ def p1_hp_equations(p: P1Params, N: int, theta: np.ndarray, form: str) -> np.nda
     if form == "derived":
         return base + s * theta + s - d - 1.0
     raise OutOfDomainError(f"unknown equation form {form!r}")
-
-
-# One solver for every zero-equation family of the package.  A family
-#     a(th_i) sum_{k != i} 1/(th_i - th_k) + b(th_i) = 0,   i = 1..N,
-# with deg a <= 3 and deg b <= 2, holds exactly when y = prod (th - th_k)
-# solves the Heine-Stieltjes equation (a/2) y'' + b y' = (v1 th + v0) y
-# (Stieltjes 1885; Faribault, El Araby, Straeter, Gritsev, PRB 83, 235124):
-# at a zero th_i of y, y''/y' = 2 sum_{k != i} 1/(th_i - th_k).  The top
-# degree fixes v1; the Van Vleck constant v0 is an eigenvalue of the operator
-# on polynomials of degree <= N, and its eigenvector holds the coefficients
-# of y.  The N + 1 eigenpairs give all N + 1 configurations at once.
-
-def _stieltjes_matrix(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
-    """(N+1) x (N+1) matrix of y -> (a/2) y'' + b y' - v1 th y on the
-    monomials 1, th, ..., th^N (a, b ascending coefficients).
-
-    Column j is the image of th^j; v1 = N(N-1) a_3/2 + N b_2 cancels the
-    th^{N+1} term of the image of th^N, so the matrix is closed.
-    """
-    a = np.pad(a, (0, 4 - len(a)))
-    b = np.pad(b, (0, 3 - len(b)))
-    j = np.arange(N + 1.0)
-    h = 0.5 * j * (j - 1.0)
-    return (np.diag((h * a[0])[2:], 2)
-            + np.diag((h * a[1] + j * b[0])[1:], 1)
-            + np.diag(h * a[2] + j * b[1])
-            + np.diag(((h - h[N]) * a[3] + (j - N) * b[2])[:-1], -1))
-
-
-def _stieltjes_polish(a: np.ndarray, b: np.ndarray,
-                      th: np.ndarray) -> np.ndarray:
-    """Newton on the family's equations with the analytic Jacobian, for at
-    most six steps; stops as soon as the residual no longer falls.
-
-    The eigenvector's roots lose digits as N grows (residual 1e-7 at N = 8
-    and 1e-5 at N = 14 on a deep well); one or two steps reach round-off.
-    """
-    pa, pb = a[::-1], b[::-1]
-    da, db = np.polyder(pa), np.polyder(pb)
-    diag = np.eye(len(th), dtype=bool)
-    best, best_r = th, math.inf
-    for _ in range(7):
-        gap = np.where(diag, 1.0, th[:, None] - th[None, :])
-        inv = np.where(diag, 0.0, 1.0 / gap)
-        av = np.polyval(pa, th)
-        f = av * inv.sum(axis=1) + np.polyval(pb, th)
-        r = float(np.max(np.abs(f)))
-        if not r < best_r:
-            break
-        best, best_r = th, r
-        inv2 = inv * inv
-        jac = av[:, None] * inv2
-        jac[diag] = (np.polyval(da, th) * inv.sum(axis=1)
-                     - av * inv2.sum(axis=1) + np.polyval(db, th))
-        try:
-            th = th + np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-    return best
-
-
-def _stieltjes_roots(a, b, N: int, center: float = 0.0) -> list[np.ndarray]:
-    """Every zero configuration of the family (a, b) at size N, polished.
-
-    The polynomials are expanded in powers of (th - center).  Roots that
-    crowd against a singular point of a lose digits in the monomial basis;
-    expanding about that point keeps them apart in relative terms.
-
-    For real a, b, configurations whose roots are all real come back as
-    float arrays, the others as complex arrays.  A degenerate eigenvector
-    (top coefficient exactly zero) yields no configuration.
-    """
-    if N == 0:
-        return [np.zeros(0)]
-    a, b = _taylor_shift(a, center), _taylor_shift(b, center)
-    _, vecs = np.linalg.eig(_stieltjes_matrix(a, b, N))
-    out = []
-    for v in vecs.T:
-        if not np.any(v.imag):
-            v = v.real
-        x = np.roots(v[::-1])
-        if len(x) == N:
-            out.append(_stieltjes_polish(a, b, x) + center)
-    return out
-
-
-def _taylor_shift(c, t0: float) -> np.ndarray:
-    """Ascending coefficients of c(x + t0), from ascending coefficients c."""
-    pc = np.asarray(c)[::-1]
-    return np.array([np.polyval(np.polyder(pc, k), t0) / math.factorial(k)
-                     for k in range(len(pc))])
 
 
 def _residual(eqs) -> float:
@@ -658,7 +579,7 @@ def _p1_roots(p: P1Params, N: int, chart: str, form: str,
              else ((-1.0, 0.0), (0.0, hi)))
     # zone-A roots crowd against th = 1 (elliptic) or th = -1 (hyperbolic)
     center = 1.0 if chart == "elliptic-parabolic" else -1.0
-    configs = _stieltjes_roots(*_p1_family(p, N, chart, form), N, center)
+    configs = sf._stieltjes_roots(*_p1_family(p, N, chart, form), N, center)
     real = [np.sort(th) for th in configs if np.isrealobj(th)]
     out, best = [], math.inf
     for th in real:
@@ -723,45 +644,32 @@ def p1_hp_tau(p: P1Params, roots: BetheRoots) -> float:
 # Parabolic-chart wavefunctions (product over zeros)
 # ---------------------------------------------------------------------------
 
-def _ep_raw(p: P1Params, roots: BetheRoots, a, th):
-    aa = np.asarray(a, dtype=float)
-    tha = np.asarray(th, dtype=float)
-    N = roots.N
-    expo = p.s - p.d - 2.0 * N - 1.5  # = nu + 1/2
-    sa, ca = np.abs(np.sinh(aa)), np.cosh(aa)
+def _parabolic_raw(p: P1Params, roots: BetheRoots, u, th, elliptic: bool):
+    """The unnormalized product form on a parabolic chart,
+
+        (w1 w2)^{1/2+d} (r1 r2)^{nu+1/2} e^{-c (r1^2 + s r2^2)}
+            prod_k (r1^2 - t_k)(r2^2 - s t_k),
+
+    with walls (w1, w2) = (|sinh a|, |sin th|), radial factors
+    (r1, r2) = (cosh a, cos th) and s = 1 on the elliptic-parabolic chart,
+    and (cosh b, cos th), (|sinh b|, |sin th|), s = -1 on the
+    hyperbolic-parabolic one.
+    """
+    ua, tha = np.asarray(u, dtype=float), np.asarray(th, dtype=float)
+    expo = p.s - p.d - 2.0 * roots.N - 1.5  # = nu + 1/2
+    su, cu = np.abs(np.sinh(ua)), np.cosh(ua)
     st, ct = np.abs(np.sin(tha)), np.cos(tha)
+    w1, w2, r1, r2, s = (su, st, cu, ct, 1.0) if elliptic else (cu, ct, su, st, -1.0)
     with np.errstate(divide="ignore"):
-        logmag = ((0.5 + p.d) * (np.log(sa) + np.log(st))
-                  + expo * (np.log(ca) + np.log(ct))
-                  - p.c * (ca**2 + ct**2))
+        logmag = ((0.5 + p.d) * (np.log(w1) + np.log(w2))
+                  + expo * (np.log(r1) + np.log(r2))
+                  - p.c * (r1**2 + s * r2**2))
 
     def poly(k):
-        ca2, ct2 = np.broadcast_arrays(ca**2, ct**2)
-        out = np.ones_like(ca2[k])
+        r1sq, r2sq = np.broadcast_arrays(r1**2, r2**2)
+        out = np.ones_like(r1sq[k])
         for t in roots.roots:
-            out = out * (ca2[k] - t) * (ct2[k] - t)
-        return out
-
-    return _exp_guarded(logmag, poly)
-
-
-def _hp_raw(p: P1Params, roots: BetheRoots, b, th):
-    ba = np.asarray(b, dtype=float)
-    tha = np.asarray(th, dtype=float)
-    N = roots.N
-    expo = p.s - p.d - 2.0 * N - 1.5
-    sb, cb = np.abs(np.sinh(ba)), np.cosh(ba)
-    st, ct = np.abs(np.sin(tha)), np.cos(tha)
-    with np.errstate(divide="ignore"):
-        logmag = ((0.5 + p.d) * (np.log(cb) + np.log(ct))
-                  + expo * (np.log(sb) + np.log(st))
-                  - p.c * (sb**2 - st**2))
-
-    def poly(k):
-        sb2, st2 = np.broadcast_arrays(sb**2, st**2)
-        out = np.ones_like(sb2[k])
-        for t in roots.roots:
-            out = out * (sb2[k] - t) * (st2[k] + t)
+            out = out * (r1sq[k] - t) * (r2sq[k] - s * t)
         return out
 
     return _exp_guarded(logmag, poly)
@@ -828,23 +736,31 @@ def _parabolic_log_norm(state: P1State) -> float:
     return 0.5 * log_total
 
 
+def _parabolic_wf(chart: str, state: P1State, u, th, normalized: bool):
+    if not np.all(in_chart_domain(chart, u, th)):
+        raise OutOfDomainError(f"{chart} product form needs points inside the chart")
+    out = _parabolic_raw(state.params, state.roots, u, th,
+                         chart == "elliptic-parabolic")
+    if normalized:
+        out = out * math.exp(-_parabolic_log_norm(state))
+    return out
+
+
 def p1_wf_elliptic_parabolic(state: P1State, a, th, normalized: bool = True):
     """Product-form wavefunction on the elliptic-parabolic chart.
 
     Built from the solved zero configuration attached to the state;
     normalized numerically over the chart volume element by default.
+    Raises OutOfDomainError for points outside the chart
+    (``geometry.in_chart_domain``).
     """
-    out = _ep_raw(state.params, state.roots, a, th)
-    if normalized:
-        out = out * math.exp(-_parabolic_log_norm(state))
-    return out
+    return _parabolic_wf("elliptic-parabolic", state, a, th, normalized)
 
 
 def p1_wf_hyperbolic_parabolic(state: P1State, b, th, normalized: bool = True):
-    out = _hp_raw(state.params, state.roots, b, th)
-    if normalized:
-        out = out * math.exp(-_parabolic_log_norm(state))
-    return out
+    """The hyperbolic-parabolic product form, as on the elliptic-parabolic
+    chart."""
+    return _parabolic_wf("hyperbolic-parabolic", state, b, th, normalized)
 
 
 # ---------------------------------------------------------------------------

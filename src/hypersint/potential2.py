@@ -47,7 +47,6 @@ from .geometry import AmbientPoint, AmbientPoints, chart_coordinates
 from .potential1 import (
     BetheRoots,
     _residual,
-    _stieltjes_roots,
     _window_top,
     p1_n_max,
     pt_factor,
@@ -373,7 +372,7 @@ def p2_sh_roots(p: P2Params, N: int, chart_params=DEFAULT_SH_PARAMS,
     """Root configurations of the semi-hyperbolic zero equations.
 
     All N + 1 candidates come from one Heine-Stieltjes eigenproblem (see
-    ``potential1``).  Roots may be complex; each returned configuration is
+    ``specfun._stieltjes_roots``).  Roots may be complex; each returned configuration is
     closed under conjugation (required for a real wavefunction), with
     zone_counts recording (real roots, complex pairs).
     """
@@ -382,7 +381,7 @@ def p2_sh_roots(p: P2Params, N: int, chart_params=DEFAULT_SH_PARAMS,
         return [BetheRoots("semi-hyperbolic", "sphere", 0, (), 0.0, (0, 0))]
     found: list[tuple[np.ndarray, float]] = []
     best = math.inf
-    for x in _stieltjes_roots(*_sh_family(p, chart_params), N):
+    for x in sf._stieltjes_roots(*_sh_family(p, chart_params), N):
         r = _residual(p2_sh_equations(p, x, chart_params))
         best = min(best, r)
         if r > tol:

@@ -178,13 +178,18 @@ def _jacobi_series(n: int, a: complex, b: complex, x):
     return out
 
 
-def jacobi(n: int, a: complex, b: complex, x):
+def jacobi(n, a, b, x):
     """Jacobi polynomial P_n^{(a,b)}(x) for complex parameters and argument.
 
     Forward recurrence; falls back to the terminating-sum form if a recurrence
     denominator 2k(k+a+b)(2k+a+b-2) degenerates (possible for special complex
-    parameter combinations).
+    parameter combinations).  An integer array of degrees (with a, b and x
+    broadcasting against it) runs one recurrence to the largest degree and
+    reads each element at its own; every element equals the scalar-degree
+    call bit for bit, the fallback included.
     """
+    if isinstance(n, np.ndarray):
+        return _jacobi_degrees(n, a, b, x)
     if n < 0:
         raise OutOfDomainError("jacobi: n must be >= 0")
     one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
@@ -201,6 +206,166 @@ def jacobi(n: int, a: complex, b: complex, x):
         c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
         p, p_prev = (c1 * p - c2 * p_prev) / den, p
     return p
+
+
+def _jacobi_degrees(n, a, b, x):
+    """``jacobi`` of an integer array n.  The broadcast degrees and
+    parameters become K rows, sorted by degree, descending, so the rows
+    still running at degree k are a prefix; x becomes their (K, L) rows,
+    L the size of the axes along which only x varies."""
+    shape = np.broadcast(n, a, b, x).shape
+    if n.size == np.size(a) == np.size(b) == 1:  # one row: the scalar recurrence
+        return np.reshape(jacobi(*(np.asarray(v).item() for v in (n, a, b)), x), shape)
+    pshape = np.broadcast(n, a, b).shape
+    pshape = (1,) * (len(shape) - len(pshape)) + pshape
+    lead = max((i + 1 for i, size in enumerate(pshape) if size != 1), default=0)
+    rows, cols = math.prod(shape[:lead]), math.prod(shape[lead:])
+    head = shape[:lead] + (1,) * (len(shape) - lead)
+    n, a, b = (np.broadcast_to(v, head).reshape(rows, 1) for v in (n, a, b))
+    degrees = n[:, 0].tolist()
+    if degrees and min(degrees) < 0:
+        raise OutOfDomainError("jacobi: n must be >= 0")
+    order = sorted(range(rows), key=lambda i: -degrees[i])
+    degrees = [degrees[i] for i in order]
+    a, b = a[order], b[order]
+    x = np.broadcast_to(x, shape).reshape(rows, cols)[order]
+    live = [sum(v >= k for v in degrees) for k in range(degrees[0] + 1 if degrees else 0)]
+    out = np.ones((rows, cols), np.result_type(a, b, x))
+    if len(live) > 1:
+        j = live[1]
+        a, b = a[:j], b[:j]
+        p = (a + 1.0) * np.ones_like(x[:j]) + (a + b + 2.0) * (x[:j] - 1.0) / 2.0
+        series = []
+        if len(live) > 2:
+            # the coefficients of every row and step k = 2 .. top, formed as
+            # in the scalar recurrence
+            k = np.arange(2.0, len(live))
+            s = 2.0 * k + a + b
+            den = 2.0 * k * (k + a + b) * (s - 2.0)
+            bad = np.abs(den) < 1e-10 * np.maximum(1.0, np.abs(s) ** 3)
+            if bad.any():
+                bad &= k <= np.array(degrees[:j])[:, None]
+                series = np.flatnonzero(bad.any(axis=1)).tolist()
+                den = np.where(bad, 1.0, den)  # those rows take the terminating sum
+            c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
+            s1, s2, a2, b2 = s - 1.0, s * (s - 2.0), a * a, b * b
+            p_prev = np.ones_like(p)
+            for i in range(len(live) - 2):
+                j = live[i + 2]
+                out[j:len(p)] = p[j:]
+                at = (slice(None, j), slice(i, i + 1))
+                c1 = s1[at] * (s2[at] * x[:j] + a2[:j] - b2[:j])
+                p, p_prev = (c1 * p[:j] - c2[at] * p_prev[:j]) / den[at], p[:j]
+        out[:len(p)] = p
+        for i in series:
+            out[i] = _jacobi_series(degrees[i], a[i, 0].item(), b[i, 0].item(), x[i])
+    restored = np.empty_like(out)
+    restored[order] = out
+    return restored.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# Heine-Stieltjes polynomials (the zero equations of both potentials)
+# ---------------------------------------------------------------------------
+
+# One solver for every zero-equation family of the package.  A family
+#     a(th_i) sum_{k != i} 1/(th_i - th_k) + b(th_i) = 0,   i = 1..N,
+# with deg a <= 3 and deg b <= 2, holds exactly when y = prod (th - th_k)
+# solves the Heine-Stieltjes equation (a/2) y'' + b y' = (v1 th + v0) y
+# (Stieltjes 1885; Faribault, El Araby, Straeter, Gritsev, PRB 83, 235124):
+# at a zero th_i of y, y''/y' = 2 sum_{k != i} 1/(th_i - th_k).  The top
+# degree fixes v1; the Van Vleck constant v0 is an eigenvalue of the operator
+# on polynomials of degree <= N, and its eigenvector holds the coefficients
+# of y.  The N + 1 eigenpairs give all N + 1 configurations at once.
+
+def _stieltjes_matrix(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
+    """(N+1) x (N+1) matrix of y -> (a/2) y'' + b y' - v1 th y on the
+    monomials 1, th, ..., th^N (a, b ascending coefficients).
+
+    Column j is the image of th^j; v1 = N(N-1) a_3/2 + N b_2 cancels the
+    th^{N+1} term of the image of th^N, so the matrix is closed.
+    """
+    a = np.pad(a, (0, 4 - len(a)))
+    b = np.pad(b, (0, 3 - len(b)))
+    j = np.arange(N + 1.0)
+    h = 0.5 * j * (j - 1.0)
+    return (np.diag((h * a[0])[2:], 2)
+            + np.diag((h * a[1] + j * b[0])[1:], 1)
+            + np.diag(h * a[2] + j * b[1])
+            + np.diag(((h - h[N]) * a[3] + (j - N) * b[2])[:-1], -1))
+
+
+def _stieltjes_polish(a: np.ndarray, b: np.ndarray,
+                      th: np.ndarray) -> np.ndarray:
+    """Newton on the family's equations with the analytic Jacobian, for a
+    stack th of configurations (one per row), for at most six steps; each
+    configuration stops as soon as its residual no longer falls.
+
+    The eigenvector's roots lose digits as N grows (residual 1e-7 at N = 8
+    and 1e-5 at N = 14 on a deep well); one or two steps reach round-off.
+    """
+    pa, pb = a[::-1], b[::-1]
+    da, db = np.polyder(pa), np.polyder(pb)
+    diag = np.eye(th.shape[1], dtype=bool)
+    best, best_r = th.copy(), np.full(len(th), math.inf)
+    live = np.arange(len(th))
+    for _ in range(7):
+        gap = np.where(diag, 1.0, th[:, :, None] - th[:, None, :])
+        inv = np.where(diag, 0.0, 1.0 / gap)
+        av = np.polyval(pa, th)
+        f = av * inv.sum(axis=2) + np.polyval(pb, th)
+        r = np.max(np.abs(f), axis=1)
+        falls = r < best_r[live]
+        live, th, f, inv, av = (x[falls] for x in (live, th, f, inv, av))
+        best[live], best_r[live] = th, r[falls]
+        if not len(live):
+            break
+        inv2 = inv * inv
+        jac = av[:, :, None] * inv2
+        jac[:, diag] = (np.polyval(da, th) * inv.sum(axis=2)
+                        - av * inv2.sum(axis=2) + np.polyval(db, th))
+        # an exactly singular Jacobian (a zero pivot, where solve would
+        # fail) stops its configuration at its best iterate
+        ok = np.linalg.slogdet(jac)[0] != 0
+        live, th, f, jac = live[ok], th[ok], f[ok], jac[ok]
+        th = th + np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+    return best
+
+
+def _stieltjes_roots(a, b, N: int, center: float = 0.0) -> list[np.ndarray]:
+    """Every zero configuration of the family (a, b) at size N, polished.
+
+    The polynomials are expanded in powers of (th - center).  Roots that
+    crowd against a singular point of a lose digits in the monomial basis;
+    expanding about that point keeps them apart in relative terms.
+
+    For real a, b, configurations whose roots are all real come back as
+    float arrays, the others as complex arrays, in eigenvector order; the
+    real and the complex ones are each polished as one stack.  A
+    degenerate eigenvector (top coefficient exactly zero) yields no
+    configuration.
+    """
+    if N == 0:
+        return [np.zeros(0)]
+    a, b = _taylor_shift(a, center), _taylor_shift(b, center)
+    _, vecs = np.linalg.eig(_stieltjes_matrix(a, b, N))
+    found = [x for x in (np.roots((v if np.any(v.imag) else v.real)[::-1])
+                         for v in vecs.T) if len(x) == N]
+    out = list(found)
+    for real in (True, False):
+        idx = [i for i, x in enumerate(found) if np.isrealobj(x) == real]
+        if idx:
+            polished = _stieltjes_polish(a, b, np.array([found[i] for i in idx]))
+            for i, th in zip(idx, polished + center):
+                out[i] = th
+    return out
+
+
+def _taylor_shift(c, t0: float) -> np.ndarray:
+    """Ascending coefficients of c(x + t0), from ascending coefficients c."""
+    pc = np.asarray(c)[::-1]
+    return np.array([np.polyval(np.polyder(pc, k), t0) / math.factorial(k)
+                     for k in range(len(pc))])
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +438,6 @@ def hyp3f2_unit(n: int, b: complex, c: complex, d: complex, e: complex) -> compl
     return _compensated_sum(_hyp3f2_terms(n, b, c, d, e))
 
 
-def _hahn_parts(n: int, alpha: complex, beta: complex, x: complex,
-                N: complex) -> tuple[complex, list[complex]]:
-    """The prefactor and the 3F2 terms whose product and sum give ``hahn``."""
-    if n < 0:
-        raise OutOfDomainError("hahn: n must be >= 0")
-    pref = (-1.0) ** n / math.factorial(n) * pochhammer(N - n, n) * pochhammer(beta + 1.0, n)
-    return pref, _hyp3f2_terms(n, alpha + beta + n + 1.0, -x, beta + 1.0, 1.0 - N)
-
-
 def hahn(n: int, alpha: complex, beta: complex, x: complex, N: complex) -> complex:
     """Hahn polynomial h_n^{(alpha,beta)}(x, N).
 
@@ -291,8 +447,11 @@ def hahn(n: int, alpha: complex, beta: complex, x: complex, N: complex) -> compl
     The Gamma ratios of the defining formula are evaluated as finite
     Pochhammer products, so integer N causes no spurious poles.
     """
-    pref, terms = _hahn_parts(n, alpha, beta, x, N)
-    return pref * _compensated_sum(terms)
+    if n < 0:
+        raise OutOfDomainError("hahn: n must be >= 0")
+    pref = (-1.0) ** n / math.factorial(n) * pochhammer(N - n, n) * pochhammer(beta + 1.0, n)
+    return pref * _compensated_sum(
+        _hyp3f2_terms(n, alpha + beta + n + 1.0, -x, beta + 1.0, 1.0 - N))
 
 
 # ---------------------------------------------------------------------------

@@ -314,9 +314,10 @@ def _count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_work_counts_are_linear_in_the_level(monkeypatch, variant):
-    # one log-gamma evaluation per distinct argument and one Jacobi
-    # evaluation per column and node count; the per-entry loops made
-    # 117-3825 log-gamma calls and, at N = 14, 481 Jacobi calls
+    # one log-gamma evaluation per distinct argument and one Jacobi call
+    # per node count for all columns; the per-entry loops made 117-3825
+    # log-gamma calls and, at N = 14, 481 Jacobi calls, and the per-column
+    # tables one Jacobi call per column and node count (56 at N = 14)
     lg_calls = _count_calls(monkeypatch, "log_gamma")
     jac_calls = _count_calls(monkeypatch, "jacobi")
     for method in METHODS:
@@ -328,7 +329,7 @@ def test_work_counts_are_linear_in_the_level(monkeypatch, variant):
             counts[N] = lg_calls[0]
             assert lg_calls[0] <= 8 * (N + 1), (method, N, lg_calls[0])
             if method == "quadrature":
-                assert 0 < jac_calls[0] <= 5 * (N + 1)
+                assert 0 < jac_calls[0] <= 5
             else:
                 assert jac_calls[0] == 0
         # O(N): 15/7 ~ 2.1 from N = 6 to 14, where O(N^2) would give ~4.6
@@ -391,3 +392,13 @@ def test_unconverged_integrals_reported(p1_fixture):
             assert ib.w_quadrature(p1_fixture, N, variant).unconverged == 0.0
             assert ib.w_3f2(p1_fixture, N, variant).unconverged is None
             assert ib.w_hahn(p1_fixture, N, variant).unconverged is None
+
+
+def test_expansion_residual_propagates_nan_entries():
+    # a NaN entry makes the residual NaN; the row-by-row Python max
+    # skipped such rows and could report a finite residual
+    w = ib.w_3f2(DEEP, 2)
+    entries = w.entries.copy()
+    entries[1, 0] = np.nan
+    bad = ib.InterbasisMatrix(2, w.method, w.variant, entries, w.rows, w.cols)
+    assert math.isnan(ib.verify_expansion(DEEP, 2, bad))

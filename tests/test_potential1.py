@@ -9,6 +9,8 @@ from hypersint import potential2 as p2
 from hypersint import specfun as sf
 from hypersint.errors import (
     NoBoundStateError,
+    NonFiniteValueError,
+    OutOfDomainError,
     OutOfWindowError,
     SingularConfigurationError,
     SolverFailureError,
@@ -305,6 +307,108 @@ def test_derived_configuration_count_matches_degeneracy(p1_fixture):
                     assert np.max(np.abs(eqs(p, N, th, "derived"))) <= 1e-10
 
 
+# Frozen reference: the solver before the configurations of a level were
+# polished as one stack (one np.roots call and one Newton loop per
+# configuration).  The production solver must return the same
+# configurations, bit for bit and in the same order.
+
+def _ref_stieltjes_polish(a, b, th):
+    pa, pb = a[::-1], b[::-1]
+    da, db = np.polyder(pa), np.polyder(pb)
+    diag = np.eye(len(th), dtype=bool)
+    best, best_r = th, math.inf
+    for _ in range(7):
+        gap = np.where(diag, 1.0, th[:, None] - th[None, :])
+        inv = np.where(diag, 0.0, 1.0 / gap)
+        av = np.polyval(pa, th)
+        f = av * inv.sum(axis=1) + np.polyval(pb, th)
+        r = float(np.max(np.abs(f)))
+        if not r < best_r:
+            break
+        best, best_r = th, r
+        inv2 = inv * inv
+        jac = av[:, None] * inv2
+        jac[diag] = (np.polyval(da, th) * inv.sum(axis=1)
+                     - av * inv2.sum(axis=1) + np.polyval(db, th))
+        try:
+            th = th + np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            break
+    return best
+
+
+def _ref_stieltjes_roots(a, b, N, center=0.0):
+    if N == 0:
+        return [np.zeros(0)]
+    a, b = sf._taylor_shift(a, center), sf._taylor_shift(b, center)
+    _, vecs = np.linalg.eig(sf._stieltjes_matrix(a, b, N))
+    out = []
+    for v in vecs.T:
+        if not np.any(v.imag):
+            v = v.real
+        x = np.roots(v[::-1])
+        if len(x) == N:
+            out.append(_ref_stieltjes_polish(a, b, x) + center)
+    return out
+
+
+def _same_configurations(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+DEEP = p1.P1Params(0.3, 0.2, 3.0)
+
+
+@pytest.mark.parametrize("form", ["printed", "derived"])
+@pytest.mark.parametrize("chart, center", [("elliptic-parabolic", 1.0),
+                                           ("hyperbolic-parabolic", -1.0)])
+def test_stacked_polish_matches_per_configuration_reference(chart, center, form):
+    for N in range(1, 9):
+        family = p1._p1_family(DEEP, N, chart, form)
+        _same_configurations(sf._stieltjes_roots(*family, N, center),
+                             _ref_stieltjes_roots(*family, N, center))
+
+
+def test_stacked_polish_matches_reference_semi_hyperbolic(p2_deep):
+    family = p2._sh_family(p2_deep, (0.0, 1.0, 0.0))
+    for N in range(4):
+        _same_configurations(sf._stieltjes_roots(*family, N),
+                             _ref_stieltjes_roots(*family, N))
+
+
+def test_polish_solves_each_newton_step_once(monkeypatch):
+    # one batched solve per Newton step for all configurations (at most 7
+    # per call); the reference made up to 7 per configuration
+    calls = [0]
+    orig = np.linalg.solve
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for chart, center in (("elliptic-parabolic", 1.0),
+                          ("hyperbolic-parabolic", -1.0)):
+        family = p1._p1_family(DEEP, 8, chart, "derived")
+        calls[0] = 0
+        assert len(sf._stieltjes_roots(*family, 8, center)) == 9
+        assert 0 < calls[0] <= 7
+
+
+def test_polish_stops_only_the_singular_configuration():
+    # with a = 0 and b = x^2 the Jacobian is diag(2 theta): exactly singular
+    # for the configuration with a zero at 0, regular for the others, which
+    # must be polished as they are on their own
+    a, b = np.zeros(1), np.array([0.0, 0.0, 1.0])
+    stack = np.array([[0.0, 1.0], [1.0, 2.0], [-1.5, 3.0]])
+    got = sf._stieltjes_polish(a, b, stack)
+    for g, th in zip(got, stack):
+        assert np.array_equal(g, _ref_stieltjes_polish(a, b, th))
+    assert np.array_equal(got[0], stack[0])
+    assert not np.array_equal(got[1], stack[1])
+
+
 def test_solver_failure_reports_best_residual(p1_fixture):
     # an unreachable floor forces the failure path with diagnostics
     with pytest.raises(SolverFailureError) as exc:
@@ -414,6 +518,35 @@ def test_ep_zero_count_matches_zone_label(p1_fixture):
         assert crossings == c.zone_counts[1]
 
 
+def test_parabolic_product_forms_reject_points_outside_the_chart(p1_fixture):
+    # the product forms took logs of negative cosines and returned 0 (and a
+    # RuntimeWarning) outside their chart; now they refuse such points
+    ep = p1.P1State(p1_fixture, "elliptic-parabolic", (1,),
+                    roots=p1.p1_ep_roots(p1_fixture, 1, form="derived")[0])
+    hp = p1.P1State(p1_fixture, "hyperbolic-parabolic", (1,),
+                    roots=p1.p1_hp_roots(p1_fixture, 1, form="derived")[0])
+    with pytest.raises(OutOfDomainError):
+        p1.p1_wf_elliptic_parabolic(ep, np.array([1.0, 1.0]), np.array([2.0, -0.5]))
+    with pytest.raises(OutOfDomainError):
+        p1.p1_wf_hyperbolic_parabolic(hp, np.array([1.0, 1.0]), np.array([0.5, -0.5]))
+    inside = p1.p1_wf_elliptic_parabolic(ep, np.array([1.0]), np.array([-0.5]))
+    assert np.isfinite(inside).all() and inside[0] != 0.0
+
+
+def test_exp_guarded_rejects_a_nan_log_magnitude():
+    with pytest.raises(NonFiniteValueError):
+        p1._exp_guarded(np.array([0.0, np.nan, -800.0]), lambda k: 1.0)
+
+
+def test_morse_far_tail_is_zero_without_warnings():
+    # e^{2 t2} overflows past t2 = 354; the factor there is 0, and no
+    # RuntimeWarning leaks (pytest turns them into errors)
+    p = p1.P1Params(1.0, 1.0 / SQRT2, 2.0 * SQRT2)
+    vals = p1.morse_factor(p, 1, np.array([0.3, 1e3]))
+    assert vals[1] == 0.0
+    assert vals[0] == p1.morse_factor(p, 1, np.array([0.3]))[0] != 0.0
+
+
 def test_parabolic_normalization(p1_fixture):
     c = p1.p1_ep_roots(p1_fixture, 1, form="derived")[0]
     st = p1.P1State(p1_fixture, "elliptic-parabolic", (1,), roots=c)
@@ -435,14 +568,13 @@ def _grid_log_norm(state):
     meshgrid of the nodes that _parabolic_log_norm uses."""
     p = state.params
     ep = state.chart == "elliptic-parabolic"
-    raw, vol = ((p1._ep_raw, p1.ep_volume_element) if ep
-                else (p1._hp_raw, p1.hp_volume_element))
+    vol = p1.ep_volume_element if ep else p1.hp_volume_element
     xg, wg, dg = sf.tanh_sinh_nodes(7)
     xg, wg = xg[dg > 1e-14], wg[dg > 1e-14]
     L = max(6.0, math.sqrt(40.0 / p.c))
     U, V = np.meshgrid(0.5 * L * (xg + 1.0), 0.25 * math.pi * (xg + 1.0),
                        indexing="ij")
-    vals = raw(p, state.roots, U, V) ** 2 * vol(U, V)
+    vals = p1._parabolic_raw(p, state.roots, U, V, ep) ** 2 * vol(U, V)
     total = float(np.einsum("i,j,ij->", 0.5 * L * wg, 0.25 * math.pi * wg, vals))
     return 0.5 * math.log(2.0 * total if ep else total)
 

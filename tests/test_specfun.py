@@ -136,6 +136,62 @@ def test_jacobi_complex_conjugation_symmetry():
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
+def _scalar_rows(f, degrees, params, x):
+    """The scalar-degree calls of f, one per element of the broadcast
+    degrees and parameters, each on its own row of x."""
+    shape = np.broadcast(degrees, *params, x).shape
+    cols = [np.broadcast_to(v, shape).reshape(-1) for v in (degrees, *params)]
+    xs = np.broadcast_to(x, shape).reshape(-1)
+    return np.array([f(int(n), *(v.item() for v in vs), np.array([xv]))[0]
+                     for n, *vs, xv in zip(*cols, xs)]).reshape(shape)
+
+
+def test_array_degrees_equal_scalar_calls_bit_for_bit():
+    # one recurrence to the largest degree, each element read at its own:
+    # per-column degrees against a node row (the interbasis layout),
+    # elementwise degrees, unsorted rows and a zero-size batch
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-3.0, 30.0, 40)
+    ns = np.array([[3], [0], [7], [1], [2], [14], [5]])
+    a = rng.uniform(0.1, 3.0, (7, 1))
+    b = -rng.uniform(1.0, 30.0, (7, 1))
+    got = sf.jacobi(ns, a, b, x)
+    assert got.shape == (7, 40)
+    assert np.array_equal(got, np.array(
+        [sf.jacobi(int(n), float(ai), float(bi), x)
+         for n, ai, bi in zip(ns[:, 0], a[:, 0], b[:, 0])]))
+    flat_n = rng.integers(0, 9, 60)
+    flat_a, flat_x = rng.uniform(0.0, 2.0, 60), rng.uniform(1.0, 5.0, 60)
+    assert np.array_equal(sf.jacobi(flat_n, 1.3, -flat_a, flat_x),
+                          _scalar_rows(sf.jacobi, flat_n, (1.3, -flat_a), flat_x))
+    assert sf.jacobi(np.zeros((0, 1), dtype=int), 1.0, 2.0, x).shape == (0, 40)
+    with pytest.raises(OutOfDomainError):
+        sf.jacobi(np.array([[1], [-1]]), 0.5, 1.0, x)
+
+
+def test_array_degrees_keep_the_terminating_sum_fallback(monkeypatch):
+    # a + b = -3 makes the denominator 2k (k + a + b)(2k + a + b - 2)
+    # vanish at k = 3: that element, alone, takes the terminating sum, as
+    # its scalar call does
+    series = []
+    orig = sf._jacobi_series
+
+    def counted(*args):
+        series.append(args[0])
+        return orig(*args)
+    monkeypatch.setattr(sf, "_jacobi_series", counted)
+    a = np.array([[0.5 + 0.25j], [1.0 - 0.5j], [0.5 + 0.0j]])
+    b = np.array([[-3.5 - 0.25j], [2.0 + 0.5j], [-3.5 + 0.0j]])
+    ns = np.array([[4], [3], [5]])
+    z = np.linspace(-1.0, 1.0, 6) + 0.3j
+    got = sf.jacobi(ns, a, b, z)
+    assert sorted(series) == [4, 5]
+    ref = np.array([sf.jacobi(int(n), complex(ai), complex(bi), z)
+                    for n, ai, bi in zip(ns[:, 0], a[:, 0], b[:, 0])])
+    assert sorted(series[2:]) == [4, 5]
+    assert np.array_equal(got, ref)
+
+
 # ---------------------------------------------------------------------------
 # Hypergeometric functions
 # ---------------------------------------------------------------------------
