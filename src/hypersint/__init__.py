@@ -15,6 +15,7 @@ coordinate charts.  The package provides
                     computed three independent ways,
 * ``algebra``    -- symmetry operators, eigenvalue residuals, multiplet
                     matrices and the quadratic algebra checks,
+* ``verify``     -- the verification suites, one table per potential,
 * ``cli``        -- ``hypersint`` command line interface.
 
 Units: hbar = mass = 1 throughout.

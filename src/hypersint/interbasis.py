@@ -47,7 +47,7 @@ import numpy as np
 
 from . import potential1 as p1m
 from . import specfun as sf
-from .errors import OutOfDomainError, ParameterPoleError
+from .errors import NonFiniteValueError, OutOfDomainError, ParameterPoleError
 from .potential1 import P1Params, P1State
 
 __all__ = [
@@ -284,12 +284,16 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
 
     printed: verbatim published prefactor and the integrand with
     cosh^{1-2mu-2m}, integral read over (0, inf).
+
+    Raises NonFiniteValueError when an entry is not finite (the Jacobi
+    recurrence overflows near the upper end on wide wells at high levels).
     """
     lv = _Level(p, N, variant)
     d, lg, n1, n2, n, m, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.m, lv.mu
     cosh_pow = (-(1.0 + 2.0 * mu + 2.0 * m) if lv.canonical
                 else 1.0 - 2.0 * mu - 2.0 * m)
-    val, unconverged = _a_integrals(lv, cosh_pow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, unconverged = _a_integrals(lv, cosh_pow)
     if lv.canonical:
         logk = _log_k0(lv) + _log_an(lv)
     else:
@@ -301,8 +305,12 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
             head - lg(n1 + 1.0) - lg(n2 + 1.0) - _each(math.log, mu)
             - lg(n1 + d + 1.0) - lg(n2 + d + 1.0) - lg(n + d + 1.0)
             - lg(mu - d - n))
-    return InterbasisMatrix(N, "quadrature", variant,
-                            lv.sign * _each(math.exp, logk) * val,
+    entries = lv.sign * _each(math.exp, logk) * val
+    bad = np.count_nonzero(~np.isfinite(entries))
+    if bad:
+        raise NonFiniteValueError(f"w_quadrature at N = {N}: {bad} of "
+                                  f"{entries.size} entries are not finite")
+    return InterbasisMatrix(N, "quadrature", variant, entries,
                             lv.rows, lv.cols, None, unconverged)
 
 

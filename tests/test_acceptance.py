@@ -158,8 +158,8 @@ def test_criterion_07_linear_relations():
     fs = (lambda q: q.w2 * np.exp(-q.w0),
           lambda q: q.w0**2 / (1.0 + q.w2**2))
     pts = eq_points(43, 8)
-    res_h = [max(r.residual for r in alg.check_linear_relations(
-        P1FIX, fs, pts, h=h)) for h in (2e-3, 1e-3)]
+    res_h = [max(alg.check_linear_relations(P1FIX, fs, pts, h=h).values())
+             for h in (2e-3, 1e-3)]
     small = max(res_h) <= 1e-5
     if max(res_h) <= 1e-12:
         conv = "at round-off floor for both steps (identically cancelling)"
@@ -182,14 +182,15 @@ def test_criterion_08_quadratic_algebra():
                                   h=alg.R_STEP)
     scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
     two_way = float(np.max(np.abs(r_proj - rep.r_matrix))) / scale
-    reports = alg.check_quadratic_algebra(rep, P1FIX, tolerance=1e-6)
-    reported = all("fitted_constant_offset" in r.notes
-                   and "residual_with_shifted_N2" in r.notes for r in reports)
-    shifted_ok = max(r.notes["residual_with_shifted_N2"] for r in reports) <= 1e-10
-    status = {r.identity: ("pass" if r.passed else
-                           f"defect reported (closes at "
-                           f"{r.notes['residual_with_shifted_N2']:.1e} with "
-                           f"N2+4g^2)") for r in reports}
+    reports = alg.check_quadratic_algebra(rep, P1FIX)
+    notes = [n for _, n in reports.values()]
+    reported = all("fitted_constant_offset" in n
+                   and "residual_with_shifted_N2" in n for n in notes)
+    shifted_ok = max(n["residual_with_shifted_N2"] for n in notes) <= 1e-10
+    status = {ident: ("pass" if r <= 1e-6 else
+                      f"defect reported (closes at "
+                      f"{n['residual_with_shifted_N2']:.1e} with N2+4g^2)")
+              for ident, (r, n) in reports.items()}
     ok = two_way <= 1e-5 and reported and shifted_ok
     report(8, ok, f"R two-way {two_way:.2e}; identities: {status}")
 

@@ -11,6 +11,7 @@ import pytest
 from hypersint import cli as hcli
 from hypersint import geometry as geo
 from hypersint import potential1 as p1
+from hypersint import verify
 from hypersint.errors import OutOfDomainError
 
 SQRT2 = math.sqrt(2.0)
@@ -285,6 +286,28 @@ def test_config_file_and_flag_override(tmp_path):
     assert len(json.loads(out)["records"]) == 3
 
 
+def test_config_file_values_are_checked_as_flags(tmp_path, capsys):
+    # each entry is parsed as one --key=value flag of the verify subparser:
+    # a bad value or a missing file exits 2 with one line and no traceback
+    cfg = tmp_path / "run.cfg"
+    for text, words in (("N=abc\n", "argument --N: invalid int value: 'abc'"),
+                        ("format=xml\n", "invalid choice: 'xml'"),
+                        ("alph=1\n", "unknown entry 'alph=1'"),
+                        (None, "No such file or directory")):
+        if text is None:
+            cfg.unlink()
+        else:
+            cfg.write_text(text)
+        assert hcli.main(["spectrum", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert words in err and err.count("\n") == 1, err
+    # a value that begins with '-' parses; suite= is a key of every command
+    cfg.write_text("chart_params=-0.5,1,0\nsuite=eigen\n")
+    code, out = run_main(["spectrum", "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(out)["meta"]["chart_params"] == [-0.5, 1.0, 0.0]
+
+
 def test_parser_built_once_and_keeps_no_parsed_values(tmp_path, monkeypatch):
     # main() reuses one parser; options given to one call must not show up
     # in the next call's namespace or output
@@ -475,7 +498,7 @@ def _strict_json(text):
 
 
 def test_json_writes_non_finite_floats_as_null(tmp_path):
-    report = {"records": [hcli._rec("nan-residual", float("nan"), 1e-7)],
+    report = {"records": [verify.record("nan-residual", float("nan"), 1e-7)],
               "z": complex(math.inf, 1.0),
               "arr": np.array([np.nan, 1.5, -np.inf]),
               "f": np.float64("inf"), "g": np.float32("nan"), "h": -math.inf}
@@ -503,12 +526,12 @@ def test_json_writes_non_finite_floats_as_null(tmp_path):
 # batched point sets: the numbers of the sequential scalar draws
 # ---------------------------------------------------------------------------
 
-def _eq_points_reference(seed, n, both_signs=True):
+def _eq_points_reference(seed, n):
     rng = np.random.default_rng(seed)
     t1s, t2s = [], []
     for _ in range(n):
         t1 = rng.uniform(0.3, 1.3)
-        if both_signs and rng.uniform() < 0.5:
+        if rng.uniform() < 0.5:
             t1 = -t1
         t1s.append(t1)
         t2s.append(rng.uniform(-1.0, 1.0))
@@ -589,6 +612,4 @@ def test_eigen_suites_draw_the_sequential_point_sets(recorded):
                                   ("semi-hyperbolic", mu, [-v for v in nu])]
     recorded["points"].clear()
     assert run_main(["verify", "--suite", "eigen"])[0] == 0
-    assert recorded["points"][0] == _eq_points_reference(11, 10)
-    hcli._eq_points(seed=5, n=7, both_signs=False)
-    assert recorded["points"][-1] == _eq_points_reference(5, 7, both_signs=False)
+    assert recorded["points"] == [_eq_points_reference(11, 10)]

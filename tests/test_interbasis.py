@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hypersint import interbasis as ib
 from hypersint import potential1 as p1
 from hypersint import specfun as sf
+from hypersint.errors import NonFiniteValueError
 from hypersint.potential1 import P1State
 
 
@@ -402,3 +404,14 @@ def test_expansion_residual_propagates_nan_entries():
     entries[1, 0] = np.nan
     bad = ib.InterbasisMatrix(2, w.method, w.variant, entries, w.rows, w.cols)
     assert math.isnan(ib.verify_expansion(DEEP, 2, bad))
+
+
+def test_quadrature_raises_on_non_finite_entries():
+    # on this wide well the Jacobi recurrence overflows next to the upper
+    # end of the integral at N = 35 and 21 of the 1,296 entries came out
+    # NaN, with RuntimeWarnings; now the call raises and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValueError,
+                           match=r"N = 35: 21 of 1296 entries"):
+            ib.w_quadrature(p1.P1Params(0.56, 0.095, 4.38), 35)

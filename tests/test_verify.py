@@ -1,0 +1,95 @@
+import math
+
+import pytest
+
+from hypersint import cli as hcli
+from hypersint import verify
+from hypersint.errors import HypersintError, NoBoundStateError
+
+V2_FIXTURE = dict(potential="v2", alpha=0.1, beta=3.0, gamma=1.0,
+                  chart_params=(0.0, 1.0, 0.0))
+
+# (id, tolerance, soft) of every record, in report order, on the fixtures
+RECORDS = {
+    ("v1", "orthonormality"): [("v1-equidistant-gram", 1e-7, False)],
+    ("v1", "eigen"): [
+        ("L1-equidistant", 1e-6, False), ("L2-horicyclic", 1e-6, False),
+        ("L3-elliptic-parabolic", 1e-6, False),
+        ("L4-hyperbolic-parabolic", 1e-6, False),
+        ("lambda-AL0-vs-FEP10", None, True)],
+    ("v1", "linear-relations"): [("linRel3", 1e-5, False),
+                                 ("linRel4", 1e-5, False)],
+    ("v1", "quadratic-algebra"): [
+        ("matrix-symmetries", 1e-10, False),
+        ("R-commutator-vs-projected", 1e-5, False),
+        ("commRN2", 1e-6, True), ("commRN1", 1e-6, True),
+        ("Rsquared", 1e-6, True)],
+    ("v1", "interbasis"): [
+        rec for N in range(3) for rec in (
+            (f"three-method-agreement-N{N}", 1e-8, False),
+            (f"orthogonality-N{N}", 1e-8, False),
+            (f"pointwise-expansion-N{N}", 1e-6, False),
+            (f"printed-variant-orthogonality-N{N}", None, True))],
+    ("v1", "cross-chart"): [
+        ("potential-identity-equidistant", 1e-12, False),
+        ("potential-identity-horicyclic", 1e-12, False),
+        ("potential-identity-elliptic-parabolic", 1e-12, False),
+        ("potential-identity-hyperbolic-parabolic", 1e-12, False),
+        ("chart-maps-on-surface", 1e-10, False),
+        ("cross-chart-quantization", 1e-12, False),
+        ("horicyclic-bridge", 1e-12, False)],
+    ("v2", "orthonormality"): [("v2-ground-norm", 1e-7, False)],
+    ("v2", "eigen"): [
+        ("L1-v2-equidistant", 1e-6, False),
+        ("L1-from-L12-relation", 1e-6, False),
+        ("L2-semi-hyperbolic", 1e-6, False),
+        ("lambda-display-vs-eigenvalue", None, True)],
+    ("v2", "cross-chart"): [
+        ("potential-identity-equidistant", 1e-12, False),
+        ("printed-alpha-sign-defect", None, True),
+        ("semi-hyperbolic-factor-identity", 1e-10, False),
+        ("energy-branch-consistency", 1e-12, False),
+        ("k1-equals-a", 1e-13, False),
+        ("hamiltonian-decomposition", 1e-6, False),
+        ("hamiltonian-decomposition-printed-constant", None, True)],
+}
+
+
+def test_suite_tables_cover_the_pinned_suites():
+    assert [(p, s) for p, t in verify.SUITES.items() for s in t] \
+        == list(RECORDS)
+
+
+@pytest.mark.parametrize("potential, suite", list(RECORDS))
+def test_record_ids_tolerances_and_soft_flags(potential, suite):
+    fixture = V2_FIXTURE if potential == "v2" else {}
+    records, failed = verify.run(hcli.RunConfig(suite=suite, **fixture))
+    assert [(r["id"], r["tolerance"], r["soft"]) for r in records] \
+        == RECORDS[potential, suite]
+    assert not failed
+
+
+def test_record_pass_rule():
+    assert verify.record("a", 1e-7, 1e-7)["pass"]
+    assert not verify.record("a", 2e-7, 1e-7)["pass"]
+    assert not verify.record("a", math.nan, 1e-7)["pass"]
+    assert verify.record("a", 5.0, None, soft=True)["pass"]
+    failing_soft = verify.record("a", 1.0, 1e-6, soft=True)
+    assert not failing_soft["pass"] and failing_soft["soft"]
+
+
+def test_suite_of_the_other_potential_is_an_error():
+    with pytest.raises(HypersintError, match="does not apply to v2"):
+        verify.run(hcli.RunConfig(suite="interbasis", **V2_FIXTURE))
+
+
+@pytest.mark.parametrize("suite", ["orthonormality", "eigen", "interbasis",
+                                   "quadratic-algebra"])
+def test_empty_v1_spectrum_raises(suite):
+    # beta = 10, gamma = 1 has no bound state; the Gram check used to
+    # pass on a 0 x 0 matrix with residual 0
+    cfg = hcli.RunConfig(beta=10.0, gamma=1.0, suite=suite)
+    with pytest.raises(NoBoundStateError):
+        verify.run(cfg)
+    assert hcli.main(["verify", "--suite", suite, "--beta", "10",
+                      "--gamma", "1"]) == 2
