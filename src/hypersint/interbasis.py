@@ -48,7 +48,7 @@ import numpy as np
 from . import potential1 as p1m
 from . import specfun as sf
 from .errors import NonFiniteValueError, OutOfDomainError, ParameterPoleError
-from .potential1 import P1Params, P1State
+from .potential1 import P1Params
 
 __all__ = [
     "InterbasisMatrix",
@@ -105,15 +105,7 @@ class _LogGammaTable(dict):
         return v
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            return _each(self.__getitem__, x)
-        return self[x]
-
-
-def _each(f, x: np.ndarray) -> np.ndarray:
-    # f (math.exp, math.log) element by element: numpy's can differ in the
-    # last bit, and the entries must equal those of the scalar formulas
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return sf._each(self.__getitem__, x) if isinstance(x, np.ndarray) else self[x]
 
 
 class _Level:
@@ -246,32 +238,30 @@ def _a_integrals(lv: _Level, cosh_pow: np.ndarray,
     degrees, b = np.array([[n] for n, _ in lv.cols]), -lv.mu.T
     out = np.empty(c.shape)
     todo = np.ones(c.shape, dtype=bool)
-    cols, prev, step = list(range(len(lv.cols))), {}, {}
+    cols, prev = np.arange(len(lv.cols)), None
     for n_nodes in (48, 96, 192, 384, 768):
         w, arg, log_sp, log_cp = lv.nodes(n_nodes)
         polys = np.real(sf.jacobi(degrees[cols], d, b[cols], arg))
-        still = []
-        for j, poly in zip(cols, polys):
-            val = _HALF * np.sum(
-                w * (np.exp(s * log_sp - c[:, j, None] * log_cp) * poly), axis=1)
-            if j in prev:
-                step[j] = np.abs(val - prev[j])
-                done = todo[:, j] & (step[j] <= tol * np.maximum(1.0, np.abs(val)))
-                out[done, j] = val[done]
-                todo[:, j] &= ~done
-                if not todo[:, j].any():
-                    continue
-            prev[j] = val
-            still.append(j)
-        cols = still
-        if not cols:
+        # w * (exp(s log_sp - c log_cp) * poly), (rows, open cols, nodes)
+        t = c[:, cols, None] * log_cp
+        np.exp(np.subtract(s[:, :, None] * log_sp, t, out=t), out=t)
+        t *= polys
+        t *= w
+        val = _HALF * np.sum(t, axis=2)
+        del t  # before the next node count allocates its own
+        if prev is not None:
+            step = np.abs(val - prev)
+            done = todo[:, cols] & (step <= tol * np.maximum(1.0, np.abs(val)))
+            out[:, cols] = np.where(done, val, out[:, cols])
+            todo[:, cols] &= ~done
+            still = todo[:, cols].any(axis=0)
+            cols, val, step = cols[still], val[:, still], step[:, still]
+        prev = val
+        if not len(cols):
             return out, 0.0
-    diffs = [0.0] * len(lv.cols)
-    for j in cols:
-        val, rows = prev[j], todo[:, j]
-        out[rows, j] = val[rows]
-        diffs[j] = float(np.max(step[j][rows] / np.maximum(1.0, np.abs(val[rows]))))
-    return out, max(diffs)
+    rest = todo[:, cols]
+    out[:, cols] = np.where(rest, prev, out[:, cols])
+    return out, float(np.max(step[rest] / np.maximum(1.0, np.abs(prev[rest]))))
 
 
 def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -302,10 +292,10 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
             + math.log(mu - d - 2.0 * n - 1.0) + lg(mu + m + 1.0)
             + lg(mu - n)))
         logk = 0.5 * (
-            head - lg(n1 + 1.0) - lg(n2 + 1.0) - _each(math.log, mu)
+            head - lg(n1 + 1.0) - lg(n2 + 1.0) - sf._each(math.log, mu)
             - lg(n1 + d + 1.0) - lg(n2 + d + 1.0) - lg(n + d + 1.0)
             - lg(mu - d - n))
-    entries = lv.sign * _each(math.exp, logk) * val
+    entries = lv.sign * sf._each(math.exp, logk) * val
     bad = np.count_nonzero(~np.isfinite(entries))
     if bad:
         raise NonFiniteValueError(f"w_quadrature at N = {N}: {bad} of "
@@ -352,19 +342,19 @@ def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
                   - math.log(2.0) + lg(1.0 + d + n1)
                   + lg(mu + m - d - n1) - lg(1.0 + mu + m))
         return InterbasisMatrix(N, "3f2", variant,
-                                sgn * _each(math.exp, logmag) * f32,
+                                sgn * sf._each(math.exp, logmag) * f32,
                                 lv.rows, lv.cols, ratio)
     head = lv.col(lambda n, m, mu: (
         lg(m + 1.0) + math.log(SQRT2 * p.beta)
         + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)))
     logmag = 0.5 * (
         head + lg(n1 + d + 1.0) - lg(n + 1.0) - lg(n1 + 1.0)
-        - lg(n2 + 1.0) - _each(math.log, mu) - lg(n2 + d + 1.0)
+        - lg(n2 + 1.0) - sf._each(math.log, mu) - lg(n2 + d + 1.0)
         - lg(n + d + 1.0) - lg(mu - n - d)
         - lg(mu - n) - lg(mu + m))
     logmag += (lg(mu) + lg(mu + m - d - n1 - 1.0) - math.log(2.0))
     return InterbasisMatrix(N, "3f2", variant,
-                            lv.sign * _each(math.exp, logmag) * f32,
+                            lv.sign * sf._each(math.exp, logmag) * f32,
                             lv.rows, lv.cols, ratio)
 
 
@@ -401,13 +391,13 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
             lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * p.beta)
             + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)))
         logmag = 0.5 * (
-            head - lg(n1 + 1.0) - lg(n2 + 1.0) - _each(math.log, mu)
+            head - lg(n1 + 1.0) - lg(n2 + 1.0) - sf._each(math.log, mu)
             - lg(n + d + 1.0) - lg(mu - n - d)
             + lg(n1 + d + 1.0) + lg(mu - n)
             - lg(n2 + d + 1.0) - lg(mu + m))
         logmag += lg(mu + m - d - n1 - n - 1.0) - math.log(2.0)
     return InterbasisMatrix(N, "hahn", variant,
-                            lv.sign * _each(math.exp, logmag) * (pref * h),
+                            lv.sign * sf._each(math.exp, logmag) * (pref * h),
                             lv.rows, lv.cols, ratio)
 
 
@@ -424,12 +414,12 @@ def verify_expansion(p: P1Params, N: int, w: InterbasisMatrix,
     b_pts = rng.uniform(-1.2, 0.9, size=n_points)
     x_pts = np.exp(b_pts) * np.tanh(a_pts)
     y_pts = np.exp(b_pts) / np.cosh(a_pts)
-    eq_vals = np.array([p1m.p1_wf_equidistant(P1State(p, "equidistant", nm),
-                                              a_pts, b_pts)
-                        for nm in w.cols])  # (N+1, n_points)
-    hc = np.array([p1m.p1_wf_horicyclic(P1State(p, "horicyclic", nm),
-                                        x_pts, y_pts)
-                   for nm in w.rows])
+    # each basis in one pass, its quantum numbers as float columns (as in
+    # _Level), so all the factor arithmetic stays in float64: (N+1, n_points)
+    hc = p1m._horicyclic_product(p, *np.array(w.rows, dtype=float).T[:, :, None],
+                                 x_pts, y_pts)
+    eq_vals = p1m._equidistant_product(p, *np.array(w.cols, dtype=float).T[:, :, None],
+                                       a_pts, b_pts)
     recon = np.array([w.entries[i, :] @ eq_vals for i in range(len(w.rows))])
     # one max over all rows, so a NaN entry makes the residual NaN
     worst = float(np.max(np.abs(hc - recon)))

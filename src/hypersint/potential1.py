@@ -96,8 +96,14 @@ SQRT2 = math.sqrt(2.0)
 _WINDOW_TOL = 1e-12
 
 
-def _lgamma(x: float) -> float:
-    return sf.log_gamma(x).real
+def _lgamma(x):
+    """Real log Gamma of a number, or of each element of an array."""
+    return sf._each(lambda v: sf.log_gamma(v).real, x)
+
+
+def _any(mask) -> bool:
+    """np.any, without its microseconds of overhead on a bool."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
 
 
 def _window_top(span: float) -> int:
@@ -157,9 +163,9 @@ class P1Params:
         return _window_top(self.s - 1.0)
 
 
-def p1_mu(p: P1Params, m: int) -> float:
+def p1_mu(p: P1Params, m):
     """Quantized equidistant separation constant mu = s - 2m - 1."""
-    if m < 0 or m > p.m_max:
+    if _any((m < 0) | (m > p.m_max)):
         raise OutOfWindowError(
             f"m = {m} outside Morse window 0..{p.m_max} "
             f"(mu = s - 2m - 1 must stay positive, s = {p.s:.6g})")
@@ -302,28 +308,26 @@ def v1_hyperbolic_parabolic(p: P1Params, b, th):
 # One-dimensional factors (equidistant, horicyclic)
 # ---------------------------------------------------------------------------
 
-def _exp_guarded(logmag, poly_fn):
-    """exp(logmag) * poly_fn(), with poly_fn evaluated only where the
-    prefactor has not underflowed.
+# A factor's quantum numbers may be columns (of whole numbers, int or float)
+# against a row of points: one row per state, equal to its single-state call
+# bit for bit.
 
-    Whenever the full factor decays, |poly| < exp(-logmag) on the kept
-    set, so the polynomial recurrence cannot overflow there.  poly_fn
-    takes the boolean mask of kept entries.  A 0-d logmag (scalar
-    arguments) gives a numpy scalar, so the factors that call this need
-    no scalar branch of their own.  A NaN log-magnitude (an argument
-    outside the factor's domain) raises NonFiniteValueError.
+def _exp_guarded(logmag, poly, arg):
+    """exp(logmag) * poly(arg), with poly's values used only where the
+    prefactor has not underflowed; there |poly| < exp(-logmag), so the
+    recurrence cannot overflow.  poly runs on arg (broadcast against
+    logmag) with 0, where every caller's polynomial is finite, in place of
+    the dropped entries.  A NaN log-magnitude (an argument outside the
+    factor's domain) raises NonFiniteValueError.
     """
     logmag = np.asarray(logmag, dtype=float)
     if np.isnan(logmag).any():
         raise NonFiniteValueError("log-magnitude is NaN: argument outside the domain")
-    out = np.zeros_like(logmag)
     keep = logmag >= -700.0
-    if np.any(keep):
-        out[keep] = np.exp(logmag[keep]) * poly_fn(keep)
-    return out[()]
+    return np.where(keep, np.exp(logmag) * poly(np.where(keep, arg, 0.0)), 0.0)[()]
 
 
-def morse_factor(p: P1Params, m: int, t2, mu: float | None = None):
+def morse_factor(p: P1Params, m, t2, mu=None):
     """Morse-problem factor S_m(t2), unit norm on t2 in (-inf, inf).
 
     S = sqrt(2 mu m! / Gamma(m+mu+1)) e^{-z/2} z^{mu/2} L_m^mu(z),
@@ -335,12 +339,13 @@ def morse_factor(p: P1Params, m: int, t2, mu: float | None = None):
     # log z finite, so the log-magnitude stays a number (not NaN) where
     # the factor, below exp(-sqrt2 beta e^600 / 2), is 0 either way
     z = SQRT2 * p.beta * np.exp(2.0 * np.minimum(t2, 300.0))
-    logpref = 0.5 * (math.log(2.0 * mu) + _lgamma(m + 1.0) - _lgamma(m + mu + 1.0))
+    logpref = 0.5 * (sf._each(math.log, 2.0 * mu) + _lgamma(m + 1.0)
+                     - _lgamma(m + mu + 1.0))
     logmag = logpref - z / 2.0 + 0.5 * mu * np.log(z)
-    return _exp_guarded(logmag, lambda k: sf.laguerre(m, mu, z[k]))
+    return _exp_guarded(logmag, lambda v: sf.laguerre(m, mu, v), z)
 
 
-def pt_factor(p, n: int, mu: float, t1):
+def pt_factor(p, n, mu, t1):
     """Modified Poschl-Teller factor S_n(t1), unit norm on t1 in (0, inf).
 
     Even extension across the potential wall: |sinh t1| is used, so
@@ -348,12 +353,13 @@ def pt_factor(p, n: int, mu: float, t1):
     potential uses the same factor (``potential2.z_pt_factor``).
     """
     nu = mu - p.d - 2.0 * n - 1.0
-    if nu <= 0.0:
+    if _any(nu <= 0.0):
+        n, mu = (np.broadcast_to(v, np.shape(nu))[nu <= 0.0][0] for v in (n, mu))
         raise OutOfWindowError(f"n = {n} outside window for mu = {mu:.6g}")
     t1a = np.asarray(t1, dtype=float)
     s_abs = np.abs(np.sinh(t1a))
     ch = np.cosh(t1a)
-    logpref = 0.5 * (math.log(2.0 * nu) + _lgamma(mu - n) + _lgamma(n + 1.0)
+    logpref = 0.5 * (sf._each(math.log, 2.0 * nu) + _lgamma(mu - n) + _lgamma(n + 1.0)
                      - _lgamma(mu - p.d - n) - _lgamma(1.0 + n + p.d))
     with np.errstate(divide="ignore"):
         logmag = logpref + (0.5 + p.d) * np.log(s_abs) + (0.5 - mu) * np.log(ch)
@@ -361,10 +367,10 @@ def pt_factor(p, n: int, mu: float, t1):
     # the factor is below e^{-650} for every admissible window
     logmag = np.where(np.abs(t1a) <= 354.0, logmag, -np.inf)
     return _exp_guarded(
-        logmag, lambda k: np.real(sf.jacobi(n, p.d, -mu, np.cosh(2.0 * t1a[k]))))
+        logmag, lambda v: np.real(sf.jacobi(n, p.d, -mu, np.cosh(2.0 * v))), t1a)
 
 
-def osc_x_factor(p: P1Params, n1: int, x):
+def osc_x_factor(p: P1Params, n1, x):
     """Horicyclic x-factor (singular oscillator), unit norm on x in R.
 
     psi ~ |x|^{1/2+d} e^{-beta x^2/sqrt2} L_{n1}^d(sqrt2 beta x^2); even.
@@ -375,13 +381,13 @@ def osc_x_factor(p: P1Params, n1: int, x):
                      - _lgamma(n1 + p.d + 1.0))
     with np.errstate(divide="ignore"):
         logmag = logpref - u / 2.0 + (0.25 + 0.5 * p.d) * np.log(u)
-    return _exp_guarded(logmag, lambda k: sf.laguerre(n1, p.d, u[k]))
+    return _exp_guarded(logmag, lambda v: sf.laguerre(n1, p.d, v), u)
 
 
-def osc_y_factor(p: P1Params, N: int, n2: int, y):
+def osc_y_factor(p: P1Params, N, n2, y):
     """Horicyclic y-factor with index nu(N), unit norm on y in (0, inf)."""
     nu = p1_nu(p, N)
-    if nu <= 0.0:
+    if _any(nu <= 0.0):
         raise NoBoundStateError("y-factor requires sqrt(-2E+1/4) > 0")
     ya = np.asarray(y, dtype=float)
     u = SQRT2 * p.beta * ya * ya
@@ -390,7 +396,7 @@ def osc_y_factor(p: P1Params, N: int, n2: int, y):
                      - _lgamma(n2 + nu + 1.0))
     with np.errstate(divide="ignore"):
         logmag = logpref - u / 2.0 + (0.25 + 0.5 * nu) * np.log(u)
-    return _exp_guarded(logmag, lambda k: sf.laguerre(n2, nu, u[k]))
+    return _exp_guarded(logmag, lambda v: sf.laguerre(n2, nu, v), u)
 
 
 def hc_norm_constant(p: P1Params, N: int) -> float:
@@ -401,7 +407,7 @@ def hc_norm_constant(p: P1Params, N: int) -> float:
     multiplies by sqrt(2 nu/(sqrt2 beta)).
     """
     nu = p1_nu(p, N)
-    return math.sqrt(2.0 * nu / (SQRT2 * p.beta))
+    return np.sqrt(2.0 * nu / (SQRT2 * p.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +474,24 @@ class P1State:
 def p1_wf_equidistant(state: P1State, t1, t2):
     """Psi_{nm}(t1, t2) = (cosh t1)^{-1/2} S_n(t1) S_m(t2); unit norm for
     t1 > 0, t2 in R with measure cosh(t1) dt1 dt2."""
-    n, m = state.numbers
-    mu = p1_mu(state.params, m)
+    return _equidistant_product(state.params, *state.numbers, t1, t2)
+
+
+def _equidistant_product(p: P1Params, n, m, t1, t2):
+    """``p1_wf_equidistant`` of (n, m), or of columns n, m (a row each)."""
+    mu = p1_mu(p, m)
     return (np.cosh(np.asarray(t1, dtype=float)) ** -0.5
-            * pt_factor(state.params, n, mu, t1)
-            * morse_factor(state.params, m, t2, mu))
+            * pt_factor(p, n, mu, t1)
+            * morse_factor(p, m, t2, mu))
 
 
 def p1_wf_horicyclic(state: P1State, x, y):
     """Canonical horicyclic product: unit norm in L^2(dx dy/y^2), x > 0 half."""
-    n1, n2 = state.numbers
-    p = state.params
+    return _horicyclic_product(state.params, *state.numbers, x, y)
+
+
+def _horicyclic_product(p: P1Params, n1, n2, x, y):
+    """``p1_wf_horicyclic`` of (n1, n2), or of columns n1, n2 (a row each)."""
     return (hc_norm_constant(p, n1 + n2)
             * osc_x_factor(p, n1, x)
             * osc_y_factor(p, n1 + n2, n2, y))
@@ -489,13 +502,13 @@ def p1_wf_horicyclic(state: P1State, x, y):
 # ---------------------------------------------------------------------------
 
 def _pair_sums(theta: np.ndarray) -> np.ndarray:
-    """sums_i = sum_{k != i} 1/(theta_k - theta_i), summed in order of k."""
-    if not len(theta):
-        return np.zeros(0)
-    diag = np.eye(len(theta), dtype=bool)
-    gap = np.where(diag, 1.0, theta[None, :] - theta[:, None])
+    """sums_i = sum_{k != i} 1/(theta_k - theta_i), in order of k, per row."""
+    if not theta.shape[-1]:
+        return np.zeros(theta.shape)
+    diag = np.eye(theta.shape[-1], dtype=bool)
+    gap = np.where(diag, 1.0, theta[..., None, :] - theta[..., :, None])
     # cumsum adds strictly left to right, as a scalar loop would
-    return np.cumsum(np.where(diag, 0.0, 1.0 / gap), axis=1)[:, -1]
+    return np.cumsum(np.where(diag, 0.0, 1.0 / gap), axis=-1)[..., -1]
 
 
 def p1_ep_equations(p: P1Params, N: int, theta: np.ndarray, form: str) -> np.ndarray:
@@ -534,10 +547,10 @@ def p1_hp_equations(p: P1Params, N: int, theta: np.ndarray, form: str) -> np.nda
     raise OutOfDomainError(f"unknown equation form {form!r}")
 
 
-def _residual(eqs) -> float:
-    """Largest absolute equation residual; inf where it is not finite."""
-    r = float(np.max(np.abs(eqs))) if len(eqs) else 0.0
-    return r if math.isfinite(r) else math.inf
+def _residual(eqs):
+    """Largest absolute equation residual, per row; inf if not finite."""
+    r = np.max(np.abs(eqs), axis=-1, initial=0.0)
+    return np.where(np.isfinite(r), r, math.inf).tolist()
 
 
 def _p1_family(p: P1Params, N: int, chart: str, form: str):
@@ -581,10 +594,9 @@ def _p1_roots(p: P1Params, N: int, chart: str, form: str,
     center = 1.0 if chart == "elliptic-parabolic" else -1.0
     configs = sf._stieltjes_roots(*_p1_family(p, N, chart, form), N, center)
     real = [np.sort(th) for th in configs if np.isrealobj(th)]
-    out, best = [], math.inf
-    for th in real:
-        r = _residual(equations(p, N, th, form))
-        best = min(best, r)
+    residuals = _residual(equations(p, N, np.reshape(real, (len(real), N)), form))
+    out, best = [], min(residuals, default=math.inf)
+    for th, r in zip(real, residuals):
         if r > tol:
             continue
         a_count, b_count, off = _zone_counts(th, *zones)
@@ -665,14 +677,13 @@ def _parabolic_raw(p: P1Params, roots: BetheRoots, u, th, elliptic: bool):
                   + expo * (np.log(r1) + np.log(r2))
                   - p.c * (r1**2 + s * r2**2))
 
-    def poly(k):
-        r1sq, r2sq = np.broadcast_arrays(r1**2, r2**2)
-        out = np.ones_like(r1sq[k])
+    def poly(v):
+        out = np.ones_like(v[0])
         for t in roots.roots:
-            out = out * (r1sq[k] - t) * (r2sq[k] - s * t)
+            out = out * (v[0] - t) * (v[1] - s * t)
         return out
 
-    return _exp_guarded(logmag, poly)
+    return _exp_guarded(logmag, poly, np.array(np.broadcast_arrays(r1**2, r2**2)))
 
 
 # volume elements of the parabolic charts (conformal factors)

@@ -68,18 +68,31 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
     return r <= 0 and abs(z.real - r) <= tol
 
 
+def _each(f, x):
+    """f of a number or of each element (numpy's exp and log can differ)."""
+    if not isinstance(x, np.ndarray):
+        return f(x)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # Gamma function
 # ---------------------------------------------------------------------------
 
-def _log_gamma_right(z: complex) -> complex:
-    """Lanczos evaluation, valid for Re z >= 0.5."""
+def _log_gamma_right(z):
+    """Lanczos evaluation, valid for Re z >= 0.5.  A float z takes float
+    arithmetic, bit for bit the real part of the complex evaluation."""
     zm1 = z - 1.0
     a = _LANCZOS_C[0]
     for k in range(1, 9):
         a += _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    return 0.5 * _LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(a)
+    if isinstance(z, complex):
+        return 0.5 * _LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(a)
+    # cmath.log's real part: from log1p for 0.71 <= |a| <= 1.73 (t >= 7)
+    log_a = (math.log1p((a - 1.0) * (a + 1.0)) / 2.0 if 0.71 <= a <= 1.73
+             else math.log(a))
+    return 0.5 * _LOG_2PI + (zm1 + 0.5) * math.log(t) - t + log_a
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -121,7 +134,7 @@ def log_gamma(z: complex) -> complex:
     if _is_nonpositive_integer(z):
         raise ParameterPoleError(f"log_gamma: pole at z = {z}")
     if z.real >= 0.5:
-        out = _log_gamma_right(z)
+        out = _log_gamma_right(z.real if z.imag == 0.0 else z)
     else:
         # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).
         out = math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
@@ -149,18 +162,42 @@ def pochhammer(a: complex, n: int) -> complex:
 # Classical orthogonal polynomials (forward recurrences)
 # ---------------------------------------------------------------------------
 
-def laguerre(n: int, a: float, x):
-    """Generalized Laguerre polynomial L_n^a(x); x may be a float or ndarray."""
-    if n < 0:
-        raise OutOfDomainError("laguerre: n must be >= 0")
-    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else x
-    p_prev = 1.0 if np.isscalar(x) else np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p = 1.0 + a - x
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1), p
-    return p
+def laguerre(n, a, x):
+    """Generalized Laguerre polynomial L_n^a(x); x may be a float or ndarray.
+
+    n may also be an array of whole-number degrees (int or float), with a
+    and x broadcasting against it: one recurrence then runs on the rows of
+    ``_degree_rows``, each read at its own degree, bit for bit its
+    scalar-degree call.
+    """
+    if not (isinstance(n, np.ndarray) or isinstance(a, np.ndarray)):
+        if n < 0:
+            raise OutOfDomainError("laguerre: n must be >= 0")
+        x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else x
+        p_prev = 1.0 if np.isscalar(x) else np.ones_like(x)
+        if n == 0:
+            return p_prev
+        p = 1.0 + a - x
+        for k in range(1, n):
+            p, p_prev = _laguerre_step(k, a, x, p, p_prev), p
+        return p
+    shape, back, _, (a,), x, live = _degree_rows("laguerre", n, (a,),
+                                                 np.asarray(x, dtype=float))
+    out = np.ones(x.shape)
+    if len(live) > 1:
+        # p_prev starts as a view of out's ones; out is written only past
+        # the rows still running, which are the ones read from p_prev
+        p, p_prev = 1.0 + a[:live[1]] - x[:live[1]], out[:live[1]]
+        for k, j in enumerate(live[2:], 1):
+            out[j:len(p)] = p[j:]
+            p, p_prev = _laguerre_step(k, a[:j], x[:j], p[:j], p_prev[:j]), p[:j]
+        out[:len(p)] = p
+    return out[back].reshape(shape)
+
+
+def _laguerre_step(k, a, x, p, p_prev):
+    """L_{k+1}^a(x) from p = L_k^a(x) and p_prev = L_{k-1}^a(x)."""
+    return ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1)
 
 
 def _jacobi_series(n: int, a: complex, b: complex, x):
@@ -183,54 +220,30 @@ def jacobi(n, a, b, x):
 
     Forward recurrence; falls back to the terminating-sum form if a recurrence
     denominator 2k(k+a+b)(2k+a+b-2) degenerates (possible for special complex
-    parameter combinations).  An integer array of degrees (with a, b and x
-    broadcasting against it) runs one recurrence to the largest degree and
-    reads each element at its own; every element equals the scalar-degree
-    call bit for bit, the fallback included.
+    parameter combinations).  An array of whole-number degrees (int or
+    float, with a, b and x broadcasting against it) runs one recurrence on
+    the rows of ``_degree_rows``, each read at its own degree; every element
+    equals the scalar-degree call bit for bit, the fallback included.
     """
-    if isinstance(n, np.ndarray):
-        return _jacobi_degrees(n, a, b, x)
-    if n < 0:
-        raise OutOfDomainError("jacobi: n must be >= 0")
-    one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if n == 0:
-        return one
-    p_prev = one
-    p = (a + 1.0) * one + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, n + 1):
-        s = 2.0 * k + a + b
-        den = 2.0 * k * (k + a + b) * (s - 2.0)
-        if abs(complex(den)) < 1e-10 * max(1.0, abs(complex(s)) ** 3):
-            return _jacobi_series(n, a, b, x)
-        c1 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
-        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        p, p_prev = (c1 * p - c2 * p_prev) / den, p
-    return p
-
-
-def _jacobi_degrees(n, a, b, x):
-    """``jacobi`` of an integer array n.  The broadcast degrees and
-    parameters become K rows, sorted by degree, descending, so the rows
-    still running at degree k are a prefix; x becomes their (K, L) rows,
-    L the size of the axes along which only x varies."""
-    shape = np.broadcast(n, a, b, x).shape
-    if n.size == np.size(a) == np.size(b) == 1:  # one row: the scalar recurrence
-        return np.reshape(jacobi(*(np.asarray(v).item() for v in (n, a, b)), x), shape)
-    pshape = np.broadcast(n, a, b).shape
-    pshape = (1,) * (len(shape) - len(pshape)) + pshape
-    lead = max((i + 1 for i, size in enumerate(pshape) if size != 1), default=0)
-    rows, cols = math.prod(shape[:lead]), math.prod(shape[lead:])
-    head = shape[:lead] + (1,) * (len(shape) - lead)
-    n, a, b = (np.broadcast_to(v, head).reshape(rows, 1) for v in (n, a, b))
-    degrees = n[:, 0].tolist()
-    if degrees and min(degrees) < 0:
-        raise OutOfDomainError("jacobi: n must be >= 0")
-    order = sorted(range(rows), key=lambda i: -degrees[i])
-    degrees = [degrees[i] for i in order]
-    a, b = a[order], b[order]
-    x = np.broadcast_to(x, shape).reshape(rows, cols)[order]
-    live = [sum(v >= k for v in degrees) for k in range(degrees[0] + 1 if degrees else 0)]
-    out = np.ones((rows, cols), np.result_type(a, b, x))
+    if not isinstance(n, np.ndarray):
+        if n < 0:
+            raise OutOfDomainError("jacobi: n must be >= 0")
+        one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+        if n == 0:
+            return one
+        p_prev = one
+        p = (a + 1.0) * one + (a + b + 2.0) * (x - 1.0) / 2.0
+        for k in range(2, n + 1):
+            s = 2.0 * k + a + b
+            den = 2.0 * k * (k + a + b) * (s - 2.0)
+            if abs(complex(den)) < 1e-10 * max(1.0, abs(complex(s)) ** 3):
+                return _jacobi_series(n, a, b, x)
+            c1 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
+            c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
+            p, p_prev = (c1 * p - c2 * p_prev) / den, p
+        return p
+    shape, back, degrees, (a, b), x, live = _degree_rows("jacobi", n, (a, b), x)
+    out = np.ones(x.shape, np.result_type(a, b, x))
     if len(live) > 1:
         j = live[1]
         a, b = a[:j], b[:j]
@@ -259,9 +272,30 @@ def _jacobi_degrees(n, a, b, x):
         out[:len(p)] = p
         for i in series:
             out[i] = _jacobi_series(degrees[i], a[i, 0].item(), b[i, 0].item(), x[i])
-    restored = np.empty_like(out)
-    restored[order] = out
-    return restored.reshape(shape)
+    return out[back].reshape(shape)
+
+
+def _degree_rows(name: str, n, params, x):
+    """Degrees n and parameters as K rows sorted by degree, descending (the
+    rows still running at degree k are a prefix) and x as their (K, L) rows;
+    with the shape, the row indices restoring it, degrees and live[k]: how
+    many rows have degree >= k.  L spans the axes along which only x varies."""
+    shape = np.broadcast(n, *params, x).shape
+    pshape = np.broadcast(n, *params).shape
+    pshape = (1,) * (len(shape) - len(pshape)) + pshape
+    lead = max((i + 1 for i, size in enumerate(pshape) if size != 1), default=0)
+    rows, cols = math.prod(shape[:lead]), math.prod(shape[lead:])
+    head = shape[:lead] + (1,) * (len(shape) - lead)
+    n, *params = (np.full(head, v).reshape(rows, 1) for v in (n, *params))
+    degrees = n[:, 0].tolist()
+    if any(v < 0 or v != int(v) for v in degrees):
+        raise OutOfDomainError(f"{name}: n must be whole numbers >= 0")
+    order = sorted(range(rows), key=lambda i: -degrees[i])
+    degrees = [int(degrees[i]) for i in order]
+    x = np.full(shape, x).reshape(rows, cols)[order]
+    live = [sum(v >= k for v in degrees) for k in range(degrees[0] + 1 if degrees else 0)]
+    back = sorted(range(rows), key=order.__getitem__)
+    return shape, back, degrees, [v[order] for v in params], x, live
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +377,32 @@ def _stieltjes_roots(a, b, N: int, center: float = 0.0) -> list[np.ndarray]:
     float arrays, the others as complex arrays, in eigenvector order; the
     real and the complex ones are each polished as one stack.  A
     degenerate eigenvector (top coefficient exactly zero) yields no
-    configuration.
+    configuration.  The roots are the eigenvalues of ``np.roots``' companion
+    matrices: one stacked ``eigvals`` call for the real eigenvectors, one
+    for the complex ones.
     """
     if N == 0:
         return [np.zeros(0)]
     a, b = _taylor_shift(a, center), _taylor_shift(b, center)
     _, vecs = np.linalg.eig(_stieltjes_matrix(a, b, N))
-    found = [x for x in (np.roots((v if np.any(v.imag) else v.real)[::-1])
-                         for v in vecs.T) if len(x) == N]
-    out = list(found)
+    vecs = vecs.T[vecs[N] != 0]
+    real = ~np.any(vecs.imag, axis=1)
+    found = [None] * len(vecs)
+    for rows, coef in ((real, vecs[real].real), (~real, vecs[~real])):
+        if not len(coef):
+            continue
+        comp = np.zeros((len(coef), N, N), coef.dtype)
+        comp[:, 0] = -coef[:, N - 1::-1] / coef[:, N:]
+        comp.reshape(len(coef), -1)[:, N::N + 1] = 1.0  # the subdiagonal
+        for i, x in zip(np.flatnonzero(rows), np.linalg.eigvals(comp)):
+            found[i] = x.real if np.isrealobj(coef) and not np.any(x.imag) else x
     for real in (True, False):
         idx = [i for i, x in enumerate(found) if np.isrealobj(x) == real]
         if idx:
             polished = _stieltjes_polish(a, b, np.array([found[i] for i in idx]))
             for i, th in zip(idx, polished + center):
-                out[i] = th
-    return out
+                found[i] = th
+    return found
 
 
 def _taylor_shift(c, t0: float) -> np.ndarray:

@@ -88,28 +88,19 @@ def _gram(rows, spec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _v1_orthonormality(params, cfg) -> list[dict]:
-    states = [nm for N in range(_nmax(params) + 1)
-              for nm in p1.level_states_equidistant(params, N)]
-    mus = {m: p1.p1_mu(params, m) for _, m in states}
-
-    def pt_rows(t):
-        return np.array([p1.pt_factor(params, n, mus[m], t)
-                         for n, m in states])
-
-    def morse_rows(t):
-        # one Morse factor per m, shared by every n
-        f = {m: p1.morse_factor(params, m, t, mu) for m, mu in mus.items()}
-        return np.array([f[m] for _, m in states])
-
-    ga, _ = _gram(pt_rows, _half_line(cfg))
-    gb, _ = _gram(morse_rows, sf.QuadratureSpec(
-        "tanh-sinh", cfg.quad_level, -25.0, 5.0))
-    worst = np.max(np.triu(np.abs(ga * gb - np.eye(len(states)))),
-                   initial=0.0)
+    n, m = np.array([nm for N in range(_nmax(params) + 1)
+                     for nm in p1.level_states_equidistant(params, N)],
+                    dtype=float).T[:, :, None]
+    mu = p1.p1_mu(params, m)
+    ga, _ = _gram(lambda t: p1.pt_factor(params, n, mu, t), _half_line(cfg))
+    gb, _ = _gram(lambda t: p1.morse_factor(params, m, t, mu),
+                  sf.QuadratureSpec("tanh-sinh", cfg.quad_level, -25.0, 5.0))
+    worst = np.max(np.triu(np.abs(ga * gb - np.eye(len(n)))), initial=0.0)
     return [record("v1-equidistant-gram", worst, 1e-7)]
 
 
 def _v2_orthonormality(params, cfg) -> list[dict]:
+    _nmax(params)
     mu0 = p2.p2_mu(params, 0)
     va, _ = sf.integrate(lambda t: p2.z_pt_factor(params, 0, mu0, t) ** 2,
                          _half_line(cfg))
@@ -165,6 +156,7 @@ def _v1_eigen(params, cfg) -> list[dict]:
 
 
 def _v2_eigen(params, cfg) -> list[dict]:
+    _nmax(params)
     h = cfg.diff_step
     pts = eq_points()
     wf = p2.wf_ambient(p2.P2State(params, "equidistant", (0, 0)))
@@ -340,6 +332,8 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
                                            - p2.p2_energy_semihyperbolic(pr, N)))
     recs.append(record("energy-branch-consistency", worst_e, 1e-12))
     recs.append(record("k1-equals-a", worst_k, 1e-13))
+    if params.nmax is None:
+        return recs
     # Hamiltonian decomposition via the L_jk: closes with +3/8
     wf = p2.wf_ambient(p2.P2State(params, "equidistant", (0, 0)))
     ops = [alg.build_operator(o, params) for o in ("L12", "L13", "L23")]

@@ -219,30 +219,28 @@ def test_verify_suites_pass(suite):
 
 
 def test_orthonormality_evaluates_each_factor_once_per_node_set(monkeypatch):
-    # the Gram matrix is formed from each state's 1-D factors on each node
-    # array; pair by pair it evaluated both factors of both states again
-    calls = {}
+    # the Gram matrix is formed from the states' 1-D factors on each node
+    # array, all states in one call per factor: their quantum numbers are
+    # columns against the row of nodes
+    calls = []
 
     def count(name, t_index):
         orig = getattr(p1, name)
 
         def counted(*args):
-            key = (name, args[1], args[2 if t_index == 3 else 3],
-                   np.asarray(args[t_index]).tobytes())
-            calls[key] = calls.get(key, 0) + 1
+            calls.append((name, np.shape(args[1]),
+                          np.asarray(args[t_index]).tobytes()))
             return orig(*args)
         monkeypatch.setattr(p1, name, counted)
     count("pt_factor", 3)      # pt_factor(params, n, mu, t)
     count("morse_factor", 2)   # morse_factor(params, m, t, mu)
     code, out = run_main(["verify", "--suite", "orthonormality"])
     assert code == 0 and json.loads(out)["records"][0]["pass"]
-    # two node sets per integral; the fixture's six states (n, m) have six
-    # Poschl-Teller factors and three Morse factors (one per m)
-    for name, distinct in (("pt_factor", 6), ("morse_factor", 3)):
+    # two node sets per integral; the fixture has six states (n, m)
+    for name in ("pt_factor", "morse_factor"):
         keys = [k for k in calls if k[0] == name]
-        assert len({k[1:3] for k in keys}) == distinct
-        assert len(keys) == 2 * distinct
-    assert set(calls.values()) == {1}
+        assert len(keys) == 2 and len({k[2] for k in keys}) == 2
+        assert all(k[1] == (6, 1) for k in keys)
 
 
 def test_verify_quadratic_algebra_soft_reports():

@@ -415,3 +415,25 @@ def test_quadrature_raises_on_non_finite_entries():
         with pytest.raises(NonFiniteValueError,
                            match=r"N = 35: 21 of 1296 entries"):
             ib.w_quadrature(p1.P1Params(0.56, 0.095, 4.38), 35)
+
+
+def test_expansion_work_does_not_grow_with_the_level(monkeypatch):
+    # each basis of a level is evaluated in one pass: the same few
+    # polynomial calls at N = 6 as at N = 14 (they were 2 (N + 1) calls of
+    # each wavefunction)
+    p = p1.P1Params(0.3, 0.2, 3.0)
+    calls = []
+    for name in ("laguerre", "jacobi"):
+        orig = getattr(sf, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(sf, name, counted)
+    counts = []
+    for N in (6, 14):
+        w = ib.w_3f2(p, N)
+        calls.clear()
+        assert math.isfinite(ib.verify_expansion(p, N, w))
+        counts.append((calls.count("laguerre"), calls.count("jacobi")))
+    assert counts[0] == counts[1] == (3, 1)

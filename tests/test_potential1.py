@@ -535,7 +535,7 @@ def test_parabolic_product_forms_reject_points_outside_the_chart(p1_fixture):
 
 def test_exp_guarded_rejects_a_nan_log_magnitude():
     with pytest.raises(NonFiniteValueError):
-        p1._exp_guarded(np.array([0.0, np.nan, -800.0]), lambda k: 1.0)
+        p1._exp_guarded(np.array([0.0, np.nan, -800.0]), lambda v: 1.0, 0.0)
 
 
 def test_morse_far_tail_is_zero_without_warnings():
@@ -545,6 +545,42 @@ def test_morse_far_tail_is_zero_without_warnings():
     vals = p1.morse_factor(p, 1, np.array([0.3, 1e3]))
     assert vals[1] == 0.0
     assert vals[0] == p1.morse_factor(p, 1, np.array([0.3]))[0] != 0.0
+
+
+@pytest.mark.parametrize("well", [(1.0, 1.0 / SQRT2, 2.0 * SQRT2),
+                                  (0.3, 0.2, 3.0), (0.56, 0.095, 4.38)])
+def test_factor_columns_equal_single_state_calls_bit_for_bit(well):
+    # a column of quantum numbers against a row of points is the stack of
+    # the single-state calls, far-tail points (dropped by _exp_guarded,
+    # exactly 0) included
+    p = p1.P1Params(*well)
+    states = [nm for N in range(0, p.nmax + 1, max(1, p.nmax // 6))
+              for nm in p1.level_states_equidistant(p, N)]
+    n, m = np.array(states).T[:, :, None]
+    mu = p1.p1_mu(p, m)
+    t1 = np.concatenate([np.linspace(-400.0, 400.0, 81), [0.0, 0.05, 1e-3]])
+    t2 = np.concatenate([np.linspace(-60.0, 10.0, 71), [300.0, 1e3]])
+    xy = np.concatenate([np.linspace(-80.0, 80.0, 81), [1e-3, 500.0]])
+    N = p.nmax
+    k = np.arange(N + 1)[:, None]
+    for got, ref in (
+            (p1.pt_factor(p, n, mu, t1),
+             [p1.pt_factor(p, int(a), float(b), t1) for a, b in zip(n[:, 0], mu[:, 0])]),
+            (p1.morse_factor(p, m, t2, mu),
+             [p1.morse_factor(p, int(a), t2) for a in m[:, 0]]),
+            (p1.osc_x_factor(p, k, xy),
+             [p1.osc_x_factor(p, int(a), xy) for a in k[:, 0]]),
+            (p1.osc_y_factor(p, N, k, np.abs(xy)),
+             [p1.osc_y_factor(p, N, int(a), np.abs(xy)) for a in k[:, 0]]),
+            (p1._equidistant_product(p, n, m, t1[:71], t2[:71]),
+             [p1.p1_wf_equidistant(p1.P1State(p, "equidistant", nm), t1[:71], t2[:71])
+              for nm in states]),
+            (p1._horicyclic_product(p, k, N - k, xy, np.abs(xy)),
+             [p1.p1_wf_horicyclic(p1.P1State(p, "horicyclic", (a, N - a)), xy, np.abs(xy))
+              for a in range(N + 1)])):
+        assert got.shape == np.shape(ref)
+        assert np.array_equal(got, ref)
+        assert (got == 0.0).any() and (got != 0.0).any()
 
 
 def test_parabolic_normalization(p1_fixture):

@@ -192,6 +192,142 @@ def test_array_degrees_keep_the_terminating_sum_fallback(monkeypatch):
     assert np.array_equal(got, ref)
 
 
+def _laguerre_reference(n, a, x):
+    # the scalar-degree recurrence as it stood before array degrees
+    p_prev, p = np.ones_like(x), 1.0 + a - x
+    if n == 0:
+        return p_prev
+    for k in range(1, n):
+        p, p_prev = ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1), p
+    return p
+
+
+def test_laguerre_array_degrees_equal_scalar_calls_bit_for_bit():
+    # per-column degrees (0 and 1 among them) and parameters against a node
+    # row, elementwise degrees, a one-element column and a zero-size batch
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.0, 60.0, 40)
+    ns = np.array([[3], [0], [9], [1], [2], [14], [1], [0]])
+    a = rng.uniform(0.1, 6.0, (8, 1))
+    got = sf.laguerre(ns, a, x)
+    assert got.shape == (8, 40)
+    ref = np.array([_laguerre_reference(int(n), float(ai), x)
+                    for n, ai in zip(ns[:, 0], a[:, 0])])
+    assert np.array_equal(got, ref)
+    assert np.array_equal(sf.laguerre(ns, 2.5, x), np.array(
+        [_laguerre_reference(int(n), 2.5, x) for n in ns[:, 0]]))
+    for n, ai in zip(ns[:, 0], a[:, 0]):
+        assert np.array_equal(sf.laguerre(int(n), float(ai), x),
+                              _laguerre_reference(int(n), float(ai), x))
+    flat_n = rng.integers(0, 12, 60)
+    flat_a, flat_x = rng.uniform(0.0, 4.0, 60), rng.uniform(0.0, 30.0, 60)
+    assert np.array_equal(
+        sf.laguerre(flat_n, flat_a, flat_x),
+        [_laguerre_reference(int(n), ai, np.array([xi]))[0]
+         for n, ai, xi in zip(flat_n, flat_a, flat_x)])
+    one = sf.laguerre(np.array([[4]]), 1.5, x)
+    assert one.shape == (1, 40)
+    assert np.array_equal(one[0], _laguerre_reference(4, 1.5, x))
+    assert sf.laguerre(np.zeros((0, 1), dtype=int), 1.0, x).shape == (0, 40)
+    # whole-number float degrees read as their integers
+    assert np.array_equal(sf.laguerre(ns.astype(float), a, x), ref)
+    for bad in ([[1], [-1]], [[1.5]]):
+        with pytest.raises(OutOfDomainError):
+            sf.laguerre(np.array(bad), 0.5, x)
+
+
+def _lanczos_sum(x):
+    a = sf._LANCZOS_C[0]
+    for k in range(1, 9):
+        a += sf._LANCZOS_C[k] / (x - 1.0 + k)
+    return a
+
+
+def test_log_gamma_float_path_equals_complex_path_bit_for_bit():
+    # the float Lanczos evaluation is the real part of the complex one,
+    # also where cmath.log takes its log1p branch (0.71 <= |a| <= 1.73)
+    xs = np.concatenate([np.linspace(0.5, 120.0, 24001),
+                         np.geomspace(40.0, 1e12, 1500),
+                         np.random.default_rng(13).uniform(0.5, 3.0, 1500)])
+    sums = np.array([_lanczos_sum(x) for x in xs.tolist()])
+    branch = (sums >= 0.71) & (sums <= 1.73)
+    assert 1000 < branch.sum() < len(xs)
+    for x in xs.tolist():
+        complex_path = sf._log_gamma_right(complex(x, 0.0))
+        assert sf._log_gamma_right(x) == complex_path.real
+        assert sf.log_gamma(x) == complex(complex_path.real, 0.0)
+
+
+def _stieltjes_roots_reference(a, b, N, center):
+    # one np.roots per eigenvector, as before the stacked extraction
+    a, b = sf._taylor_shift(a, center), sf._taylor_shift(b, center)
+    _, vecs = np.linalg.eig(sf._stieltjes_matrix(a, b, N))
+    found = [x for x in (np.roots((v if np.any(v.imag) else v.real)[::-1])
+                         for v in vecs.T) if len(x) == N]
+    out = list(found)
+    for real in (True, False):
+        idx = [i for i, x in enumerate(found) if np.isrealobj(x) == real]
+        if idx:
+            polished = sf._stieltjes_polish(a, b, np.array([found[i] for i in idx]))
+            for i, th in zip(idx, polished + center):
+                out[i] = th
+    return out
+
+
+# a family whose Van Vleck matrix has complex eigenvectors at N = 4 and 6
+MIXED = (np.array([1.22, 1.23, 0.06, -0.86]), np.array([-1.78, -0.47, -0.37]))
+
+
+def _families():
+    from hypersint import potential1 as p1
+    from hypersint import potential2 as p2
+    for well in ((0.3, 0.2, 3.0), (1.0, 1.0 / math.sqrt(2.0), 2.0 * math.sqrt(2.0)),
+                 (0.56, 0.095, 4.38)):
+        p = p1.P1Params(*well)
+        for chart, center in (("elliptic-parabolic", 1.0),
+                              ("hyperbolic-parabolic", -1.0)):
+            for form in ("printed", "derived"):
+                for N in range(1, min(p.nmax, 12) + 1):
+                    yield (*p1._p1_family(p, N, chart, form), N, center)
+    for N in range(1, 4):
+        yield (*p2._sh_family(p2.P2Params(0.1, 6.0, 1.0), (0.0, 1.0, 0.0)), N, 0.0)
+    for N in (4, 6):
+        yield (*MIXED, N, 0.5)
+
+
+def test_stacked_root_extraction_equals_per_eigenvector_roots():
+    count, nonreal = 0, 0
+    for a, b, N, center in _families():
+        got = sf._stieltjes_roots(a, b, N, center)
+        ref = _stieltjes_roots_reference(a, b, N, center)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+        count += len(got)
+        nonreal += sum(np.iscomplexobj(g) for g in got)
+    assert count > 500 and nonreal > 0
+
+
+def test_root_extraction_makes_one_eigvals_call_per_dtype(monkeypatch):
+    # the real and the complex eigenvectors of a level each form one stack
+    from hypersint import potential1 as p1
+    calls = []
+    orig = np.linalg.eigvals
+
+    def counted(m):
+        calls.append(m.shape)
+        return orig(m)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    deep = p1._p1_family(p1.P1Params(0.3, 0.2, 3.0), 8, "elliptic-parabolic",
+                          "derived")
+    for (a, b), N, groups in ((deep, 8, 1), (MIXED, 6, 2)):
+        calls.clear()
+        configs = sf._stieltjes_roots(a, b, N, 1.0)
+        assert len(calls) == groups
+        assert sum(shape[0] for shape in calls) == len(configs) == N + 1
+        assert all(shape[1:] == (N, N) for shape in calls)
+
+
 # ---------------------------------------------------------------------------
 # Hypergeometric functions
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypersint.errors import HypersintError, NoBoundStateError
 
 V2_FIXTURE = dict(potential="v2", alpha=0.1, beta=3.0, gamma=1.0,
                   chart_params=(0.0, 1.0, 0.0))
+EMPTY_V2 = dict(potential="v2", alpha=0.1, beta=0.5, gamma=1.0)
 
 # (id, tolerance, soft) of every record, in report order, on the fixtures
 RECORDS = {
@@ -87,9 +88,27 @@ def test_suite_of_the_other_potential_is_an_error():
                                    "quadratic-algebra"])
 def test_empty_v1_spectrum_raises(suite):
     # beta = 10, gamma = 1 has no bound state; the Gram check used to
-    # pass on a 0 x 0 matrix with residual 0
+    # pass on a 0 x 0 matrix with residual 0.  The v2 suites of the same
+    # name raise the same error on an empty v2 spectrum (alpha = 0.1,
+    # beta = 0.5, gamma = 1); they used to fail on a quantization window
     cfg = hcli.RunConfig(beta=10.0, gamma=1.0, suite=suite)
     with pytest.raises(NoBoundStateError):
         verify.run(cfg)
     assert hcli.main(["verify", "--suite", suite, "--beta", "10",
                       "--gamma", "1"]) == 2
+    if suite in verify.SUITES["v2"]:
+        cfg = hcli.RunConfig(suite=suite, **EMPTY_V2)
+        with pytest.raises(NoBoundStateError, match="empty spectrum"):
+            verify.run(cfg)
+        assert hcli.main(["verify", "--suite", suite, "--potential", "v2",
+                          "--alpha", "0.1", "--beta", "0.5",
+                          "--gamma", "1"]) == 2
+
+
+def test_empty_v2_spectrum_cross_chart_leaves_out_the_bound_state_checks():
+    # as v1 leaves out cross-chart-quantization; the other checks need no
+    # bound state
+    records, failed = verify.run(hcli.RunConfig(suite="cross-chart", **EMPTY_V2))
+    assert [(r["id"], r["tolerance"], r["soft"]) for r in records] \
+        == RECORDS["v2", "cross-chart"][:-2]
+    assert not failed
