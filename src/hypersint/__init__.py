@@ -24,7 +24,6 @@ Units: hbar = mass = 1 throughout.
 from .errors import (
     HypersintError,
     NoBoundStateError,
-    NonConvergenceError,
     NonFiniteValueError,
     OutOfDomainError,
     OutOfWindowError,
@@ -36,7 +35,6 @@ from .errors import (
 __all__ = [
     "HypersintError",
     "NoBoundStateError",
-    "NonConvergenceError",
     "NonFiniteValueError",
     "OutOfDomainError",
     "OutOfWindowError",

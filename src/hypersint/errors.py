@@ -25,10 +25,6 @@ class ParameterPoleError(HypersintError, ValueError):
     """A Gamma/Pochhammer factor hit a non-positive integer before termination."""
 
 
-class NonConvergenceError(HypersintError, ArithmeticError):
-    """A series or iteration failed to converge within its budget."""
-
-
 class NonFiniteValueError(HypersintError, ArithmeticError):
     """A NaN or infinity appeared where a finite value is required."""
 

@@ -12,7 +12,9 @@ measure on the half-chart a > 0 (see potential1), so W is a real orthogonal
 Three independent computations are provided:
 
 * ``w_quadrature`` -- the large-b reduction of the overlap to a
-  one-dimensional integral over a, evaluated numerically (ground truth);
+  one-dimensional integral over a, which x = tanh^2 a turns into a
+  polynomial against a Jacobi weight, evaluated by each row's exact
+  Gauss-Jacobi rule (ground truth);
 * ``w_3f2``        -- the same integral summed in closed form via the
   Beta-integral, yielding a terminating 3F2 at unit argument;
 * ``w_hahn``       -- the 3F2 re-expressed through a Hahn polynomial.
@@ -30,12 +32,15 @@ Each call assembles its whole matrix in a fixed number of array passes:
 a table of every distinct log-gamma argument (evaluated once per call);
 prefactors formed as a column of row terms and a row of column terms,
 added in the order of the scalar formulas; the 3F2/Hahn terms of all
-entries from one recurrence over k; and, for quadrature, the Jacobi values
-of all open columns from one recurrence per node count.  The entries equal
-those of the per-entry scalar formulas bit for bit.
-The 3F2 and Hahn matrices carry ``cancellation``, the largest ratio
-sum|t_k| / |sum t_k| of their terminating sums; round-off in an entry grows
-with it (about 1e16 at N = 10 on deep wells, where orthogonality is lost).
+entries from one recurrence over k; and, for quadrature, the Gauss rules
+of all rows from one eigh and the polynomial values of all columns and
+nodes from one Jacobi recurrence.  The 3F2 and Hahn entries equal those of
+the per-entry scalar formulas bit for bit.
+Every matrix carries ``cancellation``, the largest ratio sum|t_k| /
+|sum t_k| of the sums behind its entries (terminating-sum terms, or
+quadrature terms w q); round-off in an entry grows with it (about 1e16 at
+N = 10 on deep wells for 3F2, where orthogonality is lost; 4.6e6 there for
+quadrature).
 """
 
 from __future__ import annotations
@@ -60,19 +65,15 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-_HALF = math.pi / 4.0  # half-width of the phi interval (0, pi/2)
 
 
 @dataclass(frozen=True)
 class InterbasisMatrix:
     """Level-N change of basis; rows (n1, n2), columns (n, m).
 
-    ``cancellation`` is the largest sum|t_k| / |sum t_k| over the terminating
-    sums behind the entries (``3f2`` and ``hahn``; inf if a sum is exactly 0;
-    None for quadrature).  ``unconverged`` is, for quadrature, the largest
-    relative difference between the last two node counts of an integral
-    that never met its 1e-13 stop rule (0.0 when all converged; None for
-    ``3f2`` and ``hahn``).
+    ``cancellation`` is the largest sum|t_k| / |sum t_k| over the sums
+    behind the entries: the terminating sums (``3f2`` and ``hahn``) or the
+    Gauss rules (``quadrature``); inf if a sum is exactly 0.
     """
 
     N: int
@@ -82,7 +83,6 @@ class InterbasisMatrix:
     rows: tuple
     cols: tuple
     cancellation: float | None = None
-    unconverged: float | None = None
 
     def __post_init__(self):
         if self.entries.shape != (len(self.rows), len(self.cols)):
@@ -109,8 +109,8 @@ class _LogGammaTable(dict):
 
 
 class _Level:
-    """What all entries of one level-N matrix share: the index sets, nu,
-    the log-gamma table and the node tables.
+    """What all entries of one level-N matrix share: the index sets, nu
+    and the log-gamma table.
 
     The rows (n1, n2) are held as columns and the columns (n, m, mu) and
     their signs (-1)^n as rows, so an entry is a broadcast sum or product
@@ -135,22 +135,11 @@ class _Level:
         self.n, self.m, self.mu, self.sign = self.col(
             lambda n, m, mu: (n, m, mu, (-1.0) ** n))[0].T[:, None, :]
         self.lg = _LogGammaTable()
-        self._nodes = {}
 
     def col(self, f) -> np.ndarray:
         """f(n, m, mu) of every column, as a row."""
         return np.array([[f(n, m, mu) for (n, m), mu in zip(self.cols, self.mus)]],
                         dtype=float)
-
-    def nodes(self, n_nodes: int):
-        """(w, cosh 2a, log sin phi, log cos phi) on the phi-mapped rule."""
-        if n_nodes not in self._nodes:
-            x, w = sf.gauss_legendre_nodes(n_nodes)
-            phi = _HALF * (x + 1.0)
-            sp, cp = np.sin(phi), np.cos(phi)
-            self._nodes[n_nodes] = (w, (1.0 + sp * sp) / (cp * cp),
-                                    np.log(sp), np.log(cp))
-        return self._nodes[n_nodes]
 
     def rising(self, a: np.ndarray) -> np.ndarray:
         """(a)_n of every entry of a, n the column's, as a product."""
@@ -215,53 +204,48 @@ def _sums(lv: _Level, b, c, d, e) -> tuple[np.ndarray, float]:
     return total, float(np.max(ratio))
 
 
-def _a_integrals(lv: _Level, cosh_pow: np.ndarray,
-                 tol: float = 1e-13) -> tuple[np.ndarray, float]:
-    """int_0^inf sinh^s cosh^cosh_pow P_n^{(d,-mu)}(cosh 2a) da of every
-    entry, with s = 1 + 2d + 2 n1 by row and cosh_pow, n and mu by column;
-    and the largest last-doubling difference of an unconverged integral.
-
-    Substitution u = tanh a followed by u = sin(phi) (which turns the
-    (1-u^2)^{half-integer} endpoint branch into an analytic factor), then
-    Gauss-Legendre on (0, pi/2) with node doubling.  At each node count,
-    the Jacobi values of all open columns come from one recurrence.  Each
-    integral stops at the first node count where it agrees with the
-    previous one, |val - prev| <= tol max(1, |val|); a column is open
-    while one of its integrals is.  An integral that never stops takes the
-    last node count's value; the second result is the largest
-    |val - prev| / max(1, |val|) among those (0.0 when every integral
-    converged).
+def _jacobi_rules(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, (rows, N//2 + 1) each, of the Gauss rule of each
+    row's weight x^{d+n1} (1-x)^A on (0, 1), A = nu + n2 (printed: nu + n2
+    - 1): the eigenvalues of the rows' stacked Jacobi matrices, from one
+    eigh, and B(d+n1+1, A+1) times the squared first eigenvector components
+    (Golub & Welsch, Math. Comp. 23 (1969) 221).
     """
-    d = lv.d
-    s = 1.0 + 2.0 * d + 2.0 * lv.n1
-    c = s + cosh_pow + 1.0
-    degrees, b = np.array([[n] for n, _ in lv.cols]), -lv.mu.T
-    out = np.empty(c.shape)
-    todo = np.ones(c.shape, dtype=bool)
-    cols, prev = np.arange(len(lv.cols)), None
-    for n_nodes in (48, 96, 192, 384, 768):
-        w, arg, log_sp, log_cp = lv.nodes(n_nodes)
-        polys = np.real(sf.jacobi(degrees[cols], d, b[cols], arg))
-        # w * (exp(s log_sp - c log_cp) * poly), (rows, open cols, nodes)
-        t = c[:, cols, None] * log_cp
-        np.exp(np.subtract(s[:, :, None] * log_sp, t, out=t), out=t)
-        t *= polys
-        t *= w
-        val = _HALF * np.sum(t, axis=2)
-        del t  # before the next node count allocates its own
-        if prev is not None:
-            step = np.abs(val - prev)
-            done = todo[:, cols] & (step <= tol * np.maximum(1.0, np.abs(val)))
-            out[:, cols] = np.where(done, val, out[:, cols])
-            todo[:, cols] &= ~done
-            still = todo[:, cols].any(axis=0)
-            cols, val, step = cols[still], val[:, still], step[:, still]
-        prev = val
-        if not len(cols):
-            return out, 0.0
-    rest = todo[:, cols]
-    out[:, cols] = np.where(rest, prev, out[:, cols])
-    return out, float(np.max(step[rest] / np.maximum(1.0, np.abs(prev[rest]))))
+    al, be = lv.d + lv.n1, lv.nu + lv.n2 - (0.0 if lv.canonical else 1.0)
+    # recurrence of the weight (1-t)^be (1+t)^al on (-1, 1), moved to
+    # x = (1+t)/2; at k = 0, (al+be)/s is 1 even where al+be = 0
+    k = np.arange(lv.N // 2 + 1.0)
+    s = 2.0 * k + al + be
+    ab_s = np.divide(al + be, s, out=np.ones(s.shape), where=k > 0)
+    kk, sk = k[1:], s[:, 1:]
+    i = np.arange(len(k))
+    jm = np.zeros(s.shape + k.shape)
+    jm[:, i, i] = 0.5 + 0.5 * (al - be) * ab_s / (s + 2.0)
+    jm[:, i[1:], i[:-1]] = np.sqrt(kk * (kk + al) * (kk + be) * (kk + al + be)
+                                   / ((sk + 1.0) * (sk - 1.0))) / sk
+    x, v = np.linalg.eigh(jm)
+    lg = lv.lg
+    return x, v[:, 0, :] ** 2 * sf._each(
+        math.exp, lg(al + 1.0) + lg(be + 1.0) - lg(al + be + 2.0))
+
+
+def _a_integrals(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^inf sinh^{1+2d+2n1} cosh^c P_n^{(d,-mu)}(cosh 2a) da of every
+    entry, with c = -1-2mu-2m (canonical) or 1-2mu-2m (printed), and the
+    same rule's sum of the moduli of its terms.
+
+    With x = tanh^2 a the integral is (1/2) int_0^1 x^{d+n1} (1-x)^A q_n(x)
+    dx, where q_n(x) = (1-x)^n P_n^{(d,-mu)}((1+x)/(1-x)).  Its series
+    sum_k C(n+d, n-k) C(n-mu, k) x^k is a 2F1 that, since mu - 2n - 1 - d
+    = nu, makes q_n(x) = P_n^{(d,nu)}(1-2x): a polynomial of degree n with
+    the level's parameters, evaluated inside (-1, 1) by one recurrence for
+    all columns and nodes.  Both exponents exceed -1 on every bound level,
+    and the row's rule of N//2 + 1 nodes is exact for every column.
+    """
+    x, w = _jacobi_rules(lv)
+    degrees = np.array([[[n]] for n, _ in lv.cols])
+    t = sf.jacobi(degrees, lv.d, lv.nu, 1.0 - 2.0 * x) * w  # (cols, rows, nodes)
+    return 0.5 * np.sum(t, axis=2).T, 0.5 * np.sum(np.abs(t), axis=2).T
 
 
 def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -275,15 +259,11 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
     printed: verbatim published prefactor and the integrand with
     cosh^{1-2mu-2m}, integral read over (0, inf).
 
-    Raises NonFiniteValueError when an entry is not finite (the Jacobi
-    recurrence overflows near the upper end on wide wells at high levels).
+    Raises NonFiniteValueError when an entry is not finite.
     """
     lv = _Level(p, N, variant)
-    d, lg, n1, n2, n, m, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.m, lv.mu
-    cosh_pow = (-(1.0 + 2.0 * mu + 2.0 * m) if lv.canonical
-                else 1.0 - 2.0 * mu - 2.0 * m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        val, unconverged = _a_integrals(lv, cosh_pow)
+    d, lg, n1, n2, n, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.mu
+    val, mass = _a_integrals(lv)
     if lv.canonical:
         logk = _log_k0(lv) + _log_an(lv)
     else:
@@ -300,8 +280,10 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
     if bad:
         raise NonFiniteValueError(f"w_quadrature at N = {N}: {bad} of "
                                   f"{entries.size} entries are not finite")
+    ratio = np.divide(mass, np.abs(val), out=np.full(val.shape, math.inf),
+                      where=val != 0)
     return InterbasisMatrix(N, "quadrature", variant, entries,
-                            lv.rows, lv.cols, None, unconverged)
+                            lv.rows, lv.cols, float(np.max(ratio)))
 
 
 def _signed_pochhammer_log(a: float, n: int) -> tuple[float, float]:
