@@ -143,7 +143,6 @@ class RunConfig:
     quantum: tuple[int, ...] = (0, 0)
     form: str = "derived"
     grid: tuple = (50, 50, -2.0, 2.0, -2.0, 2.0)
-    quad_level: int = 8
     diff_step: float = 1e-3
     bethe_tol: float = 1e-10
     fmt: str = "json"
@@ -411,7 +410,6 @@ def _add_common(sp: argparse.ArgumentParser):
                     help="comma-separated quantum numbers")
     sp.add_argument("--form", choices=("printed", "derived"))
     sp.add_argument("--grid", type=grid_spec, help="n1xn2:lo1,hi1,lo2,hi2")
-    sp.add_argument("--quad-level", dest="quad_level", type=int)
     sp.add_argument("--diff-step", dest="diff_step", type=float)
     sp.add_argument("--bethe-tol", dest="bethe_tol", type=float)
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"))

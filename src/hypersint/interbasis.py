@@ -33,7 +33,9 @@ a table of every distinct log-gamma argument (evaluated once per call);
 prefactors formed as a column of row terms and a row of column terms,
 added in the order of the scalar formulas; the 3F2/Hahn terms of all
 entries from one recurrence over k; and, for quadrature, the Gauss rules
-of all rows from one eigh and the polynomial values of all columns and
+of all rows from one ``specfun.gauss_rule`` call (one stacked eigh, with
+Christoffel weights, which stay relatively accurate where the weights span
+30 decades on wide wells) and the polynomial values of all columns and
 nodes from one Jacobi recurrence.  The 3F2 and Hahn entries equal those of
 the per-entry scalar formulas bit for bit.
 Every matrix carries ``cancellation``, the largest ratio sum|t_k| /
@@ -207,26 +209,13 @@ def _sums(lv: _Level, b, c, d, e) -> tuple[np.ndarray, float]:
 def _jacobi_rules(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, (rows, N//2 + 1) each, of the Gauss rule of each
     row's weight x^{d+n1} (1-x)^A on (0, 1), A = nu + n2 (printed: nu + n2
-    - 1): the eigenvalues of the rows' stacked Jacobi matrices, from one
-    eigh, and B(d+n1+1, A+1) times the squared first eigenvector components
-    (Golub & Welsch, Math. Comp. 23 (1969) 221).
+    - 1), with mass B(d+n1+1, A+1): all rows from one ``specfun.gauss_rule``.
     """
     al, be = lv.d + lv.n1, lv.nu + lv.n2 - (0.0 if lv.canonical else 1.0)
-    # recurrence of the weight (1-t)^be (1+t)^al on (-1, 1), moved to
-    # x = (1+t)/2; at k = 0, (al+be)/s is 1 even where al+be = 0
-    k = np.arange(lv.N // 2 + 1.0)
-    s = 2.0 * k + al + be
-    ab_s = np.divide(al + be, s, out=np.ones(s.shape), where=k > 0)
-    kk, sk = k[1:], s[:, 1:]
-    i = np.arange(len(k))
-    jm = np.zeros(s.shape + k.shape)
-    jm[:, i, i] = 0.5 + 0.5 * (al - be) * ab_s / (s + 2.0)
-    jm[:, i[1:], i[:-1]] = np.sqrt(kk * (kk + al) * (kk + be) * (kk + al + be)
-                                   / ((sk + 1.0) * (sk - 1.0))) / sk
-    x, v = np.linalg.eigh(jm)
     lg = lv.lg
-    return x, v[:, 0, :] ** 2 * sf._each(
-        math.exp, lg(al + 1.0) + lg(be + 1.0) - lg(al + be + 2.0))
+    return sf.gauss_rule(*sf.jacobi_recurrence(al, be, lv.N // 2 + 1),
+                         sf._each(math.exp, lg(al + 1.0) + lg(be + 1.0)
+                                  - lg(al + be + 2.0))[:, 0])
 
 
 def _a_integrals(lv: _Level) -> tuple[np.ndarray, np.ndarray]:

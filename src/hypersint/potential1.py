@@ -24,11 +24,17 @@ Conventions
 * Equidistant/horicyclic one-dimensional factors carry the closed-form
   normalization constants; the potential wall at w2 = 0 splits the surface,
   and states are normalized on the half t1 > 0 (equivalently x > 0), with
-  the |sinh t1|, |x| even extension across the wall.
+  the |t1|, |x| even extension across the wall.
 * The horicyclic product is additionally scaled by 2 sqrt(nu/(sqrt2 beta))
   so that it is unit-norm in L^2(dx dy / y^2) on the half-chart; this makes
   both bases orthonormal in the *same* inner product, which is what the
   interbasis matrix requires.
+* The equidistant factors' polynomials are evaluated in compact variables:
+  the Poschl-Teller one at 1 - 2 tanh^2 t1 in [-1, 1], the Morse one at
+  z = sqrt2 beta e^{2 t2}.  There the Gram integrals are polynomials
+  against classical weights, so ``verify.pt_gram`` and ``verify.morse_gram``
+  take exact Gauss rules (``specfun.gauss_rule``); the parabolic norms take
+  Gauss-Jacobi and Gauss-Laguerre rules in sin^2/cos^2 and sinh^2.
 * The zero ("Bethe-type") equations exist in two forms:
   ``form="printed"`` is the transcription of the published display;
   ``form="derived"``  is re-derived here from the confluent-Heun reduction
@@ -348,7 +354,12 @@ def morse_factor(p: P1Params, m, t2, mu=None):
 def pt_factor(p, n, mu, t1):
     """Modified Poschl-Teller factor S_n(t1), unit norm on t1 in (0, inf).
 
-    Even extension across the potential wall: |sinh t1| is used, so
+        S = C tanh^{1/2+d} t1 cosh^{-nu} t1 P_n^{(d,nu)}(1 - 2 tanh^2 t1),
+
+    nu = mu - d - 2n - 1: the form C sinh^{1/2+d} cosh^{1/2-mu}
+    P_n^{(d,-mu)}(cosh 2 t1) with the polynomial's growth taken out, so
+    its argument stays in [-1, 1] and the factor needs no clamp.  Even
+    extension across the potential wall: |tanh t1| is used, so
     S(-t1) = S(t1).  Only p.d = sqrt(2 alpha^2 + 1/4) enters, so the second
     potential uses the same factor (``potential2.z_pt_factor``).
     """
@@ -356,18 +367,15 @@ def pt_factor(p, n, mu, t1):
     if _any(nu <= 0.0):
         n, mu = (np.broadcast_to(v, np.shape(nu))[nu <= 0.0][0] for v in (n, mu))
         raise OutOfWindowError(f"n = {n} outside window for mu = {mu:.6g}")
-    t1a = np.asarray(t1, dtype=float)
-    s_abs = np.abs(np.sinh(t1a))
-    ch = np.cosh(t1a)
+    t1a = np.abs(np.asarray(t1, dtype=float))
+    th = np.tanh(t1a)
     logpref = 0.5 * (sf._each(math.log, 2.0 * nu) + _lgamma(mu - n) + _lgamma(n + 1.0)
                      - _lgamma(mu - p.d - n) - _lgamma(1.0 + n + p.d))
     with np.errstate(divide="ignore"):
-        logmag = logpref + (0.5 + p.d) * np.log(s_abs) + (0.5 - mu) * np.log(ch)
-    # cosh(2 t1) must stay representable on the kept set; beyond |t1| = 354
-    # the factor is below e^{-650} for every admissible window
-    logmag = np.where(np.abs(t1a) <= 354.0, logmag, -np.inf)
-    return _exp_guarded(
-        logmag, lambda v: np.real(sf.jacobi(n, p.d, -mu, np.cosh(2.0 * v))), t1a)
+        # log cosh t1 = |t1| + log1p(e^{-2|t1|}) - log 2, finite for every t1
+        logmag = (logpref + (0.5 + p.d) * np.log(th)
+                  - nu * (t1a + np.log1p(np.exp(-2.0 * t1a)) - math.log(2.0)))
+    return (np.exp(logmag) * sf.jacobi(n, p.d, nu, 1.0 - 2.0 * th * th))[()]
 
 
 def osc_x_factor(p: P1Params, n1, x):
@@ -695,10 +703,10 @@ def hp_volume_element(b, th):
     return (np.sinh(b) ** 2 + np.sin(th) ** 2) / (np.sinh(b) ** 2 * np.sin(th) ** 2)
 
 
-def _log_sum(w: np.ndarray, logv: np.ndarray) -> float:
-    """log(sum(w * exp(logv))), scaled by the largest term."""
+def _log_sum(logv: np.ndarray) -> float:
+    """log(sum(exp(logv))), scaled by the largest term."""
     top = float(np.max(logv))
-    return top + math.log(float(np.sum(w * np.exp(logv - top))))
+    return top + math.log(float(np.sum(np.exp(logv - top))))
 
 
 @lru_cache(maxsize=256)
@@ -708,41 +716,47 @@ def _parabolic_log_norm(state: P1State) -> float:
     The squared product separates as A(u)^2 B(th)^2, and so does the
     volume element: 1/cos^2 th - 1/cosh^2 a (elliptic-parabolic) and
     1/sin^2 th + 1/sinh^2 b (hyperbolic-parabolic).  The double integral is
-    therefore a combination of four 1-D sums, on tanh-sinh nodes over
-    u in (0, L) and th in (0, pi/2), taken in log space.
+    therefore a combination of four 1-D integrals, taken in log space.  In
+    the squared variable v (y = sinh^2 u radially, x = cos^2 th or sin^2 th
+    angularly), with r^2 and w^2 the squared radial and wall factors (1 + y
+    or y, x; y or 1 + y, 1 - x), each factor's integral is
+
+        (1/2) int w^{2d} r^{2 nu} e^{-2 sign c r^2} prod_k (r^2 - sign t_k)^2 dv,
+
+    or the same over r^2.  The angular ones take the Gauss-Jacobi rule of
+    x^{nu-1} (1-x)^d, the radial ones the Gauss-Laguerre rule of y^d e^{-2cy}
+    (elliptic) or y^{nu-1} e^{-2cy} (hyperbolic), with N + 60 nodes: their
+    integrands are smooth but not polynomial.
     """
-    p = state.params
-    xg, wg, dg = sf.tanh_sinh_nodes(7)
-    # the product form recomputes endpoint distances itself; stay clear of
-    # the cancellation region
-    keep = dg > 1e-14
-    xg, wg = xg[keep], wg[keep]
-    # radial direction (0, L) with decay bound from the Gaussian-type factor
-    L = max(6.0, math.sqrt(40.0 / p.c))
-    u, v = 0.5 * L * (xg + 1.0), 0.25 * math.pi * (xg + 1.0)
-    expo = p.s - p.d - 2.0 * state.N - 1.5  # = nu + 1/2
+    p, N = state.params, state.N
+    nu, c, d = p1_nu(p, N), p.c, p.d
     roots = np.asarray(state.roots.roots, dtype=float)
+    K = N + 60
 
-    def log_sums(w, wall, rad, sign):
-        # log sum(w F^2) and log sum(w F^2 / rad^2) for the factor
-        # F = wall^(1/2+d) rad^expo e^(-sign c rad^2) prod(rad^2 - sign t)
+    def log_sums(log_w, wall2, rad2, sign):
+        # log int F^2 and log int F^2 / r^2 on the nodes' dv-weights exp(log_w)
         with np.errstate(divide="ignore"):
-            lf = (2.0 * ((0.5 + p.d) * np.log(wall) + expo * np.log(rad)
-                         - sign * p.c * rad**2)
-                  + np.sum(np.log((rad[:, None] ** 2 - sign * roots) ** 2),
-                           axis=1))
-            return _log_sum(w, lf), _log_sum(w, lf - 2.0 * np.log(rad))
+            lf = (log_w + d * np.log(wall2) + nu * np.log(rad2)
+                  - 2.0 * sign * c * rad2
+                  + np.sum(np.log((rad2[:, None] - sign * roots) ** 2), axis=1))
+        return _log_sum(lf), _log_sum(lf - np.log(rad2))
 
-    wu, wv = 0.5 * L * wg, 0.25 * math.pi * wg
-    if state.chart == "elliptic-parabolic":
-        la, la_v = log_sums(wu, np.sinh(u), np.cosh(u), 1.0)
-        lt, lt_v = log_sums(wv, np.sin(v), np.cos(v), 1.0)
+    ep = state.chart == "elliptic-parabolic"
+    x, w = sf.gauss_rule(*sf.jacobi_recurrence(nu - 1.0, d, K), math.exp(
+        _lgamma(nu) + _lgamma(d + 1.0) - _lgamma(nu + d + 1.0)))
+    lt, lt_v = log_sums(
+        np.log(0.5 * w) - (nu - 1.0) * np.log(x) - d * np.log1p(-x),
+        1.0 - x, x, 1.0 if ep else -1.0)
+    a = d if ep else nu - 1.0
+    z, w = sf.gauss_rule(*sf.laguerre_recurrence(a, K), math.exp(_lgamma(a + 1.0)))
+    y = z / (2.0 * c)
+    la, la_v = log_sums(np.log(0.5 * w / (2.0 * c)) - a * np.log(z) + z,
+                        *((y, 1.0 + y) if ep else (1.0 + y, y)), 1.0)
+    if ep:
         # theta < 0 half by evenness
         log_total = (math.log(2.0) + la + lt_v
                      + math.log1p(-math.exp(la_v + lt - la - lt_v)))
     else:
-        la, la_v = log_sums(wu, np.cosh(u), np.sinh(u), 1.0)
-        lt, lt_v = log_sums(wv, np.cos(v), np.sin(v), -1.0)
         log_total = float(np.logaddexp(la + lt_v, la_v + lt))
     return 0.5 * log_total
 

@@ -1,4 +1,4 @@
-"""Self-contained special functions and quadrature used by every other module.
+"""Self-contained special functions and Gauss rules used by every other module.
 
 Everything here is pure and deterministic: no global mutable state, fixed
 summation order, so results are bit-reproducible for fixed inputs.
@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -30,18 +27,17 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadratureSpec",
-    "gauss_legendre_nodes",
+    "gauss_rule",
     "hahn",
     "hyp2f1",
     "hyp3f2_unit",
-    "integrate",
     "jacobi",
+    "jacobi_recurrence",
     "laguerre",
+    "laguerre_recurrence",
     "log_gamma",
     "pochhammer",
-    "quadrature_rule",
-    "tanh_sinh_nodes",
+    "romanovski_recurrence",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -499,145 +495,73 @@ def hahn(n: int, alpha: complex, beta: complex, x: complex, N: complex) -> compl
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
+# Gauss rules (Golub & Welsch, Math. Comp. 23 (1969) 221)
 # ---------------------------------------------------------------------------
 
-_RULES = ("gauss-legendre", "tanh-sinh")
-_TRANSFORMS = ("none", "exp-map", "algebraic-map")
+# A weight enters as the recurrence x p_k = b_{k+1} p_{k+1} + a_k p_k
+# + b_k p_{k-1} of its orthonormal polynomials, k < K: diag = a_0..a_{K-1},
+# off = b_1..b_{K-1}; leading axes stack independent weights.
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Deterministic quadrature request.
+def gauss_rule(diag, off, mass) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w of the K-node Gauss rule of each weight:
+    sum(w * f(x)) integrates f against it, exactly for degree <= 2K - 1.
 
-    rule      : "gauss-legendre" or "tanh-sinh"
-    level     : >= 1; each level roughly doubles the node count
-    lo, hi    : domain endpoints (math.inf allowed only with a transform)
-    transform : "none", "exp-map" (exponential decay toward the infinite
-                endpoint) or "algebraic-map" (algebraic decay)
+    The nodes are the eigenvalues of the stacked Jacobi matrices, from one
+    eigh.  The weights are the Christoffel numbers mass / sum_k q_k(x)^2,
+    with q_k = p_k / p_0 from the same recurrence: they keep small weights
+    relatively accurate, where the squared first eigenvector components
+    are accurate only relative to the largest weight.
     """
-
-    rule: str
-    level: int
-    lo: float
-    hi: float
-    transform: str = "none"
-
-    def __post_init__(self):
-        if self.rule not in _RULES:
-            raise OutOfDomainError(f"unknown quadrature rule {self.rule!r}")
-        if self.transform not in _TRANSFORMS:
-            raise OutOfDomainError(f"unknown transform {self.transform!r}")
-        if self.level < 1:
-            raise OutOfDomainError("quadrature level must be >= 1")
-        if not self.lo < self.hi:
-            raise OutOfDomainError("need lo < hi")
-        if (math.isinf(self.lo) or math.isinf(self.hi)) and self.transform == "none":
-            raise OutOfDomainError("infinite endpoint requires a declared transform")
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    K = diag.shape[-1]
+    i = np.arange(K)
+    jm = np.zeros(diag.shape + (K,))
+    jm[..., i, i] = diag
+    jm[..., i[1:], i[:-1]] = off
+    x = np.linalg.eigh(jm)[0]
+    q_prev, q = np.zeros(x.shape), np.ones(x.shape)
+    total = np.ones(x.shape)
+    for k in range(K - 1):
+        b = off[..., k:k + 1]
+        q, q_prev = ((x - diag[..., k:k + 1]) * q
+                     - (off[..., k - 1:k] if k else 0.0) * q_prev) / b, q
+        total += q * q
+    return x, np.asarray(mass)[..., None] / total
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes/weights on (-1, 1)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def jacobi_recurrence(a, b, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the weight x^a (1-x)^b on (0, 1), a, b > -1; mass
+    B(a+1, b+1)."""
+    # the weight (1-t)^b (1+t)^a on (-1, 1), moved to x = (1+t)/2; at
+    # k = 0, (a+b)/s is 1 even where a+b = 0
+    k = np.arange(K, dtype=float)
+    s = 2.0 * k + a + b
+    ab_s = np.divide(a + b, s, out=np.ones(s.shape), where=k > 0)
+    kk, sk = k[1:], s[..., 1:]
+    return (0.5 + 0.5 * (a - b) * ab_s / (s + 2.0),
+            np.sqrt(kk * (kk + a) * (kk + b) * (kk + a + b)
+                    / ((sk + 1.0) * (sk - 1.0))) / sk)
 
 
-@lru_cache(maxsize=None)
-def tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tanh-sinh (double exponential) nodes on (-1, 1).
+def laguerre_recurrence(a, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the weight x^a e^{-x} on (0, inf), a > -1; mass
+    Gamma(a+1)."""
+    k = np.arange(K, dtype=float)
+    return 2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a))
 
-    Returns (x, w, d) where d is the distance of each node to its nearest
-    endpoint, computed cancellation-free (d = 1 - |x| exactly as
-    2/(e^{2v}+1), v = (pi/2) sinh t).  Nodes run until the weights
-    underflow, so endpoint-singular integrands keep their full
-    contribution.  Step h = 2^{1-level}.
+
+def romanovski_recurrence(a: complex, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the weight (1+x^2)^{Re a} e^{-2 Im a arctan x} =
+    (1+ix)^a (1-ix)^{conj a} on the real line, whose orthogonal polynomials
+    are the P_k^{(a, conj a)}(-ix) (Romanovski or pseudo-Jacobi; Raposo et
+    al., Cent. Eur. J. Phys. 5 (2007) 253); it needs 2 Re a + 2K < 0.  Mass
+    pi 2^{2+2 Re a} Gamma(-1-2 Re a) / |Gamma(-a)|^2.
     """
-    h = 2.0 ** (1 - level)
-    t_max = 6.56  # weights underflow beyond this
-    kmax = int(math.floor(t_max / h))
-    k = np.arange(-kmax, kmax + 1)
-    t = k * h
-    v = 0.5 * math.pi * np.sinh(t)
-    x = np.tanh(v)
-    e = np.exp(-2.0 * np.abs(v))
-    d = 2.0 * e / (1.0 + e)                       # 1 - |x|, stable
-    w = h * 0.5 * math.pi * np.cosh(t) * 4.0 * e / (1.0 + e) ** 2
-    keep = (w > 1e-300) & (d > 0.0)
-    return x[keep], w[keep], d[keep]
-
-
-def _eval_vec(f: Callable, x: np.ndarray) -> np.ndarray:
-    """The integrand on the nodes x, in one array call."""
-    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteValueError("integrate: integrand returned a non-finite value")
-    return y
-
-
-def quadrature_rule(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights w on spec's domain: sum(w * f(x)) integrates f.
-
-    The level's rule runs on (lo, hi), or on (0, 1) for an infinite
-    endpoint, mapped by the declared transform with its Jacobian folded
-    into the weights:
-
-        exp-map        x = a - sigma log(1 - u)   (exponential decay)
-        algebraic-map  x = a + u / (1 - u)        (algebraic decay)
-
-    from the finite endpoint a (mirrored toward -inf, and both halves from
-    0 for a doubly infinite domain).  1 - u comes from the rule's stable
-    endpoint distances.  On a finite domain, nodes within 1e-15 (relative)
-    of an endpoint are dropped: an integrand that recomputes its endpoint
-    distances from x cannot tell them from the endpoint.
-    """
-    lo, hi = spec.lo, spec.hi
-    infinite = math.isinf(lo) or math.isinf(hi)
-    a, b = (0.0, 1.0) if infinite else (lo, hi)
-    half = 0.5 * (b - a)
-    if spec.rule == "gauss-legendre":
-        u, w = gauss_legendre_nodes(8 * 2 ** (spec.level - 1))
-        u = 0.5 * (a + b) + half * u
-        d_lo, d_hi = u - a, b - u
-    else:
-        t, w, d = tanh_sinh_nodes(spec.level)
-        # nodes built from the stable endpoint distance, so integrable
-        # endpoint singularities are fully resolved
-        d_lo = np.where(t < 0, half * d, half * (1.0 + np.abs(t)))
-        d_hi = np.where(t < 0, half * (1.0 + np.abs(t)), half * d)
-        u = np.where(t < 0, a + d_lo, b - d_hi)
-    w = half * w
-    if not infinite:
-        cut = 1e-15 * max(1.0, abs(a), abs(b))
-        keep = (d_lo > cut) & (d_hi > cut)
-        return u[keep], w[keep]
-    # 1 - u, exact at both ends; the floor keeps 1/om^2 representable, and
-    # the region it discards (x > ~1e150) is irrelevant for integrable f
-    om = np.maximum(np.where(u < 0.5, 1.0 - u, d_hi), 1e-150)
-    if spec.transform == "exp-map":
-        # stretch: nodes reach x ~ 3 * 236 = 708 before the weights
-        # underflow, ample for exp(-x)-weighted integrands of high degree;
-        # the clamp keeps exp/cosh of x representable
-        sigma = 3.0
-        log_om = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), np.log(d_hi))
-        step, w = -sigma * np.maximum(log_om, -236.0), w * sigma / om
-    else:
-        step, w = u / om, w / om**2
-    if math.isinf(lo) and math.isinf(hi):
-        return np.concatenate([-step, step]), np.concatenate([w, w])
-    return (lo + step, w) if math.isinf(hi) else (hi - step, w)
-
-
-def integrate(f: Callable, spec: QuadratureSpec) -> tuple[float, float]:
-    """Integrate f over spec's domain; returns (value, error_estimate).
-
-    The value is sum(w * f(x)) on ``quadrature_rule(spec)``; the error
-    estimate is the difference against the next-coarser level.  The
-    integrand must be array-safe: it is called on a numpy array of nodes
-    and returns one value per node (or a scalar).  Deterministic for a
-    fixed spec.
-    """
-    coarse_spec = replace(spec, level=max(1, spec.level - 1))
-    value, coarse = (float(np.sum(w * _eval_vec(f, x)))
-                     for x, w in map(quadrature_rule, (spec, coarse_spec)))
-    return value, abs(value - coarse)
+    r, g = a.real, a.imag
+    k = np.arange(K, dtype=float)
+    kk = k[1:]
+    return (r * g / ((k + r) * (k + r + 1.0)),
+            np.sqrt(-kk * ((kk + r) ** 2 + g * g) * (kk + 2.0 * r)
+                    / ((kk + r) ** 2 * (2.0 * kk + 2.0 * r + 1.0)
+                       * (2.0 * kk + 2.0 * r - 1.0))))

@@ -5,14 +5,15 @@ fixed order (cfg is a ``cli.RunConfig``).  ``record`` makes each one: a
 check passes when its residual is at most its tolerance, which is written
 there and nowhere else.  A record without a tolerance is a measurement; a
 soft record reports a discrepancy of the published formulas and never fails
-a run.  Point sets are drawn as (n, k) arrays: row by row, the numbers of n
-rounds of k scalar draws.
+a run.  ``pt_gram``, ``morse_gram`` and ``s2_gram`` give the Gram matrices
+of the equidistant factors from their exact Gauss rules.  Point sets are
+drawn as (n, k) arrays: row by row, the numbers of n rounds of k scalar
+draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -68,46 +69,91 @@ def _rel_max(a, b) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
 
 
-def _half_line(cfg) -> sf.QuadratureSpec:
-    return sf.QuadratureSpec("tanh-sinh", cfg.quad_level, 0.0, math.inf,
-                             "exp-map")
+def _lg(x: float) -> float:
+    return sf.log_gamma(x).real
 
 
-def _gram(rows, spec) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of 1-D factors, and its change from the next-coarser
-    level, as ``integrate`` gives them for one integral.
+def pt_gram(p, n, mu) -> np.ndarray:
+    """Gram matrix int_0^inf S_i S_j dt1 of the ``potential1.pt_factor``
+    states (n_i, mu_i), from the factor at the nodes of one Gauss rule.
 
-    rows(t) returns one row of factor values per state on the nodes t.
+    In x = 1/cosh^2 t1 the product S_i S_j dt1 is (1/2) x^{(nu_i+nu_j)/2 - 1}
+    (1-x)^d dx times a polynomial of degree n_i + n_j.  With nu* the least
+    nu and (nu - nu*)/2 whole (as between the levels of a well), it is a
+    polynomial against x^{nu*-1} (1-x)^d, which the Gauss-Jacobi rule of
+    max(n + (nu - nu*)/2) + 1 nodes integrates exactly.
     """
-    def gram(x, w):
-        f = np.reshape(rows(x), (-1, x.size))
-        return (f * w) @ f.T
-    fine, coarse = (gram(*sf.quadrature_rule(s))
-                    for s in (spec, replace(spec, level=max(1, spec.level - 1))))
-    return fine, np.abs(fine - coarse)
+    n, mu = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (n, mu))
+    nu = mu - p.d - 2.0 * n - 1.0
+    low = float(np.min(nu))
+    K = round(float(np.max(n + (nu - low) / 2.0))) + 1
+    x, w = sf.gauss_rule(*sf.jacobi_recurrence(low - 1.0, p.d, K), math.exp(
+        _lg(low) + _lg(p.d + 1.0) - _lg(low + p.d + 1.0)))
+    f = p1.pt_factor(p, n, mu, np.arcsinh(np.sqrt((1.0 - x) / x)))
+    # dt1 = dx / (2 x sqrt(1-x)), over the weight
+    w = 0.5 * w * np.exp(-low * np.log(x) - (p.d + 0.5) * np.log1p(-x))
+    return (f * w) @ f.T
+
+
+def morse_gram(p, m, mu) -> np.ndarray:
+    """Gram matrix int S_i S_j dt2 of the ``potential1.morse_factor``
+    states (m_i, mu_i).
+
+    In z = sqrt2 beta e^{2 t2} the product S_i S_j dt2 is (1/2)
+    z^{(mu_i+mu_j)/2 - 1} e^{-z} dz times a polynomial of degree m_i + m_j:
+    with mu* the least mu and (mu - mu*)/2 whole, the Gauss-Laguerre rule of
+    z^{mu*-1} e^{-z} with max(m + (mu - mu*)/2) + 1 nodes is exact.
+    """
+    m, mu = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (m, mu))
+    low = float(np.min(mu))
+    K = round(float(np.max(m + (mu - low) / 2.0))) + 1
+    z, w = sf.gauss_rule(*sf.laguerre_recurrence(low - 1.0, K),
+                         math.exp(_lg(low)))
+    f = p1.morse_factor(p, m, 0.5 * np.log(z / (SQRT2 * p.beta)), mu)
+    # dt2 = dz / (2 z), over the weight
+    return (f * (0.5 * w * np.exp(z - low * np.log(z)))) @ f.T
+
+
+def s2_gram(p, m) -> np.ndarray:
+    """Gram matrix int S_i S_j dt2 of the ``potential2.s2_complex_factor``
+    states m_i (their real parts), from the factor at the nodes of one
+    Gauss rule.
+
+    In x = sinh 2 t2 the product S_i S_j dt2 is (1/2) (1+ix)^a (1-ix)^{conj a}
+    dx times a polynomial of degree m_i + m_j, which the Romanovski rule of
+    max m + 1 nodes integrates exactly.
+    """
+    m = [int(k) for k in np.ravel(m)]
+    a = p.a
+    # mass pi 2^{2 + 2 Re a} Gamma(-1 - 2 Re a) / |Gamma(-a)|^2
+    x, w = sf.gauss_rule(*sf.romanovski_recurrence(a, max(m) + 1), math.exp(
+        math.log(math.pi) + (2.0 - p.M) * math.log(2.0) + _lg(p.M - 1.0)
+        - 2.0 * sf.log_gamma(-a).real))
+    t2 = 0.5 * np.arcsinh(x)
+    f = np.array([p2.s2_complex_factor(p, k, t2).real for k in m])
+    # dt2 = dx / (2 sqrt(1+x^2)), over the weight
+    return (f * (0.5 * w * np.exp(2.0 * a.imag * np.arctan(x)
+                                  - (a.real + 0.5) * np.log1p(x * x)))) @ f.T
 
 
 def _v1_orthonormality(params, cfg) -> list[dict]:
     n, m = np.array([nm for N in range(_nmax(params) + 1)
                      for nm in p1.level_states_equidistant(params, N)],
-                    dtype=float).T[:, :, None]
+                    dtype=float).T
     mu = p1.p1_mu(params, m)
-    ga, _ = _gram(lambda t: p1.pt_factor(params, n, mu, t), _half_line(cfg))
-    gb, _ = _gram(lambda t: p1.morse_factor(params, m, t, mu),
-                  sf.QuadratureSpec("tanh-sinh", cfg.quad_level, -25.0, 5.0))
-    worst = np.max(np.triu(np.abs(ga * gb - np.eye(len(n)))), initial=0.0)
+    gram = pt_gram(params, n, mu) * morse_gram(params, m, mu)
+    worst = np.max(np.triu(np.abs(gram - np.eye(len(n)))), initial=0.0)
     return [record("v1-equidistant-gram", worst, 1e-7)]
 
 
 def _v2_orthonormality(params, cfg) -> list[dict]:
     _nmax(params)
-    mu0 = p2.p2_mu(params, 0)
-    va, _ = sf.integrate(lambda t: p2.z_pt_factor(params, 0, mu0, t) ** 2,
-                         _half_line(cfg))
-    vb, _ = sf.integrate(
-        lambda t: np.abs(p2.s2_complex_factor(params, 0, t)) ** 2,
-        sf.QuadratureSpec("tanh-sinh", cfg.quad_level, -8.0, 8.0))
-    return [record("v2-ground-norm", abs(va * vb - 1.0), 1e-7)]
+    n, m, mu = np.array([(st["n"], st["m"], st["mu"])
+                         for level in p2.p2_spectrum(params)
+                         for st in level["states"]], dtype=float).T
+    gram = pt_gram(params, n, mu) * s2_gram(params, m)
+    worst = np.max(np.triu(np.abs(gram - np.eye(len(n)))), initial=0.0)
+    return [record("v2-equidistant-gram", worst, 1e-7)]
 
 
 def _v1_eigen(params, cfg) -> list[dict]:

@@ -16,15 +16,13 @@ from hypersint import geometry as geo
 from hypersint import interbasis as ib
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
-from hypersint import specfun as sf
+from hypersint import verify
 
 SQRT2 = math.sqrt(2.0)
 P1FIX = p1.P1Params(1.0, 1.0 / SQRT2, 2.0 * SQRT2)
 P2FIX = p2.P2Params(0.1, 3.0, 1.0)
 P2DEEP = p2.P2Params(0.1, 6.0, 1.0)
 CP0 = p2.DEFAULT_SH_PARAMS
-HALFLINE = sf.QuadratureSpec("tanh-sinh", 8, 0.0, math.inf, "exp-map")
-MORSE_DOMAIN = sf.QuadratureSpec("tanh-sinh", 8, -25.0, 5.0)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -71,28 +69,16 @@ def test_criterion_02_cross_chart_quantization():
 
 def test_criterion_03_orthonormality():
     t0 = time.monotonic()
-    states = []
-    for N in range(3):
-        states += p1.level_states_equidistant(P1FIX, N)
-    worst = 0.0
-    for i, (ni, mi) in enumerate(states):
-        for (nj, mj) in states[i:]:
-            mui, muj = p1.p1_mu(P1FIX, mi), p1.p1_mu(P1FIX, mj)
-            va, _ = sf.integrate(
-                lambda t: p1.pt_factor(P1FIX, ni, mui, t)
-                * p1.pt_factor(P1FIX, nj, muj, t), HALFLINE)
-            vb, _ = sf.integrate(
-                lambda t: p1.morse_factor(P1FIX, mi, t, mui)
-                * p1.morse_factor(P1FIX, mj, t, muj), MORSE_DOMAIN)
-            expect = 1.0 if (ni, mi) == (nj, mj) else 0.0
-            worst = max(worst, abs(va * vb - expect))
+    # the Gram matrices of both potentials' equidistant states, from the
+    # factors' exact Gauss rules
+    n, m = np.array([nm for N in range(3)
+                     for nm in p1.level_states_equidistant(P1FIX, N)], dtype=float).T
+    mu = p1.p1_mu(P1FIX, m)
+    gram = verify.pt_gram(P1FIX, n, mu) * verify.morse_gram(P1FIX, m, mu)
+    worst = float(np.max(np.abs(gram - np.eye(len(n)))))
     mu0 = p2.p2_mu(P2FIX, 0)
-    vz, _ = sf.integrate(lambda t: p2.z_pt_factor(P2FIX, 0, mu0, t) ** 2,
-                         HALFLINE)
-    vs, _ = sf.integrate(
-        lambda t: np.abs(p2.s2_complex_factor(P2FIX, 0, t)) ** 2,
-        sf.QuadratureSpec("tanh-sinh", 8, -8.0, 8.0))
-    worst_v2 = abs(vz * vs - 1.0)
+    worst_v2 = abs(float(verify.pt_gram(P2FIX, [0], [mu0])[0, 0]
+                         * verify.s2_gram(P2FIX, [0])[0, 0]) - 1.0)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-7 and worst_v2 <= 1e-7 and elapsed < 30.0
     report(3, ok, f"v1 Gram defect {worst:.2e}, v2 norm defect "

@@ -236,10 +236,11 @@ def test_orthonormality_evaluates_each_factor_once_per_node_set(monkeypatch):
     count("morse_factor", 2)   # morse_factor(params, m, t, mu)
     code, out = run_main(["verify", "--suite", "orthonormality"])
     assert code == 0 and json.loads(out)["records"][0]["pass"]
-    # two node sets per integral; the fixture has six states (n, m)
+    # one exact rule per integral (the coarse-level pass is gone); the
+    # fixture has six states (n, m)
     for name in ("pt_factor", "morse_factor"):
         keys = [k for k in calls if k[0] == name]
-        assert len(keys) == 2 and len({k[2] for k in keys}) == 2
+        assert len(keys) == 1
         assert all(k[1] == (6, 1) for k in keys)
 
 

@@ -7,6 +7,7 @@ from hypersint import geometry as geo
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
 from hypersint import specfun as sf
+from hypersint import verify
 from hypersint.errors import (
     NoBoundStateError,
     NonFiniteValueError,
@@ -17,8 +18,16 @@ from hypersint.errors import (
 )
 
 SQRT2 = math.sqrt(2.0)
-HALFLINE = sf.QuadratureSpec("tanh-sinh", 8, 0.0, math.inf, "exp-map")
-MORSE_DOMAIN = sf.QuadratureSpec("tanh-sinh", 8, -25.0, 5.0)
+#: breakpoints past which every fixture factor's square is below 1e-15
+HALFLINE = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)
+MORSE_DOMAIN = (-25.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 5.0)
+
+
+def _quad(f, points) -> float:
+    """mpmath's adaptive quadrature of a float function of the package."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(15):
+        return float(mp.quad(lambda t: float(f(float(t))), points))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +182,14 @@ def test_factor_normalizations(p1_fixture):
     for N in range(3):
         for (n, m) in p1.level_states_equidistant(p, N):
             mu = p1.p1_mu(p, m)
-            v, _ = sf.integrate(lambda t: p1.pt_factor(p, n, mu, t) ** 2,
-                                HALFLINE)
+            v = _quad(lambda t: p1.pt_factor(p, n, mu, t) ** 2, HALFLINE)
             assert abs(v - 1.0) <= 1e-9
-            v, _ = sf.integrate(lambda t: p1.morse_factor(p, m, t, mu) ** 2,
-                                MORSE_DOMAIN)
+            v = _quad(lambda t: p1.morse_factor(p, m, t, mu) ** 2, MORSE_DOMAIN)
             assert abs(v - 1.0) <= 1e-9
     for n1 in range(3):
-        v, _ = sf.integrate(lambda x: p1.osc_x_factor(p, n1, x) ** 2, HALFLINE)
+        v = _quad(lambda x: p1.osc_x_factor(p, n1, x) ** 2, HALFLINE)
         assert abs(v - 0.5) <= 1e-9  # even function: full-line norm is 1
-    v, _ = sf.integrate(lambda y: p1.osc_y_factor(p, 2, 1, y) ** 2, HALFLINE)
+    v = _quad(lambda y: p1.osc_y_factor(p, 2, 1, y) ** 2, HALFLINE)
     assert abs(v - 1.0) <= 1e-8
 
 
@@ -209,31 +216,33 @@ def test_osc_x_factor_is_even(p1_fixture):
 
 def test_equidistant_orthonormality(p1_fixture):
     p = p1_fixture
-    states = []
-    for N in range(3):
-        states += p1.level_states_equidistant(p, N)
-    for i, (ni, mi) in enumerate(states):
-        for (nj, mj) in states[i:]:
-            mui, muj = p1.p1_mu(p, mi), p1.p1_mu(p, mj)
-            va, _ = sf.integrate(
-                lambda t: p1.pt_factor(p, ni, mui, t)
-                * p1.pt_factor(p, nj, muj, t), HALFLINE)
-            vb, _ = sf.integrate(
-                lambda t: p1.morse_factor(p, mi, t, mui)
-                * p1.morse_factor(p, mj, t, muj), MORSE_DOMAIN)
-            expect = 1.0 if (ni, mi) == (nj, mj) else 0.0
-            assert abs(va * vb - expect) <= 1e-7
+    n, m = np.array([nm for N in range(3)
+                     for nm in p1.level_states_equidistant(p, N)], dtype=float).T
+    mu = p1.p1_mu(p, m)
+    gram = verify.pt_gram(p, n, mu) * verify.morse_gram(p, m, mu)
+    assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-7
+
+
+@pytest.mark.parametrize("well", [(0.3, 0.2, 3.0), (0.865, 0.19, 4.855),
+                                  (0.56, 0.095, 4.38), (0.5, 0.25, 5.5)])
+def test_equidistant_gram_on_deep_and_wide_wells(well):
+    # exact Gauss rules in the factors' compact variables: every state of
+    # every level (6 to 70 levels); measured at most 3.6e-13
+    p = p1.P1Params(*well)
+    n, m = np.array([nm for N in range(p.nmax + 1)
+                     for nm in p1.level_states_equidistant(p, N)], dtype=float).T
+    mu = p1.p1_mu(p, m)
+    gram = verify.pt_gram(p, n, mu) * verify.morse_gram(p, m, mu)
+    assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-12
 
 
 def test_horicyclic_product_norm(p1_fixture):
     # unit norm in L^2(dx dy / y^2) over the half-chart x > 0
     p = p1_fixture
     st = p1.P1State(p, "horicyclic", (1, 1))
-    vx, _ = sf.integrate(lambda x: p1.osc_x_factor(p, 1, x) ** 2, HALFLINE)
-    # stable at the deep quadrature nodes where y**2 would underflow
-    vy, _ = sf.integrate(
-        lambda y: (p1.osc_y_factor(p, 2, 1, y) / np.maximum(y, 1e-150)) ** 2,
-        HALFLINE)
+    vx = _quad(lambda x: p1.osc_x_factor(p, 1, x) ** 2, HALFLINE)
+    vy = _quad(lambda y: (p1.osc_y_factor(p, 2, 1, y) / y) ** 2 if y else 0.0,
+               HALFLINE)
     total = p1.hc_norm_constant(p, 2) ** 2 * vx * vy
     assert abs(total - 1.0) <= 1e-8
     assert st.energy == p1.p1_energy(p, 2)
@@ -583,50 +592,99 @@ def test_factor_columns_equal_single_state_calls_bit_for_bit(well):
         assert (got == 0.0).any() and (got != 0.0).any()
 
 
-def test_parabolic_normalization(p1_fixture):
-    c = p1.p1_ep_roots(p1_fixture, 1, form="derived")[0]
-    st = p1.P1State(p1_fixture, "elliptic-parabolic", (1,), roots=c)
-    xg, wg, dg = sf.tanh_sinh_nodes(7)
-    keep = dg > 1e-14
-    xg, wg = xg[keep], wg[keep]
-    u = 3.0 * (xg + 1.0)
-    wu = 3.0 * wg
-    v = math.pi / 4.0 * (xg + 1.0)
-    wv = math.pi / 4.0 * wg
-    vals = p1.p1_wf_elliptic_parabolic(st, u[:, None], v[None, :]) ** 2 \
-        * p1.ep_volume_element(u[:, None], v[None, :])
-    total = 2.0 * float(np.einsum("i,j,ij->", wu, wv, vals))
-    assert abs(total - 1.0) <= 1e-8
+def test_parabolic_normalization():
+    for well, N in (((1.0, 1.0 / SQRT2, 2.0 * SQRT2), 1), ((0.865, 0.19, 4.855), 1),
+                    ((0.865, 0.19, 4.855), 4)):
+        _check_parabolic_unit_norm(p1.P1Params(*well), N)
 
 
-def _grid_log_norm(state):
-    """log norm of the raw product form as a 2-D tanh-sinh sum on the
-    meshgrid of the nodes that _parabolic_log_norm uses."""
-    p = state.params
-    ep = state.chart == "elliptic-parabolic"
-    vol = p1.ep_volume_element if ep else p1.hp_volume_element
-    xg, wg, dg = sf.tanh_sinh_nodes(7)
-    xg, wg = xg[dg > 1e-14], wg[dg > 1e-14]
-    L = max(6.0, math.sqrt(40.0 / p.c))
-    U, V = np.meshgrid(0.5 * L * (xg + 1.0), 0.25 * math.pi * (xg + 1.0),
-                       indexing="ij")
-    vals = p1._parabolic_raw(p, state.roots, U, V, ep) ** 2 * vol(U, V)
-    total = float(np.einsum("i,j,ij->", 0.5 * L * wg, 0.25 * math.pi * wg, vals))
-    return 0.5 * math.log(2.0 * total if ep else total)
+def _check_parabolic_unit_norm(p, N):
+    # the normalized pointwise wavefunction times the chart's volume element,
+    # summed on a 2-D product rule in y = sinh^2 u and x = cos^2 th
+    # (elliptic) or sin^2 th (hyperbolic) with the norm's weights divided
+    # out, is 1 (the tanh-sinh norm was off by up to 0.13 on the s = 87.6
+    # well)
+    nu, d, c = p1.p1_nu(p, N), p.d, p.c
+    lg = lambda t: sf.log_gamma(t).real
+    x, wx = sf.gauss_rule(*sf.jacobi_recurrence(nu - 1.0, d, 100), math.exp(
+        lg(nu) + lg(d + 1.0) - lg(nu + d + 1.0)))
+    # dth = dx / (2 sqrt(x (1-x))), over the weight
+    wx = wx * np.exp(-(nu - 0.5) * np.log(x) - (d + 0.5) * np.log1p(-x)) / 2.0
+    for chart, solve, a, vol in (
+            ("elliptic-parabolic", p1.p1_ep_roots, d, p1.ep_volume_element),
+            ("hyperbolic-parabolic", p1.p1_hp_roots, nu - 1.0, p1.hp_volume_element)):
+        z, wz = sf.gauss_rule(*sf.laguerre_recurrence(a, 100), math.exp(lg(a + 1.0)))
+        y = z / (2.0 * c)
+        # du = dy / (2 sqrt(y (1+y))) = dz / (4 c sqrt(y (1+y))), over the weight
+        wy = wz * np.exp(z - a * np.log(z)) / (4.0 * c * np.sqrt(y * (1.0 + y)))
+        u = np.arcsinh(np.sqrt(y))[:, None]
+        th = (np.arccos(np.sqrt(x)) if chart == "elliptic-parabolic"
+              else np.arcsin(np.sqrt(x)))[None, :]
+        for conf in solve(p, N, form="derived"):
+            st = p1.P1State(p, chart, (N,), roots=conf)
+            wf = (p1.p1_wf_elliptic_parabolic if chart == "elliptic-parabolic"
+                  else p1.p1_wf_hyperbolic_parabolic)
+            total = float(wy @ (wf(st, u, th) ** 2 * vol(u, th)) @ wx)
+            if chart == "elliptic-parabolic":
+                total *= 2.0  # theta < 0 half by evenness
+            assert abs(total - 1.0) <= 1e-10, (chart, conf.zone_counts, total)
+
+
+def _parabolic_log_norm_oracle(st) -> float:
+    """log norm of a parabolic product form in closed form: in the squared
+    variables each 1-D integral is a sum, over the coefficients of
+    prod_k (r^2 - sign t_k)^2, of Tricomi U (radial) or Kummer M (angular)
+    values; the sums cancel, so 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    p, N = st.params, st.N
+    d = mp.sqrt(2 * mp.mpf(p.alpha) ** 2 + mp.mpf(1) / 4)
+    c = mp.mpf(p.beta) / mp.sqrt(2)
+    nu = mp.mpf(p.gamma) ** 2 / (2 * c) - d - 2 * N - 2
+    ep = st.chart == "elliptic-parabolic"
+
+    def coeffs(sign):
+        out = [mp.mpf(1)]
+        for t in st.roots.roots:
+            for _ in range(2):
+                out = [u - sign * t * v for u, v in zip([0] + out, out + [0])]
+        return list(enumerate(out))
+
+    rad, ang = [], []
+    for k in (0, 1):  # the integral, and the one over r^2
+        if ep:  # y^d (1+y)^{nu-k} e^{-2c(1+y)} prod (1+y-t)^2
+            rad.append(mp.exp(-2 * c) * mp.gamma(d + 1) * mp.fsum(
+                cj * mp.hyperu(d + 1, d + nu - k + j + 2, 2 * c) for j, cj in coeffs(1)))
+        else:  # y^{nu-k} (1+y)^d e^{-2cy} prod (y-t)^2
+            rad.append(mp.fsum(cj * mp.gamma(nu - k + j + 1)
+                               * mp.hyperu(nu - k + j + 1, nu - k + j + d + 2, 2 * c)
+                               for j, cj in coeffs(1)))
+        s = 1 if ep else -1  # x^{nu-k} (1-x)^d e^{-2scx} prod (x-st)^2
+        ang.append(mp.fsum(cj * mp.beta(nu - k + j + 1, d + 1)
+                           * mp.hyp1f1(nu - k + j + 1, nu - k + j + d + 2, -2 * s * c)
+                           for j, cj in coeffs(s)))
+    total = (2 * (rad[0] * ang[1] - rad[1] * ang[0]) if ep
+             else rad[0] * ang[1] + rad[1] * ang[0]) / 4
+    return float(mp.log(total) / 2)
 
 
 @pytest.mark.parametrize("params,levels", [
-    ((1.0, 1.0 / SQRT2, 2.0 * SQRT2), (0, 1, 2)),
-    ((0.3, 0.2, 3.0), (1, 2, 3)),
+    ((1.0, 1.0 / SQRT2, 2.0 * SQRT2), (1, 2)),
+    ((0.3, 0.2, 3.0), (1, 4, 8)),
+    ((0.865, 0.19, 4.855), (4, 8)),
 ])
 def test_parabolic_norm_separates(params, levels):
-    # four 1-D sums give the 2-D grid value of the norm
+    # the four 1-D integrals of the separated norm against their closed
+    # forms: both charts, the first and last configuration of each level
+    # (measured: at most 8.5e-14; the tanh-sinh sums were off by up to 0.16)
+    mp = pytest.importorskip("mpmath")
     p = p1.P1Params(*params)
-    for N in levels:
-        for chart, solve in (("elliptic-parabolic", p1.p1_ep_roots),
-                             ("hyperbolic-parabolic", p1.p1_hp_roots)):
-            for conf in solve(p, N, form="derived"):
-                st = p1.P1State(p, chart, (N,), roots=conf)
-                got, ref = p1._parabolic_log_norm(st), _grid_log_norm(st)
-                # relative 1e-13 in the norm itself
-                assert abs(got - ref) <= 1e-13, (chart, N, got, ref)
+    with mp.workdps(60):
+        for N in levels:
+            for chart, solve in (("elliptic-parabolic", p1.p1_ep_roots),
+                                 ("hyperbolic-parabolic", p1.p1_hp_roots)):
+                confs = solve(p, N, form="derived")
+                for conf in {confs[0], confs[-1]}:
+                    st = p1.P1State(p, chart, (N,), roots=conf)
+                    want = _parabolic_log_norm_oracle(st)
+                    assert abs(p1._parabolic_log_norm(st) - want) <= 1e-12, (
+                        chart, N, conf.zone_counts)

@@ -6,7 +6,7 @@ import pytest
 
 from hypersint import geometry as geo
 from hypersint import potential2 as p2
-from hypersint import specfun as sf
+from hypersint import verify
 from hypersint.errors import (
     NoBoundStateError,
     SingularConfigurationError,
@@ -16,6 +16,13 @@ from hypersint.errors import (
 SQRT2 = math.sqrt(2.0)
 CP0 = p2.DEFAULT_SH_PARAMS           # e1 = conj(e2) = i, e3 = 0
 CP1 = (0.3, 1.0, 0.15)               # generic foci: discriminates conventions
+
+
+def _quad(f, points) -> float:
+    """mpmath's adaptive quadrature of a float function of the package."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(15):
+        return float(mp.quad(lambda t: float(f(float(t))), points))
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +114,8 @@ def test_s_factor_real_and_normalized(p2_fixture):
     s = p2.s2_complex_factor(p, 0, t2)
     assert np.max(np.abs(s.imag)) <= 1e-10 * np.max(np.abs(s.real))
     assert s[40].real > 0.0  # phase convention: real positive at t2 = 0
-    v, _ = sf.integrate(
-        lambda t: np.abs(p2.s2_complex_factor(p, 0, t)) ** 2,
-        sf.QuadratureSpec("tanh-sinh", 8, -8.0, 8.0))
+    v = _quad(lambda t: abs(p2.s2_complex_factor(p, 0, t)[0]) ** 2,
+              (-8.0, -2.0, -1.0, 0.0, 1.0, 2.0, 8.0))
     assert abs(v - 1.0) <= 1e-8
 
 
@@ -122,10 +128,22 @@ def test_s_factor_m0_structure(p2_fixture):
 def test_z_factor_normalized(p2_fixture):
     p = p2_fixture
     mu0 = p2.p2_mu(p, 0)
-    v, _ = sf.integrate(
-        lambda t: p2.z_pt_factor(p, 0, mu0, t) ** 2,
-        sf.QuadratureSpec("tanh-sinh", 8, 0.0, math.inf, "exp-map"))
+    v = _quad(lambda t: p2.z_pt_factor(p, 0, mu0, t) ** 2,
+              (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0))
     assert abs(v - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("well", [(0.1, 3.0, 1.0), (0.1, 6.0, 1.0),
+                                  (0.3, 8.0, 2.0), (0.5, 12.0, 3.0)])
+def test_equidistant_gram_of_every_state(well):
+    # Poschl-Teller (Gauss-Jacobi) times S_m (Romanovski) Gram of all the
+    # equidistant states of all levels (1 to 36 states; measured at most
+    # 1.4e-14); (0.1, 6, 1) reaches nu = 0.023 at its top level
+    p = p2.P2Params(*well)
+    n, m, mu = np.array([(st["n"], st["m"], st["mu"]) for lev in p2.p2_spectrum(p)
+                         for st in lev["states"]], dtype=float).T
+    gram = verify.pt_gram(p, n, mu) * verify.s2_gram(p, m)
+    assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-12
 
 
 def test_equidistant_wavefunction_realness(p2_fixture):

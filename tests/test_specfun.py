@@ -81,13 +81,13 @@ def test_laguerre_low_orders():
 
 
 def test_laguerre_orthogonality_quadrature():
-    spec = sf.QuadratureSpec("tanh-sinh", 8, 0.0, math.inf, "exp-map")
+    # the 7-node Gauss-Laguerre rule is exact for L_n L_m, n, m <= 6
     for a in (0.0, 0.5, 1.5):
+        x, w = sf.gauss_rule(*sf.laguerre_recurrence(a, 7),
+                             math.exp(sf.log_gamma(a + 1.0).real))
         for n in range(7):
             for m in range(n, 7):
-                v, _ = sf.integrate(
-                    lambda x: x**a * np.exp(-x)
-                    * sf.laguerre(n, a, x) * sf.laguerre(m, a, x), spec)
+                v = np.sum(w * sf.laguerre(n, a, x) * sf.laguerre(m, a, x))
                 ref = 0.0 if n != m else \
                     math.exp(sf.log_gamma(n + a + 1.0).real) / math.factorial(n)
                 assert abs(v - ref) <= 1e-9, (n, m, a)
@@ -105,18 +105,19 @@ def test_jacobi_low_orders():
 
 
 def test_jacobi_orthogonality_quadrature():
-    spec = sf.QuadratureSpec("tanh-sinh", 8, -1.0, 1.0)
+    # (1-x)^a (1+x)^b on (-1, 1) is 2^{a+b+1} u^b (1-u)^a on u = (1+x)/2,
+    # whose 6-node rule is exact for P_n P_m, n, m <= 5
+    lg = lambda t: sf.log_gamma(t).real
     for (a, b) in ((0.0, 0.0), (0.5, 1.5), (1.5, -0.3)):
+        u, w = sf.gauss_rule(*sf.jacobi_recurrence(b, a, 6), math.exp(
+            (a + b + 1) * math.log(2) + lg(a + 1) + lg(b + 1) - lg(a + b + 2)))
+        x = 2.0 * u - 1.0
         for n in range(6):
             for m in range(n, 6):
-                v, _ = sf.integrate(
-                    lambda x: (1 - x)**a * (1 + x)**b
-                    * np.real(sf.jacobi(n, a, b, x) * sf.jacobi(m, a, b, x)),
-                    spec)
+                v = np.sum(w * sf.jacobi(n, a, b, x) * sf.jacobi(m, a, b, x))
                 if n != m:
                     ref = 0.0
                 else:
-                    lg = lambda t: sf.log_gamma(t).real
                     ref = math.exp(
                         (a + b + 1) * math.log(2) + lg(n + a + 1) + lg(n + b + 1)
                         - lg(n + a + b + 1) - math.log(2 * n + a + b + 1)
@@ -404,118 +405,65 @@ def test_hahn_matches_direct_3f2_assembly():
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
+# Gauss rules
 # ---------------------------------------------------------------------------
 
+def _lg(t):
+    return sf.log_gamma(t).real
+
+
 def test_integrate_exponential():
-    spec = sf.QuadratureSpec("tanh-sinh", 7, 0.0, math.inf, "exp-map")
-    v, err = sf.integrate(lambda x: np.exp(-x), spec)
-    assert abs(v - 1.0) < 1e-12
-    assert err < 1e-10
+    # the 2-node Gauss-Laguerre rule integrates x^j e^{-x}, j <= 3, to j!
+    x, w = sf.gauss_rule(*sf.laguerre_recurrence(0.0, 2), 1.0)
+    for j in range(4):
+        assert abs(np.sum(w * x**j) - math.factorial(j)) < 1e-14 * math.factorial(j)
 
 
 def test_integrate_beta_identity_fixture():
-    # int_0^inf sinh t cosh^-3 t dt = B(1,1)/2 = 1/2
-    spec = sf.QuadratureSpec("tanh-sinh", 7, 0.0, math.inf, "exp-map")
-    # tanh sech^2 written via exp(-t): stable at the far quadrature nodes
-    v, _ = sf.integrate(
-        lambda t: np.tanh(t) * (2.0 * np.exp(-t) / (1.0 + np.exp(-2.0 * t))) ** 2,
-        spec)
+    # int_0^inf sinh t cosh^-3 t dt = B(1,1)/2 = 1/2: in x = sech^2 t the
+    # integrand is (1/2) x^0 (1-x)^0, exact on the Gauss-Legendre rule
+    x, w = sf.gauss_rule(*sf.jacobi_recurrence(0.0, 0.0, 2), 1.0)
+    t = np.arcsinh(np.sqrt((1.0 - x) / x))
+    # dt = dx / (2 x sqrt(1-x))
+    v = np.sum(w * np.sinh(t) / np.cosh(t) ** 3 / (2.0 * x * np.sqrt(1.0 - x)))
     assert abs(v - 0.5) < 1e-12
 
 
 def test_integrate_legendre_orthogonality():
-    spec = sf.QuadratureSpec("gauss-legendre", 3, -1.0, 1.0)
-    v, _ = sf.integrate(lambda x: (3 * x**2 - 1) / 2 * (5 * x**3 - 3 * x) / 2,
-                        spec)
-    assert abs(v) < 1e-14
+    # P_2 P_3 on the 3-node Gauss-Legendre rule, moved to (-1, 1)
+    u, w = sf.gauss_rule(*sf.jacobi_recurrence(0.0, 0.0, 3), 1.0)
+    x = 2.0 * u - 1.0
+    assert abs(np.sum(w * (3 * x**2 - 1) / 2 * (5 * x**3 - 3 * x) / 2)) < 1e-14
 
 
 def test_integrate_beta_random_parameters():
-    # 1/2 B((1+a)/2, (b-a)/2) for random exponents, relative 1e-8
+    # the K-node rule of x^a (1-x)^b integrates x^j, j <= 2K - 1, to
+    # B(a+1+j, b+1), relative 1e-12, for random exponents down to -0.99
     rng = np.random.default_rng(7)
-    # level 9: the integrand is endpoint-singular for exponents near -1
-    spec = sf.QuadratureSpec("tanh-sinh", 9, 0.0, math.inf, "exp-map")
     for _ in range(20):
-        a = rng.uniform(-0.5, 3.0)
-        b = a + rng.uniform(0.5, 6.0)
-        # stable integrand: tanh^a cosh^(a-b)
-        v, _ = sf.integrate(
-            lambda t, a=a, b=b: np.tanh(t)**a * np.cosh(t)**(a - b), spec)
-        lg = lambda t: sf.log_gamma(t).real
-        ref = 0.5 * math.exp(lg((1 + a) / 2) + lg((b - a) / 2) - lg((1 + b) / 2))
-        assert abs(v - ref) <= 1e-8 * abs(ref), (a, b)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(OutOfDomainError):
-        sf.QuadratureSpec("simpson", 3, 0.0, 1.0)
-    with pytest.raises(OutOfDomainError):
-        sf.QuadratureSpec("tanh-sinh", 0, 0.0, 1.0)
-    with pytest.raises(OutOfDomainError):
-        sf.QuadratureSpec("tanh-sinh", 3, 1.0, 0.5)
-    with pytest.raises(OutOfDomainError):
-        sf.QuadratureSpec("tanh-sinh", 3, 0.0, math.inf)  # needs a transform
-    spec = sf.QuadratureSpec("tanh-sinh", 3, 0.0, math.inf, "algebraic-map")
-    v, _ = sf.integrate(lambda x: 1.0 / (1.0 + x) ** 2, spec)
-    assert abs(v - 1.0) < 1e-10
+        a, b = rng.uniform(-0.99, 6.0, size=2)
+        K = int(rng.integers(1, 12))
+        x, w = sf.gauss_rule(*sf.jacobi_recurrence(a, b, K), math.exp(
+            _lg(a + 1) + _lg(b + 1) - _lg(a + b + 2)))
+        assert np.all((x > 0.0) & (x < 1.0) & (w > 0.0))
+        for j in range(2 * K):
+            ref = math.exp(_lg(a + 1 + j) + _lg(b + 1) - _lg(a + b + 2 + j))
+            assert abs(np.sum(w * x**j) - ref) <= 1e-12 * ref, (a, b, K, j)
 
 
 def test_integrate_deterministic():
-    spec = sf.QuadratureSpec("tanh-sinh", 6, 0.0, 3.0)
-    f = lambda x: np.sin(x) * np.exp(-x)
-    assert sf.integrate(f, spec) == sf.integrate(f, spec)
+    coeffs = sf.jacobi_recurrence(np.array([[0.3], [1.7]]), 2.5, 9)
+    assert sf.gauss_rule(*coeffs, np.array([1.0, 2.0]))[0].shape == (2, 9)
+    for a, b in zip(sf.gauss_rule(*coeffs, np.array([1.0, 2.0])),
+                    sf.gauss_rule(*coeffs, np.array([1.0, 2.0]))):
+        assert np.array_equal(a, b)
 
 
-def _substituted_sum(f, spec):
-    """Reference: f substituted onto the rule's interval and summed on the
-    raw tanh-sinh nodes (the integrand-transform form of the same rule)."""
-    t, w, d = sf.tanh_sinh_nodes(spec.level)
-    infinite = math.isinf(spec.lo) or math.isinf(spec.hi)
-    a, b = (0.0, 1.0) if infinite else (spec.lo, spec.hi)
-    half = 0.5 * (b - a)
-    d_lo = np.where(t < 0, half * d, half * (1.0 + np.abs(t)))
-    d_hi = np.where(t < 0, half * (1.0 + np.abs(t)), half * d)
-    u = np.where(t < 0, a + d_lo, b - d_hi)
-    if not infinite:
-        cut = 1e-15 * max(1.0, abs(a), abs(b))
-        keep = (d_lo > cut) & (d_hi > cut)
-        return half * np.sum(w[keep] * f(u[keep]))
-    om = np.maximum(np.where(u < 0.5, 1.0 - u, d_hi), 1e-150)
-    if spec.transform == "exp-map":
-        log_om = np.where(u < 0.5, np.log1p(-np.minimum(u, 0.5)), np.log(d_hi))
-        step = -3.0 * np.maximum(log_om, -236.0)
-
-        def g(s):
-            return 3.0 * f(s) / om
-    else:
-        step = u / om
-
-        def g(s):
-            return f(s) / om**2
-    lo = 0.0 if math.isinf(spec.lo) else spec.lo
-    hi = 0.0 if math.isinf(spec.hi) else spec.hi
-    return ((half * np.sum(w * g(hi - step)) if math.isinf(spec.lo) else 0.0)
-            + (half * np.sum(w * g(lo + step)) if math.isinf(spec.hi) else 0.0))
-
-
-@pytest.mark.parametrize("f,spec", [
-    (lambda x: np.sqrt(x) / np.sqrt(1.0 - x), ("tanh-sinh", 7, 0.0, 1.0, "none")),
-    (lambda x: np.exp(-x), ("tanh-sinh", 6, 0.0, 3.0, "none")),
-    (lambda x: x**3 * np.exp(-x), ("tanh-sinh", 8, 0.0, math.inf, "exp-map")),
-    (lambda x: np.exp(-x * x), ("tanh-sinh", 7, -math.inf, math.inf, "exp-map")),
-    (lambda x: 1.0 / (1.0 + x) ** 2,
-     ("tanh-sinh", 8, 0.0, math.inf, "algebraic-map")),
-    (lambda x: np.exp(x) / (1.0 + x * x),
-     ("tanh-sinh", 7, -math.inf, 0.0, "algebraic-map")),
-])
-def test_quadrature_rule_reproduces_integrate(f, spec):
-    spec = sf.QuadratureSpec(*spec)
-    value, err = sf.integrate(f, spec)
-    x, w = sf.quadrature_rule(spec)
-    assert x.shape == w.shape and np.all(np.isfinite(x)) and np.all(w >= 0.0)
-    assert abs(np.sum(w * f(x)) - value) <= 1e-15 * abs(value)
-    assert abs(_substituted_sum(f, spec) - value) <= 1e-15 * abs(value)
-    xc, wc = sf.quadrature_rule(sf.QuadratureSpec(
-        spec.rule, spec.level - 1, spec.lo, spec.hi, spec.transform))
-    assert err == abs(value - float(np.sum(wc * f(xc))))
+def test_stacked_rules_equal_single_rules():
+    # a stack of weights gives each weight's own rule
+    a = np.array([[0.3], [1.7], [-0.5]])
+    x, w = sf.gauss_rule(*sf.jacobi_recurrence(a, 2.5, 7), np.ones(3))
+    for i, ai in enumerate(a[:, 0]):
+        xi, wi = sf.gauss_rule(*sf.jacobi_recurrence(ai, 2.5, 7), 1.0)
+        assert np.allclose(x[i], xi, rtol=1e-14, atol=0.0)
+        assert np.allclose(w[i], wi, rtol=1e-13, atol=0.0)

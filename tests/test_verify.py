@@ -39,7 +39,7 @@ RECORDS = {
         ("chart-maps-on-surface", 1e-10, False),
         ("cross-chart-quantization", 1e-12, False),
         ("horicyclic-bridge", 1e-12, False)],
-    ("v2", "orthonormality"): [("v2-ground-norm", 1e-7, False)],
+    ("v2", "orthonormality"): [("v2-equidistant-gram", 1e-7, False)],
     ("v2", "eigen"): [
         ("L1-v2-equidistant", 1e-6, False),
         ("L1-from-L12-relation", 1e-6, False),
