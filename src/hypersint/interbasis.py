@@ -103,11 +103,11 @@ class _LogGammaTable(dict):
     every element."""
 
     def __missing__(self, x: float) -> float:
-        v = self[x] = sf.log_gamma(x).real
+        v = self[x] = sf.lgamma(x)
         return v
 
     def __call__(self, x):
-        return sf._each(self.__getitem__, x) if isinstance(x, np.ndarray) else self[x]
+        return sf._each(self.__getitem__, x)
 
 
 class _Level:
@@ -232,8 +232,7 @@ def _a_integrals(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
     and the row's rule of N//2 + 1 nodes is exact for every column.
     """
     x, w = _jacobi_rules(lv)
-    degrees = np.array([[[n]] for n, _ in lv.cols])
-    t = sf.jacobi(degrees, lv.d, lv.nu, 1.0 - 2.0 * x) * w  # (cols, rows, nodes)
+    t = sf.jacobi(lv.n.T[:, :, None], lv.d, lv.nu, 1.0 - 2.0 * x) * w  # (cols, rows, nodes)
     return 0.5 * np.sum(t, axis=2).T, 0.5 * np.sum(np.abs(t), axis=2).T
 
 

@@ -102,11 +102,6 @@ SQRT2 = math.sqrt(2.0)
 _WINDOW_TOL = 1e-12
 
 
-def _lgamma(x):
-    """Real log Gamma of a number, or of each element of an array."""
-    return sf._each(lambda v: sf.log_gamma(v).real, x)
-
-
 def _any(mask) -> bool:
     """np.any, without its microseconds of overhead on a bool."""
     return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
@@ -345,8 +340,8 @@ def morse_factor(p: P1Params, m, t2, mu=None):
     # log z finite, so the log-magnitude stays a number (not NaN) where
     # the factor, below exp(-sqrt2 beta e^600 / 2), is 0 either way
     z = SQRT2 * p.beta * np.exp(2.0 * np.minimum(t2, 300.0))
-    logpref = 0.5 * (sf._each(math.log, 2.0 * mu) + _lgamma(m + 1.0)
-                     - _lgamma(m + mu + 1.0))
+    logpref = 0.5 * (sf._each(math.log, 2.0 * mu) + sf.lgamma(m + 1.0)
+                     - sf.lgamma(m + mu + 1.0))
     logmag = logpref - z / 2.0 + 0.5 * mu * np.log(z)
     return _exp_guarded(logmag, lambda v: sf.laguerre(m, mu, v), z)
 
@@ -369,8 +364,8 @@ def pt_factor(p, n, mu, t1):
         raise OutOfWindowError(f"n = {n} outside window for mu = {mu:.6g}")
     t1a = np.abs(np.asarray(t1, dtype=float))
     th = np.tanh(t1a)
-    logpref = 0.5 * (sf._each(math.log, 2.0 * nu) + _lgamma(mu - n) + _lgamma(n + 1.0)
-                     - _lgamma(mu - p.d - n) - _lgamma(1.0 + n + p.d))
+    logpref = 0.5 * (sf._each(math.log, 2.0 * nu) + sf.lgamma(mu - n) + sf.lgamma(n + 1.0)
+                     - sf.lgamma(mu - p.d - n) - sf.lgamma(1.0 + n + p.d))
     with np.errstate(divide="ignore"):
         # log cosh t1 = |t1| + log1p(e^{-2|t1|}) - log 2, finite for every t1
         logmag = (logpref + (0.5 + p.d) * np.log(th)
@@ -385,8 +380,8 @@ def osc_x_factor(p: P1Params, n1, x):
     """
     xa = np.asarray(x, dtype=float)
     u = SQRT2 * p.beta * xa * xa
-    logpref = 0.5 * (_lgamma(n1 + 1.0) + 0.5 * math.log(SQRT2 * p.beta)
-                     - _lgamma(n1 + p.d + 1.0))
+    logpref = 0.5 * (sf.lgamma(n1 + 1.0) + 0.5 * math.log(SQRT2 * p.beta)
+                     - sf.lgamma(n1 + p.d + 1.0))
     with np.errstate(divide="ignore"):
         logmag = logpref - u / 2.0 + (0.25 + 0.5 * p.d) * np.log(u)
     return _exp_guarded(logmag, lambda v: sf.laguerre(n1, p.d, v), u)
@@ -399,9 +394,9 @@ def osc_y_factor(p: P1Params, N, n2, y):
         raise NoBoundStateError("y-factor requires sqrt(-2E+1/4) > 0")
     ya = np.asarray(y, dtype=float)
     u = SQRT2 * p.beta * ya * ya
-    logpref = 0.5 * (math.log(2.0) + _lgamma(n2 + 1.0)
+    logpref = 0.5 * (math.log(2.0) + sf.lgamma(n2 + 1.0)
                      + 0.5 * math.log(SQRT2 * p.beta)
-                     - _lgamma(n2 + nu + 1.0))
+                     - sf.lgamma(n2 + nu + 1.0))
     with np.errstate(divide="ignore"):
         logmag = logpref - u / 2.0 + (0.25 + 0.5 * nu) * np.log(u)
     return _exp_guarded(logmag, lambda v: sf.laguerre(n2, nu, v), u)
@@ -743,12 +738,12 @@ def _parabolic_log_norm(state: P1State) -> float:
 
     ep = state.chart == "elliptic-parabolic"
     x, w = sf.gauss_rule(*sf.jacobi_recurrence(nu - 1.0, d, K), math.exp(
-        _lgamma(nu) + _lgamma(d + 1.0) - _lgamma(nu + d + 1.0)))
+        sf.lgamma(nu) + sf.lgamma(d + 1.0) - sf.lgamma(nu + d + 1.0)))
     lt, lt_v = log_sums(
         np.log(0.5 * w) - (nu - 1.0) * np.log(x) - d * np.log1p(-x),
         1.0 - x, x, 1.0 if ep else -1.0)
     a = d if ep else nu - 1.0
-    z, w = sf.gauss_rule(*sf.laguerre_recurrence(a, K), math.exp(_lgamma(a + 1.0)))
+    z, w = sf.gauss_rule(*sf.laguerre_recurrence(a, K), math.exp(sf.lgamma(a + 1.0)))
     y = z / (2.0 * c)
     la, la_v = log_sums(np.log(0.5 * w / (2.0 * c)) - a * np.log(z) + z,
                         *((y, 1.0 + y) if ep else (1.0 + y, y)), 1.0)

@@ -80,10 +80,6 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_SH_PARAMS = (0.0, 1.0, 0.0)
 
 
-def _lg(x) -> complex:
-    return sf.log_gamma(x)
-
-
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -242,10 +238,10 @@ def _s2_raw(p: P2Params, m: int, t2: np.ndarray) -> np.ndarray:
     a = p.a
     mu = p2_mu(p, m)
     # real positive normalization: mu m! |Gamma(-m-a)|^2 / (pi 2^{1-M} Gamma(M-m))
-    log_norm = 0.5 * (math.log(mu) + _lg(m + 1.0).real
-                      + 2.0 * _lg(-m - a).real
+    log_norm = 0.5 * (math.log(mu) + sf.lgamma(m + 1.0)
+                      + 2.0 * sf.lgamma(-m - a)
                       - math.log(math.pi) - (1.0 - p.M) * math.log(2.0)
-                      - _lg(p.M - m).real)
+                      - sf.lgamma(p.M - m))
     x = np.sinh(2.0 * t2)
     zp = 1.0 + 1j * x
     zm = 1.0 - 1j * x
@@ -331,22 +327,17 @@ def _es(chart_params) -> tuple[complex, complex, float]:
 
 def p2_sh_equations(p: P2Params, theta: np.ndarray,
                     chart_params) -> np.ndarray:
-    """Zero equations on the complexified sphere, one per root."""
-    e1, e2, e3 = _es(chart_params)
-    ks = (p.k1, p.k2, p.k3)
-    es = (e1, e2, e3)
-    theta = np.asarray(theta, dtype=complex)
-    n = len(theta)
-    out = np.zeros(n, dtype=complex)
-    for i in range(n):
-        v = 0.0 + 0.0j
-        for k, e in zip(ks, es):
-            v += (k + 1.0) / (theta[i] - e)
-        for j in range(n):
-            if j != i:
-                v += 2.0 / (theta[i] - theta[j])
-        out[i] = v
-    return out
+    """Zero equations on the complexified sphere, one per root: the sum,
+    from 0 and in this order, of (k_l + 1)/(theta_i - e_l) for l = 1..3 and
+    2/(theta_i - theta_j) for j != i."""
+    theta = np.asarray(theta, dtype=complex)[:, None]
+    gap = theta - theta.T
+    np.fill_diagonal(gap, np.inf)  # the term j = i is 2/inf = 0
+    terms = np.hstack([np.zeros_like(theta),
+                       (np.array([p.k1, p.k2, p.k3]) + 1.0)
+                       / (theta - np.array(_es(chart_params))),
+                       2.0 / gap])
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def _sh_family(p: P2Params, chart_params) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ __all__ = [
     "jacobi_recurrence",
     "laguerre",
     "laguerre_recurrence",
+    "lgamma",
     "log_gamma",
     "pochhammer",
     "romanovski_recurrence",
@@ -139,9 +140,10 @@ def log_gamma(z: complex) -> complex:
     return out
 
 
-def gamma(z: complex) -> complex:
-    """Gamma(z) via exp(log_gamma); overflow-prone for large Re z by design."""
-    return cmath.exp(log_gamma(z))
+def lgamma(x):
+    """Re log Gamma (log |Gamma|) of a number, or of each element of an
+    array, by the scalar evaluation of ``log_gamma``."""
+    return _each(lambda v: log_gamma(v).real, x)
 
 
 def pochhammer(a: complex, n: int) -> complex:
@@ -158,48 +160,52 @@ def pochhammer(a: complex, n: int) -> complex:
 # Classical orthogonal polynomials (forward recurrences)
 # ---------------------------------------------------------------------------
 
+def _degrees(name: str, n, *args) -> tuple[np.ndarray, int, tuple, float | None]:
+    """n as whole numbers >= 0 (int or float) in a float array, its largest
+    value, the broadcast shape of n and args, and the first value of out:
+    1.0, the value at degree 0, which each step k replaces where n == k, or
+    None where every element has the top degree (see ``_at_top``)."""
+    n = np.asarray(n, dtype=float)
+    degrees = n.ravel().tolist()
+    if any(v < 0 or v != int(v) for v in degrees):
+        raise OutOfDomainError(f"{name}: n must be whole numbers >= 0")
+    top = int(max(degrees, default=0))
+    out = 1.0 if min(degrees, default=top) < top else None
+    return n, top, np.broadcast(n, *args).shape, out
+
+
+def _at_top(out, p, shape) -> np.ndarray:
+    """out, or, where every element has the top degree, its value p; p is
+    returned as it is, since a copy would raise the peak memory of a
+    single degree's large batches."""
+    if out is not None:
+        return out
+    return p if np.shape(p) == shape else np.broadcast_to(p, shape).copy()
+
+
 def laguerre(n, a, x):
-    """Generalized Laguerre polynomial L_n^a(x); x may be a float or ndarray.
+    """Generalized Laguerre polynomial L_n^a(x).
 
-    n may also be an array of whole-number degrees (int or float), with a
-    and x broadcasting against it: one recurrence then runs on the rows of
-    ``_degree_rows``, each read at its own degree, bit for bit its
-    scalar-degree call.
+    n is a whole number or an array of them (int or float); n, a and x
+    broadcast.  One forward recurrence runs on the broadcast of a and x up
+    to the largest degree, and each element is read at its own degree.
     """
-    if not (isinstance(n, np.ndarray) or isinstance(a, np.ndarray)):
-        if n < 0:
-            raise OutOfDomainError("laguerre: n must be >= 0")
-        x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else x
-        p_prev = 1.0 if np.isscalar(x) else np.ones_like(x)
-        if n == 0:
-            return p_prev
-        p = 1.0 + a - x
-        for k in range(1, n):
-            p, p_prev = _laguerre_step(k, a, x, p, p_prev), p
-        return p
-    shape, back, _, (a,), x, live = _degree_rows("laguerre", n, (a,),
-                                                 np.asarray(x, dtype=float))
-    out = np.ones(x.shape)
-    if len(live) > 1:
-        # p_prev starts as a view of out's ones; out is written only past
-        # the rows still running, which are the ones read from p_prev
-        p, p_prev = 1.0 + a[:live[1]] - x[:live[1]], out[:live[1]]
-        for k, j in enumerate(live[2:], 1):
-            out[j:len(p)] = p[j:]
-            p, p_prev = _laguerre_step(k, a[:j], x[:j], p[:j], p_prev[:j]), p[:j]
-        out[:len(p)] = p
-    return out[back].reshape(shape)
-
-
-def _laguerre_step(k, a, x, p, p_prev):
-    """L_{k+1}^a(x) from p = L_k^a(x) and p_prev = L_{k-1}^a(x)."""
-    return ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1)
+    x = np.asarray(x, dtype=float)
+    n, top, shape, out = _degrees("laguerre", n, a, x)
+    p = np.ones_like(x)
+    for k in range(top):
+        # L_{k+1} from p = L_k and p_prev = L_{k-1}
+        p, p_prev = (1.0 + a - x if k == 0 else
+                     ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1)), p
+        if out is not None:
+            out = np.where(n == k + 1, p, out)
+    return _at_top(out, p, shape)[()]
 
 
 def _jacobi_series(n: int, a: complex, b: complex, x):
     # Terminating-sum definition; pole-free (Pochhammers appear only in
-    # numerators).  Used when the recurrence denominator degenerates.
-    half = (np.asarray(x) - 1.0) / 2.0 if isinstance(x, np.ndarray) else (x - 1.0) / 2.0
+    # numerators).  Used where the recurrence denominator degenerates.
+    half = (x - 1.0) / 2.0
     out = 0.0
     for k in range(n + 1):
         coeff = (
@@ -214,84 +220,47 @@ def _jacobi_series(n: int, a: complex, b: complex, x):
 def jacobi(n, a, b, x):
     """Jacobi polynomial P_n^{(a,b)}(x) for complex parameters and argument.
 
-    Forward recurrence; falls back to the terminating-sum form if a recurrence
-    denominator 2k(k+a+b)(2k+a+b-2) degenerates (possible for special complex
-    parameter combinations).  An array of whole-number degrees (int or
-    float, with a, b and x broadcasting against it) runs one recurrence on
-    the rows of ``_degree_rows``, each read at its own degree; every element
-    equals the scalar-degree call bit for bit, the fallback included.
+    n is a whole number or an array of them (int or float); n, a, b and x
+    broadcast.  One forward recurrence runs on the broadcast of a, b and x
+    up to the largest degree, and each element is read at its own degree.
+    Where a recurrence denominator 2k(k+a+b)(2k+a+b-2) degenerates at some
+    k <= n (possible for special complex parameters), that element takes
+    the terminating-sum form instead.
     """
-    if not isinstance(n, np.ndarray):
-        if n < 0:
-            raise OutOfDomainError("jacobi: n must be >= 0")
-        one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-        if n == 0:
-            return one
-        p_prev = one
-        p = (a + 1.0) * one + (a + b + 2.0) * (x - 1.0) / 2.0
-        for k in range(2, n + 1):
-            s = 2.0 * k + a + b
-            den = 2.0 * k * (k + a + b) * (s - 2.0)
-            if abs(complex(den)) < 1e-10 * max(1.0, abs(complex(s)) ** 3):
-                return _jacobi_series(n, a, b, x)
-            c1 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
-            c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-            p, p_prev = (c1 * p - c2 * p_prev) / den, p
-        return p
-    shape, back, degrees, (a, b), x, live = _degree_rows("jacobi", n, (a, b), x)
-    out = np.ones(x.shape, np.result_type(a, b, x))
-    if len(live) > 1:
-        j = live[1]
-        a, b = a[:j], b[:j]
-        p = (a + 1.0) * np.ones_like(x[:j]) + (a + b + 2.0) * (x[:j] - 1.0) / 2.0
-        series = []
-        if len(live) > 2:
-            # the coefficients of every row and step k = 2 .. top, formed as
-            # in the scalar recurrence
-            k = np.arange(2.0, len(live))
-            s = 2.0 * k + a + b
-            den = 2.0 * k * (k + a + b) * (s - 2.0)
-            bad = np.abs(den) < 1e-10 * np.maximum(1.0, np.abs(s) ** 3)
-            if bad.any():
-                bad &= k <= np.array(degrees[:j])[:, None]
-                series = np.flatnonzero(bad.any(axis=1)).tolist()
-                den = np.where(bad, 1.0, den)  # those rows take the terminating sum
-            c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-            s1, s2, a2, b2 = s - 1.0, s * (s - 2.0), a * a, b * b
-            p_prev = np.ones_like(p)
-            for i in range(len(live) - 2):
-                j = live[i + 2]
-                out[j:len(p)] = p[j:]
-                at = (slice(None, j), slice(i, i + 1))
-                c1 = s1[at] * (s2[at] * x[:j] + a2[:j] - b2[:j])
-                p, p_prev = (c1 * p[:j] - c2[at] * p_prev[:j]) / den[at], p[:j]
-        out[:len(p)] = p
-        for i in series:
-            out[i] = _jacobi_series(degrees[i], a[i, 0].item(), b[i, 0].item(), x[i])
-    return out[back].reshape(shape)
-
-
-def _degree_rows(name: str, n, params, x):
-    """Degrees n and parameters as K rows sorted by degree, descending (the
-    rows still running at degree k are a prefix) and x as their (K, L) rows;
-    with the shape, the row indices restoring it, degrees and live[k]: how
-    many rows have degree >= k.  L spans the axes along which only x varies."""
-    shape = np.broadcast(n, *params, x).shape
-    pshape = np.broadcast(n, *params).shape
-    pshape = (1,) * (len(shape) - len(pshape)) + pshape
-    lead = max((i + 1 for i, size in enumerate(pshape) if size != 1), default=0)
-    rows, cols = math.prod(shape[:lead]), math.prod(shape[lead:])
-    head = shape[:lead] + (1,) * (len(shape) - lead)
-    n, *params = (np.full(head, v).reshape(rows, 1) for v in (n, *params))
-    degrees = n[:, 0].tolist()
-    if any(v < 0 or v != int(v) for v in degrees):
-        raise OutOfDomainError(f"{name}: n must be whole numbers >= 0")
-    order = sorted(range(rows), key=lambda i: -degrees[i])
-    degrees = [int(degrees[i]) for i in order]
-    x = np.full(shape, x).reshape(rows, cols)[order]
-    live = [sum(v >= k for v in degrees) for k in range(degrees[0] + 1 if degrees else 0)]
-    back = sorted(range(rows), key=order.__getitem__)
-    return shape, back, degrees, [v[order] for v in params], x, live
+    x = np.asarray(x)
+    n, top, shape, out = _degrees("jacobi", n, a, b, x)
+    p, series = np.ones_like(x), None
+    if top >= 2:
+        # the coefficients of every step k = 2 .. top on a leading axis,
+        # each formed as in the step itself
+        k = np.arange(2.0, top + 1).reshape((-1,) + (1,) * max(np.ndim(a), np.ndim(b)))
+        s = 2.0 * k + a + b
+        den = 2.0 * k * (k + a + b) * (s - 2.0)
+        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
+        s1, s2, a2, b2 = s - 1.0, s * (s - 2.0), a * a, b * b
+        bad = np.abs(den) < 1e-10 * np.maximum(1.0, np.abs(s) ** 3)
+        if bad.any():
+            # from its first degenerate step on, a parameter pair's
+            # recurrence yields 0, and its elements of degree n >= that
+            # step take the terminating sum
+            dead = np.logical_or.accumulate(bad, axis=0)
+            den = np.where(dead, np.inf, den)
+            series = n >= np.where(dead[-1], np.argmax(bad, axis=0) + 2, top + 1)
+    for k in range(1, top + 1):
+        p, p_prev = ((a + 1.0) * p + (a + b + 2.0) * (x - 1.0) / 2.0 if k == 1 else
+                     (s1[k - 2] * (s2[k - 2] * x + a2 - b2) * p
+                      - c2[k - 2] * p_prev) / den[k - 2]), p
+        if out is not None:
+            out = np.where(n == k, p, out)
+    out = _at_top(out, p, shape)
+    if series is not None:
+        out = np.array(out, dtype=complex)  # writable, complex as the sum is
+        n, a, b, x = np.broadcast_arrays(n, a, b, x)
+        # x as a one-element array: numpy's power of a complex scalar can
+        # differ from its array power in the last bit
+        for i in map(tuple, np.argwhere(np.broadcast_to(series, shape))):
+            out[i] = _jacobi_series(int(n[i]), a[i].item(), b[i].item(), x[(*i, None)])[0]
+    return out[()]
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,6 @@ def _rel_max(a, b) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
 
 
-def _lg(x: float) -> float:
-    return sf.log_gamma(x).real
-
-
 def pt_gram(p, n, mu) -> np.ndarray:
     """Gram matrix int_0^inf S_i S_j dt1 of the ``potential1.pt_factor``
     states (n_i, mu_i), from the factor at the nodes of one Gauss rule.
@@ -88,7 +84,7 @@ def pt_gram(p, n, mu) -> np.ndarray:
     low = float(np.min(nu))
     K = round(float(np.max(n + (nu - low) / 2.0))) + 1
     x, w = sf.gauss_rule(*sf.jacobi_recurrence(low - 1.0, p.d, K), math.exp(
-        _lg(low) + _lg(p.d + 1.0) - _lg(low + p.d + 1.0)))
+        sf.lgamma(low) + sf.lgamma(p.d + 1.0) - sf.lgamma(low + p.d + 1.0)))
     f = p1.pt_factor(p, n, mu, np.arcsinh(np.sqrt((1.0 - x) / x)))
     # dt1 = dx / (2 x sqrt(1-x)), over the weight
     w = 0.5 * w * np.exp(-low * np.log(x) - (p.d + 0.5) * np.log1p(-x))
@@ -108,7 +104,7 @@ def morse_gram(p, m, mu) -> np.ndarray:
     low = float(np.min(mu))
     K = round(float(np.max(m + (mu - low) / 2.0))) + 1
     z, w = sf.gauss_rule(*sf.laguerre_recurrence(low - 1.0, K),
-                         math.exp(_lg(low)))
+                         math.exp(sf.lgamma(low)))
     f = p1.morse_factor(p, m, 0.5 * np.log(z / (SQRT2 * p.beta)), mu)
     # dt2 = dz / (2 z), over the weight
     return (f * (0.5 * w * np.exp(z - low * np.log(z)))) @ f.T
@@ -127,8 +123,8 @@ def s2_gram(p, m) -> np.ndarray:
     a = p.a
     # mass pi 2^{2 + 2 Re a} Gamma(-1 - 2 Re a) / |Gamma(-a)|^2
     x, w = sf.gauss_rule(*sf.romanovski_recurrence(a, max(m) + 1), math.exp(
-        math.log(math.pi) + (2.0 - p.M) * math.log(2.0) + _lg(p.M - 1.0)
-        - 2.0 * sf.log_gamma(-a).real))
+        math.log(math.pi) + (2.0 - p.M) * math.log(2.0) + sf.lgamma(p.M - 1.0)
+        - 2.0 * sf.lgamma(-a)))
     t2 = 0.5 * np.arcsinh(x)
     f = np.array([p2.s2_complex_factor(p, k, t2).real for k in m])
     # dt2 = dx / (2 sqrt(1+x^2)), over the weight

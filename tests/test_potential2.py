@@ -209,6 +209,37 @@ def test_sh_roots_resubstitute_and_conjugate_closed(p2_deep):
             assert np.max(np.abs(np.sort_complex(roots) - conj)) <= 1e-8
 
 
+def _sh_equations_reference(p, theta, chart_params):
+    # the per-root double loop that one cumulative sum replaced
+    e1 = complex(chart_params[0], chart_params[1])
+    es = (e1, e1.conjugate(), chart_params[2])
+    theta = np.asarray(theta, dtype=complex)
+    out = np.zeros(len(theta), dtype=complex)
+    for i in range(len(theta)):
+        v = 0.0 + 0.0j
+        for k, e in zip((p.k1, p.k2, p.k3), es):
+            v += (k + 1.0) / (theta[i] - e)
+        for j in range(len(theta)):
+            if j != i:
+                v += 2.0 / (theta[i] - theta[j])
+        out[i] = v
+    return out
+
+
+def test_sh_equations_equal_the_per_root_loop_bit_for_bit(p2_deep):
+    cases = [(np.array(c.roots), cp) for cp in (CP0, CP1) for N in (1, 2, 3)
+             for c in p2.p2_sh_roots(p2_deep, N, cp)]
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(0, 7))
+        cases.append((rng.normal(size=n) + 1j * rng.normal(size=n),
+                      (CP0, CP1)[int(rng.integers(0, 2))]))
+    for theta, cp in cases:
+        got = p2.p2_sh_equations(p2_deep, theta, cp)
+        assert got.shape == theta.shape
+        assert np.array_equal(got, _sh_equations_reference(p2_deep, theta, cp))
+
+
 def test_sh_solver_failure():
     with pytest.raises(SolverFailureError) as exc:
         p2.p2_sh_roots(p2.P2Params(0.1, 6.0, 1.0), 1, CP0, tol=-1.0)

@@ -137,9 +137,38 @@ def test_jacobi_complex_conjugation_symmetry():
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
+def _jacobi_reference(n, a, b, x):
+    # the scalar-degree recurrence as it stood before one recurrence served
+    # every degree, with its whole-call terminating-sum fallback
+    one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    if n == 0:
+        return one
+    p_prev = one
+    p = (a + 1.0) * one + (a + b + 2.0) * (x - 1.0) / 2.0
+    for k in range(2, n + 1):
+        s = 2.0 * k + a + b
+        den = 2.0 * k * (k + a + b) * (s - 2.0)
+        if abs(complex(den)) < 1e-10 * max(1.0, abs(complex(s)) ** 3):
+            return sf._jacobi_series(n, a, b, x)
+        c1 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
+        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
+        p, p_prev = (c1 * p - c2 * p_prev) / den, p
+    return p
+
+
+def _laguerre_reference(n, a, x):
+    # the scalar-degree recurrence as it stood before array degrees
+    p_prev, p = np.ones_like(x), 1.0 + a - x
+    if n == 0:
+        return p_prev
+    for k in range(1, n):
+        p, p_prev = ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1), p
+    return p
+
+
 def _scalar_rows(f, degrees, params, x):
-    """The scalar-degree calls of f, one per element of the broadcast
-    degrees and parameters, each on its own row of x."""
+    """The reference f, one call per element of the broadcast degrees and
+    parameters, each on its own row of x."""
     shape = np.broadcast(degrees, *params, x).shape
     cols = [np.broadcast_to(v, shape).reshape(-1) for v in (degrees, *params)]
     xs = np.broadcast_to(x, shape).reshape(-1)
@@ -149,8 +178,8 @@ def _scalar_rows(f, degrees, params, x):
 
 def test_array_degrees_equal_scalar_calls_bit_for_bit():
     # one recurrence to the largest degree, each element read at its own:
-    # per-column degrees against a node row (the interbasis layout),
-    # elementwise degrees, unsorted rows and a zero-size batch
+    # per-row degrees and parameters against a node row, elementwise
+    # degrees, unsorted rows, scalar degrees and a zero-size batch
     rng = np.random.default_rng(11)
     x = rng.uniform(-3.0, 30.0, 40)
     ns = np.array([[3], [0], [7], [1], [2], [14], [5]])
@@ -159,21 +188,39 @@ def test_array_degrees_equal_scalar_calls_bit_for_bit():
     got = sf.jacobi(ns, a, b, x)
     assert got.shape == (7, 40)
     assert np.array_equal(got, np.array(
-        [sf.jacobi(int(n), float(ai), float(bi), x)
+        [_jacobi_reference(int(n), float(ai), float(bi), x)
          for n, ai, bi in zip(ns[:, 0], a[:, 0], b[:, 0])]))
+    for n, ai, bi in zip(ns[:, 0], a[:, 0], b[:, 0]):
+        assert np.array_equal(sf.jacobi(int(n), float(ai), float(bi), x),
+                              _jacobi_reference(int(n), float(ai), float(bi), x))
     flat_n = rng.integers(0, 9, 60)
     flat_a, flat_x = rng.uniform(0.0, 2.0, 60), rng.uniform(1.0, 5.0, 60)
     assert np.array_equal(sf.jacobi(flat_n, 1.3, -flat_a, flat_x),
-                          _scalar_rows(sf.jacobi, flat_n, (1.3, -flat_a), flat_x))
+                          _scalar_rows(_jacobi_reference, flat_n, (1.3, -flat_a), flat_x))
     assert sf.jacobi(np.zeros((0, 1), dtype=int), 1.0, 2.0, x).shape == (0, 40)
-    with pytest.raises(OutOfDomainError):
-        sf.jacobi(np.array([[1], [-1]]), 0.5, 1.0, x)
+    for bad in ([[1], [-1]], [[1.5]], -1):
+        with pytest.raises(OutOfDomainError):
+            sf.jacobi(np.array(bad), 0.5, 1.0, x)
+
+
+def test_array_degrees_in_the_interbasis_layout():
+    # degrees on a leading axis, parameters and argument without it: the
+    # shape of the interbasis a-integral's call, up to the wide well's N = 69
+    rng = np.random.default_rng(14)
+    x = 1.0 - 2.0 * rng.uniform(0.0, 1.0, (9, 35))
+    ns = np.arange(70.0)[::-1].reshape(-1, 1, 1)
+    d, nu = 2.38, 0.57
+    got = sf.jacobi(ns, d, nu, x)
+    assert got.shape == (70, 9, 35)
+    for n in range(70):
+        assert np.array_equal(got[69 - n], _jacobi_reference(n, d, nu, x))
 
 
 def test_array_degrees_keep_the_terminating_sum_fallback(monkeypatch):
     # a + b = -3 makes the denominator 2k (k + a + b)(2k + a + b - 2)
-    # vanish at k = 3: that element, alone, takes the terminating sum, as
-    # its scalar call does
+    # vanish at k = 3: the elements of degree n >= 3 on those parameters
+    # (rows n = 4 and n = 5, not the row n = 3 of other parameters) take
+    # the terminating sum, one call per element
     series = []
     orig = sf._jacobi_series
 
@@ -186,21 +233,23 @@ def test_array_degrees_keep_the_terminating_sum_fallback(monkeypatch):
     ns = np.array([[4], [3], [5]])
     z = np.linspace(-1.0, 1.0, 6) + 0.3j
     got = sf.jacobi(ns, a, b, z)
-    assert sorted(series) == [4, 5]
-    ref = np.array([sf.jacobi(int(n), complex(ai), complex(bi), z)
+    assert sorted(series) == [4] * 6 + [5] * 6
+    ref = np.array([_jacobi_reference(int(n), complex(ai), complex(bi), z)
                     for n, ai, bi in zip(ns[:, 0], a[:, 0], b[:, 0])])
-    assert sorted(series[2:]) == [4, 5]
+    assert sorted(series[12:]) == [4, 5]
     assert np.array_equal(got, ref)
-
-
-def _laguerre_reference(n, a, x):
-    # the scalar-degree recurrence as it stood before array degrees
-    p_prev, p = np.ones_like(x), 1.0 + a - x
-    if n == 0:
-        return p_prev
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1), p
-    return p
+    # a single degree, on a row and on a number
+    a0, b0 = complex(a[0, 0]), complex(b[0, 0])
+    assert np.array_equal(sf.jacobi(4, a0, b0, z), _jacobi_reference(4, a0, b0, z))
+    assert sf.jacobi(4, a0, b0, z[1]) == _jacobi_reference(4, a0, b0, z[1:2])[0]
+    # real parameters take the same (complex) terminating sum
+    assert np.array_equal(sf.jacobi(np.array([[4], [3]]), 0.5, -3.5, z.real),
+                          [_jacobi_reference(n, 0.5, -3.5, z.real) for n in (4, 3)])
+    # lower degrees on the same parameters keep the recurrence
+    series.clear()
+    low = sf.jacobi(np.array([[2], [1], [2]]), a, b, z)
+    assert series == []
+    assert np.array_equal(low[0], _jacobi_reference(2, a0, b0, z))
 
 
 def test_laguerre_array_degrees_equal_scalar_calls_bit_for_bit():
