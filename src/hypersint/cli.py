@@ -383,7 +383,8 @@ def cmd_interbasis(cfg: RunConfig) -> str:
     printed = verify.interbasis_level(params, cfg.N, "printed")
     level["printed_variant"] = {
         k: printed[k] for k in ("w_3f2", "agreement_quad_3f2",
-                                "agreement_3f2_hahn", "orthogonality_defect")}
+                                "agreement_3f2_hahn", "orthogonality_defect",
+                                "notes")}
     return dumps_json({"meta": {**cfg.meta(), "N": cfg.N}, "records": [level]})
 
 

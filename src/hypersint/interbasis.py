@@ -29,20 +29,19 @@ The canonical variant is the one all invariants are stated for; the printed
 variant exists so the discrepancy can be measured and reported.
 
 Each call assembles its whole matrix in a fixed number of array passes:
-a table of every distinct log-gamma argument (evaluated once per call);
 prefactors formed as a column of row terms and a row of column terms,
-added in the order of the scalar formulas; the 3F2/Hahn terms of all
-entries from one recurrence over k; and, for quadrature, the Gauss rules
+added in the order of the scalar formulas; the 3F2 or Hahn sums of all
+entries from one ``specfun.hyp3f2_unit`` or ``specfun.hahn`` call (equal
+to the per-entry sums bit for bit); and, for quadrature, the Gauss rules
 of all rows from one ``specfun.gauss_rule`` call (one stacked eigh, with
 Christoffel weights, which stay relatively accurate where the weights span
 30 decades on wide wells) and the polynomial values of all columns and
-nodes from one Jacobi recurrence.  The 3F2 and Hahn entries equal those of
-the per-entry scalar formulas bit for bit.
+nodes from one Jacobi recurrence.
 Every matrix carries ``cancellation``, the largest ratio sum|t_k| /
-|sum t_k| of the sums behind its entries (terminating-sum terms, or
-quadrature terms w q); round-off in an entry grows with it (about 1e16 at
-N = 10 on deep wells for 3F2, where orthogonality is lost; 4.6e6 there for
-quadrature).
+|sum t_k| of the sums behind its entries (as specfun returns it for the
+terminating sums, or of the quadrature terms w q); round-off in an entry
+grows with it (about 1e16 at N = 10 on deep wells for 3F2, where
+orthogonality is lost; 4.6e6 there for quadrature).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import numpy as np
 
 from . import potential1 as p1m
 from . import specfun as sf
-from .errors import NonFiniteValueError, OutOfDomainError, ParameterPoleError
+from .errors import NonFiniteValueError, OutOfDomainError
 from .potential1 import P1Params
 
 __all__ = [
@@ -97,29 +96,13 @@ def orthogonality_defect(w: InterbasisMatrix) -> float:
     return float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
-class _LogGammaTable(dict):
-    """Real log Gamma of each distinct argument met while building one
-    matrix, evaluated on first lookup; called on an array, it looks up
-    every element."""
-
-    def __missing__(self, x: float) -> float:
-        v = self[x] = sf.lgamma(x)
-        return v
-
-    def __call__(self, x):
-        return sf._each(self.__getitem__, x)
-
-
 class _Level:
-    """What all entries of one level-N matrix share: the index sets, nu
-    and the log-gamma table.
+    """What all entries of one level-N matrix share: the index sets and nu.
 
     The rows (n1, n2) are held as columns and the columns (n, m, mu) and
     their signs (-1)^n as rows, so an entry is a broadcast sum or product
     of row and column terms, taken in the scalar formula's order; ``col(f)``
-    forms a column quantity by its scalar formula f.  The columns are
-    ordered by m ascending, so n = N - j falls along them and the entries
-    whose k-th term or factor exists form the first N - k columns.
+    forms a column quantity by its scalar formula f.
     """
 
     def __init__(self, p: P1Params, N: int, variant: str):
@@ -136,19 +119,11 @@ class _Level:
         self.n1, self.n2 = np.array(self.rows, dtype=float).T[:, :, None]
         self.n, self.m, self.mu, self.sign = self.col(
             lambda n, m, mu: (n, m, mu, (-1.0) ** n))[0].T[:, None, :]
-        self.lg = _LogGammaTable()
 
     def col(self, f) -> np.ndarray:
         """f(n, m, mu) of every column, as a row."""
         return np.array([[f(n, m, mu) for (n, m), mu in zip(self.cols, self.mus)]],
                         dtype=float)
-
-    def rising(self, a: np.ndarray) -> np.ndarray:
-        """(a)_n of every entry of a, n the column's, as a product."""
-        out = np.ones(a.shape)
-        for k in range(self.N):
-            out[:, :self.N - k] *= a[:, :self.N - k] + k
-        return out
 
 
 def _log_k0(lv: _Level) -> np.ndarray:
@@ -157,7 +132,7 @@ def _log_k0(lv: _Level) -> np.ndarray:
     K0 = (m! mu / nu) chat C1 C2 / (C_m n1! n2!) with chat the canonical
     horicyclic scale and C1, C2, C_m the closed-form 1D normalizations.
     """
-    d, nu, lg, n1, n2 = lv.d, lv.nu, lv.lg, lv.n1, lv.n2
+    d, nu, lg, n1, n2 = lv.d, lv.nu, sf.lgamma, lv.n1, lv.n2
     sb = SQRT2 * lv.p.beta
     log_chat = 0.5 * (math.log(2.0) + math.log(nu) - math.log(sb))
     log_c1 = 0.5 * (lg(n1 + 1.0) + 0.5 * math.log(sb) - lg(n1 + d + 1.0))
@@ -171,39 +146,10 @@ def _log_k0(lv: _Level) -> np.ndarray:
 
 
 def _log_an(lv: _Level) -> np.ndarray:
-    d, lg, nu = lv.d, lv.lg, lv.nu
+    d, lg, nu = lv.d, sf.lgamma, lv.nu
     return lv.col(lambda n, m, mu: 0.5 * (
         math.log(2.0 * nu) + lg(mu - n) + lg(n + 1.0)
         - lg(mu - d - n) - lg(1.0 + n + d)))
-
-
-def _sums(lv: _Level, b, c, d, e) -> tuple[np.ndarray, float]:
-    """The terminating 3F2(-n, b, c; d, e; 1) of every entry (n the
-    column's), and the largest cancellation ratio sum|t_k| / |sum t_k|.
-
-    One recurrence over k serves all entries, and each entry's compensated
-    sum stops at its own n + 1 terms.  The arithmetic is that of
-    ``specfun.hyp3f2_unit`` on real parameters, whose complex terms keep a
-    zero imaginary part.
-    """
-    shape = (len(lv.rows), len(lv.cols))
-    t, total = np.ones(shape), np.ones(shape)
-    comp, mass = np.zeros(shape), np.ones(shape)
-    for k in range(lv.N):
-        j = lv.N - k
-        den = (d[:, :j] + k) * (e[:, :j] + k) * (k + 1.0)
-        if np.any(den == 0):
-            raise ParameterPoleError(
-                f"hyp3f2_unit: lower parameter hits a pole at k = {k}")
-        t = t[:, :j] * (k - lv.n[:, :j]) * (b[:, :j] + k) * (c[:, :j] + k) / den
-        y = t - comp[:, :j]
-        s = total[:, :j] + y
-        comp[:, :j] = (s - total[:, :j]) - y
-        total[:, :j] = s
-        mass[:, :j] += np.abs(t)
-    ratio = np.divide(mass, np.abs(total), out=np.full(shape, math.inf),
-                      where=total != 0)
-    return total, float(np.max(ratio))
 
 
 def _jacobi_rules(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +158,7 @@ def _jacobi_rules(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
     - 1), with mass B(d+n1+1, A+1): all rows from one ``specfun.gauss_rule``.
     """
     al, be = lv.d + lv.n1, lv.nu + lv.n2 - (0.0 if lv.canonical else 1.0)
-    lg = lv.lg
+    lg = sf.lgamma
     return sf.gauss_rule(*sf.jacobi_recurrence(al, be, lv.N // 2 + 1),
                          sf._each(math.exp, lg(al + 1.0) + lg(be + 1.0)
                                   - lg(al + be + 2.0))[:, 0])
@@ -250,7 +196,7 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
     Raises NonFiniteValueError when an entry is not finite.
     """
     lv = _Level(p, N, variant)
-    d, lg, n1, n2, n, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.mu
+    d, lg, n1, n2, n, mu = lv.d, sf.lgamma, lv.n1, lv.n2, lv.n, lv.mu
     val, mass = _a_integrals(lv)
     if lv.canonical:
         logk = _log_k0(lv) + _log_an(lv)
@@ -300,10 +246,10 @@ def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
     arguments sit one unit away from the canonical ones).
     """
     lv = _Level(p, N, variant)
-    d, lg, n1, n2, n, m, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.m, lv.mu
+    d, lg, n1, n2, n, m, mu = lv.d, sf.lgamma, lv.n1, lv.n2, lv.n, lv.m, lv.mu
     c, e = ((-mu - m, 1.0 + d + n1 - mu - m) if lv.canonical
             else (1.0 - mu - m, 2.0 + n1 + d - mu - m))
-    f32, ratio = _sums(lv, n + d - mu + 1.0, c, 1.0 - mu, e)
+    f32, ratio = sf.hyp3f2_unit(n, n + d - mu + 1.0, c, 1.0 - mu, e)
     if lv.canonical:
         sgn, logp = lv.col(
             lambda n, m, mu: _signed_pochhammer_log(1.0 - mu, n))[0].T
@@ -311,21 +257,20 @@ def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
                   + _log_an(lv) + logp - lg(n + 1.0)
                   - math.log(2.0) + lg(1.0 + d + n1)
                   + lg(mu + m - d - n1) - lg(1.0 + mu + m))
-        return InterbasisMatrix(N, "3f2", variant,
-                                sgn * sf._each(math.exp, logmag) * f32,
-                                lv.rows, lv.cols, ratio)
-    head = lv.col(lambda n, m, mu: (
-        lg(m + 1.0) + math.log(SQRT2 * p.beta)
-        + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)))
-    logmag = 0.5 * (
-        head + lg(n1 + d + 1.0) - lg(n + 1.0) - lg(n1 + 1.0)
-        - lg(n2 + 1.0) - sf._each(math.log, mu) - lg(n2 + d + 1.0)
-        - lg(n + d + 1.0) - lg(mu - n - d)
-        - lg(mu - n) - lg(mu + m))
-    logmag += (lg(mu) + lg(mu + m - d - n1 - 1.0) - math.log(2.0))
+    else:
+        sgn = lv.sign
+        head = lv.col(lambda n, m, mu: (
+            lg(m + 1.0) + math.log(SQRT2 * p.beta)
+            + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)))
+        logmag = 0.5 * (
+            head + lg(n1 + d + 1.0) - lg(n + 1.0) - lg(n1 + 1.0)
+            - lg(n2 + 1.0) - sf._each(math.log, mu) - lg(n2 + d + 1.0)
+            - lg(n + d + 1.0) - lg(mu - n - d)
+            - lg(mu - n) - lg(mu + m))
+        logmag += (lg(mu) + lg(mu + m - d - n1 - 1.0) - math.log(2.0))
     return InterbasisMatrix(N, "3f2", variant,
-                            lv.sign * sf._each(math.exp, logmag) * f32,
-                            lv.rows, lv.cols, ratio)
+                            sgn * sf._each(math.exp, logmag) * f32,
+                            lv.rows, lv.cols, float(np.max(ratio)))
 
 
 def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -337,20 +282,12 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
 
     printed: h_n^{(d,-mu)}(mu+m+1, mu+m-d-n1-1) with the published
     prefactor.
-
-    Each h_n^{(alpha,beta)}(x, M) = ((-1)^n / n!) (M-n)_n (beta+1)_n
-    3F2(-n, alpha+beta+n+1, -x; beta+1, 1-M; 1) is formed with the
-    arithmetic of ``specfun.hahn``.
     """
     lv = _Level(p, N, variant)
-    d, lg, n1, n2, n, m, mu = lv.d, lv.lg, lv.n1, lv.n2, lv.n, lv.m, lv.mu
+    d, lg, n1, n2, n, m, mu = lv.d, sf.lgamma, lv.n1, lv.n2, lv.n, lv.m, lv.mu
     x, big_n = ((mu + m, mu + m - d - n1) if lv.canonical
                 else (mu + m + 1.0, mu + m - d - n1 - 1.0))
-    beta = -mu
-    pref = (lv.col(lambda n, m, mu: (-1.0) ** n / math.factorial(n))
-            * lv.rising(big_n - n)
-            * lv.col(lambda n, m, mu: sf.pochhammer(-mu + 1.0, n).real))
-    h, ratio = _sums(lv, d + beta + n + 1.0, -x, beta + 1.0, 1.0 - big_n)
+    h, ratio = sf.hahn(n, d, -mu, x, big_n)
     if lv.canonical:
         logmag = (_log_k0(lv)
                   + _log_an(lv) - math.log(2.0)
@@ -367,8 +304,8 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
             - lg(n2 + d + 1.0) - lg(mu + m))
         logmag += lg(mu + m - d - n1 - n - 1.0) - math.log(2.0)
     return InterbasisMatrix(N, "hahn", variant,
-                            lv.sign * sf._each(math.exp, logmag) * (pref * h),
-                            lv.rows, lv.cols, ratio)
+                            lv.sign * sf._each(math.exp, logmag) * h,
+                            lv.rows, lv.cols, float(np.max(ratio)))
 
 
 def verify_expansion(p: P1Params, N: int, w: InterbasisMatrix,

@@ -125,6 +125,22 @@ def _window_top(span: float) -> int:
 # Parameters, windows, spectrum
 # ---------------------------------------------------------------------------
 
+def _check_couplings(p, derived: tuple[str, ...]):
+    """Refuse couplings that are not positive and finite, or whose derived
+    constants (the attributes named) overflow."""
+    name = type(p).__name__
+    if not (p.alpha > 0 and p.beta > 0 and p.gamma > 0):
+        raise OutOfDomainError(f"{name} requires alpha, beta, gamma > 0")
+    try:
+        finite = all(math.isfinite(abs(getattr(p, k)))
+                     for k in ("alpha", "beta", "gamma", *derived))
+    except OverflowError:  # a float power of a large coupling
+        finite = False
+    if not finite:
+        raise OutOfDomainError(f"{name} requires finite couplings and finite "
+                               f"{', '.join(derived)}")
+
+
 @dataclass(frozen=True)
 class P1Params:
     """Coupling constants of the first potential (all strictly positive)."""
@@ -134,8 +150,7 @@ class P1Params:
     gamma: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.gamma > 0):
-            raise OutOfDomainError("P1Params requires alpha, beta, gamma > 0")
+        _check_couplings(self, ("d", "s"))
 
     @property
     def d(self) -> float:

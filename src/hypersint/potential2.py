@@ -46,6 +46,7 @@ from .errors import (
 from .geometry import AmbientPoint, AmbientPoints, chart_coordinates
 from .potential1 import (
     BetheRoots,
+    _check_couplings,
     _residual,
     _window_top,
     p1_n_max,
@@ -98,8 +99,7 @@ class P2Params:
     gamma: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.gamma > 0):
-            raise OutOfDomainError("P2Params requires alpha, beta, gamma > 0")
+        _check_couplings(self, ("B", "M", "a", "d"))
 
     @cached_property
     def B(self) -> float:

@@ -15,6 +15,7 @@ Conventions
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 
@@ -29,7 +30,6 @@ from .errors import (
 __all__ = [
     "gauss_rule",
     "hahn",
-    "hyp2f1",
     "hyp3f2_unit",
     "jacobi",
     "jacobi_recurrence",
@@ -76,20 +76,14 @@ def _each(f, x):
 # Gamma function
 # ---------------------------------------------------------------------------
 
-def _log_gamma_right(z):
-    """Lanczos evaluation, valid for Re z >= 0.5.  A float z takes float
-    arithmetic, bit for bit the real part of the complex evaluation."""
+def _log_gamma_right(z: complex) -> complex:
+    """Lanczos evaluation, valid for Re z >= 0.5."""
     zm1 = z - 1.0
     a = _LANCZOS_C[0]
     for k in range(1, 9):
         a += _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    if isinstance(z, complex):
-        return 0.5 * _LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(a)
-    # cmath.log's real part: from log1p for 0.71 <= |a| <= 1.73 (t >= 7)
-    log_a = (math.log1p((a - 1.0) * (a + 1.0)) / 2.0 if 0.71 <= a <= 1.73
-             else math.log(a))
-    return 0.5 * _LOG_2PI + (zm1 + 0.5) * math.log(t) - t + log_a
+    return 0.5 * _LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(a)
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -131,7 +125,7 @@ def log_gamma(z: complex) -> complex:
     if _is_nonpositive_integer(z):
         raise ParameterPoleError(f"log_gamma: pole at z = {z}")
     if z.real >= 0.5:
-        out = _log_gamma_right(z.real if z.imag == 0.0 else z)
+        out = _log_gamma_right(z)
     else:
         # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).
         out = math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
@@ -140,20 +134,18 @@ def log_gamma(z: complex) -> complex:
     return out
 
 
+def _lgamma(v):
+    if isinstance(v, complex) or not math.isfinite(v) or (
+            v < 0.5 and _is_nonpositive_integer(v)):
+        return log_gamma(v).real  # complex, or raises as log_gamma does
+    return math.lgamma(v)
+
+
 def lgamma(x):
-    """Re log Gamma (log |Gamma|) of a number, or of each element of an
-    array, by the scalar evaluation of ``log_gamma``."""
-    return _each(lambda v: log_gamma(v).real, x)
-
-
-def pochhammer(a: complex, n: int) -> complex:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1) as a finite product."""
-    if n < 0:
-        raise OutOfDomainError("pochhammer: n must be >= 0")
-    out = 1.0 + 0.0j
-    for k in range(n):
-        out *= a + k
-    return out
+    """log |Gamma| of a number, or of each element of an array: the standard
+    library's lgamma for a real argument, Re ``log_gamma`` for a complex one.
+    Raises as ``log_gamma`` does at a pole or a non-finite argument."""
+    return _each(_lgamma, x)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +173,25 @@ def _at_top(out, p, shape) -> np.ndarray:
     if out is not None:
         return out
     return p if np.shape(p) == shape else np.broadcast_to(p, shape).copy()
+
+
+def _by_degree(name: str, n, *args) -> tuple[list, list, list, tuple]:
+    """n and args broadcast and flattened, in the order of n descending (so
+    the elements with a step k, n > k, form a prefix, live[k] long), with
+    that order and the shape for ``_unsorted``.  The order is applied in
+    Python: numpy's sort and fancy indexing map some 128 KB more code."""
+    n, top, shape, _ = _degrees(name, n, *args)
+    flat = [np.broadcast_to(v, shape).ravel().tolist() for v in (n, *args)]
+    order = sorted(range(len(flat[0])), key=flat[0].__getitem__, reverse=True)
+    n, *args = [[v[i] for i in order] for v in flat]
+    live = [bisect.bisect_left(n, -k, key=lambda d: -d) for k in range(top)]
+    return [np.array(v) for v in (n, *args)], live, order, shape
+
+
+def _unsorted(v: np.ndarray, order: list, shape: tuple):
+    """v, in the order of ``_by_degree``, back in its broadcast shape."""
+    at = dict(zip(order, v.tolist()))
+    return np.array([at[i] for i in range(len(at))], v.dtype).reshape(shape)[()]
 
 
 def laguerre(n, a, x):
@@ -381,86 +392,58 @@ def _taylor_shift(c, t0: float) -> np.ndarray:
 # Hypergeometric functions
 # ---------------------------------------------------------------------------
 
-def _terminating_order(a: complex) -> int | None:
-    if _is_nonpositive_integer(a):
-        return -round(complex(a).real)
-    return None
+def pochhammer(a, n):
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1) as a finite product; a
+    and n (whole numbers >= 0) broadcast."""
+    (n, a), live, order, shape = _by_degree("pochhammer", n, a)
+    out = np.ones(n.shape, np.result_type(a, float))
+    for k, j in enumerate(live):
+        # not in place: a one-element in-place complex product rounds as a scalar
+        out[:j] = out[:j] * (a[:j] + k)
+    return _unsorted(out, order, shape)
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """Terminating Gauss hypergeometric 2F1(a, b; c; z).
+def hyp3f2_unit(n, b, c, d, e) -> tuple:
+    """Terminating 3F2(-n, b, c; d, e; 1), the sum of its n + 1 terms
+    t_0 = 1, t_{k+1} = t_k (k-n)(b+k)(c+k) / ((d+k)(e+k)(k+1)), and the
+    ratio sum|t_k| / |sum t_k| by which it cancels (inf where the sum is 0).
 
-    a or b must be a non-positive integer -n; the value is the finite sum
-    of its n + 1 terms (Kahan summation).  Raises OutOfDomainError for a
-    non-terminating series and ParameterPoleError if (c)_k vanishes before
-    the sum terminates.
+    n (whole numbers >= 0) and the parameters broadcast.  One recurrence
+    over k serves every element, and each element's compensated (Kahan)
+    sum stops at its own n + 1 terms.  Raises ParameterPoleError if (d)_k
+    or (e)_k vanishes at some k < n of an element.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    orders = [k for k in map(_terminating_order, (a, b)) if k is not None]
-    if not orders:
-        raise OutOfDomainError(
-            f"hyp2f1: a or b must be a non-positive integer (got a = {a}, "
-            f"b = {b}); only terminating sums are implemented")
-    n = min(orders)
-    nc = _terminating_order(c)
-    if nc is not None and nc < n:
-        raise ParameterPoleError("hyp2f1: (c)_k vanishes before termination")
-    terms = [1.0 + 0.0j]
-    for k in range(n):
-        terms.append(terms[-1] * (a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
-    return _compensated_sum(terms)
-
-
-def _hyp3f2_terms(n: int, b: complex, c: complex, d: complex,
-                  e: complex) -> list[complex]:
-    """Terms t_0 = 1, ..., t_n of the terminating 3F2(-n, b, c; d, e; 1)."""
-    if n < 0:
-        raise OutOfDomainError("hyp3f2_unit: n must be >= 0")
-    terms = [1.0 + 0.0j]
-    for k in range(n):
-        den = (d + k) * (e + k) * (k + 1.0)
-        if den == 0:
+    (n, b, c, d, e), live, order, shape = _by_degree("hyp3f2_unit", n, b, c, d, e)
+    dtype = np.result_type(b, c, d, e, float)
+    t, total = np.ones(n.shape, dtype), np.ones(n.shape, dtype)
+    comp, mass = np.zeros(n.shape, dtype), np.ones(n.shape)
+    for k, j in enumerate(live):
+        den = (d[:j] + k) * (e[:j] + k) * (k + 1.0)
+        if np.any(den == 0):
             raise ParameterPoleError(
                 f"hyp3f2_unit: lower parameter hits a pole at k = {k}")
-        terms.append(terms[-1] * (-n + k) * (b + k) * (c + k) / den)
-    return terms
+        t = t[:j] * (k - n[:j]) * (b[:j] + k) * (c[:j] + k) / den
+        y = t - comp[:j]
+        s = total[:j] + y
+        comp[:j] = (s - total[:j]) - y
+        total[:j] = s
+        mass[:j] += np.abs(t)
+    ratio = np.divide(mass, np.abs(total), out=np.full(n.shape, math.inf),
+                      where=total != 0)
+    return _unsorted(total, order, shape), _unsorted(ratio, order, shape)
 
 
-def _compensated_sum(terms: list[complex]) -> complex:
-    """Kahan sum of the terms, in order."""
-    total = terms[0]
-    comp = 0.0 + 0.0j
-    for term in terms[1:]:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def hyp3f2_unit(n: int, b: complex, c: complex, d: complex, e: complex) -> complex:
-    """Terminating 3F2(-n, b, c; d, e; 1): exact sum of n+1 terms.
-
-    Compensated (Kahan) summation; raises ParameterPoleError if (d)_k or
-    (e)_k vanishes for some k <= n.
+def hahn(n, alpha, beta, x, N) -> tuple:
+    """Hahn polynomial h_n^{(alpha,beta)}(x, N) = ((-1)^n / n!) (N-n)_n
+    (beta+1)_n 3F2(-n, alpha+beta+n+1, -x; beta+1, 1-N; 1), and the ratio
+    of its 3F2 (see ``hyp3f2_unit``); n and the parameters broadcast.  The
+    Pochhammer products leave integer N without spurious poles.
     """
-    return _compensated_sum(_hyp3f2_terms(n, b, c, d, e))
-
-
-def hahn(n: int, alpha: complex, beta: complex, x: complex, N: complex) -> complex:
-    """Hahn polynomial h_n^{(alpha,beta)}(x, N).
-
-    h_n = ((-1)^n / n!) (N-n)_n (beta+1)_n
-          * 3F2(-n, alpha+beta+n+1, -x; beta+1, 1-N; 1).
-
-    The Gamma ratios of the defining formula are evaluated as finite
-    Pochhammer products, so integer N causes no spurious poles.
-    """
-    if n < 0:
-        raise OutOfDomainError("hahn: n must be >= 0")
-    pref = (-1.0) ** n / math.factorial(n) * pochhammer(N - n, n) * pochhammer(beta + 1.0, n)
-    return pref * _compensated_sum(
-        _hyp3f2_terms(n, alpha + beta + n + 1.0, -x, beta + 1.0, 1.0 - N))
+    n = np.asarray(n, dtype=float)
+    s, ratio = hyp3f2_unit(n, alpha + beta + n + 1.0, -x, beta + 1.0, 1.0 - N)
+    pref = (_each(lambda k: (-1.0) ** k / math.factorial(int(k)), n)
+            * pochhammer(N - n, n) * pochhammer(beta + 1.0, n))
+    return pref * s, ratio
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,8 @@ def _quadratic_algebra(params, cfg) -> list[dict]:
 
 def interbasis_level(params: p1.P1Params, N: int, variant: str) -> dict:
     """Level N's matrix by the three methods, their agreements, the 3F2
-    one's orthogonality defect and (canonical) pointwise expansion residual,
-    keyed as in the interbasis report."""
+    one's orthogonality defect, (canonical) pointwise expansion residual and
+    each method's ``cancellation`` as notes, keyed as in the interbasis report."""
     wq, w3, wh = (w(params, N, variant=variant)
                   for w in (ib.w_quadrature, ib.w_3f2, ib.w_hahn))
     out = {"rows_horicyclic": [list(r) for r in wq.rows],
@@ -276,6 +276,8 @@ def interbasis_level(params: p1.P1Params, N: int, variant: str) -> dict:
            "orthogonality_defect": ib.orthogonality_defect(w3)}
     if variant == "canonical":
         out["pointwise_residual"] = ib.verify_expansion(params, N, w3)
+    out["notes"] = {f"cancellation_{w.method}": w.cancellation
+                    for w in (wq, w3, wh)}
     return out
 
 
@@ -285,7 +287,8 @@ def _interbasis(params, cfg) -> list[dict]:
         lv = interbasis_level(params, N, "canonical")
         recs.append(record(f"three-method-agreement-N{N}",
                            max(lv["agreement_quad_3f2"],
-                               lv["agreement_3f2_hahn"]), 1e-8))
+                               lv["agreement_3f2_hahn"]), 1e-8,
+                           notes=lv["notes"]))
         recs.append(record(f"orthogonality-N{N}", lv["orthogonality_defect"],
                            1e-8))
         recs.append(record(f"pointwise-expansion-N{N}",

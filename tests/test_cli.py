@@ -203,6 +203,35 @@ def test_interbasis_command():
     assert rec["printed_variant"]["orthogonality_defect"] > 0.5
 
 
+def _cancellation_notes(p, N, variant):
+    from hypersint import interbasis as ib
+    out = {}
+    for method in ("quadrature", "3f2", "hahn"):
+        c = getattr(ib, f"w_{method}")(p, N, variant).cancellation
+        out[f"cancellation_{method}"] = c if math.isfinite(c) else None
+    return out
+
+
+def test_interbasis_reports_the_cancellation_of_each_method():
+    # the notes of the interbasis command and of the suite's agreement
+    # records are each method's InterbasisMatrix.cancellation, null where
+    # it is infinite (the printed 3F2 at N = 1 of the fixture sums to 0)
+    fixture = p1.P1Params(1.0, 1.0 / SQRT2, 2.0 * SQRT2)
+    for N in (1, 2):
+        code, out = run_main(["interbasis", "--N", str(N)])
+        rec = json.loads(out)["records"][0]
+        assert rec["notes"] == _cancellation_notes(fixture, N, "canonical")
+        assert rec["printed_variant"]["notes"] == _cancellation_notes(
+            fixture, N, "printed")
+        assert rec["printed_variant"]["notes"]["cancellation_3f2"] is None
+        assert None not in rec["notes"].values()
+    code, out = run_main(["verify", "--suite", "interbasis"])
+    by_id = {r["id"]: r for r in json.loads(out)["records"]}
+    for N in range(3):
+        assert by_id[f"three-method-agreement-N{N}"]["notes"] == \
+            _cancellation_notes(fixture, N, "canonical")
+
+
 # ---------------------------------------------------------------------------
 # verify + plumbing
 # ---------------------------------------------------------------------------
@@ -272,6 +301,20 @@ def test_verify_hard_failure_exits_nonzero():
 def test_invalid_parameters_exit_2():
     r = run_cli(["spectrum", "--alpha", "-1"])
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--alpha", "inf"], ["--gamma", "inf"], ["--beta", "inf"],
+    ["--alpha", "nan"], ["--alpha", "1e308", "--gamma", "1e308"],
+    ["--potential", "v2", "--alpha", "inf", "--beta", "6", "--gamma", "1"],
+    ["--potential", "v2", "--gamma", "inf"],
+    ["--potential", "v2", "--alpha", "1e308", "--gamma", "1e308"],
+    ["--potential", "v2", "--gamma", "1e200"]])
+def test_infinite_or_overflowing_couplings_exit_2(args, capsys):
+    # refused when the parameters are built, with one line and no traceback
+    assert hcli.main(["spectrum", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypersint: P") and err.count("\n") == 1, err
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -286,28 +286,6 @@ def test_laguerre_array_degrees_equal_scalar_calls_bit_for_bit():
             sf.laguerre(np.array(bad), 0.5, x)
 
 
-def _lanczos_sum(x):
-    a = sf._LANCZOS_C[0]
-    for k in range(1, 9):
-        a += sf._LANCZOS_C[k] / (x - 1.0 + k)
-    return a
-
-
-def test_log_gamma_float_path_equals_complex_path_bit_for_bit():
-    # the float Lanczos evaluation is the real part of the complex one,
-    # also where cmath.log takes its log1p branch (0.71 <= |a| <= 1.73)
-    xs = np.concatenate([np.linspace(0.5, 120.0, 24001),
-                         np.geomspace(40.0, 1e12, 1500),
-                         np.random.default_rng(13).uniform(0.5, 3.0, 1500)])
-    sums = np.array([_lanczos_sum(x) for x in xs.tolist()])
-    branch = (sums >= 0.71) & (sums <= 1.73)
-    assert 1000 < branch.sum() < len(xs)
-    for x in xs.tolist():
-        complex_path = sf._log_gamma_right(complex(x, 0.0))
-        assert sf._log_gamma_right(x) == complex_path.real
-        assert sf.log_gamma(x) == complex(complex_path.real, 0.0)
-
-
 def _stieltjes_roots_reference(a, b, N, center):
     # one np.roots per eigenvector, as before the stacked extraction
     a, b = sf._taylor_shift(a, center), sf._taylor_shift(b, center)
@@ -382,30 +360,15 @@ def test_root_extraction_makes_one_eigvals_call_per_dtype(monkeypatch):
 # Hypergeometric functions
 # ---------------------------------------------------------------------------
 
-def test_hyp2f1_basic():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        b, c, z = rng.uniform(0.2, 3), rng.uniform(0.5, 3), rng.uniform(-0.9, 0.9)
-        assert abs(sf.hyp2f1(-1, b, c, z) - (1 - b / c * z)) < 1e-14
-
-
-def test_hyp2f1_errors():
-    # only terminating sums: a non-terminating call raises and says why
-    for args in ((0.3, 0.9, 1.1, 0.0), (1, 1, 2, 0.5), (0.3, 0.9, 1.7, 1.4),
-                 (0.3, 0.9, -2.0, 0.4)):
-        with pytest.raises(OutOfDomainError, match="non-positive integer"):
-            sf.hyp2f1(*args)
-    with pytest.raises(ParameterPoleError):
-        sf.hyp2f1(-3, 0.9, -1.0, 0.4)  # (c)_k vanishes at k = 1 < 3
-
-
 def test_hyp3f2_unit_small_cases():
-    assert sf.hyp3f2_unit(0, 1.3, 0.2, 0.9, 1.1) == 1.0
+    assert sf.hyp3f2_unit(0, 1.3, 0.2, 0.9, 1.1) == (1.0, 1.0)
     rng = np.random.default_rng(4)
     for _ in range(10):
         b, c, d, e = rng.uniform(0.3, 3, size=4)
-        got = sf.hyp3f2_unit(1, b, c, d, e)
-        assert abs(got - (1 - b * c / (d * e))) < 1e-14
+        got, ratio = sf.hyp3f2_unit(1, b, c, d, e)
+        t1 = b * c / (d * e)
+        assert abs(got - (1 - t1)) < 1e-14
+        assert ratio == pytest.approx((1 + t1) / abs(1 - t1), rel=1e-13)
 
 
 def test_hyp3f2_unit_vs_rational_arithmetic():
@@ -421,7 +384,7 @@ def test_hyp3f2_unit_vs_rational_arithmetic():
             exact += term
             term = term * (-n + k) * (b + k) * (c + k)
             term /= (d + k) * (e + k) * (k + 1)
-        got = sf.hyp3f2_unit(n, float(b), float(c), float(d), float(e))
+        got = sf.hyp3f2_unit(n, float(b), float(c), float(d), float(e))[0]
         assert abs(got - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
 
 
@@ -432,10 +395,10 @@ def test_hyp3f2_unit_pole():
 
 def test_hahn_low_orders():
     a, b, x, N = 0.3, 0.6, 2.0, 7.0
-    assert sf.hahn(0, a, b, x, N) == 1.0
+    assert sf.hahn(0, a, b, x, N) == (1.0, 1.0)
     # two-term sum by hand: -(N-1)(b+1) + (a+b+2) x
     ref = -(N - 1) * (b + 1) + (a + b + 2) * x
-    assert abs(sf.hahn(1, a, b, x, N) - ref) < 1e-13
+    assert abs(sf.hahn(1, a, b, x, N)[0] - ref) < 1e-13
 
 
 def test_hahn_matches_direct_3f2_assembly():
@@ -448,9 +411,126 @@ def test_hahn_matches_direct_3f2_assembly():
         n = 2
         pref = (sf.pochhammer(N - n, n) * sf.pochhammer(b + 1, n)
                 * (-1) ** n / math.factorial(n))
-        ref = pref * sf.hyp3f2_unit(n, a + b + n + 1, -x, b + 1, 1 - N)
-        got = sf.hahn(n, a, b, x, N)
+        ref = pref * sf.hyp3f2_unit(n, a + b + n + 1, -x, b + 1, 1 - N)[0]
+        got = sf.hahn(n, a, b, x, N)[0]
         assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+# The scalar recurrences that the array kernels replaced, as they stood.
+# Complex parameters enter them as two-element arrays, so that every
+# complex product and quotient takes numpy's array loop, as in the kernels:
+# Python, numpy's scalars and numpy's in-place products of one element
+# round some of them differently in the last bit.
+
+def _hyp3f2_terms_reference(n, b, c, d, e):
+    terms = [1.0 + 0.0j]
+    for k in range(n):
+        den = (d + k) * (e + k) * (k + 1.0)
+        if np.any(den == 0):
+            raise ParameterPoleError(k)
+        terms.append(terms[-1] * (-n + k) * (b + k) * (c + k) / den)
+    return terms
+
+
+def _compensated_sum_reference(terms):
+    total = terms[0]
+    comp = 0.0 + 0.0j
+    for term in terms[1:]:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def _hyp3f2_reference(n, b, c, d, e):
+    """(sum, sum|t_k| / |sum t_k|), the ratio's mass summed in order."""
+    terms = _hyp3f2_terms_reference(n, b, c, d, e)
+    total, mass = _compensated_sum_reference(terms), 1.0
+    for t in terms[1:]:
+        mass += abs(t)
+    return total, mass / abs(total) if np.all(total != 0) else math.inf
+
+
+def _pochhammer_reference(a, n):
+    out = 1.0 + 0.0j
+    for k in range(n):
+        out *= a + k
+    return out
+
+
+def _hahn_reference(n, alpha, beta, x, N):
+    pref = (-1.0) ** n / math.factorial(n) * _pochhammer_reference(N - n, n) \
+        * _pochhammer_reference(beta + 1.0, n)
+    total, ratio = _hyp3f2_reference(n, alpha + beta + n + 1.0, -x, beta + 1.0,
+                                     1.0 - N)
+    return pref * total, ratio
+
+
+def _elements(f, n, *params, cast):
+    """f of each element of the broadcast (n, *params), its own degree."""
+    shape = np.broadcast(n, *params).shape
+    cols = [np.broadcast_to(v, shape).ravel() for v in (n, *params)]
+    out = [f(int(k), *map(cast, vs)) for k, *vs in zip(*cols)]
+
+    def gather(vals):
+        return np.array([np.ravel(v)[0] for v in vals]).reshape(shape)
+    return [gather(v) for v in zip(*out)] if isinstance(out[0], tuple) else gather(out)
+
+
+def _assert_same(got, want, real):
+    if real:
+        assert np.isrealobj(got) and not np.any(np.imag(want))
+        want = np.real(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("real", (True, False))
+def test_array_kernels_equal_the_scalar_recurrences_bit_for_bit(real):
+    # one call over mixed degrees (0 among them, unsorted, the top one held
+    # by one element) and parameters, against one scalar call per element,
+    # for 3F2, Hahn and Pochhammer
+    rng = np.random.default_rng(21)
+    n = rng.integers(0, 15, (5, 7))
+    n[0, 0], n[2, 3] = 0, 18
+
+    def draw(shape, lo, hi):
+        v = rng.uniform(lo, hi, shape)
+        return v if real else v + 1j * rng.uniform(-1.0, 1.0, shape)
+    cast = float if real else (lambda v: np.array([v, v]))
+    b, c = draw((5, 1), -12.0, 12.0), draw((5, 7), -12.0, 12.0)
+    d, e = draw((1, 7), 0.3, 9.0), draw((5, 7), 0.3, 9.0)
+    got = sf.hyp3f2_unit(n, b, c, d, e)
+    want = _elements(_hyp3f2_reference, n, b, c, d, e, cast=cast)
+    assert got[0].shape == got[1].shape == (5, 7)
+    _assert_same(got[0], want[0], real)
+    assert np.array_equal(got[1], want[1])
+    x, big_n = draw((5, 7), -6.0, 6.0), draw((5, 1), 16.0, 30.0)
+    got = sf.hahn(n, 0.7, d, x, big_n)
+    want = _elements(_hahn_reference, n, 0.7, d, x, big_n, cast=cast)
+    _assert_same(got[0], want[0], real)
+    assert np.array_equal(got[1], want[1])
+    _assert_same(sf.pochhammer(c, n), _elements(
+        lambda k, a: _pochhammer_reference(a, k), n, c, cast=cast), real)
+    # scalar calls give numbers
+    first = [v[0, 0] for v in (b, c, d, e)]
+    one = sf.hyp3f2_unit(4, *first)
+    assert np.ndim(one[0]) == np.ndim(one[1]) == 0
+    _assert_same(one[0], np.ravel(_hyp3f2_reference(4, *map(cast, first))[0])[0],
+                 real)
+
+
+def test_hyp3f2_pole_only_below_an_elements_degree():
+    # (d)_k vanishes at k = 1 for d = -1: an element of degree 1 never takes
+    # that step, one of degree 2 does
+    for n in ([1, 3], [[1], [0]], 1):
+        sf.hyp3f2_unit(n, 0.5, 0.5, [-1.0, 2.0], 2.0)
+    for n in ([2, 3], [[0], [2]], 2):
+        with pytest.raises(ParameterPoleError, match="k = 1"):
+            sf.hyp3f2_unit(n, 0.5, 0.5, [-1.0, 2.0], 2.0)
+    for bad in (-1, [1, 2.5]):
+        with pytest.raises(OutOfDomainError):
+            sf.hyp3f2_unit(bad, 0.5, 0.5, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
 from hypersint import specfun as sf
+from hypersint.errors import NonFiniteValueError, ParameterPoleError
 
 mp = pytest.importorskip("mpmath")
 
@@ -77,15 +78,56 @@ def test_log_gamma_complex():
     assert max(_lg_error(z) for z in zs) <= 1.1e-14
 
 
+def _lgamma_error(xs, got) -> float:
+    """max |lgamma - ref| / scale, ref = log |Gamma| from mpmath.  The scale
+    is max(1, |ref|), plus log Gamma(1-x) for x < 0: there the value is the
+    difference log(pi / |sin pi x|) - log Gamma(1-x), which next to a pole
+    cancels to O(1) from terms of that size."""
+    worst = 0.0
+    for x, g in zip(xs, got):
+        ref = mp.re(mp.loggamma(mp.mpf(x)))
+        scale = max(1, abs(ref)) + (mp.loggamma(1 - mp.mpf(x)) if x < 0 else 0)
+        worst = max(worst, float(abs(g - ref) / scale))
+    return worst
+
+
+def test_lgamma_of_real_arrays():
+    # the standard library's lgamma behind the package's errors: positive
+    # arguments, negative non-integers and points 1e-6 to 1e-11 from a
+    # pole; measured 8.3e-16 (against max(1, |ref|) alone: 5.1e-15, at 1e-7
+    # from the pole at -11)
+    rng = np.random.default_rng(17)
+    poles = np.arange(0.0, -31.0, -1.0)
+    xs = np.concatenate([
+        rng.uniform(1e-3, 2.0, 200), rng.uniform(2.0, 300.0, 200),
+        np.arange(1.0, 31.0), np.arange(1.0, 31.0) + 0.5,
+        [x for x in -rng.uniform(0.0, 30.0, 300) if abs(x - round(x)) >= 1e-3],
+        (poles[:, None] + np.outer(rng.choice([-1.0, 1.0], 31),
+                                   10.0 ** -np.arange(6.0, 12.0))).ravel()])
+    xs = xs[xs != 0.0].reshape(-1, 2)  # an array call on a 2-D array
+    got = sf.lgamma(xs)
+    assert got.shape == xs.shape
+    assert _lgamma_error(xs.ravel().tolist(), got.ravel().tolist()) <= 2e-15
+    # scalar calls agree with the array call bit for bit
+    assert [sf.lgamma(x) for x in xs.ravel().tolist()] == got.ravel().tolist()
+    for bad in (0.0, -3.0, -7.0 + 5e-13, np.array([1.5, -2.0])):
+        with pytest.raises(ParameterPoleError):
+            sf.lgamma(bad)
+    for bad in (math.inf, -math.inf, math.nan, np.array([2.0, math.nan])):
+        with pytest.raises(NonFiniteValueError):
+            sf.lgamma(bad)
+
+
 def _jacobi_oracle(n, a, b, x):
-    """P_n^{(a,b)}(x) from mpmath, and S of its (a+1)_n/n! 2F1 series."""
+    """P_n^{(a,b)}(x) = (a+1)_n/n! 2F1(-n, n+a+b+1; a+1; (1-x)/2) from
+    mpmath's 2F1, and S of that series."""
     a, b, x = mp.mpmathify(a), mp.mpmathify(b), mp.mpmathify(x)
     z = (1 - x) / 2
     pref = mp.rf(a + 1, n) / mp.factorial(n)
     mass = mp.fsum(abs(pref * mp.rf(-n, k) * mp.rf(n + a + b + 1, k)
                        / (mp.rf(a + 1, k) * mp.factorial(k)) * z ** k)
                    for k in range(n + 1))
-    return complex(mp.jacobi(n, a, b, x)), float(mass)
+    return complex(pref * mp.hyp2f1(-n, n + a + b + 1, a + 1, z)), float(mass)
 
 
 def _jacobi_worst(n, a, b, xs) -> float:
@@ -126,16 +168,17 @@ def test_jacobi_complex_parameters_of_potential2():
 
 
 def _hyp3f2_worst(cases) -> float:
-    """max |3F2 - ref| / ((n + 1) eps S) over (n, b, c, d, e) cases."""
+    """max |3F2 - ref| / ((n + 1) eps S) over (n, b, c, d, e) cases, all
+    summed by one call."""
+    got = sf.hyp3f2_unit(*np.array(cases).T)[0]
     worst = 0.0
-    for n, b, c, d, e in cases:
+    for g, (n, b, c, d, e) in zip(got, cases):
         ref = mp.hyp3f2(-n, b, c, d, e, 1)
         terms = [mp.rf(-n, k) * mp.rf(b, k) * mp.rf(c, k)
                  / (mp.rf(d, k) * mp.rf(e, k) * mp.factorial(k))
                  for k in range(n + 1)]
         mass = float(mp.fsum(abs(t) for t in terms))
-        got = sf.hyp3f2_unit(n, b, c, d, e)
-        worst = max(worst, abs(got - complex(ref)) / ((n + 1) * EPS * mass))
+        worst = max(worst, abs(g - complex(ref)) / ((n + 1) * EPS * mass))
     return worst
 
 
@@ -165,65 +208,29 @@ def test_hyp3f2_unit_random_parameters():
     assert _hyp3f2_worst(cases) <= 1.5
 
 
-def _series_mass(a, b, c, z, n) -> float:
-    """sum_{k <= n} |t_k| of the terminating 2F1(a, b; c; z) sum."""
-    a, b, c, z = (mp.mpmathify(v) for v in (a, b, c, z))
-    term = mass = mp.mpf(1)
-    for k in range(n):
-        term *= (a + k) * (b + k) * z / ((c + k) * (k + 1))
-        mass += abs(term)
-    return float(mass)
-
-
-def _hyp2f1_worst(cases) -> float:
-    """max |2F1 - ref| / ((n + 1) eps S) over terminating (-n, b, c, z)
-    cases."""
-    worst = 0.0
-    for a, b, c, z in cases:
-        n = sf._terminating_order(a)
-        ref = complex(mp.hyp2f1(a, b, c, z))
-        got = sf.hyp2f1(a, b, c, z)
-        worst = max(worst, abs(got - ref) / ((n + 1) * EPS
-                                             * _series_mass(a, b, c, z, n)))
-    return worst
-
-
 def _jacobi_2f1_parameters():
-    """(a, b, c) of the 2F1 forms of the package's Jacobi polynomials,
-    P_n^{(al,be)} = (al+1)_n/n! 2F1(-n, n+al+be+1; al+1; (1-x)/2): (d, -mu)
-    of the fixture and the deep well, (a, conj a) of the potential2 wells."""
+    """(n, al, be) of the package's Jacobi polynomials: (d, -mu) of the
+    fixture and the deep well, (a, conj a) of the potential2 wells."""
     out = []
     for p, levels in ((FIXTURE, range(FIXTURE.nmax + 1)), (DEEP, (4, 9, 14))):
         for N in levels:
-            for n, m in p1.level_states_equidistant(p, N):
-                mu = p1.p1_mu(p, m)
-                out.append((-n, n + p.d - mu + 1.0, p.d + 1.0))
+            out += [(n, p.d, -p1.p1_mu(p, m))
+                    for n, m in p1.level_states_equidistant(p, N)]
     for pars in ((0.1, 3.0, 1.0), (0.1, 6.0, 1.0)):
         a = p2.P2Params(*pars).a
-        out += [(-m, m + 2.0 * a.real + 1.0, a + 1.0)
-                for m in range(int(p2.P2Params(*pars).M))]
+        out += [(m, a, a.conjugate()) for m in range(int(p2.P2Params(*pars).M))]
     return out
 
 
 def test_hyp2f1_terminating_jacobi_parameters():
-    # the Jacobi arguments (1-x)/2 of potential1's interbasis nodes
-    # (x = cosh 2a up to ~1e6) and of potential2's x = -i sinh 2t; the
-    # sums terminate for any z.  Measured 0.50 (n + 1) eps S
+    # every parameter set of both potentials at the arguments of both:
+    # potential1's interbasis nodes (x = cosh 2a up to ~1e6) and
+    # potential2's x = -i sinh 2t.  Measured 4.86 (n + 1) eps S, at n = 14
     phi = np.linspace(0.05, math.pi / 2.0 - 1e-3, 8)
     xs = list((1.0 + np.sin(phi) ** 2) / np.cos(phi) ** 2)
     xs += list(-1j * np.sinh(2.0 * np.linspace(-1.5, 1.5, 9)))
-    cases = [(a, b, c, (1.0 - x) / 2.0)
-             for a, b, c in _jacobi_2f1_parameters() for x in xs]
-    assert _hyp2f1_worst(cases) <= 2.0
-
-
-def test_hyp2f1_terminating_random_parameters():
-    # measured 0.30 (n + 1) eps S
-    rng = np.random.default_rng(16)
-    cases = [(-int(rng.integers(0, 20)), rng.uniform(-15.0, 15.0),
-              rng.uniform(0.1, 15.0), rng.uniform(-3.0, 3.0))
-             for _ in range(150)]
-    assert _hyp2f1_worst(cases) <= 1.2
+    worst = max(_jacobi_worst(n, al, be, xs) for n, al, be in _jacobi_2f1_parameters())
+    assert worst <= 19.5
 
 
 # ---------------------------------------------------------------------------
