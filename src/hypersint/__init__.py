@@ -5,7 +5,7 @@ Two three-parameter potentials are implemented, each separable in several
 coordinate charts.  The package provides
 
 * ``specfun``    -- self-contained special functions and quadrature,
-* ``geometry``   -- coordinate charts, so(2,1) generator flows, numerical
+* ``geometry``   -- coordinate charts, so(2,1) generator flows, exact
                     application of generator-word differential operators,
 * ``potential1`` -- first potential: spectrum, wavefunctions in four charts,
                     zero (Bethe-type) equations and separation constants,

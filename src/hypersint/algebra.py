@@ -30,17 +30,18 @@ acquire computable defects.  ``check_quadratic_algebra`` measures both; the
 
 Evaluation
 ----------
-Operators are applied to batches of points (``geometry.apply_operator``).
-Every function passed to ``eigen_residual``, ``project_operator`` or
-``check_linear_relations``, like every coefficient and guard of the
-operators built here, is array-safe: it takes an ``AmbientPoints`` batch
-and returns one value per point or a scalar.
+Operators are applied exactly, with no step, to batches of points
+(``geometry.apply_operator``).  Every function passed to ``eigen_residual``,
+``project_operator`` or ``check_linear_relations``, like every coefficient
+and guard of the operators built here, is array-safe: it takes an
+``AmbientPoints`` batch and returns one value per point or a scalar; the
+functions also run on ``geometry.Jet`` points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,12 +62,6 @@ __all__ = [
     "multiplet_matrices",
     "project_operator",
 ]
-
-#: step used for second-order operator words (noise floor ~1e-8 relative)
-EIGEN_STEP = 1e-3
-#: step for the third-order words of R
-R_STEP = 2e-3
-
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -176,13 +171,11 @@ def _p1_r(p: P1Params) -> OperatorExpr:
     )
 
 
-def _p1_h(p: P1Params) -> OperatorExpr:
+def _hamiltonian(potential, guards: tuple, name: str) -> OperatorExpr:
+    """H = -(K3^2 + K2^2 - M1^2) / 2 + V."""
     return OperatorExpr(
         terms=((-0.5, ("K3", "K3")), (-0.5, ("K2", "K2")), (0.5, ("M1", "M1")),
-               (lambda q: p1m.v1_ambient(p, q), ())),
-        guards=(lambda q: q.w2, lambda q: q.w0 - q.w1),
-        name="H_p1",
-    )
+               (potential, ())), guards=guards, name=name)
 
 
 def _p2_l1(p: P2Params) -> OperatorExpr:
@@ -258,15 +251,6 @@ def _p2_l2_sh(p: P2Params, chart_params: tuple[float, float, float]) -> Operator
     )
 
 
-def _p2_h(p: P2Params) -> OperatorExpr:
-    return OperatorExpr(
-        terms=((-0.5, ("K3", "K3")), (-0.5, ("K2", "K2")), (0.5, ("M1", "M1")),
-               (lambda q: p2m.v2_ambient(p, q), ())),
-        guards=(lambda q: q.w2,),
-        name="H_p2",
-    )
-
-
 def build_operator(op_id: str, params, chart_params=None) -> OperatorExpr:
     """Construct a symmetry operator as an OperatorExpr.
 
@@ -275,46 +259,36 @@ def build_operator(op_id: str, params, chart_params=None) -> OperatorExpr:
     L2 (semi-hyperbolic, requires chart_params = (a_c, b_c, e3)), H_p2.
     """
     if isinstance(params, P1Params):
-        p = params
-        if op_id in ("L1", "N1"):
-            return _p1_l1(p)
-        if op_id == "L2":
-            return _p1_l2(p)
-        if op_id == "N2":
-            l2 = _p1_l2(p)
-            return OperatorExpr(l2.terms, l2.constant_term - 2.0 * p.gamma**2,
-                                l2.guards, "N2")
-        if op_id == "L3":
-            return _p1_l3(p, display=False)
-        if op_id == "L3_display":
-            return _p1_l3(p, display=True)
-        if op_id == "L4":
-            return _p1_l4(p, display=False)
-        if op_id == "L4_display":
-            return _p1_l4(p, display=True)
-        if op_id == "R":
-            return _p1_r(p)
-        if op_id in ("H", "H_p1"):
-            return _p1_h(p)
-        raise OutOfDomainError(f"unknown operator {op_id!r} for potential 1")
-    if isinstance(params, P2Params):
-        p = params
-        if op_id == "L1":
-            return _p2_l1(p)
-        if op_id == "L12":
-            return _p2_l12(p)
-        if op_id == "L13":
-            return _p2_l13(p, conj=False)
-        if op_id == "L23":
-            return _p2_l13(p, conj=True)
-        if op_id in ("L2", "L2_sh"):
-            if chart_params is None:
-                raise OutOfDomainError("semi-hyperbolic L2 needs chart_params")
-            return _p2_l2_sh(p, chart_params)
-        if op_id in ("H", "H_p2"):
-            return _p2_h(p)
-        raise OutOfDomainError(f"unknown operator {op_id!r} for potential 2")
-    raise OutOfDomainError("params must be P1Params or P2Params")
+        potential, builders = 1, {
+            "L1": _p1_l1, "N1": _p1_l1, "L2": _p1_l2, "R": _p1_r,
+            # N2 = L2 - 2 gamma^2
+            "N2": lambda p: replace(_p1_l2(p), constant_term=-4.0 * p.gamma**2,
+                                    name="N2"),
+            "L3": lambda p: _p1_l3(p, display=False),
+            "L3_display": lambda p: _p1_l3(p, display=True),
+            "L4": lambda p: _p1_l4(p, display=False),
+            "L4_display": lambda p: _p1_l4(p, display=True),
+            "H": lambda p: _hamiltonian(lambda q: p1m.v1_ambient(p, q),
+                                        (lambda q: q.w2, lambda q: q.w0 - q.w1),
+                                        "H_p1")}
+        builders["H_p1"] = builders["H"]
+    elif isinstance(params, P2Params):
+        if op_id in ("L2", "L2_sh") and chart_params is None:
+            raise OutOfDomainError("semi-hyperbolic L2 needs chart_params")
+        potential, builders = 2, {
+            "L1": _p2_l1, "L12": _p2_l12,
+            "L13": lambda p: _p2_l13(p, conj=False),
+            "L23": lambda p: _p2_l13(p, conj=True),
+            "L2": lambda p: _p2_l2_sh(p, chart_params),
+            "L2_sh": lambda p: _p2_l2_sh(p, chart_params),
+            "H": lambda p: _hamiltonian(lambda q: p2m.v2_ambient(p, q),
+                                        (lambda q: q.w2,), "H_p2")}
+        builders["H_p2"] = builders["H"]
+    else:
+        raise OutOfDomainError("params must be P1Params or P2Params")
+    if op_id not in builders:
+        raise OutOfDomainError(f"unknown operator {op_id!r} for potential {potential}")
+    return builders[op_id](params)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +301,7 @@ def _on_points(fn, pts: AmbientPoints) -> np.ndarray:
 
 
 def eigen_residual(op: OperatorExpr, wf, expected: complex,
-                   points, h: float = EIGEN_STEP,
-                   richardson: bool = True) -> float:
+                   points) -> float:
     """max over points of |(op wf - expected wf) / wf|.
 
     Points where |wf| is below 1e-8 of its largest value over all points
@@ -342,12 +315,11 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
     used = mag >= 1e-8 * np.max(mag)
     if not np.any(used):
         raise SingularConfigurationError("all points fell on wavefunction nodes")
-    val = apply_operator(op, wf, pts[used], h=h, richardson=richardson)
+    val = apply_operator(op, wf, pts[used])
     return float(np.max(np.abs(val - expected * psi[used]) / mag[used]))
 
 
-def project_operator(op: OperatorExpr, basis_fns, points,
-                     h: float = EIGEN_STEP, richardson: bool = True) -> np.ndarray:
+def project_operator(op: OperatorExpr, basis_fns, points) -> np.ndarray:
     """Least-squares matrix of op restricted to span(basis_fns).
 
     Columns: op applied to each basis function, expanded back over the basis
@@ -359,7 +331,7 @@ def project_operator(op: OperatorExpr, basis_fns, points,
     design = np.column_stack([np.real(_on_points(f, pts)) for f in basis_fns])
     out = np.zeros((len(basis_fns),) * 2)
     for j, f in enumerate(basis_fns):
-        y = np.real(apply_operator(op, f, pts, h=h, richardson=richardson))
+        y = np.real(apply_operator(op, f, pts))
         sol, *_ = np.linalg.lstsq(design, y, rcond=None)
         out[:, j] = sol
     return out
@@ -409,8 +381,7 @@ def multiplet_matrices(p: P1Params, N: int, w: InterbasisMatrix) -> MultipletRep
                         n1_mat, n2_mat, r_mat)
 
 
-def check_linear_relations(p: P1Params, testfns, points,
-                           h: float = EIGEN_STEP) -> dict[str, float]:
+def check_linear_relations(p: P1Params, testfns, points) -> dict[str, float]:
     """Pointwise residuals of L3 = -L2 - L1 and L4 = L2 - L1, by identity
     (``linRel3``, ``linRel4``).
 
@@ -424,7 +395,7 @@ def check_linear_relations(p: P1Params, testfns, points,
     ops = {k: build_operator(k, p) for k in ("L1", "L2", "L3", "L4")}
     worst = {"linRel3": 0.0, "linRel4": 0.0}
     for f in testfns:
-        v = {k: apply_operator(op, f, pts, h=h) for k, op in ops.items()}
+        v = {k: apply_operator(op, f, pts) for k, op in ops.items()}
         for ident, lhs, sign in (("linRel3", "L3", 1.0),
                                  ("linRel4", "L4", -1.0)):
             va, vb, vc = v[lhs], v["L2"], v["L1"]

@@ -143,7 +143,6 @@ class RunConfig:
     quantum: tuple[int, ...] = (0, 0)
     form: str = "derived"
     grid: tuple = (50, 50, -2.0, 2.0, -2.0, 2.0)
-    diff_step: float = 1e-3
     bethe_tol: float = 1e-10
     fmt: str = "json"
     out: str | None = None
@@ -194,7 +193,7 @@ def _read_config(path: str) -> dict:
     except (OSError, argparse.ArgumentError) as exc:
         raise HypersintError(f"config file {path!r}: {exc}") from None
     if unknown or ns.config is not None:  # config files do not nest
-        entry = (unknown or ["--config"])[0][2:]
+        entry = (unknown or ["--config"])[0][2:].partition("=")[0].replace("-", "_")
         raise HypersintError(f"config file {path!r}: unknown entry {entry!r}")
     return vars(ns)
 
@@ -411,7 +410,6 @@ def _add_common(sp: argparse.ArgumentParser):
                     help="comma-separated quantum numbers")
     sp.add_argument("--form", choices=("printed", "derived"))
     sp.add_argument("--grid", type=grid_spec, help="n1xn2:lo1,hi1,lo2,hi2")
-    sp.add_argument("--diff-step", dest="diff_step", type=float)
     sp.add_argument("--bethe-tol", dest="bethe_tol", type=float)
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"))
     sp.add_argument("--out")

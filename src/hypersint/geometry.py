@@ -10,22 +10,16 @@ generators act on ambient functions:
 with [K3, K2] = M1, [K2, M1] = -K3, [K3, M1] = K2, and the Laplace-Beltrami
 operator is K3^2 + K2^2 - M1^2.
 
-Derivatives are taken numerically: a generator is applied as a central
-difference of the function along the generator's *exact* one-parameter
-flow (optionally Richardson-extrapolated), so evaluation points never
-leave the surface.  Products of up to three generators are applied as
-nested differences.
-
-Operators are applied to whole batches of sample points.  For each
-generator word, ``apply_operator`` builds the full stencil (the exact flows
-applied level by level to coordinate arrays: 4^k points per sample point
-for a word of length k with Richardson, 2^k without).  It calls the
-function once on the stencils of all words together, then splits the
-values and reduces each word's level by level.  Every function passed to
-``apply_operator``, and every ``OperatorExpr`` coefficient and guard, must
-therefore be array-safe: it takes an ``AmbientPoints`` batch and returns
-one value per point (or a scalar, which is broadcast).  A single
-``AmbientPoint`` is applied as a one-point batch.
+Operators are applied exactly, with no step: a word (g_1, ..., g_k),
+k <= 3, is the mixed derivative along the flows exp(t A_g), which at
+nilpotent times eps_i (eps_i^2 = 0) are I + eps_i A_g.  ``apply_operator``
+calls the function once, on every word's points moved at those times (as
+``Jet`` points whose value part is the validated batch), and reads each
+word off the top component.  The function must be array-safe (a batch in,
+one value per point or a scalar out) and built from operations a ``Jet``
+supports; coefficients and guards see the plain batch.  Nested application
+is not supported: write it as a longer word.  A single ``AmbientPoint`` is
+applied as a one-point batch.
 
 Charts (names used throughout the package and on the CLI):
 
@@ -41,6 +35,7 @@ Charts (names used throughout the package and on the CLI):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -52,11 +47,13 @@ from .errors import (
     OutOfDomainError,
     SingularConfigurationError,
 )
+from .specfun import _asarray
 
 __all__ = [
     "AmbientPoint",
     "AmbientPoints",
     "ChartPoint",
+    "Jet",
     "OperatorExpr",
     "CHARTS",
     "GENERATORS",
@@ -83,10 +80,6 @@ CHARTS = (
 )
 GENERATORS = ("K2", "K3", "M1")
 
-#: default differentiation step (one Richardson level on top)
-DEFAULT_STEP = 1e-4
-
-
 # ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------
@@ -98,25 +91,21 @@ _SHEET_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AmbientPoint:
-    """A point on the upper sheet, validated on construction."""
+    """A point on the upper sheet, validated on construction (``on_sheet``)."""
 
     w0: float
     w1: float
     w2: float
 
     def __post_init__(self):
-        r = abs(self.w0 * self.w0 - self.w1 * self.w1 - self.w2 * self.w2 - 1.0)
-        if not (math.isfinite(r)
-                and r <= _SURFACE_TOL * max(1.0, self.w0 * self.w0)):
-            raise OutOfDomainError(
-                f"point ({self.w0}, {self.w1}, {self.w2}) is off the surface "
-                f"(residual {r:.3e})")
-        if self.w0 < 1.0 - _SHEET_TOL:
-            raise OutOfDomainError("lower sheet: w0 < 1")
+        if not on_sheet(self.w0, self.w1, self.w2):
+            raise OutOfDomainError(f"point ({self.w0}, {self.w1}, {self.w2}) "
+                                   f"is not on the upper sheet")
 
 
 def on_sheet(w0, w1, w2) -> np.ndarray:
-    """Elementwise: does (w0, w1, w2) pass AmbientPoint's validation?"""
+    """Elementwise: is (w0, w1, w2) on the upper sheet, within the surface
+    tolerance (relative to max(1, w0^2)) and the sheet tolerance?"""
     w0, w1, w2 = (np.asarray(w, dtype=float) for w in (w0, w1, w2))
     with np.errstate(invalid="ignore", over="ignore"):
         r = np.abs(w0 * w0 - w1 * w1 - w2 * w2 - 1.0)
@@ -127,7 +116,7 @@ def on_sheet(w0, w1, w2) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class AmbientPoints:
     """A batch of points on the upper sheet: three equal-length float arrays,
-    validated once on construction with AmbientPoint's tolerances."""
+    validated once on construction as AmbientPoint is."""
 
     w0: np.ndarray
     w1: np.ndarray
@@ -193,7 +182,7 @@ def in_chart_domain(chart: str, u1, u2, chart_params=None) -> np.ndarray:
     """
     if chart not in CHARTS:
         raise OutOfDomainError(f"unknown chart {chart!r}")
-    u1, u2 = (np.asarray(u, dtype=float) for u in (u1, u2))
+    u1, u2 = (_asarray(u) for u in (u1, u2))
     ok = np.isfinite(u1) & np.isfinite(u2)
     if chart == "horicyclic":
         ok &= u2 > 0.0
@@ -301,7 +290,7 @@ def chart_coordinates(q, chart: str):
     Horicyclic inversion: y = 1/(w0 - w1), x = w2/(w0 - w1); note that
     w0 - w1 > 0 holds everywhere on the upper sheet.
     """
-    w0, w1, w2 = (np.asarray(w, dtype=float) for w in (q.w0, q.w1, q.w2))
+    w0, w1, w2 = (_asarray(w) for w in (q.w0, q.w1, q.w2))
     d = w0 - w1  # > 0 on the upper sheet
     if chart == "equidistant":
         u1, u2 = np.arcsinh(w2), np.arctanh(w1 / w0)
@@ -338,31 +327,199 @@ def ambient_to_chart(q: AmbientPoint, chart: str) -> ChartPoint:
 
 
 # ---------------------------------------------------------------------------
-# Generator flows and numerical derivatives
+# Generator flows
 # ---------------------------------------------------------------------------
 
-def _trig(g: str, t: float) -> tuple[float, float]:
-    """(cosh t, sinh t) for a boost, (cos t, sin t) for the rotation."""
-    if g in ("K3", "K2"):
-        return math.cosh(t), math.sinh(t)
-    if g == "M1":
-        return math.cos(t), math.sin(t)
-    raise OutOfDomainError(f"unknown generator {g!r}")
-
-
-def _flow(g: str, c, s, w0, w1, w2):
-    """Flow of generator g on coordinates, given _trig(g, t) = (c, s);
-    floats or broadcasting arrays."""
-    if g == "K3":
-        return w0 * c + w1 * s, w0 * s + w1 * c, w2
-    if g == "K2":
-        return w0 * c + w2 * s, w1, w0 * s + w2 * c
-    return w0, w1 * c - w2 * s, w1 * s + w2 * c
+#: the generator matrices A_g: the flow of g for time t is exp(t A_g)
+_GENERATOR_MATRIX = {
+    "K3": ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    "K2": ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    "M1": ((0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0)),
+}
 
 
 def generator_flow(g: str, t: float, q: AmbientPoint) -> AmbientPoint:
-    """Exact one-parameter subgroup action of generator g for time t."""
-    return AmbientPoint(*_flow(g, *_trig(g, t), q.w0, q.w1, q.w2))
+    """Exact one-parameter subgroup action of generator g for time t:
+    exp(t A) = I + sinh t A + (cosh t - 1) A^2 for a boost (A^3 = A), and
+    I + sin t A + (1 - cos t) A^2 for the rotation (A^3 = -A)."""
+    if g not in GENERATORS:
+        raise OutOfDomainError(f"unknown generator {g!r}")
+    s, c = ((math.sin(t), 1.0 - math.cos(t)) if g == "M1"
+            else (math.sinh(t), math.cosh(t) - 1.0))
+    a, w = np.array(_GENERATOR_MATRIX[g]), np.array([q.w0, q.w1, q.w2])
+    return AmbientPoint(*(w + s * (a @ w) + c * (a @ (a @ w))).tolist())
+
+
+# ---------------------------------------------------------------------------
+# Multilinear jets
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False, slots=True)
+class Jet:
+    """sum_S c[S] eps_S over the subsets S of {1..k}, k <= 3, eps_i^2 = 0 (a
+    multilinear hyper-dual number; Fike & Alonso, AIAA 2011-886), c[S] on the
+    leading axis of ``c`` (bit i of S marks eps_{i+1}).  An elementary ufunc
+    acts by its Taylor polynomial of order k, exact as d^(k+1) = 0 for the
+    nilpotent part d; comparisons, isnan, isfinite, where and minimum read
+    the value part ``c[0]``.  Coercing a jet to an array fails loudly."""
+
+    c: np.ndarray
+    shape = property(lambda self: self.c.shape[1:])
+    ndim = property(lambda self: self.c.ndim - 1)
+    size = property(lambda self: math.prod(self.c.shape[1:]))
+    real = property(lambda self: Jet(self.c.real))
+    __add__ = __radd__ = lambda self, o: _add(self, o)
+    __sub__ = lambda self, o: _add(self, -o)
+    __rsub__ = lambda self, o: _add(-self, o)
+    __mul__ = __rmul__ = lambda self, o: _mul(self, o)
+    __truediv__ = lambda self, o: _div(self, o)
+    __rtruediv__ = lambda self, o: _div(o, self)
+    __pow__ = lambda self, p: _pow(self, p)
+    __neg__ = lambda self: Jet(-self.c)
+    __lt__ = lambda self, o: self.c[0] < _value(o)
+    __le__ = lambda self, o: self.c[0] <= _value(o)
+    __gt__ = lambda self, o: self.c[0] > _value(o)
+    __ge__ = lambda self, o: self.c[0] >= _value(o)
+    __eq__ = lambda self, o: self.c[0] == _value(o)
+    __hash__ = None
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("a Jet has no array form")
+
+    def __getitem__(self, i):
+        return Jet(self.c[(slice(None),) + (i if isinstance(i, tuple) else (i,))])
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in _PREDICATES:
+            return ufunc(*map(_value, args))
+        if ufunc in _DERIVATIVES:
+            y = ufunc(args[0].c[0])
+            return _series(args[0], y, *_DERIVATIVES[ufunc](args[0].c[0], y))
+        return _UFUNCS[ufunc](*args) if ufunc in _UFUNCS else NotImplemented
+
+    def __array_function__(self, func, types, args, kwargs):
+        return _FUNCTIONS[func](*args, **kwargs) if func in _FUNCTIONS else NotImplemented
+
+
+def _value(x):
+    return x.c[0] if isinstance(x, Jet) else x
+
+
+def _pad(c: np.ndarray, nd: int) -> np.ndarray:
+    """Components c with at least nd value axes (leading unit axes added)."""
+    return c.reshape(c.shape[:1] + (1,) * (nd + 1 - c.ndim) + c.shape[1:])
+
+
+def _parts(xs) -> list[np.ndarray]:
+    """The components of jets and plain values xs, with common value axes."""
+    m = next(len(x.c) for x in xs if isinstance(x, Jet))
+    cs = [x.c if isinstance(x, Jet) else np.concatenate(
+        [np.asarray(x)[None], np.zeros((m - 1,) + np.shape(x), np.result_type(x))])
+        for x in xs]
+    nd = max(c.ndim for c in cs) - 1
+    return [_pad(c, nd) for c in cs]
+
+
+@functools.cache
+def _subset_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs (S, T - S), S in T, grouped by T, and the groups' starts."""
+    pairs = [(s, t ^ s) for t in range(m) for s in range(m) if s & t == s]
+    ia, ib = np.array(pairs).T
+    return ia, ib, np.flatnonzero(np.diff(ia | ib, prepend=-1))
+
+
+def _add(a, b) -> Jet:
+    return Jet(np.add(*_parts((a, b))))
+
+
+def _mul(a, b) -> Jet:
+    if not isinstance(a, Jet) or not isinstance(b, Jet):  # a plain factor
+        jet, x = (a, b) if isinstance(a, Jet) else (b, a)
+        return Jet(_pad(jet.c, np.ndim(x)) * x)
+    return Jet(_conv(*_parts((a, b))))
+
+
+def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The components of the product of two jets' components a and b."""
+    ia, ib, starts = _subset_pairs(len(a))
+    return np.add.reduceat(a[ia] * b[ib], starts, axis=0)
+
+
+def _div(a, b) -> Jet:
+    if not isinstance(b, Jet):
+        return Jet(_pad(a.c, np.ndim(b)) / b)
+    out = _mul(a, b ** -1.0)
+    out.c[0] = _value(a) / b.c[0]
+    return out
+
+
+def _series(x: Jet, value, d1, d2, d3) -> Jet:
+    """f(x0 + d) = sum_j f^(j)(x0) d^j / j!, from f^(j)(x0), j <= 3."""
+    d = x.c.copy()
+    d[0] = 0.0
+    out = d * (d3 / 6.0)
+    for dj in (d2 / 2.0, d1):  # Horner; a multiple of d has value part 0
+        out[0] = dj
+        out = _conv(out, d)
+    out[0] = value
+    return Jet(out)
+
+
+def _pow(x: Jet, p) -> Jet:
+    whole = np.isrealobj(p) and p >= 0 and p == math.floor(p)
+    # a whole power p >= 0 has no derivatives past order p
+    return _series(x, x.c[0] ** p, *(
+        0.0 if whole and p < j else
+        math.prod(p - i for i in range(j)) * x.c[0] ** (p - j) for j in (1, 2, 3)))
+
+
+def _arctan2(y, x) -> Jet:
+    # plus the arctan of the (nilpotent) tangent of the angle difference
+    y0, x0 = _value(y), _value(x)
+    out = np.arctan((x0 * y - y0 * x) / (x0 * x + y0 * y))
+    out.c[0] = np.arctan2(y0, x0)
+    return out
+
+
+def _where(cond, a, b) -> Jet:
+    a, b, cond = _parts((a, b, _value(cond)))
+    return Jet(np.where(cond[0], a, b))
+
+
+#: the first three derivatives of each elementary ufunc at x, with value y
+_DERIVATIVES = {
+    np.exp: lambda x, y: (y, y, y),
+    np.log: lambda x, y: (1.0 / x, -1.0 / x**2, 2.0 / x**3),
+    np.log1p: lambda x, y: _DERIVATIVES[np.log](1.0 + x, y),
+    np.sqrt: lambda x, y: (0.5 / y, -0.25 / (x * y), 0.375 / (x * x * y)),
+    np.sin: lambda x, y: (np.cos(x), -y, -np.cos(x)),
+    np.cos: lambda x, y: (-np.sin(x), -y, np.sin(x)),
+    np.sinh: lambda x, y: (np.cosh(x), y, np.cosh(x)),
+    np.cosh: lambda x, y: (np.sinh(x), y, np.sinh(x)),
+    np.tanh: lambda x, y: (1.0 - y * y, -2.0 * y * (1.0 - y * y),
+                           (6.0 * y * y - 2.0) * (1.0 - y * y)),
+    np.arctan: lambda x, y: (lambda u: (u, -2.0 * x * u * u, (6.0 * x * x - 2.0) * u**3))(
+        1.0 / (1.0 + x * x)),
+    np.arctanh: lambda x, y: (lambda u: (u, 2.0 * x * u * u, (6.0 * x * x + 2.0) * u**3))(
+        1.0 / (1.0 - x * x)),
+    np.arcsinh: lambda x, y: (lambda r: (r, -x * r**3, (2.0 * x * x - 1.0) * r**5))(
+        1.0 / np.sqrt(1.0 + x * x)),
+}
+_PREDICATES = {np.isnan, np.isfinite}
+_UFUNCS = {
+    np.add: _add, np.subtract: lambda a, b: _add(a, -b), np.multiply: _mul,
+    np.true_divide: _div, np.arctan2: _arctan2,
+    np.absolute: lambda x: (_where(x.c[0] < 0.0, -x, x)
+                            if np.isrealobj(x.c) else NotImplemented),
+    np.minimum: lambda a, b: _where(_value(a) <= _value(b), a, b),
+}
+_FUNCTIONS = {
+    np.where: _where, np.shape: lambda x: x.shape,
+    np.ones_like: lambda x, dtype=None: np.ones(x.shape, dtype or x.c.dtype),
+    np.atleast_1d: lambda x: x if x.ndim else x[None],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -401,48 +558,19 @@ class OperatorExpr:
                     raise OutOfDomainError(f"unknown generator {g!r} in word")
 
 
-def _div(x: np.ndarray, d: float) -> np.ndarray:
-    """x / d for real d.  Complex x is divided part by part, which rounds
-    as Python's complex division does (numpy multiplies by 1/d)."""
-    if np.iscomplexobj(x):
-        return (np.ascontiguousarray(x).view(float) / d).view(complex)
-    return x / d
-
-
-def _stencil(word: tuple, pts: AmbientPoints, h: float, richardson: bool):
-    """Coordinate arrays (w0, w1, w2) of the word's stencil on the batch.
-
-    Level k flows each point of level k-1 along word[k-1] by +h, -h (and
-    +h/2, -h/2 with Richardson), so the arrays have one axis per generator
-    after the point axis, outermost first.  The empty word is the batch.
-    """
-    w = (pts.w0, pts.w1, pts.w2)
-    if not word:
-        return w
-    if not h > 0.0:
-        raise OutOfDomainError("step h must be positive")
-    h2 = h / 2.0
-    steps = (h, -h, h2, -h2) if richardson else (h, -h)
-    for g in word:
-        c, s = np.array([_trig(g, t) for t in steps]).T
-        w = _flow(g, c, s, *(x[..., None] for x in w))
-    # a coordinate a flow leaves alone keeps length-1 axes
-    return tuple(np.broadcast_arrays(*w))
-
-
-def _reduce(word: tuple, v: np.ndarray, h: float,
-            richardson: bool) -> np.ndarray:
-    """The word's values from its stencil values v (shaped as the stencil),
-    reduced innermost axis first with d(h) = (f(+h) - f(-h))/(2h) and
-    (4 d(h/2) - d(h))/3 at every level."""
-    h2 = h / 2.0
-    for _ in word:
-        d1 = _div(v[..., 0] - v[..., 1], 2.0 * h)
-        if richardson:
-            d2 = _div(v[..., 2] - v[..., 3], 2.0 * h2)
-            d1 = _div(4.0 * d2 - d1, 3.0)
-        v = d1
-    return v
+def _jet_points(q: AmbientPoints, words: list) -> AmbientPoints:
+    """Each word's block of (I + eps_j A_{g_j}) ... (I + eps_1 A_{g_1}) q as
+    jets: component S applies the A_g of the letters in S to q."""
+    m = 1 << max(map(len, words))
+    c = np.zeros((m, 3, len(words), len(q)))
+    for i, word in enumerate(words):
+        c[0, :, i] = q.w0, q.w1, q.w2
+        for j, g in enumerate(word):
+            c[1 << j:2 << j, :, i] = np.array(_GENERATOR_MATRIX[g]) @ c[:1 << j, :, i]
+    pts = object.__new__(AmbientPoints)  # no validation: the values are q
+    for k, name in enumerate(("w0", "w1", "w2")):
+        object.__setattr__(pts, name, Jet(c[:, k].reshape(m, -1)))
+    return pts
 
 
 def _check_finite(v: np.ndarray) -> np.ndarray:
@@ -451,22 +579,16 @@ def _check_finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def apply_operator(expr: OperatorExpr, f: Callable, q, h: float = DEFAULT_STEP,
-                   richardson: bool = True):
-    """Apply an OperatorExpr to f at q numerically.
+def apply_operator(expr: OperatorExpr, f: Callable, q):
+    """Apply an OperatorExpr to f at q, exactly.
 
     q is an AmbientPoints batch (returns one value per point) or an
-    AmbientPoint (applied as a one-point batch; returns a number).  Words
-    are realized by nested central differences along exact flows
-    (right-to-left), each optionally Richardson extrapolated.  The stencils
-    of all distinct words with a nonzero coefficient (and the identity, for
-    a nonzero constant term) are concatenated and f is called once on all
-    of them; f, the coefficients and the guards must be array-safe (see the
-    module docstring).
+    AmbientPoint (returns a number).  f is called once, on the jet points
+    of the distinct words with a nonzero coefficient; a non-finite
+    component of f, value or derivative, raises NonFiniteValueError.
     """
     if not isinstance(q, AmbientPoints):
-        return apply_operator(expr, f, AmbientPoints.stack([q]), h,
-                              richardson)[0].item()
+        return apply_operator(expr, f, AmbientPoints.stack([q]))[0].item()
     n = len(q)
     for guard in expr.guards:
         small = np.atleast_1d(np.abs(guard(q)) < _GUARD_TOL)
@@ -475,26 +597,18 @@ def apply_operator(expr: OperatorExpr, f: Callable, q, h: float = DEFAULT_STEP,
             raise SingularConfigurationError(
                 f"operator {expr.name or '<anon>'} singular at "
                 f"({bad.w0}, {bad.w1}, {bad.w2})")
-
-    terms = []
-    for coeff, word in expr.terms:
-        c = coeff(q) if callable(coeff) else coeff
-        if not np.all(c == 0.0):
-            terms.append((c, tuple(word)))
-    words = [()] if expr.constant_term != 0.0 else []
-    words = list(dict.fromkeys(words + [word for _, word in terms]))
-    values = {}
-    if words:
-        stencils = [_stencil(word, q, h, richardson) for word in words]
-        w0, w1, w2 = (np.concatenate([s[k].ravel() for s in stencils])
-                      for k in range(3))
-        p = AmbientPoints(w0, w1, w2)
-        flat = np.broadcast_to(np.asarray(f(p)), (len(p),))
-        _check_finite(flat)
-        parts = np.split(flat, np.cumsum([s[0].size for s in stencils])[:-1])
-        for word, s, v in zip(words, stencils, parts):
-            values[word] = _reduce(word, v.reshape(s[0].shape), h, richardson)
-
+    terms = [(coeff(q) if callable(coeff) else coeff, tuple(word))
+             for coeff, word in expr.terms]
+    terms = [(c, word) for c, word in terms if not np.all(c == 0.0)]
+    words = list(dict.fromkeys(word for _, word in terms if word)) or [()]
+    p = _jet_points(q, words)
+    with np.errstate(all="ignore"):  # a non-finite component raises below
+        out = f(p)
+    # a plain value (a constant f) has no nilpotent parts
+    c = _check_finite(np.broadcast_to(_parts((p.w0, out))[1], p.w0.c.shape))
+    values = {word: c[(1 << len(word)) - 1, i * n:(i + 1) * n]
+              for i, word in enumerate(words)}
+    values[()] = c[0, :n]
     total = (expr.constant_term * values[()]
              if expr.constant_term != 0.0 else 0.0)
     for c, word in terms:
@@ -502,15 +616,9 @@ def apply_operator(expr: OperatorExpr, f: Callable, q, h: float = DEFAULT_STEP,
     return _check_finite(np.broadcast_to(total, (n,)))
 
 
-def apply_generator(g: str, f: Callable, q, h: float = DEFAULT_STEP,
-                    richardson: bool = True):
-    """Derivative of f along generator g at q (AmbientPoint or AmbientPoints).
-
-    Central difference along the exact flow: O(h^2), or O(h^4) with one
-    Richardson level (default).
-    """
-    return apply_operator(OperatorExpr(terms=((1.0, (g,)),)), f, q, h=h,
-                          richardson=richardson)
+def apply_generator(g: str, f: Callable, q):
+    """Derivative of f along generator g at q (AmbientPoint or AmbientPoints)."""
+    return apply_operator(OperatorExpr(terms=((1.0, (g,)),)), f, q)
 
 
 def laplace_beltrami() -> OperatorExpr:

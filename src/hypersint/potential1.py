@@ -328,19 +328,20 @@ def v1_hyperbolic_parabolic(p: P1Params, b, th):
 # against a row of points: one row per state, equal to its single-state call
 # bit for bit.
 
-def _exp_guarded(logmag, poly, arg):
-    """exp(logmag) * poly(arg), with poly's values used only where the
+def _exp_guarded(logmag, poly, *args):
+    """exp(logmag) * poly(*args), with poly's values used only where the
     prefactor has not underflowed; there |poly| < exp(-logmag), so the
-    recurrence cannot overflow.  poly runs on arg (broadcast against
+    recurrence cannot overflow.  poly runs on args (broadcast against
     logmag) with 0, where every caller's polynomial is finite, in place of
     the dropped entries.  A NaN log-magnitude (an argument outside the
     factor's domain) raises NonFiniteValueError.
     """
-    logmag = np.asarray(logmag, dtype=float)
+    logmag = sf._asarray(logmag)
     if np.isnan(logmag).any():
         raise NonFiniteValueError("log-magnitude is NaN: argument outside the domain")
     keep = logmag >= -700.0
-    return np.where(keep, np.exp(logmag) * poly(np.where(keep, arg, 0.0)), 0.0)[()]
+    args = [np.where(keep, a, 0.0) for a in args]
+    return np.where(keep, np.exp(logmag) * poly(*args), 0.0)[()]
 
 
 def morse_factor(p: P1Params, m, t2, mu=None):
@@ -377,7 +378,7 @@ def pt_factor(p, n, mu, t1):
     if _any(nu <= 0.0):
         n, mu = (np.broadcast_to(v, np.shape(nu))[nu <= 0.0][0] for v in (n, mu))
         raise OutOfWindowError(f"n = {n} outside window for mu = {mu:.6g}")
-    t1a = np.abs(np.asarray(t1, dtype=float))
+    t1a = np.abs(sf._asarray(t1))
     th = np.tanh(t1a)
     logpref = 0.5 * (sf._each(math.log, 2.0 * nu) + sf.lgamma(mu - n) + sf.lgamma(n + 1.0)
                      - sf.lgamma(mu - p.d - n) - sf.lgamma(1.0 + n + p.d))
@@ -393,7 +394,7 @@ def osc_x_factor(p: P1Params, n1, x):
 
     psi ~ |x|^{1/2+d} e^{-beta x^2/sqrt2} L_{n1}^d(sqrt2 beta x^2); even.
     """
-    xa = np.asarray(x, dtype=float)
+    xa = sf._asarray(x)
     u = SQRT2 * p.beta * xa * xa
     logpref = 0.5 * (sf.lgamma(n1 + 1.0) + 0.5 * math.log(SQRT2 * p.beta)
                      - sf.lgamma(n1 + p.d + 1.0))
@@ -407,7 +408,7 @@ def osc_y_factor(p: P1Params, N, n2, y):
     nu = p1_nu(p, N)
     if _any(nu <= 0.0):
         raise NoBoundStateError("y-factor requires sqrt(-2E+1/4) > 0")
-    ya = np.asarray(y, dtype=float)
+    ya = sf._asarray(y)
     u = SQRT2 * p.beta * ya * ya
     logpref = 0.5 * (math.log(2.0) + sf.lgamma(n2 + 1.0)
                      + 0.5 * math.log(SQRT2 * p.beta)
@@ -498,7 +499,7 @@ def p1_wf_equidistant(state: P1State, t1, t2):
 def _equidistant_product(p: P1Params, n, m, t1, t2):
     """``p1_wf_equidistant`` of (n, m), or of columns n, m (a row each)."""
     mu = p1_mu(p, m)
-    return (np.cosh(np.asarray(t1, dtype=float)) ** -0.5
+    return (np.cosh(sf._asarray(t1)) ** -0.5
             * pt_factor(p, n, mu, t1)
             * morse_factor(p, m, t2, mu))
 
@@ -685,7 +686,7 @@ def _parabolic_raw(p: P1Params, roots: BetheRoots, u, th, elliptic: bool):
     and (cosh b, cos th), (|sinh b|, |sin th|), s = -1 on the
     hyperbolic-parabolic one.
     """
-    ua, tha = np.asarray(u, dtype=float), np.asarray(th, dtype=float)
+    ua, tha = sf._asarray(u), sf._asarray(th)
     expo = p.s - p.d - 2.0 * roots.N - 1.5  # = nu + 1/2
     su, cu = np.abs(np.sinh(ua)), np.cosh(ua)
     st, ct = np.abs(np.sin(tha)), np.cos(tha)
@@ -695,13 +696,13 @@ def _parabolic_raw(p: P1Params, roots: BetheRoots, u, th, elliptic: bool):
                   + expo * (np.log(r1) + np.log(r2))
                   - p.c * (r1**2 + s * r2**2))
 
-    def poly(v):
-        out = np.ones_like(v[0])
+    def poly(v1, v2):
+        out = np.ones_like(v1)
         for t in roots.roots:
-            out = out * (v[0] - t) * (v[1] - s * t)
+            out = out * (v1 - t) * (v2 - s * t)
         return out
 
-    return _exp_guarded(logmag, poly, np.array(np.broadcast_arrays(r1**2, r2**2)))
+    return _exp_guarded(logmag, poly, r1**2, r2**2)
 
 
 # volume elements of the parabolic charts (conformal factors)
@@ -771,31 +772,28 @@ def _parabolic_log_norm(state: P1State) -> float:
     return 0.5 * log_total
 
 
-def _parabolic_wf(chart: str, state: P1State, u, th, normalized: bool):
+def _parabolic_wf(chart: str, state: P1State, u, th):
     if not np.all(in_chart_domain(chart, u, th)):
         raise OutOfDomainError(f"{chart} product form needs points inside the chart")
-    out = _parabolic_raw(state.params, state.roots, u, th,
-                         chart == "elliptic-parabolic")
-    if normalized:
-        out = out * math.exp(-_parabolic_log_norm(state))
-    return out
+    out = _parabolic_raw(state.params, state.roots, u, th, chart == "elliptic-parabolic")
+    return out * math.exp(-_parabolic_log_norm(state))
 
 
-def p1_wf_elliptic_parabolic(state: P1State, a, th, normalized: bool = True):
+def p1_wf_elliptic_parabolic(state: P1State, a, th):
     """Product-form wavefunction on the elliptic-parabolic chart.
 
-    Built from the solved zero configuration attached to the state;
-    normalized numerically over the chart volume element by default.
-    Raises OutOfDomainError for points outside the chart
+    Built from the solved zero configuration attached to the state and
+    normalized numerically over the chart volume element.  Raises
+    OutOfDomainError for points outside the chart
     (``geometry.in_chart_domain``).
     """
-    return _parabolic_wf("elliptic-parabolic", state, a, th, normalized)
+    return _parabolic_wf("elliptic-parabolic", state, a, th)
 
 
-def p1_wf_hyperbolic_parabolic(state: P1State, b, th, normalized: bool = True):
+def p1_wf_hyperbolic_parabolic(state: P1State, b, th):
     """The hyperbolic-parabolic product form, as on the elliptic-parabolic
     chart."""
-    return _parabolic_wf("hyperbolic-parabolic", state, b, th, normalized)
+    return _parabolic_wf("hyperbolic-parabolic", state, b, th)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _s2_raw(p: P2Params, m: int, t2: np.ndarray) -> np.ndarray:
     powers = np.exp((a / 2.0 + 0.25) * np.log(zp)
                     + (a.conjugate() / 2.0 + 0.25) * np.log(zm))
     poly = sf.jacobi(m, a, a.conjugate(), -1j * x)
-    return math.exp(log_norm) * powers * np.asarray(poly, dtype=complex)
+    return math.exp(log_norm) * powers * sf._asarray(poly, complex)
 
 
 def s2_complex_factor(p: P2Params, m: int, t2) -> np.ndarray:
@@ -258,7 +258,7 @@ def s2_complex_factor(p: P2Params, m: int, t2) -> np.ndarray:
     (the two branch factors are conjugate, the polynomial has conjugate
     parameters), which tests assert.
     """
-    t2 = np.atleast_1d(np.asarray(t2, dtype=float))
+    t2 = np.atleast_1d(sf._asarray(t2))
     return _s2_raw(p, m, t2) / _s2_phase(p, m)
 
 
@@ -309,7 +309,7 @@ def p2_wf_equidistant(state: P2State, t1, t2) -> np.ndarray:
     n, m = state.numbers
     p = state.params
     mu = p2_mu(p, m)
-    t1 = np.asarray(t1, dtype=float)
+    t1 = sf._asarray(t1)
     return (np.cosh(t1) ** -0.5
             * z_pt_factor(p, n, mu, t1)
             * s2_complex_factor(p, m, t2))

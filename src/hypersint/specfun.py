@@ -65,6 +65,13 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
     return r <= 0 and abs(z.real - r) <= tol
 
 
+def _asarray(x, dtype=float):
+    """np.asarray(x, dtype); a ``geometry.Jet`` (its own ufuncs) as it is."""
+    if hasattr(x, "__array_ufunc__") and not isinstance(x, np.ndarray):
+        return x
+    return np.asarray(x, dtype)
+
+
 def _each(f, x):
     """f of a number or of each element (numpy's exp and log can differ)."""
     if not isinstance(x, np.ndarray):
@@ -163,7 +170,11 @@ def _degrees(name: str, n, *args) -> tuple[np.ndarray, int, tuple, float | None]
         raise OutOfDomainError(f"{name}: n must be whole numbers >= 0")
     top = int(max(degrees, default=0))
     out = 1.0 if min(degrees, default=top) < top else None
-    return n, top, np.broadcast(n, *args).shape, out
+    try:
+        shape = np.broadcast(n, *args).shape
+    except TypeError:  # a geometry.Jet has no array form; np.shape reads it
+        shape = np.broadcast_shapes(*map(np.shape, (n, *args)))
+    return n, top, shape, out
 
 
 def _at_top(out, p, shape) -> np.ndarray:
@@ -201,7 +212,7 @@ def laguerre(n, a, x):
     broadcast.  One forward recurrence runs on the broadcast of a and x up
     to the largest degree, and each element is read at its own degree.
     """
-    x = np.asarray(x, dtype=float)
+    x = _asarray(x)
     n, top, shape, out = _degrees("laguerre", n, a, x)
     p = np.ones_like(x)
     for k in range(top):
@@ -238,7 +249,7 @@ def jacobi(n, a, b, x):
     k <= n (possible for special complex parameters), that element takes
     the terminating-sum form instead.
     """
-    x = np.asarray(x)
+    x = _asarray(x, None)
     n, top, shape, out = _degrees("jacobi", n, a, b, x)
     p, series = np.ones_like(x), None
     if top >= 2:

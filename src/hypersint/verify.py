@@ -153,21 +153,18 @@ def _v2_orthonormality(params, cfg) -> list[dict]:
 
 
 def _v1_eigen(params, cfg) -> list[dict]:
-    h = cfg.diff_step
     pts = eq_points()
     st = p1.P1State(params, "equidistant",
                     p1.level_states_equidistant(params, min(1, _nmax(params)))[0])
     mu = p1.p1_mu(params, st.numbers[1])
     recs = [record("L1-equidistant", alg.eigen_residual(
-        alg.build_operator("L1", params), p1.wf_ambient(st), mu**2, pts, h=h),
-        1e-6)]
+        alg.build_operator("L1", params), p1.wf_ambient(st), mu**2, pts), 1e-6)]
     sth = p1.P1State(params, "horicyclic", st.numbers[::-1])
     n1 = sth.numbers[0]
     lam2 = -(2.0 * SQRT2 * params.beta * (2 * n1 + params.d + 1.0)
              + 2.0 * params.gamma**2)
     recs.append(record("L2-horicyclic", alg.eigen_residual(
-        alg.build_operator("L2", params), p1.wf_ambient(sth), lam2, pts, h=h),
-        1e-6))
+        alg.build_operator("L2", params), p1.wf_ambient(sth), lam2, pts), 1e-6))
     if _nmax(params) < 1:
         return recs
     # operator, chart, roots, separation constant, its name, offset / g^2
@@ -183,7 +180,7 @@ def _v1_eigen(params, cfg) -> list[dict]:
         where = pts if op == "L3" else pts[pts.w2 > 0]  # 5 of 10, any well
         recs.append(record(f"{op}-{chart}", alg.eigen_residual(
             alg.build_operator(op, params), p1.wf_ambient(stp), value + offset,
-            where, h=h), 1e-6,
+            where), 1e-6,
             notes={f"{name}_separation": value,
                    f"{name}_operator": value + offset,
                    "display_offset": offset}))
@@ -199,14 +196,13 @@ def _v1_eigen(params, cfg) -> list[dict]:
 
 def _v2_eigen(params, cfg) -> list[dict]:
     _nmax(params)
-    h = cfg.diff_step
     pts = eq_points()
     wf = p2.wf_ambient(p2.P2State(params, "equidistant", (0, 0)))
     mu0 = p2.p2_mu(params, 0)
     recs = [record("L1-v2-equidistant", alg.eigen_residual(
-        alg.build_operator("L1", params), wf, mu0**2, pts, h=h), 1e-6)]
+        alg.build_operator("L1", params), wf, mu0**2, pts), 1e-6)]
     psi = wf(pts)
-    v = (-geo.apply_operator(alg.build_operator("L12", params), wf, pts, h=h)
+    v = (-geo.apply_operator(alg.build_operator("L12", params), wf, pts)
          + (params.beta**2 - params.alpha**2) * psi)
     recs.append(record("L1-from-L12-relation",
                        np.max(np.abs(v - mu0**2 * psi) / np.abs(psi)), 1e-6))
@@ -221,7 +217,7 @@ def _v2_eigen(params, cfg) -> list[dict]:
     pts_sh = geo.chart_points("semi-hyperbolic", mu_, -nu_, cp)
     recs.append(record("L2-semi-hyperbolic", alg.eigen_residual(
         alg.build_operator("L2", params, chart_params=cp), wfs, lam_true,
-        pts_sh, h=h), 1e-6))
+        pts_sh), 1e-6))
     lam_disp = p2.p2_sh_lambda(params, conf, cp)
     recs.append(record("lambda-display-vs-eigenvalue",
                        abs(lam_disp - lam_true), None, soft=True,
@@ -234,8 +230,7 @@ def _v2_eigen(params, cfg) -> list[dict]:
 def _linear_relations(params, cfg) -> list[dict]:
     fs = (lambda q: q.w2 * np.exp(-q.w0),
           lambda q: q.w0**2 / (1.0 + q.w2**2))
-    residuals = alg.check_linear_relations(params, fs, eq_points(),
-                                           h=cfg.diff_step)
+    residuals = alg.check_linear_relations(params, fs, eq_points())
     return [record(ident, r, 1e-5) for ident, r in residuals.items()]
 
 
@@ -250,8 +245,7 @@ def _quadratic_algebra(params, cfg) -> list[dict]:
     pts = eq_points(seed=13, n=14 + 8 * N)
     basis = [p1.wf_ambient(p1.P1State(params, "equidistant", nm))
              for nm in w.cols]
-    r_proj = alg.project_operator(alg.build_operator("R", params), basis, pts,
-                                  h=alg.R_STEP)
+    r_proj = alg.project_operator(alg.build_operator("R", params), basis, pts)
     scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
     recs.append(record("R-commutator-vs-projected",
                        float(np.max(np.abs(r_proj - rep.r_matrix))) / scale,
@@ -386,7 +380,7 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
     e0 = p2.p2_energy(params, 0)
     batch = eq_points(seed=31, n=6)
     psi = wf(batch)
-    s = sum(geo.apply_operator(o, wf, batch, h=cfg.diff_step) for o in ops)
+    s = sum(geo.apply_operator(o, wf, batch) for o in ops)
     v = 0.5 * s + (-0.5 * ksq + 0.375) * psi
     v_pr = 0.5 * s + (-0.5 * ksq + 0.75) * psi
     worst = np.max(np.abs(v - e0 * psi) / np.abs(psi))

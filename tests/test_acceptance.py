@@ -144,18 +144,11 @@ def test_criterion_07_linear_relations():
     fs = (lambda q: q.w2 * np.exp(-q.w0),
           lambda q: q.w0**2 / (1.0 + q.w2**2))
     pts = eq_points(43, 8)
-    res_h = [max(alg.check_linear_relations(P1FIX, fs, pts, h=h).values())
-             for h in (2e-3, 1e-3)]
-    small = max(res_h) <= 1e-5
-    if max(res_h) <= 1e-12:
-        conv = "at round-off floor for both steps (identically cancelling)"
-        order_ok = True
-    else:
-        order = math.log(res_h[0] / res_h[1]) / math.log(2.0)
-        conv = f"order {order:.2f}"
-        order_ok = order >= 1.9
-    report(7, small and order_ok,
-           f"(L3+L2+L1)f, (L4-L2+L1)f residuals {max(res_h):.2e}; {conv}")
+    res = max(alg.check_linear_relations(P1FIX, fs, pts).values())
+    # the relations cancel at the coefficient level, and the operators are
+    # applied exactly, so the defect is round-off
+    report(7, res <= 1e-12,
+           f"(L3+L2+L1)f, (L4-L2+L1)f residuals {res:.2e}; at round-off floor")
 
 
 def test_criterion_08_quadratic_algebra():
@@ -164,8 +157,7 @@ def test_criterion_08_quadratic_algebra():
     pts = eq_points(47, 30)
     basis = [p1.wf_ambient(p1.P1State(P1FIX, "equidistant", nm))
              for nm in w.cols]
-    r_proj = alg.project_operator(alg.build_operator("R", P1FIX), basis, pts,
-                                  h=alg.R_STEP)
+    r_proj = alg.project_operator(alg.build_operator("R", P1FIX), basis, pts)
     scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
     two_way = float(np.max(np.abs(r_proj - rep.r_matrix))) / scale
     reports = alg.check_quadratic_algebra(rep, P1FIX)
@@ -207,7 +199,7 @@ def test_criterion_09_v2_branch_consistency():
                 return p2.p2_wf_semihyperbolic(st, q)
             for q in pts:
                 psi = wf(q)
-                hpsi = -0.5 * geo.apply_operator(lb, wf, q, h=1e-3) \
+                hpsi = -0.5 * geo.apply_operator(lb, wf, q) \
                     + p2.v2_ambient(P2DEEP, q) * psi
                 worst_pde = max(worst_pde, abs(hpsi - e * psi) / abs(psi))
     ok = worst_e <= 1e-12 and worst_k <= 1e-13 and worst_pde <= 1e-6

@@ -81,7 +81,10 @@ def test_l1_l2_eigen_residuals(p1_fixture):
 def test_l3_l4_eigenvalues_track_separation_constants(p1_fixture):
     # operator eigenvalue = separated-ODE constant -+ 4 gamma^2: the
     # compensating constants keep the linear relations exact while the raw
-    # displays reproduce the separation constants themselves
+    # displays reproduce the separation constants themselves.  Applied
+    # exactly, every residual is round-off, also for the second N = 1
+    # hyperbolic-parabolic configuration, whose sample point 8 lies next to
+    # a nodal line (3.2e-7 with second differences at h = 1e-3)
     p = p1_fixture
     pts = eq_points()
     pts_pos = eq_points(seed=12, w2_positive=True)
@@ -90,34 +93,19 @@ def test_l3_l4_eigenvalues_track_separation_constants(p1_fixture):
         lam = p1.p1_ep_lambda(p, conf)
         r = alg.eigen_residual(alg.build_operator("L3", p), p1.wf_ambient(st),
                                lam + 4 * p.gamma**2, pts)
-        assert r <= 1e-6
+        assert r <= 1e-10
         r = alg.eigen_residual(alg.build_operator("L3_display", p),
                                p1.wf_ambient(st), lam, pts)
-        assert r <= 1e-6
+        assert r <= 1e-10
     for conf in p1.p1_hp_roots(p, 1, form="derived"):
         st = p1.P1State(p, "hyperbolic-parabolic", (1,), roots=conf)
         tau = p1.p1_hp_tau(p, conf)
         r = alg.eigen_residual(alg.build_operator("L4", p), p1.wf_ambient(st),
                                tau - 4 * p.gamma**2, pts_pos)
-        assert r <= 1e-6
+        assert r <= 1e-10
         r = alg.eigen_residual(alg.build_operator("L4_display", p),
                                p1.wf_ambient(st), tau, pts_pos)
-        assert r <= 1e-6
-
-
-def test_eigen_residual_order_in_h(p1_fixture):
-    # without extrapolation the truncation defect scales like h^2
-    p = p1_fixture
-    st = p1.P1State(p, "equidistant", (0, 0))
-    mu2 = p1.p1_mu(p, 0) ** 2
-    pts = eq_points(n=4)
-    op = alg.build_operator("L1", p)
-    r1 = alg.eigen_residual(op, p1.wf_ambient(st), mu2, pts, h=0.04,
-                            richardson=False)
-    r2 = alg.eigen_residual(op, p1.wf_ambient(st), mu2, pts, h=0.02,
-                            richardson=False)
-    order = math.log(r1 / r2) / math.log(2.0)
-    assert order >= 1.9
+        assert r <= 1e-10
 
 
 def test_v2_l1_eigen_residual(p2_fixture):
@@ -156,7 +144,7 @@ def test_v2_ssh17_relation(p2_fixture):
     worst = 0.0
     for q in eq_points(n=6):
         psi = wf(q)
-        v = -geo.apply_operator(l12, wf, q, h=1e-3) \
+        v = -geo.apply_operator(l12, wf, q) \
             + (p.beta**2 - p.alpha**2) * psi
         worst = max(worst, abs(v - mu2 * psi) / abs(psi))
     assert worst <= 1e-6
@@ -173,7 +161,7 @@ def test_v2_hamiltonian_decomposition(p2_fixture):
     worst, printed = 0.0, 0.0
     for q in eq_points(n=6):
         psi = wf(q)
-        s = sum(geo.apply_operator(o, wf, q, h=1e-3) for o in ops)
+        s = sum(geo.apply_operator(o, wf, q) for o in ops)
         worst = max(worst, abs(0.5 * s + (-0.5 * ksq + 0.375) * psi - e0 * psi)
                     / abs(psi))
         printed = max(printed, abs(0.5 * s + (-0.5 * ksq + 0.75) * psi
@@ -201,14 +189,12 @@ def test_linear_relations_on_smooth_functions(p1_fixture):
         assert r <= 1e-5  # the linear-relations suite's bound
 
 
-def test_linear_relations_at_roundoff_floor_for_all_h(p1_fixture):
+def test_linear_relations_at_roundoff_floor(p1_fixture):
     # the relations cancel at the coefficient level, so the defect sits at
-    # the round-off floor for every step size (no h^2 term survives)
+    # the round-off floor
     fs = (lambda q: q.w2 * np.exp(-q.w0),)
-    pts = eq_points(n=4)
-    for h in (2e-3, 1e-3):
-        for r in alg.check_linear_relations(p1_fixture, fs, pts, h=h).values():
-            assert r <= 1e-12
+    for r in alg.check_linear_relations(p1_fixture, fs, eq_points(n=4)).values():
+        assert r <= 1e-12
 
 
 def test_linear_relations_one_call_per_operator_and_function(p1_fixture,
@@ -237,8 +223,7 @@ def test_batched_operator_calls_function_once(p1_fixture):
     def f(q):
         calls[0] += 1
         return q.w0 * q.w2 + q.w1
-    alg.apply_operator(r, f, geo.AmbientPoints.stack(eq_points()),
-                       h=alg.R_STEP)
+    alg.apply_operator(r, f, geo.AmbientPoints.stack(eq_points()))
     assert calls[0] == 1
 
 
@@ -300,7 +285,7 @@ def test_r_two_ways(p1_fixture):
     basis = [p1.wf_ambient(p1.P1State(p1_fixture, "equidistant", nm))
              for nm in w.cols]
     r_proj = alg.project_operator(alg.build_operator("R", p1_fixture),
-                                  basis, pts, h=alg.R_STEP)
+                                  basis, pts)
     scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
     assert np.max(np.abs(r_proj - rep.r_matrix)) / scale <= 1e-5
 
@@ -350,19 +335,17 @@ def _old_equidistant_closure(st):
 
 
 # An n-point batch against n one-point batches: they differ only if the
-# batch path mixes values across points.  The bounds date from a scalar
-# reference, whose values differed from vectorized ones by <= 4.4e-16
-# relative; a word of order k divides that by h^k: about 4e-10 at h = 1e-3
-# (second order) and 6e-8 at h = 2e-3 (third order, R).
+# batch path mixes values across points.  Operators are applied exactly,
+# so nothing amplifies the last-bit differences of vectorized evaluation.
 P1_OPS = ["L1", "L2", "L3", "L4", "L3_display", "L4_display", "N1", "N2",
           "R", "H"]
 P2_OPS = ["L1", "L12", "L13", "L23", "L2", "H"]
 
 
-def _batch_vs_points(op, wf, pts, h):
+def _batch_vs_points(op, wf, pts):
     batch = geo.AmbientPoints.stack(pts)
-    got = geo.apply_operator(op, wf, batch, h=h)
-    ref = np.array([geo.apply_operator(op, wf, q, h=h) for q in pts])
+    got = geo.apply_operator(op, wf, batch)
+    ref = np.array([geo.apply_operator(op, wf, q) for q in pts])
     assert got.shape == (len(pts),)
     scale = max(np.max(np.abs(ref)), np.max(np.abs(wf(batch))))
     return float(np.max(np.abs(got - ref))) / scale
@@ -372,10 +355,8 @@ def _batch_vs_points(op, wf, pts, h):
 def test_batched_p1_operators_match_pointwise(p1_fixture, op_id):
     pts = eq_points(seed=17, n=8)
     wf = p1.wf_ambient(p1.P1State(p1_fixture, "equidistant", (1, 1)))
-    h = alg.R_STEP if op_id == "R" else 1e-3
-    bound = 1e-7 if op_id == "R" else 1e-8
-    assert _batch_vs_points(alg.build_operator(op_id, p1_fixture), wf, pts,
-                            h) <= bound
+    assert _batch_vs_points(alg.build_operator(op_id, p1_fixture), wf,
+                            pts) <= 1e-13
 
 
 @pytest.mark.parametrize("op_id", P2_OPS)
@@ -393,7 +374,7 @@ def test_batched_p2_operators_match_pointwise(p2_fixture, p2_deep, op_id):
         wf = p2.wf_ambient(p2.P2State(p2_fixture, "equidistant", (0, 0)))
         pts = eq_points(seed=17, n=8)
         op = alg.build_operator(op_id, p2_fixture)
-    assert _batch_vs_points(op, wf, pts, 1e-3) <= 1e-8
+    assert _batch_vs_points(op, wf, pts) <= 1e-13
 
 
 def test_p2_wf_ambient_matches_old_closure(p2_fixture):

@@ -289,13 +289,26 @@ def test_verify_unknown_suite_exit_2():
     assert r.returncode == 2
 
 
-def test_verify_hard_failure_exits_nonzero():
-    # a uselessly coarse differentiation step pushes the hard eigen checks
-    # above tolerance; soft records must not be what fails the run
-    code, out = run_main(["verify", "--suite", "eigen", "--diff-step", "0.1"])
+def test_verify_hard_failure_exits_nonzero(monkeypatch):
+    # the eigen suite passes; a separation constant shifted by 1 fails the
+    # hard L3 check, and only it, and the run exits 1
+    code, out = run_main(["verify", "--suite", "eigen"])
+    assert code == 0
+    lam = p1.p1_ep_lambda
+    monkeypatch.setattr(p1, "p1_ep_lambda", lambda p, c: lam(p, c) + 1.0)
+    code, out = run_main(["verify", "--suite", "eigen"])
     assert code == 1
-    recs = json.loads(out)["records"]
-    assert any(not r["pass"] and not r.get("soft") for r in recs)
+    failed = [r["id"] for r in json.loads(out)["records"]
+              if not r["pass"] and not r["soft"]]
+    assert failed == ["L3-elliptic-parabolic"]
+
+
+def test_diff_step_option_is_gone(capsys):
+    # operators are applied exactly: there is no step to set
+    with pytest.raises(SystemExit) as exc:
+        hcli.main(["verify", "--suite", "eigen", "--diff-step", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --diff-step 0.1" in capsys.readouterr().err
 
 
 def test_invalid_parameters_exit_2():
@@ -334,7 +347,8 @@ def test_config_file_values_are_checked_as_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for text, words in (("N=abc\n", "argument --N: invalid int value: 'abc'"),
                         ("format=xml\n", "invalid choice: 'xml'"),
-                        ("alph=1\n", "unknown entry 'alph=1'"),
+                        ("alph=1\n", "unknown entry 'alph'"),
+                        ("diff_step=0.002\n", "unknown entry 'diff_step'"),
                         (None, "No such file or directory")):
         if text is None:
             cfg.unlink()
@@ -364,16 +378,16 @@ def test_parser_built_once_and_keeps_no_parsed_values(tmp_path, monkeypatch):
     ref = tmp_path / "ref.json"
     assert run_main(["spectrum", "--out", str(ref)])[0] == 0
     first = tmp_path / "first.json"
-    assert run_main(["verify", "--suite", "linear-relations", "--diff-step",
-                     "0.002", "--beta", "0.5", "--out", str(first)])[0] == 0
+    assert run_main(["verify", "--suite", "linear-relations", "--bethe-tol",
+                     "1e-9", "--beta", "0.5", "--out", str(first)])[0] == 0
     second = tmp_path / "second.json"
     assert run_main(["spectrum", "--out", str(second)])[0] == 0
     assert hcli.make_parser.cache_info().misses == 1
     assert seen[1]["command"] == "verify"
     assert seen[1]["suite"] == "linear-relations"
-    assert seen[1]["diff_step"] == 0.002 and seen[1]["beta"] == 0.5
+    assert seen[1]["bethe_tol"] == 1e-9 and seen[1]["beta"] == 0.5
     assert {**seen[2], "out": None} == {**seen[0], "out": None}
-    assert seen[2]["diff_step"] is None and seen[2]["beta"] is None
+    assert seen[2]["bethe_tol"] is None and seen[2]["beta"] is None
     assert "suite" not in seen[2]
     assert second.read_bytes() == ref.read_bytes()
 

@@ -228,38 +228,37 @@ def test_apply_generator_examples():
         assert abs(got - q.w1) < 1e-10
 
 
-def test_apply_generator_convergence_order():
-    q = geo.chart_to_ambient(geo.ChartPoint("equidistant", 0.37, -0.61))
-    f = lambda p: p.w0**2
-    exact = 2.0 * q.w0 * geo.apply_generator("K3", lambda p: p.w0, q, h=1e-5)
-    errs = []
-    for h in (0.08, 0.04, 0.02, 0.01):
-        got = geo.apply_generator("K3", f, q, h=h, richardson=False)
-        errs.append(abs(got - exact))
-    orders = [math.log(errs[i] / errs[i + 1]) / math.log(2.0)
-              for i in range(len(errs) - 1)]
-    assert min(orders) >= 1.9
+def test_closed_forms_are_exact():
+    # K3 w0 = w1, LB w0 = 2 w0 (a Casimir eigenfunction), LB 1 = 0
+    _, batch = _batch(20, 4)
+    lb = geo.laplace_beltrami()
+    got = geo.apply_generator("K3", lambda p: p.w0, batch)
+    assert np.all(np.abs(got - batch.w1) <= 1e-13 * np.abs(batch.w1))
+    got = geo.apply_operator(lb, lambda p: p.w0, batch)
+    assert np.all(np.abs(got - 2.0 * batch.w0) <= 1e-13 * 2.0 * batch.w0)
+    got = geo.apply_operator(lb, lambda p: 1.0 + 0.0 * p.w0, batch)
+    assert np.all(np.abs(got) <= 1e-13)
 
 
 def test_commutators_numerically():
+    # [K3, K2] = M1, [K2, M1] = -K3, [K3, M1] = K2, as differences of words
     rng = np.random.default_rng(5)
     f = lambda p: p.w0**2 * np.exp(-p.w0) + p.w1 * p.w2
 
     def comm(g1, g2, q):
-        a = lambda p: geo.apply_generator(g2, f, p)
-        b = lambda p: geo.apply_generator(g1, f, p)
-        return geo.apply_generator(g1, a, q) - geo.apply_generator(g2, b, q)
+        expr = geo.OperatorExpr(terms=((1.0, (g1, g2)), (-1.0, (g2, g1))))
+        return geo.apply_operator(expr, f, q)
 
     for _ in range(5):
         q = geo.chart_to_ambient(geo.ChartPoint(
             "equidistant", rng.uniform(-1, 1), rng.uniform(-1, 1)))
         scale = max(abs(f(q)), 1.0)
         assert abs(comm("K3", "K2", q) - geo.apply_generator("M1", f, q)) \
-            <= 1e-6 * scale
+            <= 1e-13 * scale
         assert abs(comm("K2", "M1", q) + geo.apply_generator("K3", f, q)) \
-            <= 1e-6 * scale
+            <= 1e-13 * scale
         assert abs(comm("K3", "M1", q) - geo.apply_generator("K2", f, q)) \
-            <= 1e-6 * scale
+            <= 1e-13 * scale
 
 
 def test_apply_operator_laplace_beltrami():
@@ -301,24 +300,22 @@ def test_operator_word_length_capped():
 
 
 # ---------------------------------------------------------------------------
-# Batched stencils
+# Batched words
 # ---------------------------------------------------------------------------
 
-def _reference_word(word, f, q, h, richardson=True):
-    """Nested central differences along exact flows, one point at a time:
-    the definition the batched stencils must reproduce bit for bit."""
+def _reference_word(word, f, q, h):
+    """Nested central differences along exact flows with one Richardson
+    level, one point at a time: an independent reference for the words,
+    with truncation error O(h^4)."""
     if not word:
         return f(q)
 
     def central(s):
-        vp = _reference_word(word[1:], f, geo.generator_flow(word[0], s, q),
-                             h, richardson)
-        vm = _reference_word(word[1:], f, geo.generator_flow(word[0], -s, q),
-                             h, richardson)
+        vp = _reference_word(word[1:], f, geo.generator_flow(word[0], s, q), h)
+        vm = _reference_word(word[1:], f, geo.generator_flow(word[0], -s, q), h)
         return (vp - vm) / (2.0 * s)
 
-    d1 = central(h)
-    return (4.0 * central(h / 2.0) - d1) / 3.0 if richardson else d1
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def _batch(n, seed):
@@ -329,12 +326,12 @@ def _batch(n, seed):
     return pts, geo.AmbientPoints.stack(pts)
 
 
-def test_batched_words_reproduce_nested_differences_exactly():
-    # arithmetic only, so the array and scalar evaluations round alike.  The
-    # last operator has several words (one repeated, one with a zero
+def test_batched_words_match_nested_differences():
+    # the last operator has several words (one repeated, one with a zero
     # coefficient), callable coefficients and a constant term; however many
-    # words, a batch calls f once on all their stencils
-    f = lambda p: p.w0 * p.w1 + p.w2 * p.w2 * p.w0
+    # words, a batch calls f once, on one block of jet points per distinct
+    # word.  The reference's own error is estimated by halving its step
+    f = lambda p: p.w0 * p.w1 + p.w2 * p.w2 * p.w0 + np.exp(-p.w0) * p.w2
     coeff = lambda p: p.w0 - 0.5 * p.w2
     words = [("K3",), ("M1", "K2"), ("K2", "K2"), ("K3", "M1", "K2"),
              ("M1", "M1", "K3")]
@@ -345,42 +342,38 @@ def test_batched_words_reproduce_nested_differences_exactly():
     pts, batch = _batch(5, 6)
     for terms, const in operators:
         expr = geo.OperatorExpr(terms=terms, constant_term=const)
-        for richardson in (True, False):
+        refs = []
+        for h in (2e-2, 1e-2):
             ref = []
             for q in pts:
                 total = const * f(q) if const else 0.0
                 for c, word in terms:
                     c = c(q) if callable(c) else c
                     if c != 0.0:
-                        total = total + c * _reference_word(
-                            word, f, q, 1e-3, richardson)
+                        total = total + c * _reference_word(word, f, q, h)
                 ref.append(total)
-            calls = []
+            refs.append(np.array(ref))
+        calls = []
 
-            def counted(p):
-                calls.append(len(p))
-                return f(p)
-            got = geo.apply_operator(expr, counted, batch, h=1e-3,
-                                     richardson=richardson)
-            k = 4 if richardson else 2
-            # one call on the stencils of the words with nonzero coefficients
-            used = {word for c, word in terms if c != 0.0}
-            if const:
-                used.add(())
-            assert calls == [5 * sum(k ** len(word) for word in used)]
-            assert got.shape == (5,)
-            assert list(got) == ref
-            assert [geo.apply_operator(expr, f, q, h=1e-3,
-                                       richardson=richardson)
-                    for q in pts] == ref
+        def counted(p):
+            calls.append(len(p))
+            return f(p)
+        got = geo.apply_operator(expr, counted, batch)
+        used = {word for c, word in terms if c != 0.0 and word}
+        assert calls == [5 * len(used)]
+        assert got.shape == (5,)
+        # O(h^4): the error at h is 1/15 of the difference of the two steps
+        err = np.abs(refs[0] - refs[1]) / 15.0
+        assert np.all(np.abs(got - refs[1]) <= 2.0 * err + 1e-9)
+        single = np.array([geo.apply_operator(expr, f, q) for q in pts])
+        assert np.max(np.abs(single - got)) <= 1e-13 * np.max(np.abs(got))
 
 
 def test_batch_broadcasts_scalar_function_values():
     _, batch = _batch(4, 7)
     got = geo.apply_operator(geo.laplace_beltrami(), lambda p: 1.0, batch)
     assert got.shape == (4,) and np.all(np.abs(got) < 1e-12)
-    got = geo.apply_operator(geo.laplace_beltrami(), lambda p: p.w0, batch,
-                             h=1e-3)
+    got = geo.apply_operator(geo.laplace_beltrami(), lambda p: p.w0, batch)
     assert np.all(np.abs(got - 2.0 * batch.w0) <= 1e-8 * batch.w0)
 
 
@@ -405,6 +398,84 @@ def test_non_finite_values_raise():
     mult = geo.OperatorExpr(terms=((1.0, ()),))
     with pytest.raises(NonFiniteValueError):
         geo.apply_operator(mult, lambda p: np.full(len(p), np.nan), batch)
+    # a finite value with an infinite derivative: sqrt(w2) at w2 = 0
+    q = geo.chart_to_ambient(geo.ChartPoint("equidistant", 0.0, 0.5))
+    assert np.sqrt(q.w2) == 0.0
+    with pytest.raises(NonFiniteValueError):
+        geo.apply_generator("M1", lambda p: np.sqrt(p.w2), q)
+
+
+# ---------------------------------------------------------------------------
+# Jets
+# ---------------------------------------------------------------------------
+
+# case: (numpy expression, mpmath expression, point).  The jet
+# x0 + e1 + e2 + e3 carries the first three derivatives at x0 in its
+# components 1, 3 and 7
+JET_CASES = {
+    "exp": (np.exp, "exp(x)", 0.3),
+    "log": (np.log, "log(x)", 0.7),
+    "log1p": (np.log1p, "log(1 + x)", 0.4),
+    "sqrt": (np.sqrt, "sqrt(x)", 1.3),
+    "sin": (np.sin, "sin(x)", 0.9),
+    "cos": (np.cos, "cos(x)", 0.9),
+    "sinh": (np.sinh, "sinh(x)", 0.8),
+    "cosh": (np.cosh, "cosh(x)", 0.8),
+    "tanh": (np.tanh, "tanh(x)", 0.5),
+    "arctan": (np.arctan, "atan(x)", 0.6),
+    "arctanh": (np.arctanh, "atanh(x)", 0.4),
+    "arcsinh": (np.arcsinh, "asinh(x)", 0.7),
+    "reciprocal": (lambda x: 2.0 / x, "2 / x", 0.6),
+    "power": (lambda x: x**-0.5, "x**-0.5", 1.4),
+    "square": (lambda x: x**2, "x**2", -1.1),
+    "abs": (np.abs, "-x", -0.8),
+    "arctan2-y": (lambda x: np.arctan2(x, -0.7), "atan2(x, -0.7)", 0.3),
+    "arctan2-x": (lambda x: np.arctan2(0.7, x), "atan2(0.7, x)", -0.3),
+    "minimum": (lambda x: np.minimum(x, 300.0) * x, "x * x", 0.8),
+    "where": (lambda x: np.where(x > 0.0, np.exp(x), 0.0), "exp(x)", 0.8),
+    "complex-log": (np.log, "log(x)", 0.4 + 0.9j),
+    "complex-exp": (np.exp, "exp(x)", 0.4 + 0.9j),
+    "complex-ratio": (lambda x: (1.0 + 1j * x) / (x * x - 2j),
+                      "(1 + 1j*x) / (x*x - 2j)", 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JET_CASES))
+def test_jet_carries_exact_derivatives(case):
+    mp = pytest.importorskip("mpmath")
+    f, expr, x0 = JET_CASES[case]
+    c = np.zeros(8, dtype=complex if isinstance(x0, complex) else float)
+    c[[0, 1, 2, 4]] = x0, 1.0, 1.0, 1.0
+    got = f(geo.Jet(c)).c
+    g = lambda x: eval(expr, vars(mp), {"x": x})
+    with mp.workdps(30):
+        for comp, order in ((0, 0), (1, 1), (3, 2), (7, 3)):
+            want = complex(mp.diff(g, mp.mpmathify(x0), order))
+            assert abs(got[comp] - want) <= 1e-13 * max(1.0, abs(want)), comp
+
+
+def test_jet_mixed_partials_of_two_arguments():
+    # arctan2(y0 + e1, x0 + e2 + e3): components 3, 5 and 7 are the mixed
+    # partials d_y d_x, d_y d_x and d_y d_x d_x
+    mp = pytest.importorskip("mpmath")
+    y, x = np.zeros(8), np.zeros(8)
+    y[[0, 1]] = 0.4, 1.0
+    x[[0, 2, 4]] = -0.9, 1.0, 1.0
+    got = np.arctan2(geo.Jet(y), geo.Jet(x)).c
+    with mp.workdps(30):
+        for comp, orders in ((3, (1, 1)), (5, (1, 1)), (7, (1, 2))):
+            want = float(mp.diff(mp.atan2, (0.4, -0.9), orders))
+            assert abs(got[comp] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_jet_refuses_coercion_and_unsupported_functions():
+    x = geo.Jet(np.array([[0.5], [1.0]]))
+    with pytest.raises(TypeError):
+        np.asarray(x, dtype=float)
+    with pytest.raises(TypeError):
+        np.arccos(x)
+    with pytest.raises(TypeError):
+        np.abs(x * 1j)
 
 
 def test_ambient_points_validated_like_ambient_point():

@@ -444,14 +444,14 @@ def test_lambda_symmetric_in_roots(p1_fixture):
 # Wavefunctions against the Schrodinger equation
 # ---------------------------------------------------------------------------
 
-def _h_residual(params, wf, pts, energy, h=1e-3):
+def _h_residual(params, wf, pts, energy):
     lb = geo.laplace_beltrami()
     worst = 0.0
     for q in pts:
         psi = wf(q)
         if abs(psi) < 1e-9:
             continue
-        hpsi = -0.5 * geo.apply_operator(lb, wf, q, h=h) \
+        hpsi = -0.5 * geo.apply_operator(lb, wf, q) \
             + p1.v1_ambient(params, q) * psi
         worst = max(worst, abs(hpsi - energy * psi) / abs(psi))
     return worst

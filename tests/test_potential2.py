@@ -164,7 +164,7 @@ def test_equidistant_satisfies_schrodinger(p2_fixture):
         q = geo.chart_to_ambient(geo.ChartPoint(
             "equidistant", rng.uniform(0.3, 1.2), rng.uniform(-0.8, 0.8)))
         psi = wf(q)
-        hpsi = -0.5 * geo.apply_operator(lb, wf, q, h=1e-3) \
+        hpsi = -0.5 * geo.apply_operator(lb, wf, q) \
             + p2.v2_ambient(p, q) * psi
         assert abs(hpsi - e0 * psi) / abs(psi) <= 1e-6
 
@@ -323,7 +323,7 @@ def test_sh_wavefunction_schrodinger_and_realness(p2_deep):
             for q in pts:
                 psi = wf(q)
                 assert abs(psi.imag) <= 1e-8 * abs(psi.real)
-                hpsi = -0.5 * geo.apply_operator(lb, wf, q, h=1e-3) \
+                hpsi = -0.5 * geo.apply_operator(lb, wf, q) \
                     + p2.v2_ambient(p, q) * psi
                 assert abs(hpsi - e * psi) / abs(psi) <= 1e-6
 

@@ -112,3 +112,30 @@ def test_empty_v2_spectrum_cross_chart_leaves_out_the_bound_state_checks():
     assert [(r["id"], r["tolerance"], r["soft"]) for r in records] \
         == RECORDS["v2", "cross-chart"][:-2]
     assert not failed
+
+
+# the deep wells of the operator checks: each suite, at its own tolerances,
+# has no hard failure (with finite differences, the v1 eigen and
+# quadratic-algebra suites failed on all three v1 wells)
+DEEP_V1 = [(0.3, 0.2, 3.0), (0.865, 0.19, 4.855), (0.56, 0.095, 4.38)]
+DEEP_V2 = [(0.1, 6.0, 1.0), (0.3, 8.0, 2.0), (0.5, 12.0, 3.0)]
+
+
+@pytest.mark.parametrize("suite", ["eigen", "linear-relations",
+                                   "quadratic-algebra"])
+@pytest.mark.parametrize("well", DEEP_V1)
+def test_v1_operator_suites_hold_on_deep_wells(well, suite):
+    alpha, beta, gamma = well
+    records, failed = verify.run(hcli.RunConfig(
+        alpha=alpha, beta=beta, gamma=gamma, suite=suite))
+    assert not failed, [r for r in records if not r["pass"] and not r["soft"]]
+
+
+@pytest.mark.parametrize("suite", ["eigen", "cross-chart"])
+@pytest.mark.parametrize("well", DEEP_V2)
+def test_v2_operator_suites_hold_on_deep_wells(well, suite):
+    alpha, beta, gamma = well
+    records, failed = verify.run(hcli.RunConfig(
+        potential="v2", alpha=alpha, beta=beta, gamma=gamma,
+        chart_params=(0.0, 1.0, 0.0), suite=suite))
+    assert not failed, [r for r in records if not r["pass"] and not r["soft"]]
