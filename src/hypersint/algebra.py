@@ -254,9 +254,9 @@ def _p2_l2_sh(p: P2Params, chart_params: tuple[float, float, float]) -> Operator
 def build_operator(op_id: str, params, chart_params=None) -> OperatorExpr:
     """Construct a symmetry operator as an OperatorExpr.
 
-    For P1Params: L1, L2, L3, L4, L3_display, L4_display, N1, N2, R, H_p1.
+    For P1Params: L1, L2, L3, L4, L3_display, L4_display, N1, N2, R, H.
     For P2Params: L1 (the equidistant operator), L12, L13, L23,
-    L2 (semi-hyperbolic, requires chart_params = (a_c, b_c, e3)), H_p2.
+    L2 (semi-hyperbolic, requires chart_params = (a_c, b_c, e3)), H.
     """
     if isinstance(params, P1Params):
         potential, builders = 1, {
@@ -271,19 +271,16 @@ def build_operator(op_id: str, params, chart_params=None) -> OperatorExpr:
             "H": lambda p: _hamiltonian(lambda q: p1m.v1_ambient(p, q),
                                         (lambda q: q.w2, lambda q: q.w0 - q.w1),
                                         "H_p1")}
-        builders["H_p1"] = builders["H"]
     elif isinstance(params, P2Params):
-        if op_id in ("L2", "L2_sh") and chart_params is None:
+        if op_id == "L2" and chart_params is None:
             raise OutOfDomainError("semi-hyperbolic L2 needs chart_params")
         potential, builders = 2, {
             "L1": _p2_l1, "L12": _p2_l12,
             "L13": lambda p: _p2_l13(p, conj=False),
             "L23": lambda p: _p2_l13(p, conj=True),
             "L2": lambda p: _p2_l2_sh(p, chart_params),
-            "L2_sh": lambda p: _p2_l2_sh(p, chart_params),
             "H": lambda p: _hamiltonian(lambda q: p2m.v2_ambient(p, q),
                                         (lambda q: q.w2,), "H_p2")}
-        builders["H_p2"] = builders["H"]
     else:
         raise OutOfDomainError("params must be P1Params or P2Params")
     if op_id not in builders:
@@ -304,15 +301,15 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
                    points) -> float:
     """max over points of |(op wf - expected wf) / wf|.
 
-    Points where |wf| is below 1e-8 of its largest value over all points
-    are skipped (the relative residual is meaningless near nodes).  The
-    points (a sequence of AmbientPoint, or an AmbientPoints) form one
+    Points where |wf| is 0 or below 1e-8 of its largest value over all
+    points are skipped (the relative residual is meaningless near nodes).
+    The points (a sequence of AmbientPoint, or an AmbientPoints) form one
     batch, and wf must be array-safe: it costs one apply_operator call.
     """
     pts = AmbientPoints.stack(points)
     psi = _on_points(wf, pts)
     mag = np.abs(psi)
-    used = mag >= 1e-8 * np.max(mag)
+    used = (mag > 0) & (mag >= 1e-8 * np.max(mag))
     if not np.any(used):
         raise SingularConfigurationError("all points fell on wavefunction nodes")
     val = apply_operator(op, wf, pts[used])

@@ -130,26 +130,19 @@ def _log_k0(lv: _Level) -> np.ndarray:
     """log of the positive projection constant multiplying the a-integral.
 
     K0 = (m! mu / nu) chat C1 C2 / (C_m n1! n2!) with chat the canonical
-    horicyclic scale and C1, C2, C_m the closed-form 1D normalizations.
+    horicyclic scale and C1, C2, C_m the 1D factors' normalizations.
     """
-    d, nu, lg, n1, n2 = lv.d, lv.nu, sf.lgamma, lv.n1, lv.n2
-    sb = SQRT2 * lv.p.beta
-    log_chat = 0.5 * (math.log(2.0) + math.log(nu) - math.log(sb))
-    log_c1 = 0.5 * (lg(n1 + 1.0) + 0.5 * math.log(sb) - lg(n1 + d + 1.0))
-    log_c2 = 0.5 * (math.log(2.0) + lg(n2 + 1.0) + 0.5 * math.log(sb)
-                    - lg(n2 + nu + 1.0))
-    log_cm = lv.col(lambda n, m, mu: 0.5 * (
-        math.log(2.0 * mu) + lg(m + 1.0) - lg(m + mu + 1.0)))
+    p, nu, lg, n1, n2 = lv.p, lv.nu, sf.lgamma, lv.n1, lv.n2
+    log_chat = 0.5 * (math.log(2.0) + math.log(nu) - math.log(SQRT2 * p.beta))
+    log_cm = lv.col(lambda n, m, mu: p1m._morse_log_norm(m, mu))
     head = lv.col(lambda n, m, mu: (
         lg(m + 1.0) + math.log(mu) - math.log(nu) + log_chat))
-    return (head + log_c1 + log_c2 - log_cm - lg(n1 + 1.0) - lg(n2 + 1.0))
+    return (head + p1m._osc_x_log_norm(p, n1) + p1m._osc_y_log_norm(p, n2, nu)
+            - log_cm - lg(n1 + 1.0) - lg(n2 + 1.0))
 
 
 def _log_an(lv: _Level) -> np.ndarray:
-    d, lg, nu = lv.d, sf.lgamma, lv.nu
-    return lv.col(lambda n, m, mu: 0.5 * (
-        math.log(2.0 * nu) + lg(mu - n) + lg(n + 1.0)
-        - lg(mu - d - n) - lg(1.0 + n + d)))
+    return lv.col(lambda n, m, mu: p1m._pt_log_norm(lv.p, n, mu, lv.nu))
 
 
 def _jacobi_rules(lv: _Level) -> tuple[np.ndarray, np.ndarray]:

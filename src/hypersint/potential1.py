@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -141,13 +141,42 @@ def _check_couplings(p, derived: tuple[str, ...]):
                                f"{', '.join(derived)}")
 
 
+class _EquidistantWell:
+    """The equidistant well both potentials share.  With d and the well
+    strength S (the attribute named by ``_strength``: s for the first
+    potential, M for the second)
+
+        E_N = -(1/2)(2N + 2 + d - S)^2 + 1/8,   mu = S - 2m - 1,
+
+    and both windows are open: the boundary level nu = 0 (E = 1/8) and the
+    boundary state mu = 0 are excluded.  nmax and m_max are computed once
+    per instance (cached_property stores them in the instance dict).
+    """
+
+    @property
+    def _S(self) -> float:
+        return getattr(self, self._strength)
+
+    @cached_property
+    def nmax(self) -> int | None:
+        """Largest bound N, or None if the spectrum is empty."""
+        k = _window_top(self._S - self.d - 2.0)
+        return k if k >= 0 else None
+
+    @cached_property
+    def m_max(self) -> int:
+        """Largest m of the Morse window (mu > 0 enforced)."""
+        return _window_top(self._S - 1.0)
+
+
 @dataclass(frozen=True)
-class P1Params:
+class P1Params(_EquidistantWell):
     """Coupling constants of the first potential (all strictly positive)."""
 
     alpha: float
     beta: float
     gamma: float
+    _strength = "s"
 
     def __post_init__(self):
         _check_couplings(self, ("d", "s"))
@@ -164,28 +193,16 @@ class P1Params:
     def c(self) -> float:
         return self.beta / SQRT2
 
-    @property
-    def nmax(self) -> int | None:
-        """Largest bound N, or None if the spectrum is empty.
 
-        The boundary level nu = 0 (E = 1/8 exactly) is excluded.
-        """
-        k = _window_top(self.s - self.d - 2.0)
-        return k if k >= 0 else None
-
-    @property
-    def m_max(self) -> int:
-        """Largest m of the Morse window (mu > 0 enforced)."""
-        return _window_top(self.s - 1.0)
-
-
-def p1_mu(p: P1Params, m):
-    """Quantized equidistant separation constant mu = s - 2m - 1."""
+def p1_mu(p, m):
+    """Quantized equidistant separation constant mu = S - 2m - 1, of either
+    potential (see ``_EquidistantWell``)."""
     if _any((m < 0) | (m > p.m_max)):
+        S = p._strength
         raise OutOfWindowError(
             f"m = {m} outside Morse window 0..{p.m_max} "
-            f"(mu = s - 2m - 1 must stay positive, s = {p.s:.6g})")
-    return p.s - 2.0 * m - 1.0
+            f"(mu = {S} - 2m - 1 must stay positive, {S} = {p._S:.6g})")
+    return p._S - 2.0 * m - 1.0
 
 
 def p1_n_max(p, mu: float) -> int:
@@ -199,19 +216,19 @@ def p1_nu(p: P1Params, N: int) -> float:
     return p.s - p.d - 2.0 * N - 2.0
 
 
-def _check_level(p: P1Params, N: int):
+def _check_level(p, N: int):
     nmax = p.nmax
     if nmax is None:
-        raise NoBoundStateError(
-            f"no bound states: s - d - 2 = {p.s - p.d - 2.0:.6g} < 0")
+        raise NoBoundStateError(f"no bound states: {p._strength} - d - 2 = "
+                                f"{p._S - p.d - 2.0:.6g} < 0")
     if N < 0 or N > nmax:
         raise NoBoundStateError(f"N = {N} outside the bound window 0..{nmax}")
 
 
-def p1_energy(p: P1Params, N: int) -> float:
-    """E_N = -(1/2)(2N + 2 + d - s)^2 + 1/8."""
+def p1_energy(p, N: int) -> float:
+    """E_N = -(1/2)(2N + 2 + d - S)^2 + 1/8, of either potential."""
     _check_level(p, N)
-    return -0.5 * (2.0 * N + 2.0 + p.d - p.s) ** 2 + 0.125
+    return -0.5 * (2.0 * N + 2.0 + p.d - p._S) ** 2 + 0.125
 
 
 def p1_energy_from_horicyclic(p: P1Params, N: int) -> float:
@@ -237,8 +254,9 @@ def p1_energy_from_elliptic_parabolic(p: P1Params, N: int) -> float:
     return 0.125 - 0.5 * root * root
 
 
-def level_states_equidistant(p: P1Params, N: int) -> list[tuple[int, int]]:
-    """Admissible (n, m) with n + m = N, ordered by m ascending."""
+def level_states_equidistant(p, N: int) -> list[tuple[int, int]]:
+    """Admissible (n, m) with n + m = N, ordered by m ascending, of either
+    potential."""
     _check_level(p, N)
     out = []
     for m in range(0, N + 1):
@@ -257,8 +275,9 @@ def level_states_horicyclic(p: P1Params, N: int) -> list[tuple[int, int]]:
     return [(n1, N - n1) for n1 in range(N + 1)]
 
 
-def p1_spectrum(p: P1Params) -> list[dict]:
-    """All bound levels with their degenerate state labels."""
+def p1_spectrum(p) -> list[dict]:
+    """All bound levels with their degenerate state labels, of either
+    potential."""
     out = []
     nmax = p.nmax
     if nmax is None:
@@ -344,6 +363,31 @@ def _exp_guarded(logmag, poly, *args):
     return np.where(keep, np.exp(logmag) * poly(*args), 0.0)[()]
 
 
+# The log normalization constants of the four factors; interbasis builds its
+# projection constants from them.  nu is an argument where it enters, since
+# the per-state mu - d - 2n - 1 and the level's p1_nu can differ in the last
+# bit.
+
+def _morse_log_norm(m, mu):
+    return 0.5 * (sf._each(math.log, 2.0 * mu) + sf.lgamma(m + 1.0)
+                  - sf.lgamma(m + mu + 1.0))
+
+
+def _pt_log_norm(p, n, mu, nu):
+    return 0.5 * (sf._each(math.log, 2.0 * nu) + sf.lgamma(mu - n) + sf.lgamma(n + 1.0)
+                  - sf.lgamma(mu - p.d - n) - sf.lgamma(1.0 + n + p.d))
+
+
+def _osc_x_log_norm(p, n1):
+    return 0.5 * (sf.lgamma(n1 + 1.0) + 0.5 * math.log(SQRT2 * p.beta)
+                  - sf.lgamma(n1 + p.d + 1.0))
+
+
+def _osc_y_log_norm(p, n2, nu):
+    return 0.5 * (math.log(2.0) + sf.lgamma(n2 + 1.0)
+                  + 0.5 * math.log(SQRT2 * p.beta) - sf.lgamma(n2 + nu + 1.0))
+
+
 def morse_factor(p: P1Params, m, t2, mu=None):
     """Morse-problem factor S_m(t2), unit norm on t2 in (-inf, inf).
 
@@ -356,9 +400,7 @@ def morse_factor(p: P1Params, m, t2, mu=None):
     # log z finite, so the log-magnitude stays a number (not NaN) where
     # the factor, below exp(-sqrt2 beta e^600 / 2), is 0 either way
     z = SQRT2 * p.beta * np.exp(2.0 * np.minimum(t2, 300.0))
-    logpref = 0.5 * (sf._each(math.log, 2.0 * mu) + sf.lgamma(m + 1.0)
-                     - sf.lgamma(m + mu + 1.0))
-    logmag = logpref - z / 2.0 + 0.5 * mu * np.log(z)
+    logmag = _morse_log_norm(m, mu) - z / 2.0 + 0.5 * mu * np.log(z)
     return _exp_guarded(logmag, lambda v: sf.laguerre(m, mu, v), z)
 
 
@@ -380,11 +422,9 @@ def pt_factor(p, n, mu, t1):
         raise OutOfWindowError(f"n = {n} outside window for mu = {mu:.6g}")
     t1a = np.abs(sf._asarray(t1))
     th = np.tanh(t1a)
-    logpref = 0.5 * (sf._each(math.log, 2.0 * nu) + sf.lgamma(mu - n) + sf.lgamma(n + 1.0)
-                     - sf.lgamma(mu - p.d - n) - sf.lgamma(1.0 + n + p.d))
     with np.errstate(divide="ignore"):
         # log cosh t1 = |t1| + log1p(e^{-2|t1|}) - log 2, finite for every t1
-        logmag = (logpref + (0.5 + p.d) * np.log(th)
+        logmag = (_pt_log_norm(p, n, mu, nu) + (0.5 + p.d) * np.log(th)
                   - nu * (t1a + np.log1p(np.exp(-2.0 * t1a)) - math.log(2.0)))
     return (np.exp(logmag) * sf.jacobi(n, p.d, nu, 1.0 - 2.0 * th * th))[()]
 
@@ -396,10 +436,8 @@ def osc_x_factor(p: P1Params, n1, x):
     """
     xa = sf._asarray(x)
     u = SQRT2 * p.beta * xa * xa
-    logpref = 0.5 * (sf.lgamma(n1 + 1.0) + 0.5 * math.log(SQRT2 * p.beta)
-                     - sf.lgamma(n1 + p.d + 1.0))
     with np.errstate(divide="ignore"):
-        logmag = logpref - u / 2.0 + (0.25 + 0.5 * p.d) * np.log(u)
+        logmag = _osc_x_log_norm(p, n1) - u / 2.0 + (0.25 + 0.5 * p.d) * np.log(u)
     return _exp_guarded(logmag, lambda v: sf.laguerre(n1, p.d, v), u)
 
 
@@ -410,11 +448,8 @@ def osc_y_factor(p: P1Params, N, n2, y):
         raise NoBoundStateError("y-factor requires sqrt(-2E+1/4) > 0")
     ya = sf._asarray(y)
     u = SQRT2 * p.beta * ya * ya
-    logpref = 0.5 * (math.log(2.0) + sf.lgamma(n2 + 1.0)
-                     + 0.5 * math.log(SQRT2 * p.beta)
-                     - sf.lgamma(n2 + nu + 1.0))
     with np.errstate(divide="ignore"):
-        logmag = logpref - u / 2.0 + (0.25 + 0.5 * nu) * np.log(u)
+        logmag = _osc_y_log_norm(p, n2, nu) - u / 2.0 + (0.25 + 0.5 * nu) * np.log(u)
     return _exp_guarded(logmag, lambda v: sf.laguerre(n2, nu, v), u)
 
 
@@ -759,9 +794,11 @@ def _parabolic_log_norm(state: P1State) -> float:
         np.log(0.5 * w) - (nu - 1.0) * np.log(x) - d * np.log1p(-x),
         1.0 - x, x, 1.0 if ep else -1.0)
     a = d if ep else nu - 1.0
-    z, w = sf.gauss_rule(*sf.laguerre_recurrence(a, K), math.exp(sf.lgamma(a + 1.0)))
+    # the Laguerre mass Gamma(a+1) stays in log space: it overflows past a = 170
+    z, w = sf.gauss_rule(*sf.laguerre_recurrence(a, K), 1.0)
     y = z / (2.0 * c)
-    la, la_v = log_sums(np.log(0.5 * w / (2.0 * c)) - a * np.log(z) + z,
+    la, la_v = log_sums(np.log(0.5 * w / (2.0 * c)) + sf.lgamma(a + 1.0)
+                        - a * np.log(z) + z,
                         *((y, 1.0 + y) if ep else (1.0 + y, y)), 1.0)
     if ep:
         # theta < 0 half by evenness

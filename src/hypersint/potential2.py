@@ -37,7 +37,6 @@ import numpy as np
 
 from . import specfun as sf
 from .errors import (
-    NoBoundStateError,
     OutOfDomainError,
     OutOfWindowError,
     SingularConfigurationError,
@@ -47,9 +46,13 @@ from .geometry import AmbientPoint, AmbientPoints, chart_coordinates
 from .potential1 import (
     BetheRoots,
     _check_couplings,
+    _check_level,
+    _EquidistantWell,
     _residual,
-    _window_top,
+    p1_energy,
+    p1_mu,
     p1_n_max,
+    p1_spectrum,
     pt_factor,
 )
 
@@ -86,17 +89,19 @@ DEFAULT_SH_PARAMS = (0.0, 1.0, 0.0)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class P2Params:
+class P2Params(_EquidistantWell):
     """Coupling constants of the second potential (all strictly positive).
 
     The derived constants are computed once per instance: cached_property
     stores them in the instance dict (no slots), and equality and hashing
-    use the three fields only.
+    use the three fields only.  The equidistant well (windows, energies,
+    spectrum) is the first potential's, with strength M.
     """
 
     alpha: float
     beta: float
     gamma: float
+    _strength = "M"
 
     def __post_init__(self):
         _check_couplings(self, ("B", "M", "a", "d"))
@@ -133,36 +138,10 @@ class P2Params:
     def k3(self) -> float:
         return self.d
 
-    @cached_property
-    def nmax(self) -> int | None:
-        k = _window_top(self.M - self.d - 2.0)
-        return k if k >= 0 else None
 
-    @cached_property
-    def m_max(self) -> int:
-        # closed bracket of the quantization window: mu = 0 is included
-        return math.floor((self.M - 1.0) / 2.0)
-
-
-def p2_mu(p: P2Params, m: int) -> float:
-    """mu = -2m - 1 + M."""
-    if m < 0 or m > p.m_max:
-        raise OutOfWindowError(f"m = {m} outside window 0..{p.m_max}")
-    return p.M - 2.0 * m - 1.0
-
-
-def _check_level(p: P2Params, N: int):
-    nmax = p.nmax
-    if nmax is None:
-        raise NoBoundStateError("no bound states: M - d - 2 < 0")
-    if N < 0 or N > nmax:
-        raise NoBoundStateError(f"N = {N} outside the bound window 0..{nmax}")
-
-
-def p2_energy(p: P2Params, N: int) -> float:
-    """E_N = -(1/2)(2N + 2 + d - M)^2 + 1/8."""
-    _check_level(p, N)
-    return -0.5 * (2.0 * N + 2.0 + p.d - p.M) ** 2 + 0.125
+p2_mu = p1_mu
+p2_energy = p1_energy
+p2_spectrum = p1_spectrum
 
 
 def p2_energy_semihyperbolic(p: P2Params, N: int) -> float:
@@ -177,22 +156,6 @@ def p2_energy_semihyperbolic(p: P2Params, N: int) -> float:
     if abs(e.imag) > 1e-12 * max(1.0, abs(e.real)):
         raise SolverFailureError("semi-hyperbolic energy came out complex")
     return e.real
-
-
-def p2_spectrum(p: P2Params) -> list[dict]:
-    out = []
-    nmax = p.nmax
-    if nmax is None:
-        return out
-    for N in range(nmax + 1):
-        states = []
-        for m in range(0, min(N, p.m_max) + 1):
-            mu = p2_mu(p, m)
-            if N - m <= p1_n_max(p, mu):
-                states.append({"n": N - m, "m": m, "mu": mu})
-        out.append({"N": N, "E": p2_energy(p, N),
-                    "degeneracy": len(states), "states": states})
-    return out
 
 
 # ---------------------------------------------------------------------------

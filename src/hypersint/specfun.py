@@ -5,8 +5,9 @@ summation order, so results are bit-reproducible for fixed inputs.
 
 Conventions
 -----------
-* ``log_gamma`` returns the principal branch (analytic continuation off the
-  positive real axis, single valued on the plane cut along (-inf, 0]).
+* ``log_gamma`` is the principal branch on the half-plane Re z >= 1/2, where
+  every complex argument of the package lies (potential2's -m - a and -a
+  have Re = M/2 - m > 1/2 inside the open m window); left of it, it raises.
 * All complex powers elsewhere in the package use the principal logarithm.
 * Polynomials are evaluated by forward three-term recurrences, never by
   Gamma-ratio closed forms, to avoid overflow; normalization constants are
@@ -83,62 +84,27 @@ def _each(f, x):
 # Gamma function
 # ---------------------------------------------------------------------------
 
-def _log_gamma_right(z: complex) -> complex:
-    """Lanczos evaluation, valid for Re z >= 0.5."""
-    zm1 = z - 1.0
-    a = _LANCZOS_C[0]
-    for k in range(1, 9):
-        a += _LANCZOS_C[k] / (zm1 + k)
-    t = zm1 + _LANCZOS_G + 0.5
-    return 0.5 * _LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(a)
-
-
-def _log_sin_pi(z: complex) -> complex:
-    """log(sin(pi z)) that does not overflow for large |Im z| and keeps full
-    relative accuracy next to the integers.
-
-    With r = round(Re z) and z = r + x + iy (x formed exactly, |x| <= 1/2),
-    sin(pi z) = (-1)^r sin(pi (x + iy)), and for y >= 0
-
-        sin(pi (x + iy)) = (i/2) e^{-i pi (x + iy)} (1 - e^{2 i pi (x + iy)}),
-
-    where, with e = e^{-2 pi y}, the factor
-
-        1 - e^{2 i pi (x + iy)} = (1 - e) + 2 e sin^2(pi x) - i e sin(2 pi x)
-
-    is formed without cancellation.  The factor (-1)^r enters as the exact
-    branch term -i pi r; conjugation symmetry covers Im z < 0.
-    """
-    if z.imag < 0.0:
-        return _log_sin_pi(z.conjugate()).conjugate()
-    r = round(z.real)
-    x, y = z.real - r, z.imag
-    e = math.exp(-2.0 * math.pi * y)
-    one_minus_w = complex(-math.expm1(-2.0 * math.pi * y)
-                          + 2.0 * e * math.sin(math.pi * x) ** 2,
-                          -e * math.sin(2.0 * math.pi * x))
-    return (-math.log(2.0) + 1j * math.pi / 2.0 - 1j * math.pi * complex(x, y)
-            - 1j * math.pi * r + cmath.log(one_minus_w))
-
-
 def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z).
+    """Principal branch of log Gamma(z) on the half-plane Re z >= 1/2, by the
+    Lanczos sum; every complex argument of the package lies there.
 
-    Raises ParameterPoleError at the poles z = 0, -1, -2, ...
+    Raises ParameterPoleError at the poles z = 0, -1, -2, ... and
+    OutOfDomainError elsewhere left of Re z = 1/2.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteValueError("log_gamma: non-finite argument")
     if _is_nonpositive_integer(z):
         raise ParameterPoleError(f"log_gamma: pole at z = {z}")
-    if z.real >= 0.5:
-        out = _log_gamma_right(z)
-    else:
-        # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).
-        out = math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
-    if z.imag == 0.0 and z.real > 0.0:
-        out = complex(out.real, 0.0)
-    return out
+    if z.real < 0.5:
+        raise OutOfDomainError(f"log_gamma: Re z < 1/2 at z = {z}")
+    zm1 = z - 1.0
+    a = _LANCZOS_C[0]
+    for k in range(1, 9):
+        a += _LANCZOS_C[k] / (zm1 + k)
+    t = zm1 + _LANCZOS_G + 0.5
+    out = 0.5 * _LOG_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(a)
+    return complex(out.real, 0.0) if z.imag == 0.0 else out
 
 
 def _lgamma(v):
@@ -224,65 +190,36 @@ def laguerre(n, a, x):
     return _at_top(out, p, shape)[()]
 
 
-def _jacobi_series(n: int, a: complex, b: complex, x):
-    # Terminating-sum definition; pole-free (Pochhammers appear only in
-    # numerators).  Used where the recurrence denominator degenerates.
-    half = (x - 1.0) / 2.0
-    out = 0.0
-    for k in range(n + 1):
-        coeff = (
-            pochhammer(n + a + b + 1.0, k)
-            * pochhammer(a + k + 1.0, n - k)
-            / (math.factorial(k) * math.factorial(n - k))
-        )
-        out = out + coeff * half**k
-    return out
-
-
 def jacobi(n, a, b, x):
     """Jacobi polynomial P_n^{(a,b)}(x) for complex parameters and argument.
 
     n is a whole number or an array of them (int or float); n, a, b and x
     broadcast.  One forward recurrence runs on the broadcast of a, b and x
     up to the largest degree, and each element is read at its own degree.
-    Where a recurrence denominator 2k(k+a+b)(2k+a+b-2) degenerates at some
-    k <= n (possible for special complex parameters), that element takes
-    the terminating-sum form instead.
+    Raises ParameterPoleError where a step denominator 2k(k+a+b)(2k+a+b-2)
+    vanishes at some k up to the largest degree; it stays away from 0 for
+    both parameter pairs of the package, (d, nu) and (a, conj a).
     """
     x = _asarray(x, None)
     n, top, shape, out = _degrees("jacobi", n, a, b, x)
-    p, series = np.ones_like(x), None
+    p = np.ones_like(x)
     if top >= 2:
         # the coefficients of every step k = 2 .. top on a leading axis,
         # each formed as in the step itself
         k = np.arange(2.0, top + 1).reshape((-1,) + (1,) * max(np.ndim(a), np.ndim(b)))
         s = 2.0 * k + a + b
         den = 2.0 * k * (k + a + b) * (s - 2.0)
+        if np.any(np.abs(den) < 1e-10 * np.maximum(1.0, np.abs(s) ** 3)):
+            raise ParameterPoleError("jacobi: a recurrence denominator vanishes")
         c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
         s1, s2, a2, b2 = s - 1.0, s * (s - 2.0), a * a, b * b
-        bad = np.abs(den) < 1e-10 * np.maximum(1.0, np.abs(s) ** 3)
-        if bad.any():
-            # from its first degenerate step on, a parameter pair's
-            # recurrence yields 0, and its elements of degree n >= that
-            # step take the terminating sum
-            dead = np.logical_or.accumulate(bad, axis=0)
-            den = np.where(dead, np.inf, den)
-            series = n >= np.where(dead[-1], np.argmax(bad, axis=0) + 2, top + 1)
     for k in range(1, top + 1):
         p, p_prev = ((a + 1.0) * p + (a + b + 2.0) * (x - 1.0) / 2.0 if k == 1 else
                      (s1[k - 2] * (s2[k - 2] * x + a2 - b2) * p
                       - c2[k - 2] * p_prev) / den[k - 2]), p
         if out is not None:
             out = np.where(n == k, p, out)
-    out = _at_top(out, p, shape)
-    if series is not None:
-        out = np.array(out, dtype=complex)  # writable, complex as the sum is
-        n, a, b, x = np.broadcast_arrays(n, a, b, x)
-        # x as a one-element array: numpy's power of a complex scalar can
-        # differ from its array power in the last bit
-        for i in map(tuple, np.argwhere(np.broadcast_to(series, shape))):
-            out[i] = _jacobi_series(int(n[i]), a[i].item(), b[i].item(), x[(*i, None)])[0]
-    return out[()]
+    return _at_top(out, p, shape)[()]
 
 
 # ---------------------------------------------------------------------------

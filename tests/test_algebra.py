@@ -8,7 +8,7 @@ from hypersint import geometry as geo
 from hypersint import interbasis as ib
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
-from hypersint.errors import OutOfDomainError
+from hypersint.errors import OutOfDomainError, SingularConfigurationError
 
 SQRT2 = math.sqrt(2.0)
 CP0 = p2.DEFAULT_SH_PARAMS
@@ -76,6 +76,13 @@ def test_l1_l2_eigen_residuals(p1_fixture):
             r = alg.eigen_residual(alg.build_operator("L2", p),
                                    p1.wf_ambient(st), lam, pts)
             assert r <= 1e-6, (N, n1, n2, r)
+
+
+def test_eigen_residual_of_a_zero_wavefunction_raises(p1_fixture):
+    # every point is a node: no relative residual is defined
+    with pytest.raises(SingularConfigurationError, match="wavefunction nodes"):
+        alg.eigen_residual(alg.build_operator("L1", p1_fixture),
+                           lambda q: 0.0 * q.w0, 1.0, eq_points())
 
 
 def test_l3_l4_eigenvalues_track_separation_constants(p1_fixture):

@@ -115,6 +115,15 @@ def test_wavefunction_bethe_failure_exit_3():
     assert "best residual" in r.stderr
 
 
+def test_verify_eigen_on_a_wide_well_exit_2():
+    # s = 229: the parabolic states' values underflow to 0 at every point
+    r = run_cli(["verify", "--suite", "eigen", "--alpha", "0.8021189901441927",
+                 "--beta", "0.055414650975510134", "--gamma", "4.235214784107855"])
+    assert r.returncode == 2
+    assert "all points fell on wavefunction nodes" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_wavefunction_parabolic_zone_selection():
     code, out = run_main(["wavefunction", "--chart", "elliptic-parabolic",
                           "--quantum", "1,1,0", "--form", "derived",

@@ -86,6 +86,7 @@ def _check_windows(p, p2p):
     assert p.nmax == _old_nmax(p.s - p.d - 2.0)
     assert p.m_max == _old_m_max(p.s)
     assert p2p.nmax == _old_nmax(p2p.M - p2p.d - 2.0)
+    assert p2p.m_max == _old_m_max(p2p.M)  # the first potential's open window
     mus = [p.s - 2.0 * m - 1.0 for m in range(max(p.m_max, 0) + 2)]
     mus += [p2p.M - 2.0 * m - 1.0 for m in range(p2p.m_max + 2)]
     for mu in mus:
@@ -114,6 +115,17 @@ def test_windows_match_the_separate_formulas():
         for eps in (0.0, 5e-13, -5e-13, 1e-12, 2e-12, -2e-12):
             top = p1._window_top(2.0 * k + eps)
             assert (top if top >= 0 else None) == _old_nmax(2.0 * k + eps)
+
+
+def test_parabolic_log_norms_finite_on_a_wide_well():
+    # s = 229: the Laguerre mass Gamma(a+1), a = d or nu - 1, overflowed a
+    # float once a passed 170
+    p = p1.P1Params(0.8021189901441927, 0.055414650975510134, 4.235214784107855)
+    assert p.s > 228.0
+    for chart, roots in (("elliptic-parabolic", p1.p1_ep_roots),
+                         ("hyperbolic-parabolic", p1.p1_hp_roots)):
+        st = p1.P1State(p, chart, (1,), roots=roots(p, 1, form="derived")[0])
+        assert math.isfinite(p1._parabolic_log_norm(st))
 
 
 def test_mu_quantization(p1_fixture):
@@ -605,7 +617,7 @@ def _check_parabolic_unit_norm(p, N):
     # out, is 1 (the tanh-sinh norm was off by up to 0.13 on the s = 87.6
     # well)
     nu, d, c = p1.p1_nu(p, N), p.d, p.c
-    lg = lambda t: sf.log_gamma(t).real
+    lg = sf.lgamma
     x, wx = sf.gauss_rule(*sf.jacobi_recurrence(nu - 1.0, d, 100), math.exp(
         lg(nu) + lg(d + 1.0) - lg(nu + d + 1.0)))
     # dth = dx / (2 sqrt(x (1-x))), over the weight

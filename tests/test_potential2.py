@@ -9,6 +9,7 @@ from hypersint import potential2 as p2
 from hypersint import verify
 from hypersint.errors import (
     NoBoundStateError,
+    OutOfWindowError,
     SingularConfigurationError,
     SolverFailureError,
 )
@@ -64,6 +65,34 @@ def test_mu_definition_vs_complex_route(p2_fixture):
     for m in range(p.m_max + 1):
         mu = p2.p2_mu(p, m)
         assert abs(mu - (-2 * m - 1 - (p.a + p.a.conjugate()).real)) <= 1e-12
+
+
+#: M == 5.0 exactly: the closed bracket of the m window admitted mu = 0 at m = 2
+M5 = (0.5, math.sqrt(12.17), 2.0)
+#: every v2 well of the tests, and M5
+V2_WELLS = [(0.1, 3.0, 1.0), (0.1, 6.0, 1.0), (0.3, 8.0, 2.0), (0.5, 12.0, 3.0),
+            (0.1, 3.0, 1.5), M5]
+
+
+def test_the_m_window_is_open():
+    p = p2.P2Params(*M5)
+    assert p.M == 5.0 and p.m_max == 1
+    with pytest.raises(OutOfWindowError):
+        p2.p2_mu(p, 2)
+    with pytest.raises(OutOfWindowError):
+        p2.s2_complex_factor(p, 2, 0.3)
+    spec = p2.p2_spectrum(p)
+    assert [lev["degeneracy"] for lev in spec] == [1, 2]
+
+
+@pytest.mark.parametrize("well", V2_WELLS)
+def test_log_gamma_arguments_lie_right_of_one_half(well):
+    # the complex log-gamma arguments -m - a (s2_complex_factor, m <= m_max)
+    # and -a (verify.s2_gram) have Re = M/2 - m > 1/2: the open window
+    p = p2.P2Params(*well)
+    assert p.m_max >= 0
+    assert all((-m - p.a).real > 0.5 for m in range(p.m_max + 1))
+    assert (-p.a).real > 0.5
 
 
 def test_energy_branch_consistency():

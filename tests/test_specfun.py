@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -20,10 +19,8 @@ LOG_GAMMA_REFS = [
     (complex(0.5, 0), complex(0.572364942924700087, 0.0)),
     (complex(3.7, 0), complex(1.42807232666538813, 0.0)),
     (complex(1, 1), complex(-0.650923199301856339, -0.301640320467533198)),
-    (complex(-2.5, 4.0), complex(-9.76154677268924262, -4.19848108128607563)),
     (complex(10, -30), complex(-13.7397636579971595, -85.4797639725164371)),
     (complex(60, 40), complex(171.953109592128687, 166.113791984099551)),
-    (complex(-4.2, -0.7), complex(-3.78939190634664246, 13.690079891801754)),
 ]
 
 
@@ -39,31 +36,18 @@ def test_log_gamma_frozen_references():
         assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (z, got, ref)
 
 
-def test_log_gamma_reflection_at_1_plus_i():
-    z = 1.0 + 1.0j
-    lhs = cmath.exp(sf.log_gamma(z) + sf.log_gamma(1.0 - z))
-    rhs = math.pi / cmath.sin(math.pi * z)
-    assert abs(lhs - rhs) < 1e-13 * abs(rhs)
-
-
 def test_log_gamma_pole():
     for z in (0.0, -3.0, -7):
         with pytest.raises(ParameterPoleError):
             sf.log_gamma(z)
 
 
-def test_gamma_reflection_strip():
-    # |Gamma(z) Gamma(1-z) sin(pi z)/pi - 1| <= 1e-10 away from poles
-    rng = np.random.default_rng(42)
-    checked = 0
-    while checked < 100:
-        z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if min(abs(z - k) for k in range(-6, 7)) < 0.1:
-            continue
-        val = cmath.exp(sf.log_gamma(z) + sf.log_gamma(1 - z)) \
-            * cmath.sin(math.pi * z) / math.pi
-        assert abs(val - 1.0) <= 1e-10, z
-        checked += 1
+def test_log_gamma_refuses_the_left_half_plane():
+    # Re z < 1/2 off the poles: no argument of the package lies there
+    for z in (0.3 + 1j, 0.49999, -2.5 + 4.0j, -4.2 - 0.7j, -3.5, 1e-8):
+        with pytest.raises(OutOfDomainError, match="Re z < 1/2"):
+            sf.log_gamma(z)
+    assert sf.log_gamma(0.5).imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +68,12 @@ def test_laguerre_orthogonality_quadrature():
     # the 7-node Gauss-Laguerre rule is exact for L_n L_m, n, m <= 6
     for a in (0.0, 0.5, 1.5):
         x, w = sf.gauss_rule(*sf.laguerre_recurrence(a, 7),
-                             math.exp(sf.log_gamma(a + 1.0).real))
+                             math.exp(sf.lgamma(a + 1.0)))
         for n in range(7):
             for m in range(n, 7):
                 v = np.sum(w * sf.laguerre(n, a, x) * sf.laguerre(m, a, x))
                 ref = 0.0 if n != m else \
-                    math.exp(sf.log_gamma(n + a + 1.0).real) / math.factorial(n)
+                    math.exp(sf.lgamma(n + a + 1.0)) / math.factorial(n)
                 assert abs(v - ref) <= 1e-9, (n, m, a)
 
 
@@ -107,7 +91,7 @@ def test_jacobi_low_orders():
 def test_jacobi_orthogonality_quadrature():
     # (1-x)^a (1+x)^b on (-1, 1) is 2^{a+b+1} u^b (1-u)^a on u = (1+x)/2,
     # whose 6-node rule is exact for P_n P_m, n, m <= 5
-    lg = lambda t: sf.log_gamma(t).real
+    lg = sf.lgamma
     for (a, b) in ((0.0, 0.0), (0.5, 1.5), (1.5, -0.3)):
         u, w = sf.gauss_rule(*sf.jacobi_recurrence(b, a, 6), math.exp(
             (a + b + 1) * math.log(2) + lg(a + 1) + lg(b + 1) - lg(a + b + 2)))
@@ -139,7 +123,7 @@ def test_jacobi_complex_conjugation_symmetry():
 
 def _jacobi_reference(n, a, b, x):
     # the scalar-degree recurrence as it stood before one recurrence served
-    # every degree, with its whole-call terminating-sum fallback
+    # every degree
     one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     if n == 0:
         return one
@@ -148,8 +132,6 @@ def _jacobi_reference(n, a, b, x):
     for k in range(2, n + 1):
         s = 2.0 * k + a + b
         den = 2.0 * k * (k + a + b) * (s - 2.0)
-        if abs(complex(den)) < 1e-10 * max(1.0, abs(complex(s)) ** 3):
-            return sf._jacobi_series(n, a, b, x)
         c1 = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
         c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
         p, p_prev = (c1 * p - c2 * p_prev) / den, p
@@ -216,39 +198,21 @@ def test_array_degrees_in_the_interbasis_layout():
         assert np.array_equal(got[69 - n], _jacobi_reference(n, d, nu, x))
 
 
-def test_array_degrees_keep_the_terminating_sum_fallback(monkeypatch):
+def test_jacobi_vanishing_denominator_raises():
     # a + b = -3 makes the denominator 2k (k + a + b)(2k + a + b - 2)
-    # vanish at k = 3: the elements of degree n >= 3 on those parameters
-    # (rows n = 4 and n = 5, not the row n = 3 of other parameters) take
-    # the terminating sum, one call per element
-    series = []
-    orig = sf._jacobi_series
-
-    def counted(*args):
-        series.append(args[0])
-        return orig(*args)
-    monkeypatch.setattr(sf, "_jacobi_series", counted)
-    a = np.array([[0.5 + 0.25j], [1.0 - 0.5j], [0.5 + 0.0j]])
-    b = np.array([[-3.5 - 0.25j], [2.0 + 0.5j], [-3.5 + 0.0j]])
-    ns = np.array([[4], [3], [5]])
+    # vanish at k = 3: a degree n >= 3 on those parameters raises, on an
+    # array and on a number, for complex and real parameters; degrees below
+    # 3 keep the recurrence
+    a = np.array([[0.5 + 0.25j], [1.0 - 0.5j]])
+    b = np.array([[-3.5 - 0.25j], [2.0 + 0.5j]])
     z = np.linspace(-1.0, 1.0, 6) + 0.3j
-    got = sf.jacobi(ns, a, b, z)
-    assert sorted(series) == [4] * 6 + [5] * 6
-    ref = np.array([_jacobi_reference(int(n), complex(ai), complex(bi), z)
-                    for n, ai, bi in zip(ns[:, 0], a[:, 0], b[:, 0])])
-    assert sorted(series[12:]) == [4, 5]
-    assert np.array_equal(got, ref)
-    # a single degree, on a row and on a number
+    for n, aa, bb, x in ((np.array([[4], [3]]), a, b, z),
+                         (3, 0.5 + 0.25j, -3.5 - 0.25j, z[1]),
+                         (5, 0.5, -3.5, z.real)):
+        with pytest.raises(ParameterPoleError, match="denominator vanishes"):
+            sf.jacobi(n, aa, bb, x)
+    low = sf.jacobi(np.array([[2], [1]]), a, b, z)
     a0, b0 = complex(a[0, 0]), complex(b[0, 0])
-    assert np.array_equal(sf.jacobi(4, a0, b0, z), _jacobi_reference(4, a0, b0, z))
-    assert sf.jacobi(4, a0, b0, z[1]) == _jacobi_reference(4, a0, b0, z[1:2])[0]
-    # real parameters take the same (complex) terminating sum
-    assert np.array_equal(sf.jacobi(np.array([[4], [3]]), 0.5, -3.5, z.real),
-                          [_jacobi_reference(n, 0.5, -3.5, z.real) for n in (4, 3)])
-    # lower degrees on the same parameters keep the recurrence
-    series.clear()
-    low = sf.jacobi(np.array([[2], [1], [2]]), a, b, z)
-    assert series == []
     assert np.array_equal(low[0], _jacobi_reference(2, a0, b0, z))
 
 
@@ -537,10 +501,6 @@ def test_hyp3f2_pole_only_below_an_elements_degree():
 # Gauss rules
 # ---------------------------------------------------------------------------
 
-def _lg(t):
-    return sf.log_gamma(t).real
-
-
 def test_integrate_exponential():
     # the 2-node Gauss-Laguerre rule integrates x^j e^{-x}, j <= 3, to j!
     x, w = sf.gauss_rule(*sf.laguerre_recurrence(0.0, 2), 1.0)
@@ -573,10 +533,10 @@ def test_integrate_beta_random_parameters():
         a, b = rng.uniform(-0.99, 6.0, size=2)
         K = int(rng.integers(1, 12))
         x, w = sf.gauss_rule(*sf.jacobi_recurrence(a, b, K), math.exp(
-            _lg(a + 1) + _lg(b + 1) - _lg(a + b + 2)))
+            sf.lgamma(a + 1) + sf.lgamma(b + 1) - sf.lgamma(a + b + 2)))
         assert np.all((x > 0.0) & (x < 1.0) & (w > 0.0))
         for j in range(2 * K):
-            ref = math.exp(_lg(a + 1 + j) + _lg(b + 1) - _lg(a + b + 2 + j))
+            ref = math.exp(sf.lgamma(a + 1 + j) + sf.lgamma(b + 1) - sf.lgamma(a + b + 2 + j))
             assert abs(np.sum(w * x**j) - ref) <= 1e-12 * ref, (a, b, K, j)
 
 

@@ -16,7 +16,11 @@ import pytest
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
 from hypersint import specfun as sf
-from hypersint.errors import NonFiniteValueError, ParameterPoleError
+from hypersint.errors import (
+    NonFiniteValueError,
+    OutOfDomainError,
+    ParameterPoleError,
+)
 
 mp = pytest.importorskip("mpmath")
 
@@ -38,43 +42,38 @@ def _lg_error(z) -> float:
 
 
 def test_log_gamma_positive_real():
-    # relative error (absolute near the zeros at 1 and 2); measured 1.8e-15
+    # relative error (absolute near the zeros at 1 and 2) from x = 1/2, the
+    # edge of its domain, on; measured 2.1e-15
     rng = np.random.default_rng(11)
-    xs = np.concatenate([rng.uniform(1e-3, 2.0, 150), rng.uniform(2.0, 300.0, 150),
+    xs = np.concatenate([rng.uniform(0.5, 2.0, 150), rng.uniform(2.0, 300.0, 150),
                          np.arange(1.0, 31.0) + 0.5, np.arange(1.0, 31.0)])
     assert max(_lg_error(float(x)) for x in xs) <= 7e-15
 
 
-def test_log_gamma_reflected_negative_real():
-    # principal branch: imaginary part -k pi on (-k, -k+1).  Measured
-    # 7.5e-16 at least 0.01 from the poles
-    rng = np.random.default_rng(12)
-    xs = [x for x in -rng.uniform(0.0, 30.0, 300) if abs(x - round(x)) >= 0.01]
-    assert len(xs) > 250
-    assert max(_lg_error(float(x)) for x in xs) <= 3e-15
-
-
 @pytest.mark.parametrize("dist", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
 def test_log_gamma_next_to_the_poles(dist):
-    # x = -k +- dist for k = 0..30: sin(pi x) is formed from the exactly
-    # reduced x - round(x), so the error no longer grows like eps |x| / dist
-    # (forming it from the rounded product pi x gave 6.6e-14 at dist 1e-3
-    # and 6.2e-9 at dist 1e-8).  Measured at most 2.9e-16 at every distance
+    # x = -k +- dist for k = 0..30, left of Re z = 1/2: log_gamma refuses
+    # them, and the package's real log-gamma, lgamma, takes them (scaled as
+    # in _lgamma_error); measured at most 3.4e-16 at every distance
     rng = np.random.default_rng(15)
     xs = [-k + s * dist * rng.uniform(0.5, 1.0)
           for k in range(31) for s in (1.0, -1.0)]
-    assert max(_lg_error(x) for x in xs if x < 0.5) <= 1.2e-15
+    for x in xs:
+        with pytest.raises(OutOfDomainError):
+            sf.log_gamma(x)
+    assert _lgamma_error(xs, sf.lgamma(np.array(xs)).tolist()) <= 1.4e-15
 
 
 def test_log_gamma_complex():
-    # both half-planes (Lanczos and reflection), and the arguments -m - a
-    # of potential2's normalizations; measured 2.7e-15
+    # the right half-plane Re z >= 1/2 of the Lanczos sum, and the arguments
+    # -m - a (m <= m_max) of potential2's normalizations, -a among them;
+    # measured 3.4e-15
     rng = np.random.default_rng(13)
-    zs = [complex(a, b) for a, b in zip(rng.uniform(-25.0, 60.0, 300),
+    zs = [complex(a, b) for a, b in zip(rng.uniform(0.5, 60.0, 300),
                                         rng.uniform(-40.0, 40.0, 300))]
     for pars in ((0.1, 3.0, 1.0), (0.1, 6.0, 1.0)):
-        a = p2.P2Params(*pars).a
-        zs += [-m - a for m in range(9)] + [m + 1.0 + a for m in range(9)]
+        p = p2.P2Params(*pars)
+        zs += [-m - p.a for m in range(p.m_max + 1)]
     assert max(_lg_error(z) for z in zs) <= 1.1e-14
 
 
