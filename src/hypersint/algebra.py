@@ -31,10 +31,11 @@ acquire computable defects.  ``check_quadratic_algebra`` measures both; the
 Evaluation
 ----------
 Operators are applied exactly, with no step, to batches of points
-(``geometry.apply_operator``).  Every function passed to ``eigen_residual``,
+(``geometry.apply_operators``).  Every function passed to ``eigen_residual``,
 ``project_operator`` or ``check_linear_relations``, like every coefficient
 and guard of the operators built here, is array-safe: it takes an
-``AmbientPoints`` batch and returns one value per point or a scalar; the
+``AmbientPoints`` batch and returns one value per point or a scalar (a
+``project_operator`` basis: one row of values per basis function); the
 functions also run on ``geometry.Jet`` points.
 """
 
@@ -48,7 +49,7 @@ import numpy as np
 from . import potential1 as p1m
 from . import potential2 as p2m
 from .errors import OutOfDomainError, SingularConfigurationError
-from .geometry import AmbientPoints, OperatorExpr, apply_operator
+from .geometry import AmbientPoints, OperatorExpr, apply_operator, apply_operators
 from .interbasis import InterbasisMatrix
 from .potential1 import P1Params
 from .potential2 import P2Params
@@ -316,22 +317,19 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
     return float(np.max(np.abs(val - expected * psi[used]) / mag[used]))
 
 
-def project_operator(op: OperatorExpr, basis_fns, points) -> np.ndarray:
-    """Least-squares matrix of op restricted to span(basis_fns).
+def project_operator(op: OperatorExpr, basis, points) -> np.ndarray:
+    """Least-squares matrix of op restricted to the span of a basis.
 
-    Columns: op applied to each basis function, expanded back over the basis
-    by least squares on the sample points.  Needs len(points) comfortably
-    larger than the multiplet dimension.  The basis functions are real and
-    array-safe; each costs one apply_operator call on the whole point batch.
+    basis is one real, array-safe callable with one row per basis function
+    (and one column per point).  Columns: op applied to each basis
+    function, expanded back over the basis by least squares on the sample
+    points.  Needs len(points) comfortably larger than the multiplet
+    dimension.  The whole basis costs one apply_operators call.
     """
     pts = AmbientPoints.stack(points)
-    design = np.column_stack([np.real(_on_points(f, pts)) for f in basis_fns])
-    out = np.zeros((len(basis_fns),) * 2)
-    for j, f in enumerate(basis_fns):
-        y = np.real(apply_operator(op, f, pts))
-        sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-        out[:, j] = sol
-    return out
+    design = np.real(basis(pts)).T
+    y = np.real(apply_operators((op,), basis, pts)[0]).T
+    return np.linalg.lstsq(design, y, rcond=None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +383,14 @@ def check_linear_relations(p: P1Params, testfns, points) -> dict[str, float]:
     Each relation is evaluated on every test function at every point;
     the defect is normalized by the largest single-term magnitude.  The
     points (a sequence of AmbientPoint, or an AmbientPoints) form one
-    batch: each operator is applied to an array-safe test function in one
-    apply_operator call, and L1, L2 serve both relations.
+    batch: L1..L4 are applied to an array-safe test function in one
+    apply_operators call, and L1, L2 serve both relations.
     """
     pts = AmbientPoints.stack(points)
     ops = {k: build_operator(k, p) for k in ("L1", "L2", "L3", "L4")}
     worst = {"linRel3": 0.0, "linRel4": 0.0}
     for f in testfns:
-        v = {k: apply_operator(op, f, pts) for k, op in ops.items()}
+        v = dict(zip(ops, apply_operators(tuple(ops.values()), f, pts)))
         for ident, lhs, sign in (("linRel3", "L3", 1.0),
                                  ("linRel4", "L4", -1.0)):
             va, vb, vc = v[lhs], v["L2"], v["L1"]

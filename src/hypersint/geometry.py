@@ -12,14 +12,15 @@ operator is K3^2 + K2^2 - M1^2.
 
 Operators are applied exactly, with no step: a word (g_1, ..., g_k),
 k <= 3, is the mixed derivative along the flows exp(t A_g), which at
-nilpotent times eps_i (eps_i^2 = 0) are I + eps_i A_g.  ``apply_operator``
-calls the function once, on every word's points moved at those times (as
-``Jet`` points whose value part is the validated batch), and reads each
-word off the top component.  The function must be array-safe (a batch in,
-one value per point or a scalar out) and built from operations a ``Jet``
-supports; coefficients and guards see the plain batch.  Nested application
-is not supported: write it as a longer word.  A single ``AmbientPoint`` is
-applied as a one-point batch.
+nilpotent times eps_i (eps_i^2 = 0) are I + eps_i A_g.  ``apply_operators``
+calls the function once for several operators, on every word's points
+moved at those times (as ``Jet`` points whose value part is the validated
+batch), and reads each word off the top component; ``apply_operator`` is
+its one-operator case.  The function must be array-safe (a batch in, one
+value per point, a row of them per function of a stack, or a scalar out)
+and built from operations a ``Jet`` supports; coefficients and guards see
+the plain batch.  Nested application is not supported: write it as a
+longer word.  A single ``AmbientPoint`` is applied as a one-point batch.
 
 Charts (names used throughout the package and on the CLI):
 
@@ -60,6 +61,7 @@ __all__ = [
     "ambient_to_chart",
     "apply_generator",
     "apply_operator",
+    "apply_operators",
     "chart_coordinates",
     "chart_points",
     "chart_to_ambient",
@@ -358,7 +360,8 @@ def generator_flow(g: str, t: float, q: AmbientPoint) -> AmbientPoint:
 class Jet:
     """sum_S c[S] eps_S over the subsets S of {1..k}, k <= 3, eps_i^2 = 0 (a
     multilinear hyper-dual number; Fike & Alonso, AIAA 2011-886), c[S] on the
-    leading axis of ``c`` (bit i of S marks eps_{i+1}).  An elementary ufunc
+    leading axis of ``c`` (bit i of S marks eps_{i+1}); a product sums its
+    subset pairs (S, T - S) by one 0/1 matrix product.  An elementary ufunc
     acts by its Taylor polynomial of order k, exact as d^(k+1) = 0 for the
     nilpotent part d; comparisons, isnan, isfinite, where and minimum read
     the value part ``c[0]``.  Coercing a jet to an array fails loudly."""
@@ -424,10 +427,10 @@ def _parts(xs) -> list[np.ndarray]:
 
 @functools.cache
 def _subset_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs (S, T - S), S in T, grouped by T, and the groups' starts."""
+    """Pairs (S, T - S), S in T, and the 0/1 matrix that sums them by T."""
     pairs = [(s, t ^ s) for t in range(m) for s in range(m) if s & t == s]
     ia, ib = np.array(pairs).T
-    return ia, ib, np.flatnonzero(np.diff(ia | ib, prepend=-1))
+    return ia, ib, (np.arange(m)[:, None] == ia | ib).astype(float)
 
 
 def _add(a, b) -> Jet:
@@ -443,8 +446,9 @@ def _mul(a, b) -> Jet:
 
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The components of the product of two jets' components a and b."""
-    ia, ib, starts = _subset_pairs(len(a))
-    return np.add.reduceat(a[ia] * b[ib], starts, axis=0)
+    ia, ib, group = _subset_pairs(len(a))
+    pairs = a[ia] * b[ib]
+    return (group @ pairs.reshape(len(ia), -1)).reshape((len(a),) + pairs.shape[1:])
 
 
 def _div(a, b) -> Jet:
@@ -579,41 +583,56 @@ def _check_finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def apply_operator(expr: OperatorExpr, f: Callable, q):
-    """Apply an OperatorExpr to f at q, exactly.
+def apply_operators(exprs, f: Callable, q) -> list:
+    """Apply each OperatorExpr of exprs to f at q, exactly.
 
-    q is an AmbientPoints batch (returns one value per point) or an
-    AmbientPoint (returns a number).  f is called once, on the jet points
-    of the distinct words with a nonzero coefficient; a non-finite
-    component of f, value or derivative, raises NonFiniteValueError.
+    q is an AmbientPoints batch (each result has one value per point, on
+    its last axis) or an AmbientPoint (each result is a number, of an f
+    with one value per point).  f is called once, on the jet points of the distinct words with a nonzero
+    coefficient in any expression, and may return leading axes (one row
+    per function of a stack), which every result keeps.  A guard of any
+    expression refuses the call; a non-finite component of f, value or
+    derivative, raises NonFiniteValueError.
     """
     if not isinstance(q, AmbientPoints):
-        return apply_operator(expr, f, AmbientPoints.stack([q]))[0].item()
+        return [v[..., 0].item() for v in apply_operators(
+            exprs, f, AmbientPoints.stack([q]))]
     n = len(q)
-    for guard in expr.guards:
-        small = np.atleast_1d(np.abs(guard(q)) < _GUARD_TOL)
-        if np.any(small):
-            bad = q.point(int(np.argmax(small)))
-            raise SingularConfigurationError(
-                f"operator {expr.name or '<anon>'} singular at "
-                f"({bad.w0}, {bad.w1}, {bad.w2})")
-    terms = [(coeff(q) if callable(coeff) else coeff, tuple(word))
-             for coeff, word in expr.terms]
-    terms = [(c, word) for c, word in terms if not np.all(c == 0.0)]
-    words = list(dict.fromkeys(word for _, word in terms if word)) or [()]
+    for expr in exprs:
+        for guard in expr.guards:
+            small = np.atleast_1d(np.abs(guard(q)) < _GUARD_TOL)
+            if np.any(small):
+                bad = q.point(int(np.argmax(small)))
+                raise SingularConfigurationError(
+                    f"operator {expr.name or '<anon>'} singular at "
+                    f"({bad.w0}, {bad.w1}, {bad.w2})")
+    terms = []
+    for expr in exprs:
+        ts = [(coeff(q) if callable(coeff) else coeff, tuple(word))
+              for coeff, word in expr.terms]
+        terms.append([(c, word) for c, word in ts if not np.all(c == 0.0)])
+    words = list(dict.fromkeys(word for ts in terms for _, word in ts if word)) or [()]
     p = _jet_points(q, words)
     with np.errstate(all="ignore"):  # a non-finite component raises below
         out = f(p)
     # a plain value (a constant f) has no nilpotent parts
-    c = _check_finite(np.broadcast_to(_parts((p.w0, out))[1], p.w0.c.shape))
-    values = {word: c[(1 << len(word)) - 1, i * n:(i + 1) * n]
+    c = _check_finite(np.broadcast_arrays(*_parts((p.w0, out)))[1])
+    values = {word: c[(1 << len(word)) - 1, ..., i * n:(i + 1) * n]
               for i, word in enumerate(words)}
-    values[()] = c[0, :n]
-    total = (expr.constant_term * values[()]
-             if expr.constant_term != 0.0 else 0.0)
-    for c, word in terms:
-        total = total + c * values[word]
-    return _check_finite(np.broadcast_to(total, (n,)))
+    values[()] = c[0, ..., :n]
+    totals = []
+    for expr, ts in zip(exprs, terms):
+        total = (expr.constant_term * values[()]
+                 if expr.constant_term != 0.0 else 0.0)
+        for coeff, word in ts:
+            total = total + coeff * values[word]
+        totals.append(_check_finite(np.broadcast_to(total, values[()].shape)))
+    return totals
+
+
+def apply_operator(expr: OperatorExpr, f: Callable, q):
+    """``apply_operators`` of the one expression expr."""
+    return apply_operators((expr,), f, q)[0]
 
 
 def apply_generator(g: str, f: Callable, q):

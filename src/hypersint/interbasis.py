@@ -91,8 +91,11 @@ class InterbasisMatrix:
 
 
 def orthogonality_defect(w: InterbasisMatrix) -> float:
-    """max |W^T W - I|."""
-    g = w.entries.T @ w.entries
+    """max |W^T W - I|; inf where W^T W is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = w.entries.T @ w.entries
+    if not np.all(np.isfinite(g)):
+        return math.inf
     return float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 

@@ -243,8 +243,11 @@ def _quadratic_algebra(params, cfg) -> list[dict]:
     anti = float(np.max(np.abs(rep.r_matrix + rep.r_matrix.T)))
     recs = [record("matrix-symmetries", max(sym1, sym2, anti), 1e-10)]
     pts = eq_points(seed=13, n=14 + 8 * N)
-    basis = [p1.wf_ambient(p1.P1State(params, "equidistant", nm))
-             for nm in w.cols]
+    n, m = np.array(w.cols, dtype=float).T[:, :, None]
+
+    def basis(q):  # the level's equidistant states: a row per column (n, m)
+        return p1._equidistant_product(
+            params, n, m, *geo.chart_coordinates(q, "equidistant"))
     r_proj = alg.project_operator(alg.build_operator("R", params), basis, pts)
     scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
     recs.append(record("R-commutator-vs-projected",
@@ -380,7 +383,7 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
     e0 = p2.p2_energy(params, 0)
     batch = eq_points(seed=31, n=6)
     psi = wf(batch)
-    s = sum(geo.apply_operator(o, wf, batch) for o in ops)
+    s = sum(geo.apply_operators(ops, wf, batch))
     v = 0.5 * s + (-0.5 * ksq + 0.375) * psi
     v_pr = 0.5 * s + (-0.5 * ksq + 0.75) * psi
     worst = np.max(np.abs(v - e0 * psi) / np.abs(psi))

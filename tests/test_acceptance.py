@@ -155,8 +155,11 @@ def test_criterion_08_quadratic_algebra():
     w = ib.w_3f2(P1FIX, 2)
     rep = alg.multiplet_matrices(P1FIX, 2, w)
     pts = eq_points(47, 30)
-    basis = [p1.wf_ambient(p1.P1State(P1FIX, "equidistant", nm))
-             for nm in w.cols]
+    n, m = np.array(w.cols, dtype=float).T[:, :, None]
+
+    def basis(q):  # the level's equidistant states: a row per column (n, m)
+        return p1._equidistant_product(
+            P1FIX, n, m, *geo.chart_coordinates(q, "equidistant"))
     r_proj = alg.project_operator(alg.build_operator("R", P1FIX), basis, pts)
     scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
     two_way = float(np.max(np.abs(r_proj - rep.r_matrix))) / scale

@@ -204,21 +204,76 @@ def test_linear_relations_at_roundoff_floor(p1_fixture):
         assert r <= 1e-12
 
 
-def test_linear_relations_one_call_per_operator_and_function(p1_fixture,
-                                                            monkeypatch):
-    # one batched apply_operator call per operator and function, L1 and L2
-    # shared by both relations (4 x 2 = 8)
+def test_linear_relations_one_call_per_function(p1_fixture, monkeypatch):
+    # L1..L4 share one batched apply_operators call per test function, L1
+    # and L2 serving both relations
     calls = []
-    apply = alg.apply_operator
+    apply = alg.apply_operators
 
-    def counted(op, f, q, **kw):
-        calls.append(isinstance(q, geo.AmbientPoints))
-        return apply(op, f, q, **kw)
-    monkeypatch.setattr(alg, "apply_operator", counted)
+    def counted(ops, f, q, **kw):
+        calls.append((len(ops), isinstance(q, geo.AmbientPoints)))
+        return apply(ops, f, q, **kw)
+    monkeypatch.setattr(alg, "apply_operators", counted)
     alg.check_linear_relations(
         p1_fixture, (lambda q: q.w2 * np.exp(-q.w0),
                      lambda q: q.w0**2 / (1.0 + q.w2**2)), eq_points())
-    assert calls == [True] * 8
+    assert calls == [(4, True)] * 2
+
+
+def test_operator_family_equals_one_call_per_operator(p1_fixture):
+    # one call of f for L1..L4 gives each operator's own call bit for bit
+    ops = tuple(alg.build_operator(k, p1_fixture) for k in ("L1", "L2", "L3", "L4"))
+    batch = geo.AmbientPoints.stack(eq_points())
+    calls = []
+
+    def f(q):
+        calls.append(len(q))
+        return q.w2 * np.exp(-q.w0) + q.w0**2 / (1.0 + q.w2**2)
+    got = geo.apply_operators(ops, f, batch)
+    # the union of the words: (K3, K3) and (K2 - M1)^2's four
+    assert calls == [5 * len(batch)]
+    for op, v in zip(ops, got):
+        assert v.shape == (len(batch),)
+        assert np.array_equal(v, geo.apply_operator(op, f, batch))
+    # a single point gives one number per operator
+    single = geo.apply_operators(ops, f, batch.point(3))
+    assert all(isinstance(v, float) for v in single)
+    assert np.allclose(single, [v[3] for v in got], rtol=1e-13, atol=0.0)
+
+
+def _level_basis(p, w):
+    """The level's equidistant states as one stack: a row per column (n, m)."""
+    n, m = np.array(w.cols, dtype=float).T[:, :, None]
+    return lambda q: p1._equidistant_product(
+        p, n, m, *geo.chart_coordinates(q, "equidistant"))
+
+
+def test_stacked_states_equal_per_state_calls(p1_fixture):
+    # one row per state on the jets too: R on the stacked level-2 basis is
+    # R on each state's own wavefunction, bit for bit
+    w = ib.w_3f2(p1_fixture, 2)
+    r = alg.build_operator("R", p1_fixture)
+    batch = geo.AmbientPoints.stack(eq_points())
+    stacked = geo.apply_operator(r, _level_basis(p1_fixture, w), batch)
+    assert stacked.shape == (len(w.cols), len(batch))
+    for row, nm in zip(stacked, w.cols):
+        wf = p1.wf_ambient(p1.P1State(p1_fixture, "equidistant", nm))
+        assert np.array_equal(row, geo.apply_operator(r, wf, batch))
+
+
+def test_project_operator_calls_the_basis_once(p1_fixture):
+    w = ib.w_3f2(p1_fixture, 2)
+    basis = _level_basis(p1_fixture, w)
+    calls = []
+
+    def counted(q):
+        calls.append(type(q.w0).__name__)
+        return basis(q)
+    out = alg.project_operator(alg.build_operator("R", p1_fixture), counted,
+                               eq_points(seed=13, n=30))
+    # one plain call for the design matrix, one on the jets
+    assert calls == ["ndarray", "Jet"]
+    assert out.shape == (3, 3)
 
 
 def test_batched_operator_calls_function_once(p1_fixture):
@@ -289,10 +344,8 @@ def test_r_two_ways(p1_fixture):
     w = ib.w_3f2(p1_fixture, 2)
     rep = alg.multiplet_matrices(p1_fixture, 2, w)
     pts = eq_points(seed=13, n=30)
-    basis = [p1.wf_ambient(p1.P1State(p1_fixture, "equidistant", nm))
-             for nm in w.cols]
     r_proj = alg.project_operator(alg.build_operator("R", p1_fixture),
-                                  basis, pts)
+                                  _level_basis(p1_fixture, w), pts)
     scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
     assert np.max(np.abs(r_proj - rep.r_matrix)) / scale <= 1e-5
 

@@ -124,6 +124,18 @@ def test_verify_eigen_on_a_wide_well_exit_2():
     assert "Traceback" not in r.stderr
 
 
+def test_verify_interbasis_on_a_wide_well_is_quiet():
+    # s = 229: the printed variant's Gram matrix overflows; its defect is
+    # written as null, with an empty stderr
+    r = run_cli(["verify", "--suite", "interbasis", "--alpha", "0.8021189901441927",
+                 "--beta", "0.055414650975510134", "--gamma", "4.235214784107855"])
+    assert r.returncode == 0
+    assert r.stderr == ""
+    printed = [rec for rec in json.loads(r.stdout)["records"]
+               if rec["id"].startswith("printed-variant")]
+    assert len(printed) == 3 and all(rec["residual"] is None for rec in printed)
+
+
 def test_wavefunction_parabolic_zone_selection():
     code, out = run_main(["wavefunction", "--chart", "elliptic-parabolic",
                           "--quantum", "1,1,0", "--form", "derived",

@@ -478,6 +478,69 @@ def test_jet_refuses_coercion_and_unsupported_functions():
         np.abs(x * 1j)
 
 
+def _reduceat_product(a, b):
+    """The jet product by subset sums: np.add.reduceat over the pairs
+    (S, T - S), S in T, grouped by T and added in order."""
+    m = len(a)
+    pairs = [(s, t ^ s) for t in range(m) for s in range(m) if s & t == s]
+    ia, ib = np.array(pairs).T
+    starts = np.flatnonzero(np.diff(ia | ib, prepend=-1))
+    return np.add.reduceat(a[ia] * b[ib], starts, axis=0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_jet_product_matches_subset_sums(m, dtype):
+    # the matrix product only reorders each group's sum of at most 8 exact
+    # terms, so it stays within a few ulps of the terms' absolute sum
+    rng = np.random.default_rng(m)
+
+    def draw(*shape):
+        x = rng.normal(size=(m,) + shape)
+        return x + 1j * rng.normal(size=x.shape) if dtype is complex else x
+    for a, b in ((draw(3, 40), draw(3, 40)), (draw(1, 40), draw(3, 1))):
+        got, want = geo._conv(a, b), _reduceat_product(a, b)
+        assert got.shape == want.shape == (m, 3, 40) and got.dtype == want.dtype
+        scale = _reduceat_product(np.abs(a), np.abs(b))
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * scale)
+
+
+def test_jet_product_keeps_non_finite_components():
+    a, b = np.ones((4, 5)), np.ones((4, 5))
+    a[1, 2] = np.inf
+    with np.errstate(invalid="ignore"):  # the 0/1 matrix forms 0 * inf
+        got = geo._conv(a, b)
+    # component 1 enters the groups T = 1 and T = 3 at point 2
+    assert not np.isfinite(got[1, 2]) and not np.isfinite(got[3, 2])
+    assert np.all(np.isfinite(np.delete(got, 2, axis=1)))
+    # an infinite derivative inside a product still refuses the application
+    _, batch = _batch(4, 13)
+    f = lambda p: p.w0 * np.sqrt(np.abs(p.w2 - batch.w2[2]))
+    with pytest.raises(NonFiniteValueError):
+        geo.apply_operator(geo.laplace_beltrami(), f, batch)
+    geo.apply_operator(geo.laplace_beltrami(), f, batch[np.array([0, 1, 3])])
+
+
+def test_a_guard_of_any_operator_refuses_the_family():
+    guarded = geo.OperatorExpr(terms=((lambda p: 1.0 / p.w2, ("K3",)),),
+                               guards=(lambda p: p.w2,), name="test")
+    pts, _ = _batch(3, 8)
+    batch = geo.AmbientPoints.stack(pts + [geo.AmbientPoint(1.0, 0.0, 0.0)])
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p.w0
+    lb = geo.laplace_beltrami()
+    for family in ((guarded, lb), (lb, guarded)):
+        with pytest.raises(SingularConfigurationError, match="operator test"):
+            geo.apply_operators(family, f, batch)
+    assert calls == []
+    got = geo.apply_operators((lb, guarded), f, batch[:3])
+    assert calls == [3 * 4]  # K3 K3, K2 K2, M1 M1 and K3
+    assert np.array_equal(got[1], geo.apply_operator(guarded, f, batch[:3]))
+
+
 def test_ambient_points_validated_like_ambient_point():
     with pytest.raises(OutOfDomainError):  # off the surface
         geo.AmbientPoints([1.0, 2.0], [0.0, 1.0], [0.0, 1.0])

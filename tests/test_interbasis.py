@@ -139,6 +139,19 @@ def test_printed_chain_internally_consistent_but_not_orthogonal(p1_fixture):
         assert ib.orthogonality_defect(w3) > 0.5
 
 
+def test_orthogonality_defect_of_an_overflowing_matrix_is_inf():
+    # s = 229: the printed prefactors reach 1e215, so W^T W overflows; the
+    # defect is inf (null in the report), with no RuntimeWarning
+    p = p1.P1Params(0.8021189901441927, 0.055414650975510134, 4.235214784107855)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in range(3):
+            w = ib.w_3f2(p, N, variant="printed")
+            assert np.max(np.abs(w.entries)) > 1e200
+            assert ib.orthogonality_defect(w) == math.inf
+            assert ib.orthogonality_defect(ib.w_3f2(p, N)) <= 1e-8
+
+
 def test_printed_n0_value(p1_fixture):
     # hand evaluation of the published closed form at the fixture:
     # (1/2) Gamma(4.5) sqrt(4.5/(Gamma(2.5) Gamma(5.5))) = 1.47902...
