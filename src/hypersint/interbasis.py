@@ -104,8 +104,7 @@ class _Level:
 
     The rows (n1, n2) are held as columns and the columns (n, m, mu) and
     their signs (-1)^n as rows, so an entry is a broadcast sum or product
-    of row and column terms, taken in the scalar formula's order; ``col(f)``
-    forms a column quantity by its scalar formula f.
+    of row and column terms, taken in the scalar formula's order.
     """
 
     def __init__(self, p: P1Params, N: int, variant: str):
@@ -118,15 +117,9 @@ class _Level:
         if variant not in ("canonical", "printed"):
             raise OutOfDomainError(f"unknown variant {variant!r}")
         self.canonical = variant == "canonical"
-        self.mus = [p1m.p1_mu(p, m) for _, m in self.cols]
         self.n1, self.n2 = np.array(self.rows, dtype=float).T[:, :, None]
-        self.n, self.m, self.mu, self.sign = self.col(
-            lambda n, m, mu: (n, m, mu, (-1.0) ** n))[0].T[:, None, :]
-
-    def col(self, f) -> np.ndarray:
-        """f(n, m, mu) of every column, as a row."""
-        return np.array([[f(n, m, mu) for (n, m), mu in zip(self.cols, self.mus)]],
-                        dtype=float)
+        self.n, self.m = np.array(self.cols, dtype=float).T[:, None, :]
+        self.mu, self.sign = p1m.p1_mu(p, self.m), (-1.0) ** self.n
 
 
 def _log_k0(lv: _Level) -> np.ndarray:
@@ -135,17 +128,15 @@ def _log_k0(lv: _Level) -> np.ndarray:
     K0 = (m! mu / nu) chat C1 C2 / (C_m n1! n2!) with chat the canonical
     horicyclic scale and C1, C2, C_m the 1D factors' normalizations.
     """
-    p, nu, lg, n1, n2 = lv.p, lv.nu, sf.lgamma, lv.n1, lv.n2
+    p, nu, lg, n1, n2, m, mu = lv.p, lv.nu, sf.lgamma, lv.n1, lv.n2, lv.m, lv.mu
     log_chat = 0.5 * (math.log(2.0) + math.log(nu) - math.log(SQRT2 * p.beta))
-    log_cm = lv.col(lambda n, m, mu: p1m._morse_log_norm(m, mu))
-    head = lv.col(lambda n, m, mu: (
-        lg(m + 1.0) + math.log(mu) - math.log(nu) + log_chat))
+    head = lg(m + 1.0) + sf._each(math.log, mu) - math.log(nu) + log_chat
     return (head + p1m._osc_x_log_norm(p, n1) + p1m._osc_y_log_norm(p, n2, nu)
-            - log_cm - lg(n1 + 1.0) - lg(n2 + 1.0))
+            - p1m._morse_log_norm(m, mu) - lg(n1 + 1.0) - lg(n2 + 1.0))
 
 
 def _log_an(lv: _Level) -> np.ndarray:
-    return lv.col(lambda n, m, mu: p1m._pt_log_norm(lv.p, n, mu, lv.nu))
+    return p1m._pt_log_norm(lv.p, lv.n, lv.mu, lv.nu)
 
 
 def _jacobi_rules(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
@@ -192,15 +183,14 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
     Raises NonFiniteValueError when an entry is not finite.
     """
     lv = _Level(p, N, variant)
-    d, lg, n1, n2, n, mu = lv.d, sf.lgamma, lv.n1, lv.n2, lv.n, lv.mu
+    d, lg, n1, n2, n, m, mu = lv.d, sf.lgamma, lv.n1, lv.n2, lv.n, lv.m, lv.mu
     val, mass = _a_integrals(lv)
     if lv.canonical:
         logk = _log_k0(lv) + _log_an(lv)
     else:
-        head = lv.col(lambda n, m, mu: (
-            lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * p.beta)
-            + math.log(mu - d - 2.0 * n - 1.0) + lg(mu + m + 1.0)
-            + lg(mu - n)))
+        head = (lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * p.beta)
+                + sf._each(math.log, mu - d - 2.0 * n - 1.0) + lg(mu + m + 1.0)
+                + lg(mu - n))
         logk = 0.5 * (
             head - lg(n1 + 1.0) - lg(n2 + 1.0) - sf._each(math.log, mu)
             - lg(n1 + d + 1.0) - lg(n2 + d + 1.0) - lg(n + d + 1.0)
@@ -214,19 +204,6 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
                       where=val != 0)
     return InterbasisMatrix(N, "quadrature", variant, entries,
                             lv.rows, lv.cols, float(np.max(ratio)))
-
-
-def _signed_pochhammer_log(a: float, n: int) -> tuple[float, float]:
-    """(sign, log|.|) of the rising factorial (a)_n for real a."""
-    sign = 1.0
-    logmag = 0.0
-    for k in range(n):
-        v = a + k
-        if v == 0.0:
-            return 0.0, -math.inf
-        sign *= math.copysign(1.0, v)
-        logmag += math.log(abs(v))
-    return sign, logmag
 
 
 def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
@@ -247,17 +224,20 @@ def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
             else (1.0 - mu - m, 2.0 + n1 + d - mu - m))
     f32, ratio = sf.hyp3f2_unit(n, n + d - mu + 1.0, c, 1.0 - mu, e)
     if lv.canonical:
-        sgn, logp = lv.col(
-            lambda n, m, mu: _signed_pochhammer_log(1.0 - mu, n))[0].T
+        # every factor (1-mu)+k = -((mu-1)-k) of (1-mu)_n is negative inside
+        # the window mu > d + 1 + 2n, so its sign is (-1)^n; its log sums the
+        # rows k < N of log((mu-1)-k) (0 where k >= n) in the product's order
+        k, sgn = np.arange(N, dtype=float)[:, None], lv.sign
+        logp = sum(sf._each(math.log, np.where(k < n, mu - 1.0 - k, 1.0)), 0.0)
         logmag = (_log_k0(lv)
                   + _log_an(lv) + logp - lg(n + 1.0)
                   - math.log(2.0) + lg(1.0 + d + n1)
                   + lg(mu + m - d - n1) - lg(1.0 + mu + m))
     else:
         sgn = lv.sign
-        head = lv.col(lambda n, m, mu: (
-            lg(m + 1.0) + math.log(SQRT2 * p.beta)
-            + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)))
+        head = (lg(m + 1.0) + math.log(SQRT2 * p.beta)
+                + sf._each(math.log, mu - d - 2.0 * n - 1.0)
+                + sf._each(math.log, mu + m))
         logmag = 0.5 * (
             head + lg(n1 + d + 1.0) - lg(n + 1.0) - lg(n1 + 1.0)
             - lg(n2 + 1.0) - sf._each(math.log, mu) - lg(n2 + d + 1.0)
@@ -290,9 +270,9 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
                   + lg(1.0 + d + n1) + lg(mu + m - d - n1 - n)
                   - lg(1.0 + mu + m))
     else:
-        head = lv.col(lambda n, m, mu: (
-            lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * p.beta)
-            + math.log(mu - d - 2.0 * n - 1.0) + math.log(mu + m)))
+        head = (lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * p.beta)
+                + sf._each(math.log, mu - d - 2.0 * n - 1.0)
+                + sf._each(math.log, mu + m))
         logmag = 0.5 * (
             head - lg(n1 + 1.0) - lg(n2 + 1.0) - sf._each(math.log, mu)
             - lg(n + d + 1.0) - lg(mu - n - d)

@@ -641,9 +641,8 @@ def _p1_roots(p: P1Params, N: int, chart: str, form: str,
     _check_level(p, N)
     equations = (p1_ep_equations if chart == "elliptic-parabolic"
                  else p1_hp_equations)
-    hi = max(4.0, (p.s - 2.0 * N) / (2.0 * p.c) * 1.6 + 2.0)
-    zones = (((0.0, 1.0), (1.0, hi)) if chart == "elliptic-parabolic"
-             else ((-1.0, 0.0), (0.0, hi)))
+    zones = (((0.0, 1.0), (1.0, math.inf)) if chart == "elliptic-parabolic"
+             else ((-1.0, 0.0), (0.0, math.inf)))
     # zone-A roots crowd against th = 1 (elliptic) or th = -1 (hyperbolic)
     center = 1.0 if chart == "elliptic-parabolic" else -1.0
     configs = sf._stieltjes_roots(*_p1_family(p, N, chart, form), N, center)
@@ -710,26 +709,31 @@ def p1_hp_tau(p: P1Params, roots: BetheRoots) -> float:
 # Parabolic-chart wavefunctions (product over zeros)
 # ---------------------------------------------------------------------------
 
-def _parabolic_raw(p: P1Params, roots: BetheRoots, u, th, elliptic: bool):
-    """The unnormalized product form on a parabolic chart,
+def _parabolic_wf(chart: str, state: P1State, u, th):
+    """The normalized product form on a parabolic chart,
 
-        (w1 w2)^{1/2+d} (r1 r2)^{nu+1/2} e^{-c (r1^2 + s r2^2)}
+        (w1 w2)^{1/2+d} (r1 r2)^{nu+1/2} e^{-c (r1^2 + s r2^2) - log_norm}
             prod_k (r1^2 - t_k)(r2^2 - s t_k),
 
     with walls (w1, w2) = (|sinh a|, |sin th|), radial factors
     (r1, r2) = (cosh a, cos th) and s = 1 on the elliptic-parabolic chart,
     and (cosh b, cos th), (|sinh b|, |sin th|), s = -1 on the
-    hyperbolic-parabolic one.
+    hyperbolic-parabolic one.  The norm enters the log-magnitude: on wide
+    wells exp(-log_norm) underflows on its own where the values do not.
     """
+    if not np.all(in_chart_domain(chart, u, th)):
+        raise OutOfDomainError(f"{chart} product form needs points inside the chart")
+    p, roots, log_norm = state.params, state.roots, _parabolic_log_norm(state)
     ua, tha = sf._asarray(u), sf._asarray(th)
     expo = p.s - p.d - 2.0 * roots.N - 1.5  # = nu + 1/2
     su, cu = np.abs(np.sinh(ua)), np.cosh(ua)
     st, ct = np.abs(np.sin(tha)), np.cos(tha)
-    w1, w2, r1, r2, s = (su, st, cu, ct, 1.0) if elliptic else (cu, ct, su, st, -1.0)
+    w1, w2, r1, r2, s = ((su, st, cu, ct, 1.0) if chart == "elliptic-parabolic"
+                         else (cu, ct, su, st, -1.0))
     with np.errstate(divide="ignore"):
         logmag = ((0.5 + p.d) * (np.log(w1) + np.log(w2))
                   + expo * (np.log(r1) + np.log(r2))
-                  - p.c * (r1**2 + s * r2**2))
+                  - p.c * (r1**2 + s * r2**2) - log_norm)
 
     def poly(v1, v2):
         out = np.ones_like(v1)
@@ -807,13 +811,6 @@ def _parabolic_log_norm(state: P1State) -> float:
     else:
         log_total = float(np.logaddexp(la + lt_v, la_v + lt))
     return 0.5 * log_total
-
-
-def _parabolic_wf(chart: str, state: P1State, u, th):
-    if not np.all(in_chart_domain(chart, u, th)):
-        raise OutOfDomainError(f"{chart} product form needs points inside the chart")
-    out = _parabolic_raw(state.params, state.roots, u, th, chart == "elliptic-parabolic")
-    return out * math.exp(-_parabolic_log_norm(state))
 
 
 def p1_wf_elliptic_parabolic(state: P1State, a, th):

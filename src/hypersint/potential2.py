@@ -331,8 +331,6 @@ def p2_sh_roots(p: P2Params, N: int, chart_params=DEFAULT_SH_PARAMS,
     zone_counts recording (real roots, complex pairs).
     """
     _check_level(p, N)
-    if N == 0:
-        return [BetheRoots("semi-hyperbolic", "sphere", 0, (), 0.0, (0, 0))]
     found: list[tuple[np.ndarray, float]] = []
     best = math.inf
     for x in sf._stieltjes_roots(*_sh_family(p, chart_params), N):
@@ -343,7 +341,7 @@ def p2_sh_roots(p: P2Params, N: int, chart_params=DEFAULT_SH_PARAMS,
         # conjugate closure (guards realness of the wavefunction)
         key = np.sort_complex(np.round(x, 8))
         conj = np.sort_complex(np.round(x.conjugate(), 8))
-        if np.max(np.abs(key - conj)) > 1e-6:
+        if np.max(np.abs(key - conj), initial=0.0) > 1e-6:
             continue
         found.append((np.sort_complex(x), r))
     if not found:

@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 
@@ -152,23 +151,11 @@ def _at_top(out, p, shape) -> np.ndarray:
     return p if np.shape(p) == shape else np.broadcast_to(p, shape).copy()
 
 
-def _by_degree(name: str, n, *args) -> tuple[list, list, list, tuple]:
-    """n and args broadcast and flattened, in the order of n descending (so
-    the elements with a step k, n > k, form a prefix, live[k] long), with
-    that order and the shape for ``_unsorted``.  The order is applied in
-    Python: numpy's sort and fancy indexing map some 128 KB more code."""
+def _flat(name: str, n, *args) -> tuple[list, int, tuple]:
+    """n and args broadcast and flattened to 1-D (a 0-d complex product
+    rounds as a numpy scalar), the largest degree and the broadcast shape."""
     n, top, shape, _ = _degrees(name, n, *args)
-    flat = [np.broadcast_to(v, shape).ravel().tolist() for v in (n, *args)]
-    order = sorted(range(len(flat[0])), key=flat[0].__getitem__, reverse=True)
-    n, *args = [[v[i] for i in order] for v in flat]
-    live = [bisect.bisect_left(n, -k, key=lambda d: -d) for k in range(top)]
-    return [np.array(v) for v in (n, *args)], live, order, shape
-
-
-def _unsorted(v: np.ndarray, order: list, shape: tuple):
-    """v, in the order of ``_by_degree``, back in its broadcast shape."""
-    at = dict(zip(order, v.tolist()))
-    return np.array([at[i] for i in range(len(at))], v.dtype).reshape(shape)[()]
+    return [np.broadcast_to(v, shape).ravel() for v in (n, *args)], top, shape
 
 
 def laguerre(n, a, x):
@@ -343,12 +330,11 @@ def _taylor_shift(c, t0: float) -> np.ndarray:
 def pochhammer(a, n):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1) as a finite product; a
     and n (whole numbers >= 0) broadcast."""
-    (n, a), live, order, shape = _by_degree("pochhammer", n, a)
+    (n, a), top, shape = _flat("pochhammer", n, a)
     out = np.ones(n.shape, np.result_type(a, float))
-    for k, j in enumerate(live):
-        # not in place: a one-element in-place complex product rounds as a scalar
-        out[:j] = out[:j] * (a[:j] + k)
-    return _unsorted(out, order, shape)
+    for k in range(top):
+        out = np.where(n > k, out * (a + k), out)
+    return out.reshape(shape)[()]
 
 
 def hyp3f2_unit(n, b, c, d, e) -> tuple:
@@ -361,24 +347,27 @@ def hyp3f2_unit(n, b, c, d, e) -> tuple:
     sum stops at its own n + 1 terms.  Raises ParameterPoleError if (d)_k
     or (e)_k vanishes at some k < n of an element.
     """
-    (n, b, c, d, e), live, order, shape = _by_degree("hyp3f2_unit", n, b, c, d, e)
+    (n, b, c, d, e), top, shape = _flat("hyp3f2_unit", n, b, c, d, e)
     dtype = np.result_type(b, c, d, e, float)
     t, total = np.ones(n.shape, dtype), np.ones(n.shape, dtype)
     comp, mass = np.zeros(n.shape, dtype), np.ones(n.shape)
-    for k, j in enumerate(live):
-        den = (d[:j] + k) * (e[:j] + k) * (k + 1.0)
-        if np.any(den == 0):
+    for k in range(top):
+        live = n > k
+        den = (d + k) * (e + k) * (k + 1.0)
+        if np.any(den[live] == 0):
             raise ParameterPoleError(
                 f"hyp3f2_unit: lower parameter hits a pole at k = {k}")
-        t = t[:j] * (k - n[:j]) * (b[:j] + k) * (c[:j] + k) / den
-        y = t - comp[:j]
-        s = total[:j] + y
-        comp[:j] = (s - total[:j]) - y
-        total[:j] = s
-        mass[:j] += np.abs(t)
+        # 0 from step k = n on (0/0 where a pole lies past the degree)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(live, t * (k - n) * (b + k) * (c + k) / den, 0.0)
+        y = t - comp
+        s = total + y
+        comp = np.where(live, (s - total) - y, comp)
+        total = np.where(live, s, total)
+        mass += np.abs(t)
     ratio = np.divide(mass, np.abs(total), out=np.full(n.shape, math.inf),
                       where=total != 0)
-    return _unsorted(total, order, shape), _unsorted(ratio, order, shape)
+    return total.reshape(shape)[()], ratio.reshape(shape)[()]
 
 
 def hahn(n, alpha, beta, x, N) -> tuple:

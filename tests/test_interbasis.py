@@ -431,7 +431,8 @@ def _independent_quadrature_cancellation(p, N):
     lv = ib._Level(p, N, "canonical")
     x, w = ib._jacobi_rules(lv)
     worst = 0.0
-    for (n, m), mu in zip(lv.cols, lv.mus):
+    for n, m in lv.cols:
+        mu = p1.p1_mu(p, m)
         coeffs = [float(mp.binomial(n + p.d, n - k) * mp.binomial(n - mu, k))
                   for k in range(n + 1)]
         for xr, wr in zip(x.tolist(), w.tolist()):

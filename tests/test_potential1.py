@@ -328,6 +328,17 @@ def test_derived_configuration_count_matches_degeneracy(p1_fixture):
                     assert np.max(np.abs(eqs(p, N, th, "derived"))) <= 1e-10
 
 
+@pytest.mark.parametrize("solve", [p1.p1_ep_roots, p1.p1_hp_roots])
+def test_derived_zone_splits_on_a_deep_well(solve):
+    # the outer zone has no upper end, so every root of a derived
+    # configuration is in a zone, and each split (p, N-p) occurs once
+    deep = p1.P1Params(0.3, 0.2, 3.0)
+    for N in (4, 8, 14):
+        confs = solve(deep, N, form="derived")
+        assert all(c.off_zone == 0 for c in confs), N
+        assert [c.zone_counts for c in confs] == [(q, N - q) for q in range(N + 1)]
+
+
 # Frozen reference: the solver before the configurations of a level were
 # polished as one stack (one np.roots call and one Newton loop per
 # configuration).  The production solver must return the same
