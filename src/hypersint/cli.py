@@ -42,10 +42,6 @@ from .errors import HypersintError, SolverFailureError
 
 SQRT2 = math.sqrt(2.0)
 
-CHARTS = {"v1": ("equidistant", "horicyclic", "elliptic-parabolic",
-                  "hyperbolic-parabolic"),
-          "v2": ("equidistant", "semi-hyperbolic")}
-
 
 # ---------------------------------------------------------------------------
 # Deterministic serialization
@@ -148,9 +144,12 @@ class RunConfig:
     out: str | None = None
     suite: str = "orthonormality"
 
+    @property
+    def kind(self):
+        return p1.P1Params if self.potential == "v1" else p2.P2Params
+
     def params(self):
-        kind = p1.P1Params if self.potential == "v1" else p2.P2Params
-        return kind(self.alpha, self.beta, self.gamma)
+        return self.kind(self.alpha, self.beta, self.gamma)
 
     def meta(self) -> dict:
         m = {"potential": self.potential, "alpha": self.alpha,
@@ -205,7 +204,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, value in vals.items():
             if value is not None and key in RunConfig.__dataclass_fields__:
                 setattr(cfg, key, value)
-    if cfg.chart not in CHARTS[cfg.potential]:
+    if cfg.chart not in cfg.kind.charts:
         raise HypersintError(
             f"chart {cfg.chart!r} is not separable for {cfg.potential}")
     return cfg
@@ -241,47 +240,19 @@ def _state_for(cfg: RunConfig):
     values, NaN at points outside the chart (``geo.in_chart_domain``): only
     the points inside are evaluated.
     """
-    params = cfg.params()
+    params, chart, cp = cfg.params(), cfg.chart, cfg.chart_params
     meta: dict = {}
-    if cfg.potential == "v1":
-        if cfg.chart == "equidistant":
-            st = p1.P1State(params, "equidistant", tuple(cfg.quantum))
-            fn = lambda u, v: p1.p1_wf_equidistant(st, u, v)
-            meta["normalization"] = "unit on t1>0, measure cosh(t1) dt1 dt2"
-        elif cfg.chart == "horicyclic":
-            st = p1.P1State(params, "horicyclic", tuple(cfg.quantum))
-            fn = lambda u, v: p1.p1_wf_horicyclic(st, u, v)
-            meta["normalization"] = "unit on x>0, measure dx dy/y^2"
-        else:
-            want = tuple(cfg.quantum)
-            if len(want) != 3:
-                raise HypersintError(
-                    "parabolic charts need --quantum N,zoneA,zoneB")
-            N, za, zb = want
-            confs = (p1.p1_ep_roots(params, N, form=cfg.form, tol=cfg.bethe_tol)
-                     if cfg.chart == "elliptic-parabolic"
-                     else p1.p1_hp_roots(params, N, form=cfg.form,
-                                         tol=cfg.bethe_tol))
-            match = [c for c in confs if c.zone_counts == (za, zb)]
-            if not match:
-                raise SolverFailureError(
-                    f"no configuration with zone counts ({za}, {zb}); "
-                    f"found {[c.zone_counts for c in confs]}",
-                    best_residual=min(c.residual for c in confs))
-            st = p1.P1State(params, cfg.chart, (N,), roots=match[0])
-            fn = (lambda u, v: p1.p1_wf_elliptic_parabolic(st, u, v)) \
-                if cfg.chart == "elliptic-parabolic" else \
-                (lambda u, v: p1.p1_wf_hyperbolic_parabolic(st, u, v))
-            meta["roots"] = [float(r) for r in match[0].roots]
-            meta["root_residual"] = match[0].residual
-            meta["form"] = cfg.form
-            meta["log_norm"] = p1._parabolic_log_norm(st)
-    elif cfg.chart == "equidistant":
-        st = p2.P2State(params, "equidistant", tuple(cfg.quantum))
-        fn = lambda u, v: np.real(p2.p2_wf_equidistant(st, u, v))
-        meta["normalization"] = "unit on t1>0; global phase removed"
-    else:
-        cp = cfg.chart_params
+    if chart in ("equidistant", "horicyclic"):
+        st = p1.P1State(params, chart, tuple(cfg.quantum))
+        wf, meta["normalization"] = {
+            ("v1", "equidistant"): (p1.p1_wf_equidistant,
+                                    "unit on t1>0, measure cosh(t1) dt1 dt2"),
+            ("v1", "horicyclic"): (p1.p1_wf_horicyclic,
+                                   "unit on x>0, measure dx dy/y^2"),
+            ("v2", "equidistant"): (p2.p2_wf_equidistant,
+                                    "unit on t1>0; global phase removed"),
+        }[cfg.potential, chart]
+    elif chart == "semi-hyperbolic":
         if cp is None:
             raise HypersintError("semi-hyperbolic chart requires --chart-params")
         N, idx = (cfg.quantum + (0,))[:2]
@@ -289,24 +260,41 @@ def _state_for(cfg: RunConfig):
         if idx >= len(confs):
             raise HypersintError(
                 f"configuration index {idx} out of range ({len(confs)} found)")
-        st = p2.P2State(params, "semi-hyperbolic", (N,), roots=confs[idx],
-                        chart_params=cp)
+        st = p2.P2State(params, chart, (N,), roots=confs[idx], chart_params=cp)
         meta["roots"] = [[z.real, z.imag] for z in confs[idx].roots]
         meta["root_residual"] = confs[idx].residual
         meta["normalization"] = "unnormalized product form; global phase removed"
 
-        def fn(u, v):
-            out = np.full(u.shape, math.nan)
+        def wf(st, u, v):  # NaN off the sheet and on the wall w2 = 0
+            out = np.full(u.shape, complex(math.nan))
             w = geo.semi_hyperbolic_to_ambient(u, v, cp)
             ok = geo.on_sheet(*w) & (w[2] != 0.0)
-            q = geo.AmbientPoints(*(c[ok] for c in w))
-            out[ok] = p2.p2_wf_semihyperbolic(st, q).real
+            out[ok] = p2.p2_wf_semihyperbolic(
+                st, geo.AmbientPoints(*(c[ok] for c in w)))
             return out
+    else:
+        if len(cfg.quantum) != 3:
+            raise HypersintError("parabolic charts need --quantum N,zoneA,zoneB")
+        N, za, zb = cfg.quantum
+        confs = p1._p1_roots(params, N, chart, cfg.form, cfg.bethe_tol)[0]
+        match = [c for c in confs if c.zone_counts == (za, zb)]
+        if not match:
+            raise SolverFailureError(
+                f"no configuration with zone counts ({za}, {zb}); "
+                f"found {[c.zone_counts for c in confs]}",
+                best_residual=min(c.residual for c in confs))
+        st = p1.P1State(params, chart, (N,), roots=match[0])
+        wf = (p1.p1_wf_elliptic_parabolic if chart == "elliptic-parabolic"
+              else p1.p1_wf_hyperbolic_parabolic)
+        meta["roots"] = [float(r) for r in match[0].roots]
+        meta["root_residual"] = match[0].residual
+        meta["form"] = cfg.form
+        meta["log_norm"] = p1._parabolic_log_norm(st)
 
     def on_grid(u, v):
         out = np.full(u.shape, math.nan)
-        inside = geo.in_chart_domain(cfg.chart, u, v, cfg.chart_params)
-        out[inside] = fn(u[inside], v[inside])
+        inside = geo.in_chart_domain(chart, u, v, cp)
+        out[inside] = np.real(wf(st, u[inside], v[inside]))
         return out
     return on_grid, meta
 
@@ -335,9 +323,12 @@ def cmd_roots(cfg: RunConfig) -> str:
     params = cfg.params()
     recs = []
     meta = {**cfg.meta(), "chart": cfg.chart, "N": cfg.N, "form": cfg.form}
+    if cfg.chart in ("equidistant", "horicyclic"):
+        root_charts = [c for c in cfg.kind.charts
+                       if c not in ("equidistant", "horicyclic")]
+        raise HypersintError(f"{cfg.potential} roots live on the "
+                             f"{' or '.join(root_charts)} chart")
     if cfg.potential == "v1":
-        if cfg.chart not in ("elliptic-parabolic", "hyperbolic-parabolic"):
-            raise HypersintError("v1 roots live on the parabolic charts")
         sep_fn = (p1.p1_ep_lambda if cfg.chart == "elliptic-parabolic"
                   else p1.p1_hp_tau)
         confs, meta["non_real_configurations"] = p1._p1_roots(

@@ -177,6 +177,8 @@ class P1Params(_EquidistantWell):
     beta: float
     gamma: float
     _strength = "s"
+    charts = ("equidistant", "horicyclic", "elliptic-parabolic",
+              "hyperbolic-parabolic")
 
     def __post_init__(self):
         _check_couplings(self, ("d", "s"))
@@ -489,30 +491,37 @@ class BetheRoots:
 
 @dataclass(frozen=True)
 class P1State:
-    """A bound state of the first potential in a definite chart basis."""
+    """A bound state of either potential in a definite chart basis: quantum
+    numbers on the equidistant and horicyclic charts, a solved zero
+    configuration on the others (and the chart's parameters on the
+    semi-hyperbolic one)."""
 
-    params: P1Params
+    params: _EquidistantWell
     chart: str
     numbers: tuple
     roots: BetheRoots | None = None
+    chart_params: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        c, nums = self.chart, self.numbers
+        p, c, nums = self.params, self.chart, self.numbers
+        if c not in p.charts:
+            raise OutOfDomainError(
+                f"chart {c!r} is not separable for {type(p).__name__}")
+        if c in ("equidistant", "horicyclic") and len(nums) != 2:
+            raise OutOfDomainError(f"{c} state needs two quantum numbers")
         if c == "equidistant":
             n, m = nums
-            mu = p1_mu(self.params, m)
-            if n < 0 or n > p1_n_max(self.params, mu):
+            if n < 0 or n > p1_n_max(p, p1_mu(p, m)):
                 raise OutOfWindowError(f"(n, m) = {nums} outside windows")
         elif c == "horicyclic":
             n1, n2 = nums
             if n1 < 0 or n2 < 0:
                 raise OutOfWindowError("n1, n2 must be >= 0")
-            _check_level(self.params, n1 + n2)
-        elif c in ("elliptic-parabolic", "hyperbolic-parabolic"):
-            if self.roots is None:
-                raise OutOfDomainError(f"{c} state requires solved roots")
-        else:
-            raise OutOfDomainError(f"unsupported chart {c!r} for potential 1")
+            _check_level(p, n1 + n2)
+        elif self.roots is None:
+            raise OutOfDomainError(f"{c} state requires solved roots")
+        elif c == "semi-hyperbolic" and self.chart_params is None:
+            raise OutOfDomainError(f"{c} state requires chart_params")
 
     @property
     def N(self) -> int:

@@ -36,22 +36,17 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import specfun as sf
-from .errors import (
-    OutOfDomainError,
-    OutOfWindowError,
-    SingularConfigurationError,
-    SolverFailureError,
-)
+from .errors import SingularConfigurationError, SolverFailureError
 from .geometry import AmbientPoint, AmbientPoints, chart_coordinates
 from .potential1 import (
     BetheRoots,
+    P1State,
     _check_couplings,
     _check_level,
     _EquidistantWell,
     _residual,
     p1_energy,
     p1_mu,
-    p1_n_max,
     p1_spectrum,
     pt_factor,
 )
@@ -102,6 +97,7 @@ class P2Params(_EquidistantWell):
     beta: float
     gamma: float
     _strength = "M"
+    charts = ("equidistant", "semi-hyperbolic")
 
     def __post_init__(self):
         _check_couplings(self, ("B", "M", "a", "d"))
@@ -142,6 +138,7 @@ class P2Params(_EquidistantWell):
 p2_mu = p1_mu
 p2_energy = p1_energy
 p2_spectrum = p1_spectrum
+P2State = P1State
 
 
 def p2_energy_semihyperbolic(p: P2Params, N: int) -> float:
@@ -231,40 +228,6 @@ def s2_complex_factor(p: P2Params, m: int, t2) -> np.ndarray:
 #: published display's bare alpha superscript is a typo this package does
 #: not follow).
 z_pt_factor = pt_factor
-
-
-@dataclass(frozen=True)
-class P2State:
-    """Bound state of the second potential."""
-
-    params: P2Params
-    chart: str
-    numbers: tuple
-    roots: BetheRoots | None = None
-    chart_params: tuple[float, float, float] | None = None
-
-    def __post_init__(self):
-        if self.chart == "equidistant":
-            n, m = self.numbers
-            mu = p2_mu(self.params, m)
-            if n < 0 or n > p1_n_max(self.params, mu):
-                raise OutOfWindowError(f"(n, m) = {self.numbers} outside windows")
-        elif self.chart == "semi-hyperbolic":
-            if self.roots is None or self.chart_params is None:
-                raise OutOfDomainError(
-                    "semi-hyperbolic state needs roots and chart_params")
-        else:
-            raise OutOfDomainError(f"unsupported chart {self.chart!r} for potential 2")
-
-    @property
-    def N(self) -> int:
-        if self.chart == "equidistant":
-            return self.numbers[0] + self.numbers[1]
-        return self.roots.N
-
-    @property
-    def energy(self) -> float:
-        return p2_energy(self.params, self.N)
 
 
 def p2_wf_equidistant(state: P2State, t1, t2) -> np.ndarray:

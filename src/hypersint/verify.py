@@ -132,24 +132,19 @@ def s2_gram(p, m) -> np.ndarray:
                                   - (a.real + 0.5) * np.log1p(x * x)))) @ f.T
 
 
-def _v1_orthonormality(params, cfg) -> list[dict]:
+def _orthonormality(params, cfg) -> list[dict]:
+    """The Gram matrix of every equidistant state of the well: the
+    Poschl-Teller factor's is shared, the m-factor's is the Morse one (v1)
+    or the complex-Jacobi one (v2)."""
     n, m = np.array([nm for N in range(_nmax(params) + 1)
                      for nm in p1.level_states_equidistant(params, N)],
                     dtype=float).T
     mu = p1.p1_mu(params, m)
-    gram = pt_gram(params, n, mu) * morse_gram(params, m, mu)
+    gram = pt_gram(params, n, mu) * (morse_gram(params, m, mu)
+                                     if cfg.potential == "v1"
+                                     else s2_gram(params, m))
     worst = np.max(np.triu(np.abs(gram - np.eye(len(n)))), initial=0.0)
-    return [record("v1-equidistant-gram", worst, 1e-7)]
-
-
-def _v2_orthonormality(params, cfg) -> list[dict]:
-    _nmax(params)
-    n, m, mu = np.array([(st["n"], st["m"], st["mu"])
-                         for level in p2.p2_spectrum(params)
-                         for st in level["states"]], dtype=float).T
-    gram = pt_gram(params, n, mu) * s2_gram(params, m)
-    worst = np.max(np.triu(np.abs(gram - np.eye(len(n)))), initial=0.0)
-    return [record("v2-equidistant-gram", worst, 1e-7)]
+    return [record(f"{cfg.potential}-equidistant-gram", worst, 1e-7)]
 
 
 def _v1_eigen(params, cfg) -> list[dict]:
@@ -367,7 +362,10 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
     worst_e, worst_k = 0.0, 0.0
     for abc in rng.uniform((0.05, 0.5, 0.3), (2.0, 6.0, 3.0), size=(50, 3)):
         pr = p2.P2Params(*abc.tolist())
-        worst_k = max(worst_k, abs(pr.k1 - pr.a))
+        # k1 = a, the root of a^2 = (B - i gamma^2)/4 with Re a < 0 (the
+        # sign is checked by the energies below)
+        worst_k = max(worst_k, _rel_max(pr.k1**2,
+                                        (pr.B - 1j * pr.gamma**2) / 4.0))
         if pr.nmax is not None:
             for N in range(min(pr.nmax, 2) + 1):
                 worst_e = max(worst_e, abs(p2.p2_energy(pr, N)
@@ -398,10 +396,10 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
 
 
 SUITES = {
-    "v1": {"orthonormality": _v1_orthonormality, "eigen": _v1_eigen,
+    "v1": {"orthonormality": _orthonormality, "eigen": _v1_eigen,
            "linear-relations": _linear_relations,
            "quadratic-algebra": _quadratic_algebra,
            "interbasis": _interbasis, "cross-chart": _v1_cross_chart},
-    "v2": {"orthonormality": _v2_orthonormality, "eigen": _v2_eigen,
+    "v2": {"orthonormality": _orthonormality, "eigen": _v2_eigen,
            "cross-chart": _v2_cross_chart},
 }

@@ -115,6 +115,13 @@ def test_wavefunction_bethe_failure_exit_3():
     assert "best residual" in r.stderr
 
 
+def test_wavefunction_refuses_a_chart_the_potential_does_not_separate_in(capsys):
+    assert hcli.main(["wavefunction", "--potential", "v2", "--alpha", "0.1",
+                      "--beta", "6", "--gamma", "1", "--chart",
+                      "horicyclic"]) == 2
+    assert "chart 'horicyclic' is not separable for v2" in capsys.readouterr().err
+
+
 def test_verify_eigen_on_a_wide_well_passes():
     # s = 229: the parabolic norm factor exp(-792) underflows on its own, so
     # it enters the log-magnitude, and the states' values stay representable
@@ -215,6 +222,19 @@ def test_roots_command_v2():
     assert len(recs) == 2
     for r in recs:
         assert r["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("args, charts", [
+    (["--chart", "equidistant"], "elliptic-parabolic or hyperbolic-parabolic"),
+    (["--chart", "horicyclic"], "elliptic-parabolic or hyperbolic-parabolic"),
+    (["--potential", "v2", "--alpha", "0.1", "--beta", "6", "--gamma", "1",
+      "--chart-params", "0,1,0"], "semi-hyperbolic")])
+def test_roots_refuses_the_basis_charts(args, charts, capsys):
+    # the basis charts have no zero equations: a report labelled with one of
+    # them would hold another chart's roots
+    code, out = run_main(["roots", "--N", "1", *args])
+    assert code == 2 and out == ""
+    assert f"roots live on the {charts} chart" in capsys.readouterr().err
 
 
 def test_interbasis_command():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from hypersint import geometry as geo
+from hypersint import potential1 as p1
 from hypersint import potential2 as p2
 from hypersint import verify
 from hypersint.errors import (
     NoBoundStateError,
+    OutOfDomainError,
     OutOfWindowError,
     SingularConfigurationError,
     SolverFailureError,
@@ -382,3 +384,43 @@ def test_derived_constants_computed_once_per_instance():
     assert p != p2.P2Params(0.1, 3.0, 1.5)
     with pytest.raises(AttributeError):
         p.alpha = 0.2
+
+
+def test_both_potentials_share_one_state_type_and_state_their_charts_once():
+    assert p2.P2State is p1.P1State
+    assert p1.P1Params.charts == ("equidistant", "horicyclic",
+                                  "elliptic-parabolic", "hyperbolic-parabolic")
+    assert p2.P2Params.charts == ("equidistant", "semi-hyperbolic")
+    # a class constant, not a field: equality, hashing and repr are unchanged
+    for kind in (p1.P1Params, p2.P2Params):
+        assert [f for f in kind.__dataclass_fields__] == ["alpha", "beta", "gamma"]
+
+
+@pytest.mark.parametrize("params, chart", [
+    (p2.P2Params(0.1, 6.0, 1.0), "horicyclic"),
+    (p2.P2Params(0.1, 6.0, 1.0), "elliptic-parabolic"),
+    (p1.P1Params(0.3, 0.2, 3.0), "semi-hyperbolic")])
+def test_a_state_refuses_a_chart_its_potential_does_not_separate_in(params, chart):
+    # every other requirement of the chart is met, so only the chart is refused
+    roots = p1.BetheRoots(chart, "derived", 1, (0.5,), 0.0, (1, 0))
+    numbers = (0, 1) if chart == "horicyclic" else (1,)
+    with pytest.raises(OutOfDomainError, match="is not separable for"):
+        p1.P1State(params, chart, numbers, roots=roots, chart_params=CP0)
+
+
+def test_a_semi_hyperbolic_state_needs_its_chart_params(p2_deep):
+    conf = p2.p2_sh_roots(p2_deep, 1, CP0)[0]
+    assert p2.P2State(p2_deep, "semi-hyperbolic", (1,), roots=conf,
+                      chart_params=CP0).N == 1
+    with pytest.raises(OutOfDomainError, match="chart_params"):
+        p2.P2State(p2_deep, "semi-hyperbolic", (1,), roots=conf)
+    with pytest.raises(OutOfDomainError, match="solved roots"):
+        p2.P2State(p2_deep, "semi-hyperbolic", (1,), chart_params=CP0)
+
+
+@pytest.mark.parametrize("chart", ["equidistant", "horicyclic"])
+def test_a_basis_state_needs_two_quantum_numbers(p2_deep, chart):
+    # --quantum is read as is: a wrong count is refused, not unpacked
+    params = p1.P1Params(0.3, 0.2, 3.0) if chart == "horicyclic" else p2_deep
+    with pytest.raises(OutOfDomainError, match="two quantum numbers"):
+        p1.P1State(params, chart, (1, 0, 0))

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hypersint import cli as hcli
+from hypersint import potential2 as p2
 from hypersint import verify
 from hypersint.errors import HypersintError, NoBoundStateError
 
@@ -112,6 +113,22 @@ def test_empty_v2_spectrum_cross_chart_leaves_out_the_bound_state_checks():
     assert [(r["id"], r["tolerance"], r["soft"]) for r in records] \
         == RECORDS["v2", "cross-chart"][:-2]
     assert not failed
+
+
+def test_k1_equals_a_checks_the_definition_of_a(monkeypatch):
+    # k1 = a, the root of a^2 = (B - i gamma^2)/4: the record reads round-off
+    # on the true branch and fails on the conjugate one, whose square is
+    # (B + i gamma^2)/4.  The empty spectrum leaves out the wavefunction
+    # checks, so no cached factor sees the patched branch.
+    def k1_record():
+        records, _ = verify.run(hcli.RunConfig(suite="cross-chart", **EMPTY_V2))
+        return next(r for r in records if r["id"] == "k1-equals-a")
+    rec = k1_record()
+    assert rec["pass"] and 0.0 < rec["residual"] <= 1e-13
+    a = p2.P2Params.a.func
+    monkeypatch.setattr(p2.P2Params, "a", property(lambda p: a(p).conjugate()))
+    rec = k1_record()
+    assert not rec["pass"] and rec["residual"] > 1.0
 
 
 # the deep wells of the operator checks: each suite, at its own tolerances,
