@@ -31,12 +31,13 @@ acquire computable defects.  ``check_quadratic_algebra`` measures both; the
 Evaluation
 ----------
 Operators are applied exactly, with no step, to batches of points
-(``geometry.apply_operators``).  Every function passed to ``eigen_residual``,
-``project_operator`` or ``check_linear_relations``, like every coefficient
-and guard of the operators built here, is array-safe: it takes an
-``AmbientPoints`` batch and returns one value per point or a scalar (a
-``project_operator`` basis: one row of values per basis function); the
-functions also run on ``geometry.Jet`` points.
+(``geometry.apply_operators``).  Every function passed to ``eigen_residual``
+or ``check_linear_relations``, like every coefficient and guard of the
+operators built here, is array-safe: it takes an ``AmbientPoints`` batch and
+returns one value per point or a scalar; the functions also run on
+``geometry.Jet`` points.  ``multiplet_matrices`` applies the operators to a
+level's states stacked into one such function (one row per state), at the
+points of the level's exact Gauss rule.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ import numpy as np
 from . import potential1 as p1m
 from . import potential2 as p2m
 from .errors import OutOfDomainError, SingularConfigurationError
-from .geometry import AmbientPoints, OperatorExpr, apply_operator, apply_operators
-from .interbasis import InterbasisMatrix
+from .geometry import (AmbientPoints, OperatorExpr, apply_operator,
+                       apply_operators, chart_coordinates, chart_points)
 from .potential1 import P1Params
 from .potential2 import P2Params
 
@@ -61,7 +62,6 @@ __all__ = [
     "check_quadratic_algebra",
     "eigen_residual",
     "multiplet_matrices",
-    "project_operator",
 ]
 
 # ---------------------------------------------------------------------------
@@ -293,11 +293,6 @@ def build_operator(op_id: str, params, chart_params=None) -> OperatorExpr:
 # Residual measurements
 # ---------------------------------------------------------------------------
 
-def _on_points(fn, pts: AmbientPoints) -> np.ndarray:
-    """fn at every point of the batch (fn is array-safe)."""
-    return np.broadcast_to(np.asarray(fn(pts)), (len(pts),))
-
-
 def eigen_residual(op: OperatorExpr, wf, expected: complex,
                    points) -> float:
     """max over points of |(op wf - expected wf) / wf|.
@@ -308,7 +303,7 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
     batch, and wf must be array-safe: it costs one apply_operator call.
     """
     pts = AmbientPoints.stack(points)
-    psi = _on_points(wf, pts)
+    psi = np.broadcast_to(np.asarray(wf(pts)), (len(pts),))
     mag = np.abs(psi)
     used = (mag > 0) & (mag >= 1e-8 * np.max(mag))
     if not np.any(used):
@@ -317,63 +312,54 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
     return float(np.max(np.abs(val - expected * psi[used]) / mag[used]))
 
 
-def project_operator(op: OperatorExpr, basis, points) -> np.ndarray:
-    """Least-squares matrix of op restricted to the span of a basis.
-
-    basis is one real, array-safe callable with one row per basis function
-    (and one column per point).  Columns: op applied to each basis
-    function, expanded back over the basis by least squares on the sample
-    points.  Needs len(points) comfortably larger than the multiplet
-    dimension.  The whole basis costs one apply_operators call.
-    """
-    pts = AmbientPoints.stack(points)
-    design = np.real(basis(pts)).T
-    y = np.real(apply_operators((op,), basis, pts)[0]).T
-    return np.linalg.lstsq(design, y, rcond=None)[0]
-
-
 # ---------------------------------------------------------------------------
 # Multiplet representations and algebra identities
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MultipletRep:
-    """N1, N2, R restricted to the (N+1)-dim level-N eigenspace.
-
-    Matrices are in the equidistant basis (m ascending): N1 is diagonal with
-    entries mu_m^2; N2 = W^T diag(eigs) W with the horicyclic eigenvalues
-    -[2 sqrt2 beta (2 n1 + d + 1) + 2 gamma^2] - 2 gamma^2 (n1 ascending);
-    R = [N1, N2].
+    """N1, N2, R on the (N+1)-dim level N, in its equidistant basis (m
+    ascending): the Galerkin matrices <psi_i, L psi_j> on the tensor product
+    of the level's two (N+1)-node Gauss rules (``potential1.pt_rule`` and
+    ``morse_rule``).  The rules integrate the product of any two states of
+    the level exactly, and an integral maps the level into itself, so the
+    matrices are exact up to round-off.  gram is the states' Gram matrix on
+    the rules, r_matrix is [N1, N2] and r_applied the Galerkin matrix of R.
     """
 
     N: int
     energy: float
-    basis: str
+    gram: np.ndarray
     n1_matrix: np.ndarray
     n2_matrix: np.ndarray
     r_matrix: np.ndarray
+    r_applied: np.ndarray
 
 
 def n2_horicyclic_eigenvalues(p: P1Params, N: int) -> np.ndarray:
     """Eigenvalues of N2 on the level, in the horicyclic basis order."""
-    d = p.d
-    sb = math.sqrt(2.0) * p.beta
-    return np.array([-(2.0 * sb * (2.0 * n1 + d + 1.0) + 2.0 * p.gamma**2)
-                     - 2.0 * p.gamma**2 for n1 in range(N + 1)])
+    sb, n1 = math.sqrt(2.0) * p.beta, np.arange(N + 1.0)
+    return -(2.0 * sb * (2.0 * n1 + p.d + 1.0) + 2.0 * p.gamma**2) - 2.0 * p.gamma**2
 
 
-def multiplet_matrices(p: P1Params, N: int, w: InterbasisMatrix) -> MultipletRep:
-    """Finite matrices of N1, N2, R on the degenerate level N."""
-    if w.N != N:
-        raise OutOfDomainError("interbasis matrix level mismatch")
-    if w.variant != "canonical":
-        raise OutOfDomainError("multiplet matrices need the canonical (orthogonal) W")
-    mus = np.array([p1m.p1_mu(p, m) for (_, m) in w.cols])
-    n1_mat = np.diag(mus**2)
-    n2_mat = w.entries.T @ np.diag(n2_horicyclic_eigenvalues(p, N)) @ w.entries
-    r_mat = n1_mat @ n2_mat - n2_mat @ n1_mat
-    return MultipletRep(N, p1m.p1_energy(p, N), "equidistant",
-                        n1_mat, n2_mat, r_mat)
+def multiplet_matrices(p: P1Params, N: int) -> MultipletRep:
+    """The Galerkin matrices of N1, N2, R on the degenerate level N: the
+    stacked states at the rules' points, and one apply_operators call."""
+    n, m = np.array(p1m.level_states_equidistant(p, N), dtype=float).T[:, :, None]
+    mu = p1m.p1_mu(p, m)
+    (t1, v1), (t2, v2) = p1m.pt_rule(p, n, mu), p1m.morse_rule(p, m, mu)
+    pts = chart_points("equidistant", np.repeat(t1, len(t2)), np.tile(t2, len(t1)))
+    # the volume element cosh t1 dt1 dt2, at the same points
+    weight = np.outer(v1 * np.cosh(t1), v2).ravel()
+
+    def basis(q):  # the level's states: a row per column (n, m)
+        return p1m._equidistant_product(
+            p, n, m, *chart_coordinates(q, "equidistant"))
+    psi = basis(pts)
+    ops = tuple(build_operator(k, p) for k in ("N1", "N2", "R"))
+    n1, n2, r = ((psi * weight) @ v.T for v in apply_operators(ops, basis, pts))
+    return MultipletRep(N, p1m.p1_energy(p, N), (psi * weight) @ psi.T,
+                        n1, n2, n1 @ n2 - n2 @ n1, r)
 
 
 def check_linear_relations(p: P1Params, testfns, points) -> dict[str, float]:
@@ -454,9 +440,8 @@ def check_quadratic_algebra(rep: MultipletRep,
     """
     n1, n2, r = rep.n1_matrix, rep.n2_matrix, rep.r_matrix
     n2_alt = n2 + 4.0 * p.gamma**2 * np.eye(n2.shape[0])
-    r_alt = n1 @ n2_alt - n2_alt @ n1  # equals r: constants drop
     primary = _identity_defects(p, rep.energy, n1, n2, r)
-    shifted = _identity_defects(p, rep.energy, n1, n2_alt, r_alt)
+    shifted = _identity_defects(p, rep.energy, n1, n2_alt, r)
     reports = {}
     for ident in ("commRN2", "commRN1", "Rsquared"):
         lhs, rhs = primary[ident]

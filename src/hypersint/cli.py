@@ -215,9 +215,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(cfg: RunConfig) -> str:
-    params = cfg.params()
-    levels = (p1.p1_spectrum(params) if cfg.potential == "v1"
-              else p2.p2_spectrum(params))
+    levels = p1.p1_spectrum(cfg.params())
     if cfg.fmt == "csv":
         rows = []
         for lev in levels:
@@ -255,6 +253,9 @@ def _state_for(cfg: RunConfig):
     elif chart == "semi-hyperbolic":
         if cp is None:
             raise HypersintError("semi-hyperbolic chart requires --chart-params")
+        if len(cfg.quantum) > 2:
+            raise HypersintError("semi-hyperbolic chart needs --quantum N "
+                                 "or N,configuration")
         N, idx = (cfg.quantum + (0,))[:2]
         confs = p2.p2_sh_roots(params, N, cp, tol=cfg.bethe_tol)
         if idx >= len(confs):

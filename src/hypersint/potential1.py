@@ -32,8 +32,8 @@ Conventions
 * The equidistant factors' polynomials are evaluated in compact variables:
   the Poschl-Teller one at 1 - 2 tanh^2 t1 in [-1, 1], the Morse one at
   z = sqrt2 beta e^{2 t2}.  There the Gram integrals are polynomials
-  against classical weights, so ``verify.pt_gram`` and ``verify.morse_gram``
-  take exact Gauss rules (``specfun.gauss_rule``); the parabolic norms take
+  against classical weights, which ``pt_rule`` and ``morse_rule`` integrate
+  exactly by Gauss rules (``specfun.gauss_rule``); the parabolic norms take
   Gauss-Jacobi and Gauss-Laguerre rules in sin^2/cos^2 and sinh^2.
 * The zero ("Bethe-type") equations exist in two forms:
   ``form="printed"`` is the transcription of the published display;
@@ -76,6 +76,7 @@ __all__ = [
     "level_states_equidistant",
     "level_states_horicyclic",
     "morse_factor",
+    "morse_rule",
     "p1_energy",
     "p1_energy_from_elliptic_parabolic",
     "p1_energy_from_horicyclic",
@@ -91,6 +92,7 @@ __all__ = [
     "p1_wf_horicyclic",
     "p1_wf_hyperbolic_parabolic",
     "pt_factor",
+    "pt_rule",
     "osc_x_factor",
     "osc_y_factor",
     "wf_ambient",
@@ -429,6 +431,46 @@ def pt_factor(p, n, mu, t1):
         logmag = (_pt_log_norm(p, n, mu, nu) + (0.5 + p.d) * np.log(th)
                   - nu * (t1a + np.log1p(np.exp(-2.0 * t1a)) - math.log(2.0)))
     return (np.exp(logmag) * sf.jacobi(n, p.d, nu, 1.0 - 2.0 * th * th))[()]
+
+
+def pt_rule(p, n, mu):
+    """Nodes t1 and dt1-weights v of the Gauss rule that integrates the
+    products of the ``pt_factor`` states (n_i, mu_i) exactly: the Gram
+    matrix of their factors F (a row per state) is (F * v) @ F.T.
+
+    In x = 1/cosh^2 t1, S_i S_j dt1 is (1/2) x^{(nu_i+nu_j)/2 - 1} (1-x)^d dx
+    times a polynomial of degree n_i + n_j.  With nu* the least nu and
+    (nu - nu*)/2 whole (as between the levels of a well), the Gauss-Jacobi
+    rule of x^{nu*-1} (1-x)^d with max(n + (nu - nu*)/2) + 1 nodes is
+    exact.  Its mass B(nu*, d+1) stays in log space, folded into v.
+    """
+    n, mu = (np.ravel(v).astype(float) for v in (n, mu))
+    nu = mu - p.d - 2.0 * n - 1.0
+    low = float(np.min(nu))
+    K = round(float(np.max(n + (nu - low) / 2.0))) + 1
+    x, w = sf.gauss_rule(*sf.jacobi_recurrence(low - 1.0, p.d, K), 1.0)
+    log_mass = sf.lgamma(low) + sf.lgamma(p.d + 1.0) - sf.lgamma(low + p.d + 1.0)
+    # dt1 = dx / (2 x sqrt(1-x)), over the weight
+    return (np.arcsinh(np.sqrt((1.0 - x) / x)), 0.5 * w * np.exp(
+        log_mass - low * np.log(x) - (p.d + 0.5) * np.log1p(-x)))
+
+
+def morse_rule(p: P1Params, m, mu):
+    """``pt_rule`` for the ``morse_factor`` states (m_i, mu_i), in t2.
+
+    In z = sqrt2 beta e^{2 t2}, S_i S_j dt2 is (1/2) z^{(mu_i+mu_j)/2 - 1}
+    e^{-z} dz times a polynomial of degree m_i + m_j: the Gauss-Laguerre
+    rule of z^{mu*-1} e^{-z} with max(m + (mu - mu*)/2) + 1 nodes is exact.
+    Its mass Gamma(mu*) stays in log space (mu* is 225.9 on the s = 229
+    well's level N = 1).
+    """
+    m, mu = (np.ravel(v).astype(float) for v in (m, mu))
+    low = float(np.min(mu))
+    K = round(float(np.max(m + (mu - low) / 2.0))) + 1
+    z, w = sf.gauss_rule(*sf.laguerre_recurrence(low - 1.0, K), 1.0)
+    # dt2 = dz / (2 z), over the weight
+    return (0.5 * np.log(z / (SQRT2 * p.beta)),
+            0.5 * w * np.exp(sf.lgamma(low) + z - low * np.log(z)))
 
 
 def osc_x_factor(p: P1Params, n1, x):

@@ -66,6 +66,7 @@ __all__ = [
     "p2_wf_equidistant",
     "p2_wf_semihyperbolic",
     "s2_complex_factor",
+    "s2_rule",
     "sh_bracket",
     "v2_ambient",
     "v2_equidistant",
@@ -220,6 +221,24 @@ def s2_complex_factor(p: P2Params, m: int, t2) -> np.ndarray:
     """
     t2 = np.atleast_1d(sf._asarray(t2))
     return _s2_raw(p, m, t2) / _s2_phase(p, m)
+
+
+def s2_rule(p: P2Params, m):
+    """``potential1.pt_rule`` for the ``s2_complex_factor`` states m_i
+    (their real parts), in t2.
+
+    In x = sinh 2 t2, S_i S_j dt2 is (1/2) (1+ix)^a (1-ix)^{conj a} dx times a
+    polynomial of degree m_i + m_j: the Romanovski rule of max m + 1 nodes
+    is exact.  Its mass pi 2^{2 + 2 Re a} Gamma(-1 - 2 Re a) / |Gamma(-a)|^2
+    stays in log space.
+    """
+    a = p.a
+    x, w = sf.gauss_rule(*sf.romanovski_recurrence(a, int(np.max(m)) + 1), 1.0)
+    log_mass = (math.log(math.pi) + (2.0 - p.M) * math.log(2.0)
+                + sf.lgamma(p.M - 1.0) - 2.0 * sf.lgamma(-a))
+    # dt2 = dx / (2 sqrt(1+x^2)), over the weight
+    return 0.5 * np.arcsinh(x), 0.5 * w * np.exp(
+        log_mass + 2.0 * a.imag * np.arctan(x) - (a.real + 0.5) * np.log1p(x * x))
 
 
 #: Modified Poschl-Teller factor, unit norm on t1 in (0, inf).  It is the

@@ -5,10 +5,10 @@ fixed order (cfg is a ``cli.RunConfig``).  ``record`` makes each one: a
 check passes when its residual is at most its tolerance, which is written
 there and nowhere else.  A record without a tolerance is a measurement; a
 soft record reports a discrepancy of the published formulas and never fails
-a run.  ``pt_gram``, ``morse_gram`` and ``s2_gram`` give the Gram matrices
-of the equidistant factors from their exact Gauss rules.  Point sets are
-drawn as (n, k) arrays: row by row, the numbers of n rounds of k scalar
-draws.
+a run.  The orthonormality and quadratic-algebra suites integrate on the
+factors' exact Gauss rules (``potential1.pt_rule``, ``morse_rule``,
+``potential2.s2_rule``).  Point sets are drawn as (n, k) arrays: row by
+row, the numbers of n rounds of k scalar draws.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import geometry as geo
 from . import interbasis as ib
 from . import potential1 as p1
 from . import potential2 as p2
-from . import specfun as sf
 from .errors import HypersintError, NoBoundStateError
 
 SQRT2 = math.sqrt(2.0)
@@ -64,85 +63,40 @@ def eq_points(seed: int = 11, n: int = 10) -> geo.AmbientPoints:
     return geo.chart_points("equidistant", np.where(sign < 0.5, -t1, t1), t2)
 
 
+def _amax(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
 def _rel_max(a, b) -> float:
     """max |a - b| / max(1, |a|)."""
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
 
 
-def pt_gram(p, n, mu) -> np.ndarray:
-    """Gram matrix int_0^inf S_i S_j dt1 of the ``potential1.pt_factor``
-    states (n_i, mu_i), from the factor at the nodes of one Gauss rule.
-
-    In x = 1/cosh^2 t1 the product S_i S_j dt1 is (1/2) x^{(nu_i+nu_j)/2 - 1}
-    (1-x)^d dx times a polynomial of degree n_i + n_j.  With nu* the least
-    nu and (nu - nu*)/2 whole (as between the levels of a well), it is a
-    polynomial against x^{nu*-1} (1-x)^d, which the Gauss-Jacobi rule of
-    max(n + (nu - nu*)/2) + 1 nodes integrates exactly.
-    """
-    n, mu = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (n, mu))
-    nu = mu - p.d - 2.0 * n - 1.0
-    low = float(np.min(nu))
-    K = round(float(np.max(n + (nu - low) / 2.0))) + 1
-    x, w = sf.gauss_rule(*sf.jacobi_recurrence(low - 1.0, p.d, K), math.exp(
-        sf.lgamma(low) + sf.lgamma(p.d + 1.0) - sf.lgamma(low + p.d + 1.0)))
-    f = p1.pt_factor(p, n, mu, np.arcsinh(np.sqrt((1.0 - x) / x)))
-    # dt1 = dx / (2 x sqrt(1-x)), over the weight
-    w = 0.5 * w * np.exp(-low * np.log(x) - (p.d + 0.5) * np.log1p(-x))
-    return (f * w) @ f.T
-
-
-def morse_gram(p, m, mu) -> np.ndarray:
-    """Gram matrix int S_i S_j dt2 of the ``potential1.morse_factor``
-    states (m_i, mu_i).
-
-    In z = sqrt2 beta e^{2 t2} the product S_i S_j dt2 is (1/2)
-    z^{(mu_i+mu_j)/2 - 1} e^{-z} dz times a polynomial of degree m_i + m_j:
-    with mu* the least mu and (mu - mu*)/2 whole, the Gauss-Laguerre rule of
-    z^{mu*-1} e^{-z} with max(m + (mu - mu*)/2) + 1 nodes is exact.
-    """
-    m, mu = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (m, mu))
-    low = float(np.min(mu))
-    K = round(float(np.max(m + (mu - low) / 2.0))) + 1
-    z, w = sf.gauss_rule(*sf.laguerre_recurrence(low - 1.0, K),
-                         math.exp(sf.lgamma(low)))
-    f = p1.morse_factor(p, m, 0.5 * np.log(z / (SQRT2 * p.beta)), mu)
-    # dt2 = dz / (2 z), over the weight
-    return (f * (0.5 * w * np.exp(z - low * np.log(z)))) @ f.T
-
-
-def s2_gram(p, m) -> np.ndarray:
-    """Gram matrix int S_i S_j dt2 of the ``potential2.s2_complex_factor``
-    states m_i (their real parts), from the factor at the nodes of one
-    Gauss rule.
-
-    In x = sinh 2 t2 the product S_i S_j dt2 is (1/2) (1+ix)^a (1-ix)^{conj a}
-    dx times a polynomial of degree m_i + m_j, which the Romanovski rule of
-    max m + 1 nodes integrates exactly.
-    """
-    m = [int(k) for k in np.ravel(m)]
-    a = p.a
-    # mass pi 2^{2 + 2 Re a} Gamma(-1 - 2 Re a) / |Gamma(-a)|^2
-    x, w = sf.gauss_rule(*sf.romanovski_recurrence(a, max(m) + 1), math.exp(
-        math.log(math.pi) + (2.0 - p.M) * math.log(2.0) + sf.lgamma(p.M - 1.0)
-        - 2.0 * sf.lgamma(-a)))
-    t2 = 0.5 * np.arcsinh(x)
-    f = np.array([p2.s2_complex_factor(p, k, t2).real for k in m])
-    # dt2 = dx / (2 sqrt(1+x^2)), over the weight
-    return (f * (0.5 * w * np.exp(2.0 * a.imag * np.arctan(x)
-                                  - (a.real + 0.5) * np.log1p(x * x)))) @ f.T
+def equidistant_gram(params, n, m) -> np.ndarray:
+    """Gram matrix of the equidistant states (n_i, m_i) of either potential:
+    the product of their factors' Gram matrices, each from its exact Gauss
+    rule.  The Poschl-Teller factor is shared; the m-factor is the Morse one
+    (v1) or the complex-Jacobi one (v2)."""
+    n, m = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (n, m))
+    mu = p1.p1_mu(params, m)
+    t1, v1 = p1.pt_rule(params, n, mu)
+    f1 = p1.pt_factor(params, n, mu, t1)
+    if isinstance(params, p1.P1Params):
+        t2, v2 = p1.morse_rule(params, m, mu)
+        f2 = p1.morse_factor(params, m, t2, mu)
+    else:
+        t2, v2 = p2.s2_rule(params, m)
+        f2 = np.array([p2.s2_complex_factor(params, int(k), t2).real
+                       for k in m.ravel().tolist()])
+    return ((f1 * v1) @ f1.T) * ((f2 * v2) @ f2.T)
 
 
 def _orthonormality(params, cfg) -> list[dict]:
-    """The Gram matrix of every equidistant state of the well: the
-    Poschl-Teller factor's is shared, the m-factor's is the Morse one (v1)
-    or the complex-Jacobi one (v2)."""
+    """The Gram matrix of every equidistant state of the well."""
     n, m = np.array([nm for N in range(_nmax(params) + 1)
                      for nm in p1.level_states_equidistant(params, N)],
                     dtype=float).T
-    mu = p1.p1_mu(params, m)
-    gram = pt_gram(params, n, mu) * (morse_gram(params, m, mu)
-                                     if cfg.potential == "v1"
-                                     else s2_gram(params, m))
+    gram = equidistant_gram(params, n, m)
     worst = np.max(np.triu(np.abs(gram - np.eye(len(n)))), initial=0.0)
     return [record(f"{cfg.potential}-equidistant-gram", worst, 1e-7)]
 
@@ -230,26 +184,25 @@ def _linear_relations(params, cfg) -> list[dict]:
 
 
 def _quadratic_algebra(params, cfg) -> list[dict]:
+    """The level's Galerkin matrices against what the spectrum fixes, each
+    relative to the size of its terms; R applied against [N1, N2]; and the
+    published identities."""
     N = min(2, _nmax(params))
-    w = ib.w_3f2(params, N)
-    rep = alg.multiplet_matrices(params, N, w)
-    sym1 = float(np.max(np.abs(rep.n1_matrix - rep.n1_matrix.T)))
-    sym2 = float(np.max(np.abs(rep.n2_matrix - rep.n2_matrix.T)))
-    anti = float(np.max(np.abs(rep.r_matrix + rep.r_matrix.T)))
-    recs = [record("matrix-symmetries", max(sym1, sym2, anti), 1e-10)]
-    pts = eq_points(seed=13, n=14 + 8 * N)
-    n, m = np.array(w.cols, dtype=float).T[:, :, None]
-
-    def basis(q):  # the level's equidistant states: a row per column (n, m)
-        return p1._equidistant_product(
-            params, n, m, *geo.chart_coordinates(q, "equidistant"))
-    r_proj = alg.project_operator(alg.build_operator("R", params), basis, pts)
-    scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
-    recs.append(record("R-commutator-vs-projected",
-                       float(np.max(np.abs(r_proj - rep.r_matrix))) / scale,
-                       1e-5))
-    for ident, (r, notes) in alg.check_quadratic_algebra(rep, params).items():
-        recs.append(record(ident, r, 1e-6, soft=True, notes=notes))
+    rep = alg.multiplet_matrices(params, N)
+    n1, n2, r = rep.n1_matrix, rep.n2_matrix, rep.r_matrix
+    mu2 = p1.p1_mu(params, np.arange(N + 1.0)) ** 2  # every level is full
+    eigs = np.sort(alg.n2_horicyclic_eigenvalues(params, N))
+    recs = [record("level-gram", _amax(rep.gram - np.eye(N + 1)), 1e-10),
+            record("matrix-symmetries", max(
+                _amax(n1 - n1.T) / _amax(n1), _amax(n2 - n2.T) / _amax(n2),
+                _amax(r + r.T) / (_amax(n1) * _amax(n2))), 1e-10),
+            record("N1-diagonal", _amax(n1 - np.diag(mu2)) / _amax(mu2), 1e-10),
+            record("N2-horicyclic-spectrum",
+                   _amax(np.linalg.eigvalsh(n2) - eigs) / _amax(eigs), 1e-10),
+            record("R-commutator-vs-projected",
+                   _amax(rep.r_applied - r) / max(_amax(r), 1.0), 1e-5)]
+    for ident, (res, notes) in alg.check_quadratic_algebra(rep, params).items():
+        recs.append(record(ident, res, 1e-6, soft=True, notes=notes))
     return recs
 
 

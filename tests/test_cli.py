@@ -122,6 +122,23 @@ def test_wavefunction_refuses_a_chart_the_potential_does_not_separate_in(capsys)
     assert "chart 'horicyclic' is not separable for v2" in capsys.readouterr().err
 
 
+def test_semi_hyperbolic_quantum_takes_at_most_two_numbers(capsys):
+    # --quantum is N and a configuration index; a third number is refused,
+    # not dropped
+    args = ["wavefunction", "--potential", "v2", "--alpha", "0.1", "--beta",
+            "6", "--gamma", "1", "--chart", "semi-hyperbolic",
+            "--chart-params", "0,1,0", "--grid", "2x2:0.5,1,-1,-0.5",
+            "--quantum"]
+    code, out = run_main([*args, "2,1,7"])
+    assert code == 2 and out == ""
+    assert "--quantum N or N,configuration" in capsys.readouterr().err
+    code, one = run_main([*args, "2"])
+    assert code == 0
+    code, two = run_main([*args, "2,0"])
+    assert code == 0
+    assert json.loads(one)["records"] == json.loads(two)["records"]
+
+
 def test_verify_eigen_on_a_wide_well_passes():
     # s = 229: the parabolic norm factor exp(-792) underflows on its own, so
     # it enters the log-magnitude, and the states' values stay representable

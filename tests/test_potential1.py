@@ -230,8 +230,7 @@ def test_equidistant_orthonormality(p1_fixture):
     p = p1_fixture
     n, m = np.array([nm for N in range(3)
                      for nm in p1.level_states_equidistant(p, N)], dtype=float).T
-    mu = p1.p1_mu(p, m)
-    gram = verify.pt_gram(p, n, mu) * verify.morse_gram(p, m, mu)
+    gram = verify.equidistant_gram(p, n, m)
     assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-7
 
 
@@ -243,8 +242,7 @@ def test_equidistant_gram_on_deep_and_wide_wells(well):
     p = p1.P1Params(*well)
     n, m = np.array([nm for N in range(p.nmax + 1)
                      for nm in p1.level_states_equidistant(p, N)], dtype=float).T
-    mu = p1.p1_mu(p, m)
-    gram = verify.pt_gram(p, n, mu) * verify.morse_gram(p, m, mu)
+    gram = verify.equidistant_gram(p, n, m)
     assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-12
 
 

@@ -90,7 +90,7 @@ def test_the_m_window_is_open():
 @pytest.mark.parametrize("well", V2_WELLS)
 def test_log_gamma_arguments_lie_right_of_one_half(well):
     # the complex log-gamma arguments -m - a (s2_complex_factor, m <= m_max)
-    # and -a (verify.s2_gram) have Re = M/2 - m > 1/2: the open window
+    # and -a (p2.s2_rule) have Re = M/2 - m > 1/2: the open window
     p = p2.P2Params(*well)
     assert p.m_max >= 0
     assert all((-m - p.a).real > 0.5 for m in range(p.m_max + 1))
@@ -171,9 +171,9 @@ def test_equidistant_gram_of_every_state(well):
     # equidistant states of all levels (1 to 36 states; measured at most
     # 1.4e-14); (0.1, 6, 1) reaches nu = 0.023 at its top level
     p = p2.P2Params(*well)
-    n, m, mu = np.array([(st["n"], st["m"], st["mu"]) for lev in p2.p2_spectrum(p)
-                         for st in lev["states"]], dtype=float).T
-    gram = verify.pt_gram(p, n, mu) * verify.s2_gram(p, m)
+    n, m = np.array([(st["n"], st["m"]) for lev in p2.p2_spectrum(p)
+                     for st in lev["states"]], dtype=float).T
+    gram = verify.equidistant_gram(p, n, m)
     assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-12
 
 

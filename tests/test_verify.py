@@ -22,7 +22,9 @@ RECORDS = {
     ("v1", "linear-relations"): [("linRel3", 1e-5, False),
                                  ("linRel4", 1e-5, False)],
     ("v1", "quadratic-algebra"): [
-        ("matrix-symmetries", 1e-10, False),
+        ("level-gram", 1e-10, False), ("matrix-symmetries", 1e-10, False),
+        ("N1-diagonal", 1e-10, False),
+        ("N2-horicyclic-spectrum", 1e-10, False),
         ("R-commutator-vs-projected", 1e-5, False),
         ("commRN2", 1e-6, True), ("commRN1", 1e-6, True),
         ("Rsquared", 1e-6, True)],
