@@ -294,8 +294,9 @@ def build_operator(op_id: str, params, chart_params=None) -> OperatorExpr:
 # ---------------------------------------------------------------------------
 
 def eigen_residual(op: OperatorExpr, wf, expected: complex,
-                   points) -> float:
-    """max over points of |(op wf - expected wf) / wf|.
+                   points) -> tuple[float, int]:
+    """max over points of |(op wf - expected wf) / wf|, and how many points
+    it was taken over.
 
     Points where |wf| is 0 or below 1e-8 of its largest value over all
     points are skipped (the relative residual is meaningless near nodes).
@@ -309,7 +310,8 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
     if not np.any(used):
         raise SingularConfigurationError("all points fell on wavefunction nodes")
     val = apply_operator(op, wf, pts[used])
-    return float(np.max(np.abs(val - expected * psi[used]) / mag[used]))
+    return (float(np.max(np.abs(val - expected * psi[used]) / mag[used])),
+            int(np.count_nonzero(used)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ __all__ = [
     "apply_generator",
     "apply_operator",
     "apply_operators",
+    "box_points",
     "chart_coordinates",
     "chart_points",
     "chart_to_ambient",
@@ -263,6 +264,28 @@ def chart_points(chart: str, u1, u2, chart_params=None,
     return AmbientPoints(*np.broadcast_arrays(*w))
 
 
+@functools.cache
+def _kronecker_step(d: int) -> np.ndarray:
+    """alpha_j = g^-j, j = 1..d, with g the positive root of g^(d+1) = g + 1
+    (the golden ratio for d = 1), by the contracting fixed-point iteration
+    g <- (1 + g)^(1/(d+1))."""
+    g = 1.0
+    for _ in range(100):
+        g = (1.0 + g) ** (1.0 / (d + 1))
+    return g ** -np.arange(1.0, d + 1.0)
+
+
+def box_points(n: int, lo, hi) -> np.ndarray:
+    """n points of the box [lo, hi], one per row: the Kronecker (R_d)
+    design lo + (hi - lo) frac(1/2 + i alpha), i = 1..n, with alpha from
+    ``_kronecker_step``.  The points depend on (n, lo, hi) alone, the first
+    n of any longer design are these, and each coordinate is equidistributed
+    (Weyl, Math. Ann. 77 (1916) 313)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    i = np.arange(1.0, n + 1.0)[:, None]
+    return lo + (hi - lo) * np.mod(0.5 + i * _kronecker_step(lo.size), 1.0)
+
+
 def chart_to_ambient(p: ChartPoint, w2_sign: int = +1) -> AmbientPoint:
     """The ambient point of a validated ChartPoint (see ``chart_points``)."""
     return chart_points(p.chart, p.u1, p.u2, p.chart_params, w2_sign).point(0)
@@ -459,12 +482,19 @@ def _div(a, b) -> Jet:
     return out
 
 
-def _series(x: Jet, value, d1, d2, d3) -> Jet:
-    """f(x0 + d) = sum_j f^(j)(x0) d^j / j!, from f^(j)(x0), j <= 3."""
+def _order(x: Jet) -> int:
+    """The jet's order k: its 2^k components end at d^(k+1) = 0."""
+    return len(x.c).bit_length() - 1
+
+
+def _series(x: Jet, value, *derivs) -> Jet:
+    """f(x0 + d) = sum_j f^(j)(x0) d^j / j!, j <= k, the jet's order, from
+    f^(j)(x0), j = 1, 2, ...; derivatives past order k are not used."""
     d = x.c.copy()
     d[0] = 0.0
-    out = d * (d3 / 6.0)
-    for dj in (d2 / 2.0, d1):  # Horner; a multiple of d has value part 0
+    terms = [dj / math.factorial(j) for j, dj in enumerate(derivs[:_order(x)], 1)]
+    out = d * terms.pop() if terms else d
+    for dj in reversed(terms):  # Horner; a multiple of d has value part 0
         out[0] = dj
         out = _conv(out, d)
     out[0] = value
@@ -476,7 +506,8 @@ def _pow(x: Jet, p) -> Jet:
     # a whole power p >= 0 has no derivatives past order p
     return _series(x, x.c[0] ** p, *(
         0.0 if whole and p < j else
-        math.prod(p - i for i in range(j)) * x.c[0] ** (p - j) for j in (1, 2, 3)))
+        math.prod(p - i for i in range(j)) * x.c[0] ** (p - j)
+        for j in range(1, _order(x) + 1)))
 
 
 def _arctan2(y, x) -> Jet:

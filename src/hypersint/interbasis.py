@@ -54,6 +54,7 @@ import numpy as np
 from . import potential1 as p1m
 from . import specfun as sf
 from .errors import NonFiniteValueError, OutOfDomainError
+from .geometry import box_points
 from .potential1 import P1Params
 
 __all__ = [
@@ -111,9 +112,6 @@ class _Level:
         self.p, self.N, self.d, self.nu = p, N, p.d, p1m.p1_nu(p, N)
         self.rows = tuple(p1m.level_states_horicyclic(p, N))
         self.cols = tuple(p1m.level_states_equidistant(p, N))
-        if len(self.cols) != N + 1:
-            raise OutOfDomainError(
-                f"level N = {N} does not carry the full N+1 equidistant states")
         if variant not in ("canonical", "printed"):
             raise OutOfDomainError(f"unknown variant {variant!r}")
         self.canonical = variant == "canonical"
@@ -285,16 +283,15 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
 
 
 def verify_expansion(p: P1Params, N: int, w: InterbasisMatrix,
-                     n_points: int = 50, seed: int = 0) -> float:
-    """Pointwise residual of the expansion over random chart points.
+                     n_points: int = 50) -> float:
+    """Pointwise residual of the expansion over fixed chart points: the
+    ``geometry.box_points`` design of 0.15 <= a <= 1.8, -1.2 <= b <= 0.9.
 
     max over points and rows of |Psi_hc(x,y) - sum_m W Psi_eq(a,b)|, scaled
     by the largest |Psi_hc| encountered; coordinates are bridged by
     x = e^b tanh a, y = e^b / cosh a.
     """
-    rng = np.random.default_rng(seed)
-    a_pts = rng.uniform(0.15, 1.8, size=n_points)
-    b_pts = rng.uniform(-1.2, 0.9, size=n_points)
+    a_pts, b_pts = box_points(n_points, (0.15, -1.2), (1.8, 0.9)).T
     x_pts = np.exp(b_pts) * np.tanh(a_pts)
     y_pts = np.exp(b_pts) / np.cosh(a_pts)
     # each basis in one pass, its quantum numbers as float columns (as in

@@ -259,18 +259,13 @@ def p1_energy_from_elliptic_parabolic(p: P1Params, N: int) -> float:
 
 
 def level_states_equidistant(p, N: int) -> list[tuple[int, int]]:
-    """Admissible (n, m) with n + m = N, ordered by m ascending, of either
-    potential."""
+    """(n, m) with n + m = N, ordered by m ascending, of either potential.
+
+    A bound level is full: nu = S - d - 2N - 2 > 0 gives every m <= N a
+    positive mu = S - 2m - 1 = nu + d + 2n + 1 and leaves n = N - m inside
+    the Poschl-Teller window mu - d - 2n - 1 = nu > 0."""
     _check_level(p, N)
-    out = []
-    for m in range(0, N + 1):
-        if m > p.m_max:
-            continue
-        mu = p1_mu(p, m)
-        n = N - m
-        if n <= p1_n_max(p, mu):
-            out.append((n, m))
-    return out
+    return [(N - m, m) for m in range(N + 1)]
 
 
 def level_states_horicyclic(p: P1Params, N: int) -> list[tuple[int, int]]:

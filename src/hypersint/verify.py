@@ -7,8 +7,11 @@ there and nowhere else.  A record without a tolerance is a measurement; a
 soft record reports a discrepancy of the published formulas and never fails
 a run.  The orthonormality and quadratic-algebra suites integrate on the
 factors' exact Gauss rules (``potential1.pt_rule``, ``morse_rule``,
-``potential2.s2_rule``).  Point sets are drawn as (n, k) arrays: row by
-row, the numbers of n rounds of k scalar draws.
+``potential2.s2_rule``).  The other suites sample fixed points: each point
+set is the ``geometry.box_points`` design of its box and count, so a report
+depends on its inputs alone.  An eigen record notes how many of its points
+the node filter of ``algebra.eigen_residual`` kept (``points_used`` of
+``points_drawn``).
 """
 
 from __future__ import annotations
@@ -55,12 +58,20 @@ def _nmax(params) -> int:
     return params.nmax
 
 
-def eq_points(seed: int = 11, n: int = 10) -> geo.AmbientPoints:
-    """n equidistant-chart points with 0.3 <= |t1| <= 1.3, |t2| <= 1; per
-    point the draws are t1, the sign of t1, t2."""
-    t1, sign, t2 = np.random.default_rng(seed).uniform(
-        (0.3, 0.0, -1.0), (1.3, 1.0, 1.0), size=(n, 3)).T
+def eq_points(n: int = 10) -> geo.AmbientPoints:
+    """n equidistant-chart points with 0.3 <= |t1| <= 1.3, |t2| <= 1: the
+    ``geometry.box_points`` design of (t1, the sign of t1, t2)."""
+    t1, sign, t2 = geo.box_points(n, (0.3, 0.0, -1.0), (1.3, 1.0, 1.0)).T
     return geo.chart_points("equidistant", np.where(sign < 0.5, -t1, t1), t2)
+
+
+def _eigen_record(ident: str, op, wf, expected, pts, notes=None) -> dict:
+    """The ``algebra.eigen_residual`` record of wf at 1e-6, noting how many
+    of the points the node filter kept."""
+    residual, used = alg.eigen_residual(op, wf, expected, pts)
+    return record(ident, residual, 1e-6,
+                  notes={**(notes or {}), "points_used": used,
+                         "points_drawn": len(pts)})
 
 
 def _amax(a) -> float:
@@ -106,14 +117,14 @@ def _v1_eigen(params, cfg) -> list[dict]:
     st = p1.P1State(params, "equidistant",
                     p1.level_states_equidistant(params, min(1, _nmax(params)))[0])
     mu = p1.p1_mu(params, st.numbers[1])
-    recs = [record("L1-equidistant", alg.eigen_residual(
-        alg.build_operator("L1", params), p1.wf_ambient(st), mu**2, pts), 1e-6)]
+    recs = [_eigen_record("L1-equidistant", alg.build_operator("L1", params),
+                          p1.wf_ambient(st), mu**2, pts)]
     sth = p1.P1State(params, "horicyclic", st.numbers[::-1])
     n1 = sth.numbers[0]
     lam2 = -(2.0 * SQRT2 * params.beta * (2 * n1 + params.d + 1.0)
              + 2.0 * params.gamma**2)
-    recs.append(record("L2-horicyclic", alg.eigen_residual(
-        alg.build_operator("L2", params), p1.wf_ambient(sth), lam2, pts), 1e-6))
+    recs.append(_eigen_record("L2-horicyclic", alg.build_operator("L2", params),
+                              p1.wf_ambient(sth), lam2, pts))
     if _nmax(params) < 1:
         return recs
     # operator, chart, roots, separation constant, its name, offset / g^2
@@ -126,10 +137,10 @@ def _v1_eigen(params, cfg) -> list[dict]:
         stp = p1.P1State(params, chart, (1,), roots=conf)
         value = sep(params, conf)
         offset *= params.gamma**2
-        where = pts if op == "L3" else pts[pts.w2 > 0]  # 5 of 10, any well
-        recs.append(record(f"{op}-{chart}", alg.eigen_residual(
-            alg.build_operator(op, params), p1.wf_ambient(stp), value + offset,
-            where), 1e-6,
+        where = pts if op == "L3" else pts[pts.w2 > 0]  # 6 of 10, any well
+        recs.append(_eigen_record(
+            f"{op}-{chart}", alg.build_operator(op, params), p1.wf_ambient(stp),
+            value + offset, where,
             notes={f"{name}_separation": value,
                    f"{name}_operator": value + offset,
                    "display_offset": offset}))
@@ -148,8 +159,8 @@ def _v2_eigen(params, cfg) -> list[dict]:
     pts = eq_points()
     wf = p2.wf_ambient(p2.P2State(params, "equidistant", (0, 0)))
     mu0 = p2.p2_mu(params, 0)
-    recs = [record("L1-v2-equidistant", alg.eigen_residual(
-        alg.build_operator("L1", params), wf, mu0**2, pts), 1e-6)]
+    recs = [_eigen_record("L1-v2-equidistant", alg.build_operator("L1", params),
+                          wf, mu0**2, pts)]
     psi = wf(pts)
     v = (-geo.apply_operator(alg.build_operator("L12", params), wf, pts)
          + (params.beta**2 - params.alpha**2) * psi)
@@ -162,11 +173,11 @@ def _v2_eigen(params, cfg) -> list[dict]:
     wfs = p2.wf_ambient(p2.P2State(params, "semi-hyperbolic", (0,),
                                    roots=conf, chart_params=cp))
     lam_true = p2.p2_sh_lambda_closed(params, conf, 0, cp)
-    mu_, nu_ = np.random.default_rng(19).uniform(0.4, 2.0, size=(8, 2)).T
+    mu_, nu_ = geo.box_points(8, (0.4, 0.4), (2.0, 2.0)).T
     pts_sh = geo.chart_points("semi-hyperbolic", mu_, -nu_, cp)
-    recs.append(record("L2-semi-hyperbolic", alg.eigen_residual(
-        alg.build_operator("L2", params, chart_params=cp), wfs, lam_true,
-        pts_sh), 1e-6))
+    recs.append(_eigen_record(
+        "L2-semi-hyperbolic", alg.build_operator("L2", params, chart_params=cp),
+        wfs, lam_true, pts_sh))
     lam_disp = p2.p2_sh_lambda(params, conf, cp)
     recs.append(record("lambda-display-vs-eigenvalue",
                        abs(lam_disp - lam_true), None, soft=True,
@@ -249,7 +260,6 @@ def _interbasis(params, cfg) -> list[dict]:
 
 def _v1_cross_chart(params, cfg) -> list[dict]:
     recs = []
-    rng = np.random.default_rng(29)
     chart_form = {
         "equidistant": ((0.2, -2.0), (2.0, 2.0), p1.v1_equidistant),
         "horicyclic": ((0.2, 0.2), (2.0, 3.0), p1.v1_horicyclic),
@@ -260,7 +270,7 @@ def _v1_cross_chart(params, cfg) -> list[dict]:
     }
     res_worst = 0.0
     for chart, (lo, hi, form) in chart_form.items():
-        u, v = rng.uniform(lo, hi, size=(100, 2)).T
+        u, v = geo.box_points(100, lo, hi).T
         q = geo.chart_points(chart, u, v)
         res_worst = max(res_worst, float(np.max(geo.hyperboloid_residual(q))))
         recs.append(record(f"potential-identity-{chart}",
@@ -274,7 +284,7 @@ def _v1_cross_chart(params, cfg) -> list[dict]:
             w = max(w, abs(e - p1.p1_energy_from_horicyclic(params, N)),
                     abs(e - p1.p1_energy_from_elliptic_parabolic(params, N)))
         recs.append(record("cross-chart-quantization", w, 1e-12))
-    a_, b_ = rng.uniform(-2.0, 2.0, size=(100, 2)).T
+    a_, b_ = geo.box_points(100, (-2.0, -2.0), (2.0, 2.0)).T
     x, y = geo.chart_coordinates(geo.chart_points("equidistant", a_, b_),
                                  "horicyclic")
     w = max(np.max(np.abs(x - np.exp(b_) * np.tanh(a_))),
@@ -285,9 +295,8 @@ def _v1_cross_chart(params, cfg) -> list[dict]:
 
 def _v2_cross_chart(params, cfg) -> list[dict]:
     recs = []
-    rng = np.random.default_rng(29)
     cp = cfg.chart_params or p2.DEFAULT_SH_PARAMS
-    t1, t2 = rng.uniform((0.2, -2.0), (2.0, 2.0), size=(100, 2)).T
+    t1, t2 = geo.box_points(100, (0.2, -2.0), (2.0, 2.0)).T
     va = p2.v2_ambient(params, geo.chart_points("equidistant", t1, t2))
     recs.append(record("potential-identity-equidistant",
                        _rel_max(va, p2.v2_equidistant(params, t1, t2)), 1e-12))
@@ -299,9 +308,8 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
                                          "-alpha^2/sinh^2 t1; ambient form "
                                          "requires +"}))
     e1, e3 = complex(cp[0], cp[1]), cp[2]
-    mu_, nu_, th_re, th_im = rng.uniform(
-        (e3 + 0.1, e3 - 3.0, -3.0, -2.0), (e3 + 3.0, e3 - 0.1, 3.0, 2.0),
-        size=(50, 4)).T
+    mu_, nu_, th_re, th_im = geo.box_points(
+        50, (e3 + 0.1, e3 - 3.0, -3.0, -2.0), (e3 + 3.0, e3 - 0.1, 3.0, 2.0)).T
     q = geo.chart_points("semi-hyperbolic", mu_, nu_, cp)
     th = th_re + 1j * th_im
     s1 = (q.w0 + 1j * q.w1) / SQRT2
@@ -313,7 +321,7 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
                                  * (th - e3)))))
     recs.append(record("semi-hyperbolic-factor-identity", worst, 1e-10))
     worst_e, worst_k = 0.0, 0.0
-    for abc in rng.uniform((0.05, 0.5, 0.3), (2.0, 6.0, 3.0), size=(50, 3)):
+    for abc in geo.box_points(50, (0.05, 0.5, 0.3), (2.0, 6.0, 3.0)):
         pr = p2.P2Params(*abc.tolist())
         # k1 = a, the root of a^2 = (B - i gamma^2)/4 with Re a < 0 (the
         # sign is checked by the energies below)
@@ -332,7 +340,7 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
     ops = [alg.build_operator(o, params) for o in ("L12", "L13", "L23")]
     ksq = params.k1**2 + params.k2**2 + params.k3**2
     e0 = p2.p2_energy(params, 0)
-    batch = eq_points(seed=31, n=6)
+    batch = eq_points(6)
     psi = wf(batch)
     s = sum(geo.apply_operators(ops, wf, batch))
     v = 0.5 * s + (-0.5 * ksq + 0.375) * psi

@@ -85,15 +85,15 @@ def test_criterion_03_orthonormality():
 def test_criterion_04_eigen_residuals():
     pts = eq_points(41, 50)
     st = p1.P1State(P1FIX, "equidistant", (1, 1))
-    r1 = alg.eigen_residual(alg.build_operator("L1", P1FIX),
-                            p1.wf_ambient(st), p1.p1_mu(P1FIX, 1) ** 2, pts)
+    r1, _ = alg.eigen_residual(alg.build_operator("L1", P1FIX),
+                               p1.wf_ambient(st), p1.p1_mu(P1FIX, 1) ** 2, pts)
     sth = p1.P1State(P1FIX, "horicyclic", (1, 1))
     lam2 = -(2 * SQRT2 * P1FIX.beta * (2 + P1FIX.d + 1) + 2 * P1FIX.gamma**2)
-    r2 = alg.eigen_residual(alg.build_operator("L2", P1FIX),
-                            p1.wf_ambient(sth), lam2, pts)
+    r2, _ = alg.eigen_residual(alg.build_operator("L2", P1FIX),
+                               p1.wf_ambient(sth), lam2, pts)
     stw = p2.P2State(P2FIX, "equidistant", (0, 0))
-    r3 = alg.eigen_residual(alg.build_operator("L1", P2FIX), p2.wf_ambient(stw),
-                            p2.p2_mu(P2FIX, 0) ** 2, pts)
+    r3, _ = alg.eigen_residual(alg.build_operator("L1", P2FIX),
+                               p2.wf_ambient(stw), p2.p2_mu(P2FIX, 0) ** 2, pts)
     ok = max(r1, r2, r3) <= 1e-6
     report(4, ok, f"L1 {r1:.2e}, L2 {r2:.2e}, v2-L1 {r3:.2e} at 50 points")
 

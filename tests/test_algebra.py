@@ -67,14 +67,14 @@ def test_l1_l2_eigen_residuals(p1_fixture):
         for (n, m) in p1.level_states_equidistant(p, N):
             st = p1.P1State(p, "equidistant", (n, m))
             mu = p1.p1_mu(p, m)
-            r = alg.eigen_residual(alg.build_operator("L1", p),
-                                   p1.wf_ambient(st), mu**2, pts)
+            r, _ = alg.eigen_residual(alg.build_operator("L1", p),
+                                      p1.wf_ambient(st), mu**2, pts)
             assert r <= 1e-6, (N, n, m, r)
         for (n1, n2) in p1.level_states_horicyclic(p, N):
             st = p1.P1State(p, "horicyclic", (n1, n2))
             lam = -(2 * SQRT2 * p.beta * (2 * n1 + p.d + 1) + 2 * p.gamma**2)
-            r = alg.eigen_residual(alg.build_operator("L2", p),
-                                   p1.wf_ambient(st), lam, pts)
+            r, _ = alg.eigen_residual(alg.build_operator("L2", p),
+                                      p1.wf_ambient(st), lam, pts)
             assert r <= 1e-6, (N, n1, n2, r)
 
 
@@ -98,20 +98,20 @@ def test_l3_l4_eigenvalues_track_separation_constants(p1_fixture):
     for conf in p1.p1_ep_roots(p, 1, form="derived"):
         st = p1.P1State(p, "elliptic-parabolic", (1,), roots=conf)
         lam = p1.p1_ep_lambda(p, conf)
-        r = alg.eigen_residual(alg.build_operator("L3", p), p1.wf_ambient(st),
-                               lam + 4 * p.gamma**2, pts)
+        r, _ = alg.eigen_residual(alg.build_operator("L3", p), p1.wf_ambient(st),
+                                  lam + 4 * p.gamma**2, pts)
         assert r <= 1e-10
-        r = alg.eigen_residual(alg.build_operator("L3_display", p),
-                               p1.wf_ambient(st), lam, pts)
+        r, _ = alg.eigen_residual(alg.build_operator("L3_display", p),
+                                  p1.wf_ambient(st), lam, pts)
         assert r <= 1e-10
     for conf in p1.p1_hp_roots(p, 1, form="derived"):
         st = p1.P1State(p, "hyperbolic-parabolic", (1,), roots=conf)
         tau = p1.p1_hp_tau(p, conf)
-        r = alg.eigen_residual(alg.build_operator("L4", p), p1.wf_ambient(st),
-                               tau - 4 * p.gamma**2, pts_pos)
+        r, _ = alg.eigen_residual(alg.build_operator("L4", p), p1.wf_ambient(st),
+                                  tau - 4 * p.gamma**2, pts_pos)
         assert r <= 1e-10
-        r = alg.eigen_residual(alg.build_operator("L4_display", p),
-                               p1.wf_ambient(st), tau, pts_pos)
+        r, _ = alg.eigen_residual(alg.build_operator("L4_display", p),
+                                  p1.wf_ambient(st), tau, pts_pos)
         assert r <= 1e-10
 
 
@@ -119,8 +119,8 @@ def test_v2_l1_eigen_residual(p2_fixture):
     st = p2.P2State(p2_fixture, "equidistant", (0, 0))
     wf = p2.wf_ambient(st)
     mu2 = p2.p2_mu(p2_fixture, 0) ** 2
-    r = alg.eigen_residual(alg.build_operator("L1", p2_fixture), wf, mu2,
-                           eq_points())
+    r, _ = alg.eigen_residual(alg.build_operator("L1", p2_fixture), wf, mu2,
+                              eq_points())
     assert r <= 1e-6
 
 
@@ -139,7 +139,7 @@ def test_v2_sh_l2_eigenvalue_matches_closed_lambda(p2_deep):
             def wf(q, st=st):
                 return p2.p2_wf_semihyperbolic(st, q)
             lam = p2.p2_sh_lambda_closed(p, c, N, CP0)
-            assert alg.eigen_residual(l2, wf, lam, pts) <= 1e-6
+            assert alg.eigen_residual(l2, wf, lam, pts)[0] <= 1e-6
 
 
 def test_v2_ssh17_relation(p2_fixture):

@@ -641,25 +641,19 @@ def test_json_writes_non_finite_floats_as_null(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# batched point sets: the numbers of the sequential scalar draws
+# point sets: the box_points design of each declared box and count
 # ---------------------------------------------------------------------------
 
-def _eq_points_reference(seed, n):
-    rng = np.random.default_rng(seed)
-    t1s, t2s = [], []
-    for _ in range(n):
-        t1 = rng.uniform(0.3, 1.3)
-        if rng.uniform() < 0.5:
-            t1 = -t1
-        t1s.append(t1)
-        t2s.append(rng.uniform(-1.0, 1.0))
-    return ("equidistant", t1s, t2s)
+def _box(n, *ranges):
+    """The box_points design of the box of ranges, as one list per range."""
+    lo, hi = zip(*ranges)
+    return geo.box_points(n, lo, hi).T.tolist()
 
 
-def _draws(n, *ranges, rng):
-    """n rounds of one scalar draw per range, as one list per range."""
-    rows = [[rng.uniform(lo, hi) for lo, hi in ranges] for _ in range(n)]
-    return [list(col) for col in zip(*rows)]
+def _eq_points_reference(n):
+    # 0.3 <= |t1| <= 1.3 (the middle coordinate picks the sign), |t2| <= 1
+    t1, sign, t2 = _box(n, (0.3, 1.3), (0.0, 1.0), (-1.0, 1.0))
+    return ("equidistant", [-a if s < 0.5 else a for a, s in zip(t1, sign)], t2)
 
 
 @pytest.fixture
@@ -698,36 +692,33 @@ V2_SH = ["--potential", "v2", "--alpha", "0.1", "--beta", "3", "--gamma", "1",
 
 def test_v1_cross_chart_draws_the_sequential_point_sets(recorded):
     assert run_main(["verify", "--suite", "cross-chart"])[0] == 0
-    rng = np.random.default_rng(29)
-    ref = [(chart, *_draws(100, (0.2, 2.0), v_range, rng=rng)) for chart, v_range
+    ref = [(chart, *_box(100, (0.2, 2.0), v_range)) for chart, v_range
            in (("equidistant", (-2.0, 2.0)), ("horicyclic", (0.2, 3.0)),
                ("elliptic-parabolic", (0.2, 1.3)),
                ("hyperbolic-parabolic", (0.2, 1.3)))]
-    ref.append(("equidistant", *_draws(100, (-2.0, 2.0), (-2.0, 2.0), rng=rng)))
+    ref.append(("equidistant", *_box(100, (-2.0, 2.0), (-2.0, 2.0))))
     assert recorded["points"] == ref
 
 
 def test_v2_cross_chart_draws_the_sequential_point_sets(recorded):
     assert run_main(["verify", "--suite", "cross-chart", *V2_SH])[0] == 0
-    rng = np.random.default_rng(29)
-    t1, t2 = _draws(100, (0.2, 2.0), (-2.0, 2.0), rng=rng)
+    t1, t2 = _box(100, (0.2, 2.0), (-2.0, 2.0))
     # e3 = 0: mu in (0.1, 3), nu in (-3, -0.1), then theta, per point
-    mu, nu, th_re, th_im = _draws(50, (0.1, 3.0), (-3.0, -0.1), (-3.0, 3.0),
-                                  (-2.0, 2.0), rng=rng)
-    triples = list(zip(*_draws(50, (0.05, 2.0), (0.5, 6.0), (0.3, 3.0),
-                               rng=rng)))
+    mu, nu, th_re, th_im = _box(50, (0.1, 3.0), (-3.0, -0.1), (-3.0, 3.0),
+                                (-2.0, 2.0))
+    triples = list(zip(*_box(50, (0.05, 2.0), (0.5, 6.0), (0.3, 3.0))))
     assert recorded["points"] == [("equidistant", t1, t2),
                                   ("semi-hyperbolic", mu, nu),
-                                  _eq_points_reference(31, 6)]
+                                  _eq_points_reference(6)]
     assert recorded["theta"] == [[complex(a, b) for a, b in zip(th_re, th_im)]]
     assert recorded["p2"][-50:] == triples
 
 
 def test_eigen_suites_draw_the_sequential_point_sets(recorded):
     assert run_main(["verify", "--suite", "eigen", *V2_SH])[0] == 0
-    mu, nu = _draws(8, (0.4, 2.0), (0.4, 2.0), rng=np.random.default_rng(19))
-    assert recorded["points"] == [_eq_points_reference(11, 10),
+    mu, nu = _box(8, (0.4, 2.0), (0.4, 2.0))
+    assert recorded["points"] == [_eq_points_reference(10),
                                   ("semi-hyperbolic", mu, [-v for v in nu])]
     recorded["points"].clear()
     assert run_main(["verify", "--suite", "eigen"])[0] == 0
-    assert recorded["points"] == [_eq_points_reference(11, 10)]
+    assert recorded["points"] == [_eq_points_reference(10)]

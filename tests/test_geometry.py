@@ -478,6 +478,25 @@ def test_jet_refuses_coercion_and_unsupported_functions():
         np.abs(x * 1j)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_jet_series_stops_at_the_jet_order(k, monkeypatch):
+    # d^(k+1) = 0 on a jet of order k (2^k components): the Taylor sum of an
+    # elementary function or a power takes k - 1 products, and the jet
+    # x0 + e1 + ... + ek carries f^(k)(x0) in its top component
+    calls, conv = [], geo._conv
+    monkeypatch.setattr(geo, "_conv", lambda a, b: calls.append(1) or conv(a, b))
+    c = np.zeros(1 << k)
+    c[0] = 0.7
+    c[[1 << j for j in range(k)]] = 1.0
+    for f, want in ((np.exp, math.exp(0.7)),
+                    (lambda x: x**-0.5,
+                     math.prod(-0.5 - i for i in range(k)) * 0.7 ** (-0.5 - k))):
+        calls.clear()
+        top = f(geo.Jet(c)).c[-1]
+        assert len(calls) == max(k - 1, 0)
+        assert abs(top - want) <= 1e-14 * abs(want)
+
+
 def _reduceat_product(a, b):
     """The jet product by subset sums: np.add.reduceat over the pairs
     (S, T - S), S in T, grouped by T and added in order."""
@@ -579,3 +598,29 @@ def test_semi_hyperbolic_map_on_arrays():
                                                 nu[k], SH_PARAMS))
         got = (w[0][k], w[1][k], w[2][k])
         assert np.allclose(got, (q.w0, q.w1, q.w2), rtol=1e-14, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Sample designs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_box_points_is_a_fixed_nested_design_in_its_box(d):
+    lo, hi = np.linspace(-1.0, 0.5, d), np.linspace(0.3, 2.0, d)
+    x = geo.box_points(10, lo, hi)
+    assert x.shape == (10, d)
+    assert np.array_equal(x, geo.box_points(10, lo, hi))
+    assert np.all((lo <= x) & (x <= hi))
+    assert np.array_equal(geo.box_points(6, lo, hi), x[:6])
+    # equidistributed: at n = 100 each coordinate hits every decile
+    u = geo.box_points(100, np.zeros(d), np.ones(d))
+    for col in u.T:
+        assert set(np.floor(10.0 * col).astype(int).tolist()) == set(range(10))
+
+
+def test_box_points_steps_by_the_inverse_golden_ratio_in_one_dimension():
+    # alpha_j = g^-j with g^(d+1) = g + 1: g is the golden ratio for d = 1
+    i = np.arange(1.0, 21.0)
+    want = np.mod(0.5 + i * 2.0 / (1.0 + math.sqrt(5.0)), 1.0)
+    got = geo.box_points(20, (0.0,), (1.0,))[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-14

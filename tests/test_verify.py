@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -158,3 +160,49 @@ def test_v2_operator_suites_hold_on_deep_wells(well, suite):
         potential="v2", alpha=alpha, beta=beta, gamma=gamma,
         chart_params=(0.0, 1.0, 0.0), suite=suite))
     assert not failed, [r for r in records if not r["pass"] and not r["soft"]]
+
+
+# (points_used, points_drawn) of each eigen record: the node filter of
+# algebra.eigen_residual keeps every point on the fixtures, and on the deep
+# and wide wells only those where the state is not small
+EIGEN_POINTS = [
+    ({}, [(10, 10), (10, 10), (10, 10), (6, 6)]),
+    (dict(alpha=0.3, beta=0.2, gamma=3.0), [(4, 10), (4, 10), (4, 10), (3, 6)]),
+    (dict(alpha=0.56, beta=0.095, gamma=4.38),
+     [(1, 10), (1, 10), (1, 10), (1, 6)]),
+    (V2_FIXTURE, [(10, 10), (8, 8)]),
+]
+
+
+@pytest.mark.parametrize("well, counts", EIGEN_POINTS)
+def test_eigen_records_note_the_points_they_used(well, counts):
+    records, failed = verify.run(hcli.RunConfig(suite="eigen", **well))
+    notes = [r["notes"] for r in records if "points_used" in r.get("notes", {})]
+    assert [(n["points_used"], n["points_drawn"]) for n in notes] == counts
+    assert not failed
+
+
+RUNS_WITHOUT_NUMPY_RANDOM = """
+import math, sys
+from hypersint import cli, verify
+from hypersint import interbasis as ib
+from hypersint.potential1 import P1Params
+
+v2 = ["--alpha", "0.1", "--beta", "3", "--gamma", "1", "--chart-params", "0,1,0"]
+for pot, args in (("v1", []), ("v2", v2)):
+    for suite in verify.SUITES[pot]:
+        assert cli.main(["verify", "--suite", suite, "--potential", pot, *args,
+                         "--out", sys.argv[1]]) == 0, (pot, suite)
+deep = P1Params(0.3, 0.2, 3.0)
+assert math.isfinite(ib.verify_expansion(deep, 14, ib.w_quadrature(deep, 14)))
+assert "numpy.random" not in sys.modules
+"""
+
+
+def test_package_runs_do_not_load_numpy_random(tmp_path):
+    # every sample is a box_points design, so no run pays for importing
+    # numpy.random; the test's own process has imported it, hence the child
+    proc = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_NUMPY_RANDOM,
+                           str(tmp_path / "report.json")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
