@@ -51,7 +51,7 @@ from . import potential1 as p1m
 from . import potential2 as p2m
 from .errors import OutOfDomainError, SingularConfigurationError
 from .geometry import (AmbientPoints, OperatorExpr, apply_operator,
-                       apply_operators, chart_coordinates, chart_points)
+                       apply_operators)
 from .potential1 import P1Params
 from .potential2 import P2Params
 
@@ -322,9 +322,9 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
 class MultipletRep:
     """N1, N2, R on the (N+1)-dim level N, in its equidistant basis (m
     ascending): the Galerkin matrices <psi_i, L psi_j> on the tensor product
-    of the level's two (N+1)-node Gauss rules (``potential1.pt_rule`` and
-    ``morse_rule``).  The rules integrate the product of any two states of
-    the level exactly, and an integral maps the level into itself, so the
+    of the level's two (N+1)-node Gauss rules (``potential1.level_rule``).
+    The rule integrates the product of any two states of the level
+    exactly, and an integral maps the level into itself, so the
     matrices are exact up to round-off.  gram is the states' Gram matrix on
     the rules, r_matrix is [N1, N2] and r_applied the Galerkin matrix of R.
     """
@@ -347,16 +347,7 @@ def n2_horicyclic_eigenvalues(p: P1Params, N: int) -> np.ndarray:
 def multiplet_matrices(p: P1Params, N: int) -> MultipletRep:
     """The Galerkin matrices of N1, N2, R on the degenerate level N: the
     stacked states at the rules' points, and one apply_operators call."""
-    n, m = np.array(p1m.level_states_equidistant(p, N), dtype=float).T[:, :, None]
-    mu = p1m.p1_mu(p, m)
-    (t1, v1), (t2, v2) = p1m.pt_rule(p, n, mu), p1m.morse_rule(p, m, mu)
-    pts = chart_points("equidistant", np.repeat(t1, len(t2)), np.tile(t2, len(t1)))
-    # the volume element cosh t1 dt1 dt2, at the same points
-    weight = np.outer(v1 * np.cosh(t1), v2).ravel()
-
-    def basis(q):  # the level's states: a row per column (n, m)
-        return p1m._equidistant_product(
-            p, n, m, *chart_coordinates(q, "equidistant"))
+    basis, pts, weight = p1m.level_rule(p, N)
     psi = basis(pts)
     ops = tuple(build_operator(k, p) for k in ("N1", "N2", "R"))
     n1, n2, r = ((psi * weight) @ v.T for v in apply_operators(ops, basis, pts))

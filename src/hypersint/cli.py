@@ -290,7 +290,8 @@ def _state_for(cfg: RunConfig):
         meta["roots"] = [float(r) for r in match[0].roots]
         meta["root_residual"] = match[0].residual
         meta["form"] = cfg.form
-        meta["log_norm"] = p1._parabolic_log_norm(st)
+        # from the state's projection onto its level on the level's rule
+        meta["log_norm"] = p1._parabolic_projection(st)[0]
 
     def on_grid(u, v):
         out = np.full(u.shape, math.nan)

@@ -33,8 +33,9 @@ Conventions
   the Poschl-Teller one at 1 - 2 tanh^2 t1 in [-1, 1], the Morse one at
   z = sqrt2 beta e^{2 t2}.  There the Gram integrals are polynomials
   against classical weights, which ``pt_rule`` and ``morse_rule`` integrate
-  exactly by Gauss rules (``specfun.gauss_rule``); the parabolic norms take
-  Gauss-Jacobi and Gauss-Laguerre rules in sin^2/cos^2 and sinh^2.
+  exactly by Gauss rules (``specfun.gauss_rule``).  A level's tensor rule
+  (``level_rule``) also normalizes its parabolic states, which lie in the
+  span of its equidistant ones.
 * The zero ("Bethe-type") equations exist in two forms:
   ``form="printed"`` is the transcription of the published display;
   ``form="derived"``  is re-derived here from the confluent-Heun reduction
@@ -66,6 +67,7 @@ from .geometry import (
     AmbientPoints,
     ambient_to_chart,
     chart_coordinates,
+    chart_points,
     in_chart_domain,
 )
 
@@ -73,6 +75,7 @@ __all__ = [
     "BetheRoots",
     "P1Params",
     "P1State",
+    "level_rule",
     "level_states_equidistant",
     "level_states_horicyclic",
     "morse_factor",
@@ -585,6 +588,21 @@ def _equidistant_product(p: P1Params, n, m, t1, t2):
             * morse_factor(p, m, t2, mu))
 
 
+def level_rule(p: P1Params, N: int):
+    """Level N's tensor Gauss rule (``pt_rule`` x ``morse_rule``), exact for
+    the product of any two of its states: the states stacked into one
+    function of ambient points (a row per (n, m), m ascending), the rule's
+    equidistant points and their weights for cosh t1 dt1 dt2."""
+    n, m = np.array(level_states_equidistant(p, N), dtype=float).T[:, :, None]
+    mu = p1_mu(p, m)
+    (t1, v1), (t2, v2) = pt_rule(p, n, mu), morse_rule(p, m, mu)
+
+    def basis(q):
+        return _equidistant_product(p, n, m, *chart_coordinates(q, "equidistant"))
+    pts = chart_points("equidistant", np.repeat(t1, len(t2)), np.tile(t2, len(t1)))
+    return basis, pts, np.outer(v1 * np.cosh(t1), v2).ravel()
+
+
 def p1_wf_horicyclic(state: P1State, x, y):
     """Canonical horicyclic product: unit norm in L^2(dx dy/y^2), x > 0 half."""
     return _horicyclic_product(state.params, *state.numbers, x, y)
@@ -755,21 +773,19 @@ def p1_hp_tau(p: P1Params, roots: BetheRoots) -> float:
 # Parabolic-chart wavefunctions (product over zeros)
 # ---------------------------------------------------------------------------
 
-def _parabolic_wf(chart: str, state: P1State, u, th):
-    """The normalized product form on a parabolic chart,
+def _parabolic_raw(chart: str, state: P1State, u, th):
+    """The raw product form on a parabolic chart, as its log-magnitude and
+    the ``_exp_guarded`` polynomial and arguments:
 
-        (w1 w2)^{1/2+d} (r1 r2)^{nu+1/2} e^{-c (r1^2 + s r2^2) - log_norm}
+        (w1 w2)^{1/2+d} (r1 r2)^{nu+1/2} e^{-c (r1^2 + s r2^2)}
             prod_k (r1^2 - t_k)(r2^2 - s t_k),
 
     with walls (w1, w2) = (|sinh a|, |sin th|), radial factors
     (r1, r2) = (cosh a, cos th) and s = 1 on the elliptic-parabolic chart,
     and (cosh b, cos th), (|sinh b|, |sin th|), s = -1 on the
-    hyperbolic-parabolic one.  The norm enters the log-magnitude: on wide
-    wells exp(-log_norm) underflows on its own where the values do not.
+    hyperbolic-parabolic one.
     """
-    if not np.all(in_chart_domain(chart, u, th)):
-        raise OutOfDomainError(f"{chart} product form needs points inside the chart")
-    p, roots, log_norm = state.params, state.roots, _parabolic_log_norm(state)
+    p, roots = state.params, state.roots
     ua, tha = sf._asarray(u), sf._asarray(th)
     expo = p.s - p.d - 2.0 * roots.N - 1.5  # = nu + 1/2
     su, cu = np.abs(np.sinh(ua)), np.cosh(ua)
@@ -779,7 +795,7 @@ def _parabolic_wf(chart: str, state: P1State, u, th):
     with np.errstate(divide="ignore"):
         logmag = ((0.5 + p.d) * (np.log(w1) + np.log(w2))
                   + expo * (np.log(r1) + np.log(r2))
-                  - p.c * (r1**2 + s * r2**2) - log_norm)
+                  - p.c * (r1**2 + s * r2**2))
 
     def poly(v1, v2):
         out = np.ones_like(v1)
@@ -787,7 +803,46 @@ def _parabolic_wf(chart: str, state: P1State, u, th):
             out = out * (v1 - t) * (v2 - s * t)
         return out
 
-    return _exp_guarded(logmag, poly, r1**2, r2**2)
+    return logmag, poly, r1**2, r2**2
+
+
+@lru_cache(maxsize=256)
+def _parabolic_projection(state: P1State) -> tuple[float, float]:
+    """log_norm of the raw product form, and its membership residual.
+
+    The state lies in its level's span, so on the level's rule (weights v)
+    its coefficients c_k = sum_q v_q psi_eq,k(q) psi(q) give its squared
+    norm over w2 > 0, which the t1 > 0 basis sees, as sum c^2.  The form is
+    taken at the rule points over e^L, L its largest log-magnitude there
+    (values near e^{+-790} on the s = 229 well), so log_norm is
+    L + (1/2) log(2 sum c^2) on the elliptic-parabolic chart (both halves)
+    and L + (1/2) log(sum c^2) on the hyperbolic-parabolic one.  The sum is
+    exact only in the span: the residual max |psi - sum_k c_k psi_eq,k| /
+    max |psi| at the rule points bounds the norm's error, second order in it.
+    """
+    basis, pts, weight = level_rule(state.params, state.N)
+    eq = basis(pts)
+    logmag, *poly = _parabolic_raw(state.chart, state,
+                                   *chart_coordinates(pts, state.chart))
+    top = float(np.max(logmag))
+    psi = _exp_guarded(logmag - top, *poly)
+    c = (eq * weight) @ psi
+    halves = 2.0 if state.chart == "elliptic-parabolic" else 1.0
+    return (top + 0.5 * math.log(halves * float(c @ c)),
+            float(np.max(np.abs(psi - c @ eq)) / np.max(np.abs(psi))))
+
+
+def _parabolic_wf(chart: str, state: P1State, u, th):
+    """The normalized product form: ``_parabolic_raw`` with the log norm
+    of ``_parabolic_projection`` in its log-magnitude, where exp(-log_norm)
+    cannot underflow on its own.  Its coefficients on the level's
+    equidistant states have sum c^2 = 1/2 on the elliptic-parabolic chart,
+    normalized over both halves, and 1 on the hyperbolic-parabolic one,
+    over w2 > 0."""
+    if not np.all(in_chart_domain(chart, u, th)):
+        raise OutOfDomainError(f"{chart} product form needs points inside the chart")
+    logmag, *poly = _parabolic_raw(chart, state, u, th)
+    return _exp_guarded(logmag - _parabolic_projection(state)[0], *poly)
 
 
 # volume elements of the parabolic charts (conformal factors)
@@ -799,72 +854,11 @@ def hp_volume_element(b, th):
     return (np.sinh(b) ** 2 + np.sin(th) ** 2) / (np.sinh(b) ** 2 * np.sin(th) ** 2)
 
 
-def _log_sum(logv: np.ndarray) -> float:
-    """log(sum(exp(logv))), scaled by the largest term."""
-    top = float(np.max(logv))
-    return top + math.log(float(np.sum(np.exp(logv - top))))
-
-
-@lru_cache(maxsize=256)
-def _parabolic_log_norm(state: P1State) -> float:
-    """log of the L^2 norm of the raw product form over its chart.
-
-    The squared product separates as A(u)^2 B(th)^2, and so does the
-    volume element: 1/cos^2 th - 1/cosh^2 a (elliptic-parabolic) and
-    1/sin^2 th + 1/sinh^2 b (hyperbolic-parabolic).  The double integral is
-    therefore a combination of four 1-D integrals, taken in log space.  In
-    the squared variable v (y = sinh^2 u radially, x = cos^2 th or sin^2 th
-    angularly), with r^2 and w^2 the squared radial and wall factors (1 + y
-    or y, x; y or 1 + y, 1 - x), each factor's integral is
-
-        (1/2) int w^{2d} r^{2 nu} e^{-2 sign c r^2} prod_k (r^2 - sign t_k)^2 dv,
-
-    or the same over r^2.  The angular ones take the Gauss-Jacobi rule of
-    x^{nu-1} (1-x)^d, the radial ones the Gauss-Laguerre rule of y^d e^{-2cy}
-    (elliptic) or y^{nu-1} e^{-2cy} (hyperbolic), with N + 60 nodes: their
-    integrands are smooth but not polynomial.
-    """
-    p, N = state.params, state.N
-    nu, c, d = p1_nu(p, N), p.c, p.d
-    roots = np.asarray(state.roots.roots, dtype=float)
-    K = N + 60
-
-    def log_sums(log_w, wall2, rad2, sign):
-        # log int F^2 and log int F^2 / r^2 on the nodes' dv-weights exp(log_w)
-        with np.errstate(divide="ignore"):
-            lf = (log_w + d * np.log(wall2) + nu * np.log(rad2)
-                  - 2.0 * sign * c * rad2
-                  + np.sum(np.log((rad2[:, None] - sign * roots) ** 2), axis=1))
-        return _log_sum(lf), _log_sum(lf - np.log(rad2))
-
-    ep = state.chart == "elliptic-parabolic"
-    x, w = sf.gauss_rule(*sf.jacobi_recurrence(nu - 1.0, d, K), math.exp(
-        sf.lgamma(nu) + sf.lgamma(d + 1.0) - sf.lgamma(nu + d + 1.0)))
-    lt, lt_v = log_sums(
-        np.log(0.5 * w) - (nu - 1.0) * np.log(x) - d * np.log1p(-x),
-        1.0 - x, x, 1.0 if ep else -1.0)
-    a = d if ep else nu - 1.0
-    # the Laguerre mass Gamma(a+1) stays in log space: it overflows past a = 170
-    z, w = sf.gauss_rule(*sf.laguerre_recurrence(a, K), 1.0)
-    y = z / (2.0 * c)
-    la, la_v = log_sums(np.log(0.5 * w / (2.0 * c)) + sf.lgamma(a + 1.0)
-                        - a * np.log(z) + z,
-                        *((y, 1.0 + y) if ep else (1.0 + y, y)), 1.0)
-    if ep:
-        # theta < 0 half by evenness
-        log_total = (math.log(2.0) + la + lt_v
-                     + math.log1p(-math.exp(la_v + lt - la - lt_v)))
-    else:
-        log_total = float(np.logaddexp(la + lt_v, la_v + lt))
-    return 0.5 * log_total
-
-
 def p1_wf_elliptic_parabolic(state: P1State, a, th):
-    """Product-form wavefunction on the elliptic-parabolic chart.
-
-    Built from the solved zero configuration attached to the state and
-    normalized numerically over the chart volume element.  Raises
-    OutOfDomainError for points outside the chart
+    """Product-form wavefunction on the elliptic-parabolic chart, from the
+    state's solved zero configuration; normalized over both halves of the
+    chart, so sum c^2 = 1/2 on the level's equidistant states, which see
+    w2 > 0.  Raises OutOfDomainError for points outside the chart
     (``geometry.in_chart_domain``).
     """
     return _parabolic_wf("elliptic-parabolic", state, a, th)
@@ -872,7 +866,7 @@ def p1_wf_elliptic_parabolic(state: P1State, a, th):
 
 def p1_wf_hyperbolic_parabolic(state: P1State, b, th):
     """The hyperbolic-parabolic product form, as on the elliptic-parabolic
-    chart."""
+    chart; normalized over w2 > 0, so sum c^2 = 1."""
     return _parabolic_wf("hyperbolic-parabolic", state, b, th)
 
 

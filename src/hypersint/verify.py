@@ -128,6 +128,7 @@ def _v1_eigen(params, cfg) -> list[dict]:
     if _nmax(params) < 1:
         return recs
     # operator, chart, roots, separation constant, its name, offset / g^2
+    members = []
     for op, chart, roots, sep, name, offset in (
             ("L3", "elliptic-parabolic", p1.p1_ep_roots, p1.p1_ep_lambda,
              "lambda", 4.0),
@@ -144,6 +145,9 @@ def _v1_eigen(params, cfg) -> list[dict]:
             notes={f"{name}_separation": value,
                    f"{name}_operator": value + offset,
                    "display_offset": offset}))
+        # the norm is exact only in the level's span
+        members.append(record(f"parabolic-membership-{chart}",
+                              p1._parabolic_projection(stp)[1], 1e-6))
     lam = recs[-2]["notes"]
     recs.append(record(
         "lambda-AL0-vs-FEP10",
@@ -151,7 +155,7 @@ def _v1_eigen(params, cfg) -> list[dict]:
         notes={"comment": "operator eigenvalue minus separated-ODE "
                           "constant; equals 4 gamma^2 by the display "
                           "constant mismatch"}))
-    return recs
+    return recs + members
 
 
 def _v2_eigen(params, cfg) -> list[dict]:

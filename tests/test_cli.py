@@ -149,7 +149,9 @@ def test_verify_eigen_on_a_wide_well_passes():
     records = json.loads(r.stdout)["records"]
     assert all(rec["pass"] for rec in records if not rec["soft"])
     assert {rec["id"] for rec in records} >= {
-        "L3-elliptic-parabolic", "L4-hyperbolic-parabolic"}
+        "L3-elliptic-parabolic", "L4-hyperbolic-parabolic",
+        "parabolic-membership-elliptic-parabolic",
+        "parabolic-membership-hyperbolic-parabolic"}
 
 
 def test_verify_interbasis_on_a_wide_well_is_quiet():

@@ -117,17 +117,6 @@ def test_windows_match_the_separate_formulas():
             assert (top if top >= 0 else None) == _old_nmax(2.0 * k + eps)
 
 
-def test_parabolic_log_norms_finite_on_a_wide_well():
-    # s = 229: the Laguerre mass Gamma(a+1), a = d or nu - 1, overflowed a
-    # float once a passed 170
-    p = p1.P1Params(0.8021189901441927, 0.055414650975510134, 4.235214784107855)
-    assert p.s > 228.0
-    for chart, roots in (("elliptic-parabolic", p1.p1_ep_roots),
-                         ("hyperbolic-parabolic", p1.p1_hp_roots)):
-        st = p1.P1State(p, chart, (1,), roots=roots(p, 1, form="derived")[0])
-        assert math.isfinite(p1._parabolic_log_norm(st))
-
-
 def test_mu_quantization(p1_fixture):
     for m, mu in ((0, 7.0), (1, 5.0), (2, 3.0), (3, 1.0)):
         assert abs(p1.p1_mu(p1_fixture, m) - mu) < 1e-12
@@ -688,17 +677,11 @@ def _parabolic_log_norm_oracle(st) -> float:
     return float(mp.log(total) / 2)
 
 
-@pytest.mark.parametrize("params,levels", [
-    ((1.0, 1.0 / SQRT2, 2.0 * SQRT2), (1, 2)),
-    ((0.3, 0.2, 3.0), (1, 4, 8)),
-    ((0.865, 0.19, 4.855), (4, 8)),
-])
-def test_parabolic_norm_separates(params, levels):
-    # the four 1-D integrals of the separated norm against their closed
-    # forms: both charts, the first and last configuration of each level
-    # (measured: at most 8.5e-14; the tanh-sinh sums were off by up to 0.16)
+def _check_parabolic_log_norms(p, levels, tol):
+    # the log norm from the level projection against the closed form of the
+    # separated integrals: both charts, the first and last configuration of
+    # each level
     mp = pytest.importorskip("mpmath")
-    p = p1.P1Params(*params)
     with mp.workdps(60):
         for N in levels:
             for chart, solve in (("elliptic-parabolic", p1.p1_ep_roots),
@@ -707,5 +690,26 @@ def test_parabolic_norm_separates(params, levels):
                 for conf in {confs[0], confs[-1]}:
                     st = p1.P1State(p, chart, (N,), roots=conf)
                     want = _parabolic_log_norm_oracle(st)
-                    assert abs(p1._parabolic_log_norm(st) - want) <= 1e-12, (
-                        chart, N, conf.zone_counts)
+                    got = p1._parabolic_projection(st)[0]
+                    assert abs(got - want) <= tol, (chart, N, conf.zone_counts)
+
+
+@pytest.mark.parametrize("params,levels", [
+    ((1.0, 1.0 / SQRT2, 2.0 * SQRT2), (1, 2)),
+    ((0.3, 0.2, 3.0), (1, 4, 8, 14)),
+    ((0.865, 0.19, 4.855), (4, 8)),
+])
+def test_parabolic_norm_separates(params, levels):
+    # measured: at most 1.1e-13; the four separated 1-D integrals on N + 60
+    # nodes were off by 1.2e-8 at deep N = 14, the tanh-sinh sums by 0.16
+    _check_parabolic_log_norms(p1.P1Params(*params), levels, 1e-12)
+
+
+def test_parabolic_norm_on_a_wide_well():
+    # s = 229: log_norm is about 792, whose ulp is 1.1e-13; the bound is 32
+    # of them.  Measured: at most 2.2e-12, the level's own Gram defect
+    # (2.0e-12 at N = 1); the separated integrals were off by 0.33 at N = 1
+    # and 0.23 at N = 5
+    p = p1.P1Params(0.8021189901441927, 0.055414650975510134, 4.235214784107855)
+    assert p.s > 228.0
+    _check_parabolic_log_norms(p, (1, 5), 32 * math.ulp(792.0))

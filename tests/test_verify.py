@@ -20,7 +20,9 @@ RECORDS = {
         ("L1-equidistant", 1e-6, False), ("L2-horicyclic", 1e-6, False),
         ("L3-elliptic-parabolic", 1e-6, False),
         ("L4-hyperbolic-parabolic", 1e-6, False),
-        ("lambda-AL0-vs-FEP10", None, True)],
+        ("lambda-AL0-vs-FEP10", None, True),
+        ("parabolic-membership-elliptic-parabolic", 1e-6, False),
+        ("parabolic-membership-hyperbolic-parabolic", 1e-6, False)],
     ("v1", "linear-relations"): [("linRel3", 1e-5, False),
                                  ("linRel4", 1e-5, False)],
     ("v1", "quadratic-algebra"): [
