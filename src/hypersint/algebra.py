@@ -346,12 +346,15 @@ def n2_horicyclic_eigenvalues(p: P1Params, N: int) -> np.ndarray:
 
 def multiplet_matrices(p: P1Params, N: int) -> MultipletRep:
     """The Galerkin matrices of N1, N2, R on the degenerate level N: the
-    stacked states at the rules' points, and one apply_operators call."""
-    basis, pts, weight = p1m.level_rule(p, N)
-    psi = basis(pts)
-    ops = tuple(build_operator(k, p) for k in ("N1", "N2", "R"))
-    n1, n2, r = ((psi * weight) @ v.T for v in apply_operators(ops, basis, pts))
-    return MultipletRep(N, p1m.p1_energy(p, N), (psi * weight) @ psi.T,
+    stacked states at the rules' points, and one apply_operators call, whose
+    identity row pairs the values with the jets; the Gram matrix takes the
+    values at the nodes (``potential1.level_rule``)."""
+    basis, pts, weight, values = p1m.level_rule(p, N)
+    ops = (OperatorExpr((), 1.0, name="identity"),
+           *(build_operator(k, p) for k in ("N1", "N2", "R")))
+    psi, *applied = apply_operators(ops, basis, pts)
+    n1, n2, r = ((psi * weight) @ v.T for v in applied)
+    return MultipletRep(N, p1m.p1_energy(p, N), (values * weight) @ values.T,
                         n1, n2, n1 @ n2 - n2 @ n1, r)
 
 

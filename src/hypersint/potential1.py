@@ -155,7 +155,9 @@ class _EquidistantWell:
 
     and both windows are open: the boundary level nu = 0 (E = 1/8) and the
     boundary state mu = 0 are excluded.  nmax and m_max are computed once
-    per instance (cached_property stores them in the instance dict).
+    per instance (cached_property stores them in the instance dict).  The
+    t1-factor is ``pt_factor`` for both; each subclass states its t2-factor
+    and that factor's Gauss rule, ``m_factor(m, t2, mu)`` and ``m_rule(m, mu)``.
     """
 
     @property
@@ -199,6 +201,12 @@ class P1Params(_EquidistantWell):
     @property
     def c(self) -> float:
         return self.beta / SQRT2
+
+    def m_factor(self, m, t2, mu):
+        return morse_factor(self, m, t2, mu)
+
+    def m_rule(self, m, mu):
+        return morse_rule(self, m, mu)
 
 
 def p1_mu(p, m):
@@ -580,27 +588,32 @@ def p1_wf_equidistant(state: P1State, t1, t2):
     return _equidistant_product(state.params, *state.numbers, t1, t2)
 
 
-def _equidistant_product(p: P1Params, n, m, t1, t2):
-    """``p1_wf_equidistant`` of (n, m), or of columns n, m (a row each)."""
+def _equidistant_product(p, n, m, t1, t2):
+    """``p1_wf_equidistant`` of (n, m), or of columns n, m (a row each), of
+    either potential (its t2-factor is ``p.m_factor``)."""
     mu = p1_mu(p, m)
     return (np.cosh(sf._asarray(t1)) ** -0.5
             * pt_factor(p, n, mu, t1)
-            * morse_factor(p, m, t2, mu))
+            * p.m_factor(m, t2, mu))
 
 
-def level_rule(p: P1Params, N: int):
-    """Level N's tensor Gauss rule (``pt_rule`` x ``morse_rule``), exact for
+def level_rule(p, N: int):
+    """Level N's tensor Gauss rule (``pt_rule`` x ``p.m_rule``), exact for
     the product of any two of its states: the states stacked into one
     function of ambient points (a row per (n, m), m ascending), the rule's
-    equidistant points and their weights for cosh t1 dt1 dt2."""
+    equidistant points, their weights for cosh t1 dt1 dt2, and the stack's
+    values from the nodes themselves (the inversion t2 = arctanh(w1/w0)
+    loses digits where tanh t2 nears 1, as on the s = 229 well)."""
     n, m = np.array(level_states_equidistant(p, N), dtype=float).T[:, :, None]
     mu = p1_mu(p, m)
-    (t1, v1), (t2, v2) = pt_rule(p, n, mu), morse_rule(p, m, mu)
+    (t1, v1), (t2, v2) = pt_rule(p, n, mu), p.m_rule(m, mu)
 
     def basis(q):
         return _equidistant_product(p, n, m, *chart_coordinates(q, "equidistant"))
-    pts = chart_points("equidistant", np.repeat(t1, len(t2)), np.tile(t2, len(t1)))
-    return basis, pts, np.outer(v1 * np.cosh(t1), v2).ravel()
+    nodes = np.repeat(t1, len(t2)), np.tile(t2, len(t1))
+    return (basis, chart_points("equidistant", *nodes),
+            np.outer(v1 * np.cosh(t1), v2).ravel(),
+            _equidistant_product(p, n, m, *nodes))
 
 
 def p1_wf_horicyclic(state: P1State, x, y):
@@ -820,8 +833,7 @@ def _parabolic_projection(state: P1State) -> tuple[float, float]:
     exact only in the span: the residual max |psi - sum_k c_k psi_eq,k| /
     max |psi| at the rule points bounds the norm's error, second order in it.
     """
-    basis, pts, weight = level_rule(state.params, state.N)
-    eq = basis(pts)
+    _, pts, weight, eq = level_rule(state.params, state.N)
     logmag, *poly = _parabolic_raw(state.chart, state,
                                    *chart_coordinates(pts, state.chart))
     top = float(np.max(logmag))
@@ -875,12 +887,13 @@ def p1_wf_hyperbolic_parabolic(state: P1State, b, th):
 # ---------------------------------------------------------------------------
 
 def wf_ambient(state: P1State):
-    """Wavefunction as a function of ambient points.
+    """Wavefunction as a function of ambient points, of either potential.
 
-    Called with an AmbientPoint it returns a float, with an AmbientPoints
-    batch an array (one vectorized evaluation).  Uses the chart inversions;
-    the equidistant/horicyclic factors are even across the w2 = 0 wall, the
-    parabolic products are evaluated on their chart's domain.
+    Called with an AmbientPoint it returns a number (complex for the second
+    potential), with an AmbientPoints batch an array (one vectorized
+    evaluation).  Uses the chart inversions; the equidistant/horicyclic
+    factors are even across the w2 = 0 wall, the parabolic products are
+    evaluated on their chart's domain.
     """
     wf = {"equidistant": p1_wf_equidistant,
           "horicyclic": p1_wf_horicyclic,
@@ -891,5 +904,5 @@ def wf_ambient(state: P1State):
         if isinstance(q, AmbientPoints):
             return wf(state, *chart_coordinates(q, state.chart))
         cp = ambient_to_chart(q, state.chart)
-        return float(wf(state, cp.u1, cp.u2))
+        return wf(state, cp.u1, cp.u2).item()
     return f

@@ -31,24 +31,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import specfun as sf
 from .errors import SingularConfigurationError, SolverFailureError
-from .geometry import AmbientPoint, AmbientPoints, chart_coordinates
+from .geometry import AmbientPoint
 from .potential1 import (
     BetheRoots,
     P1State,
     _check_couplings,
     _check_level,
     _EquidistantWell,
+    _equidistant_product,
     _residual,
     p1_energy,
     p1_mu,
     p1_spectrum,
     pt_factor,
+    wf_ambient as p1_wf_ambient,
 )
 
 __all__ = [
@@ -135,6 +137,12 @@ class P2Params(_EquidistantWell):
     def k3(self) -> float:
         return self.d
 
+    def m_factor(self, m, t2, mu):
+        return s2_complex_factor(self, m, t2)
+
+    def m_rule(self, m, mu):
+        return s2_rule(self, m)
+
 
 p2_mu = p1_mu
 p2_energy = p1_energy
@@ -189,38 +197,29 @@ def v2_equidistant(p: P2Params, t1, t2, sign_corrected: bool = True):
 # Equidistant wavefunction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _s2_phase(p: P2Params, m: int) -> complex:
-    raw = _s2_raw(p, m, np.array([0.0]))[0]
-    return raw / abs(raw)
+def s2_complex_factor(p: P2Params, m, t2) -> np.ndarray:
+    """Complex-Jacobi factor S_m(t2), unit norm on t2 in R, of m or of a
+    column m (a row each), as ``potential1.morse_factor``: with x = sinh 2 t2
 
+        C (1+ix)^{a/2+1/4} (1-ix)^{conj a/2+1/4} P_m^{(a, conj a)}(-ix),
 
-def _s2_raw(p: P2Params, m: int, t2: np.ndarray) -> np.ndarray:
-    a = p.a
-    mu = p2_mu(p, m)
-    # real positive normalization: mu m! |Gamma(-m-a)|^2 / (pi 2^{1-M} Gamma(M-m))
-    log_norm = 0.5 * (math.log(mu) + sf.lgamma(m + 1.0)
+    C^2 = mu m! |Gamma(-m-a)|^2 / (pi 2^{1-M} Gamma(M-m)).  Both branch
+    factors are 1 at t2 = 0, so the phase |P_m(0)| / P_m(0) makes S(0) real
+    positive; S is real for all t2 up to round-off, which tests assert.
+    """
+    a, mu = p.a, p2_mu(p, m)
+    log_norm = 0.5 * (sf._each(math.log, mu) + sf.lgamma(m + 1.0)
                       + 2.0 * sf.lgamma(-m - a)
                       - math.log(math.pi) - (1.0 - p.M) * math.log(2.0)
                       - sf.lgamma(p.M - m))
-    x = np.sinh(2.0 * t2)
-    zp = 1.0 + 1j * x
-    zm = 1.0 - 1j * x
-    powers = np.exp((a / 2.0 + 0.25) * np.log(zp)
-                    + (a.conjugate() / 2.0 + 0.25) * np.log(zm))
+    x = np.sinh(2.0 * np.atleast_1d(sf._asarray(t2)))
+    powers = np.exp((a / 2.0 + 0.25) * np.log(1.0 + 1j * x)
+                    + (a.conjugate() / 2.0 + 0.25) * np.log(1.0 - 1j * x))
     poly = sf.jacobi(m, a, a.conjugate(), -1j * x)
-    return math.exp(log_norm) * powers * sf._asarray(poly, complex)
-
-
-def s2_complex_factor(p: P2Params, m: int, t2) -> np.ndarray:
-    """Complex-Jacobi factor S_m(t2), unit norm on t2 in R, phase-fixed.
-
-    S(0) is real positive; the value is real for all t2 up to round-off
-    (the two branch factors are conjugate, the polynomial has conjugate
-    parameters), which tests assert.
-    """
-    t2 = np.atleast_1d(sf._asarray(t2))
-    return _s2_raw(p, m, t2) / _s2_phase(p, m)
+    c = sf._each(math.exp, log_norm)
+    # S(0) before the phase fix, in the complex arithmetic of every t2
+    s0 = c * sf.jacobi(m, a, a.conjugate(), 0j)
+    return c * powers * sf._asarray(poly, complex) / (s0 / np.abs(s0))
 
 
 def s2_rule(p: P2Params, m):
@@ -251,13 +250,7 @@ z_pt_factor = pt_factor
 
 def p2_wf_equidistant(state: P2State, t1, t2) -> np.ndarray:
     """Psi_{nm}(t1, t2), real up to round-off after the global phase fix."""
-    n, m = state.numbers
-    p = state.params
-    mu = p2_mu(p, m)
-    t1 = sf._asarray(t1)
-    return (np.cosh(t1) ** -0.5
-            * z_pt_factor(p, n, mu, t1)
-            * s2_complex_factor(p, m, t2))
+    return _equidistant_product(state.params, *state.numbers, t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +467,9 @@ def wf_ambient(state: P2State):
     """Wavefunction as a function of ambient points: complex for an
     AmbientPoint, a complex array for an AmbientPoints batch.
 
-    Equidistant states go through the chart inversion; semi-hyperbolic
-    states are evaluated directly in ambient variables.
+    Semi-hyperbolic states are evaluated directly in ambient variables,
+    equidistant ones by ``potential1.wf_ambient``.
     """
-    if state.chart == "semi-hyperbolic":
-        return lambda q: p2_wf_semihyperbolic(state, q)
-
-    def f(q):
-        out = p2_wf_equidistant(state, *chart_coordinates(q, "equidistant"))
-        if isinstance(q, AmbientPoints):
-            return out
-        return complex(np.asarray(out).reshape(()))
-    return f
+    if state.chart != "semi-hyperbolic":
+        return p1_wf_ambient(state)
+    return lambda q: p2_wf_semihyperbolic(state, q)

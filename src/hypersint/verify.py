@@ -86,19 +86,13 @@ def _rel_max(a, b) -> float:
 def equidistant_gram(params, n, m) -> np.ndarray:
     """Gram matrix of the equidistant states (n_i, m_i) of either potential:
     the product of their factors' Gram matrices, each from its exact Gauss
-    rule.  The Poschl-Teller factor is shared; the m-factor is the Morse one
-    (v1) or the complex-Jacobi one (v2)."""
+    rule.  The Poschl-Teller factor is shared; the t2-factor and its rule
+    are the params' ``m_factor`` (real up to round-off) and ``m_rule``."""
     n, m = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (n, m))
     mu = p1.p1_mu(params, m)
-    t1, v1 = p1.pt_rule(params, n, mu)
+    (t1, v1), (t2, v2) = p1.pt_rule(params, n, mu), params.m_rule(m, mu)
     f1 = p1.pt_factor(params, n, mu, t1)
-    if isinstance(params, p1.P1Params):
-        t2, v2 = p1.morse_rule(params, m, mu)
-        f2 = p1.morse_factor(params, m, t2, mu)
-    else:
-        t2, v2 = p2.s2_rule(params, m)
-        f2 = np.array([p2.s2_complex_factor(params, int(k), t2).real
-                       for k in m.ravel().tolist()])
+    f2 = params.m_factor(m, t2, mu).real
     return ((f1 * v1) @ f1.T) * ((f2 * v2) @ f2.T)
 
 

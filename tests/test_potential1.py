@@ -566,17 +566,34 @@ def test_morse_far_tail_is_zero_without_warnings():
     assert vals[0] == p1.morse_factor(p, 1, np.array([0.3]))[0] != 0.0
 
 
-@pytest.mark.parametrize("well", [(1.0, 1.0 / SQRT2, 2.0 * SQRT2),
-                                  (0.3, 0.2, 3.0), (0.56, 0.095, 4.38)])
+@pytest.mark.parametrize("well", [p1.P1Params(1.0, 1.0 / SQRT2, 2.0 * SQRT2),
+                                  p1.P1Params(0.3, 0.2, 3.0),
+                                  p1.P1Params(0.56, 0.095, 4.38),
+                                  p2.P2Params(0.1, 6.0, 1.0),
+                                  p2.P2Params(0.5, 12.0, 3.0)])
 def test_factor_columns_equal_single_state_calls_bit_for_bit(well):
     # a column of quantum numbers against a row of points is the stack of
     # the single-state calls, far-tail points (dropped by _exp_guarded,
     # exactly 0) included
-    p = p1.P1Params(*well)
+    p = well
     states = [nm for N in range(0, p.nmax + 1, max(1, p.nmax // 6))
               for nm in p1.level_states_equidistant(p, N)]
     n, m = np.array(states).T[:, :, None]
     mu = p1.p1_mu(p, m)
+    if isinstance(p, p2.P2Params):
+        # the complex-Jacobi factor, and the product with it, for which
+        # p2_wf_equidistant is the single-state call; on |t2| <= 20 the
+        # polynomial, of degree up to 7 in sinh 2 t2, stays finite
+        t1, t2 = np.linspace(-40.0, 40.0, 81), np.linspace(-20.0, 20.0, 81)
+        for got, ref in (
+                (p2.s2_complex_factor(p, m, t2),
+                 [p2.s2_complex_factor(p, int(a), t2) for a in m[:, 0]]),
+                (p1._equidistant_product(p, n, m, t1, t2),
+                 [p2.p2_wf_equidistant(p2.P2State(p, "equidistant", nm), t1, t2)
+                  for nm in states])):
+            assert got.shape == np.shape(ref)
+            assert np.array_equal(got, ref)
+        return
     t1 = np.concatenate([np.linspace(-400.0, 400.0, 81), [0.0, 0.05, 1e-3]])
     t2 = np.concatenate([np.linspace(-60.0, 10.0, 71), [300.0, 1e3]])
     xy = np.concatenate([np.linspace(-80.0, 80.0, 81), [1e-3, 500.0]])
@@ -644,8 +661,24 @@ def _parabolic_log_norm_oracle(st) -> float:
     """log norm of a parabolic product form in closed form: in the squared
     variables each 1-D integral is a sum, over the coefficients of
     prod_k (r^2 - sign t_k)^2, of Tricomi U (radial) or Kummer M (angular)
-    values; the sums cancel, so 60 digits."""
+    values.  The norm is a combination of products of these sums, which
+    cancels: the working precision starts at 30 digits and is raised until
+    it exceeds, by 20 digits, the digits lost, log10 of the largest term of
+    the products over the norm."""
     mp = pytest.importorskip("mpmath")
+    dps = 30
+    while True:
+        with mp.workdps(dps):
+            total, largest = _parabolic_norm_sums(mp, st)
+            lost = float(mp.log10(largest / abs(total))) if total else math.inf
+            if dps >= lost + 20.0:
+                return float(mp.log(total) / 2)
+            dps = math.ceil(lost) + 30
+
+
+def _parabolic_norm_sums(mp, st):
+    """The norm of ``_parabolic_log_norm_oracle`` at mpmath's working
+    precision, and the largest term of its products of sums."""
     p, N = st.params, st.N
     d = mp.sqrt(2 * mp.mpf(p.alpha) ** 2 + mp.mpf(1) / 4)
     c = mp.mpf(p.beta) / mp.sqrt(2)
@@ -659,39 +692,40 @@ def _parabolic_log_norm_oracle(st) -> float:
                 out = [u - sign * t * v for u, v in zip([0] + out, out + [0])]
         return list(enumerate(out))
 
-    rad, ang = [], []
+    rad, ang = [], []  # the terms of each sum
     for k in (0, 1):  # the integral, and the one over r^2
         if ep:  # y^d (1+y)^{nu-k} e^{-2c(1+y)} prod (1+y-t)^2
-            rad.append(mp.exp(-2 * c) * mp.gamma(d + 1) * mp.fsum(
-                cj * mp.hyperu(d + 1, d + nu - k + j + 2, 2 * c) for j, cj in coeffs(1)))
+            rad.append([mp.exp(-2 * c) * mp.gamma(d + 1) * cj
+                        * mp.hyperu(d + 1, d + nu - k + j + 2, 2 * c)
+                        for j, cj in coeffs(1)])
         else:  # y^{nu-k} (1+y)^d e^{-2cy} prod (y-t)^2
-            rad.append(mp.fsum(cj * mp.gamma(nu - k + j + 1)
-                               * mp.hyperu(nu - k + j + 1, nu - k + j + d + 2, 2 * c)
-                               for j, cj in coeffs(1)))
+            rad.append([cj * mp.gamma(nu - k + j + 1)
+                        * mp.hyperu(nu - k + j + 1, nu - k + j + d + 2, 2 * c)
+                        for j, cj in coeffs(1)])
         s = 1 if ep else -1  # x^{nu-k} (1-x)^d e^{-2scx} prod (x-st)^2
-        ang.append(mp.fsum(cj * mp.beta(nu - k + j + 1, d + 1)
-                           * mp.hyp1f1(nu - k + j + 1, nu - k + j + d + 2, -2 * s * c)
-                           for j, cj in coeffs(s)))
-    total = (2 * (rad[0] * ang[1] - rad[1] * ang[0]) if ep
-             else rad[0] * ang[1] + rad[1] * ang[0]) / 4
-    return float(mp.log(total) / 2)
+        ang.append([cj * mp.beta(nu - k + j + 1, d + 1)
+                    * mp.hyp1f1(nu - k + j + 1, nu - k + j + d + 2, -2 * s * c)
+                    for j, cj in coeffs(s)])
+    (r0, r1), (a0, a1) = ([mp.fsum(v) for v in x] for x in (rad, ang))
+    top = [max(map(abs, v)) for v in (*rad, *ang)]
+    scale = mp.mpf(2 if ep else 1) / 4
+    total = scale * (r0 * a1 - r1 * a0 if ep else r0 * a1 + r1 * a0)
+    return total, scale * max(top[0] * top[3], top[1] * top[2])
 
 
 def _check_parabolic_log_norms(p, levels, tol):
     # the log norm from the level projection against the closed form of the
     # separated integrals: both charts, the first and last configuration of
     # each level
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(60):
-        for N in levels:
-            for chart, solve in (("elliptic-parabolic", p1.p1_ep_roots),
-                                 ("hyperbolic-parabolic", p1.p1_hp_roots)):
-                confs = solve(p, N, form="derived")
-                for conf in {confs[0], confs[-1]}:
-                    st = p1.P1State(p, chart, (N,), roots=conf)
-                    want = _parabolic_log_norm_oracle(st)
-                    got = p1._parabolic_projection(st)[0]
-                    assert abs(got - want) <= tol, (chart, N, conf.zone_counts)
+    for N in levels:
+        for chart, solve in (("elliptic-parabolic", p1.p1_ep_roots),
+                             ("hyperbolic-parabolic", p1.p1_hp_roots)):
+            confs = solve(p, N, form="derived")
+            for conf in {confs[0], confs[-1]}:
+                st = p1.P1State(p, chart, (N,), roots=conf)
+                want = _parabolic_log_norm_oracle(st)
+                got = p1._parabolic_projection(st)[0]
+                assert abs(got - want) <= tol, (chart, N, conf.zone_counts)
 
 
 @pytest.mark.parametrize("params,levels", [
@@ -713,3 +747,15 @@ def test_parabolic_norm_on_a_wide_well():
     p = p1.P1Params(0.8021189901441927, 0.055414650975510134, 4.235214784107855)
     assert p.s > 228.0
     _check_parabolic_log_norms(p, (1, 5), 32 * math.ulp(792.0))
+
+
+def test_parabolic_norm_at_a_high_level_of_a_wide_well():
+    # wide well, N = 30: the closed form's sums of the hyperbolic (24, 6)
+    # configuration cancel past 60 digits (at 60 its norm came out
+    # negative); at the oracle's own precision the two agree to 5.7e-14
+    p = p1.P1Params(0.56, 0.095, 4.38)
+    conf, = (c for c in p1.p1_hp_roots(p, 30, form="derived")
+             if c.zone_counts == (24, 6))
+    st = p1.P1State(p, "hyperbolic-parabolic", (30,), roots=conf)
+    assert abs(p1._parabolic_projection(st)[0]
+               - _parabolic_log_norm_oracle(st)) <= 1e-12

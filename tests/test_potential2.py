@@ -177,6 +177,24 @@ def test_equidistant_gram_of_every_state(well):
     assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-12
 
 
+@pytest.mark.parametrize("well", [(0.1, 6.0, 1.0), (0.3, 8.0, 2.0),
+                                  (0.5, 12.0, 3.0)])
+def test_level_rule_stacks_the_complex_jacobi_states(well):
+    # a level's tensor rule is Poschl-Teller x Romanovski: the Gram matrix
+    # of its stacked states at the nodes is I at every level (measured at
+    # most 9.8e-15, 4.0e-15, 1.5e-14), and at the rule's ambient points the
+    # stack is each state's own wavefunction, bit for bit
+    p = p2.P2Params(*well)
+    for N in range(p.nmax + 1):
+        basis, pts, weight, values = p1.level_rule(p, N)
+        gram = (values * weight) @ values.T
+        assert np.max(np.abs(gram - np.eye(N + 1))) <= 1e-13, N
+        t1, t2 = geo.chart_coordinates(pts, "equidistant")
+        for row, nm in zip(basis(pts), p1.level_states_equidistant(p, N)):
+            st = p2.P2State(p, "equidistant", nm)
+            assert np.array_equal(row, p2.p2_wf_equidistant(st, t1, t2)), nm
+
+
 def test_equidistant_wavefunction_realness(p2_fixture):
     st = p2.P2State(p2_fixture, "equidistant", (0, 0))
     t1 = np.linspace(0.1, 2.0, 20)
