@@ -553,7 +553,6 @@ _UFUNCS = {
 _FUNCTIONS = {
     np.where: _where, np.shape: lambda x: x.shape,
     np.ones_like: lambda x, dtype=None: np.ones(x.shape, dtype or x.c.dtype),
-    np.atleast_1d: lambda x: x if x.ndim else x[None],
 }
 
 

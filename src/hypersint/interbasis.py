@@ -282,20 +282,19 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
                             lv.rows, lv.cols, float(np.max(ratio)))
 
 
-def verify_expansion(p: P1Params, N: int, w: InterbasisMatrix,
-                     n_points: int = 50) -> float:
-    """Pointwise residual of the expansion over fixed chart points: the
+def verify_expansion(p: P1Params, N: int, w: InterbasisMatrix) -> float:
+    """Pointwise residual of the expansion over 50 fixed chart points: the
     ``geometry.box_points`` design of 0.15 <= a <= 1.8, -1.2 <= b <= 0.9.
 
     max over points and rows of |Psi_hc(x,y) - sum_m W Psi_eq(a,b)|, scaled
     by the largest |Psi_hc| encountered; coordinates are bridged by
     x = e^b tanh a, y = e^b / cosh a.
     """
-    a_pts, b_pts = box_points(n_points, (0.15, -1.2), (1.8, 0.9)).T
+    a_pts, b_pts = box_points(50, (0.15, -1.2), (1.8, 0.9)).T
     x_pts = np.exp(b_pts) * np.tanh(a_pts)
     y_pts = np.exp(b_pts) / np.cosh(a_pts)
     # each basis in one pass, its quantum numbers as float columns (as in
-    # _Level), so all the factor arithmetic stays in float64: (N+1, n_points)
+    # _Level), so all the factor arithmetic stays in float64: (N+1, 50)
     hc = p1m._horicyclic_product(p, *np.array(w.rows, dtype=float).T[:, :, None],
                                  x_pts, y_pts)
     eq_vals = p1m._equidistant_product(p, *np.array(w.cols, dtype=float).T[:, :, None],

@@ -255,8 +255,6 @@ def p1_energy_from_horicyclic(p: P1Params, N: int) -> float:
     """
     _check_level(p, N)
     root = p.gamma**2 / (SQRT2 * p.beta) - (2.0 * N + p.d + 2.0)
-    if root <= 0.0:
-        raise NoBoundStateError("horicyclic quantization: sqrt(-2E+1/4) <= 0")
     return 0.125 - 0.5 * root * root
 
 
@@ -264,8 +262,6 @@ def p1_energy_from_elliptic_parabolic(p: P1Params, N: int) -> float:
     """Level energy from sqrt(-2E+1/4) + d + 2N + 2 - s = 0."""
     _check_level(p, N)
     root = p.s - p.d - 2.0 * N - 2.0
-    if root <= 0.0:
-        raise NoBoundStateError("elliptic-parabolic quantization: root <= 0")
     return 0.125 - 0.5 * root * root
 
 
@@ -398,6 +394,14 @@ def _osc_y_log_norm(p, n2, nu):
                   + 0.5 * math.log(SQRT2 * p.beta) - sf.lgamma(n2 + nu + 1.0))
 
 
+def _laguerre_factor(log_norm, n, a, u, power):
+    """exp(log_norm - u/2 + power log u) L_n^a(u), through ``_exp_guarded``:
+    the Laguerre form of the Morse and both oscillator factors."""
+    with np.errstate(divide="ignore"):
+        logmag = log_norm - u / 2.0 + power * np.log(u)
+    return _exp_guarded(logmag, lambda v: sf.laguerre(n, a, v), u)
+
+
 def morse_factor(p: P1Params, m, t2, mu=None):
     """Morse-problem factor S_m(t2), unit norm on t2 in (-inf, inf).
 
@@ -410,8 +414,7 @@ def morse_factor(p: P1Params, m, t2, mu=None):
     # log z finite, so the log-magnitude stays a number (not NaN) where
     # the factor, below exp(-sqrt2 beta e^600 / 2), is 0 either way
     z = SQRT2 * p.beta * np.exp(2.0 * np.minimum(t2, 300.0))
-    logmag = _morse_log_norm(m, mu) - z / 2.0 + 0.5 * mu * np.log(z)
-    return _exp_guarded(logmag, lambda v: sf.laguerre(m, mu, v), z)
+    return _laguerre_factor(_morse_log_norm(m, mu), m, mu, z, 0.5 * mu)
 
 
 def pt_factor(p, n, mu, t1):
@@ -485,10 +488,8 @@ def osc_x_factor(p: P1Params, n1, x):
     psi ~ |x|^{1/2+d} e^{-beta x^2/sqrt2} L_{n1}^d(sqrt2 beta x^2); even.
     """
     xa = sf._asarray(x)
-    u = SQRT2 * p.beta * xa * xa
-    with np.errstate(divide="ignore"):
-        logmag = _osc_x_log_norm(p, n1) - u / 2.0 + (0.25 + 0.5 * p.d) * np.log(u)
-    return _exp_guarded(logmag, lambda v: sf.laguerre(n1, p.d, v), u)
+    return _laguerre_factor(_osc_x_log_norm(p, n1), n1, p.d,
+                            SQRT2 * p.beta * xa * xa, 0.25 + 0.5 * p.d)
 
 
 def osc_y_factor(p: P1Params, N, n2, y):
@@ -497,10 +498,8 @@ def osc_y_factor(p: P1Params, N, n2, y):
     if _any(nu <= 0.0):
         raise NoBoundStateError("y-factor requires sqrt(-2E+1/4) > 0")
     ya = sf._asarray(y)
-    u = SQRT2 * p.beta * ya * ya
-    with np.errstate(divide="ignore"):
-        logmag = _osc_y_log_norm(p, n2, nu) - u / 2.0 + (0.25 + 0.5 * nu) * np.log(u)
-    return _exp_guarded(logmag, lambda v: sf.laguerre(n2, nu, v), u)
+    return _laguerre_factor(_osc_y_log_norm(p, n2, nu), n2, nu,
+                            SQRT2 * p.beta * ya * ya, 0.25 + 0.5 * nu)
 
 
 def hc_norm_constant(p: P1Params, N: int) -> float:
@@ -714,7 +713,7 @@ def _zone_counts(roots: np.ndarray, zone_a, zone_b) -> tuple[int, int, int]:
 def _p1_roots(p: P1Params, N: int, chart: str, form: str,
               tol: float) -> tuple[list[BetheRoots], int]:
     """The real configurations of a parabolic chart's zero equations that
-    reach ``tol``, and the number of non-real configurations left out."""
+    reach ``tol``, and how many of the level's N + 1 are not real."""
     _check_level(p, N)
     equations = (p1_ep_equations if chart == "elliptic-parabolic"
                  else p1_hp_equations)
@@ -732,12 +731,12 @@ def _p1_roots(p: P1Params, N: int, chart: str, form: str,
         a_count, b_count, off = _zone_counts(th, *zones)
         out.append(BetheRoots(chart, form, N, tuple(th), r,
                               (a_count, b_count), off))
-    if not out and N > 0:
+    if not out:
         raise SolverFailureError(
             f"no root configuration reached residual {tol:g}",
             best_residual=best)
     out.sort(key=lambda br: (br.zone_counts[0], br.roots))
-    return out, len(configs) - len(real)
+    return out, N + 1 - len(real)
 
 
 def p1_ep_roots(p: P1Params, N: int, form: str = "printed",

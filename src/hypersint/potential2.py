@@ -212,7 +212,7 @@ def s2_complex_factor(p: P2Params, m, t2) -> np.ndarray:
                       + 2.0 * sf.lgamma(-m - a)
                       - math.log(math.pi) - (1.0 - p.M) * math.log(2.0)
                       - sf.lgamma(p.M - m))
-    x = np.sinh(2.0 * np.atleast_1d(sf._asarray(t2)))
+    x = np.sinh(2.0 * sf._asarray(t2))
     powers = np.exp((a / 2.0 + 0.25) * np.log(1.0 + 1j * x)
                     + (a.conjugate() / 2.0 + 0.25) * np.log(1.0 - 1j * x))
     poly = sf.jacobi(m, a, a.conjugate(), -1j * x)
@@ -265,17 +265,17 @@ def _es(chart_params) -> tuple[complex, complex, float]:
 
 def p2_sh_equations(p: P2Params, theta: np.ndarray,
                     chart_params) -> np.ndarray:
-    """Zero equations on the complexified sphere, one per root: the sum,
-    from 0 and in this order, of (k_l + 1)/(theta_i - e_l) for l = 1..3 and
-    2/(theta_i - theta_j) for j != i."""
-    theta = np.asarray(theta, dtype=complex)[:, None]
-    gap = theta - theta.T
-    np.fill_diagonal(gap, np.inf)  # the term j = i is 2/inf = 0
-    terms = np.hstack([np.zeros_like(theta),
-                       (np.array([p.k1, p.k2, p.k3]) + 1.0)
-                       / (theta - np.array(_es(chart_params))),
-                       2.0 / gap])
-    return np.cumsum(terms, axis=1)[:, -1]
+    """Zero equations on the complexified sphere, one per root (per row of
+    a stack theta): the sum, from 0 and in this order, of (k_l + 1)/(theta_i
+    - e_l) for l = 1..3 and 2/(theta_i - theta_j) for j != i."""
+    theta = np.asarray(theta, dtype=complex)[..., None]
+    gap = theta - np.swapaxes(theta, -1, -2)
+    gap[..., np.eye(theta.shape[-2], dtype=bool)] = np.inf  # 2/inf = 0
+    terms = np.concatenate([np.zeros_like(theta),
+                            (np.array([p.k1, p.k2, p.k3]) + 1.0)
+                            / (theta - np.array(_es(chart_params))),
+                            2.0 / gap], axis=-1)
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def _sh_family(p: P2Params, chart_params) -> tuple[np.ndarray, np.ndarray]:
@@ -298,36 +298,31 @@ def _sh_family(p: P2Params, chart_params) -> tuple[np.ndarray, np.ndarray]:
 
 def p2_sh_roots(p: P2Params, N: int, chart_params=DEFAULT_SH_PARAMS,
                 tol: float = 1e-10) -> list[BetheRoots]:
-    """Root configurations of the semi-hyperbolic zero equations.
+    """Root configurations of the semi-hyperbolic zero equations that
+    reach ``tol``.
 
-    All N + 1 candidates come from one Heine-Stieltjes eigenproblem (see
-    ``specfun._stieltjes_roots``).  Roots may be complex; each returned configuration is
-    closed under conjugation (required for a real wavefunction), with
-    zone_counts recording (real roots, complex pairs).
+    The candidates come from one Heine-Stieltjes eigenproblem (see
+    ``specfun._stieltjes_roots``): the family is real, so each is closed
+    under conjugation (required for a real wavefunction).  Their residuals
+    are one stacked ``p2_sh_equations`` call.  zone_counts records (real
+    roots, complex pairs).
     """
     _check_level(p, N)
-    found: list[tuple[np.ndarray, float]] = []
-    best = math.inf
-    for x in sf._stieltjes_roots(*_sh_family(p, chart_params), N):
-        r = _residual(p2_sh_equations(p, x, chart_params))
-        best = min(best, r)
+    configs = sf._stieltjes_roots(*_sh_family(p, chart_params), N)
+    residuals = _residual(p2_sh_equations(
+        p, np.reshape(configs, (len(configs), N)), chart_params))
+    out = []
+    for x, r in zip(configs, residuals):
         if r > tol:
             continue
-        # conjugate closure (guards realness of the wavefunction)
-        key = np.sort_complex(np.round(x, 8))
-        conj = np.sort_complex(np.round(x.conjugate(), 8))
-        if np.max(np.abs(key - conj), initial=0.0) > 1e-6:
-            continue
-        found.append((np.sort_complex(x), r))
-    if not found:
-        raise SolverFailureError(
-            f"no semi-hyperbolic configuration reached residual {tol:g}",
-            best_residual=best)
-    out = []
-    for roots, r in found:
+        roots = np.sort_complex(x)
         n_real = int(np.sum(np.abs(roots.imag) < 1e-9))
         out.append(BetheRoots("semi-hyperbolic", "sphere", N,
                               tuple(roots), r, (n_real, (N - n_real) // 2)))
+    if not out:
+        raise SolverFailureError(
+            f"no semi-hyperbolic configuration reached residual {tol:g}",
+            best_residual=min(residuals, default=math.inf))
     out.sort(key=lambda br: (br.zone_counts[0], [(z.real, z.imag) for z in br.roots]))
     return out
 
@@ -359,14 +354,13 @@ def p2_sh_lambda(p: P2Params, roots: BetheRoots, chart_params=DEFAULT_SH_PARAMS,
 
 
 def p2_sh_lambda_from_ode(p: P2Params, roots: BetheRoots, N: int,
-                          chart_params=DEFAULT_SH_PARAMS,
-                          rho_values=(0.37, 1.91, -2.63)) -> complex:
+                          chart_params=DEFAULT_SH_PARAMS) -> complex:
     """Independent oracle: solve the separated ODE for lambda.
 
     The separated equation is linear in lambda; with the product ansatz
     psi = prod_l (rho - e_l)^{(k_l + 1/2)/2} prod_j (rho - theta_j) every
     term is known in closed form, so lambda can be read off at any probe
-    rho.  Constancy across probes is checked.
+    rho.  Constancy across the probes 0.37, 1.91 and -2.63 is checked.
     """
     e1, e2, e3 = _es(chart_params)
     es = (e1, e2, e3)
@@ -377,7 +371,7 @@ def p2_sh_lambda_from_ode(p: P2Params, roots: BetheRoots, N: int,
     th = np.asarray(roots.roots, dtype=complex)
     e_level = p2_energy(p, N)
     vals = []
-    for rho in rho_values:
+    for rho in (0.37, 1.91, -2.63):
         rho = complex(rho)
         if min(abs(rho - e) for e in es) < 1e-6 or (
                 len(th) and np.min(np.abs(rho - th)) < 1e-6):

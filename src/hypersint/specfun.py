@@ -57,12 +57,12 @@ _LANCZOS_C = (
 )
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
+def _is_nonpositive_integer(z: complex) -> bool:
     z = complex(z)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > 1e-12:
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return r <= 0 and abs(z.real - r) <= 1e-12
 
 
 def _asarray(x, dtype=float):
@@ -278,35 +278,31 @@ def _stieltjes_polish(a: np.ndarray, b: np.ndarray,
 
 
 def _stieltjes_roots(a, b, N: int, center: float = 0.0) -> list[np.ndarray]:
-    """Every zero configuration of the family (a, b) at size N, polished.
+    """The zero configurations of the family (a, b) at size N that come
+    from its real Van Vleck eigenvalues, polished.
 
     The polynomials are expanded in powers of (th - center).  Roots that
     crowd against a singular point of a lose digits in the monomial basis;
     expanding about that point keeps them apart in relative terms.
 
-    For real a, b, configurations whose roots are all real come back as
-    float arrays, the others as complex arrays, in eigenvector order; the
-    real and the complex ones are each polished as one stack.  A
-    degenerate eigenvector (top coefficient exactly zero) yields no
-    configuration.  The roots are the eigenvalues of ``np.roots``' companion
-    matrices: one stacked ``eigvals`` call for the real eigenvectors, one
-    for the complex ones.
+    For real a, b, a complex eigenvalue has a non-real eigenvector, whose
+    roots are neither all real nor closed under conjugation: no caller can
+    use them, so it yields no configuration, nor does a degenerate
+    eigenvector (top coefficient exactly zero).  The others come back in
+    eigenvector order, as float arrays where every root is real and as
+    complex arrays (conjugate pairs) elsewhere; each kind is polished as
+    one stack.  The roots are the eigenvalues of ``np.roots``' companion
+    matrices, from one stacked ``eigvals`` call.
     """
     if N == 0:
         return [np.zeros(0)]
     a, b = _taylor_shift(a, center), _taylor_shift(b, center)
     _, vecs = np.linalg.eig(_stieltjes_matrix(a, b, N))
-    vecs = vecs.T[vecs[N] != 0]
-    real = ~np.any(vecs.imag, axis=1)
-    found = [None] * len(vecs)
-    for rows, coef in ((real, vecs[real].real), (~real, vecs[~real])):
-        if not len(coef):
-            continue
-        comp = np.zeros((len(coef), N, N), coef.dtype)
-        comp[:, 0] = -coef[:, N - 1::-1] / coef[:, N:]
-        comp.reshape(len(coef), -1)[:, N::N + 1] = 1.0  # the subdiagonal
-        for i, x in zip(np.flatnonzero(rows), np.linalg.eigvals(comp)):
-            found[i] = x.real if np.isrealobj(coef) and not np.any(x.imag) else x
+    coef = vecs.T[(vecs[N] != 0) & ~np.any(vecs.imag, axis=0)].real
+    comp = np.zeros((len(coef), N, N))
+    comp[:, 0] = -coef[:, N - 1::-1] / coef[:, N:]
+    comp.reshape(len(coef), N * N)[:, N::N + 1] = 1.0  # the subdiagonal
+    found = [x if np.any(x.imag) else x.real for x in np.linalg.eigvals(comp)]
     for real in (True, False):
         idx = [i for i, x in enumerate(found) if np.isrealobj(x) == real]
         if idx:

@@ -131,7 +131,7 @@ def test_criterion_06_interbasis():
                           float(np.max(np.abs(wq.entries - w3.entries))),
                           float(np.max(np.abs(w3.entries - wh.entries))))
         worst_orth = max(worst_orth, ib.orthogonality_defect(w3))
-        worst_pw = max(worst_pw, ib.verify_expansion(P1FIX, N, w3, n_points=50))
+        worst_pw = max(worst_pw, ib.verify_expansion(P1FIX, N, w3))
     ok = worst_agree <= 1e-8 and worst_orth <= 1e-8 and worst_pw <= 1e-6
     report(6, ok, f"three-method {worst_agree:.2e}, WtW-I {worst_orth:.2e}, "
                   f"pointwise {worst_pw:.2e}")

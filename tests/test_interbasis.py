@@ -47,7 +47,7 @@ def test_row_norms_unity(p1_fixture):
 def test_pointwise_expansion(p1_fixture):
     for N in range(3):
         w = ib.w_3f2(p1_fixture, N)
-        assert ib.verify_expansion(p1_fixture, N, w, n_points=50) <= 1e-6
+        assert ib.verify_expansion(p1_fixture, N, w) <= 1e-6
 
 
 def test_pointwise_expansion_second_parameter_set():
@@ -57,7 +57,7 @@ def test_pointwise_expansion_second_parameter_set():
         w = ib.w_3f2(p, N)
         assert np.max(np.abs(ib.w_quadrature(p, N).entries - w.entries)) <= 1e-8
         assert ib.orthogonality_defect(w) <= 1e-8
-        assert ib.verify_expansion(p, N, w, n_points=50) <= 1e-6
+        assert ib.verify_expansion(p, N, w) <= 1e-6
 
 
 def test_residual_invariant_under_compensated_sign_flip(p1_fixture):

@@ -145,7 +145,7 @@ def test_s_factor_real_and_normalized(p2_fixture):
     s = p2.s2_complex_factor(p, 0, t2)
     assert np.max(np.abs(s.imag)) <= 1e-10 * np.max(np.abs(s.real))
     assert s[40].real > 0.0  # phase convention: real positive at t2 = 0
-    v = _quad(lambda t: abs(p2.s2_complex_factor(p, 0, t)[0]) ** 2,
+    v = _quad(lambda t: abs(p2.s2_complex_factor(p, 0, t)) ** 2,
               (-8.0, -2.0, -1.0, 0.0, 1.0, 2.0, 8.0))
     assert abs(v - 1.0) <= 1e-8
 
@@ -287,6 +287,17 @@ def test_sh_equations_equal_the_per_root_loop_bit_for_bit(p2_deep):
         got = p2.p2_sh_equations(p2_deep, theta, cp)
         assert got.shape == theta.shape
         assert np.array_equal(got, _sh_equations_reference(p2_deep, theta, cp))
+    # a (configs, N) stack, as p2_sh_roots passes it: each row equals its
+    # 1-D call bit for bit, also with no rows and with N = 0
+    for n in (0, 1, 2, 5):
+        for cp in (CP0, CP1):
+            rows = [theta for theta, c in cases if len(theta) == n and c == cp]
+            stack = np.reshape(rows, (len(rows), n))
+            got = p2.p2_sh_equations(p2_deep, stack, cp)
+            assert got.shape == stack.shape and len(rows) > 0
+            assert np.array_equal(got, [p2.p2_sh_equations(p2_deep, th, cp)
+                                        for th in rows])
+            assert p2.p2_sh_equations(p2_deep, stack[:0], cp).shape == (0, n)
 
 
 def test_sh_solver_failure():

@@ -251,11 +251,12 @@ def test_laguerre_array_degrees_equal_scalar_calls_bit_for_bit():
 
 
 def _stieltjes_roots_reference(a, b, N, center):
-    # one np.roots per eigenvector, as before the stacked extraction
+    # one np.roots per real eigenvector, as before the stacked extraction;
+    # the complex eigenvectors (of complex eigenvalues) are skipped
     a, b = sf._taylor_shift(a, center), sf._taylor_shift(b, center)
     _, vecs = np.linalg.eig(sf._stieltjes_matrix(a, b, N))
-    found = [x for x in (np.roots((v if np.any(v.imag) else v.real)[::-1])
-                         for v in vecs.T) if len(x) == N]
+    found = [x for x in (np.roots(v.real[::-1])
+                         for v in vecs.T if not np.any(v.imag)) if len(x) == N]
     out = list(found)
     for real in (True, False):
         idx = [i for i, x in enumerate(found) if np.isrealobj(x) == real]
@@ -301,7 +302,8 @@ def test_stacked_root_extraction_equals_per_eigenvector_roots():
 
 
 def test_root_extraction_makes_one_eigvals_call_per_dtype(monkeypatch):
-    # the real and the complex eigenvectors of a level each form one stack
+    # the real eigenvectors of a level form one stack, and the complex ones
+    # (MIXED has four at N = 6) are not rooted
     from hypersint import potential1 as p1
     calls = []
     orig = np.linalg.eigvals
@@ -312,12 +314,28 @@ def test_root_extraction_makes_one_eigvals_call_per_dtype(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     deep = p1._p1_family(p1.P1Params(0.3, 0.2, 3.0), 8, "elliptic-parabolic",
                           "derived")
-    for (a, b), N, groups in ((deep, 8, 1), (MIXED, 6, 2)):
+    for (a, b), N, n_real in ((deep, 8, 9), (MIXED, 6, 3)):
         calls.clear()
         configs = sf._stieltjes_roots(a, b, N, 1.0)
-        assert len(calls) == groups
-        assert sum(shape[0] for shape in calls) == len(configs) == N + 1
-        assert all(shape[1:] == (N, N) for shape in calls)
+        assert len(calls) == 1
+        assert calls[0] == (len(configs), N, N) == (n_real, N, N)
+
+
+def test_one_configuration_per_real_van_vleck_eigenvalue():
+    # MIXED's Van Vleck matrix has complex eigenvalues at every N = 1..8,
+    # and at N = 1 and 3 no real one: the configurations are exactly the
+    # real eigenvalues' (their eigenvectors' top coefficients are not 0
+    # here), so N + 1 less their number counts the complex ones
+    a, b = MIXED
+    counts = []
+    for N in range(1, 9):
+        ta, tb = sf._taylor_shift(a, 0.5), sf._taylor_shift(b, 0.5)
+        vals = np.linalg.eigvals(sf._stieltjes_matrix(ta, tb, N))
+        configs = sf._stieltjes_roots(a, b, N, 0.5)
+        assert len(configs) == np.sum(vals.imag == 0)
+        assert all(th.shape == (N,) for th in configs)
+        counts.append(N + 1 - len(configs))
+    assert counts == [2, 2, 4, 4, 4, 4, 6, 6]
 
 
 # ---------------------------------------------------------------------------
