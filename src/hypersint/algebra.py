@@ -35,15 +35,15 @@ Operators are applied exactly, with no step, to batches of points
 or ``check_linear_relations``, like every coefficient and guard of the
 operators built here, is array-safe: it takes an ``AmbientPoints`` batch and
 returns one value per point or a scalar; the functions also run on
-``geometry.Jet`` points.  ``multiplet_matrices`` applies the operators to a
-level's states stacked into one such function (one row per state), at the
-points of the level's exact Gauss rule.
+``geometry.Jet`` points.  ``galerkin`` applies operators to the states of a
+``potential1.EquidistantBasis``, stacked into one such function (one row
+per state), at the points of their exact Gauss rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,12 +56,11 @@ from .potential1 import P1Params
 from .potential2 import P2Params
 
 __all__ = [
-    "MultipletRep",
     "build_operator",
     "check_linear_relations",
     "check_quadratic_algebra",
     "eigen_residual",
-    "multiplet_matrices",
+    "galerkin",
 ]
 
 # ---------------------------------------------------------------------------
@@ -315,28 +314,8 @@ def eigen_residual(op: OperatorExpr, wf, expected: complex,
 
 
 # ---------------------------------------------------------------------------
-# Multiplet representations and algebra identities
+# Galerkin matrices and algebra identities
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultipletRep:
-    """N1, N2, R on the (N+1)-dim level N, in its equidistant basis (m
-    ascending): the Galerkin matrices <psi_i, L psi_j> on the tensor product
-    of the level's two (N+1)-node Gauss rules (``potential1.level_rule``).
-    The rule integrates the product of any two states of the level
-    exactly, and an integral maps the level into itself, so the
-    matrices are exact up to round-off.  gram is the states' Gram matrix on
-    the rules, r_matrix is [N1, N2] and r_applied the Galerkin matrix of R.
-    """
-
-    N: int
-    energy: float
-    gram: np.ndarray
-    n1_matrix: np.ndarray
-    n2_matrix: np.ndarray
-    r_matrix: np.ndarray
-    r_applied: np.ndarray
-
 
 def n2_horicyclic_eigenvalues(p: P1Params, N: int) -> np.ndarray:
     """Eigenvalues of N2 on the level, in the horicyclic basis order."""
@@ -344,18 +323,17 @@ def n2_horicyclic_eigenvalues(p: P1Params, N: int) -> np.ndarray:
     return -(2.0 * sb * (2.0 * n1 + p.d + 1.0) + 2.0 * p.gamma**2) - 2.0 * p.gamma**2
 
 
-def multiplet_matrices(p: P1Params, N: int) -> MultipletRep:
-    """The Galerkin matrices of N1, N2, R on the degenerate level N: the
-    stacked states at the rules' points, and one apply_operators call, whose
-    identity row pairs the values with the jets; the Gram matrix takes the
-    values at the nodes (``potential1.level_rule``)."""
-    basis, pts, weight, values = p1m.level_rule(p, N)
-    ops = (OperatorExpr((), 1.0, name="identity"),
-           *(build_operator(k, p) for k in ("N1", "N2", "R")))
-    psi, *applied = apply_operators(ops, basis, pts)
-    n1, n2, r = ((psi * weight) @ v.T for v in applied)
-    return MultipletRep(N, p1m.p1_energy(p, N), (values * weight) @ values.T,
-                        n1, n2, n1 @ n2 - n2 @ n1, r)
+def galerkin(basis: p1m.EquidistantBasis, ops) -> list[np.ndarray]:
+    """The Galerkin matrices <psi_i, L psi_j> of the operators ops on the
+    states of a ``potential1.EquidistantBasis``, on its exact rule: one
+    apply_operators call on the stacked states, whose identity row pairs
+    the values with the jets.  The rule integrates the product of any two
+    states of a level exactly, and an integral of motion maps the level
+    into itself, so its matrices are exact up to round-off."""
+    psi, *applied = apply_operators(
+        (OperatorExpr((), 1.0, name="identity"), *ops), basis, basis.points)
+    bra = np.conj(psi) * basis.weight
+    return [bra @ v.T for v in applied]
 
 
 def check_linear_relations(p: P1Params, testfns, points) -> dict[str, float]:
@@ -423,10 +401,11 @@ def _identity_defects(p: P1Params, e: float, n1: np.ndarray, n2: np.ndarray,
     return out
 
 
-def check_quadratic_algebra(rep: MultipletRep,
-                            p: P1Params) -> dict[str, tuple[float, dict]]:
-    """Evaluate the three published quadratic-algebra identities on a level:
-    (residual, notes) by identity (``commRN2``, ``commRN1``, ``Rsquared``).
+def check_quadratic_algebra(p: P1Params, N: int, n1: np.ndarray,
+                            n2: np.ndarray) -> dict[str, tuple[float, dict]]:
+    """Evaluate the three published quadratic-algebra identities on level N,
+    from the matrices of N1 and N2 there (R = [N1, N2], H = E_N): (residual,
+    notes) by identity (``commRN2``, ``commRN1``, ``Rsquared``).
 
     Primary evaluation uses the package convention N2 = L2 - 2 gamma^2 (the
     one pinned by the printed eigenvalue lines).  The notes carry a fitted
@@ -434,10 +413,10 @@ def check_quadratic_algebra(rep: MultipletRep,
     N2 + 4 gamma^2 (the display-faithful one, under which the identities
     close).
     """
-    n1, n2, r = rep.n1_matrix, rep.n2_matrix, rep.r_matrix
+    e, r = p1m.p1_energy(p, N), n1 @ n2 - n2 @ n1
     n2_alt = n2 + 4.0 * p.gamma**2 * np.eye(n2.shape[0])
-    primary = _identity_defects(p, rep.energy, n1, n2, r)
-    shifted = _identity_defects(p, rep.energy, n1, n2_alt, r)
+    primary = _identity_defects(p, e, n1, n2, r)
+    shifted = _identity_defects(p, e, n1, n2_alt, r)
     reports = {}
     for ident in ("commRN2", "commRN1", "Rsquared"):
         lhs, rhs = primary[ident]

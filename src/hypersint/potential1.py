@@ -33,16 +33,17 @@ Conventions
   the Poschl-Teller one at 1 - 2 tanh^2 t1 in [-1, 1], the Morse one at
   z = sqrt2 beta e^{2 t2}.  There the Gram integrals are polynomials
   against classical weights, which ``pt_rule`` and ``morse_rule`` integrate
-  exactly by Gauss rules (``specfun.gauss_rule``).  A level's tensor rule
-  (``level_rule``) also normalizes its parabolic states, which lie in the
+  exactly by Gauss rules (``specfun.gauss_rule``).  ``EquidistantBasis``
+  holds states on the tensor product of the two rules: a level's Gram and
+  Galerkin matrices, and the norm of its parabolic states, which lie in the
   span of its equidistant ones.
 * The zero ("Bethe-type") equations exist in two forms:
   ``form="printed"`` is the transcription of the published display;
   ``form="derived"``  is re-derived here from the confluent-Heun reduction
   of the separated equation.  The two differ (the printed display's
   gamma^2-terms are inconsistent with its own parent ODE); only the derived
-  roots produce wavefunctions that satisfy the Schrodinger equation.  Both
-  are exposed, each with its own residual.
+  roots produce wavefunctions that satisfy the Schrodinger equation (the
+  default).  Both are exposed, each with its own residual.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ from .geometry import (
 
 __all__ = [
     "BetheRoots",
+    "EquidistantBasis",
     "P1Params",
     "P1State",
-    "level_rule",
     "level_states_equidistant",
     "level_states_horicyclic",
     "morse_factor",
@@ -596,23 +597,45 @@ def _equidistant_product(p, n, m, t1, t2):
             * p.m_factor(m, t2, mu))
 
 
-def level_rule(p, N: int):
-    """Level N's tensor Gauss rule (``pt_rule`` x ``p.m_rule``), exact for
-    the product of any two of its states: the states stacked into one
-    function of ambient points (a row per (n, m), m ascending), the rule's
-    equidistant points, their weights for cosh t1 dt1 dt2, and the stack's
-    values from the nodes themselves (the inversion t2 = arctanh(w1/w0)
-    loses digits where tanh t2 nears 1, as on the s = 229 well)."""
-    n, m = np.array(level_states_equidistant(p, N), dtype=float).T[:, :, None]
-    mu = p1_mu(p, m)
-    (t1, v1), (t2, v2) = pt_rule(p, n, mu), p.m_rule(m, mu)
+class EquidistantBasis:
+    """Equidistant states (n_i, m_i) of either potential on the tensor Gauss
+    rule ``pt_rule`` x ``p.m_rule``, exact for the product of any two.  The
+    1-D factors are taken once, a row per state at each rule's own nodes:
+    ``f1`` (``pt_factor``) at t1, ``f2`` (``p.m_factor``, real up to
+    round-off) at t2.  ``gram``, the rule's ambient ``points`` (t1 major),
+    their ``weight`` for cosh t1 dt1 dt2 and the states' ``values`` there
+    (formed on each access: a row per state and point) come from them.
+    ``level(p, N)`` stacks level N's states, m ascending; called with
+    ambient points (or jets), the basis evaluates the stack."""
 
-    def basis(q):
-        return _equidistant_product(p, n, m, *chart_coordinates(q, "equidistant"))
-    nodes = np.repeat(t1, len(t2)), np.tile(t2, len(t1))
-    return (basis, chart_points("equidistant", *nodes),
-            np.outer(v1 * np.cosh(t1), v2).ravel(),
-            _equidistant_product(p, n, m, *nodes))
+    def __init__(self, p, n, m):
+        self.p = p
+        self.n, self.m = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (n, m))
+        mu = p1_mu(p, self.m)
+        (t1, v1), (t2, v2) = pt_rule(p, self.n, mu), p.m_rule(self.m, mu)
+        self.t1, self.f1 = t1, pt_factor(p, self.n, mu, t1)
+        self.t2, self.f2 = t2, p.m_factor(self.m, t2, mu)
+        f2 = self.f2.real
+        self.gram = ((self.f1 * v1) @ self.f1.T) * ((f2 * v2) @ f2.T)
+        self.points = chart_points("equidistant", np.repeat(t1, len(t2)),
+                                   np.tile(t2, len(t1)))
+        self.weight = np.outer(v1 * np.cosh(t1), v2).ravel()
+
+    @classmethod
+    def level(cls, p, N: int) -> EquidistantBasis:
+        return cls(p, *np.array(level_states_equidistant(p, N), dtype=float).T)
+
+    @property
+    def values(self) -> np.ndarray:
+        """``_equidistant_product`` at the points, bit for bit, from the
+        factors at the nodes: the inversion t2 = arctanh(w1/w0) loses digits
+        where tanh t2 nears 1, as on the s = 229 well."""
+        f1 = np.cosh(self.t1) ** -0.5 * self.f1
+        return (f1[:, :, None] * self.f2[:, None, :]).reshape(len(f1), -1)
+
+    def __call__(self, q):
+        return _equidistant_product(self.p, self.n, self.m,
+                                    *chart_coordinates(q, "equidistant"))
 
 
 def p1_wf_horicyclic(state: P1State, x, y):
@@ -739,7 +762,7 @@ def _p1_roots(p: P1Params, N: int, chart: str, form: str,
     return out, N + 1 - len(real)
 
 
-def p1_ep_roots(p: P1Params, N: int, form: str = "printed",
+def p1_ep_roots(p: P1Params, N: int, form: str = "derived",
                 tol: float = 1e-10) -> list[BetheRoots]:
     """All real root configurations of the elliptic-parabolic zero equations.
 
@@ -751,7 +774,7 @@ def p1_ep_roots(p: P1Params, N: int, form: str = "printed",
     return _p1_roots(p, N, "elliptic-parabolic", form, tol)[0]
 
 
-def p1_hp_roots(p: P1Params, N: int, form: str = "printed",
+def p1_hp_roots(p: P1Params, N: int, form: str = "derived",
                 tol: float = 1e-10) -> list[BetheRoots]:
     """Real root configurations of the hyperbolic-parabolic zero equations.
 
@@ -832,12 +855,13 @@ def _parabolic_projection(state: P1State) -> tuple[float, float]:
     exact only in the span: the residual max |psi - sum_k c_k psi_eq,k| /
     max |psi| at the rule points bounds the norm's error, second order in it.
     """
-    _, pts, weight, eq = level_rule(state.params, state.N)
+    basis = EquidistantBasis.level(state.params, state.N)
+    eq = basis.values
     logmag, *poly = _parabolic_raw(state.chart, state,
-                                   *chart_coordinates(pts, state.chart))
+                                   *chart_coordinates(basis.points, state.chart))
     top = float(np.max(logmag))
     psi = _exp_guarded(logmag - top, *poly)
-    c = (eq * weight) @ psi
+    c = (eq * basis.weight) @ psi
     halves = 2.0 if state.chart == "elliptic-parabolic" else 1.0
     return (top + 0.5 * math.log(halves * float(c @ c)),
             float(np.max(np.abs(psi - c @ eq)) / np.max(np.abs(psi))))

@@ -217,8 +217,7 @@ def s2_complex_factor(p: P2Params, m, t2) -> np.ndarray:
                     + (a.conjugate() / 2.0 + 0.25) * np.log(1.0 - 1j * x))
     poly = sf.jacobi(m, a, a.conjugate(), -1j * x)
     c = sf._each(math.exp, log_norm)
-    # S(0) before the phase fix, in the complex arithmetic of every t2
-    s0 = c * sf.jacobi(m, a, a.conjugate(), 0j)
+    s0 = c * sf.jacobi(m, a, a.conjugate(), 0.0)  # S(0) before the phase fix
     return c * powers * sf._asarray(poly, complex) / (s0 / np.abs(s0))
 
 

@@ -168,6 +168,7 @@ def laguerre(n, a, x):
     x = _asarray(x)
     n, top, shape, out = _degrees("laguerre", n, a, x)
     p = np.ones_like(x)
+    p = p.astype(np.result_type(p, a), copy=False)  # one type at every degree
     for k in range(top):
         # L_{k+1} from p = L_k and p_prev = L_{k-1}
         p, p_prev = (1.0 + a - x if k == 0 else
@@ -190,6 +191,7 @@ def jacobi(n, a, b, x):
     x = _asarray(x, None)
     n, top, shape, out = _degrees("jacobi", n, a, b, x)
     p = np.ones_like(x)
+    p = p.astype(np.result_type(p, a, b), copy=False)  # one type at every degree
     if top >= 2:
         # the coefficients of every step k = 2 .. top on a leading axis,
         # each formed as in the step itself

@@ -6,8 +6,9 @@ check passes when its residual is at most its tolerance, which is written
 there and nowhere else.  A record without a tolerance is a measurement; a
 soft record reports a discrepancy of the published formulas and never fails
 a run.  The orthonormality and quadratic-algebra suites integrate on the
-factors' exact Gauss rules (``potential1.pt_rule``, ``morse_rule``,
-``potential2.s2_rule``).  The other suites sample fixed points: each point
+equidistant states' exact Gauss rules (``potential1.EquidistantBasis``):
+the Gram matrix of every state of the well, and a level's Galerkin matrices
+(``algebra.galerkin``).  The other suites sample fixed points: each point
 set is the ``geometry.box_points`` design of its box and count, so a report
 depends on its inputs alone.  An eigen record notes how many of its points
 the node filter of ``algebra.eigen_residual`` kept (``points_used`` of
@@ -83,25 +84,12 @@ def _rel_max(a, b) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
 
 
-def equidistant_gram(params, n, m) -> np.ndarray:
-    """Gram matrix of the equidistant states (n_i, m_i) of either potential:
-    the product of their factors' Gram matrices, each from its exact Gauss
-    rule.  The Poschl-Teller factor is shared; the t2-factor and its rule
-    are the params' ``m_factor`` (real up to round-off) and ``m_rule``."""
-    n, m = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (n, m))
-    mu = p1.p1_mu(params, m)
-    (t1, v1), (t2, v2) = p1.pt_rule(params, n, mu), params.m_rule(m, mu)
-    f1 = p1.pt_factor(params, n, mu, t1)
-    f2 = params.m_factor(m, t2, mu).real
-    return ((f1 * v1) @ f1.T) * ((f2 * v2) @ f2.T)
-
-
 def _orthonormality(params, cfg) -> list[dict]:
     """The Gram matrix of every equidistant state of the well."""
     n, m = np.array([nm for N in range(_nmax(params) + 1)
                      for nm in p1.level_states_equidistant(params, N)],
                     dtype=float).T
-    gram = equidistant_gram(params, n, m)
+    gram = p1.EquidistantBasis(params, n, m).gram
     worst = np.max(np.triu(np.abs(gram - np.eye(len(n)))), initial=0.0)
     return [record(f"{cfg.potential}-equidistant-gram", worst, 1e-7)]
 
@@ -197,11 +185,13 @@ def _quadratic_algebra(params, cfg) -> list[dict]:
     relative to the size of its terms; R applied against [N1, N2]; and the
     published identities."""
     N = min(2, _nmax(params))
-    rep = alg.multiplet_matrices(params, N)
-    n1, n2, r = rep.n1_matrix, rep.n2_matrix, rep.r_matrix
+    basis = p1.EquidistantBasis.level(params, N)
+    n1, n2, r_applied = alg.galerkin(
+        basis, [alg.build_operator(k, params) for k in ("N1", "N2", "R")])
+    r = n1 @ n2 - n2 @ n1
     mu2 = p1.p1_mu(params, np.arange(N + 1.0)) ** 2  # every level is full
     eigs = np.sort(alg.n2_horicyclic_eigenvalues(params, N))
-    recs = [record("level-gram", _amax(rep.gram - np.eye(N + 1)), 1e-10),
+    recs = [record("level-gram", _amax(basis.gram - np.eye(N + 1)), 1e-10),
             record("matrix-symmetries", max(
                 _amax(n1 - n1.T) / _amax(n1), _amax(n2 - n2.T) / _amax(n2),
                 _amax(r + r.T) / (_amax(n1) * _amax(n2))), 1e-10),
@@ -209,8 +199,8 @@ def _quadratic_algebra(params, cfg) -> list[dict]:
             record("N2-horicyclic-spectrum",
                    _amax(np.linalg.eigvalsh(n2) - eigs) / _amax(eigs), 1e-10),
             record("R-commutator-vs-projected",
-                   _amax(rep.r_applied - r) / max(_amax(r), 1.0), 1e-5)]
-    for ident, (res, notes) in alg.check_quadratic_algebra(rep, params).items():
+                   _amax(r_applied - r) / max(_amax(r), 1.0), 1e-5)]
+    for ident, (res, notes) in alg.check_quadratic_algebra(params, N, n1, n2).items():
         recs.append(record(ident, res, 1e-6, soft=True, notes=notes))
     return recs
 

@@ -16,7 +16,6 @@ from hypersint import geometry as geo
 from hypersint import interbasis as ib
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
-from hypersint import verify
 
 SQRT2 = math.sqrt(2.0)
 P1FIX = p1.P1Params(1.0, 1.0 / SQRT2, 2.0 * SQRT2)
@@ -73,9 +72,9 @@ def test_criterion_03_orthonormality():
     # factors' exact Gauss rules
     n, m = np.array([nm for N in range(3)
                      for nm in p1.level_states_equidistant(P1FIX, N)], dtype=float).T
-    gram = verify.equidistant_gram(P1FIX, n, m)
+    gram = p1.EquidistantBasis(P1FIX, n, m).gram
     worst = float(np.max(np.abs(gram - np.eye(len(n)))))
-    worst_v2 = abs(float(verify.equidistant_gram(P2FIX, [0], [0])[0, 0]) - 1.0)
+    worst_v2 = abs(float(p1.EquidistantBasis(P2FIX, [0], [0]).gram[0, 0]) - 1.0)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-7 and worst_v2 <= 1e-7 and elapsed < 30.0
     report(3, ok, f"v1 Gram defect {worst:.2e}, v2 norm defect "
@@ -149,10 +148,13 @@ def test_criterion_07_linear_relations():
 
 
 def test_criterion_08_quadratic_algebra():
-    rep = alg.multiplet_matrices(P1FIX, 2)
-    scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
-    two_way = float(np.max(np.abs(rep.r_applied - rep.r_matrix))) / scale
-    reports = alg.check_quadratic_algebra(rep, P1FIX)
+    n1, n2, r_applied = alg.galerkin(
+        p1.EquidistantBasis.level(P1FIX, 2),
+        [alg.build_operator(k, P1FIX) for k in ("N1", "N2", "R")])
+    r = n1 @ n2 - n2 @ n1
+    scale = max(float(np.max(np.abs(r))), 1.0)
+    two_way = float(np.max(np.abs(r_applied - r))) / scale
+    reports = alg.check_quadratic_algebra(P1FIX, 2, n1, n2)
     notes = [n for _, n in reports.values()]
     reported = all("fitted_constant_offset" in n
                    and "residual_with_shifted_N2" in n for n in notes)

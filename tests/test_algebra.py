@@ -14,6 +14,10 @@ SQRT2 = math.sqrt(2.0)
 CP0 = p2.DEFAULT_SH_PARAMS
 
 
+def _n1_n2_r(p):
+    return [alg.build_operator(k, p) for k in ("N1", "N2", "R")]
+
+
 def eq_points(seed=11, n=10, w2_positive=False):
     rng = np.random.default_rng(seed)
     pts = []
@@ -261,7 +265,7 @@ def test_stacked_states_equal_per_state_calls(p1_fixture):
         assert np.array_equal(row, geo.apply_operator(r, wf, batch))
 
 
-def test_multiplet_matrices_calls_the_basis_twice(p1_fixture, monkeypatch):
+def test_galerkin_calls_the_basis_once(p1_fixture, monkeypatch):
     calls = []
     orig = p1._equidistant_product
 
@@ -269,11 +273,12 @@ def test_multiplet_matrices_calls_the_basis_twice(p1_fixture, monkeypatch):
         calls.append(type(t1).__name__)
         return orig(p, n, m, t1, t2)
     monkeypatch.setattr(p1, "_equidistant_product", counted)
-    rep = alg.multiplet_matrices(p1_fixture, 2)
-    # one plain call for the states at the rule's points, one on the jets
-    # for N1, N2 and R together
-    assert calls == ["ndarray", "Jet"]
-    assert rep.r_applied.shape == (3, 3)
+    basis = p1.EquidistantBasis.level(p1_fixture, 2)
+    _, _, r_applied = alg.galerkin(basis, _n1_n2_r(p1_fixture))
+    # one call, on the jets, for the identity row, N1, N2 and R together;
+    # the values at the nodes come from the factors
+    assert calls == ["Jet"]
+    assert r_applied.shape == (3, 3)
 
 
 def test_batched_operator_calls_function_once(p1_fixture):
@@ -294,20 +299,23 @@ def test_batched_operator_calls_function_once(p1_fixture):
 # ---------------------------------------------------------------------------
 
 def test_multiplet_matrices_fixture_values(p1_fixture):
-    rep = alg.multiplet_matrices(p1_fixture, 2)
-    n1 = rep.n1_matrix
+    basis = p1.EquidistantBasis.level(p1_fixture, 2)
+    n1, n2, _ = alg.galerkin(basis, _n1_n2_r(p1_fixture))
+    r = n1 @ n2 - n2 @ n1
     assert np.allclose(np.diag(n1), [49.0, 25.0, 9.0], atol=1e-10)
-    assert np.allclose(sorted(np.linalg.eigvalsh(rep.n2_matrix)),
+    assert np.allclose(sorted(np.linalg.eigvalsh(n2)),
                        [-45.0, -41.0, -37.0], atol=1e-8)
     assert np.max(np.abs(n1 - n1.T)) / np.max(np.abs(n1)) <= 1e-10
     assert np.max(np.abs(n1 - np.diag([49.0, 25.0, 9.0]))) / 49.0 <= 1e-10
-    assert np.max(np.abs(rep.n2_matrix - rep.n2_matrix.T)) <= 1e-10
-    assert np.max(np.abs(rep.r_matrix + rep.r_matrix.T)) <= 1e-10
+    assert np.max(np.abs(n2 - n2.T)) <= 1e-10
+    assert np.max(np.abs(r + r.T)) <= 1e-10
 
 
 def test_multiplet_n0_scalar(p1_fixture):
-    rep = alg.multiplet_matrices(p1_fixture, 0)
-    assert rep.r_matrix.shape == (1, 1) and rep.r_matrix[0, 0] == 0.0
+    basis = p1.EquidistantBasis.level(p1_fixture, 0)
+    n1, n2, _ = alg.galerkin(basis, _n1_n2_r(p1_fixture))
+    r = n1 @ n2 - n2 @ n1
+    assert r.shape == (1, 1) and r[0, 0] == 0.0
 
 
 def test_l3_l4_multiplet_eigenvalues_match_roots(p1_fixture):
@@ -318,9 +326,9 @@ def test_l3_l4_multiplet_eigenvalues_match_roots(p1_fixture):
     p = p1_fixture
     g2 = p.gamma**2
     for N in (1, 2):
-        rep = alg.multiplet_matrices(p, N)
-        l1m = rep.n1_matrix
-        l2m = rep.n2_matrix + 2 * g2 * np.eye(N + 1)
+        l1m, n2 = alg.galerkin(p1.EquidistantBasis.level(p, N),
+                               [alg.build_operator(k, p) for k in ("N1", "N2")])
+        l2m = n2 + 2 * g2 * np.eye(N + 1)
         lam = np.sort(np.linalg.eigvalsh(-(l1m + l2m)))
         lam_pred = np.sort([p1.p1_ep_lambda(p, c) + 4 * g2
                             for c in p1.p1_ep_roots(p, N, form="derived")])
@@ -340,9 +348,11 @@ def test_symmetrizer_definition():
 def test_r_two_ways(p1_fixture):
     # matrix commutator vs the Galerkin matrix of the differential
     # expression on the N = 2 multiplet
-    rep = alg.multiplet_matrices(p1_fixture, 2)
-    scale = max(float(np.max(np.abs(rep.r_matrix))), 1.0)
-    assert np.max(np.abs(rep.r_applied - rep.r_matrix)) / scale <= 1e-5
+    basis = p1.EquidistantBasis.level(p1_fixture, 2)
+    n1, n2, r_applied = alg.galerkin(basis, _n1_n2_r(p1_fixture))
+    r = n1 @ n2 - n2 @ n1
+    scale = max(float(np.max(np.abs(r))), 1.0)
+    assert np.max(np.abs(r_applied - r)) / scale <= 1e-5
 
 
 S229 = (0.8021189901441927, 0.055414650975510134, 4.235214784107855)
@@ -358,20 +368,34 @@ def test_galerkin_matrices_on_deep_and_wide_wells(well, N):
     # Measured at most 9.0e-9 for R (s = 229, N = 1), where the least-squares
     # projection on sample points read 3.5e-6
     p = p1.P1Params(*well)
-    rep = alg.multiplet_matrices(p, N)
-    n1, n2, r = rep.n1_matrix, rep.n2_matrix, rep.r_matrix
+    basis = p1.EquidistantBasis.level(p, N)
+    n1, n2, r_applied = alg.galerkin(basis, _n1_n2_r(p))
+    r = n1 @ n2 - n2 @ n1
     top1, top2 = np.max(np.abs(n1)), np.max(np.abs(n2))
     mu2 = p1.p1_mu(p, np.arange(N + 1.0)) ** 2
     eigs = np.sort(alg.n2_horicyclic_eigenvalues(p, N))
-    assert np.max(np.abs(rep.gram - np.eye(N + 1))) <= 1e-10
+    assert np.max(np.abs(basis.gram - np.eye(N + 1))) <= 1e-10
     assert np.max(np.abs(n1 - np.diag(mu2))) / np.max(mu2) <= 1e-10
     assert np.max(np.abs(np.linalg.eigvalsh(n2) - eigs)) \
         / np.max(np.abs(eigs)) <= 1e-10
     assert max(np.max(np.abs(n1 - n1.T)) / top1,
                np.max(np.abs(n2 - n2.T)) / top2,
                np.max(np.abs(r + r.T)) / (top1 * top2)) <= 1e-10
-    assert np.max(np.abs(rep.r_applied - r)) \
+    assert np.max(np.abs(r_applied - r)) \
         / max(np.max(np.abs(r)), 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("well", [(0.1, 6.0, 1.0), (0.3, 8.0, 2.0),
+                                  (0.5, 12.0, 3.0)])
+def test_v2_galerkin_l1_is_diagonal(well):
+    # the second potential's equidistant states on their exact rule: L1's
+    # Galerkin matrix is diag(mu^2) at every level (measured at most 1.1e-14)
+    p = p2.P2Params(*well)
+    for N in range(p.nmax + 1):
+        (l1,) = alg.galerkin(p1.EquidistantBasis.level(p, N),
+                             [alg.build_operator("L1", p)])
+        mu2 = p2.p2_mu(p, np.arange(N + 1.0)) ** 2
+        assert np.max(np.abs(l1 - np.diag(mu2))) / np.max(mu2) <= 1e-13, N
 
 
 def test_quadratic_algebra_reports(p1_fixture):
@@ -379,8 +403,9 @@ def test_quadratic_algebra_reports(p1_fixture):
     # defects (reported with a fitted constant); under the shifted
     # convention N2 + 4 gamma^2 all three close to round-off
     for N in (0, 1, 2):
-        rep = alg.multiplet_matrices(p1_fixture, N)
-        reports = alg.check_quadratic_algebra(rep, p1_fixture)
+        n1, n2, _ = alg.galerkin(p1.EquidistantBasis.level(p1_fixture, N),
+                                 _n1_n2_r(p1_fixture))
+        reports = alg.check_quadratic_algebra(p1_fixture, N, n1, n2)
         assert list(reports) == ["commRN2", "commRN1", "Rsquared"]
         for residual, notes in reports.values():
             assert notes["residual_with_shifted_N2"] <= 1e-10
@@ -392,8 +417,8 @@ def test_quadratic_algebra_n0_scalar_identities(p1_fixture):
     # 1 x 1 case by hand: with N2 = -37 the first identity defect is
     # exactly -6656; with the shifted N2 = -5 it vanishes
     p = p1_fixture
-    rep = alg.multiplet_matrices(p, 0)
-    reports = alg.check_quadratic_algebra(rep, p)
+    n1, n2, _ = alg.galerkin(p1.EquidistantBasis.level(p, 0), _n1_n2_r(p))
+    reports = alg.check_quadratic_algebra(p, 0, n1, n2)
     assert abs(reports["commRN2"][1]["fitted_constant_offset"]
                - (-6656.0)) <= 1e-8
     b2, g2, a2 = p.beta**2, p.gamma**2, p.alpha**2

@@ -7,7 +7,6 @@ from hypersint import geometry as geo
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
 from hypersint import specfun as sf
-from hypersint import verify
 from hypersint.errors import (
     NoBoundStateError,
     NonFiniteValueError,
@@ -219,7 +218,7 @@ def test_equidistant_orthonormality(p1_fixture):
     p = p1_fixture
     n, m = np.array([nm for N in range(3)
                      for nm in p1.level_states_equidistant(p, N)], dtype=float).T
-    gram = verify.equidistant_gram(p, n, m)
+    gram = p1.EquidistantBasis(p, n, m).gram
     assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-7
 
 
@@ -231,8 +230,24 @@ def test_equidistant_gram_on_deep_and_wide_wells(well):
     p = p1.P1Params(*well)
     n, m = np.array([nm for N in range(p.nmax + 1)
                      for nm in p1.level_states_equidistant(p, N)], dtype=float).T
-    gram = verify.equidistant_gram(p, n, m)
+    gram = p1.EquidistantBasis(p, n, m).gram
     assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-12
+
+
+@pytest.mark.parametrize("p, top", [
+    (p1.P1Params(1.0, 1.0 / SQRT2, 2.0 * SQRT2), None),
+    (p1.P1Params(0.3, 0.2, 3.0), None), (p1.P1Params(0.56, 0.095, 4.38), 10),
+    (p2.P2Params(0.1, 6.0, 1.0), None), (p2.P2Params(0.5, 12.0, 3.0), None)],
+    ids=["fixture", "deep", "wide", "v2-(0.1,6,1)", "v2-(0.5,12,3)"])
+def test_basis_values_are_the_product_at_the_tensor_nodes(p, top):
+    # the 1-D factors at each rule's nodes, broadcast, are the stacked
+    # states at every tensor node, bit for bit
+    for N in range(p.nmax + 1 if top is None else top + 1):
+        basis = p1.EquidistantBasis.level(p, N)
+        t1 = np.repeat(basis.t1, len(basis.t2))
+        t2 = np.tile(basis.t2, len(basis.t1))
+        assert np.array_equal(
+            basis.values, p1._equidistant_product(p, basis.n, basis.m, t1, t2)), N
 
 
 def test_horicyclic_product_norm(p1_fixture):
@@ -254,6 +269,14 @@ def test_horicyclic_product_norm(p1_fixture):
 def test_ep_roots_n0(p1_fixture):
     confs = p1.p1_ep_roots(p1_fixture, 0)
     assert len(confs) == 1 and confs[0].roots == () and confs[0].residual == 0.0
+
+
+def test_roots_default_to_the_derived_form(p1_fixture):
+    # only the derived roots give states that solve the Schrodinger equation
+    for roots in (p1.p1_ep_roots, p1.p1_hp_roots):
+        confs = roots(p1_fixture, 2)
+        assert {c.form for c in confs} == {"derived"}
+        assert confs == roots(p1_fixture, 2, form="derived")
 
 
 def test_ep_roots_n1_printed_quadratic(p1_fixture):

@@ -7,7 +7,6 @@ import pytest
 from hypersint import geometry as geo
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
-from hypersint import verify
 from hypersint.errors import (
     NoBoundStateError,
     OutOfDomainError,
@@ -173,7 +172,7 @@ def test_equidistant_gram_of_every_state(well):
     p = p2.P2Params(*well)
     n, m = np.array([(st["n"], st["m"]) for lev in p2.p2_spectrum(p)
                      for st in lev["states"]], dtype=float).T
-    gram = verify.equidistant_gram(p, n, m)
+    gram = p1.EquidistantBasis(p, n, m).gram
     assert np.max(np.abs(gram - np.eye(len(n)))) <= 1e-12
 
 
@@ -186,8 +185,9 @@ def test_level_rule_stacks_the_complex_jacobi_states(well):
     # stack is each state's own wavefunction, bit for bit
     p = p2.P2Params(*well)
     for N in range(p.nmax + 1):
-        basis, pts, weight, values = p1.level_rule(p, N)
-        gram = (values * weight) @ values.T
+        basis = p1.EquidistantBasis.level(p, N)
+        pts, values = basis.points, basis.values
+        gram = (values * basis.weight) @ values.T
         assert np.max(np.abs(gram - np.eye(N + 1))) <= 1e-13, N
         t1, t2 = geo.chart_coordinates(pts, "equidistant")
         for row, nm in zip(basis(pts), p1.level_states_equidistant(p, N)):

@@ -121,6 +121,21 @@ def test_jacobi_complex_conjugation_symmetry():
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, [0, 0], [0, 1, 2]])
+def test_one_result_type_at_every_degree(n):
+    # complex parameters with a real argument give a complex result from
+    # degree 0 on; real parameters keep a real one
+    a = complex(-1.2, 0.3)
+    for x in (0.0, np.array([[0.0], [0.5]])):
+        for got in (sf.jacobi(n, a, a.conjugate(), x),
+                    sf.laguerre(n, 0.5 + 0j, np.abs(x) + 1.0)):
+            assert np.result_type(got) == np.complex128, (n, x)
+        for got in (sf.jacobi(n, 1.5, 0.5, x), sf.laguerre(n, 0.5, x)):
+            assert np.result_type(got) == np.float64, (n, x)
+    assert sf.jacobi(n, a, a.conjugate(), 0.0)[()].tolist() == \
+        sf.jacobi(n, a, a.conjugate(), 0j)[()].tolist()
+
+
 def _jacobi_reference(n, a, b, x):
     # the scalar-degree recurrence as it stood before one recurrence served
     # every degree
