@@ -842,8 +842,9 @@ def _parabolic_raw(chart: str, state: P1State, u, th):
 
 
 @lru_cache(maxsize=256)
-def _parabolic_projection(state: P1State) -> tuple[float, float]:
-    """log_norm of the raw product form, and its membership residual.
+def _parabolic_projection(state: P1State) -> tuple[float, float, np.ndarray]:
+    """log_norm of the raw product form, its membership residual, and its
+    coefficients c on the level's equidistant states (m ascending).
 
     The state lies in its level's span, so on the level's rule (weights v)
     its coefficients c_k = sum_q v_q psi_eq,k(q) psi(q) give its squared
@@ -851,9 +852,10 @@ def _parabolic_projection(state: P1State) -> tuple[float, float]:
     taken at the rule points over e^L, L its largest log-magnitude there
     (values near e^{+-790} on the s = 229 well), so log_norm is
     L + (1/2) log(2 sum c^2) on the elliptic-parabolic chart (both halves)
-    and L + (1/2) log(sum c^2) on the hyperbolic-parabolic one.  The sum is
-    exact only in the span: the residual max |psi - sum_k c_k psi_eq,k| /
-    max |psi| at the rule points bounds the norm's error, second order in it.
+    and L + (1/2) log(sum c^2) on the hyperbolic-parabolic one, and c is
+    that of the form over e^L.  The sum is exact only in the span: the
+    residual max |psi - sum_k c_k psi_eq,k| / max |psi| at the rule points
+    bounds the norm's error, second order in it.
     """
     basis = EquidistantBasis.level(state.params, state.N)
     eq = basis.values
@@ -864,7 +866,7 @@ def _parabolic_projection(state: P1State) -> tuple[float, float]:
     c = (eq * basis.weight) @ psi
     halves = 2.0 if state.chart == "elliptic-parabolic" else 1.0
     return (top + 0.5 * math.log(halves * float(c @ c)),
-            float(np.max(np.abs(psi - c @ eq)) / np.max(np.abs(psi))))
+            float(np.max(np.abs(psi - c @ eq)) / np.max(np.abs(psi))), c)
 
 
 def _parabolic_wf(chart: str, state: P1State, u, th):

@@ -5,14 +5,14 @@ fixed order (cfg is a ``cli.RunConfig``).  ``record`` makes each one: a
 check passes when its residual is at most its tolerance, which is written
 there and nowhere else.  A record without a tolerance is a measurement; a
 soft record reports a discrepancy of the published formulas and never fails
-a run.  The orthonormality and quadratic-algebra suites integrate on the
-equidistant states' exact Gauss rules (``potential1.EquidistantBasis``):
-the Gram matrix of every state of the well, and a level's Galerkin matrices
-(``algebra.galerkin``).  The other suites sample fixed points: each point
-set is the ``geometry.box_points`` design of its box and count, so a report
-depends on its inputs alone.  An eigen record notes how many of its points
-the node filter of ``algebra.eigen_residual`` kept (``points_used`` of
-``points_drawn``).
+a run.  The orthonormality, quadratic-algebra and v1 eigen suites integrate
+on the equidistant states' exact Gauss rules (``potential1.EquidistantBasis``):
+the Gram matrix of every state of the well and a level's Galerkin matrices
+(``algebra.galerkin``; v1 eigen records note the rule's ``nodes``).  The
+other suites sample the ``geometry.box_points`` design of a fixed box and
+count, so a report depends on its inputs alone; a v2 eigen record notes how
+many points the node filter of ``algebra.eigen_residual`` kept
+(``points_used`` of ``points_drawn``).
 """
 
 from __future__ import annotations
@@ -95,41 +95,41 @@ def _orthonormality(params, cfg) -> list[dict]:
 
 
 def _v1_eigen(params, cfg) -> list[dict]:
-    pts = eq_points()
-    st = p1.P1State(params, "equidistant",
-                    p1.level_states_equidistant(params, min(1, _nmax(params)))[0])
-    mu = p1.p1_mu(params, st.numbers[1])
-    recs = [_eigen_record("L1-equidistant", alg.build_operator("L1", params),
-                          p1.wf_ambient(st), mu**2, pts)]
-    sth = p1.P1State(params, "horicyclic", st.numbers[::-1])
-    n1 = sth.numbers[0]
-    lam2 = -(2.0 * SQRT2 * params.beta * (2 * n1 + params.d + 1.0)
-             + 2.0 * params.gamma**2)
-    recs.append(_eigen_record("L2-horicyclic", alg.build_operator("L2", params),
-                              p1.wf_ambient(sth), lam2, pts))
-    if _nmax(params) < 1:
+    """L1..L4 as Galerkin matrices on level min(1, nmax), each relative to
+    the size of its terms: L1 against diag(mu^2), the L2 spectrum against
+    the horicyclic one, L3 and L4 on the level's first parabolic states."""
+    N = min(1, _nmax(params))
+    basis = p1.EquidistantBasis.level(params, N)
+    l1, l2, l3, l4 = alg.galerkin(basis, [alg.build_operator(k, params)
+                                          for k in ("L1", "L2", "L3", "L4")])
+    nodes = len(basis.points)
+    mu2 = p1.p1_mu(params, np.arange(N + 1.0)) ** 2  # every level is full
+    eigs = np.sort(alg.n2_horicyclic_eigenvalues(params, N)) + 2.0 * params.gamma**2
+    recs = [record("L1-equidistant", _amax(l1 - np.diag(mu2)) / _amax(mu2), 1e-6,
+                   notes={"nodes": nodes}),
+            record("L2-horicyclic", _amax(np.linalg.eigvalsh(l2) - eigs)
+                   / _amax(eigs), 1e-6, notes={"nodes": nodes})]
+    if N < 1:
         return recs
-    # operator, chart, roots, separation constant, its name, offset / g^2
+    # op, matrix, chart, roots, separation constant, its name, offset / g^2
     members = []
-    for op, chart, roots, sep, name, offset in (
-            ("L3", "elliptic-parabolic", p1.p1_ep_roots, p1.p1_ep_lambda,
+    for op, mat, chart, roots, sep, name, offset in (
+            ("L3", l3, "elliptic-parabolic", p1.p1_ep_roots, p1.p1_ep_lambda,
              "lambda", 4.0),
-            ("L4", "hyperbolic-parabolic", p1.p1_hp_roots, p1.p1_hp_tau,
+            ("L4", l4, "hyperbolic-parabolic", p1.p1_hp_roots, p1.p1_hp_tau,
              "tau", -4.0)):
         conf = roots(params, 1, form="derived")[0]
-        stp = p1.P1State(params, chart, (1,), roots=conf)
         value = sep(params, conf)
         offset *= params.gamma**2
-        where = pts if op == "L3" else pts[pts.w2 > 0]  # 6 of 10, any well
-        recs.append(_eigen_record(
-            f"{op}-{chart}", alg.build_operator(op, params), p1.wf_ambient(stp),
-            value + offset, where,
-            notes={f"{name}_separation": value,
-                   f"{name}_operator": value + offset,
-                   "display_offset": offset}))
+        _, membership, c = p1._parabolic_projection(
+            p1.P1State(params, chart, (1,), roots=conf))
+        recs.append(record(
+            f"{op}-{chart}",
+            _amax(mat @ c - (value + offset) * c) / (_amax(mat) * _amax(c)), 1e-6,
+            notes={f"{name}_separation": value, f"{name}_operator": value + offset,
+                   "display_offset": offset, "nodes": nodes}))
         # the norm is exact only in the level's span
-        members.append(record(f"parabolic-membership-{chart}",
-                              p1._parabolic_projection(stp)[1], 1e-6))
+        members.append(record(f"parabolic-membership-{chart}", membership, 1e-6))
     lam = recs[-2]["notes"]
     recs.append(record(
         "lambda-AL0-vs-FEP10",
@@ -261,16 +261,18 @@ def _v1_cross_chart(params, cfg) -> list[dict]:
         u, v = geo.box_points(100, lo, hi).T
         q = geo.chart_points(chart, u, v)
         res_worst = max(res_worst, float(np.max(geo.hyperboloid_residual(q))))
-        recs.append(record(f"potential-identity-{chart}",
-                           _rel_max(p1.v1_ambient(params, q),
-                                    form(params, u, v)), 1e-12))
+        dm = q.w0 - q.w1  # relative to V1's three terms, which can cancel
+        size = (params.alpha**2 / q.w2**2 + params.gamma**2 / dm**2
+                + params.beta**2 * np.abs((q.w0 + q.w1) / dm**3))
+        err = np.abs(p1.v1_ambient(params, q) - form(params, u, v)) / size
+        recs.append(record(f"potential-identity-{chart}", np.max(err), 1e-12))
     recs.append(record("chart-maps-on-surface", res_worst, 1e-10))
     if params.nmax is not None:
         w = 0.0
         for N in range(params.nmax + 1):
             e = p1.p1_energy(params, N)
-            w = max(w, abs(e - p1.p1_energy_from_horicyclic(params, N)),
-                    abs(e - p1.p1_energy_from_elliptic_parabolic(params, N)))
+            w = max(w, _rel_max(e, p1.p1_energy_from_horicyclic(params, N)),
+                    _rel_max(e, p1.p1_energy_from_elliptic_parabolic(params, N)))
         recs.append(record("cross-chart-quantization", w, 1e-12))
     a_, b_ = geo.box_points(100, (-2.0, -2.0), (2.0, 2.0)).T
     x, y = geo.chart_coordinates(geo.chart_points("equidistant", a_, b_),

@@ -164,14 +164,13 @@ def test_v2_operator_suites_hold_on_deep_wells(well, suite):
     assert not failed, [r for r in records if not r["pass"] and not r["soft"]]
 
 
-# (points_used, points_drawn) of each eigen record: the node filter of
-# algebra.eigen_residual keeps every point on the fixtures, and on the deep
-# and wide wells only those where the state is not small
+# the size of the level's rule of each v1 eigen record (4 at level 1), and
+# (points_used, points_drawn) of each v2 one: the node filter of
+# algebra.eigen_residual keeps every point on the v2 fixture
 EIGEN_POINTS = [
-    ({}, [(10, 10), (10, 10), (10, 10), (6, 6)]),
-    (dict(alpha=0.3, beta=0.2, gamma=3.0), [(4, 10), (4, 10), (4, 10), (3, 6)]),
-    (dict(alpha=0.56, beta=0.095, gamma=4.38),
-     [(1, 10), (1, 10), (1, 10), (1, 6)]),
+    ({}, [4, 4, 4, 4]),
+    (dict(alpha=0.3, beta=0.2, gamma=3.0), [4, 4, 4, 4]),
+    (dict(alpha=0.56, beta=0.095, gamma=4.38), [4, 4, 4, 4]),
     (V2_FIXTURE, [(10, 10), (8, 8)]),
 ]
 
@@ -179,9 +178,42 @@ EIGEN_POINTS = [
 @pytest.mark.parametrize("well, counts", EIGEN_POINTS)
 def test_eigen_records_note_the_points_they_used(well, counts):
     records, failed = verify.run(hcli.RunConfig(suite="eigen", **well))
-    notes = [r["notes"] for r in records if "points_used" in r.get("notes", {})]
-    assert [(n["points_used"], n["points_drawn"]) for n in notes] == counts
+    notes = [r.get("notes", {}) for r in records]
+    assert [n["nodes"] if "nodes" in n else (n["points_used"], n["points_drawn"])
+            for n in notes if "nodes" in n or "points_used" in n] == counts
     assert not failed
+
+
+@pytest.mark.parametrize("well", [
+    (1.0, 1.0 / math.sqrt(2.0), 2.0 * math.sqrt(2.0)), *DEEP_V1,
+    (0.8021189901441927, 0.055414650975510134, 4.235214784107855)])
+def test_v1_eigen_records_are_exact_on_the_level(well):
+    # the Galerkin matrices on the level's exact rule: measured at most
+    # 9.5e-13 on the wide well (L2) and 5.2e-12 on the s = 229 one; ten box
+    # points, of which the node filter kept one on the wide well, gave
+    # 1.19e-11 there (L4)
+    alpha, beta, gamma = well
+    records, _ = verify.run(hcli.RunConfig(
+        alpha=alpha, beta=beta, gamma=gamma, suite="eigen"))
+    worst = {r["id"]: r["residual"] for r in records[:4]}
+    assert list(worst) == [i for i, _, _ in RECORDS["v1", "eigen"][:4]]
+    assert max(worst.values()) <= 1e-11, worst
+
+
+@pytest.mark.parametrize("well", [
+    # 117 levels, E_0 = -27,695.7: the energies of the three charts differed
+    # by 7.28e-12 in absolute terms, 6.1e-16 relative
+    (0.7192089313349008, 0.07359886946949672, 4.982257529917831),
+    # V1 = 0.33 where its three terms sum to 3,141 in magnitude: relative
+    # to V1 the equidistant identity read 2.10e-12, relative to the terms
+    # 3.7e-15
+    (3.0515418262808156, 1.715797410987275, 9.055645338273383),
+])
+def test_v1_cross_chart_is_relative_to_the_size_of_its_terms(well):
+    alpha, beta, gamma = well
+    records, failed = verify.run(hcli.RunConfig(
+        alpha=alpha, beta=beta, gamma=gamma, suite="cross-chart"))
+    assert not failed, [r for r in records if not r["pass"]]
 
 
 RUNS_WITHOUT_NUMPY_RANDOM = """
