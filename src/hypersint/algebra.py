@@ -226,25 +226,18 @@ def _p2_l2_sh(p: P2Params, chart_params: tuple[float, float, float]) -> Operator
     a_c, b_c, e3 = chart_params
     e1 = complex(a_c, b_c)
     e2 = e1.conjugate()
-    l12 = _p2_l12(p)
-    l13 = _p2_l13(p, conj=False)
-    l23 = _p2_l13(p, conj=True)
 
     def scaled(expr: OperatorExpr, z: complex):
-        out = []
-        for coeff, word in expr.terms:
-            if callable(coeff):
-                out.append(((lambda q, c=coeff, z=z: z * c(q)), word))
-            else:
-                out.append((z * coeff, word))
-        return tuple(out)
+        return tuple(((lambda q, c=c: z * c(q)) if callable(c) else z * c, word)
+                     for c, word in expr.terms)
 
     const = (-p.k1**2 * (e2 + e3 - e1)
              - p.k2**2 * (e1 + e3 - e2)
              - p.k3**2 * (e1 + e2 - e3)
              + 0.25 * (e1 + e2 + e3))
     return OperatorExpr(
-        terms=scaled(l12, e3) + scaled(l13, e2) + scaled(l23, e1),
+        terms=(scaled(_p2_l12(p), e3) + scaled(_p2_l13(p, conj=False), e2)
+               + scaled(_p2_l13(p, conj=True), e1)),
         constant_term=const,
         guards=(lambda q: q.w2,),
         name="L2_sh",

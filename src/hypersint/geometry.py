@@ -37,6 +37,7 @@ Charts (names used throughout the package and on the CLI):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,6 +72,7 @@ __all__ = [
     "in_chart_domain",
     "laplace_beltrami",
     "on_sheet",
+    "parabolic_coordinates",
     "semi_hyperbolic_to_ambient",
 ]
 
@@ -324,26 +326,29 @@ def chart_coordinates(q, chart: str):
     elif chart in ("elliptic-parabolic", "hyperbolic-parabolic"):
         if chart == "hyperbolic-parabolic" and np.any(w2 <= 0.0):
             raise OutOfDomainError("hyperbolic-parabolic chart covers w2 > 0 only")
-        # x = sinh^2 u1 and y = sin^2 u2 solve x - y = 2 w1 / d and x y = s,
-        # and cos^2 u2 = c / (1 + x), with (s, c) = ((w2/d)^2, 1/d^2) on the
-        # elliptic-parabolic chart and swapped on the hyperbolic-parabolic
-        # one; each root comes from the cancellation-free side
-        s, c = (w2 / d) ** 2, 1.0 / (d * d)
-        if chart == "hyperbolic-parabolic":
-            s, c = c, s
-        D = 2.0 * w1 / d
-        big = 0.5 * (np.abs(D) + np.sqrt(D * D + 4.0 * s))
-        small = s / np.where(big > 0.0, big, 1.0)
-        x, y = np.where(D >= 0.0, big, small), np.where(D >= 0.0, small, big)
-        u1 = np.arcsinh(np.sqrt(x))
-        u2 = np.arctan2(np.sqrt(y), np.sqrt(c / (1.0 + x)))
-        if chart == "elliptic-parabolic":
-            u2 = np.where(w2 < 0.0, -u2, u2)
+        u1, u2 = parabolic_coordinates(chart, d, w2 / d, 2.0 * w1 / d)
     else:
         raise OutOfDomainError(f"no inversion implemented for chart {chart!r}")
     if isinstance(q, AmbientPoints):
         return u1, u2
     return float(u1), float(u2)
+
+
+def parabolic_coordinates(chart: str, d, r, D):
+    """(u1, u2) on a parabolic chart from d = w0 - w1, r = w2/d, D = 2 w1/d:
+    x = sinh^2 u1 and y = sin^2 u2 solve x - y = D and x y = s, and
+    cos^2 u2 = c / (1 + x), with (s, c) = (r^2, 1/d^2) on the
+    elliptic-parabolic chart (where u2 takes the sign of r) and swapped on
+    the hyperbolic-parabolic one; each root from its cancellation-free side."""
+    s, c = r**2, 1.0 / (d * d)
+    if chart == "hyperbolic-parabolic":
+        s, c = c, s
+    big = 0.5 * (np.abs(D) + np.sqrt(D * D + 4.0 * s))
+    small = s / np.where(big > 0.0, big, 1.0)
+    x, y = np.where(D >= 0.0, big, small), np.where(D >= 0.0, small, big)
+    u1 = np.arcsinh(np.sqrt(x))
+    u2 = np.arctan2(np.sqrt(y), np.sqrt(c / (1.0 + x)))
+    return u1, (np.where(r < 0.0, -u2, u2) if chart == "elliptic-parabolic" else u2)
 
 
 def ambient_to_chart(q: AmbientPoint, chart: str) -> ChartPoint:
@@ -422,7 +427,7 @@ class Jet:
             return ufunc(*map(_value, args))
         if ufunc in _DERIVATIVES:
             y = ufunc(args[0].c[0])
-            return _series(args[0], y, *_DERIVATIVES[ufunc](args[0].c[0], y))
+            return _series(args[0], y, _DERIVATIVES[ufunc](args[0].c[0], y))
         return _UFUNCS[ufunc](*args) if ufunc in _UFUNCS else NotImplemented
 
     def __array_function__(self, func, types, args, kwargs):
@@ -487,12 +492,13 @@ def _order(x: Jet) -> int:
     return len(x.c).bit_length() - 1
 
 
-def _series(x: Jet, value, *derivs) -> Jet:
+def _series(x: Jet, value, derivs) -> Jet:
     """f(x0 + d) = sum_j f^(j)(x0) d^j / j!, j <= k, the jet's order, from
-    f^(j)(x0), j = 1, 2, ...; derivatives past order k are not used."""
+    the iterable f^(j)(x0), j = 1, 2, ...; it is read no further than k."""
     d = x.c.copy()
     d[0] = 0.0
-    terms = [dj / math.factorial(j) for j, dj in enumerate(derivs[:_order(x)], 1)]
+    terms = [dj / math.factorial(j)
+             for j, dj in enumerate(itertools.islice(derivs, _order(x)), 1)]
     out = d * terms.pop() if terms else d
     for dj in reversed(terms):  # Horner; a multiple of d has value part 0
         out[0] = dj
@@ -504,7 +510,7 @@ def _series(x: Jet, value, *derivs) -> Jet:
 def _pow(x: Jet, p) -> Jet:
     whole = np.isrealobj(p) and p >= 0 and p == math.floor(p)
     # a whole power p >= 0 has no derivatives past order p
-    return _series(x, x.c[0] ** p, *(
+    return _series(x, x.c[0] ** p, (
         0.0 if whole and p < j else
         math.prod(p - i for i in range(j)) * x.c[0] ** (p - j)
         for j in range(1, _order(x) + 1)))
@@ -523,24 +529,31 @@ def _where(cond, a, b) -> Jet:
     return Jet(np.where(cond[0], a, b))
 
 
-#: the first three derivatives of each elementary ufunc at x, with value y
+def _lazy(d1, *fs):
+    """d1, then f(d1) for each of fs, each evaluated only when taken."""
+    return itertools.chain((d1,), (f(d1) for f in fs))
+
+
+#: the first three derivatives of each elementary ufunc at x, with value y,
+#: evaluated only as far as ``_series`` takes them
 _DERIVATIVES = {
     np.exp: lambda x, y: (y, y, y),
-    np.log: lambda x, y: (1.0 / x, -1.0 / x**2, 2.0 / x**3),
+    np.log: lambda x, y: _lazy(1.0 / x, lambda u: -1.0 / x**2, lambda u: 2.0 / x**3),
     np.log1p: lambda x, y: _DERIVATIVES[np.log](1.0 + x, y),
-    np.sqrt: lambda x, y: (0.5 / y, -0.25 / (x * y), 0.375 / (x * x * y)),
-    np.sin: lambda x, y: (np.cos(x), -y, -np.cos(x)),
-    np.cos: lambda x, y: (-np.sin(x), -y, np.sin(x)),
-    np.sinh: lambda x, y: (np.cosh(x), y, np.cosh(x)),
-    np.cosh: lambda x, y: (np.sinh(x), y, np.sinh(x)),
-    np.tanh: lambda x, y: (1.0 - y * y, -2.0 * y * (1.0 - y * y),
-                           (6.0 * y * y - 2.0) * (1.0 - y * y)),
-    np.arctan: lambda x, y: (lambda u: (u, -2.0 * x * u * u, (6.0 * x * x - 2.0) * u**3))(
-        1.0 / (1.0 + x * x)),
-    np.arctanh: lambda x, y: (lambda u: (u, 2.0 * x * u * u, (6.0 * x * x + 2.0) * u**3))(
-        1.0 / (1.0 - x * x)),
-    np.arcsinh: lambda x, y: (lambda r: (r, -x * r**3, (2.0 * x * x - 1.0) * r**5))(
-        1.0 / np.sqrt(1.0 + x * x)),
+    np.sqrt: lambda x, y: _lazy(0.5 / y, lambda u: -0.25 / (x * y),
+                                lambda u: 0.375 / (x * x * y)),
+    np.sin: lambda x, y: _lazy(np.cos(x), lambda c: -y, lambda c: -c),
+    np.cos: lambda x, y: _lazy(-np.sin(x), lambda s: -y, lambda s: -s),
+    np.sinh: lambda x, y: _lazy(np.cosh(x), lambda c: y, lambda c: c),
+    np.cosh: lambda x, y: _lazy(np.sinh(x), lambda s: y, lambda s: s),
+    np.tanh: lambda x, y: _lazy(1.0 - y * y, lambda u: -2.0 * y * u,
+                                lambda u: (6.0 * y * y - 2.0) * u),
+    np.arctan: lambda x, y: _lazy(1.0 / (1.0 + x * x), lambda u: -2.0 * x * u * u,
+                                  lambda u: (6.0 * x * x - 2.0) * u**3),
+    np.arctanh: lambda x, y: _lazy(1.0 / (1.0 - x * x), lambda u: 2.0 * x * u * u,
+                                   lambda u: (6.0 * x * x + 2.0) * u**3),
+    np.arcsinh: lambda x, y: _lazy(1.0 / np.sqrt(1.0 + x * x), lambda r: -x * r**3,
+                                   lambda r: (2.0 * x * x - 1.0) * r**5),
 }
 _PREDICATES = {np.isnan, np.isfinite}
 _UFUNCS = {

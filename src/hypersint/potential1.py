@@ -70,6 +70,7 @@ from .geometry import (
     chart_coordinates,
     chart_points,
     in_chart_domain,
+    parabolic_coordinates,
 )
 
 __all__ = [
@@ -602,11 +603,12 @@ class EquidistantBasis:
     rule ``pt_rule`` x ``p.m_rule``, exact for the product of any two.  The
     1-D factors are taken once, a row per state at each rule's own nodes:
     ``f1`` (``pt_factor``) at t1, ``f2`` (``p.m_factor``, real up to
-    round-off) at t2.  ``gram``, the rule's ambient ``points`` (t1 major),
-    their ``weight`` for cosh t1 dt1 dt2 and the states' ``values`` there
-    (formed on each access: a row per state and point) come from them.
-    ``level(p, N)`` stacks level N's states, m ascending; called with
-    ambient points (or jets), the basis evaluates the stack."""
+    round-off) at t2.  ``gram``, the rule's ``nodes`` (t1, t2) and ambient
+    ``points`` (t1 major), their ``weight`` for cosh t1 dt1 dt2 and the
+    states' ``values`` there (formed on each access: a row per state and
+    point) come from them; ``project`` takes values at the points to
+    coefficients.  ``level(p, N)`` stacks level N's states, m ascending;
+    called with ambient points (or jets), the basis evaluates the stack."""
 
     def __init__(self, p, n, m):
         self.p = p
@@ -617,8 +619,8 @@ class EquidistantBasis:
         self.t2, self.f2 = t2, p.m_factor(self.m, t2, mu)
         f2 = self.f2.real
         self.gram = ((self.f1 * v1) @ self.f1.T) * ((f2 * v2) @ f2.T)
-        self.points = chart_points("equidistant", np.repeat(t1, len(t2)),
-                                   np.tile(t2, len(t1)))
+        self.nodes = np.repeat(t1, len(t2)), np.tile(t2, len(t1))
+        self.points = chart_points("equidistant", *self.nodes)
         self.weight = np.outer(v1 * np.cosh(t1), v2).ravel()
 
     @classmethod
@@ -632,6 +634,13 @@ class EquidistantBasis:
         where tanh t2 nears 1, as on the s = 229 well."""
         f1 = np.cosh(self.t1) ** -0.5 * self.f1
         return (f1[:, :, None] * self.f2[:, None, :]).reshape(len(f1), -1)
+
+    def project(self, psi) -> tuple[np.ndarray, float]:
+        """Coefficients c_k = sum_q v_q conj(psi_k(q)) psi(q) of values psi at the
+        points, exact in the states' span, and max |psi - c @ values| / max |psi|."""
+        eq = self.values
+        c = (np.conj(eq) * self.weight) @ psi
+        return c, float(np.max(np.abs(psi - c @ eq)) / np.max(np.abs(psi)))
 
     def __call__(self, q):
         return _equidistant_product(self.p, self.n, self.m,
@@ -843,30 +852,27 @@ def _parabolic_raw(chart: str, state: P1State, u, th):
 
 @lru_cache(maxsize=256)
 def _parabolic_projection(state: P1State) -> tuple[float, float, np.ndarray]:
-    """log_norm of the raw product form, its membership residual, and its
-    coefficients c on the level's equidistant states (m ascending).
+    """log_norm of the raw product form, and its membership residual and
+    coefficients c on the level's states (``EquidistantBasis.project``).
 
-    The state lies in its level's span, so on the level's rule (weights v)
-    its coefficients c_k = sum_q v_q psi_eq,k(q) psi(q) give its squared
-    norm over w2 > 0, which the t1 > 0 basis sees, as sum c^2.  The form is
-    taken at the rule points over e^L, L its largest log-magnitude there
-    (values near e^{+-790} on the s = 229 well), so log_norm is
-    L + (1/2) log(2 sum c^2) on the elliptic-parabolic chart (both halves)
-    and L + (1/2) log(sum c^2) on the hyperbolic-parabolic one, and c is
-    that of the form over e^L.  The sum is exact only in the span: the
-    residual max |psi - sum_k c_k psi_eq,k| / max |psi| at the rule points
-    bounds the norm's error, second order in it.
+    The state lies in its level's span, so sum c^2 is its squared norm over
+    w2 > 0, which the t1 > 0 basis sees, to second order in the membership
+    residual.  The form is taken at the nodes (t1, t2), with w0 - w1 =
+    cosh t1 e^{-t2}, w2/(w0 - w1) = tanh t1 e^{t2}, 2 w1/(w0 - w1) =
+    e^{2 t2} - 1, over e^L, L its largest log-magnitude there (near e^{+-790}
+    on the s = 229 well): log_norm is L + (1/2) log(2 sum c^2) on the
+    elliptic-parabolic chart (both halves) and L + (1/2) log(sum c^2) on the
+    hyperbolic-parabolic one, and c is that of the form over e^L.
     """
     basis = EquidistantBasis.level(state.params, state.N)
-    eq = basis.values
-    logmag, *poly = _parabolic_raw(state.chart, state,
-                                   *chart_coordinates(basis.points, state.chart))
+    t1, t2 = basis.nodes
+    logmag, *poly = _parabolic_raw(state.chart, state, *parabolic_coordinates(
+        state.chart, np.cosh(t1) * np.exp(-t2), np.tanh(t1) * np.exp(t2),
+        np.expm1(2.0 * t2)))
     top = float(np.max(logmag))
-    psi = _exp_guarded(logmag - top, *poly)
-    c = (eq * basis.weight) @ psi
+    c, membership = basis.project(_exp_guarded(logmag - top, *poly))
     halves = 2.0 if state.chart == "elliptic-parabolic" else 1.0
-    return (top + 0.5 * math.log(halves * float(c @ c)),
-            float(np.max(np.abs(psi - c @ eq)) / np.max(np.abs(psi))), c)
+    return top + 0.5 * math.log(halves * float(c @ c)), membership, c
 
 
 def _parabolic_wf(chart: str, state: P1State, u, th):

@@ -588,6 +588,24 @@ def test_chart_coordinates_batch_matches_scalar_inversion():
             assert abs(cp.u2 - b) <= 1e-13 * max(1.0, abs(b))
 
 
+@pytest.mark.parametrize("chart", ["elliptic-parabolic", "hyperbolic-parabolic"])
+def test_parabolic_coordinates_of_equidistant_points_need_no_round_trip(chart):
+    # w0 - w1 = cosh t1 e^{-t2}, w2/(w0 - w1) = tanh t1 e^{t2} and
+    # 2 w1/(w0 - w1) = e^{2 t2} - 1 give the inversion of the ambient
+    # points (measured 4.0e-15), and the chart maps them back onto those
+    # points (6.2e-15 relative)
+    t1, t2 = geo.box_points(50, (0.05, -3.0), (3.0, 3.0)).T
+    u1, u2 = geo.parabolic_coordinates(chart, np.cosh(t1) * np.exp(-t2),
+                                       np.tanh(t1) * np.exp(t2), np.expm1(2.0 * t2))
+    q = geo.chart_points("equidistant", t1, t2)
+    r1, r2 = geo.chart_coordinates(q, chart)
+    assert np.max(np.abs(u1 - r1)) <= 1e-13 and np.max(np.abs(u2 - r2)) <= 1e-13
+    back = geo.chart_points(chart, u1, u2)
+    for w in ("w0", "w1", "w2"):
+        ref = getattr(q, w)
+        assert np.max(np.abs(getattr(back, w) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+
+
 def test_semi_hyperbolic_map_on_arrays():
     rng = np.random.default_rng(12)
     mu, nu = rng.uniform(0.05, 4, 40), -rng.uniform(0.05, 4, 40)
