@@ -9,14 +9,19 @@ roots         solve the zero (Bethe-type) equations of a parabolic or
 interbasis    the level-N change of basis, three ways, with diagnostics
 verify        machine-readable report of one suite of ``hypersint.verify``
 
+Each subcommand takes only the options it reads (``COMMAND_OPTIONS``); any
+other flag exits 2 when the command line is parsed.
+
 Output is deterministic: floats are rendered with %.17g, key and record
 order is fixed, files are written atomically (temp + rename), LF endings.
 Exit codes: 0 success, 2 invalid parameters or configuration (the message
 names the violated window), 3 root-solver failure (with the best residual
 reached).
 
-Configuration: a flat key=value file (--config) is checked exactly as flags
-are; explicit command line flags override its values.
+Configuration: a flat key=value file (--config) is shared by every
+subcommand: each entry is checked exactly as the flag of that name is, a
+command ignores the keys it does not read, and explicit command line flags
+override the file's values.
 """
 
 from __future__ import annotations
@@ -178,8 +183,8 @@ def grid_spec(text: str) -> tuple:
 
 def _read_config(path: str) -> dict:
     """The values of a flat key=value config file, checked exactly as flags
-    are: each entry is one --key=value token of the verify subparser's
-    options, so a value that begins with '-' parses too."""
+    are: each entry is one --key=value token of the options of every
+    subcommand, not abbreviated, so a value that begins with '-' parses too."""
     tokens = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -188,7 +193,9 @@ def _read_config(path: str) -> dict:
                     key, eq, value = line.partition("=")
                     tokens.append(f"--{key.strip().replace('_', '-')}{eq}"
                                   f"{value.strip()}")
-        ns, unknown = _verify_options().parse_known_args(tokens)
+        ns, unknown = _add_options(argparse.ArgumentParser(
+            add_help=False, allow_abbrev=False, exit_on_error=False),
+            _OPTIONS).parse_known_args(tokens)
     except (OSError, argparse.ArgumentError) as exc:
         raise HypersintError(f"config file {path!r}: {exc}") from None
     if unknown or ns.config is not None:  # config files do not nest
@@ -390,35 +397,33 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--potential", choices=("v1", "v2"))
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--chart")
-    sp.add_argument("--chart-params", dest="chart_params", type=float_triple,
-                    help="a,b,e3 for the semi-hyperbolic chart")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--quantum", type=int_list,
-                    help="comma-separated quantum numbers")
-    sp.add_argument("--form", choices=("printed", "derived"))
-    sp.add_argument("--grid", type=grid_spec, help="n1xn2:lo1,hi1,lo2,hi2")
-    sp.add_argument("--bethe-tol", dest="bethe_tol", type=float)
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv"))
-    sp.add_argument("--out")
-    sp.add_argument("--config")
+# Every option once, with its add_argument keywords, and the options each
+# subcommand reads: its parser takes those and no other (nor abbreviations).
+_OPTIONS = {
+    "potential": dict(choices=("v1", "v2")), "alpha": dict(type=float),
+    "beta": dict(type=float), "gamma": dict(type=float), "chart": {},
+    "chart-params": dict(type=float_triple, help="a,b,e3 for the semi-hyperbolic chart"),
+    "N": dict(type=int), "form": dict(choices=("printed", "derived")),
+    "quantum": dict(type=int_list, help="comma-separated quantum numbers"),
+    "bethe-tol": dict(type=float),
+    "grid": dict(type=grid_spec, help="n1xn2:lo1,hi1,lo2,hi2"),
+    "suite": dict(choices=sorted(set().union(*verify.SUITES.values()))),
+    "format": dict(dest="fmt", choices=("json", "csv")), "out": {}, "config": {}}
+_WELL = ("potential", "alpha", "beta", "gamma")
+COMMAND_OPTIONS = {
+    "spectrum": _WELL + ("format", "out", "config"),
+    "wavefunction": _WELL + ("chart", "chart-params", "quantum", "form", "grid",
+                             "bethe-tol", "format", "out", "config"),
+    "roots": _WELL + ("chart", "chart-params", "N", "form", "bethe-tol", "format",
+                      "out", "config"),
+    "interbasis": ("alpha", "beta", "gamma", "N", "out", "config"),
+    "verify": _WELL + ("chart-params", "suite", "out", "config")}
 
 
-@functools.cache
-def _verify_options() -> argparse.ArgumentParser:
-    """Every option: the verify subparser's, and the reader of config-file
-    entries, which raises on an error and takes no abbreviated key."""
-    op = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
-                                 exit_on_error=False)
-    _add_common(op)
-    op.add_argument("--suite",
-                    choices=sorted(set().union(*verify.SUITES.values())))
-    return op
+def _add_options(parser: argparse.ArgumentParser, names) -> argparse.ArgumentParser:
+    for name in names:
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
+    return parser
 
 
 @functools.cache
@@ -426,12 +431,10 @@ def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared: parse_args
     returns a fresh Namespace each call and leaves the parser unchanged."""
     ap = argparse.ArgumentParser(
-        prog="hypersint",
-        description="Two superintegrable systems on the 2D hyperboloid")
+        prog="hypersint", description="Two superintegrable systems on the 2D hyperboloid")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "wavefunction", "roots", "interbasis"):
-        _add_common(sub.add_parser(name))
-    sub.add_parser("verify", parents=[_verify_options()])
+    for name, options in COMMAND_OPTIONS.items():
+        _add_options(sub.add_parser(name, allow_abbrev=False), options)
     return ap
 
 

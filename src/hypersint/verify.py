@@ -9,9 +9,10 @@ a run.  The Gram, eigen, quadratic-algebra and v2 Hamiltonian checks run on
 the equidistant states' exact Gauss rules (``potential1.EquidistantBasis``):
 the well's Gram matrix and a level's Galerkin matrices (``algebra.galerkin``),
 with parabolic and semi-hyperbolic states as their level coefficients
-(``project``); eigen records note the rule's ``nodes``.  The other checks
-sample the ``geometry.box_points`` design of a fixed box and count, so a
-report depends on its inputs alone.
+(``project``), every configuration of the level; eigen records note the
+rule's ``nodes``, and those of product states the ``configurations``.  The
+other checks sample the ``geometry.box_points`` design of a fixed box and
+count, so a report depends on its inputs alone.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ def _orthonormality(params, cfg) -> list[dict]:
 def _v1_eigen(params, cfg) -> list[dict]:
     """L1..L4 as Galerkin matrices on level min(1, nmax), each relative to
     the size of its terms: L1 against diag(mu^2), the L2 spectrum against
-    the horicyclic one, L3 and L4 on the level's first parabolic states."""
+    the horicyclic one, L3 and L4 on the coefficients of every parabolic
+    configuration of the level (the largest residual), with the first
+    configuration's separation constant as notes."""
     N = min(1, _nmax(params))
     basis = p1.EquidistantBasis.level(params, N)
     l1, l2, l3, l4 = alg.galerkin(basis, [alg.build_operator(k, params)
@@ -97,18 +100,19 @@ def _v1_eigen(params, cfg) -> list[dict]:
              "lambda", 4.0),
             ("L4", l4, "hyperbolic-parabolic", p1.p1_hp_roots, p1.p1_hp_tau,
              "tau", -4.0)):
-        conf = roots(params, 1, form="derived")[0]
-        value = sep(params, conf)
+        confs = roots(params, 1, form="derived")
+        values = [sep(params, conf) for conf in confs]
         offset *= params.gamma**2
-        _, membership, c = p1._parabolic_projection(
-            p1.P1State(params, chart, (1,), roots=conf))
-        recs.append(record(
-            f"{op}-{chart}",
-            _amax(mat @ c - (value + offset) * c) / (_amax(mat) * _amax(c)), 1e-6,
-            notes={f"{name}_separation": value, f"{name}_operator": value + offset,
-                   "display_offset": offset, "nodes": nodes}))
+        _, memberships, cs = zip(*(p1._parabolic_projection(
+            p1.P1State(params, chart, (1,), roots=conf)) for conf in confs))
+        recs.append(record(f"{op}-{chart}", max(
+            _amax(mat @ c - (value + offset) * c) / (_amax(mat) * _amax(c))
+            for c, value in zip(cs, values)), 1e-6,
+            notes={f"{name}_separation": values[0],
+                   f"{name}_operator": values[0] + offset, "display_offset": offset,
+                   "nodes": nodes, "configurations": len(confs)}))
         # the norm is exact only in the level's span
-        members.append(record(f"parabolic-membership-{chart}", membership, 1e-6))
+        members.append(record(f"parabolic-membership-{chart}", max(memberships), 1e-6))
     lam = recs[-2]["notes"]
     recs.append(record(
         "lambda-AL0-vs-FEP10",

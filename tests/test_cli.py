@@ -367,6 +367,49 @@ def test_verify_hard_failure_exits_nonzero(monkeypatch):
     assert failed == ["L3-elliptic-parabolic"]
 
 
+# the options each subcommand reads, and a value for each option
+READS = {
+    "spectrum": "potential alpha beta gamma format out config",
+    "wavefunction": "potential alpha beta gamma chart chart-params quantum form "
+                    "grid bethe-tol format out config",
+    "roots": "potential alpha beta gamma chart chart-params N form bethe-tol "
+             "format out config",
+    "interbasis": "alpha beta gamma N out config",
+    "verify": "potential alpha beta gamma chart-params suite out config"}
+VALUES = {"potential": "v2", "alpha": "0.3", "beta": "0.2", "gamma": "3",
+          "chart": "horicyclic", "chart-params": "0,1,0", "N": "2",
+          "quantum": "1,0", "form": "printed", "grid": "2x2:0,1,0,1",
+          "bethe-tol": "1e-30", "format": "csv", "out": "x.json",
+          "config": "run.cfg", "suite": "eigen"}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(capsys):
+    # every subcommand used to take all 14 options, and verify also --suite:
+    # 71 pairs, of which 46 are read; the other 25 exit 2 when parsed, with
+    # the one line of argparse that names the flag (verify --bethe-tol 1e-30
+    # among them: the suites solve at their own 1e-10), and none is taken
+    # for an abbreviation (spectrum --form, verify --chart)
+    counts = {"read": 0, "refused": 0}
+    for command, reads in READS.items():
+        for key, value in VALUES.items():
+            if key == "suite" and command != "verify":
+                continue
+            argv = [command, f"--{key}", value]
+            if key in reads.split():
+                counts["read"] += 1
+                assert hcli.make_parser().parse_args(argv).command == command
+                continue
+            counts["refused"] += 1
+            with pytest.raises(SystemExit) as exc:
+                hcli.make_parser().parse_args(argv)
+            assert exc.value.code == 2
+            named = [line for line in capsys.readouterr().err.splitlines()
+                     if f"--{key}" in line]
+            assert named == [f"hypersint: error: unrecognized arguments: "
+                             f"--{key} {value}"], argv
+    assert counts == {"read": 46, "refused": 25}
+
+
 def test_diff_step_option_is_gone(capsys):
     # operators are applied exactly: there is no step to set
     with pytest.raises(SystemExit) as exc:
@@ -406,8 +449,8 @@ def test_config_file_and_flag_override(tmp_path):
 
 
 def test_config_file_values_are_checked_as_flags(tmp_path, capsys):
-    # each entry is parsed as one --key=value flag of the verify subparser:
-    # a bad value or a missing file exits 2 with one line and no traceback
+    # each entry is parsed as one --key=value flag of any subcommand: a bad
+    # value or a missing file exits 2 with one line and no traceback
     cfg = tmp_path / "run.cfg"
     for text, words in (("N=abc\n", "argument --N: invalid int value: 'abc'"),
                         ("format=xml\n", "invalid choice: 'xml'"),
@@ -421,7 +464,8 @@ def test_config_file_values_are_checked_as_flags(tmp_path, capsys):
         assert hcli.main(["spectrum", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert words in err and err.count("\n") == 1, err
-    # a value that begins with '-' parses; suite= is a key of every command
+    # a value that begins with '-' parses; suite= is a key of every command,
+    # which spectrum ignores
     cfg.write_text("chart_params=-0.5,1,0\nsuite=eigen\n")
     code, out = run_main(["spectrum", "--config", str(cfg)])
     assert code == 0
@@ -442,17 +486,17 @@ def test_parser_built_once_and_keeps_no_parsed_values(tmp_path, monkeypatch):
     ref = tmp_path / "ref.json"
     assert run_main(["spectrum", "--out", str(ref)])[0] == 0
     first = tmp_path / "first.json"
-    assert run_main(["verify", "--suite", "linear-relations", "--bethe-tol",
-                     "1e-9", "--beta", "0.5", "--out", str(first)])[0] == 0
+    assert run_main(["verify", "--suite", "linear-relations", "--chart-params",
+                     "0,1,0", "--beta", "0.5", "--out", str(first)])[0] == 0
     second = tmp_path / "second.json"
     assert run_main(["spectrum", "--out", str(second)])[0] == 0
     assert hcli.make_parser.cache_info().misses == 1
     assert seen[1]["command"] == "verify"
     assert seen[1]["suite"] == "linear-relations"
-    assert seen[1]["bethe_tol"] == 1e-9 and seen[1]["beta"] == 0.5
+    assert seen[1]["chart_params"] == (0.0, 1.0, 0.0) and seen[1]["beta"] == 0.5
     assert {**seen[2], "out": None} == {**seen[0], "out": None}
-    assert seen[2]["bethe_tol"] is None and seen[2]["beta"] is None
-    assert "suite" not in seen[2]
+    assert seen[2]["beta"] is None
+    assert "suite" not in seen[2] and "chart_params" not in seen[2]
     assert second.read_bytes() == ref.read_bytes()
 
 

@@ -217,6 +217,8 @@ def test_v1_eigen_records_are_exact_on_the_level(well):
     worst = {r["id"]: r["residual"] for r in records[:4]}
     assert list(worst) == [i for i, _, _ in RECORDS["v1", "eigen"][:4]]
     assert max(worst.values()) <= 1e-11, worst
+    # L3 and L4 take both configurations of level 1
+    assert [r["notes"]["configurations"] for r in records[2:4]] == [2, 2]
 
 
 @pytest.mark.parametrize("well", [
