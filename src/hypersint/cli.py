@@ -205,13 +205,15 @@ def _read_config(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """The run configuration: defaults, then the config file, then flags."""
+    """The run configuration: defaults, then the config file, then flags;
+    only the options of the command's parser (its namespace) are applied."""
     cfg = RunConfig()
     for vals in (_read_config(args.config) if args.config else {}, vars(args)):
         for key, value in vals.items():
-            if value is not None and key in RunConfig.__dataclass_fields__:
+            if (value is not None and key in vars(args)
+                    and key in RunConfig.__dataclass_fields__):
                 setattr(cfg, key, value)
-    if cfg.chart not in cfg.kind.charts:
+    if cfg.chart not in cfg.kind.charts:  # the default is separable for both
         raise HypersintError(
             f"chart {cfg.chart!r} is not separable for {cfg.potential}")
     return cfg
@@ -400,15 +402,23 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 # Every option once, with its add_argument keywords, and the options each
 # subcommand reads: its parser takes those and no other (nor abbreviations).
 _OPTIONS = {
-    "potential": dict(choices=("v1", "v2")), "alpha": dict(type=float),
-    "beta": dict(type=float), "gamma": dict(type=float), "chart": {},
-    "chart-params": dict(type=float_triple, help="a,b,e3 for the semi-hyperbolic chart"),
-    "N": dict(type=int), "form": dict(choices=("printed", "derived")),
+    "potential": dict(choices=("v1", "v2")),
+    "alpha": dict(type=float),
+    "beta": dict(type=float),
+    "gamma": dict(type=float),
+    "chart": {},
+    "chart-params": dict(type=float_triple,
+                         help="a,b,e3 for the semi-hyperbolic chart"),
+    "N": dict(type=int),
     "quantum": dict(type=int_list, help="comma-separated quantum numbers"),
-    "bethe-tol": dict(type=float),
+    "form": dict(choices=("printed", "derived")),
     "grid": dict(type=grid_spec, help="n1xn2:lo1,hi1,lo2,hi2"),
+    "bethe-tol": dict(type=float),
     "suite": dict(choices=sorted(set().union(*verify.SUITES.values()))),
-    "format": dict(dest="fmt", choices=("json", "csv")), "out": {}, "config": {}}
+    "format": dict(dest="fmt", choices=("json", "csv")),
+    "out": {},
+    "config": {},
+}
 _WELL = ("potential", "alpha", "beta", "gamma")
 COMMAND_OPTIONS = {
     "spectrum": _WELL + ("format", "out", "config"),
@@ -431,7 +441,8 @@ def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared: parse_args
     returns a fresh Namespace each call and leaves the parser unchanged."""
     ap = argparse.ArgumentParser(
-        prog="hypersint", description="Two superintegrable systems on the 2D hyperboloid")
+        prog="hypersint",
+        description="Two superintegrable systems on the 2D hyperboloid")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, options in COMMAND_OPTIONS.items():
         _add_options(sub.add_parser(name, allow_abbrev=False), options)

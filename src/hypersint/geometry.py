@@ -475,11 +475,7 @@ def _mul(a, b) -> Jet:
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The components of the product of two jets' components a and b."""
     ia, ib, group = _subset_pairs(len(a))
-    pairs = a[ia].astype(np.result_type(a, b), copy=False)
-    if pairs.shape[1:] == b.shape[1:]:
-        pairs *= b[ib]  # in place: one temporary fewer
-    else:  # value axes that broadcast
-        pairs = pairs * b[ib]
+    pairs = a[ia] * b[ib]
     return (group @ pairs.reshape(len(ia), -1)).reshape((len(a),) + pairs.shape[1:])
 
 

@@ -59,6 +59,11 @@ def _amax(a) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _worst(values) -> float:
+    """The largest of values, NaN if one is NaN (max() would drop it)."""
+    return float(np.max(list(values)))
+
+
 def _rel_max(a, b) -> float:
     """max |a - b| / max(1, |a|)."""
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
@@ -105,14 +110,14 @@ def _v1_eigen(params, cfg) -> list[dict]:
         offset *= params.gamma**2
         _, memberships, cs = zip(*(p1._parabolic_projection(
             p1.P1State(params, chart, (1,), roots=conf)) for conf in confs))
-        recs.append(record(f"{op}-{chart}", max(
+        recs.append(record(f"{op}-{chart}", _worst(
             _amax(mat @ c - (value + offset) * c) / (_amax(mat) * _amax(c))
             for c, value in zip(cs, values)), 1e-6,
             notes={f"{name}_separation": values[0],
                    f"{name}_operator": values[0] + offset, "display_offset": offset,
                    "nodes": nodes, "configurations": len(confs)}))
         # the norm is exact only in the level's span
-        members.append(record(f"parabolic-membership-{chart}", max(memberships), 1e-6))
+        members.append(record(f"parabolic-membership-{chart}", _worst(memberships), 1e-6))
     lam = recs[-2]["notes"]
     recs.append(record(
         "lambda-AL0-vs-FEP10",
@@ -144,7 +149,7 @@ def v2_eigen_level(params, N: int, chart_params=None) -> list[dict]:
     cs, members = zip(*(basis.project(p2.p2_wf_semihyperbolic(p2.P2State(
         params, "semi-hyperbolic", (N,), roots=conf, chart_params=chart_params),
         basis.points)) for conf in confs))
-    recs.append(record("L2-semi-hyperbolic", max(
+    recs.append(record("L2-semi-hyperbolic", _worst(
         _amax(l2[0] @ c - lam * c) / (_amax(l2[0]) * _amax(c)) for c, lam in zip(cs, lams)),
         1e-6, notes={**nodes, "configurations": len(confs)}))
     lam_true, lam_disp = lams[0], p2.p2_sh_lambda(params, confs[0], chart_params)
@@ -153,7 +158,7 @@ def v2_eigen_level(params, N: int, chart_params=None) -> list[dict]:
         notes={"display_symmetrized": [lam_disp.real, lam_disp.imag],
                "eigenvalue": [lam_true.real, lam_true.imag]}))
     # the coefficients are exact only in the level's span
-    return recs + [record("semi-hyperbolic-membership", max(members), 1e-6)]
+    return recs + [record("semi-hyperbolic-membership", _worst(members), 1e-6)]
 
 
 def _v2_eigen(params, cfg) -> list[dict]:

@@ -464,12 +464,28 @@ def test_config_file_values_are_checked_as_flags(tmp_path, capsys):
         assert hcli.main(["spectrum", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert words in err and err.count("\n") == 1, err
-    # a value that begins with '-' parses; suite= is a key of every command,
-    # which spectrum ignores
+    # a value that begins with '-' parses; chart_params= and suite= are keys
+    # of every command, which spectrum ignores and verify reads
     cfg.write_text("chart_params=-0.5,1,0\nsuite=eigen\n")
     code, out = run_main(["spectrum", "--config", str(cfg)])
-    assert code == 0
-    assert json.loads(out)["meta"]["chart_params"] == [-0.5, 1.0, 0.0]
+    assert code == 0 and "chart_params" not in json.loads(out)["meta"]
+    code, out = run_main(["verify", "--suite", "linear-relations", "--config", str(cfg)])
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["suite"] == "linear-relations"
+    assert meta["chart_params"] == [-0.5, 1.0, 0.0]
+
+
+def test_config_file_keys_a_command_does_not_read_are_ignored(tmp_path):
+    # a shared config file: interbasis takes no potential (it is v1 only),
+    # and verify and spectrum take no chart, so neither key can fail them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("potential=v2\nchart=semi-hyperbolic\nN=1\n")
+    ref = run_main(["interbasis", "--N", "1"])
+    assert ref[0] == 0 and run_main(["interbasis", "--config", str(cfg)]) == ref
+    cfg.write_text("chart=semi-hyperbolic\nbethe_tol=1e-30\n")
+    for argv in (["verify", "--potential", "v1", "--suite", "eigen"], ["spectrum"]):
+        ref = run_main(argv)
+        assert ref[0] == 0 and run_main(argv + ["--config", str(cfg)]) == ref
 
 
 def test_parser_built_once_and_keeps_no_parsed_values(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hypersint import cli as hcli
+from hypersint import potential1 as p1
 from hypersint import potential2 as p2
 from hypersint import verify
 from hypersint.errors import HypersintError, NoBoundStateError
@@ -219,6 +220,40 @@ def test_v1_eigen_records_are_exact_on_the_level(well):
     assert max(worst.values()) <= 1e-11, worst
     # L3 and L4 take both configurations of level 1
     assert [r["notes"]["configurations"] for r in records[2:4]] == [2, 2]
+
+
+def _nan_on_second_call(monkeypatch, module, name, chart=None):
+    """Make the second call of module.name give NaN: its value or, counting
+    only calls on a state of chart, the membership of a projection's
+    (log_norm, membership, c)."""
+    f, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        value = f(*args)
+        if chart is None or args[0].chart == chart:
+            calls.append(None)
+            if len(calls) == 2:
+                return (value[0], math.nan, value[2]) if chart else math.nan
+        return value
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_eigen_records_fail_on_a_nan_in_a_later_configuration(monkeypatch):
+    # the worst over the configurations keeps a NaN of the second one (the
+    # built-in max() returns its first argument against a NaN)
+    _nan_on_second_call(monkeypatch, p1, "p1_ep_lambda")
+    _nan_on_second_call(monkeypatch, p1, "_parabolic_projection",
+                        chart="hyperbolic-parabolic")
+    _nan_on_second_call(monkeypatch, p2, "p2_sh_lambda_closed")
+    records, failed = verify.run(hcli.RunConfig(suite="eigen"))
+    status = {r["id"]: r["pass"] for r in records}
+    assert failed and not status["L3-elliptic-parabolic"]
+    assert not status["parabolic-membership-hyperbolic-parabolic"]
+    assert status["L4-hyperbolic-parabolic"] and status["L1-equidistant"]
+    assert math.isfinite(records[2]["notes"]["lambda_separation"])
+    records = verify.v2_eigen_level(p2.P2Params(0.1, 6.0, 1.0), 2, (0.0, 1.0, 0.0))
+    status = {r["id"]: r["pass"] for r in records}
+    assert not status["L2-semi-hyperbolic"] and status["semi-hyperbolic-membership"]
 
 
 @pytest.mark.parametrize("well", [
