@@ -350,7 +350,7 @@ def check_linear_relations(p: P1Params, testfns, points) -> dict[str, float]:
             scale = np.maximum(np.maximum(np.abs(va), np.abs(vb)),
                                np.maximum(np.abs(vc), 1e-300))
             defect = np.abs(va + sign * vb + vc)
-            worst[ident] = max(worst[ident], float(np.max(defect / scale)))
+            worst[ident] = float(np.maximum(worst[ident], np.max(defect / scale)))
     return worst
 
 

@@ -378,8 +378,6 @@ def cmd_roots(cfg: RunConfig) -> str:
 
 def cmd_interbasis(cfg: RunConfig) -> str:
     params = cfg.params()
-    if cfg.potential != "v1":
-        raise HypersintError("interbasis expansion is defined for v1 only")
     level = verify.interbasis_level(params, cfg.N, "canonical")
     printed = verify.interbasis_level(params, cfg.N, "printed")
     level["printed_variant"] = {

@@ -745,7 +745,9 @@ def _zone_counts(roots: np.ndarray, zone_a, zone_b) -> tuple[int, int, int]:
 def _p1_roots(p: P1Params, N: int, chart: str, form: str,
               tol: float) -> tuple[list[BetheRoots], int]:
     """The real configurations of a parabolic chart's zero equations that
-    reach ``tol``, and how many of the level's N + 1 are not real."""
+    reach ``tol``, and how many of the level's N + 1 are not real.  On the
+    s = 229 well zone-B roots (th ~ 2,500-3,200) leave residuals to 2.1e-10
+    at N <= 3: an absolute 1e-10 drops four, five on ``_p1_family``'s form."""
     _check_level(p, N)
     equations = (p1_ep_equations if chart == "elliptic-parabolic"
                  else p1_hp_equations)

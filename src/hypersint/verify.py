@@ -12,7 +12,8 @@ with parabolic and semi-hyperbolic states as their level coefficients
 (``project``), every configuration of the level; eigen records note the
 rule's ``nodes``, and those of product states the ``configurations``.  The
 other checks sample the ``geometry.box_points`` design of a fixed box and
-count, so a report depends on its inputs alone.
+count, so a report depends on its inputs alone.  A largest-of residual
+keeps a NaN part (``_worst``), so that part fails the record.
 """
 
 from __future__ import annotations
@@ -59,14 +60,22 @@ def _amax(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _worst(values) -> float:
-    """The largest of values, NaN if one is NaN (max() would drop it)."""
-    return float(np.max(list(values)))
+def _worst(residuals) -> float:
+    """The largest of residuals, 0 if none; NaN if any is (max() drops a later NaN)."""
+    return float(np.max(list(residuals), initial=0.0))
 
 
 def _rel_max(a, b) -> float:
     """max |a - b| / max(1, |a|)."""
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
+
+
+def _product_states(ident: str, mat, cs, lams, notes: dict) -> dict:
+    """An eigen record of product states: the worst over the configurations
+    of max |mat c - lam c| / (max |mat| max |c|), c their level coefficients."""
+    return record(ident, _worst(_amax(mat @ c - lam * c) / (_amax(mat) * _amax(c))
+                                for c, lam in zip(cs, lams)), 1e-6,
+                  notes={**notes, "configurations": len(cs)})
 
 
 def _orthonormality(params, cfg) -> list[dict]:
@@ -110,12 +119,10 @@ def _v1_eigen(params, cfg) -> list[dict]:
         offset *= params.gamma**2
         _, memberships, cs = zip(*(p1._parabolic_projection(
             p1.P1State(params, chart, (1,), roots=conf)) for conf in confs))
-        recs.append(record(f"{op}-{chart}", _worst(
-            _amax(mat @ c - (value + offset) * c) / (_amax(mat) * _amax(c))
-            for c, value in zip(cs, values)), 1e-6,
-            notes={f"{name}_separation": values[0],
-                   f"{name}_operator": values[0] + offset, "display_offset": offset,
-                   "nodes": nodes, "configurations": len(confs)}))
+        recs.append(_product_states(
+            f"{op}-{chart}", mat, cs, [value + offset for value in values],
+            {f"{name}_separation": values[0], f"{name}_operator": values[0] + offset,
+             "display_offset": offset, "nodes": nodes}))
         # the norm is exact only in the level's span
         members.append(record(f"parabolic-membership-{chart}", _worst(memberships), 1e-6))
     lam = recs[-2]["notes"]
@@ -149,9 +156,7 @@ def v2_eigen_level(params, N: int, chart_params=None) -> list[dict]:
     cs, members = zip(*(basis.project(p2.p2_wf_semihyperbolic(p2.P2State(
         params, "semi-hyperbolic", (N,), roots=conf, chart_params=chart_params),
         basis.points)) for conf in confs))
-    recs.append(record("L2-semi-hyperbolic", _worst(
-        _amax(l2[0] @ c - lam * c) / (_amax(l2[0]) * _amax(c)) for c, lam in zip(cs, lams)),
-        1e-6, notes={**nodes, "configurations": len(confs)}))
+    recs.append(_product_states("L2-semi-hyperbolic", l2[0], cs, lams, nodes))
     lam_true, lam_disp = lams[0], p2.p2_sh_lambda(params, confs[0], chart_params)
     recs.append(record(
         "lambda-display-vs-eigenvalue", abs(lam_disp - lam_true), None, soft=True,
@@ -187,9 +192,9 @@ def _quadratic_algebra(params, cfg) -> list[dict]:
     mu2 = p1.p1_mu(params, np.arange(N + 1.0)) ** 2  # every level is full
     eigs = np.sort(alg.n2_horicyclic_eigenvalues(params, N))
     recs = [record("level-gram", _amax(basis.gram - np.eye(N + 1)), 1e-10),
-            record("matrix-symmetries", max(
+            record("matrix-symmetries", _worst((
                 _amax(n1 - n1.T) / _amax(n1), _amax(n2 - n2.T) / _amax(n2),
-                _amax(r + r.T) / (_amax(n1) * _amax(n2))), 1e-10),
+                _amax(r + r.T) / (_amax(n1) * _amax(n2)))), 1e-10),
             record("N1-diagonal", _amax(n1 - np.diag(mu2)) / _amax(mu2), 1e-10),
             record("N2-horicyclic-spectrum",
                    _amax(np.linalg.eigvalsh(n2) - eigs) / _amax(eigs), 1e-10),
@@ -225,8 +230,8 @@ def _interbasis(params, cfg) -> list[dict]:
     for N in range(min(2, _nmax(params)) + 1):
         lv = interbasis_level(params, N, "canonical")
         recs.append(record(f"three-method-agreement-N{N}",
-                           max(lv["agreement_quad_3f2"],
-                               lv["agreement_3f2_hahn"]), 1e-8,
+                           _worst((lv["agreement_quad_3f2"],
+                                   lv["agreement_3f2_hahn"])), 1e-8,
                            notes=lv["notes"]))
         recs.append(record(f"orthogonality-N{N}", lv["orthogonality_defect"],
                            1e-8))
@@ -251,30 +256,28 @@ def _v1_cross_chart(params, cfg) -> list[dict]:
         "hyperbolic-parabolic": ((0.2, 0.2), (2.0, 1.3),
                                  p1.v1_hyperbolic_parabolic),
     }
-    res_worst = 0.0
+    on_surface = []
     for chart, (lo, hi, form) in chart_form.items():
         u, v = geo.box_points(100, lo, hi).T
         q = geo.chart_points(chart, u, v)
-        res_worst = max(res_worst, float(np.max(geo.hyperboloid_residual(q))))
+        on_surface.append(np.max(geo.hyperboloid_residual(q)))
         dm = q.w0 - q.w1  # relative to V1's three terms, which can cancel
         size = (params.alpha**2 / q.w2**2 + params.gamma**2 / dm**2
                 + params.beta**2 * np.abs((q.w0 + q.w1) / dm**3))
         err = np.abs(p1.v1_ambient(params, q) - form(params, u, v)) / size
         recs.append(record(f"potential-identity-{chart}", np.max(err), 1e-12))
-    recs.append(record("chart-maps-on-surface", res_worst, 1e-10))
+    recs.append(record("chart-maps-on-surface", _worst(on_surface), 1e-10))
     if params.nmax is not None:
-        w = 0.0
-        for N in range(params.nmax + 1):
-            e = p1.p1_energy(params, N)
-            w = max(w, _rel_max(e, p1.p1_energy_from_horicyclic(params, N)),
-                    _rel_max(e, p1.p1_energy_from_elliptic_parabolic(params, N)))
-        recs.append(record("cross-chart-quantization", w, 1e-12))
+        recs.append(record("cross-chart-quantization", _worst(
+            _rel_max(p1.p1_energy(params, N), other(params, N))
+            for N in range(params.nmax + 1)
+            for other in (p1.p1_energy_from_horicyclic,
+                          p1.p1_energy_from_elliptic_parabolic)), 1e-12))
     a_, b_ = geo.box_points(100, (-2.0, -2.0), (2.0, 2.0)).T
     x, y = geo.chart_coordinates(geo.chart_points("equidistant", a_, b_),
                                  "horicyclic")
-    w = max(np.max(np.abs(x - np.exp(b_) * np.tanh(a_))),
-            np.max(np.abs(y - np.exp(b_) / np.cosh(a_))))
-    recs.append(record("horicyclic-bridge", w, 1e-12))
+    recs.append(record("horicyclic-bridge", _worst((
+        _amax(x - np.exp(b_) * np.tanh(a_)), _amax(y - np.exp(b_) / np.cosh(a_)))), 1e-12))
     return recs
 
 
@@ -300,24 +303,21 @@ def _v2_cross_chart(params, cfg) -> list[dict]:
     s1 = (q.w0 + 1j * q.w1) / np.sqrt(2.0)
     lhs = (s1**2 / (th - e1) + np.conj(s1) ** 2 / (th - e1.conjugate())
            + (1j * q.w2) ** 2 / (th - e3))
-    worst = max(np.max(np.abs(lhs - p2.sh_bracket(th, q, cp))),
-                np.max(np.abs(lhs - (mu_ - th) * (nu_ - th)
-                              / ((th - e1) * (th - e1.conjugate())
-                                 * (th - e3)))))
-    recs.append(record("semi-hyperbolic-factor-identity", worst, 1e-10))
-    worst_e, worst_k = 0.0, 0.0
+    recs.append(record("semi-hyperbolic-factor-identity", _worst((
+        _amax(lhs - p2.sh_bracket(th, q, cp)),
+        _amax(lhs - (mu_ - th) * (nu_ - th)
+              / ((th - e1) * (th - e1.conjugate()) * (th - e3))))), 1e-10))
+    branch, k1 = [], []
     for abc in geo.box_points(50, (0.05, 0.5, 0.3), (2.0, 6.0, 3.0)):
         pr = p2.P2Params(*abc.tolist())
         # k1 = a, the root of a^2 = (B - i gamma^2)/4 with Re a < 0 (the
         # sign is checked by the energies below)
-        worst_k = max(worst_k, _rel_max(pr.k1**2,
-                                        (pr.B - 1j * pr.gamma**2) / 4.0))
+        k1.append(_rel_max(pr.k1**2, (pr.B - 1j * pr.gamma**2) / 4.0))
         if pr.nmax is not None:
-            for N in range(min(pr.nmax, 2) + 1):
-                worst_e = max(worst_e, abs(p2.p2_energy(pr, N)
-                                           - p2.p2_energy_semihyperbolic(pr, N)))
-    recs.append(record("energy-branch-consistency", worst_e, 1e-12))
-    recs.append(record("k1-equals-a", worst_k, 1e-13))
+            branch += [abs(p2.p2_energy(pr, N) - p2.p2_energy_semihyperbolic(pr, N))
+                       for N in range(min(pr.nmax, 2) + 1)]
+    recs.append(record("energy-branch-consistency", _worst(branch), 1e-12))
+    recs.append(record("k1-equals-a", _worst(k1), 1e-13))
     if params.nmax is None:
         return recs
     return recs + hamiltonian_decomposition(params, min(1, params.nmax))

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 import subprocess
 import sys
 
 import pytest
 
+from hypersint import algebra as alg
 from hypersint import cli as hcli
+from hypersint import geometry as geo
+from hypersint import interbasis as ib
 from hypersint import potential1 as p1
 from hypersint import potential2 as p2
 from hypersint import verify
@@ -222,20 +226,36 @@ def test_v1_eigen_records_are_exact_on_the_level(well):
     assert [r["notes"]["configurations"] for r in records[2:4]] == [2, 2]
 
 
-def _nan_on_second_call(monkeypatch, module, name, chart=None):
-    """Make the second call of module.name give NaN: its value or, counting
-    only calls on a state of chart, the membership of a projection's
-    (log_norm, membership, c)."""
+def _nan(value):
+    """NaN in place of any value."""
+    return math.nan
+
+
+def _nan_on_second_call(monkeypatch, module, name, chart=None, spoil=_nan):
+    """Make the second call of module.name return spoil(its value), NaN by
+    default; with chart, counting only calls on a state of chart."""
     f, calls = getattr(module, name), []
 
-    def wrapper(*args):
-        value = f(*args)
+    def wrapper(*args, **kwargs):
+        value = f(*args, **kwargs)
         if chart is None or args[0].chart == chart:
             calls.append(None)
             if len(calls) == 2:
-                return (value[0], math.nan, value[2]) if chart else math.nan
+                return spoil(value)
         return value
     monkeypatch.setattr(module, name, wrapper)
+
+
+def _nan_membership(projection):
+    """A projection's (log_norm, membership, c) with a NaN membership."""
+    return projection[0], math.nan, projection[2]
+
+
+def _nan_entry(w):
+    """An interbasis matrix with a NaN first entry."""
+    entries = w.entries.copy()
+    entries[0, 0] = math.nan
+    return dataclasses.replace(w, entries=entries)
 
 
 def test_eigen_records_fail_on_a_nan_in_a_later_configuration(monkeypatch):
@@ -243,7 +263,7 @@ def test_eigen_records_fail_on_a_nan_in_a_later_configuration(monkeypatch):
     # built-in max() returns its first argument against a NaN)
     _nan_on_second_call(monkeypatch, p1, "p1_ep_lambda")
     _nan_on_second_call(monkeypatch, p1, "_parabolic_projection",
-                        chart="hyperbolic-parabolic")
+                        chart="hyperbolic-parabolic", spoil=_nan_membership)
     _nan_on_second_call(monkeypatch, p2, "p2_sh_lambda_closed")
     records, failed = verify.run(hcli.RunConfig(suite="eigen"))
     status = {r["id"]: r["pass"] for r in records}
@@ -254,6 +274,37 @@ def test_eigen_records_fail_on_a_nan_in_a_later_configuration(monkeypatch):
     records = verify.v2_eigen_level(p2.P2Params(0.1, 6.0, 1.0), 2, (0.0, 1.0, 0.0))
     status = {r["id"]: r["pass"] for r in records}
     assert not status["L2-semi-hyperbolic"] and status["semi-hyperbolic-membership"]
+
+
+def _nan_l3(values):
+    """L1..L4 applied, with a NaN L3."""
+    l1, l2, l3, l4 = values
+    return l1, l2, l3 * math.nan, l4
+
+
+# record: (module, function, spoil, fixture, suite), the function's second
+# call giving a later part of the record's residual
+LATER_PART = {
+    "cross-chart-quantization": (p1, "p1_energy_from_elliptic_parabolic", _nan, {},
+                                 "cross-chart"),
+    "chart-maps-on-surface": (geo, "hyperboloid_residual", _nan, {}, "cross-chart"),
+    "energy-branch-consistency": (p2, "p2_energy_semihyperbolic", _nan, V2_FIXTURE,
+                                  "cross-chart"),
+    "three-method-agreement-N1": (ib, "w_hahn", _nan_entry, {}, "interbasis"),
+    # the second test function
+    "linRel3": (alg, "apply_operators", _nan_l3, {}, "linear-relations"),
+}
+
+
+@pytest.mark.parametrize("ident", LATER_PART)
+def test_largest_of_records_fail_on_a_nan_in_a_later_part(monkeypatch, ident):
+    # the built-in max() kept an earlier finite part against a later NaN
+    module, name, spoil, fixture, suite = LATER_PART[ident]
+    _nan_on_second_call(monkeypatch, module, name, spoil=spoil)
+    records, failed = verify.run(hcli.RunConfig(**fixture, suite=suite))
+    (rec,) = (r for r in records if r["id"] == ident)
+    assert failed and not rec["pass"] and math.isnan(rec["residual"])
+    assert all(r["pass"] or r["soft"] for r in records if r["id"] != ident)
 
 
 @pytest.mark.parametrize("well", [
