@@ -121,20 +121,19 @@ class _Level:
 
 
 def _log_k0(lv: _Level) -> np.ndarray:
-    """log of the positive projection constant multiplying the a-integral.
+    """log of the positive canonical prefactor K0 A_n multiplying the
+    a-integral, log K0 + log A_n in that order.
 
     K0 = (m! mu / nu) chat C1 C2 / (C_m n1! n2!) with chat the canonical
-    horicyclic scale and C1, C2, C_m the 1D factors' normalizations.
+    horicyclic scale and C1, C2, C_m the 1D factors' normalizations; A_n is
+    the t1-factor's normalization.
     """
     p, nu, lg, n1, n2, m, mu = lv.p, lv.nu, sf.lgamma, lv.n1, lv.n2, lv.m, lv.mu
     log_chat = 0.5 * (math.log(2.0) + math.log(nu) - math.log(SQRT2 * p.beta))
     head = lg(m + 1.0) + sf._each(math.log, mu) - math.log(nu) + log_chat
-    return (head + p1m._osc_x_log_norm(p, n1) + p1m._osc_y_log_norm(p, n2, nu)
-            - p1m._morse_log_norm(m, mu) - lg(n1 + 1.0) - lg(n2 + 1.0))
-
-
-def _log_an(lv: _Level) -> np.ndarray:
-    return p1m._pt_log_norm(lv.p, lv.n, lv.mu, lv.nu)
+    k0 = (head + p1m._osc_x_log_norm(p, n1) + p1m._osc_y_log_norm(p, n2, nu)
+          - p1m._morse_log_norm(m, mu) - lg(n1 + 1.0) - lg(n2 + 1.0))
+    return k0 + p1m._pt_log_norm(p, lv.n, mu, nu)
 
 
 def _jacobi_rules(lv: _Level) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +183,7 @@ def w_quadrature(p: P1Params, N: int, variant: str = "canonical") -> InterbasisM
     d, lg, n1, n2, n, m, mu = lv.d, sf.lgamma, lv.n1, lv.n2, lv.n, lv.m, lv.mu
     val, mass = _a_integrals(lv)
     if lv.canonical:
-        logk = _log_k0(lv) + _log_an(lv)
+        logk = _log_k0(lv)
     else:
         head = (lg(m + 1.0) + lg(n + 1.0) + math.log(SQRT2 * p.beta)
                 + sf._each(math.log, mu - d - 2.0 * n - 1.0) + lg(mu + m + 1.0)
@@ -227,8 +226,7 @@ def w_3f2(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
         # rows k < N of log((mu-1)-k) (0 where k >= n) in the product's order
         k, sgn = np.arange(N, dtype=float)[:, None], lv.sign
         logp = sum(sf._each(math.log, np.where(k < n, mu - 1.0 - k, 1.0)), 0.0)
-        logmag = (_log_k0(lv)
-                  + _log_an(lv) + logp - lg(n + 1.0)
+        logmag = (_log_k0(lv) + logp - lg(n + 1.0)
                   - math.log(2.0) + lg(1.0 + d + n1)
                   + lg(mu + m - d - n1) - lg(1.0 + mu + m))
     else:
@@ -263,8 +261,7 @@ def w_hahn(p: P1Params, N: int, variant: str = "canonical") -> InterbasisMatrix:
                 else (mu + m + 1.0, mu + m - d - n1 - 1.0))
     h, ratio = sf.hahn(n, d, -mu, x, big_n)
     if lv.canonical:
-        logmag = (_log_k0(lv)
-                  + _log_an(lv) - math.log(2.0)
+        logmag = (_log_k0(lv) - math.log(2.0)
                   + lg(1.0 + d + n1) + lg(mu + m - d - n1 - n)
                   - lg(1.0 + mu + m))
     else:

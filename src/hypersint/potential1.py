@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -852,10 +852,11 @@ def _parabolic_raw(chart: str, state: P1State, u, th):
     return logmag, poly, r1**2, r2**2
 
 
-@lru_cache(maxsize=256)
-def _parabolic_projection(state: P1State) -> tuple[float, float, np.ndarray]:
+def _parabolic_projection(state: P1State, basis: EquidistantBasis
+                          ) -> tuple[float, float, np.ndarray]:
     """log_norm of the raw product form, and its membership residual and
-    coefficients c on the level's states (``EquidistantBasis.project``).
+    coefficients c on basis, the caller's ``EquidistantBasis.level`` of the
+    state's level (``EquidistantBasis.project``).
 
     The state lies in its level's span, so sum c^2 is its squared norm over
     w2 > 0, which the t1 > 0 basis sees, to second order in the membership
@@ -866,7 +867,6 @@ def _parabolic_projection(state: P1State) -> tuple[float, float, np.ndarray]:
     elliptic-parabolic chart (both halves) and L + (1/2) log(sum c^2) on the
     hyperbolic-parabolic one, and c is that of the form over e^L.
     """
-    basis = EquidistantBasis.level(state.params, state.N)
     t1, t2 = basis.nodes
     logmag, *poly = _parabolic_raw(state.chart, state, *parabolic_coordinates(
         state.chart, np.cosh(t1) * np.exp(-t2), np.tanh(t1) * np.exp(t2),
@@ -879,15 +879,16 @@ def _parabolic_projection(state: P1State) -> tuple[float, float, np.ndarray]:
 
 def _parabolic_wf(chart: str, state: P1State, u, th):
     """The normalized product form: ``_parabolic_raw`` with the log norm
-    of ``_parabolic_projection`` in its log-magnitude, where exp(-log_norm)
-    cannot underflow on its own.  Its coefficients on the level's
-    equidistant states have sum c^2 = 1/2 on the elliptic-parabolic chart,
-    normalized over both halves, and 1 on the hyperbolic-parabolic one,
-    over w2 > 0."""
+    of ``_parabolic_projection`` on the state's level, built here for each
+    call, in its log-magnitude, where exp(-log_norm) cannot underflow on its
+    own.  Its coefficients on the level's equidistant states have sum
+    c^2 = 1/2 on the elliptic-parabolic chart, normalized over both halves,
+    and 1 on the hyperbolic-parabolic one, over w2 > 0."""
     if not np.all(in_chart_domain(chart, u, th)):
         raise OutOfDomainError(f"{chart} product form needs points inside the chart")
     logmag, *poly = _parabolic_raw(chart, state, u, th)
-    return _exp_guarded(logmag - _parabolic_projection(state)[0], *poly)
+    basis = EquidistantBasis.level(state.params, state.N)
+    return _exp_guarded(logmag - _parabolic_projection(state, basis)[0], *poly)
 
 
 # volume elements of the parabolic charts (conformal factors)

@@ -44,11 +44,11 @@ from .potential1 import (
     _check_couplings,
     _check_level,
     _EquidistantWell,
-    _equidistant_product,
     _residual,
     p1_energy,
     p1_mu,
     p1_spectrum,
+    p1_wf_equidistant,
     pt_factor,
     wf_ambient as p1_wf_ambient,
 )
@@ -148,6 +148,8 @@ p2_mu = p1_mu
 p2_energy = p1_energy
 p2_spectrum = p1_spectrum
 P2State = P1State
+#: Psi_{nm}(t1, t2), real up to round-off after the global phase fix
+p2_wf_equidistant = p1_wf_equidistant
 
 
 def p2_energy_semihyperbolic(p: P2Params, N: int) -> float:
@@ -245,11 +247,6 @@ def s2_rule(p: P2Params, m):
 #: published display's bare alpha superscript is a typo this package does
 #: not follow).
 z_pt_factor = pt_factor
-
-
-def p2_wf_equidistant(state: P2State, t1, t2) -> np.ndarray:
-    """Psi_{nm}(t1, t2), real up to round-off after the global phase fix."""
-    return _equidistant_product(state.params, *state.numbers, t1, t2)
 
 
 # ---------------------------------------------------------------------------

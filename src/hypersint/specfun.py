@@ -73,10 +73,11 @@ def _asarray(x, dtype=float):
 
 
 def _each(f, x):
-    """f of a number or of each element (numpy's exp and log can differ)."""
+    """f of a number or of each element (numpy's exp and log can differ);
+    f returns a float."""
     if not isinstance(x, np.ndarray):
         return f(x)
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def _v1_eigen(params, cfg) -> list[dict]:
         values = [sep(params, conf) for conf in confs]
         offset *= params.gamma**2
         _, memberships, cs = zip(*(p1._parabolic_projection(
-            p1.P1State(params, chart, (1,), roots=conf)) for conf in confs))
+            p1.P1State(params, chart, (1,), roots=conf), basis) for conf in confs))
         recs.append(_product_states(
             f"{op}-{chart}", mat, cs, [value + offset for value in values],
             {f"{name}_separation": values[0], f"{name}_operator": values[0] + offset,

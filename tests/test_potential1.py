@@ -741,13 +741,14 @@ def _check_parabolic_log_norms(p, levels, tol):
     # separated integrals: both charts, the first and last configuration of
     # each level
     for N in levels:
+        basis = p1.EquidistantBasis.level(p, N)
         for chart, solve in (("elliptic-parabolic", p1.p1_ep_roots),
                              ("hyperbolic-parabolic", p1.p1_hp_roots)):
             confs = solve(p, N, form="derived")
             for conf in {confs[0], confs[-1]}:
                 st = p1.P1State(p, chart, (N,), roots=conf)
                 want = _parabolic_log_norm_oracle(st)
-                got = p1._parabolic_projection(st)[0]
+                got = p1._parabolic_projection(st, basis)[0]
                 assert abs(got - want) <= tol, (chart, N, conf.zone_counts)
 
 
@@ -780,5 +781,5 @@ def test_parabolic_norm_at_a_high_level_of_a_wide_well():
     conf, = (c for c in p1.p1_hp_roots(p, 30, form="derived")
              if c.zone_counts == (24, 6))
     st = p1.P1State(p, "hyperbolic-parabolic", (30,), roots=conf)
-    assert abs(p1._parabolic_projection(st)[0]
+    assert abs(p1._parabolic_projection(st, p1.EquidistantBasis.level(p, 30))[0]
                - _parabolic_log_norm_oracle(st)) <= 1e-12

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hypersint import algebra as alg
@@ -224,6 +225,57 @@ def test_v1_eigen_records_are_exact_on_the_level(well):
     assert max(worst.values()) <= 1e-11, worst
     # L3 and L4 take both configurations of level 1
     assert [r["notes"]["configurations"] for r in records[2:4]] == [2, 2]
+
+
+FIXTURE_V1 = (1.0, 1.0 / math.sqrt(2.0), 2.0 * math.sqrt(2.0))
+S229 = (0.8021189901441927, 0.055414650975510134, 4.235214784107855)
+
+
+def _eigen_run(monkeypatch, well):
+    """A v1 eigen run on well: the EquidistantBasis instances it built and
+    the arguments of each of its parabolic projections."""
+    built, projections = [], []
+    init, project = p1.EquidistantBasis.__init__, p1._parabolic_projection
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def recorded(*args):
+        projections.append(args)
+        return project(*args)
+    monkeypatch.setattr(p1.EquidistantBasis, "__init__", counted_init)
+    monkeypatch.setattr(p1, "_parabolic_projection", recorded)
+    alpha, beta, gamma = well
+    verify.run(hcli.RunConfig(alpha=alpha, beta=beta, gamma=gamma, suite="eigen"))
+    monkeypatch.undo()
+    return built, projections
+
+
+@pytest.mark.parametrize("well", [FIXTURE_V1, (0.3, 0.2, 3.0), S229])
+def test_v1_eigen_builds_its_level_once(monkeypatch, well):
+    # the Galerkin matrices and the four parabolic projections (two
+    # configurations on each chart) share one level-1 basis
+    built, projections = _eigen_run(monkeypatch, well)
+    assert len(built) == 1
+    assert len(projections) == 4
+    assert all(args[1] is built[0] for args in projections)
+
+
+@pytest.mark.parametrize("well", [FIXTURE_V1, (0.3, 0.2, 3.0),
+                                  (0.865, 0.19, 4.855), S229])
+def test_parabolic_projection_on_the_suite_basis_is_a_fresh_levels(monkeypatch, well):
+    # the suite's basis, after its Galerkin call, projects as a level built
+    # for the state alone, bit for bit
+    _, projections = _eigen_run(monkeypatch, well)
+    assert {st.chart for st, _ in projections} == {"elliptic-parabolic",
+                                                   "hyperbolic-parabolic"}
+    for st, basis in projections:
+        got = p1._parabolic_projection(st, basis)
+        want = p1._parabolic_projection(
+            st, p1.EquidistantBasis.level(st.params, st.N))
+        assert got[:2] == want[:2], (st.chart, st.roots.zone_counts)
+        assert np.array_equal(got[2], want[2]), (st.chart, st.roots.zone_counts)
 
 
 def _nan(value):
