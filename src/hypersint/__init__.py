@@ -13,7 +13,7 @@ coordinate charts.  The package provides
                     and the semi-hyperbolic system,
 * ``interbasis`` -- expansion between equidistant and horicyclic bases,
                     computed three independent ways,
-* ``algebra``    -- symmetry operators, eigenvalue residuals, multiplet
+* ``algebra``    -- symmetry operators, eigenvalue residuals, Galerkin
                     matrices and the quadratic algebra checks,
 * ``verify``     -- the verification suites, one table per potential,
 * ``cli``        -- ``hypersint`` command line interface.

@@ -300,8 +300,7 @@ def _state_for(cfg: RunConfig):
         meta["root_residual"] = match[0].residual
         meta["form"] = cfg.form
         # from the state's projection onto its level on the level's rule
-        meta["log_norm"] = p1._parabolic_projection(
-            st, p1.EquidistantBasis.level(params, N))[0]
+        meta["log_norm"] = st.log_norm
 
     def on_grid(u, v):
         out = np.full(u.shape, math.nan)

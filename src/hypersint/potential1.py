@@ -582,10 +582,20 @@ class P1State:
     def energy(self) -> float:
         return p1_energy(self.params, self.N)
 
+    @cached_property
+    def log_norm(self) -> float:
+        return _parabolic_projection(self, EquidistantBasis.level(self.params, self.N))[0]
+
+
+def _check_chart(state: P1State, chart: str):
+    if state.chart != chart:
+        raise OutOfDomainError(f"a {state.chart} state has no {chart} wavefunction")
+
 
 def p1_wf_equidistant(state: P1State, t1, t2):
     """Psi_{nm}(t1, t2) = (cosh t1)^{-1/2} S_n(t1) S_m(t2); unit norm for
     t1 > 0, t2 in R with measure cosh(t1) dt1 dt2."""
+    _check_chart(state, "equidistant")
     return _equidistant_product(state.params, *state.numbers, t1, t2)
 
 
@@ -649,6 +659,7 @@ class EquidistantBasis:
 
 def p1_wf_horicyclic(state: P1State, x, y):
     """Canonical horicyclic product: unit norm in L^2(dx dy/y^2), x > 0 half."""
+    _check_chart(state, "horicyclic")
     return _horicyclic_product(state.params, *state.numbers, x, y)
 
 
@@ -819,9 +830,9 @@ def p1_hp_tau(p: P1Params, roots: BetheRoots) -> float:
 # Parabolic-chart wavefunctions (product over zeros)
 # ---------------------------------------------------------------------------
 
-def _parabolic_raw(chart: str, state: P1State, u, th):
-    """The raw product form on a parabolic chart, as its log-magnitude and
-    the ``_exp_guarded`` polynomial and arguments:
+def _parabolic_raw(state: P1State, u, th):
+    """The raw product form on the state's parabolic chart, as its
+    log-magnitude and the ``_exp_guarded`` polynomial and arguments:
 
         (w1 w2)^{1/2+d} (r1 r2)^{nu+1/2} e^{-c (r1^2 + s r2^2)}
             prod_k (r1^2 - t_k)(r2^2 - s t_k),
@@ -831,7 +842,7 @@ def _parabolic_raw(chart: str, state: P1State, u, th):
     and (cosh b, cos th), (|sinh b|, |sin th|), s = -1 on the
     hyperbolic-parabolic one.
     """
-    p, roots = state.params, state.roots
+    p, roots, chart = state.params, state.roots, state.chart
     ua, tha = sf._asarray(u), sf._asarray(th)
     expo = p.s - p.d - 2.0 * roots.N - 1.5  # = nu + 1/2
     su, cu = np.abs(np.sinh(ua)), np.cosh(ua)
@@ -855,8 +866,8 @@ def _parabolic_raw(chart: str, state: P1State, u, th):
 def _parabolic_projection(state: P1State, basis: EquidistantBasis
                           ) -> tuple[float, float, np.ndarray]:
     """log_norm of the raw product form, and its membership residual and
-    coefficients c on basis, the caller's ``EquidistantBasis.level`` of the
-    state's level (``EquidistantBasis.project``).
+    coefficients c on basis, the state's ``EquidistantBasis.level``: built by
+    ``P1State.log_norm``, held by the v1 eigen suite (``EquidistantBasis.project``).
 
     The state lies in its level's span, so sum c^2 is its squared norm over
     w2 > 0, which the t1 > 0 basis sees, to second order in the membership
@@ -868,7 +879,7 @@ def _parabolic_projection(state: P1State, basis: EquidistantBasis
     hyperbolic-parabolic one, and c is that of the form over e^L.
     """
     t1, t2 = basis.nodes
-    logmag, *poly = _parabolic_raw(state.chart, state, *parabolic_coordinates(
+    logmag, *poly = _parabolic_raw(state, *parabolic_coordinates(
         state.chart, np.cosh(t1) * np.exp(-t2), np.tanh(t1) * np.exp(t2),
         np.expm1(2.0 * t2)))
     top = float(np.max(logmag))
@@ -878,17 +889,17 @@ def _parabolic_projection(state: P1State, basis: EquidistantBasis
 
 
 def _parabolic_wf(chart: str, state: P1State, u, th):
-    """The normalized product form: ``_parabolic_raw`` with the log norm
-    of ``_parabolic_projection`` on the state's level, built here for each
-    call, in its log-magnitude, where exp(-log_norm) cannot underflow on its
-    own.  Its coefficients on the level's equidistant states have sum
-    c^2 = 1/2 on the elliptic-parabolic chart, normalized over both halves,
-    and 1 on the hyperbolic-parabolic one, over w2 > 0."""
+    """The normalized product form of a state of chart: ``_parabolic_raw``
+    with ``state.log_norm`` (its level is built on the state's first call)
+    in its log-magnitude, where exp(-log_norm) cannot underflow on its own.
+    Its coefficients on the level's equidistant states have sum c^2 = 1/2 on
+    the elliptic-parabolic chart, normalized over both halves, and 1 on the
+    hyperbolic-parabolic one, over w2 > 0."""
+    _check_chart(state, chart)
     if not np.all(in_chart_domain(chart, u, th)):
         raise OutOfDomainError(f"{chart} product form needs points inside the chart")
-    logmag, *poly = _parabolic_raw(chart, state, u, th)
-    basis = EquidistantBasis.level(state.params, state.N)
-    return _exp_guarded(logmag - _parabolic_projection(state, basis)[0], *poly)
+    logmag, *poly = _parabolic_raw(state, u, th)
+    return _exp_guarded(logmag - state.log_norm, *poly)
 
 
 # volume elements of the parabolic charts (conformal factors)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hypersint import potential1 as p1
 from hypersint.potential1 import P1Params
 from hypersint.potential2 import P2Params
 
@@ -24,3 +25,15 @@ def p2_fixture() -> P2Params:
 def p2_deep() -> P2Params:
     """Deeper well (four bound levels) for semi-hyperbolic root tests."""
     return P2Params(alpha=0.1, beta=6.0, gamma=1.0)
+
+
+@pytest.fixture
+def level_builds(monkeypatch) -> list:
+    """The EquidistantBasis instances constructed from here on."""
+    built, init = [], p1.EquidistantBasis.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(p1.EquidistantBasis, "__init__", counted_init)
+    return built

@@ -175,6 +175,17 @@ def test_wavefunction_parabolic_zone_selection():
     assert abs(meta["roots"][0] - (7 - math.sqrt(35)) / 2) < 1e-9
 
 
+def test_parabolic_wavefunction_builds_its_level_once(level_builds):
+    # meta.log_norm and the grid's evaluation share the state's log norm
+    # (each built the level before)
+    code, out = run_main(["wavefunction", "--alpha", "0.3", "--beta", "0.2",
+                          "--gamma", "3", "--chart", "hyperbolic-parabolic",
+                          "--quantum", "8,3,5", "--grid", "13x13:-4,4,-3,3"])
+    assert code == 0
+    assert any(r["psi"] is not None for r in json.loads(out)["records"])
+    assert len(level_builds) == 1
+
+
 @pytest.mark.parametrize("chart, quantum", [
     ("elliptic-parabolic", "1,0,1"), ("hyperbolic-parabolic", "1,0,1"),
     ("horicyclic", "1,1")])

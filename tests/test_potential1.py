@@ -575,6 +575,50 @@ def test_parabolic_product_forms_reject_points_outside_the_chart(p1_fixture):
     assert np.isfinite(inside).all() and inside[0] != 0.0
 
 
+def _fixture_state(p, chart):
+    """The fixture's (1, 1) state on the equidistant and horicyclic charts,
+    its first N = 1 configuration on the parabolic ones."""
+    if chart in ("equidistant", "horicyclic"):
+        return p1.P1State(p, chart, (1, 1))
+    roots = p1.p1_ep_roots if chart == "elliptic-parabolic" else p1.p1_hp_roots
+    return p1.P1State(p, chart, (1,), roots=roots(p, 1)[0])
+
+
+@pytest.mark.parametrize("wf, chart, other", [
+    (p1.p1_wf_equidistant, "equidistant", "horicyclic"),
+    (p1.p1_wf_horicyclic, "horicyclic", "equidistant"),
+    (p1.p1_wf_elliptic_parabolic, "elliptic-parabolic", "hyperbolic-parabolic"),
+    (p1.p1_wf_hyperbolic_parabolic, "hyperbolic-parabolic", "elliptic-parabolic")])
+def test_wavefunctions_refuse_a_state_of_another_chart(p1_fixture, wf, chart, other):
+    # each read the other chart's numbers or roots as its own: at (0.5, 0.2)
+    # p1_wf_equidistant gave 0.2488 on the horicyclic (1, 1), whose own
+    # value is 0.0956, and p1_wf_elliptic_parabolic 0.00575 on the first
+    # hyperbolic-parabolic N = 1 state, whose own value is -0.00219
+    assert np.isfinite(wf(_fixture_state(p1_fixture, chart), 0.5, 0.2))
+    with pytest.raises(OutOfDomainError, match=f"a {other} state has no {chart}"):
+        wf(_fixture_state(p1_fixture, other), 0.5, 0.2)
+
+
+def test_v2_equidistant_wavefunction_refuses_a_semi_hyperbolic_state(p2_fixture):
+    # p2_wf_equidistant is p1_wf_equidistant; it raised a TypeError on the
+    # semi-hyperbolic state's single quantum number
+    cp = (0.0, 1.0, 0.0)
+    st = p2.P2State(p2_fixture, "semi-hyperbolic", (0,),
+                    roots=p2.p2_sh_roots(p2_fixture, 0, cp)[0], chart_params=cp)
+    with pytest.raises(OutOfDomainError, match="semi-hyperbolic state"):
+        p2.p2_wf_equidistant(st, 0.5, 0.2)
+
+
+def test_pointwise_parabolic_calls_build_the_level_once(p1_fixture, level_builds):
+    # the state keeps its log norm: ten single-point calls, each through a
+    # new wf_ambient, build its level once (each call built it before)
+    st = _fixture_state(p1_fixture, "elliptic-parabolic")
+    values = [p1.wf_ambient(st)(geo.chart_to_ambient(
+        geo.ChartPoint("elliptic-parabolic", 0.5, 0.1 * k))) for k in range(1, 11)]
+    assert len(level_builds) == 1
+    assert all(np.isfinite(values))
+
+
 def test_exp_guarded_rejects_a_nan_log_magnitude():
     with pytest.raises(NonFiniteValueError):
         p1._exp_guarded(np.array([0.0, np.nan, -800.0]), lambda v: 1.0, 0.0)
@@ -750,6 +794,7 @@ def _check_parabolic_log_norms(p, levels, tol):
                 want = _parabolic_log_norm_oracle(st)
                 got = p1._parabolic_projection(st, basis)[0]
                 assert abs(got - want) <= tol, (chart, N, conf.zone_counts)
+                assert st.log_norm == got, (chart, N, conf.zone_counts)
 
 
 @pytest.mark.parametrize("params,levels", [

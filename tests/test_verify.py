@@ -84,6 +84,23 @@ def test_record_ids_tolerances_and_soft_flags(potential, suite):
     assert not failed
 
 
+# inputs on which an eigen suite ends after its first two records: a v1
+# well of one level (nmax = 0) has no parabolic state at level 1, and v2
+# without chart parameters no semi-hyperbolic one.  Measured: at most 3.6e-15
+# and 3.2e-16
+EARLY_ENDS = [(dict(alpha=1.0, beta=1.0 / math.sqrt(2.0), gamma=2.3), "v1"),
+              ({**V2_FIXTURE, "chart_params": None}, "v2")]
+
+
+@pytest.mark.parametrize("inputs, potential", EARLY_ENDS)
+def test_eigen_records_of_a_level_without_product_states(inputs, potential):
+    records, failed = verify.run(hcli.RunConfig(suite="eigen", **inputs))
+    assert [(r["id"], r["tolerance"], r["soft"]) for r in records] \
+        == RECORDS[potential, "eigen"][:2]
+    assert not failed
+    assert max(r["residual"] for r in records) <= 1e-14
+
+
 def test_record_pass_rule():
     assert verify.record("a", 1e-7, 1e-7)["pass"]
     assert not verify.record("a", 2e-7, 1e-7)["pass"]
